@@ -21,14 +21,13 @@ matrices.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .linalg import (
-    nullspace_dim_float,
-    nullspace_exact,
     rank_exact,
     rank_float,
     solve_min_norm_exact,
@@ -165,13 +164,7 @@ class ConstraintSystem:
         return rank_float(self.matrix)
 
     def nullspace_dimension(self) -> int:
-        if self.unknown_count == 0:
-            return 0
-        if self.equation_count == 0:
-            return self.unknown_count
-        if self.exact:
-            return len(nullspace_exact(self.matrix))
-        return nullspace_dim_float(self.matrix)
+        return self.unknown_count - self.rank()
 
 
 def _theta_layout(m: int) -> list[tuple]:
@@ -276,11 +269,19 @@ def assemble_constraints(
 
 @dataclass(frozen=True)
 class ChangeOfVariables:
-    """Solved change of variables H(X) = Gamma X + sum Theta_k lambda_k."""
+    """Solved change of variables H(X) = Gamma X + sum Theta_k lambda_k.
+
+    ``equation_count``, ``unknown_count`` and ``rank`` describe the
+    linear system over the Theta entries that :func:`solve_theta`
+    solved; they are None for a change of variables built directly.
+    """
 
     gamma_params: tuple
     gamma: np.ndarray
     thetas: dict[int, np.ndarray]
+    equation_count: int | None = None
+    unknown_count: int | None = None
+    rank: int | None = None
 
     @property
     def m(self) -> int:
@@ -326,7 +327,8 @@ class ChangeOfVariables:
     def to_float(self) -> "ChangeOfVariables":
         if not self.exact:
             return self
-        return ChangeOfVariables(
+        return dataclasses.replace(
+            self,
             gamma_params=tuple(float(x) for x in self.gamma_params),
             gamma=self.gamma.astype(float),
             thetas={k: v.astype(float) for k, v in self.thetas.items()},
@@ -347,15 +349,22 @@ class NoSolutionError(RuntimeError):
 
 
 def _extract_cov(
-    solution, layout: tuple, gamma: np.ndarray, gamma_params: tuple, m: int, exact: bool
+    solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray, exact: bool
 ) -> ChangeOfVariables:
     thetas: dict[int, np.ndarray] = {}
-    for k in range(2, m + 1):
+    for k in range(2, cs.m + 1):
         thetas[k] = _zeros((2, k + 1), exact)
-    for value, label in zip(solution, layout):
+    for value, label in zip(solution, cs.unknown_layout):
         _, k, row, col = label
         thetas[k][row - 1, col - 1] = value
-    return ChangeOfVariables(gamma_params=gamma_params, gamma=gamma, thetas=thetas)
+    return ChangeOfVariables(
+        gamma_params=cs.gamma_params,
+        gamma=gamma,
+        thetas=thetas,
+        equation_count=cs.equation_count,
+        unknown_count=cs.unknown_count,
+        rank=rank,
+    )
 
 
 def solve_theta(
@@ -414,14 +423,13 @@ def solve_theta(
                 continue
             cs = assemble_constraints(work, m_try, gamma_params=(a, b))
             if exact:
-                sol = solve_min_norm_exact(cs.matrix, cs.rhs)
+                sol, rank = solve_min_norm_exact(cs.matrix, cs.rhs)
             else:
-                sol = solve_min_norm_float(cs.matrix, cs.rhs)
+                sol, rank = solve_min_norm_float(cs.matrix, cs.rhs)
             entry["consistent"] = sol is not None
-            if sol is None:
-                entry["rank"] = cs.rank()
-                continue
-            return _extract_cov(sol, cs.unknown_layout, gamma, (a, b), m_try, exact)
+            entry["rank"] = rank
+            if sol is not None:
+                return _extract_cov(sol, cs, rank, gamma, exact)
     raise NoSolutionError(
         f"no admissible change of variables up to theta degree {degrees[-1]} "
         f"(system degree {n}; tried {len(attempts)} candidate/degree pairs)",

@@ -136,8 +136,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="polycycle",
         description="Detect and size Hopf limit cycles of planar polynomial systems "
-        "by polynomial reduction and averaging, cross-checked numerically. "
-        "Set POLYCYCLE_THREADS to parallelize sweeps.",
+        "by polynomial reduction and averaging, cross-checked numerically.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -6,9 +6,7 @@ that serializes to JSON and to a short text summary.  Reports are
 deterministic: no timestamps, fixed key order, floats through repr.
 
 :func:`run_sweep` repeats the analysis over a parameter grid and
-tabulates predicted against measured amplitudes.  Set the
-``POLYCYCLE_THREADS`` environment variable above 1 to measure sweep
-points concurrently; row order does not depend on it.
+tabulates predicted against measured amplitudes.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +26,9 @@ from .averaging import (
     p3_q3,
     predict_cycle,
 )
-from .change_of_variables import (
+# assemble_constraints is not called here; perfbench/tracing.py wraps it
+# under this module's name, so it stays imported.
+from .change_of_variables import (  # noqa: F401
     NoSolutionError,
     assemble_constraints,
     residual_condition33,
@@ -267,7 +265,6 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
             status="no_change_of_variables", warnings=warnings, **base
         )
 
-    constraints = assemble_constraints(system, cov.m, cov.gamma_params)
     residual = residual_condition33(cov, system)
     inv = invert_to_cubic(cov)
     trust = trust_radius(cov, inv)
@@ -347,9 +344,9 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
         status="ok",
         m=cov.m,
         gamma_params=tuple(int(c) for c in cov.gamma_params),
-        unknown_count=constraints.unknown_count,
-        equation_count=constraints.equation_count,
-        nullspace_dim=constraints.nullspace_dimension(),
+        unknown_count=cov.unknown_count,
+        equation_count=cov.equation_count,
+        nullspace_dim=cov.unknown_count - cov.rank,
         condition_residual=float(residual),
         residual_is_exact_zero=bool(system.exact and residual == 0),
         trust_radius=float(trust),
@@ -379,7 +376,7 @@ def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[di
 
     Returns one row per alpha with the prediction, the measurement,
     and their relative amplitude error (None when either side has no
-    cycle).  Rows keep grid order regardless of thread count.
+    cycle).
     """
     options = options or AnalysisOptions()
     defn = source if isinstance(source, SystemDefinition) else load_definition(source)
@@ -406,11 +403,6 @@ def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[di
             "verdict": report.verdict if report.verdict is not None else report.status,
         }
 
-    threads = int(os.environ.get("POLYCYCLE_THREADS", "1"))
-    alphas = list(alphas)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, alphas))
     return [one(a) for a in alphas]
 
 

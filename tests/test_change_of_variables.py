@@ -17,6 +17,7 @@ from polycycle.change_of_variables import (
     residual_condition33,
     solve_theta,
 )
+from polycycle.linalg import fraction_rows, rref
 from polycycle.monomials import as_fraction_matrix
 from polycycle.polyops import poly_eval
 from polycycle.system import build_system
@@ -104,6 +105,12 @@ def test_degree_two_is_too_low_for_the_cubic(normal_form_system):
     assert len(attempts) == len(GAMMA_CANDIDATES)
     assert [a["m"] for a in attempts] == [2] * 4
     assert all(a["consistent"] is False for a in attempts if a["det"] != 0)
+    # each rank comes from the failed solve's own elimination; the Fraction
+    # RREF of the assembled matrix is the reference
+    for a in attempts:
+        if a["det"] != 0:
+            cs = assemble_constraints(normal_form_system, 2, a["params"])
+            assert a["rank"] == len(rref(fraction_rows(cs.matrix))[1])
 
 
 def test_solve_theta_rejects_bad_arguments(normal_form_system):

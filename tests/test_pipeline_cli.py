@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from polycycle.change_of_variables import assemble_constraints
 from polycycle.cli import main
+from polycycle.definition import instantiate
 from polycycle.pipeline import AnalysisOptions, run_analyze, run_sweep, sweep_to_csv
 
 
@@ -105,13 +107,17 @@ def test_sweep_rows_and_csv(systems_dir):
     assert lines[1].endswith("agreement")
 
 
-def test_sweep_is_thread_order_independent(systems_dir, monkeypatch):
-    args = (systems_dir / "normal_form.json", ["0.04", "0.09"], _fast_options())
-    monkeypatch.delenv("POLYCYCLE_THREADS", raising=False)
-    serial = run_sweep(*args)
-    monkeypatch.setenv("POLYCYCLE_THREADS", "2")
-    threaded = run_sweep(*args)
-    assert sweep_to_csv(serial) == sweep_to_csv(threaded)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_report_counts_match_a_fresh_assembly(definitions, exact):
+    # the report takes its counts and rank from the solve; a fresh
+    # assembly of the same system and its own elimination must agree
+    for name, defn in definitions.items():
+        report = run_analyze(defn, _fast_options(exact=exact, measure=False))
+        system = instantiate(defn, defn.alpha_default, exact=exact)
+        cs = assemble_constraints(system, report.m, report.gamma_params)
+        assert report.unknown_count == cs.unknown_count, name
+        assert report.equation_count == cs.equation_count, name
+        assert report.nullspace_dim == cs.nullspace_dimension(), name
 
 
 def test_sweep_requires_parameterized_system(systems_dir):
