@@ -8,7 +8,6 @@ cross-checks the prediction against direct numerical integration.
 """
 
 from .averaging import (
-    FORMULA_VARIANTS,
     GCoefficients,
     KbmPrediction,
     cycle_curve,
@@ -45,7 +44,6 @@ from .system import HopfIndicator, PlanarPolySystem, build_system, hopf_indicato
 __version__ = "0.1.0"
 
 __all__ = [
-    "FORMULA_VARIANTS",
     "GAMMA_CANDIDATES",
     "AnalysisOptions",
     "AnalysisReport",

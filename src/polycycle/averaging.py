@@ -16,18 +16,15 @@ moments,
     q3 = (3/8) g1 + (delta/8) g3,
 
 with (g1, g2, g3, g4) the components of G3.  A cycle exists exactly
-when sign(tau) = sign(p3) and p3 != 0.
+when sign(tau) = sign(p3) and p3 != 0.  The damping term of the slow
+flow carries the 1/sqrt(delta) factor of the time rescaling, so the
+amplitude and frequency are
 
-Two amplitude formulas are carried, named by whether the damping term
-of the slow flow carries the 1/sqrt(delta) factor of the time
-rescaling.  The "scaled" variant keeps it and gives
+    r0^2 = sqrt(delta) / (2 |p3|),   w0 = 1 - (tau / (2 sqrt(delta))) (q3 / p3).
 
-    r0^2 = sqrt(delta) / (2 |p3|),
-
-while the "unscaled" variant drops it and gives
-r0^2 = delta / (2 |p3|).  They agree at delta = 1 and differ by
-delta^(1/4) otherwise; the acceptance suite discriminates empirically
-on a family with delta far from 1 and the scaled form is the default.
+When G2 = 0, p3 = -sqrt(delta) l1 with l1 the first Lyapunov
+coefficient, so the squared z-amplitude |tau| r0^2 is the classical
+|tau| / (2 |l1|).
 """
 
 from __future__ import annotations
@@ -45,14 +42,15 @@ from .system import PlanarPolySystem
 __all__ = [
     "GCoefficients",
     "KbmPrediction",
-    "FORMULA_VARIANTS",
     "g_coefficients",
     "p3_q3",
     "predict_cycle",
     "cycle_curve",
 ]
 
-FORMULA_VARIANTS = ("scaled", "unscaled")
+# |p3| at or below this is degenerate: first-order averaging cannot
+# decide existence, reported distinctly from a clean "no cycle" verdict.
+P3_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,6 @@ class KbmPrediction:
     delta: float
     p3: float
     q3: float
-    variant: str
     exists: bool
     r0: float | None = None
     omega0: float | None = None
@@ -183,7 +180,7 @@ class KbmPrediction:
         return self.stability == "undetermined"
 
 
-def predict_cycle(tau, delta, p3, q3, variant: str = "scaled", p3_tol: float = 1e-12) -> KbmPrediction:
+def predict_cycle(tau, delta, p3, q3) -> KbmPrediction:
     """Existence, amplitude, frequency and stability from the averages.
 
     Parameters
@@ -192,35 +189,21 @@ def predict_cycle(tau, delta, p3, q3, variant: str = "scaled", p3_tol: float = 1
         Trace and determinant of the Jacobian (delta > 0).
     p3, q3 : float
         Averaged cubic moments from :func:`p3_q3`.
-    variant : str
-        ``"scaled"`` (default) or ``"unscaled"``; see the module
-        docstring for the difference.
-    p3_tol : float
-        |p3| at or below this is treated as degenerate: first-order
-        averaging is inconclusive, reported distinctly from a clean
-        "no cycle" verdict.
     """
-    if variant not in FORMULA_VARIANTS:
-        raise ValueError(f"variant must be one of {FORMULA_VARIANTS}, got {variant!r}")
     tau_f, delta_f, p3_f, q3_f = float(tau), float(delta), float(p3), float(q3)
     if delta_f <= 0.0:
         raise ValueError(f"averaging requires delta > 0, got {delta!r}")
-    base = dict(tau=tau_f, delta=delta_f, p3=p3_f, q3=q3_f, variant=variant)
-    if abs(p3_f) <= p3_tol:
+    base = dict(tau=tau_f, delta=delta_f, p3=p3_f, q3=q3_f)
+    if abs(p3_f) <= P3_TOL:
         return KbmPrediction(exists=False, stability="undetermined", **base)
     if tau_f == 0.0 or (tau_f > 0.0) != (p3_f > 0.0):
         return KbmPrediction(exists=False, **base)
     sd = math.sqrt(delta_f)
-    if variant == "scaled":
-        r0 = math.sqrt(sd / (2.0 * abs(p3_f)))
-        omega0 = 1.0 - (tau_f / (2.0 * sd)) * (q3_f / p3_f)
-    else:
-        r0 = math.sqrt(delta_f / (2.0 * abs(p3_f)))
-        omega0 = 1.0 - (tau_f / 2.0) * (q3_f / p3_f)
+    r0 = math.sqrt(sd / (2.0 * abs(p3_f)))
     return KbmPrediction(
         exists=True,
         r0=r0,
-        omega0=omega0,
+        omega0=1.0 - (tau_f / (2.0 * sd)) * (q3_f / p3_f),
         z_amplitude=math.sqrt(abs(tau_f)) * r0,
         stability="stable_supercritical" if tau_f > 0.0 else "unstable_subcritical",
         **base,

@@ -33,7 +33,7 @@ from .linalg import (
     solve_min_norm_exact,
     solve_min_norm_float,
 )
-from .monomials import eval_lambda, l_matrix, r_matrix, s_check, s_hat
+from .monomials import eval_lambda
 from .polyops import poly_add, poly_from_lambda_row, poly_max_abs, poly_scale
 from .system import PlanarPolySystem, lie_derivative
 
@@ -45,7 +45,6 @@ __all__ = [
     "min_degree_bound",
     "gamma_basis",
     "gamma_matrix",
-    "build_T",
     "assemble_constraints",
     "solve_theta",
     "residual_condition33",
@@ -54,6 +53,8 @@ __all__ = [
 
 # (a, b) scan order; deterministic across runs.
 GAMMA_CANDIDATES = ((1, 0), (0, 1), (1, 1), (1, -1))
+# Theta degrees tried above the counting bound before giving up.
+EXTRA_DEGREES = 3
 
 
 def min_degree_bound(n: int) -> int:
@@ -97,35 +98,6 @@ def _zeros(shape: tuple[int, ...], exact: bool) -> np.ndarray:
     z = np.empty(shape, dtype=object)
     z.reshape(-1)[:] = [0] * z.size
     return z
-
-
-def build_T(row: int, j: int, k: int, phi_j) -> np.ndarray:
-    """Degree-lifting block of the constraint system.
-
-    T[row, j, k] collects how the degree-j field block phi_j multiplies
-    a degree-(k-1) monomial vector up to degree j + k - 1: summing over
-    the entries of row ``row`` of phi_j,
-
-        T = sum_l phi_j[row, l] S_check(k-1, l-1) S_hat(k+l-2, j-l+1),
-
-    a k x (j + k) matrix.  For j = 1 pass the Jacobian as phi_1.
-    """
-    if row not in (1, 2):
-        raise ValueError(f"row must be 1 or 2, got {row!r}")
-    if j < 1 or k < 2:
-        raise ValueError(f"build_T needs j >= 1 and k >= 2, got j={j}, k={k}")
-    phi = np.asarray(phi_j)
-    if phi.shape != (2, j + 1):
-        raise ValueError(f"phi_{j} must have shape (2, {j + 1}), got {phi.shape}")
-    exact = phi.dtype == object
-    out = _zeros((k, j + k), exact)
-    for l in range(1, j + 2):
-        c = phi[row - 1, l - 1]
-        if c == 0:
-            continue
-        sel = s_check(k - 1, l - 1, exact) @ s_hat(k + l - 2, j - l + 1, exact)
-        out = out + c * sel
-    return out
 
 
 @dataclass(frozen=True)
@@ -196,7 +168,17 @@ def assemble_constraints(
     -------
     ConstraintSystem
         One row block per monomial degree k = 2 .. m + n - 1, each of
-        height k + 1.
+        height k + 1: row i of block k is the coefficient of
+        u^(k-i) v^i in d/dt (H(X))_1 - (H(X))_2.
+
+    Row 1 of Theta_l meets the degree-j field block phi_j (phi_1 = J)
+    in block k = j + l - 1.  Differentiating u^(l-c) v^c along the
+    field gives (l-c) u^(l-c-1) v^c u' + c u^(l-c) v^(c-1) v', so the
+    entry of column c in row i is
+
+        (l - c) phi_j[0, i - c] + c phi_j[1, i - c + 1],
+
+    with out-of-range indices counting as zero.
     """
     if m < 2:
         raise ValueError(f"theta degree m must be >= 2, got {m}")
@@ -218,7 +200,7 @@ def assemble_constraints(
     a_mat = _zeros((n_rows, n_unknowns), exact)
     rhs = None if free else _zeros((n_rows,), exact)
 
-    jac = system.jac
+    phi_rows = {j: phi.tolist() for j, phi in enumerate((system.jac, *system.phi), start=1)}
     row0 = 0
     for k in k_range:
         height = k + 1
@@ -238,17 +220,15 @@ def assemble_constraints(
             j = k - l + 1
             if j < 1 or j > n:
                 continue
-            phi_j = jac if j == 1 else system.phi_matrix(j)
-            if j > 1 and all(x == 0 for x in phi_j.reshape(-1)):
-                continue
-            t1 = build_T(1, j, l, phi_j)
-            t2 = build_T(2, j, l, phi_j)
-            block = t1.T @ r_matrix(l, exact).T + t2.T @ l_matrix(l, exact).T
+            phi_u, phi_v = phi_rows[j]
             c0 = theta_cols[("theta", l, 1, 1)]
             for i in range(height):
-                for cc in range(l + 1):
-                    if block[i, cc] != 0:
-                        a_mat[row0 + i, c0 + cc] = a_mat[row0 + i, c0 + cc] + block[i, cc]
+                for c in range(max(0, i - j), min(l, i + 1) + 1):
+                    du = (l - c) * phi_u[i - c] if 0 <= i - c <= j else 0
+                    dv = c * phi_v[i - c + 1] if i - c + 1 <= j else 0
+                    value = du + dv
+                    if value != 0:
+                        a_mat[row0 + i, c0 + c] = value
         # direct appearance of row 2 of Theta_k
         if k <= m:
             c0 = theta_cols[("theta", k, 2, 1)]
@@ -367,21 +347,16 @@ def _extract_cov(
     )
 
 
-def solve_theta(
-    system: PlanarPolySystem,
-    m: int | None = None,
-    arithmetic: str | None = None,
-    candidates: tuple = GAMMA_CANDIDATES,
-    extra_degrees: int = 3,
-) -> ChangeOfVariables:
+def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVariables:
     """Find a change of variables with invertible Gamma.
 
     The (a, b) parameters are scanned in the fixed order of
-    ``candidates``; for each candidate with det Gamma != 0 the
-    inhomogeneous system in the Theta entries is solved exactly (or in
-    floats), keeping the minimum-norm solution.  When ``m`` is omitted
-    the search starts at the counting bound for the system's degree and
-    retries up to ``extra_degrees`` higher before giving up.
+    ``GAMMA_CANDIDATES``; for each candidate with det Gamma != 0 the
+    inhomogeneous system in the Theta entries is solved exactly for an
+    exact system and in floats otherwise, keeping the minimum-norm
+    solution.  When ``m`` is omitted the search starts at the counting
+    bound for the system's degree and retries up to ``EXTRA_DEGREES``
+    higher before giving up.
 
     Raises
     ------
@@ -389,39 +364,29 @@ def solve_theta(
         When every (m, candidate) pair is singular or inconsistent.
     """
     n = system.degree
-    if arithmetic not in (None, "exact", "float"):
-        raise ValueError(f"arithmetic must be 'exact' or 'float', got {arithmetic!r}")
-    exact = system.exact if arithmetic is None else arithmetic == "exact"
-    work = system
-    if exact and not system.exact:
-        work = PlanarPolySystem(
-            _to_fraction_matrix(system.jac), tuple(_to_fraction_matrix(p) for p in system.phi)
-        )
-    elif not exact and system.exact:
-        work = system.to_float()
-
+    exact = system.exact
     if m is not None:
         if m < 2:
             raise ValueError(f"theta degree m must be >= 2, got {m}")
         degrees = [m]
     else:
         start = min_degree_bound(n) if n >= 2 else 2
-        degrees = list(range(start, start + extra_degrees + 1))
+        degrees = list(range(start, start + EXTRA_DEGREES + 1))
 
     attempts: list[dict] = []
     for m_try in degrees:
-        for a, b in candidates:
+        for a, b in GAMMA_CANDIDATES:
             if exact:
                 a, b = Fraction(a), Fraction(b)
             else:
                 a, b = float(a), float(b)
-            gamma = gamma_matrix(work.jac, a, b)
+            gamma = gamma_matrix(system.jac, a, b)
             det = _det2(gamma)
             entry = {"m": m_try, "params": (a, b), "det": det, "consistent": None, "rank": None}
             attempts.append(entry)
             if det == 0 or (not exact and abs(det) < 1e-12):
                 continue
-            cs = assemble_constraints(work, m_try, gamma_params=(a, b))
+            cs = assemble_constraints(system, m_try, gamma_params=(a, b))
             if exact:
                 sol, rank = solve_min_norm_exact(cs.matrix, cs.rhs)
             else:
@@ -435,14 +400,6 @@ def solve_theta(
         f"(system degree {n}; tried {len(attempts)} candidate/degree pairs)",
         attempts,
     )
-
-
-def _to_fraction_matrix(a: np.ndarray) -> np.ndarray:
-    out = np.empty(a.shape, dtype=object)
-    out.reshape(-1)[:] = [
-        x if isinstance(x, (int, Fraction)) else Fraction(float(x)) for x in a.reshape(-1)
-    ]
-    return out
 
 
 def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):

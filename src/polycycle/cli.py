@@ -13,12 +13,14 @@ an internal failure.
 Alpha values are passed as strings so exact arithmetic can honor them
 literally: "0.05" means 1/20, and plain fractions like "1/20" work
 too.  --alphas accepts either a comma list ("0.01,0.04,0.09") or a
-linear grid "start:stop:count".
+linear grid "start:stop:count".  Negative values work in every form
+("--alpha -1/20", "--alphas -0.05,-0.02", "--alphas -0.05:-0.01:3").
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -30,6 +32,13 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain negative decimals as option values and
+        # reads "-1/20" or "-0.05,-0.02" as unknown flags; no flag here
+        # starts with a digit, so anything that does is a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with 2 on usage errors; here those are input errors
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -39,12 +48,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_shared(sub):
     sub.add_argument("system", help="path to a system definition (JSON)")
-    sub.add_argument(
-        "--variant",
-        choices=("scaled", "unscaled"),
-        default="scaled",
-        help="amplitude formula variant (default: scaled)",
-    )
     sub.add_argument(
         "--float",
         action="store_true",
@@ -71,7 +74,6 @@ def _options(args, alpha) -> AnalysisOptions:
     return AnalysisOptions(
         alpha=alpha,
         exact=not args.use_float,
-        variant=args.variant,
         m=args.m,
         measure=not args.no_measure,
         seed_radius=args.seed_radius,

@@ -38,6 +38,13 @@ __all__ = [
     "trust_radius",
 ]
 
+# Equally spaced directions per circle in the composition scan.
+DIRECTIONS = 24
+# Radii of the trust scan, 8 per decade from 1e-4 to 4; a radius is
+# trusted while the defect stays at or below REL_DEFECT times it.
+TRUST_GRID = np.geomspace(1e-4, 4.0, 38)
+REL_DEFECT = 0.1
+
 
 def p_operator(k: int, a) -> np.ndarray:
     """Matrix of the degree-k monomial map applied after A.
@@ -143,9 +150,7 @@ def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
     return InverseSeries(gamma_inv=ginv, xi2=xi2, xi3=xi3)
 
 
-def composition_residual(
-    cov: ChangeOfVariables, inv: InverseSeries, radii, directions: int = 24
-) -> list[tuple[float, float]]:
+def composition_residual(cov: ChangeOfVariables, inv: InverseSeries, radii) -> list[tuple[float, float]]:
     """Max norm of H(H_trunc^{-1}(Y)) - Y over circles |Y| = r.
 
     Returns (radius, residual) pairs, floating point; directions are
@@ -154,7 +159,7 @@ def composition_residual(
     cov_f = cov.to_float()
     inv_f = inv.to_float()
     out = []
-    angles = [2.0 * math.pi * i / directions for i in range(directions)]
+    angles = [2.0 * math.pi * i / DIRECTIONS for i in range(DIRECTIONS)]
     for r in radii:
         worst = 0.0
         for ang in angles:
@@ -183,27 +188,18 @@ def residual_slope(points: list[tuple[float, float]]) -> float | None:
     return float(slope)
 
 
-def trust_radius(
-    cov: ChangeOfVariables,
-    inv: InverseSeries,
-    rel_defect: float = 0.1,
-    r_min: float = 1e-4,
-    r_max: float = 4.0,
-    per_decade: int = 8,
-) -> float:
+def trust_radius(cov: ChangeOfVariables, inv: InverseSeries) -> float:
     """Largest scanned radius where the composition defect stays small.
 
-    The defect bound is ``rel_defect`` times the radius; the scan is a
+    The defect bound is ``REL_DEFECT`` times the radius; the scan is a
     geometric grid, so the answer is a resolution-limited estimate, not
     a certified bound.  Returns 0.0 when even the smallest radius
     violates the bound.
     """
-    n_pts = max(2, int(math.ceil(per_decade * math.log10(r_max / r_min))) + 1)
-    grid = np.geomspace(r_min, r_max, n_pts)
-    pairs = composition_residual(cov, inv, grid)
+    pairs = composition_residual(cov, inv, TRUST_GRID)
     best = 0.0
     for r, res in pairs:
-        if res <= rel_defect * r:
+        if res <= REL_DEFECT * r:
             best = r
         else:
             break

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 SV_REL_TOL = 1e-10
+# Float consistency: residual of A x = b at most this times the data scale.
+CONSISTENCY_TOL = 1e-9
 
 # A sparse integer row: column index -> nonzero entry.
 Row = dict[int, int]
@@ -241,37 +243,37 @@ def solve_min_norm_exact(matrix, rhs) -> tuple[list[Fraction] | None, int]:
     return x, rank
 
 
-def rank_float(matrix, rel_tol: float = SV_REL_TOL) -> int:
+def rank_float(matrix) -> int:
     a = np.asarray(matrix, dtype=float)
     if a.size == 0:
         return 0
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > SV_REL_TOL * sv[0]))
 
 
-def nullspace_dim_float(matrix, rel_tol: float = SV_REL_TOL) -> int:
+def nullspace_dim_float(matrix) -> int:
     a = np.asarray(matrix, dtype=float)
-    return a.shape[1] - rank_float(a, rel_tol)
+    return a.shape[1] - rank_float(a)
 
 
-def solve_min_norm_float(matrix, rhs, rel_tol: float = SV_REL_TOL, consistency_tol: float = 1e-9):
+def solve_min_norm_float(matrix, rhs):
     """Minimum-norm least-squares solution (None when inconsistent) and rank A.
 
     The rank is the one ``lstsq`` determines with the same relative
     cut-off as :func:`rank_float`.  Consistency means the residual is
     small relative to the data: a genuinely unsolvable system leaves an
-    O(1) residual, roundoff leaves ~1e-13, so the default threshold
+    O(1) residual, roundoff leaves ~1e-13, so ``CONSISTENCY_TOL``
     separates them cleanly.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if a.size == 0:
         return np.zeros(0), 0
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rel_tol)
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=SV_REL_TOL)
     res = float(np.linalg.norm(a @ x - b))
     scale = max(1.0, float(np.linalg.norm(b)), float(np.linalg.norm(a @ x)))
-    if res > consistency_tol * scale:
+    if res > CONSISTENCY_TOL * scale:
         return None, int(rank)
     return x, int(rank)

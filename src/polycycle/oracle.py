@@ -51,6 +51,21 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     -1 / 40,
 )
 
+# First trial step of the adaptive integrator.
+H_INIT = 1e-3
+# Accepted-step budget of one integration.
+MAX_STEPS = 5_000_000
+# A state with |x1| + |x2| above this has blown up.
+BLOWUP_NORM = 1e6
+# measure_cycle: the transient lasts 50/|tau| time units, capped here;
+# the return map is iterated at most MAX_RETURNS times until two
+# consecutive crossings agree to SETTLE_REL; the measured period is
+# sampled at CYCLE_SAMPLES + 1 points.
+TRANSIENT_CAP = 2000.0
+MAX_RETURNS = 400
+SETTLE_REL = 1e-8
+CYCLE_SAMPLES = 2048
+
 
 @dataclass
 class IntegratorControls:
@@ -59,10 +74,7 @@ class IntegratorControls:
     method: str = "rk45"
     rtol: float = 1e-10
     atol: float = 1e-10
-    h_init: float = 1e-3
     h_fixed: float = 1e-3
-    max_steps: int = 5_000_000
-    blowup_norm: float = 1e6
 
 
 @dataclass
@@ -112,7 +124,7 @@ class _Stepper:
         self.t = 0.0
         self.u, self.v = u, v
         self.fu, self.fv = f(u, v)
-        self.h = controls.h_init
+        self.h = H_INIT
         self.rtol = controls.rtol
         self.atol = controls.atol
         self.steps = 0
@@ -194,7 +206,7 @@ def integrate(system: PlanarPolySystem, x0, t_end: float, controls: IntegratorCo
     Adaptive rk45 by default; ``controls.method = "rk4"`` runs the
     classical fixed-step scheme instead (no error estimate).  The
     trajectory is truncated, and flagged, if the state norm passes
-    ``controls.blowup_norm``.
+    ``BLOWUP_NORM``.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -219,7 +231,7 @@ def integrate(system: PlanarPolySystem, x0, t_end: float, controls: IntegratorCo
             t = (i + 1) * h
             ts.append(t)
             states.append((u, v))
-            if abs(u) + abs(v) > controls.blowup_norm:
+            if abs(u) + abs(v) > BLOWUP_NORM:
                 truncated = True
                 break
         return Trajectory(np.array(ts), np.array(states), truncated, len(ts) - 1, float("nan"))
@@ -233,10 +245,10 @@ def integrate(system: PlanarPolySystem, x0, t_end: float, controls: IntegratorCo
             break
         ts.append(rec[5])
         states.append((rec[6], rec[7]))
-        if abs(rec[6]) + abs(rec[7]) > controls.blowup_norm:
+        if abs(rec[6]) + abs(rec[7]) > BLOWUP_NORM:
             truncated = True
             break
-        if stepper.steps >= controls.max_steps:
+        if stepper.steps >= MAX_STEPS:
             truncated = True
             break
     return Trajectory(np.array(ts), np.array(states), truncated, stepper.steps, stepper.max_err)
@@ -266,13 +278,14 @@ def _locate_crossing(rec, zero_idx: int, t_tol: float) -> float:
 _SECTIONS = ((1, 0, "x2=0, x1>0"), (0, 1, "x1=0, x2>0"))
 
 
-def _run_returns(f, start, controls, zero_idx, pos_idx, *, max_returns, stop, t_budget, floor=0.0):
+def _run_returns(f, start, controls, zero_idx, pos_idx, *, stop, t_budget, floor=0.0):
     """Iterate the return map from ``start``.
 
     Yields (t, positive-coordinate value, state) per same-direction
     transversal crossing; the crossing direction locks on the first
     one seen.  ``stop`` is called with the crossing list after each
-    crossing and may end the iteration.  A crossing inside ``floor``
+    crossing and may end the iteration, which ends anyway after
+    ``MAX_RETURNS`` crossings.  A crossing inside ``floor``
     (or inside the 1e-8 numerical-origin scale, where the tangency
     guard below cannot tell a flat section from a dead orbit) ends the
     hunt with status "decayed".
@@ -281,11 +294,11 @@ def _run_returns(f, start, controls, zero_idx, pos_idx, *, max_returns, stop, t_
     direction = 0
     crossings = []
     near_origin = max(floor, 1e-8)
-    while stepper.steps < controls.max_steps and stepper.t < t_budget:
+    while stepper.steps < MAX_STEPS and stepper.t < t_budget:
         rec = stepper.advance(t_budget)
         if rec is None:
             break
-        if abs(rec[6]) + abs(rec[7]) > controls.blowup_norm:
+        if abs(rec[6]) + abs(rec[7]) > BLOWUP_NORM:
             return crossings, "blowup"
         g0 = (rec[1], rec[2])[zero_idx]
         g1 = (rec[6], rec[7])[zero_idx]
@@ -309,7 +322,7 @@ def _run_returns(f, start, controls, zero_idx, pos_idx, *, max_returns, stop, t_
         elif this_dir != direction:
             continue
         crossings.append((tc, state[pos_idx], state))
-        if len(crossings) >= max_returns or stop(crossings):
+        if len(crossings) >= MAX_RETURNS or stop(crossings):
             return crossings, "done"
     return crossings, "exhausted"
 
@@ -320,18 +333,13 @@ def measure_cycle(
     controls: IntegratorControls | None = None,
     *,
     reverse_time: bool = False,
-    transient_skip: float | None = None,
-    transient_cap: float = 2000.0,
-    max_returns: int = 400,
-    settle_rel: float = 1e-8,
-    sample_count: int = 2048,
 ) -> CycleMeasurement | None:
     """Hunt for a periodic orbit with the return map.
 
     Starting from (seed_radius, 0) the trajectory is integrated past an
     initial transient (50/|tau| time units, capped), then section
     crossings are iterated until consecutive values agree to
-    ``settle_rel``.  Returns None when trajectories decay to the
+    ``SETTLE_REL``.  Returns None when trajectories decay to the
     origin, blow up, or fail to settle within the crossing budget; a
     measurement otherwise.  ``reverse_time=True`` integrates the
     reversed field (for cycles that repel in forward time) and reports
@@ -350,8 +358,7 @@ def measure_cycle(
     f = (lambda u, v: (lambda d: (-d[0], -d[1]))(base(u, v))) if reverse_time else base
 
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
-    if transient_skip is None:
-        transient_skip = min(transient_cap, 50.0 / abs(tau)) if tau != 0.0 else 50.0
+    transient_skip = min(TRANSIENT_CAP, 50.0 / abs(tau)) if tau != 0.0 else 50.0
 
     # transient
     stepper = _Stepper(f, seed_radius, 0.0, controls)
@@ -359,9 +366,9 @@ def measure_cycle(
         rec = stepper.advance(transient_skip)
         if rec is None:
             break
-        if abs(stepper.u) + abs(stepper.v) > controls.blowup_norm:
+        if abs(stepper.u) + abs(stepper.v) > BLOWUP_NORM:
             return None
-        if stepper.steps >= controls.max_steps:
+        if stepper.steps >= MAX_STEPS:
             return None
     start = (stepper.u, stepper.v)
     if math.hypot(*start) < 1e-12 * max(1.0, seed_radius):
@@ -373,7 +380,7 @@ def measure_cycle(
         if len(crossings) < 2:
             return False
         x_prev, x_cur = crossings[-2][1], crossings[-1][1]
-        return abs(x_cur - x_prev) <= settle_rel * max(abs(x_cur), 1e-300)
+        return abs(x_cur - x_prev) <= SETTLE_REL * max(abs(x_cur), 1e-300)
 
     last_error = None
     for zero_idx, pos_idx, label in _SECTIONS:
@@ -384,7 +391,6 @@ def measure_cycle(
                 controls,
                 zero_idx,
                 pos_idx,
-                max_returns=max_returns,
                 stop=lambda cs: settled(cs) or cs[-1][1] < decay_floor,
                 t_budget=1e5,
                 floor=decay_floor,
@@ -412,7 +418,6 @@ def measure_cycle(
             period,
             len(crossings),
             reverse_time,
-            sample_count,
         )
     raise last_error if last_error is not None else TransversalityError("no usable section")
 
@@ -429,7 +434,6 @@ def _one_return(f, controls, zero_idx, pos_idx, x_from: float, period_hint: floa
         controls,
         zero_idx,
         pos_idx,
-        max_returns=1,
         stop=lambda cs: True,
         t_budget=50.0 * period_hint,
     )
@@ -439,7 +443,7 @@ def _one_return(f, controls, zero_idx, pos_idx, x_from: float, period_hint: floa
 
 
 def _finish_measurement(
-    f, controls, zero_idx, pos_idx, label, x_star, period, n_cross, reversed_time, sample_count
+    f, controls, zero_idx, pos_idx, label, x_star, period, n_cross, reversed_time
 ):
     # one clean period from the fixed point, densely sampled
     stepper = _Stepper(f, *_section_state(zero_idx, x_star), controls)
@@ -449,10 +453,10 @@ def _finish_measurement(
         if rec is None:
             break
         records.append(rec)
-    samples = np.empty((sample_count + 1, 3))
+    samples = np.empty((CYCLE_SAMPLES + 1, 3))
     ri = 0
-    for i in range(sample_count + 1):
-        t = period * i / sample_count
+    for i in range(CYCLE_SAMPLES + 1):
+        t = period * i / CYCLE_SAMPLES
         while ri < len(records) - 1 and records[ri][5] < t:
             ri += 1
         u, v = _hermite(records[ri], min(t, records[ri][5]))

@@ -19,13 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .averaging import (
-    FORMULA_VARIANTS,
-    cycle_curve,
-    g_coefficients,
-    p3_q3,
-    predict_cycle,
-)
+from .averaging import cycle_curve, g_coefficients, p3_q3, predict_cycle
 # assemble_constraints is not called here; perfbench/tracing.py wraps it
 # under this module's name, so it stays imported.
 from .change_of_variables import (  # noqa: F401
@@ -41,6 +35,10 @@ from .system import PlanarPolySystem, hopf_indicator
 
 __all__ = ["AnalysisOptions", "AnalysisReport", "run_analyze", "run_sweep", "sweep_to_csv"]
 
+# Points on the predicted cycle curve (the oracle's seed and the
+# amplitude that compare() judges are read off it).
+CURVE_SAMPLES = 512
+
 
 @dataclass
 class AnalysisOptions:
@@ -48,7 +46,6 @@ class AnalysisOptions:
 
     alpha: object = None
     exact: bool = True
-    variant: str = "scaled"
     m: int | None = None
     measure: bool = True
     seed_radius: float | None = None
@@ -56,12 +53,6 @@ class AnalysisOptions:
     atol: float = 1e-10
     amp_tol: float = 0.1
     period_tol: float = 0.1
-    sample_count: int = 512
-    tau_threshold: float = 1e-9
-
-    def __post_init__(self):
-        if self.variant not in FORMULA_VARIANTS:
-            raise ValueError(f"variant must be one of {FORMULA_VARIANTS}, got {self.variant!r}")
 
 
 def _prediction_dict(pred) -> dict:
@@ -107,8 +98,7 @@ class AnalysisReport:
     g3: list | None = None
     p3: float | None = None
     q3: float | None = None
-    variant: str = "scaled"
-    predictions: dict = field(default_factory=dict)
+    prediction: dict | None = None
     measurement: dict | None = None
     comparison: dict | None = None
     verdict: str | None = None
@@ -152,16 +142,14 @@ class AnalysisReport:
             lines.append(f"g2: {self.g2}")
             lines.append(f"g3: {self.g3}")
             lines.append(f"p3={self.p3!r}, q3={self.q3!r}")
-        for name in self.predictions:
-            pred = self.predictions[name]
-            mark = " <-- selected" if name == self.variant else ""
-            if pred["exists"]:
-                lines.append(
-                    f"prediction ({name}): limit cycle, z-amplitude={pred['z_amplitude']!r},"
-                    f" period={pred['period']!r}, {pred['stability']}{mark}"
-                )
-            else:
-                lines.append(f"prediction ({name}): no limit cycle ({pred['stability']}){mark}")
+        pred = self.prediction
+        if pred is not None and pred["exists"]:
+            lines.append(
+                f"prediction: limit cycle, z-amplitude={pred['z_amplitude']!r},"
+                f" period={pred['period']!r}, {pred['stability']}"
+            )
+        elif pred is not None:
+            lines.append(f"prediction: no limit cycle ({pred['stability']})")
         if self.measurement is not None:
             meas = self.measurement
             lines.append(
@@ -207,13 +195,15 @@ def _resolve(source, options):
     return defn, system, alpha
 
 
-def _compute_p3(system, m):
-    """The p3 moment alone, for the degeneracy probe."""
+def _invariants(system, m):
+    """Change of variables, its inverse, the G rows and (p3, q3).
+
+    Raises NoSolutionError when no change of variables exists.
+    """
     cov = solve_theta(system, m=m)
     inv = invert_to_cubic(cov)
     g = g_coefficients(system, cov, inv)
-    hopf = hopf_indicator(system)
-    return p3_q3(g.g3, float(hopf.delta))[0]
+    return cov, inv, g, p3_q3(g.g3, float(hopf_indicator(system).delta))
 
 
 def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisReport:
@@ -232,7 +222,7 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
     if alpha is not None and defn is not None and defn.uses_alpha:
         alpha_out = float(Fraction(alpha) if isinstance(alpha, str) else alpha)
 
-    hopf = hopf_indicator(system, tau_threshold=options.tau_threshold)
+    hopf = hopf_indicator(system)
     tau, delta = float(hopf.tau), float(hopf.delta)
     if not hopf.complex_pair:
         raise ValueError(
@@ -254,11 +244,10 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
         complex_pair=hopf.complex_pair,
         near_critical=hopf.near_critical,
         degree=system.degree,
-        variant=options.variant,
     )
 
     try:
-        cov = solve_theta(system, m=options.m)
+        cov, inv, g, (p3, q3) = _invariants(system, options.m)
     except NoSolutionError as err:
         warnings.append(str(err))
         return AnalysisReport(
@@ -266,33 +255,13 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
         )
 
     residual = residual_condition33(cov, system)
-    inv = invert_to_cubic(cov)
     trust = trust_radius(cov, inv)
-    g = g_coefficients(system, cov, inv)
-    p3, q3 = p3_q3(g.g3, delta)
+    pred = predict_cycle(tau, delta, p3, q3)
 
-    predictions = {}
-    for variant in FORMULA_VARIANTS:
-        predictions[variant] = predict_cycle(tau, delta, p3, q3, variant=variant)
-    chosen = predictions[options.variant]
-
-    amps = [p.z_amplitude for p in predictions.values() if p.exists]
-    if len(amps) == len(predictions) and min(amps) > 0:
-        spread = (max(amps) - min(amps)) / min(amps)
-        if spread > 0.1:
-            pairs = ", ".join(
-                f"{name_} {p.z_amplitude!r}" for name_, p in predictions.items()
-            )
-            warnings.append(
-                f"formula variants disagree on the amplitude ({pairs});"
-                " the numerical measurement arbitrates"
-            )
-
-    if chosen.degenerate and defn is not None and defn.uses_alpha and alpha_out:
+    if pred.degenerate and defn is not None and defn.uses_alpha and alpha_out:
         try:
-            p3_half = _compute_p3(
-                instantiate(defn, _half_alpha(alpha), exact=options.exact), options.m
-            )
+            half = instantiate(defn, _half_alpha(alpha), exact=options.exact)
+            _, _, _, (p3_half, _) = _invariants(half, options.m)
             if abs(p3_half) > 1e-9:
                 warnings.append(
                     f"p3 vanishes at alpha={alpha_out!r} but not at alpha/2"
@@ -307,23 +276,23 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
             pass
 
     curve = None
-    if chosen.exists:
-        curve = cycle_curve(cov, chosen, sample_count=options.sample_count)
+    if pred.exists:
+        curve = cycle_curve(cov, pred, sample_count=CURVE_SAMPLES)
 
     measurement = None
     comparison = None
     samples = None
     if options.measure:
         controls = IntegratorControls(rtol=options.rtol, atol=options.atol)
-        if chosen.exists:
+        if pred.exists:
             seed = options.seed_radius or 0.5 * float(np.max(np.abs(curve[:, 1:])))
-            reverse = chosen.stability == "unstable_subcritical"
+            reverse = pred.stability == "unstable_subcritical"
         else:
             seed = options.seed_radius or 0.25
             reverse = False
         measurement = measure_cycle(system, seed, controls, reverse_time=reverse)
         comp = compare(
-            chosen, curve, measurement, amp_tol=options.amp_tol, period_tol=options.period_tol
+            pred, curve, measurement, amp_tol=options.amp_tol, period_tol=options.period_tol
         )
         comparison = dataclasses.asdict(comp)
         if measurement is not None:
@@ -339,7 +308,6 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
                 "reversed_time": measurement.reversed_time,
             }
 
-    pred_dicts = {name_: _prediction_dict(p) for name_, p in predictions.items()}
     return AnalysisReport(
         status="ok",
         m=cov.m,
@@ -354,7 +322,7 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
         g3=[float(v) for v in g.g3],
         p3=p3,
         q3=q3,
-        predictions=pred_dicts,
+        prediction=_prediction_dict(pred),
         measurement=measurement,
         comparison=comparison,
         verdict=comparison["verdict"] if comparison is not None else None,

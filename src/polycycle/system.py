@@ -30,6 +30,9 @@ __all__ = [
     "lie_derivative",
 ]
 
+# |tau| at or below this counts as a critical (Hopf) linearization.
+TAU_THRESHOLD = 1e-9
+
 
 def _coerce_matrix(entries, shape: tuple[int, int], what: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=object)
@@ -131,7 +134,7 @@ class HopfIndicator:
 
     ``complex_pair`` is true when the eigenvalues form a complex
     conjugate pair (tau^2 < 4 delta); ``near_critical`` when |tau| is
-    within the supplied threshold of zero.
+    within ``TAU_THRESHOLD`` of zero.
     """
 
     tau: object
@@ -140,7 +143,7 @@ class HopfIndicator:
     near_critical: bool
 
 
-def hopf_indicator(system: PlanarPolySystem, tau_threshold=1e-9) -> HopfIndicator:
+def hopf_indicator(system: PlanarPolySystem) -> HopfIndicator:
     j = system.jac
     tau = j[0, 0] + j[1, 1]
     delta = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
@@ -149,7 +152,7 @@ def hopf_indicator(system: PlanarPolySystem, tau_threshold=1e-9) -> HopfIndicato
         tau=tau,
         delta=delta,
         complex_pair=bool(disc < 0),
-        near_critical=bool(abs(tau) <= tau_threshold),
+        near_critical=bool(abs(tau) <= TAU_THRESHOLD),
     )
 
 

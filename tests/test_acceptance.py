@@ -5,6 +5,7 @@ Every criterion pins explicit tolerances.  Helper output goes through
 the captured stdout, independent of the assert machinery.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -12,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polycycle.averaging import g_coefficients, p3_q3
+from polycycle.averaging import cycle_curve, g_coefficients, p3_q3, predict_cycle
 from polycycle.change_of_variables import (
     assemble_constraints,
     counting_identity,
@@ -28,7 +29,8 @@ from polycycle.inversion import (
 )
 from polycycle.monomials import eval_lambda
 from polycycle.oracle import IntegratorControls, integrate
-from polycycle.pipeline import AnalysisOptions, run_analyze
+from polycycle.definition import instantiate, load_definition
+from polycycle.pipeline import CURVE_SAMPLES, AnalysisOptions, run_analyze
 from polycycle.polyops import poly_add, poly_eval, poly_mul, poly_scale
 from polycycle.system import build_system, hopf_indicator, lie_derivative
 
@@ -66,30 +68,39 @@ def test_criterion_1_golden_family_amplitudes(systems_dir):
 
 
 def test_criterion_2_variant_discrimination(systems_dir):
-    # at delta = 4 the two amplitude formulas split by sqrt(2); the
-    # oracle must single out the default
-    errs = {}
-    warned = {}
-    for variant in ("scaled", "unscaled"):
-        report = run_analyze(
-            systems_dir / "rescaled_normal_form.json", AnalysisOptions(variant=variant)
-        )
-        errs[variant] = report.comparison["amplitude_rel_err"]
-        warned[variant] = any("formula variants disagree" in w for w in report.warnings)
-    within = {name: err is not None and err <= 0.10 for name, err in errs.items()}
-    ok = (
-        within["scaled"]
-        and not within["unscaled"]
-        and AnalysisOptions().variant == "scaled"
-        and warned["scaled"]
-        and warned["unscaled"]
+    # at delta = 4 the library's amplitude and the reference formula that
+    # drops the 1/sqrt(delta) damping factor split by sqrt(2); the oracle
+    # must single out the library's
+    path = systems_dir / "rescaled_normal_form.json"
+    report = run_analyze(path, AnalysisOptions())
+    measured = report.measurement["amplitude"]
+
+    defn = load_definition(path)
+    system = instantiate(defn, defn.alpha_default, exact=True)
+    cov = solve_theta(system)
+    g = g_coefficients(system, cov, invert_to_cubic(cov))
+    hopf = hopf_indicator(system)
+    tau, delta = float(hopf.tau), float(hopf.delta)
+    p3, q3 = p3_q3(g.g3, delta)
+    scaled = predict_cycle(tau, delta, p3, q3)
+    r0 = math.sqrt(delta / (2.0 * abs(p3)))
+    unscaled = dataclasses.replace(
+        scaled,
+        r0=r0,
+        omega0=1.0 - (tau / 2.0) * (q3 / p3),
+        z_amplitude=math.sqrt(abs(tau)) * r0,
     )
+    unscaled_amp = float(np.max(np.abs(cycle_curve(cov, unscaled, CURVE_SAMPLES)[:, 1])))
+    errs = {
+        "scaled": report.comparison["amplitude_rel_err"],
+        "unscaled": abs(unscaled_amp - measured) / measured,
+    }
+    ok = errs["scaled"] <= 0.10 < errs["unscaled"]
     _line(
         2,
         ok,
         f"rescaled family (delta ~= 4): scaled formula off by {errs['scaled']:.3%}, "
-        f"unscaled formula off by {errs['unscaled']:.3%} (10% line separates them), "
-        f"default is scaled, disagreement warning present",
+        f"unscaled formula off by {errs['unscaled']:.3%} (10% line separates them)",
     )
 
 
@@ -102,7 +113,7 @@ def test_criterion_3_defining_condition_certificate(corpus_systems, corpus_covs)
     for name in names:
         system = corpus_systems[name]
         exact_residuals[name] = residual_condition33(corpus_covs[name], system)
-        cov_f = solve_theta(system, arithmetic="float")
+        cov_f = solve_theta(system.to_float())
         float_residuals[name] = residual_condition33(cov_f, system.to_float())
     ok = all(r == 0 for r in exact_residuals.values()) and all(
         r <= 1e-10 for r in float_residuals.values()
@@ -312,14 +323,14 @@ def test_criterion_9_stability_cross_check(systems_dir):
     sub = run_analyze(systems_dir / "reflected_normal_form.json", AnalysisOptions())
     sup_ok = (
         sup.verdict == "agreement"
-        and sup.predictions["scaled"]["stability"] == "stable_supercritical"
+        and sup.prediction["stability"] == "stable_supercritical"
         and sup.measurement["stable"]
         and sup.measurement["convergence_rate"] < 1.0
         and not sup.measurement["reversed_time"]
     )
     sub_ok = (
         sub.verdict == "agreement"
-        and sub.predictions["scaled"]["stability"] == "unstable_subcritical"
+        and sub.prediction["stability"] == "unstable_subcritical"
         and not sub.measurement["stable"]
         and sub.measurement["convergence_rate"] > 1.0
         and sub.measurement["reversed_time"]

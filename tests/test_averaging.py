@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from polycycle.averaging import (
-    FORMULA_VARIANTS,
     cycle_curve,
     g_coefficients,
     p3_q3,
@@ -95,18 +94,15 @@ def test_predict_cycle_degenerate_when_p3_vanishes():
 def test_predict_cycle_validation():
     with pytest.raises(ValueError):
         predict_cycle(0.1, -1.0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        predict_cycle(0.1, 1.0, 0.5, 0.0, variant="other")
 
 
-def test_variant_amplitudes_differ_by_quarter_power_of_delta():
+def test_amplitude_and_frequency_carry_the_delta_scaling():
+    # away from delta = 1 both carry the 1/sqrt(delta) of the time rescaling
     tau, delta, p3, q3 = 0.1, 4.0, 0.5, 0.2
-    a = predict_cycle(tau, delta, p3, q3, variant="scaled")
-    b = predict_cycle(tau, delta, p3, q3, variant="unscaled")
-    assert set(FORMULA_VARIANTS) == {"scaled", "unscaled"}
-    assert b.r0 / a.r0 == pytest.approx(delta**0.25)
-    assert a.omega0 == pytest.approx(1.0 - (tau / (2 * math.sqrt(delta))) * (q3 / p3))
-    assert b.omega0 == pytest.approx(1.0 - (tau / 2.0) * (q3 / p3))
+    pred = predict_cycle(tau, delta, p3, q3)
+    assert pred.r0 == pytest.approx(math.sqrt(math.sqrt(delta) / (2 * p3)))
+    assert pred.omega0 == pytest.approx(1.0 - (tau / (2 * math.sqrt(delta))) * (q3 / p3))
+    assert pred.z_amplitude == pytest.approx(math.sqrt(tau) * pred.r0)
 
 
 def test_g_rows_vanish_for_linear_triangular_change(normal_form_system):

@@ -7,9 +7,9 @@ import pytest
 
 from polycycle.change_of_variables import (
     GAMMA_CANDIDATES,
+    ChangeOfVariables,
     NoSolutionError,
     assemble_constraints,
-    build_T,
     counting_identity,
     gamma_basis,
     gamma_matrix,
@@ -19,8 +19,8 @@ from polycycle.change_of_variables import (
 )
 from polycycle.linalg import fraction_rows, rref
 from polycycle.monomials import as_fraction_matrix
-from polycycle.polyops import poly_eval
-from polycycle.system import build_system
+from polycycle.polyops import poly_add, poly_eval, poly_scale
+from polycycle.system import build_system, lie_derivative
 
 
 def test_min_degree_bound_frozen_values():
@@ -52,14 +52,49 @@ def test_gamma_matrix_combines_basis():
     assert [combo[0, 0], combo[0, 1]] == [a, b]
 
 
-def test_build_T_band_structure():
-    j = as_fraction_matrix([[5, 6], [7, 8]])
-    assert build_T(1, 1, 2, j).tolist() == [[5, 6, 0], [0, 5, 6]]
-    assert build_T(2, 1, 2, j).tolist() == [[7, 8, 0], [0, 7, 8]]
-    phi2 = as_fraction_matrix([[1, 2, 3], [4, 5, 6]])
-    assert build_T(1, 2, 2, phi2).tolist() == [[1, 2, 3, 0], [0, 1, 2, 3]]
-    with pytest.raises(ValueError):
-        build_T(3, 1, 2, j)
+def _random_fraction(rng):
+    return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+
+
+def test_assembled_rows_are_the_defining_condition_coefficients():
+    # for any unknowns x, row i of block k of A x - rhs is the coefficient
+    # of u^(k-i) v^i in L_f h1 - h2, expanded independently by polyops
+    rng = np.random.default_rng(2718)
+    for n in range(2, 6):
+        for _ in range(2):
+            jac = [[_random_fraction(rng) for _ in range(2)] for _ in range(2)]
+            phi = [
+                [[_random_fraction(rng) for _ in range(k + 1)] for _ in range(2)]
+                for k in range(2, n + 1)
+            ]
+            system = build_system(jac, phi)
+            for m in (2, 3, 4):
+                for params in (None, (Fraction(1), Fraction(-2))):
+                    cs = assemble_constraints(system, m, params)
+                    x = [_random_fraction(rng) for _ in range(cs.unknown_count)]
+                    a, b = (x[0], x[1]) if params is None else params
+                    thetas = {k: np.zeros((2, k + 1), dtype=object) for k in range(2, m + 1)}
+                    for value, label in zip(x, cs.unknown_layout):
+                        if label[0] == "theta":
+                            _, k, row, col = label
+                            thetas[k][row - 1, col - 1] = value
+                    cov = ChangeOfVariables(
+                        gamma_params=(a, b), gamma=gamma_matrix(system.jac, a, b), thetas=thetas
+                    )
+                    expansion = poly_add(
+                        lie_derivative(cov.component_polynomial(1), system),
+                        poly_scale(cov.component_polynomial(2), -1),
+                    )
+                    lhs = cs.matrix.dot(np.array(x, dtype=object))
+                    if cs.rhs is not None:
+                        lhs = lhs - cs.rhs
+                    expected = [
+                        expansion.get((k - i, i), 0)
+                        for k in range(2, m + n)
+                        for i in range(k + 1)
+                    ]
+                    assert list(lhs) == expected, (n, m, params)
+                    assert all(sum(e) >= 2 for e in expansion), (n, m, params)
 
 
 def test_assemble_counts_match_identity():
@@ -116,12 +151,10 @@ def test_degree_two_is_too_low_for_the_cubic(normal_form_system):
 def test_solve_theta_rejects_bad_arguments(normal_form_system):
     with pytest.raises(ValueError):
         solve_theta(normal_form_system, m=1)
-    with pytest.raises(ValueError):
-        solve_theta(normal_form_system, arithmetic="symbolic")
 
 
 def test_float_arithmetic_path(normal_form_system):
-    cov = solve_theta(normal_form_system, arithmetic="float")
+    cov = solve_theta(normal_form_system.to_float())
     assert not cov.exact
     assert residual_condition33(cov, normal_form_system.to_float()) <= 1e-10
 
