@@ -13,8 +13,9 @@ an internal failure.
 Alpha values are passed as strings so exact arithmetic can honor them
 literally: "0.05" means 1/20, and plain fractions like "1/20" work
 too.  --alphas accepts either a comma list ("0.01,0.04,0.09") or a
-linear grid "start:stop:count".  Negative values work in every form
-("--alpha -1/20", "--alphas -0.05,-0.02", "--alphas -0.05:-0.01:3").
+linear grid "start:stop:count" of exact fractions.  Negative values
+work in every form ("--alpha -1/20", "--alphas -0.05,-0.02",
+"--alphas -0.05:-0.01:3").
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import re
 import sys
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 from .oracle import samples_to_csv
@@ -107,7 +109,9 @@ def _parse_alphas(spec: str):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid spec must be start:stop:count, got {spec!r}")
-        start, stop = float(parts[0]), float(parts[1])
+        # Fractions from the literal strings, so "0.01:0.09:5" gives 7/100
+        # and not the float drift 0.06999999999999999
+        start, stop = Fraction(parts[0]), Fraction(parts[1])
         count = int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")

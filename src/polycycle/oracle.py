@@ -2,15 +2,15 @@
 
 Nothing here knows about the change of variables: trajectories of the
 original planar field are integrated with an embedded Dormand-Prince
-5(4) pair (fixed-step classical RK4 is kept for order tests), periodic
-orbits are measured on a Poincare section through the return map, and
-:func:`compare` reduces a prediction/measurement pair to a verdict.
+5(4) pair, periodic orbits are found as roots of P(x) - x for the
+return map P of a Poincare section, and :func:`compare` reduces a
+prediction/measurement pair to a verdict.
 
 Crossing times are located inside accepted steps by bisection on the
 cubic Hermite interpolant, which at the default 1e-10 tolerances is
-accurate to well below 1e-6 in time.  Unstable cycles are measured by
-integrating the reversed field, which swaps their stability; reported
-slopes are mapped back to forward time.
+accurate to well below 1e-6 in time.  Attracting and repelling cycles
+are both found in forward time: the root solve does not need the
+return map to contract.
 """
 
 from __future__ import annotations
@@ -57,12 +57,10 @@ H_INIT = 1e-3
 MAX_STEPS = 5_000_000
 # A state with |x1| + |x2| above this has blown up.
 BLOWUP_NORM = 1e6
-# measure_cycle: the transient lasts 50/|tau| time units, capped here;
-# the return map is iterated at most MAX_RETURNS times until two
-# consecutive crossings agree to SETTLE_REL; the measured period is
-# sampled at CYCLE_SAMPLES + 1 points.
-TRANSIENT_CAP = 2000.0
-MAX_RETURNS = 400
+# measure_cycle: the fixed point of the return map is bracketed within
+# SEARCH_RANGE times the seed and pinned down to SETTLE_REL relative
+# width; the measured period is sampled at CYCLE_SAMPLES + 1 points.
+SEARCH_RANGE = (1e-7, 8.0)
 SETTLE_REL = 1e-8
 CYCLE_SAMPLES = 2048
 
@@ -71,10 +69,8 @@ CYCLE_SAMPLES = 2048
 class IntegratorControls:
     """Knobs for the trajectory integrator."""
 
-    method: str = "rk45"
     rtol: float = 1e-10
     atol: float = 1e-10
-    h_fixed: float = 1e-3
 
 
 @dataclass
@@ -94,8 +90,9 @@ class CycleMeasurement:
 
     ``amplitude`` is max |x1| over one period, ``radius_rms`` the root
     mean square distance from the origin, ``convergence_rate`` the
-    magnitude of the return-map slope at the fixed point in forward
-    time (so < 1 exactly when the cycle attracts), and ``samples`` one
+    magnitude of the return-map slope at the fixed point (so < 1
+    exactly when the cycle attracts), ``crossings`` the number of
+    return-map evaluations the root solve took, and ``samples`` one
     period of (t, x1, x2) rows for export.
     """
 
@@ -106,7 +103,6 @@ class CycleMeasurement:
     convergence_rate: float
     section: str
     crossings: int
-    reversed_time: bool
     samples: np.ndarray = field(repr=False, default=None)
 
 
@@ -201,11 +197,9 @@ def _hermite(rec, t: float) -> tuple[float, float]:
 
 
 def integrate(system: PlanarPolySystem, x0, t_end: float, controls: IntegratorControls | None = None) -> Trajectory:
-    """Integrate the field from x0 for t in [0, t_end].
+    """Integrate the field from x0 for t in [0, t_end] by adaptive DP45 steps.
 
-    Adaptive rk45 by default; ``controls.method = "rk4"`` runs the
-    classical fixed-step scheme instead (no error estimate).  The
-    trajectory is truncated, and flagged, if the state norm passes
+    The trajectory is truncated, and flagged, if the state norm passes
     ``BLOWUP_NORM``.
     """
     if t_end <= 0.0:
@@ -216,28 +210,6 @@ def integrate(system: PlanarPolySystem, x0, t_end: float, controls: IntegratorCo
     ts = [0.0]
     states = [(u, v)]
     truncated = False
-
-    if controls.method == "rk4":
-        h = controls.h_fixed
-        steps_total = int(round(t_end / h))
-        t = 0.0
-        for i in range(steps_total):
-            k1u, k1v = f(u, v)
-            k2u, k2v = f(u + 0.5 * h * k1u, v + 0.5 * h * k1v)
-            k3u, k3v = f(u + 0.5 * h * k2u, v + 0.5 * h * k2v)
-            k4u, k4v = f(u + h * k3u, v + h * k3v)
-            u += h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-            v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-            t = (i + 1) * h
-            ts.append(t)
-            states.append((u, v))
-            if abs(u) + abs(v) > BLOWUP_NORM:
-                truncated = True
-                break
-        return Trajectory(np.array(ts), np.array(states), truncated, len(ts) - 1, float("nan"))
-    if controls.method != "rk45":
-        raise ValueError(f"unknown integrator method {controls.method!r}")
-
     stepper = _Stepper(f, u, v, controls)
     while True:
         rec = stepper.advance(t_end)
@@ -278,72 +250,126 @@ def _locate_crossing(rec, zero_idx: int, t_tol: float) -> float:
 _SECTIONS = ((1, 0, "x2=0, x1>0"), (0, 1, "x1=0, x2>0"))
 
 
-def _run_returns(f, start, controls, zero_idx, pos_idx, *, stop, t_budget, floor=0.0):
-    """Iterate the return map from ``start``.
+class _NoReturn(Exception):
+    """An orbit did not come back to the section within its time budget."""
 
-    Yields (t, positive-coordinate value, state) per same-direction
-    transversal crossing; the crossing direction locks on the first
-    one seen.  ``stop`` is called with the crossing list after each
-    crossing and may end the iteration, which ends anyway after
-    ``MAX_RETURNS`` crossings.  A crossing inside ``floor``
-    (or inside the 1e-8 numerical-origin scale, where the tangency
-    guard below cannot tell a flat section from a dead orbit) ends the
-    hunt with status "decayed".
+
+def _section_state(zero_idx: int, pos_val: float) -> tuple[float, float]:
+    return (pos_val, 0.0) if zero_idx == 1 else (0.0, pos_val)
+
+
+def _return_map(f, controls, zero_idx, pos_idx, x: float, t_budget: float):
+    """Follow the orbit from the section point ``x`` once around.
+
+    Returns (P(x), return time) at the first crossing of the section in
+    the direction the flow crosses it at the start.  P is inf when the
+    orbit blows up, and 0 when it falls inside the 1e-8 numerical-origin
+    scale, where the tangency guard below cannot tell a flat section
+    from a dead orbit.
     """
-    stepper = _Stepper(f, start[0], start[1], controls)
-    direction = 0
-    crossings = []
-    near_origin = max(floor, 1e-8)
-    while stepper.steps < MAX_STEPS and stepper.t < t_budget:
+    stepper = _Stepper(f, *_section_state(zero_idx, x), controls)
+    rising = (stepper.fu, stepper.fv)[zero_idx] > 0.0
+    while stepper.steps < MAX_STEPS:
         rec = stepper.advance(t_budget)
         if rec is None:
             break
         if abs(rec[6]) + abs(rec[7]) > BLOWUP_NORM:
-            return crossings, "blowup"
+            return math.inf, rec[5]
         g0 = (rec[1], rec[2])[zero_idx]
         g1 = (rec[6], rec[7])[zero_idx]
         if g0 == 0.0 or (g0 > 0.0) == (g1 > 0.0):
             continue
-        t_tol = 1e-12 * max(1.0, abs(rec[5]))
-        tc = _locate_crossing(rec, zero_idx, t_tol)
+        tc = _locate_crossing(rec, zero_idx, 1e-12 * max(1.0, abs(rec[5])))
         state = _hermite(rec, tc)
-        if math.hypot(state[0], state[1]) < near_origin:
-            return crossings, "decayed"
-        if state[pos_idx] <= 0.0:
+        if math.hypot(state[0], state[1]) < 1e-8:
+            return 0.0, tc
+        if state[pos_idx] <= 0.0 or (g1 > 0.0) != rising:
             continue
         speed = f(state[0], state[1])
         if abs(speed[zero_idx]) <= 1e-9 * (1.0 + math.hypot(speed[0], speed[1])):
             raise TransversalityError(
                 f"flow is tangent to the section at t={tc:.6g}, point {state}"
             )
-        this_dir = 1 if g1 > 0.0 else -1
-        if direction == 0:
-            direction = this_dir
-        elif this_dir != direction:
-            continue
-        crossings.append((tc, state[pos_idx], state))
-        if len(crossings) >= MAX_RETURNS or stop(crossings):
-            return crossings, "done"
-    return crossings, "exhausted"
+        return state[pos_idx], tc
+    raise _NoReturn
+
+
+def _fixed_point(f, controls, zero_idx, pos_idx, seed: float, tau: float):
+    """Solve g(x) = P(x) - x; returns (x*, return time, evaluations) or None.
+
+    Blow-up makes g = inf and decay onto the origin g = -x, so both
+    count with the sign they imply.
+    """
+    evaluations = 0
+
+    def g(x):
+        nonlocal evaluations
+        evaluations += 1
+        p, t = _return_map(f, controls, zero_idx, pos_idx, x, 1e5)
+        return p - x, t
+
+    ga, ta = g(seed)
+    if abs(ga) <= SETTLE_REL * seed:
+        return seed, ta, evaluations
+
+    # next to the origin g has the sign of tau, so the sign change lies
+    # outward while g still has that sign and inward once it has not
+    factor = 2.0 if (ga > 0.0) == (tau > 0.0) else 0.5
+    a = seed
+    while True:
+        b = a * factor
+        if not SEARCH_RANGE[0] * seed <= b <= SEARCH_RANGE[1] * seed:
+            return None  # no sign change in range: no cycle
+        gb, tb = g(b)
+        if gb == 0.0:
+            return b, tb, evaluations
+        if (gb > 0.0) != (ga > 0.0):
+            break
+        a, ga = b, gb
+
+    # Illinois false position: when the same end is replaced twice
+    # running, halve the other end's value; bisect while an end is infinite
+    replaced = 0  # 1 when b was replaced last, -1 when a was
+    for _ in range(200):
+        if math.isinf(ga) or math.isinf(gb):
+            c = 0.5 * (a + b)
+        else:
+            c = (a * gb - b * ga) / (gb - ga)
+        gc, tc = g(c)
+        if gc == 0.0:
+            return c, tc, evaluations
+        if (gc > 0.0) == (gb > 0.0):
+            b, gb = c, gc
+            if replaced == 1:
+                ga *= 0.5
+            replaced = 1
+        else:
+            a, ga = c, gc
+            if replaced == -1:
+                gb *= 0.5
+            replaced = -1
+        if abs(b - a) <= SETTLE_REL * c:
+            return c, tc, evaluations
+    return None
 
 
 def measure_cycle(
     system: PlanarPolySystem,
     seed_radius: float,
     controls: IntegratorControls | None = None,
-    *,
-    reverse_time: bool = False,
 ) -> CycleMeasurement | None:
-    """Hunt for a periodic orbit with the return map.
+    """Find a periodic orbit as a root of g(x) = P(x) - x on a section.
 
-    Starting from (seed_radius, 0) the trajectory is integrated past an
-    initial transient (50/|tau| time units, capped), then section
-    crossings are iterated until consecutive values agree to
-    ``SETTLE_REL``.  Returns None when trajectories decay to the
-    origin, blow up, or fail to settle within the crossing budget; a
-    measurement otherwise.  ``reverse_time=True`` integrates the
-    reversed field (for cycles that repel in forward time) and reports
-    the slope mapped back to forward time.
+    P is the forward-time return map of the half-line through the seed.
+    g is evaluated at ``seed_radius``; if it already vanishes to
+    ``SETTLE_REL`` (a center) the seed is the fixed point.  Otherwise
+    the search doubles or halves x, within ``SEARCH_RANGE`` times the
+    seed, until g changes sign, and Illinois false position shrinks
+    that bracket to ``SETTLE_REL`` times x.  The test is on x, not on
+    |g|, because |g'| is small when the cycle is weakly attracting or
+    repelling.  Returns None when g has no sign change in the range or
+    an orbit does not come back to the section; a measurement
+    otherwise.
 
     Raises
     ------
@@ -354,97 +380,24 @@ def measure_cycle(
         raise ValueError(f"seed_radius must be positive, got {seed_radius}")
     controls = controls or IntegratorControls()
     flt = system.to_float()
-    base = compile_field(flt)
-    f = (lambda u, v: (lambda d: (-d[0], -d[1]))(base(u, v))) if reverse_time else base
-
+    f = compile_field(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
-    transient_skip = min(TRANSIENT_CAP, 50.0 / abs(tau)) if tau != 0.0 else 50.0
-
-    # transient
-    stepper = _Stepper(f, seed_radius, 0.0, controls)
-    while stepper.t < transient_skip:
-        rec = stepper.advance(transient_skip)
-        if rec is None:
-            break
-        if abs(stepper.u) + abs(stepper.v) > BLOWUP_NORM:
-            return None
-        if stepper.steps >= MAX_STEPS:
-            return None
-    start = (stepper.u, stepper.v)
-    if math.hypot(*start) < 1e-12 * max(1.0, seed_radius):
-        return None  # already collapsed onto the origin
-
-    decay_floor = 1e-7 * seed_radius
-
-    def settled(crossings) -> bool:
-        if len(crossings) < 2:
-            return False
-        x_prev, x_cur = crossings[-2][1], crossings[-1][1]
-        return abs(x_cur - x_prev) <= SETTLE_REL * max(abs(x_cur), 1e-300)
 
     last_error = None
     for zero_idx, pos_idx, label in _SECTIONS:
         try:
-            crossings, status = _run_returns(
-                f,
-                start,
-                controls,
-                zero_idx,
-                pos_idx,
-                stop=lambda cs: settled(cs) or cs[-1][1] < decay_floor,
-                t_budget=1e5,
-                floor=decay_floor,
-            )
+            found = _fixed_point(f, controls, zero_idx, pos_idx, seed_radius, tau)
+            if found is None:
+                return None
+            return _finish_measurement(f, controls, zero_idx, pos_idx, label, *found)
         except TransversalityError as err:
             last_error = err
-            continue
-        if status in ("blowup", "decayed"):
-            return None
-        if not crossings:
+        except _NoReturn:
             return None  # no rotation around the origin: nothing to measure
-        if crossings[-1][1] < decay_floor:
-            return None
-        if not settled(crossings):
-            return None
-        x_star = crossings[-1][1]
-        period = crossings[-1][0] - crossings[-2][0]
-        return _finish_measurement(
-            f,
-            controls,
-            zero_idx,
-            pos_idx,
-            label,
-            x_star,
-            period,
-            len(crossings),
-            reverse_time,
-        )
-    raise last_error if last_error is not None else TransversalityError("no usable section")
+    raise last_error
 
 
-def _section_state(zero_idx: int, pos_val: float) -> tuple[float, float]:
-    return (pos_val, 0.0) if zero_idx == 1 else (0.0, pos_val)
-
-
-def _one_return(f, controls, zero_idx, pos_idx, x_from: float, period_hint: float) -> float:
-    start = _section_state(zero_idx, x_from)
-    crossings, status = _run_returns(
-        f,
-        start,
-        controls,
-        zero_idx,
-        pos_idx,
-        stop=lambda cs: True,
-        t_budget=50.0 * period_hint,
-    )
-    if status != "done" or not crossings:
-        raise ArithmeticError("return map evaluation failed to come back to the section")
-    return crossings[0][1]
-
-
-def _finish_measurement(
-    f, controls, zero_idx, pos_idx, label, x_star, period, n_cross, reversed_time
-):
+def _finish_measurement(f, controls, zero_idx, pos_idx, label, x_star, period, evaluations):
     # one clean period from the fixed point, densely sampled
     stepper = _Stepper(f, *_section_state(zero_idx, x_star), controls)
     records = []
@@ -465,11 +418,9 @@ def _finish_measurement(
     radius_rms = float(math.sqrt(np.mean(samples[:, 1] ** 2 + samples[:, 2] ** 2)))
 
     h = max(1e-4 * x_star, 1e-8)
-    p_plus = _one_return(f, controls, zero_idx, pos_idx, x_star + h, period)
-    p_minus = _one_return(f, controls, zero_idx, pos_idx, x_star - h, period)
+    p_plus = _return_map(f, controls, zero_idx, pos_idx, x_star + h, 50.0 * period)[0]
+    p_minus = _return_map(f, controls, zero_idx, pos_idx, x_star - h, 50.0 * period)[0]
     slope = (p_plus - p_minus) / (2.0 * h)
-    if reversed_time:
-        slope = math.inf if slope == 0.0 else 1.0 / slope
     return CycleMeasurement(
         amplitude=amplitude,
         radius_rms=radius_rms,
@@ -477,8 +428,7 @@ def _finish_measurement(
         stable=abs(slope) < 1.0,
         convergence_rate=abs(slope),
         section=label,
-        crossings=n_cross,
-        reversed_time=reversed_time,
+        crossings=evaluations,
         samples=samples,
     )
 

@@ -157,8 +157,7 @@ class AnalysisReport:
                 f" period={meas['period']!r}, "
                 + ("stable" if meas["stable"] else "unstable")
                 + f" (return-map slope magnitude {meas['convergence_rate']!r},"
-                + f" section {meas['section']}"
-                + (", reversed time)" if meas["reversed_time"] else ")")
+                + f" section {meas['section']})"
             )
         elif self.comparison is not None:
             lines.append("oracle: no cycle found")
@@ -286,11 +285,9 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
         controls = IntegratorControls(rtol=options.rtol, atol=options.atol)
         if pred.exists:
             seed = options.seed_radius or 0.5 * float(np.max(np.abs(curve[:, 1:])))
-            reverse = pred.stability == "unstable_subcritical"
         else:
             seed = options.seed_radius or 0.25
-            reverse = False
-        measurement = measure_cycle(system, seed, controls, reverse_time=reverse)
+        measurement = measure_cycle(system, seed, controls)
         comp = compare(
             pred, curve, measurement, amp_tol=options.amp_tol, period_tol=options.period_tol
         )
@@ -305,7 +302,6 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
                 "convergence_rate": measurement.convergence_rate,
                 "section": measurement.section,
                 "crossings": measurement.crossings,
-                "reversed_time": measurement.reversed_time,
             }
 
     return AnalysisReport(

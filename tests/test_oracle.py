@@ -9,7 +9,6 @@ import pytest
 from polycycle.averaging import predict_cycle
 from polycycle.oracle import (
     CycleMeasurement,
-    IntegratorControls,
     compare,
     integrate,
     measure_cycle,
@@ -18,6 +17,7 @@ from polycycle.oracle import (
 from polycycle.system import build_system
 
 CUBIC_SOFTENING = [[-1, 0, -1, 0], [0, -1, 0, -1]]
+CUBIC_HARDENING = [[1, 0, 1, 0], [0, 1, 0, 1]]
 
 
 def _normal_form(alpha):
@@ -42,20 +42,17 @@ def test_linear_center_closes_after_one_period():
     assert np.all(np.diff(traj.t) > 0)
 
 
-def test_fixed_step_rk4_agrees_with_adaptive():
+def test_adaptive_integration_matches_the_exact_rotation():
     center = build_system([[0.0, -1.0], [1.0, 0.0]])
-    fine = IntegratorControls(method="rk4", h_fixed=1e-3)
-    a = integrate(center, (1.0, 0.0), 3.0, fine)
-    b = integrate(center, (1.0, 0.0), 3.0)
-    np.testing.assert_allclose(a.states[-1], b.states[-1], atol=1e-9)
+    traj = integrate(center, (1.0, 0.0), 3.0)
+    assert traj.t[-1] == pytest.approx(3.0)
+    np.testing.assert_allclose(traj.states[-1], [math.cos(3.0), math.sin(3.0)], atol=1e-9)
 
 
 def test_integrate_validates_inputs():
     center = build_system([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         integrate(center, (1.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        integrate(center, (1.0, 0.0), 1.0, IntegratorControls(method="euler"))
 
 
 def test_blowup_is_flagged():
@@ -74,7 +71,6 @@ def test_measured_cycle_of_the_rescaled_family():
     assert meas.amplitude == pytest.approx(0.2, abs=2e-6)
     assert meas.period == pytest.approx(math.pi, rel=1e-8)
     assert meas.stable
-    assert not meas.reversed_time
     assert meas.convergence_rate == pytest.approx(math.exp(-0.08 * math.pi), abs=1e-4)
     assert meas.crossings >= 1
     assert meas.section
@@ -90,17 +86,29 @@ def test_spiral_sink_yields_no_cycle():
     assert measure_cycle(system, 0.3) is None
 
 
-def test_unstable_cycle_found_in_reversed_time():
-    hardening = [[1, 0, 1, 0], [0, 1, 0, 1]]
-    system = build_system(
-        [[-0.05, -1], [1, -0.05]], [[[0] * 3, [0] * 3], hardening]
-    ).to_float()
-    meas = measure_cycle(system, 0.15, reverse_time=True)
+def _hardening(alpha):
+    return build_system(
+        [[alpha, -1], [1, alpha]], [[[0] * 3, [0] * 3], CUBIC_HARDENING]
+    )
+
+
+def test_unstable_cycle_found_in_forward_time():
+    # the root solve needs no contraction: a repelling cycle is found
+    # from a seed inside it without reversing time
+    system = _hardening(-0.05).to_float()
+    meas = measure_cycle(system, 0.15)
     assert meas is not None
-    assert meas.reversed_time
     assert not meas.stable
     assert meas.convergence_rate > 1.0
     assert meas.amplitude == pytest.approx(math.sqrt(0.05), rel=1e-3)
+    # Illinois steps, not plain false position (which takes about 100)
+    assert meas.crossings <= 20
+
+
+def test_spiral_source_yields_no_cycle():
+    # tau > 0 with a hardening cubic: every orbit moves outward
+    system = _hardening(0.05).to_float()
+    assert measure_cycle(system, 0.1) is None
 
 
 def test_measure_validates_seed():
@@ -119,7 +127,6 @@ def _fake_measurement(amplitude, period, stable):
         convergence_rate=0.5 if stable else 2.0,
         section="x2=0, x1>0",
         crossings=12,
-        reversed_time=not stable,
         samples=samples,
     )
 

@@ -2,13 +2,14 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polycycle.change_of_variables import assemble_constraints
-from polycycle.cli import main
-from polycycle.definition import instantiate
+from polycycle.cli import _parse_alphas, main
+from polycycle.definition import instantiate, load_definition
 from polycycle.pipeline import AnalysisOptions, run_analyze, run_sweep, sweep_to_csv
 
 
@@ -112,6 +113,46 @@ def test_report_counts_match_a_fresh_assembly(definitions, exact):
         assert report.unknown_count == cs.unknown_count, name
         assert report.equation_count == cs.equation_count, name
         assert report.nullspace_dim == cs.nullspace_dimension(), name
+
+
+@pytest.mark.parametrize(
+    "name, alpha",
+    [
+        ("normal_form", "1/1000"),
+        ("normal_form", "1/10000"),
+        ("reflected_normal_form", "-1/1000"),
+        ("reflected_normal_form", "-1/10000"),
+    ],
+)
+def test_oracle_agrees_next_to_the_hopf_point(systems_dir, name, alpha):
+    # |g'| = |P' - 1| is about 4 pi |alpha| here: the return map barely
+    # contracts (or expands), which the root solve does not need; plain
+    # iteration needs about ln(10)/(4 pi |alpha|) returns per digit
+    report = run_analyze(systems_dir / f"{name}.json", AnalysisOptions(alpha=alpha))
+    assert report.verdict == "agreement"
+    radius = math.sqrt(abs(float(Fraction(alpha))))
+    assert report.measurement["amplitude"] == pytest.approx(radius, rel=1e-3)
+    assert report.measurement["period"] == pytest.approx(2.0 * math.pi, rel=1e-3)
+    assert report.measurement["stable"] == (name == "normal_form")
+    assert report.measurement["crossings"] <= 15
+
+
+def test_alpha_grid_is_exact(systems_dir, capsys):
+    # grid points are built from the literal strings, so they sit on the
+    # decimal grid and instantiate with small denominators
+    assert _parse_alphas("0.01:0.09:5") == [Fraction(k, 100) for k in (1, 3, 5, 7, 9)]
+    assert _parse_alphas("-0.05:-0.01:3") == [Fraction(k, 100) for k in (-5, -3, -1)]
+    assert _parse_alphas("1/3:1/3:1") == [Fraction(1, 3)]
+    defn = load_definition(systems_dir / "normal_form.json")
+    for alpha in _parse_alphas("0.01:0.09:5") + _parse_alphas("-0.05:-0.01:3"):
+        jac = instantiate(defn, alpha, exact=True).jac
+        assert jac[0, 0] == alpha
+        assert max(Fraction(v).denominator for v in jac.flat) <= 100
+
+    path = str(systems_dir / "normal_form.json")
+    assert main(["sweep", path, "--alphas", "0.01:0.09:5", "--no-measure"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.01", "0.03", "0.05", "0.07", "0.09"]
 
 
 def test_sweep_requires_parameterized_system(systems_dir):
