@@ -36,7 +36,7 @@ import numpy as np
 
 from .change_of_variables import ChangeOfVariables
 from .inversion import InverseSeries, p_operator, r2_operator
-from .monomials import as_fraction_matrix, l_matrix, r_matrix, s_check, s_hat
+from .monomials import l_matrix, r_matrix, s_check, s_hat
 from .system import PlanarPolySystem
 
 __all__ = [
@@ -60,9 +60,6 @@ class GCoefficients:
     g2: np.ndarray
     g3: np.ndarray
 
-    def to_float(self) -> "GCoefficients":
-        return GCoefficients(np.asarray(self.g2, dtype=float), np.asarray(self.g3, dtype=float))
-
 
 def _gradient_drift_column(k: int, jac: np.ndarray, theta_k: np.ndarray) -> np.ndarray:
     """Column of quadratic/cubic terms sourced by d/dt acting on Theta_k.
@@ -70,20 +67,18 @@ def _gradient_drift_column(k: int, jac: np.ndarray, theta_k: np.ndarray) -> np.n
     This is the linear-velocity part of the chain rule: row 2 of
     Theta_k differentiates through lambda_k and picks up the Jacobian.
     """
-    exact = jac.dtype == object
-    lift_u_t = s_hat(k - 1, 1, exact).T
-    lift_v_t = s_check(k - 1, 1, exact).T
+    lift_u_t = s_hat(k - 1, 1).T
+    lift_v_t = s_check(k - 1, 1).T
     row2 = theta_k[1, :]
-    return (jac[0, 0] * lift_u_t + jac[0, 1] * lift_v_t) @ (r_matrix(k, exact).T @ row2) + (
+    return (jac[0, 0] * lift_u_t + jac[0, 1] * lift_v_t) @ (r_matrix(k).T @ row2) + (
         jac[1, 0] * lift_u_t + jac[1, 1] * lift_v_t
-    ) @ (l_matrix(k, exact).T @ row2)
+    ) @ (l_matrix(k).T @ row2)
 
 
 def _velocity_quadratic_column(theta2: np.ndarray, phi2: np.ndarray) -> np.ndarray:
     """Cubic terms from the quadratic field velocity meeting Theta_2."""
-    exact = theta2.dtype == object
-    lift_u_t = s_hat(2, 1, exact).T
-    lift_v_t = s_check(2, 1, exact).T
+    lift_u_t = s_hat(2, 1).T
+    lift_v_t = s_check(2, 1).T
     a21, a22, a23 = theta2[1, 0], theta2[1, 1], theta2[1, 2]
     return (2 * a21 * lift_u_t + a22 * lift_v_t) @ phi2[0, :] + (
         a22 * lift_u_t + 2 * a23 * lift_v_t
@@ -101,23 +96,11 @@ def g_coefficients(
     z = (H(X))_1, the residual z'' - tau z' + delta z - G2.lambda_2 -
     G3.lambda_3 must shrink like the fourth power of the amplitude.
     """
-    exact = system.exact and cov.exact and inv.exact
-    if exact:
-        jac = as_fraction_matrix(system.jac)
-        gamma = as_fraction_matrix(cov.gamma)
-        phi2 = as_fraction_matrix(system.phi_matrix(2))
-        phi3 = as_fraction_matrix(system.phi_matrix(3))
-        theta2 = as_fraction_matrix(cov.theta(2))
-        theta3 = as_fraction_matrix(cov.theta(3))
-        ginv, xi2, xi3 = inv.gamma_inv, inv.xi2, inv.xi3
-    else:
-        sys_f = system.to_float()
-        cov_f = cov.to_float()
-        inv_f = inv.to_float()
-        jac, gamma = sys_f.jac, cov_f.gamma
-        phi2, phi3 = sys_f.phi_matrix(2), sys_f.phi_matrix(3)
-        theta2, theta3 = cov_f.theta(2), cov_f.theta(3)
-        ginv, xi2, xi3 = inv_f.gamma_inv, inv_f.xi2, inv_f.xi3
+    if not (system.exact and cov.exact and inv.exact):
+        system, cov, inv = system.to_float(), cov.to_float(), inv.to_float()
+    jac, gamma, ginv, xi2, xi3 = system.jac, cov.gamma, inv.gamma_inv, inv.xi2, inv.xi3
+    phi2, phi3 = system.phi_matrix(2), system.phi_matrix(3)
+    theta2, theta3 = cov.theta(2), cov.theta(3)
 
     p2 = p_operator(2, ginv)
     p3 = p_operator(3, ginv)
@@ -224,17 +207,13 @@ def cycle_curve(cov: ChangeOfVariables, prediction: KbmPrediction, sample_count:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     if prediction.omega0 is None or prediction.omega0 <= 0.0:
         raise ValueError(f"predicted frequency is not positive: {prediction.omega0!r}")
-    gamma = cov.to_float().gamma
-    ginv = np.linalg.inv(gamma)
+    ginv = np.linalg.inv(cov.to_float().gamma)
     amp = prediction.z_amplitude
     rate = math.sqrt(prediction.delta) * prediction.omega0
     period = 2.0 * math.pi / rate
-    out = np.empty((sample_count, 3))
-    for i in range(sample_count):
-        t = period * i / sample_count
-        z = amp * math.sin(rate * t)
-        zdot = amp * rate * math.cos(rate * t)
-        out[i, 0] = t
-        out[i, 1] = ginv[0, 0] * z + ginv[0, 1] * zdot
-        out[i, 2] = ginv[1, 0] * z + ginv[1, 1] * zdot
-    return out
+    t = period * np.arange(sample_count) / sample_count
+    z = amp * np.sin(rate * t)
+    zdot = amp * rate * np.cos(rate * t)
+    x1 = ginv[0, 0] * z + ginv[0, 1] * zdot
+    x2 = ginv[1, 0] * z + ginv[1, 1] * zdot
+    return np.column_stack([t, x1, x2])

@@ -33,7 +33,7 @@ from .linalg import (
     solve_min_norm_exact,
     solve_min_norm_float,
 )
-from .monomials import eval_lambda
+from .monomials import eval_poly_map
 from .polyops import poly_add, poly_from_lambda_row, poly_max_abs, poly_scale
 from .system import PlanarPolySystem, lie_derivative
 
@@ -76,10 +76,8 @@ def min_degree_bound(n: int) -> int:
 
 def gamma_basis(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two concordant generators Gamma_1, Gamma_2 of the Jacobian."""
-    one = 1 if jac.dtype == object else 1.0
-    zero = 0 if jac.dtype == object else 0.0
-    g1 = np.array([[one, zero], [jac[0, 0], jac[0, 1]]], dtype=jac.dtype)
-    g2 = np.array([[zero, one], [jac[1, 0], jac[1, 1]]], dtype=jac.dtype)
+    g1 = np.array([[1, 0], [jac[0, 0], jac[0, 1]]], dtype=jac.dtype)
+    g2 = np.array([[0, 1], [jac[1, 0], jac[1, 1]]], dtype=jac.dtype)
     return g1, g2
 
 
@@ -90,14 +88,6 @@ def gamma_matrix(jac: np.ndarray, a, b) -> np.ndarray:
 
 def _det2(m: np.ndarray):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def _zeros(shape: tuple[int, ...], exact: bool) -> np.ndarray:
-    if not exact:
-        return np.zeros(shape)
-    z = np.empty(shape, dtype=object)
-    z.reshape(-1)[:] = [0] * z.size
-    return z
 
 
 @dataclass(frozen=True)
@@ -183,7 +173,6 @@ def assemble_constraints(
     if m < 2:
         raise ValueError(f"theta degree m must be >= 2, got {m}")
     n = system.degree
-    exact = system.exact
     free = gamma_params is None
 
     theta_cols: dict[tuple, int] = {}
@@ -197,8 +186,8 @@ def assemble_constraints(
     n_unknowns = len(layout)
     k_range = range(2, m + n)
     n_rows = sum(k + 1 for k in k_range)
-    a_mat = _zeros((n_rows, n_unknowns), exact)
-    rhs = None if free else _zeros((n_rows,), exact)
+    a_mat = np.zeros((n_rows, n_unknowns), dtype=system.jac.dtype)
+    rhs = None if free else np.zeros(n_rows, dtype=system.jac.dtype)
 
     phi_rows = {j: phi.tolist() for j, phi in enumerate((system.jac, *system.phi), start=1)}
     row0 = 0
@@ -232,9 +221,8 @@ def assemble_constraints(
         # direct appearance of row 2 of Theta_k
         if k <= m:
             c0 = theta_cols[("theta", k, 2, 1)]
-            minus_one = -1 if exact else -1.0
             for i in range(height):
-                a_mat[row0 + i, c0 + i] = minus_one
+                a_mat[row0 + i, c0 + i] = -1
         row0 += height
 
     return ConstraintSystem(
@@ -277,19 +265,11 @@ class ChangeOfVariables:
             raise ValueError(f"theta blocks start at degree 2, got {k}")
         if k in self.thetas:
             return self.thetas[k]
-        if self.exact:
-            z = np.empty((2, k + 1), dtype=object)
-            z.reshape(-1)[:] = [0] * (2 * (k + 1))
-            return z
-        return np.zeros((2, k + 1))
+        return np.zeros((2, k + 1), dtype=self.gamma.dtype)
 
     def h_evaluate(self, point) -> np.ndarray:
-        u, v = point
-        vec = np.array([u, v], dtype=self.gamma.dtype if self.exact else float)
-        out = self.gamma @ vec
-        for k in sorted(self.thetas):
-            out = out + self.thetas[k] @ eval_lambda(k, (u, v))
-        return out
+        """H at a point (u, v), or at each column of a (2, N) array."""
+        return eval_poly_map({1: self.gamma, **self.thetas}, point)
 
     def component_polynomial(self, row: int):
         """Component ``row`` (1 or 2) of H as an exponent-dict polynomial."""
@@ -328,12 +308,8 @@ class NoSolutionError(RuntimeError):
         self.attempts = attempts
 
 
-def _extract_cov(
-    solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray, exact: bool
-) -> ChangeOfVariables:
-    thetas: dict[int, np.ndarray] = {}
-    for k in range(2, cs.m + 1):
-        thetas[k] = _zeros((2, k + 1), exact)
+def _extract_cov(solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray) -> ChangeOfVariables:
+    thetas = {k: np.zeros((2, k + 1), dtype=gamma.dtype) for k in range(2, cs.m + 1)}
     for value, label in zip(solution, cs.unknown_layout):
         _, k, row, col = label
         thetas[k][row - 1, col - 1] = value
@@ -394,7 +370,7 @@ def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVaria
             entry["consistent"] = sol is not None
             entry["rank"] = rank
             if sol is not None:
-                return _extract_cov(sol, cs, rank, gamma, exact)
+                return _extract_cov(sol, cs, rank, gamma)
     raise NoSolutionError(
         f"no admissible change of variables up to theta degree {degrees[-1]} "
         f"(system degree {n}; tried {len(attempts)} candidate/degree pairs)",
@@ -411,12 +387,8 @@ def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):
     inputs give an exact (Fraction or int) result, so a correct change
     of variables certifies to literal zero.
     """
-    if cov.exact != system.exact:
-        if not cov.exact:
-            system = system.to_float()
-        else:
-            cov = cov.to_float()
-            system = system.to_float()
+    if not (cov.exact and system.exact):
+        cov, system = cov.to_float(), system.to_float()
     h1 = cov.component_polynomial(1)
     h2 = cov.component_polynomial(2)
     res = poly_add(lie_derivative(h1, system), poly_scale(h2, -1))

@@ -13,20 +13,25 @@ of lambda_2 evaluated at A Y + B lambda_2(Y),
     lambda_2(A Y + B lambda_2(Y)) = P_2(A) lambda_2(Y)
                                     + R2(A, B) lambda_3(Y) + O(|Y|^4).
 
+Both operators are products of the integer structural matrices of
+:mod:`polycycle.monomials`, so they take the dtype of A and B: an exact
+Gamma (Fractions) gives an exact series, a float Gamma a float one.
+
 Composing H with the truncation leaves a quartic-order defect; the
-empirical trust radius estimates where that defect stays small.
+empirical trust radius estimates where that defect stays small.  H and
+the series both evaluate a (2, N) array of points at once, so the scan
+sends every sample point of every circle through them in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
-from .monomials import as_fraction_matrix, eval_lambda, l_matrix, r_matrix, s_check, s_hat
+from .monomials import as_fraction_matrix, eval_poly_map, l_matrix, r_matrix, s_check, s_hat
 
 __all__ = [
     "InverseSeries",
@@ -50,26 +55,24 @@ def p_operator(k: int, a) -> np.ndarray:
     """Matrix of the degree-k monomial map applied after A.
 
     Satisfies lambda_k(A y) = p_operator(k, A) lambda_k(y) for every y;
-    in particular it is multiplicative in A.  Exact for int/Fraction
-    input, float64 otherwise.
+    in particular it is multiplicative in A.  Exact for an object array
+    of ints and Fractions, float64 otherwise.
     """
     if k < 1:
         raise ValueError(f"p_operator needs k >= 1, got {k}")
     mat = np.asarray(a)
     if mat.shape != (2, 2):
         raise ValueError(f"A must be 2x2, got {mat.shape}")
-    exact = mat.dtype == object
-    if exact:
-        mat = as_fraction_matrix(mat)
+    if mat.dtype == object:
+        mat = as_fraction_matrix(mat)  # the division below must stay exact
     cur = mat
     for deg in range(2, k + 1):
-        lift_u = s_hat(deg - 1, 1, exact)
-        lift_v = s_check(deg - 1, 1, exact)
+        lift_u = s_hat(deg - 1, 1)
+        lift_v = s_check(deg - 1, 1)
         cur = (
-            r_matrix(deg, exact) @ cur @ (lift_u * mat[0, 0] + lift_v * mat[0, 1])
-            + l_matrix(deg, exact) @ cur @ (lift_u * mat[1, 0] + lift_v * mat[1, 1])
-        )
-        cur = cur / deg if not exact else cur * Fraction(1, deg)
+            r_matrix(deg) @ cur @ (lift_u * mat[0, 0] + lift_v * mat[0, 1])
+            + l_matrix(deg) @ cur @ (lift_u * mat[1, 0] + lift_v * mat[1, 1])
+        ) / deg
     return cur
 
 
@@ -79,15 +82,12 @@ def r2_operator(a, b) -> np.ndarray:
     mat_b = np.asarray(b)
     if mat_a.shape != (2, 2) or mat_b.shape != (2, 3):
         raise ValueError(f"expected shapes (2,2) and (2,3), got {mat_a.shape} and {mat_b.shape}")
-    exact = mat_a.dtype == object or mat_b.dtype == object
-    if exact:
-        mat_a = as_fraction_matrix(mat_a)
-        mat_b = as_fraction_matrix(mat_b)
-    lift_u = s_hat(2, 1, exact)
-    lift_v = s_check(2, 1, exact)
-    return r_matrix(2, exact) @ mat_b @ (lift_u * mat_a[0, 0] + lift_v * mat_a[0, 1]) + l_matrix(
-        2, exact
-    ) @ mat_b @ (lift_u * mat_a[1, 0] + lift_v * mat_a[1, 1])
+    lift_u = s_hat(2, 1)
+    lift_v = s_check(2, 1)
+    return (
+        r_matrix(2) @ mat_b @ (lift_u * mat_a[0, 0] + lift_v * mat_a[0, 1])
+        + l_matrix(2) @ mat_b @ (lift_u * mat_a[1, 0] + lift_v * mat_a[1, 1])
+    )
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,8 @@ class InverseSeries:
         return self.gamma_inv.dtype == object
 
     def evaluate(self, point) -> np.ndarray:
-        u, v = point
-        vec = np.array([u, v], dtype=self.gamma_inv.dtype if self.exact else float)
-        return (
-            self.gamma_inv @ vec
-            + self.xi2 @ eval_lambda(2, (u, v))
-            + self.xi3 @ eval_lambda(3, (u, v))
-        )
+        """X at a point Y = (u, v), or at each column of a (2, N) array."""
+        return eval_poly_map({1: self.gamma_inv, 2: self.xi2, 3: self.xi3}, point)
 
     def to_float(self) -> "InverseSeries":
         if not self.exact:
@@ -123,28 +118,15 @@ def _inverse2(m: np.ndarray) -> np.ndarray:
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if det == 0:
         raise ZeroDivisionError("Gamma is singular; the change of variables cannot be inverted")
-    if m.dtype == object:
-        d = Fraction(det) if not isinstance(det, Fraction) else det
-        inv = np.empty((2, 2), dtype=object)
-        inv[0, 0] = m[1, 1] / d
-        inv[0, 1] = -m[0, 1] / d
-        inv[1, 0] = -m[1, 0] / d
-        inv[1, 1] = m[0, 0] / d
-        return inv
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float) / det
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype) / det
 
 
 def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
     """Series inverse of a solved change of variables through cubic order."""
-    gamma = cov.gamma
-    if cov.exact:
-        gamma = as_fraction_matrix(gamma)
+    gamma = as_fraction_matrix(cov.gamma) if cov.exact else cov.gamma
     ginv = _inverse2(gamma)
     theta2 = cov.theta(2)
     theta3 = cov.theta(3)
-    if cov.exact:
-        theta2 = as_fraction_matrix(theta2)
-        theta3 = as_fraction_matrix(theta3)
     xi2 = -(ginv @ theta2 @ p_operator(2, ginv))
     xi3 = -(ginv @ (theta2 @ r2_operator(ginv, xi2) + theta3 @ p_operator(3, ginv)))
     return InverseSeries(gamma_inv=ginv, xi2=xi2, xi3=xi3)
@@ -154,23 +136,15 @@ def composition_residual(cov: ChangeOfVariables, inv: InverseSeries, radii) -> l
     """Max norm of H(H_trunc^{-1}(Y)) - Y over circles |Y| = r.
 
     Returns (radius, residual) pairs, floating point; directions are
-    equally spaced so the scan is deterministic.
+    equally spaced so the scan is deterministic.  All points of all
+    circles go through H and the inverse as one (2, N) array.
     """
-    cov_f = cov.to_float()
-    inv_f = inv.to_float()
-    out = []
-    angles = [2.0 * math.pi * i / DIRECTIONS for i in range(DIRECTIONS)]
-    for r in radii:
-        worst = 0.0
-        for ang in angles:
-            y = (r * math.cos(ang), r * math.sin(ang))
-            x = inv_f.evaluate(y)
-            h = cov_f.h_evaluate((float(x[0]), float(x[1])))
-            res = math.hypot(float(h[0]) - y[0], float(h[1]) - y[1])
-            if res > worst:
-                worst = res
-        out.append((float(r), worst))
-    return out
+    radii = np.asarray(radii, dtype=float)
+    angles = 2.0 * math.pi * np.arange(DIRECTIONS) / DIRECTIONS
+    y = np.stack([np.outer(radii, np.cos(angles)), np.outer(radii, np.sin(angles))]).reshape(2, -1)
+    h = cov.to_float().h_evaluate(inv.to_float().evaluate(y))
+    worst = np.hypot(h[0] - y[0], h[1] - y[1]).reshape(len(radii), DIRECTIONS).max(axis=1)
+    return [(float(r), float(w)) for r, w in zip(radii, worst)]
 
 
 def residual_slope(points: list[tuple[float, float]]) -> float | None:

@@ -18,9 +18,10 @@ matrix families:
       u^p lambda_k = S_hat(k, p) lambda_{k+p},
       v^p lambda_k = S_check(k, p) lambda_{k+p}.
 
-Matrices are returned as ``object`` arrays holding Python ints when
-``exact`` is true (they combine losslessly with ints and
-:class:`fractions.Fraction`) and as ``float64`` arrays otherwise.
+The matrices are plain integer arrays.  Each takes the dtype of what it
+multiplies: against an object array of ints and Fractions the product
+stays exact, against float64 it is float64, so one expression serves
+both arithmetics.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ import numpy as np
 
 __all__ = [
     "eval_lambda",
-    "structural_matrix",
+    "eval_poly_map",
     "r_matrix",
     "l_matrix",
     "s_hat",
     "s_check",
 ]
-
-STRUCTURAL_KINDS = ("R", "L", "S_hat", "S_check")
 
 
 def _check_degree(k: int) -> None:
@@ -47,56 +46,71 @@ def _check_degree(k: int) -> None:
 
 
 def eval_lambda(k: int, point) -> np.ndarray:
-    """Evaluate the degree-k monomial vector at a planar point.
+    """Evaluate the degree-k monomial vector at a planar point or points.
 
     Parameters
     ----------
     k : int
         Degree, at least 1.
-    point : pair of numbers
-        Coordinates (u, v).  Ints and Fractions are kept exact; any
-        float coordinate switches the result to float64.
+    point : pair of numbers, or (2, N) array
+        Coordinates (u, v), or one point per column.  Float coordinates
+        give float64; ints and Fractions are kept exact in an object
+        array.
 
     Returns
     -------
     numpy.ndarray
-        Length k + 1, entry i equal to u^(k-i) * v^i.
+        Shape (k + 1,) or (k + 1, N), entry i equal to u^(k-i) * v^i.
+        Each entry is built by repeated multiplication, so a column of
+        a batch rounds exactly as the same point alone.
     """
     _check_degree(k)
-    u, v = point
-    entries = [u ** (k - i) * v ** i for i in range(k + 1)]
-    if isinstance(u, float) or isinstance(v, float):
-        return np.array(entries, dtype=float)
-    return np.array(entries, dtype=object)
+    lam = np.array(point)
+    if lam.dtype.kind != "f":
+        lam = lam.astype(object)
+    u, v = lam
+    for _ in range(k - 1):
+        lam = np.concatenate([u * lam, v * lam[-1:]])
+    return lam
 
 
-def _int_matrix(rows: list[list[int]], exact: bool) -> np.ndarray:
-    if exact:
-        return np.array(rows, dtype=object)
-    return np.array(rows, dtype=float)
+def eval_poly_map(blocks: dict, point) -> np.ndarray:
+    """Evaluate sum_k blocks[k] lambda_k(point) at a point or points.
+
+    ``blocks`` maps each degree k to its 2 x (k+1) coefficient block;
+    ``point`` is as for :func:`eval_lambda`.  The products are summed
+    term by term in a fixed order instead of through a matrix product,
+    whose BLAS kernels round one vector and a batch of them differently,
+    so each column of a batch equals the same point evaluated alone.
+    """
+    out = 0
+    for k in sorted(blocks):
+        for coeffs, monomial in zip(blocks[k].T, eval_lambda(k, point)):
+            out = out + np.multiply.outer(coeffs, monomial)
+    return out
 
 
-def r_matrix(k: int, exact: bool = True) -> np.ndarray:
+def r_matrix(k: int) -> np.ndarray:
     """(k+1) x k differentiation weights for the u-velocity.
 
     Row i carries k - i at column i; the last row is zero.
     """
     _check_degree(k)
     rows = [[k - i if j == i else 0 for j in range(k)] for i in range(k + 1)]
-    return _int_matrix(rows, exact)
+    return np.array(rows)
 
 
-def l_matrix(k: int, exact: bool = True) -> np.ndarray:
+def l_matrix(k: int) -> np.ndarray:
     """(k+1) x k differentiation weights for the v-velocity.
 
     The first row is zero; row i + 1 carries i + 1 at column i.
     """
     _check_degree(k)
     rows = [[i if j == i - 1 else 0 for j in range(k)] for i in range(k + 1)]
-    return _int_matrix(rows, exact)
+    return np.array(rows)
 
 
-def s_hat(k: int, p: int, exact: bool = True) -> np.ndarray:
+def s_hat(k: int, p: int) -> np.ndarray:
     """(k+1) x (k+p+1) selector with the identity in the leading block.
 
     Multiplication by u^p: u^p lambda_k = s_hat(k, p) lambda_{k+p}.
@@ -105,10 +119,10 @@ def s_hat(k: int, p: int, exact: bool = True) -> np.ndarray:
     if not isinstance(p, (int, np.integer)) or p < 0:
         raise ValueError(f"power p must be an integer >= 0, got {p!r}")
     rows = [[1 if j == i else 0 for j in range(k + p + 1)] for i in range(k + 1)]
-    return _int_matrix(rows, exact)
+    return np.array(rows)
 
 
-def s_check(k: int, p: int, exact: bool = True) -> np.ndarray:
+def s_check(k: int, p: int) -> np.ndarray:
     """(k+1) x (k+p+1) selector with the identity in the trailing block.
 
     Multiplication by v^p: v^p lambda_k = s_check(k, p) lambda_{k+p}.
@@ -117,33 +131,7 @@ def s_check(k: int, p: int, exact: bool = True) -> np.ndarray:
     if not isinstance(p, (int, np.integer)) or p < 0:
         raise ValueError(f"power p must be an integer >= 0, got {p!r}")
     rows = [[1 if j == i + p else 0 for j in range(k + p + 1)] for i in range(k + 1)]
-    return _int_matrix(rows, exact)
-
-
-def structural_matrix(kind: str, k: int, p: int | None = None, exact: bool = True) -> np.ndarray:
-    """Build one of the four structural matrices by name.
-
-    Parameters
-    ----------
-    kind : str
-        One of ``"R"``, ``"L"``, ``"S_hat"``, ``"S_check"``.
-    k : int
-        Degree index, at least 1.
-    p : int, optional
-        Power shift; required (and >= 0) for the S families, rejected
-        for R and L.
-    exact : bool
-        Integer object entries when true, float64 otherwise.
-    """
-    if kind in ("R", "L"):
-        if p is not None:
-            raise ValueError(f"kind {kind!r} takes no power argument")
-        return r_matrix(k, exact) if kind == "R" else l_matrix(k, exact)
-    if kind in ("S_hat", "S_check"):
-        if p is None:
-            raise ValueError(f"kind {kind!r} requires the power p")
-        return s_hat(k, p, exact) if kind == "S_hat" else s_check(k, p, exact)
-    raise ValueError(f"unknown structural matrix kind {kind!r}; expected one of {STRUCTURAL_KINDS}")
+    return np.array(rows)
 
 
 def as_fraction_matrix(a) -> np.ndarray:

@@ -63,6 +63,10 @@ BLOWUP_NORM = 1e6
 SEARCH_RANGE = (1e-7, 8.0)
 SETTLE_REL = 1e-8
 CYCLE_SAMPLES = 2048
+# A return-map slope magnitude within this of 1 is neutral (a center's
+# orbit): about 100x the finite-difference noise on the corpus centers,
+# and about 12x below 1 - slope on normal_form at alpha = 1/10000.
+NEUTRAL_SLOPE = 1e-4
 
 
 @dataclass
@@ -91,7 +95,9 @@ class CycleMeasurement:
     ``amplitude`` is max |x1| over one period, ``radius_rms`` the root
     mean square distance from the origin, ``convergence_rate`` the
     magnitude of the return-map slope at the fixed point (so < 1
-    exactly when the cycle attracts), ``crossings`` the number of
+    exactly when the cycle attracts), ``stable`` whether it attracts,
+    None when the slope magnitude is within ``NEUTRAL_SLOPE`` of 1
+    (neutral, as on the orbits of a center), ``crossings`` the number of
     return-map evaluations the root solve took, and ``samples`` one
     period of (t, x1, x2) rows for export.
     """
@@ -99,7 +105,7 @@ class CycleMeasurement:
     amplitude: float
     radius_rms: float
     period: float
-    stable: bool
+    stable: bool | None
     convergence_rate: float
     section: str
     crossings: int
@@ -425,7 +431,7 @@ def _finish_measurement(f, controls, zero_idx, pos_idx, label, x_star, period, e
         amplitude=amplitude,
         radius_rms=radius_rms,
         period=period,
-        stable=abs(slope) < 1.0,
+        stable=None if abs(abs(slope) - 1.0) <= NEUTRAL_SLOPE else abs(slope) < 1.0,
         convergence_rate=abs(slope),
         section=label,
         crossings=evaluations,
@@ -460,8 +466,10 @@ def compare(
 
     Verdicts: ``agreement`` when both sides report a cycle within
     tolerance (or both report none), ``degenerate`` when averaging was
-    inconclusive (p3 = 0), ``disagreement`` otherwise.  A disagreement
-    is a result, not an error.
+    inconclusive (p3 = 0), ``disagreement`` otherwise.  A neutral
+    measurement (``stable`` None) cannot confirm or refute the predicted
+    stability, so ``stability_match`` is None and only the amplitude
+    and period decide.  A disagreement is a result, not an error.
     """
     pred_amp = None
     pred_period = None
@@ -482,13 +490,14 @@ def compare(
             amp_err = abs(pred_amp - meas_amp) / abs(meas_amp)
         if meas_period:
             period_err = abs(pred_period - meas_period) / abs(meas_period)
-        stability_match = (prediction.stability == "stable_supercritical") == measurement.stable
+        if measurement.stable is not None:
+            stability_match = (prediction.stability == "stable_supercritical") == measurement.stable
         ok = (
             amp_err is not None
             and amp_err <= amp_tol
             and period_err is not None
             and period_err <= period_tol
-            and stability_match
+            and stability_match is not False
         )
         verdict = "agreement" if ok else "disagreement"
     elif not prediction.exists and measurement is None:

@@ -155,7 +155,7 @@ class AnalysisReport:
             lines.append(
                 f"oracle: cycle found, amplitude={meas['amplitude']!r},"
                 f" period={meas['period']!r}, "
-                + ("stable" if meas["stable"] else "unstable")
+                + {True: "stable", False: "unstable", None: "neutral"}[meas["stable"]]
                 + f" (return-map slope magnitude {meas['convergence_rate']!r},"
                 + f" section {meas['section']})"
             )

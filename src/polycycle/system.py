@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polyops import Poly, poly_add, poly_from_lambda_row, poly_mul
-from .monomials import eval_lambda
+from .monomials import eval_poly_map
 
 __all__ = [
     "PlanarPolySystem",
@@ -71,11 +71,7 @@ class PlanarPolySystem:
             raise ValueError(f"phi blocks start at degree 2, got {k}")
         if k <= self.degree:
             return self.phi[k - 2]
-        if self.exact:
-            z = np.empty((2, k + 1), dtype=object)
-            z.reshape(-1)[:] = [0] * (2 * (k + 1))
-            return z
-        return np.zeros((2, k + 1))
+        return np.zeros((2, k + 1), dtype=self.jac.dtype)
 
     def to_float(self) -> "PlanarPolySystem":
         if not self.exact:
@@ -120,12 +116,9 @@ def build_system(jac, phi=()) -> PlanarPolySystem:
 
 
 def evaluate_field(system: PlanarPolySystem, point) -> np.ndarray:
-    """Field value J X + psi(X) at a point, dtype following the inputs."""
-    u, v = point
-    out = system.jac @ np.array([u, v], dtype=system.jac.dtype if system.jac.dtype == object else float)
-    for i, block in enumerate(system.phi):
-        out = out + block @ eval_lambda(i + 2, (u, v))
-    return out
+    """Field value J X + psi(X) at a point or at each column of a (2, N)
+    array, dtype following the inputs."""
+    return eval_poly_map({1: system.jac, **dict(enumerate(system.phi, start=2))}, point)
 
 
 @dataclass(frozen=True)

@@ -173,9 +173,30 @@ def test_cycle_curve_spacing_and_validation(normal_form_cov, normal_form_system,
     period = 2.0 * math.pi / (math.sqrt(pred.delta) * pred.omega0)
     steps = np.diff(curve[:, 0])
     np.testing.assert_allclose(steps, period / 64, rtol=1e-12)
+    # reference: the curve sample by sample
+    gamma_inv = np.linalg.inv(normal_form_cov.to_float().gamma)
+    rate = math.sqrt(pred.delta) * pred.omega0
+    for i, row in enumerate(curve):
+        t = period * i / 64
+        z = pred.z_amplitude * math.sin(rate * t)
+        zdot = pred.z_amplitude * rate * math.cos(rate * t)
+        assert row[0] == t
+        np.testing.assert_allclose(row[1:], gamma_inv @ [z, zdot], rtol=1e-13, atol=1e-15)
 
     none = predict_cycle(0.1, 1.0, -0.5, 0.0)
     with pytest.raises(ValueError):
         cycle_curve(normal_form_cov, none)
     with pytest.raises(ValueError):
         cycle_curve(normal_form_cov, pred, sample_count=0)
+
+
+def test_exact_reduction_stays_in_fractions(corpus_systems, corpus_covs):
+    # criterion 3's exact zero cannot see a float or a numpy int that
+    # leaks into the chain from Gamma to G
+    for name, system in corpus_systems.items():
+        cov = corpus_covs[name]
+        inv = invert_to_cubic(cov)
+        g = g_coefficients(system, cov, inv)
+        blocks = [cov.gamma, *cov.thetas.values(), inv.gamma_inv, inv.xi2, inv.xi3, g.g2, g.g3]
+        for block in blocks:
+            assert all(type(x) is Fraction for x in block.reshape(-1)), name

@@ -1,5 +1,6 @@
 """Induced matrices on monomial vectors and truncated series inversion."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from polycycle.change_of_variables import ChangeOfVariables
 from polycycle.inversion import (
+    DIRECTIONS,
+    TRUST_GRID,
     InverseSeries,
     composition_residual,
     invert_to_cubic,
@@ -106,6 +109,44 @@ def test_composition_residual_decays_quartically(corpus_systems, corpus_covs):
             continue
         slope = residual_slope(significant)
         assert slope is not None and slope >= 3.8, (name, slope)
+
+
+def test_batched_evaluation_matches_pointwise(corpus_covs):
+    # every column of a (2, N) batch rounds exactly as the point alone
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-0.7, 0.7, size=(2, 40))
+    columns = [(float(u), float(v)) for u, v in points.T]
+    for k in (1, 2, 3, 6):
+        lam = eval_lambda(k, points)
+        assert lam.shape == (k + 1, 40)
+        for j, point in enumerate(columns):
+            assert np.array_equal(lam[:, j], eval_lambda(k, point))
+    for name, cov in corpus_covs.items():
+        cov_f = cov.to_float()
+        inv_f = invert_to_cubic(cov).to_float()
+        h = cov_f.h_evaluate(points)
+        x = inv_f.evaluate(points)
+        assert h.shape == x.shape == (2, 40)
+        for j, point in enumerate(columns):
+            assert np.array_equal(h[:, j], cov_f.h_evaluate(point)), name
+            assert np.array_equal(x[:, j], inv_f.evaluate(point)), name
+
+
+def test_composition_residual_matches_a_pointwise_scan(corpus_covs):
+    # reference: the scan point by point; cos, sin and hypot may round
+    # differently in numpy, by about one unit in the last place of r
+    for name, cov in corpus_covs.items():
+        inv = invert_to_cubic(cov)
+        cov_f, inv_f = cov.to_float(), inv.to_float()
+        for (r, res), radius in zip(composition_residual(cov, inv, TRUST_GRID), TRUST_GRID):
+            worst = 0.0
+            for i in range(DIRECTIONS):
+                ang = 2.0 * math.pi * i / DIRECTIONS
+                y = (radius * math.cos(ang), radius * math.sin(ang))
+                h = cov_f.h_evaluate(inv_f.evaluate(y))
+                worst = max(worst, math.hypot(h[0] - y[0], h[1] - y[1]))
+            assert r == radius
+            assert abs(res - worst) <= 1e-14 * r + 1e-12 * worst, (name, r)
 
 
 def test_residual_slope_on_synthetic_quartic():

@@ -12,7 +12,6 @@ from polycycle.monomials import (
     r_matrix,
     s_check,
     s_hat,
-    structural_matrix,
 )
 
 
@@ -89,24 +88,6 @@ def test_shift_shapes_and_blocks():
     assert sh.shape == (3, 4) and sc.shape == (3, 4)
     assert sh.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     assert sc.tolist() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-
-
-def test_structural_matrix_dispatch():
-    assert structural_matrix("R", 3).tolist() == r_matrix(3).tolist()
-    assert structural_matrix("L", 3).tolist() == l_matrix(3).tolist()
-    assert structural_matrix("S_hat", 2, 2).tolist() == s_hat(2, 2).tolist()
-    assert structural_matrix("S_check", 2, 2).tolist() == s_check(2, 2).tolist()
-    with pytest.raises(ValueError):
-        structural_matrix("Q", 2)
-    with pytest.raises(ValueError):
-        structural_matrix("S_hat", 2)  # shift needs p
-
-
-def test_float_variants_match_exact():
-    for k in (1, 3, 5):
-        np.testing.assert_array_equal(r_matrix(k, exact=False), r_matrix(k).astype(float))
-        np.testing.assert_array_equal(l_matrix(k, exact=False), l_matrix(k).astype(float))
-    assert r_matrix(3, exact=False).dtype == np.float64
 
 
 def test_as_fraction_matrix_coerces_entries():

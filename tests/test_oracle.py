@@ -151,6 +151,11 @@ def test_compare_agreement_and_mismatch():
     assert flipped.verdict == "disagreement"
     assert flipped.stability_match is False
 
+    # a neutral measurement neither confirms nor refutes the stability
+    neutral = compare(pred, _curve(pred.z_amplitude), _fake_measurement(pred.z_amplitude, period, None))
+    assert neutral.verdict == "agreement"
+    assert neutral.stability_match is None
+
 
 def test_compare_without_measurement():
     pred = predict_cycle(0.1, 1.0, 0.5, 0.0)

@@ -137,6 +137,18 @@ def test_oracle_agrees_next_to_the_hopf_point(systems_dir, name, alpha):
     assert report.measurement["crossings"] <= 15
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("name", ["linear_center", "quadratic"])
+def test_center_orbits_are_neutral(systems_dir, name, exact):
+    # every orbit of a center closes: the finite-difference return-map
+    # slope is 1 + O(1e-6), neither an attracting nor a repelling cycle
+    report = run_analyze(systems_dir / f"{name}.json", AnalysisOptions(exact=exact))
+    assert abs(report.measurement["convergence_rate"] - 1.0) < 1e-5
+    assert report.measurement["stable"] is None
+    assert report.comparison["stability_match"] is None
+    assert "neutral (return-map slope magnitude" in report.to_text()
+
+
 def test_alpha_grid_is_exact(systems_dir, capsys):
     # grid points are built from the literal strings, so they sit on the
     # decimal grid and instantiate with small denominators
