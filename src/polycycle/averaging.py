@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
-from .inversion import InverseSeries, p_operator, r2_operator
+from .inversion import InverseSeries
 from .monomials import l_matrix, r_matrix, s_check, s_hat
 from .system import PlanarPolySystem
 
@@ -98,13 +98,11 @@ def g_coefficients(
     """
     if not (system.exact and cov.exact and inv.exact):
         system, cov, inv = system.to_float(), cov.to_float(), inv.to_float()
-    jac, gamma, ginv, xi2, xi3 = system.jac, cov.gamma, inv.gamma_inv, inv.xi2, inv.xi3
+    jac, gamma, xi2, xi3 = system.jac, cov.gamma, inv.xi2, inv.xi3
+    p2, p3, r2 = inv.p2_op, inv.p3_op, inv.r2_op
     phi2, phi3 = system.phi_matrix(2), system.phi_matrix(3)
     theta2, theta3 = cov.theta(2), cov.theta(3)
 
-    p2 = p_operator(2, ginv)
-    p3 = p_operator(3, ginv)
-    r2 = r2_operator(ginv, xi2)
     drift2 = _gradient_drift_column(2, jac, theta2)
     drift3 = _gradient_drift_column(3, jac, theta3)
     vel_quad = _velocity_quadratic_column(theta2, phi2)

@@ -26,7 +26,7 @@ sends every sample point of every circle through them in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,11 +92,19 @@ def r2_operator(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InverseSeries:
-    """Truncated inverse X = Gamma^{-1} Y + Xi_2 lambda_2 + Xi_3 lambda_3."""
+    """Truncated inverse X = Gamma^{-1} Y + Xi_2 lambda_2 + Xi_3 lambda_3.
+
+    ``p2_op``, ``p3_op`` and ``r2_op`` are the operators the series was
+    built from, P_2(Gamma^{-1}), P_3(Gamma^{-1}) and R2(Gamma^{-1}, Xi_2);
+    the G rows of the reduced equation reuse them.
+    """
 
     gamma_inv: np.ndarray
     xi2: np.ndarray
     xi3: np.ndarray
+    p2_op: np.ndarray
+    p3_op: np.ndarray
+    r2_op: np.ndarray
 
     @property
     def exact(self) -> bool:
@@ -109,9 +117,7 @@ class InverseSeries:
     def to_float(self) -> "InverseSeries":
         if not self.exact:
             return self
-        return InverseSeries(
-            self.gamma_inv.astype(float), self.xi2.astype(float), self.xi3.astype(float)
-        )
+        return InverseSeries(*(getattr(self, f.name).astype(float) for f in fields(self)))
 
 
 def _inverse2(m: np.ndarray) -> np.ndarray:
@@ -127,9 +133,12 @@ def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
     ginv = _inverse2(gamma)
     theta2 = cov.theta(2)
     theta3 = cov.theta(3)
-    xi2 = -(ginv @ theta2 @ p_operator(2, ginv))
-    xi3 = -(ginv @ (theta2 @ r2_operator(ginv, xi2) + theta3 @ p_operator(3, ginv)))
-    return InverseSeries(gamma_inv=ginv, xi2=xi2, xi3=xi3)
+    p2 = p_operator(2, ginv)
+    p3 = p_operator(3, ginv)
+    xi2 = -(ginv @ theta2 @ p2)
+    r2 = r2_operator(ginv, xi2)
+    xi3 = -(ginv @ (theta2 @ r2 + theta3 @ p3))
+    return InverseSeries(gamma_inv=ginv, xi2=xi2, xi3=xi3, p2_op=p2, p3_op=p3, r2_op=r2)
 
 
 def composition_residual(cov: ChangeOfVariables, inv: InverseSeries, radii) -> list[tuple[float, float]]:

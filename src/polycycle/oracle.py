@@ -99,7 +99,10 @@ class CycleMeasurement:
     None when the slope magnitude is within ``NEUTRAL_SLOPE`` of 1
     (neutral, as on the orbits of a center), ``crossings`` the number of
     return-map evaluations the root solve took, and ``samples`` one
-    period of (t, x1, x2) rows for export.
+    period of (t, x1, x2) rows for export.  ``steps``,
+    ``rejected_steps`` and ``field_evals`` are the integrator's work,
+    summed over every orbit the measurement followed: the root solve,
+    the sampled period and the two slope returns.
     """
 
     amplitude: float
@@ -109,6 +112,9 @@ class CycleMeasurement:
     convergence_rate: float
     section: str
     crossings: int
+    steps: int
+    rejected_steps: int
+    field_evals: int
     samples: np.ndarray = field(repr=False, default=None)
 
 
@@ -188,6 +194,29 @@ class _Stepper:
         return (t0, u0, v0, fu1, fv1, self.t, u1, v1, k7u, k7v)
 
 
+class _Work:
+    """The orbits one measurement followed, for its work counts."""
+
+    __slots__ = ("steppers", "checks")
+
+    def __init__(self):
+        self.steppers: list[_Stepper] = []
+        self.checks = 0  # field evaluations of the transversality test
+
+    def start(self, f, zero_idx: int, x: float, controls) -> _Stepper:
+        """A stepper from the section point ``x``, counted from now on."""
+        stepper = _Stepper(f, *_section_state(zero_idx, x), controls)
+        self.steppers.append(stepper)
+        return stepper
+
+    def totals(self) -> tuple[int, int, int]:
+        """(accepted steps, rejected steps, field evaluations)."""
+        steps = sum(s.steps for s in self.steppers)
+        rejects = sum(s.rejects for s in self.steppers)
+        # one evaluation to start each orbit, six per attempted step (k2..k7)
+        return steps, rejects, len(self.steppers) + 6 * (steps + rejects) + self.checks
+
+
 def _hermite(rec, t: float) -> tuple[float, float]:
     t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1 = rec
     h = t1 - t0
@@ -264,16 +293,16 @@ def _section_state(zero_idx: int, pos_val: float) -> tuple[float, float]:
     return (pos_val, 0.0) if zero_idx == 1 else (0.0, pos_val)
 
 
-def _return_map(f, controls, zero_idx, pos_idx, x: float, t_budget: float):
+def _return_map(f, controls, work, zero_idx, pos_idx, x: float, t_budget: float):
     """Follow the orbit from the section point ``x`` once around.
 
     Returns (P(x), return time) at the first crossing of the section in
     the direction the flow crosses it at the start.  P is inf when the
     orbit blows up, and 0 when it falls inside the 1e-8 numerical-origin
     scale, where the tangency guard below cannot tell a flat section
-    from a dead orbit.
+    from a dead orbit.  The orbit is counted in ``work``.
     """
-    stepper = _Stepper(f, *_section_state(zero_idx, x), controls)
+    stepper = work.start(f, zero_idx, x, controls)
     rising = (stepper.fu, stepper.fv)[zero_idx] > 0.0
     while stepper.steps < MAX_STEPS:
         rec = stepper.advance(t_budget)
@@ -291,6 +320,7 @@ def _return_map(f, controls, zero_idx, pos_idx, x: float, t_budget: float):
             return 0.0, tc
         if state[pos_idx] <= 0.0 or (g1 > 0.0) != rising:
             continue
+        work.checks += 1
         speed = f(state[0], state[1])
         if abs(speed[zero_idx]) <= 1e-9 * (1.0 + math.hypot(speed[0], speed[1])):
             raise TransversalityError(
@@ -300,7 +330,7 @@ def _return_map(f, controls, zero_idx, pos_idx, x: float, t_budget: float):
     raise _NoReturn
 
 
-def _fixed_point(f, controls, zero_idx, pos_idx, seed: float, tau: float):
+def _fixed_point(f, controls, work, zero_idx, pos_idx, seed: float, tau: float):
     """Solve g(x) = P(x) - x; returns (x*, return time, evaluations) or None.
 
     Blow-up makes g = inf and decay onto the origin g = -x, so both
@@ -311,7 +341,7 @@ def _fixed_point(f, controls, zero_idx, pos_idx, seed: float, tau: float):
     def g(x):
         nonlocal evaluations
         evaluations += 1
-        p, t = _return_map(f, controls, zero_idx, pos_idx, x, 1e5)
+        p, t = _return_map(f, controls, work, zero_idx, pos_idx, x, 1e5)
         return p - x, t
 
     ga, ta = g(seed)
@@ -389,13 +419,14 @@ def measure_cycle(
     f = compile_field(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
 
+    work = _Work()
     last_error = None
     for zero_idx, pos_idx, label in _SECTIONS:
         try:
-            found = _fixed_point(f, controls, zero_idx, pos_idx, seed_radius, tau)
+            found = _fixed_point(f, controls, work, zero_idx, pos_idx, seed_radius, tau)
             if found is None:
                 return None
-            return _finish_measurement(f, controls, zero_idx, pos_idx, label, *found)
+            return _finish_measurement(f, controls, work, zero_idx, pos_idx, label, *found)
         except TransversalityError as err:
             last_error = err
         except _NoReturn:
@@ -403,9 +434,9 @@ def measure_cycle(
     raise last_error
 
 
-def _finish_measurement(f, controls, zero_idx, pos_idx, label, x_star, period, evaluations):
+def _finish_measurement(f, controls, work, zero_idx, pos_idx, label, x_star, period, evaluations):
     # one clean period from the fixed point, densely sampled
-    stepper = _Stepper(f, *_section_state(zero_idx, x_star), controls)
+    stepper = work.start(f, zero_idx, x_star, controls)
     records = []
     while True:
         rec = stepper.advance(period)
@@ -424,9 +455,10 @@ def _finish_measurement(f, controls, zero_idx, pos_idx, label, x_star, period, e
     radius_rms = float(math.sqrt(np.mean(samples[:, 1] ** 2 + samples[:, 2] ** 2)))
 
     h = max(1e-4 * x_star, 1e-8)
-    p_plus = _return_map(f, controls, zero_idx, pos_idx, x_star + h, 50.0 * period)[0]
-    p_minus = _return_map(f, controls, zero_idx, pos_idx, x_star - h, 50.0 * period)[0]
+    p_plus = _return_map(f, controls, work, zero_idx, pos_idx, x_star + h, 50.0 * period)[0]
+    p_minus = _return_map(f, controls, work, zero_idx, pos_idx, x_star - h, 50.0 * period)[0]
     slope = (p_plus - p_minus) / (2.0 * h)
+    steps, rejects, field_evals = work.totals()
     return CycleMeasurement(
         amplitude=amplitude,
         radius_rms=radius_rms,
@@ -435,6 +467,9 @@ def _finish_measurement(f, controls, zero_idx, pos_idx, label, x_star, period, e
         convergence_rate=abs(slope),
         section=label,
         crossings=evaluations,
+        steps=steps,
+        rejected_steps=rejects,
+        field_evals=field_evals,
         samples=samples,
     )
 

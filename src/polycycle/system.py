@@ -174,46 +174,59 @@ def lie_derivative(p: Poly, system: PlanarPolySystem) -> Poly:
     return poly_add(poly_mul(poly_diff(p, 0), f1), poly_mul(poly_diff(p, 1), f2))
 
 
+def _monomial(a: int, b: int) -> str:
+    """Name of u^a v^b in the generated field."""
+    return {(1, 0): "u", (0, 1): "v"}.get((a, b), f"m{a}_{b}")
+
+
 def compile_field(system: PlanarPolySystem):
-    """Closure computing the field with plain Python floats.
+    """Straight-line float code for the field, generated once per system.
 
     The returned callable ``f(u, v) -> (du, dv)`` is the hot path of
-    the numerical oracle, so it avoids numpy entirely.
+    the numerical oracle, so its source is written for this system and
+    compiled once.  It computes ``du = j11*u + j12*v``, the powers
+    u^2, u^3, ... and v^2, v^3, ... by repeated multiplication, as far
+    as a nonzero term needs them, and then, for each block k, the
+    products u^(k-i) v^i of the block's nonzero coefficients, summed in
+    column order from 0.0 into one block sum that is added to du
+    (likewise dv).  That is the order of the
+    generic loop over every coefficient, kept in the tests as the
+    reference, and the order is fixed because float addition is not
+    associative: the two agree bit for bit wherever the powers stay
+    finite.  A skipped term 0*m is a signed zero, which leaves a sum
+    started from 0.0 as it was.  The coefficients are bound as names in
+    the function's namespace; none of them is written into the source.
     """
     flt = system.to_float()
-    j11, j12 = float(flt.jac[0, 0]), float(flt.jac[0, 1])
-    j21, j22 = float(flt.jac[1, 0]), float(flt.jac[1, 1])
-    rows = [
-        ([float(c) for c in block[0]], [float(c) for c in block[1]])
-        for block in flt.phi
-    ]
-    n = flt.degree
+    namespace: dict[str, float] = {}
 
-    if not rows:
-        def linear(u: float, v: float) -> tuple[float, float]:
-            return j11 * u + j12 * v, j21 * u + j22 * v
+    def bind(value) -> str:
+        name = f"c{len(namespace)}"
+        namespace[name] = float(value)
+        return name
 
-        return linear
+    exprs = []
+    used = set()  # (a, b) of each u^a v^b with a nonzero coefficient
+    for row in (0, 1):
+        parts = [f"{bind(flt.jac[row, 0])} * u + {bind(flt.jac[row, 1])} * v"]
+        for k, block in enumerate(flt.phi, start=2):
+            terms = []
+            for i, c in enumerate(block[row]):
+                if c != 0:
+                    used.add((k - i, i))
+                    terms.append(f"{bind(c)} * {_monomial(k - i, i)}")
+            if terms:
+                parts.append(f"(0.0 + {' + '.join(terms)})")
+        if flt.phi and len(parts) == 1:
+            parts.append("0.0")  # the loop's zero block sums turn -0.0 into 0.0
+        exprs.append(" + ".join(parts))
 
-    def field(u: float, v: float) -> tuple[float, float]:
-        du = j11 * u + j12 * v
-        dv = j21 * u + j22 * v
-        # powers u^0..u^n, v^0..v^n
-        up = [1.0] * (n + 1)
-        vp = [1.0] * (n + 1)
-        for i in range(1, n + 1):
-            up[i] = up[i - 1] * u
-            vp[i] = vp[i - 1] * v
-        for idx, (r1, r2) in enumerate(rows):
-            k = idx + 2
-            s1 = 0.0
-            s2 = 0.0
-            for i in range(k + 1):
-                m = up[k - i] * vp[i]
-                s1 += r1[i] * m
-                s2 += r2[i] * m
-            du += s1
-            dv += s2
-        return du, dv
-
-    return field
+    lines = ["def field(u, v):"]
+    top_u = max((a for a, _ in used), default=1)
+    top_v = max((b for _, b in used), default=1)
+    lines += [f"    {_monomial(e, 0)} = {_monomial(e - 1, 0)} * u" for e in range(2, top_u + 1)]
+    lines += [f"    {_monomial(0, e)} = {_monomial(0, e - 1)} * v" for e in range(2, top_v + 1)]
+    lines += [f"    {_monomial(a, b)} = {_monomial(a, 0)} * {_monomial(0, b)}" for a, b in sorted(used) if a and b]
+    lines.append(f"    return {exprs[0]}, {exprs[1]}")
+    exec("\n".join(lines), namespace)
+    return namespace.pop("field")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import polycycle.oracle as oracle
 from polycycle.averaging import predict_cycle
 from polycycle.oracle import (
     CycleMeasurement,
@@ -81,6 +82,32 @@ def test_measured_cycle_of_the_rescaled_family():
     np.testing.assert_allclose(radius, 0.2, atol=1e-5)
 
 
+def test_work_counters_match_the_field_calls(monkeypatch):
+    calls = 0
+    compile_field = oracle.compile_field
+
+    def counting_compile(system):
+        field = compile_field(system)
+
+        def counted(u, v):
+            nonlocal calls
+            calls += 1
+            return field(u, v)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "compile_field", counting_compile)
+    system = _normal_form(Fraction(1, 100))
+    first = measure_cycle(system, 0.05)
+    assert first is not None
+    assert calls == first.field_evals
+    assert first.steps > 0 and first.rejected_steps >= 0
+    again = measure_cycle(system, 0.05)
+    counts = (again.steps, again.rejected_steps, again.field_evals)
+    assert counts == (first.steps, first.rejected_steps, first.field_evals)
+    assert calls == first.field_evals + again.field_evals
+
+
 def test_spiral_sink_yields_no_cycle():
     system = _normal_form(-0.05).to_float()
     assert measure_cycle(system, 0.3) is None
@@ -127,6 +154,9 @@ def _fake_measurement(amplitude, period, stable):
         convergence_rate=0.5 if stable else 2.0,
         section="x2=0, x1>0",
         crossings=12,
+        steps=400,
+        rejected_steps=3,
+        field_evals=2500,
         samples=samples,
     )
 

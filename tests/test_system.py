@@ -145,3 +145,79 @@ def test_compiled_field_matches_evaluation():
         du, dv = field(u, v)
         ref = evaluate_field(sys3, (u, v))
         np.testing.assert_allclose([du, dv], ref, rtol=1e-14, atol=1e-14)
+
+
+def _loop_field(system):
+    """Reference for compile_field: the generic loop over every
+    coefficient, zeros included, that the generated code replaced."""
+    flt = system.to_float()
+    j11, j12 = float(flt.jac[0, 0]), float(flt.jac[0, 1])
+    j21, j22 = float(flt.jac[1, 0]), float(flt.jac[1, 1])
+    rows = [([float(c) for c in block[0]], [float(c) for c in block[1]]) for block in flt.phi]
+    n = flt.degree
+
+    def field(u, v):
+        du = j11 * u + j12 * v
+        dv = j21 * u + j22 * v
+        up = [1.0] * (n + 1)
+        vp = [1.0] * (n + 1)
+        for i in range(1, n + 1):
+            up[i] = up[i - 1] * u
+            vp[i] = vp[i - 1] * v
+        for idx, (r1, r2) in enumerate(rows):
+            k = idx + 2
+            s1 = 0.0
+            s2 = 0.0
+            for i in range(k + 1):
+                m = up[k - i] * vp[i]
+                s1 += r1[i] * m
+                s2 += r2[i] * m
+            du += s1
+            dv += s2
+        return du, dv
+
+    return field
+
+
+def _random_float_system(rng, degree):
+    jac = rng.normal(size=(2, 2))
+    blocks = []
+    for k in range(2, degree + 1):
+        block = rng.normal(scale=3.0, size=(2, k + 1))
+        block[rng.random(block.shape) < 0.4] = 0.0
+        blocks.append(block)
+    if degree >= 4:
+        blocks[1][:] = 0.0  # an all-zero middle block
+    specials = [1e-320, -1e-320, 0.1 + 0.2, -0.0, 0.0]
+    for block in blocks:
+        for _ in range(2):
+            block[rng.integers(2), rng.integers(block.shape[1])] = specials[rng.integers(len(specials))]
+    if blocks:
+        blocks[-1][rng.integers(2), -1] = rng.normal()  # keep the stated degree
+    return build_system(jac, blocks)
+
+
+def test_generated_field_is_bit_identical_to_the_loop():
+    # the generated code must sum each block in column order into one
+    # block sum; any other order, or adding terms straight into du,
+    # rounds differently at some of these points
+    rng = np.random.default_rng(23)
+    points = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 1.0), (1e-170, -1e-170)]
+    points += [tuple(p) for p in rng.uniform(-1.5, 1.5, size=(300, 2))]
+
+    def bits(pair):
+        return tuple(x.hex() for x in pair)
+
+    for degree in (1, 2, 3, 4, 5, 6, 7, 3, 5, 7):
+        system = _random_float_system(rng, degree)
+        assert system.degree == degree
+        generated, reference = compile_field(system), _loop_field(system)
+        for u, v in points:
+            assert bits(generated(u, v)) == bits(reference(u, v)), (degree, u, v)
+    # signed zeros: at (0, 0) du's linear part and block sum are both
+    # -0.0 unless the block sum starts from 0.0, and dv, a row with no
+    # nonlinear term, is -0.0 at (-0, -0) unless 0.0 is added to it
+    quadratic = build_system([[-1.0, -1.0], [1.0, 0.0]], [[[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+    generated, reference = compile_field(quadratic), _loop_field(quadratic)
+    for u, v in points:
+        assert bits(generated(u, v)) == bits(reference(u, v)), (u, v)
