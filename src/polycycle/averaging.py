@@ -160,6 +160,13 @@ class KbmPrediction:
     def degenerate(self) -> bool:
         return self.stability == "undetermined"
 
+    @property
+    def period(self) -> float | None:
+        """2 pi / (sqrt(delta) w0), the predicted period; None without a cycle."""
+        if not self.exists:
+            return None
+        return 2.0 * math.pi / (math.sqrt(self.delta) * self.omega0)
+
 
 def predict_cycle(tau, delta, p3, q3) -> KbmPrediction:
     """Existence, amplitude, frequency and stability from the averages.
@@ -208,8 +215,7 @@ def cycle_curve(cov: ChangeOfVariables, prediction: KbmPrediction, sample_count:
     ginv = np.linalg.inv(cov.to_float().gamma)
     amp = prediction.z_amplitude
     rate = math.sqrt(prediction.delta) * prediction.omega0
-    period = 2.0 * math.pi / rate
-    t = period * np.arange(sample_count) / sample_count
+    t = prediction.period * np.arange(sample_count) / sample_count
     z = amp * np.sin(rate * t)
     zdot = amp * rate * np.cos(rate * t)
     x1 = ginv[0, 0] * z + ginv[0, 1] * zdot

@@ -10,7 +10,8 @@ Crossing times are located inside accepted steps by bisection on the
 cubic Hermite interpolant, which at the default 1e-10 tolerances is
 accurate to well below 1e-6 in time.  Attracting and repelling cycles
 are both found in forward time: the root solve does not need the
-return map to contract.
+return map to contract, and its last orbit, once around from the fixed
+point, is the one the measured period is sampled from.
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ class CycleMeasurement:
     None when the slope magnitude is within ``NEUTRAL_SLOPE`` of 1
     (neutral, as on the orbits of a center), ``crossings`` the number of
     return-map evaluations the root solve took, and ``samples`` one
-    period of (t, x1, x2) rows for export.  ``steps``,
-    ``rejected_steps`` and ``field_evals`` are the integrator's work,
-    summed over every orbit the measurement followed: the root solve,
-    the sampled period and the two slope returns.
+    period of (t, x1, x2) rows for export, interpolated in the steps of
+    the root solve's last orbit.  ``steps``, ``rejected_steps`` and
+    ``field_evals`` are the integrator's work, summed over every orbit
+    the measurement followed: the root solve's and the two slope
+    returns.
     """
 
     amplitude: float
@@ -203,12 +205,6 @@ class _Work:
         self.steppers: list[_Stepper] = []
         self.checks = 0  # field evaluations of the transversality test
 
-    def start(self, f, zero_idx: int, x: float, controls) -> _Stepper:
-        """A stepper from the section point ``x``, counted from now on."""
-        stepper = _Stepper(f, *_section_state(zero_idx, x), controls)
-        self.steppers.append(stepper)
-        return stepper
-
     def totals(self) -> tuple[int, int, int]:
         """(accepted steps, rejected steps, field evaluations)."""
         steps = sum(s.steps for s in self.steppers)
@@ -217,13 +213,16 @@ class _Work:
         return steps, rejects, len(self.steppers) + 6 * (steps + rejects) + self.checks
 
 
-def _hermite(rec, t: float) -> tuple[float, float]:
+def _hermite(rec, t):
+    """Interpolate a step record at t; also a (10, N) record array at N times."""
     t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1 = rec
     h = t1 - t0
     s = (t - t0) / h
     s2 = s * s
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
+    # a product, not ** 2: float ** is libm pow, numpy's ** 2 a product
+    w2 = (1.0 - s) * (1.0 - s)
+    h00 = (1.0 + 2.0 * s) * w2
+    h10 = s * w2
     h01 = s2 * (3.0 - 2.0 * s)
     h11 = s2 * (s - 1.0)
     u = h00 * u0 + h10 * h * fu0 + h01 * u1 + h11 * h * fu1
@@ -289,27 +288,30 @@ class _NoReturn(Exception):
     """An orbit did not come back to the section within its time budget."""
 
 
-def _section_state(zero_idx: int, pos_val: float) -> tuple[float, float]:
-    return (pos_val, 0.0) if zero_idx == 1 else (0.0, pos_val)
-
-
 def _return_map(f, controls, work, zero_idx, pos_idx, x: float, t_budget: float):
     """Follow the orbit from the section point ``x`` once around.
 
-    Returns (P(x), return time) at the first crossing of the section in
-    the direction the flow crosses it at the start.  P is inf when the
-    orbit blows up, and 0 when it falls inside the 1e-8 numerical-origin
-    scale, where the tangency guard below cannot tell a flat section
-    from a dead orbit.  The orbit is counted in ``work``.
+    Returns (P(x), return time, accepted step records) at the first
+    crossing of the section in the direction the flow crosses it at the
+    start.  P is inf when the orbit blows up or its step size underflows,
+    and 0 when it falls inside the 1e-8 numerical-origin scale, where the
+    tangency guard below cannot tell a flat section from a dead orbit.
+    The orbit is counted in ``work``.
     """
-    stepper = work.start(f, zero_idx, x, controls)
+    stepper = _Stepper(f, *((x, 0.0) if zero_idx == 1 else (0.0, x)), controls)
+    work.steppers.append(stepper)
     rising = (stepper.fu, stepper.fv)[zero_idx] > 0.0
+    records = []
     while stepper.steps < MAX_STEPS:
-        rec = stepper.advance(t_budget)
+        try:
+            rec = stepper.advance(t_budget)
+        except ArithmeticError:  # step size underflow
+            return math.inf, stepper.t, records
         if rec is None:
             break
+        records.append(rec)
         if abs(rec[6]) + abs(rec[7]) > BLOWUP_NORM:
-            return math.inf, rec[5]
+            return math.inf, rec[5], records
         g0 = (rec[1], rec[2])[zero_idx]
         g1 = (rec[6], rec[7])[zero_idx]
         if g0 == 0.0 or (g0 > 0.0) == (g1 > 0.0):
@@ -317,7 +319,7 @@ def _return_map(f, controls, work, zero_idx, pos_idx, x: float, t_budget: float)
         tc = _locate_crossing(rec, zero_idx, 1e-12 * max(1.0, abs(rec[5])))
         state = _hermite(rec, tc)
         if math.hypot(state[0], state[1]) < 1e-8:
-            return 0.0, tc
+            return 0.0, tc, records
         if state[pos_idx] <= 0.0 or (g1 > 0.0) != rising:
             continue
         work.checks += 1
@@ -326,27 +328,29 @@ def _return_map(f, controls, work, zero_idx, pos_idx, x: float, t_budget: float)
             raise TransversalityError(
                 f"flow is tangent to the section at t={tc:.6g}, point {state}"
             )
-        return state[pos_idx], tc
+        return state[pos_idx], tc, records
     raise _NoReturn
 
 
 def _fixed_point(f, controls, work, zero_idx, pos_idx, seed: float, tau: float):
-    """Solve g(x) = P(x) - x; returns (x*, return time, evaluations) or None.
+    """Solve g(x) = P(x) - x; returns (x*, return time, evaluations,
+    step records) or None, x* being the last point evaluated.
 
     Blow-up makes g = inf and decay onto the origin g = -x, so both
     count with the sign they imply.
     """
     evaluations = 0
+    records = None
 
     def g(x):
-        nonlocal evaluations
+        nonlocal evaluations, records
         evaluations += 1
-        p, t = _return_map(f, controls, work, zero_idx, pos_idx, x, 1e5)
+        p, t, records = _return_map(f, controls, work, zero_idx, pos_idx, x, 1e5)
         return p - x, t
 
     ga, ta = g(seed)
     if abs(ga) <= SETTLE_REL * seed:
-        return seed, ta, evaluations
+        return seed, ta, evaluations, records
 
     # next to the origin g has the sign of tau, so the sign change lies
     # outward while g still has that sign and inward once it has not
@@ -358,7 +362,7 @@ def _fixed_point(f, controls, work, zero_idx, pos_idx, seed: float, tau: float):
             return None  # no sign change in range: no cycle
         gb, tb = g(b)
         if gb == 0.0:
-            return b, tb, evaluations
+            return b, tb, evaluations, records
         if (gb > 0.0) != (ga > 0.0):
             break
         a, ga = b, gb
@@ -373,7 +377,7 @@ def _fixed_point(f, controls, work, zero_idx, pos_idx, seed: float, tau: float):
             c = (a * gb - b * ga) / (gb - ga)
         gc, tc = g(c)
         if gc == 0.0:
-            return c, tc, evaluations
+            return c, tc, evaluations, records
         if (gc > 0.0) == (gb > 0.0):
             b, gb = c, gc
             if replaced == 1:
@@ -385,7 +389,7 @@ def _fixed_point(f, controls, work, zero_idx, pos_idx, seed: float, tau: float):
                 gb *= 0.5
             replaced = -1
         if abs(b - a) <= SETTLE_REL * c:
-            return c, tc, evaluations
+            return c, tc, evaluations, records
     return None
 
 
@@ -434,23 +438,14 @@ def measure_cycle(
     raise last_error
 
 
-def _finish_measurement(f, controls, work, zero_idx, pos_idx, label, x_star, period, evaluations):
-    # one clean period from the fixed point, densely sampled
-    stepper = work.start(f, zero_idx, x_star, controls)
-    records = []
-    while True:
-        rec = stepper.advance(period)
-        if rec is None:
-            break
-        records.append(rec)
-    samples = np.empty((CYCLE_SAMPLES + 1, 3))
-    ri = 0
-    for i in range(CYCLE_SAMPLES + 1):
-        t = period * i / CYCLE_SAMPLES
-        while ri < len(records) - 1 and records[ri][5] < t:
-            ri += 1
-        u, v = _hermite(records[ri], min(t, records[ri][5]))
-        samples[i] = (t, u, v)
+def _finish_measurement(f, controls, work, zero_idx, pos_idx, label, x_star, period, evaluations, records):
+    # one period from the fixed point, densely sampled: each time in the
+    # first step ending at or after it, or in the last step
+    recs = np.array(records).T
+    t = period * np.arange(CYCLE_SAMPLES + 1) / CYCLE_SAMPLES
+    ri = np.minimum(np.searchsorted(recs[5], t), recs.shape[1] - 1)
+    u, v = _hermite(recs[:, ri], np.minimum(t, recs[5, ri]))
+    samples = np.column_stack([t, u, v])
     amplitude = float(np.max(np.abs(samples[:, 1])))
     radius_rms = float(math.sqrt(np.mean(samples[:, 1] ** 2 + samples[:, 2] ** 2)))
 
@@ -507,11 +502,9 @@ def compare(
     and period decide.  A disagreement is a result, not an error.
     """
     pred_amp = None
-    pred_period = None
-    if prediction.exists:
-        pred_period = 2.0 * math.pi / (math.sqrt(prediction.delta) * prediction.omega0)
-        if curve is not None:
-            pred_amp = float(np.max(np.abs(curve[:, 1])))
+    pred_period = prediction.period
+    if prediction.exists and curve is not None:
+        pred_amp = float(np.max(np.abs(curve[:, 1])))
     meas_amp = measurement.amplitude if measurement is not None else None
     meas_period = measurement.period if measurement is not None else None
 

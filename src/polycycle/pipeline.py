@@ -61,9 +61,7 @@ def _prediction_dict(pred) -> dict:
         "r0": pred.r0,
         "omega0": pred.omega0,
         "z_amplitude": pred.z_amplitude,
-        "period": (
-            2.0 * math.pi / (math.sqrt(pred.delta) * pred.omega0) if pred.exists else None
-        ),
+        "period": pred.period,
         "stability": pred.stability,
     }
 

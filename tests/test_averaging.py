@@ -72,6 +72,7 @@ def test_predict_cycle_reference_case():
     assert pred.exists
     assert pred.r0 == pytest.approx(math.sqrt(4.0 / 3.0))
     assert pred.omega0 == pytest.approx(1.0)
+    assert pred.period == pytest.approx(2.0 * math.pi)
     assert pred.z_amplitude == pytest.approx(math.sqrt(0.1) * math.sqrt(4.0 / 3.0))
     assert pred.stability == "unstable_subcritical"
     assert not pred.degenerate
@@ -80,7 +81,7 @@ def test_predict_cycle_reference_case():
 def test_predict_cycle_sign_mismatch_means_no_cycle():
     pred = predict_cycle(0.1, 1.0, -3.0 / 8.0, 0.0)
     assert not pred.exists
-    assert pred.r0 is None and pred.z_amplitude is None
+    assert pred.r0 is None and pred.z_amplitude is None and pred.period is None
     assert pred.stability is None
 
 

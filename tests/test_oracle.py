@@ -108,6 +108,60 @@ def test_work_counters_match_the_field_calls(monkeypatch):
     assert calls == first.field_evals + again.field_evals
 
 
+def test_measurement_follows_each_orbit_once(monkeypatch):
+    # one orbit per root-solve evaluation and the two slope returns; the
+    # sampled period is the root solve's last orbit, not a new one
+    started = 0
+    stepper = oracle._Stepper
+
+    def counting(*args):
+        nonlocal started
+        started += 1
+        return stepper(*args)
+
+    monkeypatch.setattr(oracle, "_Stepper", counting)
+    meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
+    assert meas is not None
+    assert started == meas.crossings + 2
+
+
+def _loop_samples(records, period):
+    """The reference sampler: one scalar _hermite call per sample time."""
+    rows = []
+    ri = 0
+    for i in range(oracle.CYCLE_SAMPLES + 1):
+        t = period * i / oracle.CYCLE_SAMPLES
+        while ri < len(records) - 1 and records[ri][5] < t:
+            ri += 1
+        rows.append((t, *oracle._hermite(records[ri], min(t, records[ri][5]))))
+    return rows
+
+
+@pytest.mark.parametrize("system", [_rescaled(0.04), _normal_form(Fraction(1, 100))])
+def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
+    seen = []
+    finish = oracle._finish_measurement
+
+    def keep_args(*args):
+        seen.append(args)
+        return finish(*args)
+
+    monkeypatch.setattr(oracle, "_finish_measurement", keep_args)
+    meas = measure_cycle(system, 0.05)
+    assert meas is not None and meas.section == "x2=0, x1>0"
+    ((*_, x_star, period, _evaluations, records),) = seen
+    # the last record is the step that holds the return crossing
+    assert records[-1][0] < period <= records[-1][5]
+    assert [float(v).hex() for v in meas.samples[0]] == [
+        float.hex(0.0),
+        float.hex(x_star),
+        float.hex(0.0),
+    ]
+    # the array pass is the scalar formula, bit for bit
+    got = [[float(v).hex() for v in row] for row in meas.samples]
+    assert got == [[v.hex() for v in row] for row in _loop_samples(records, period)]
+
+
 def test_spiral_sink_yields_no_cycle():
     system = _normal_form(-0.05).to_float()
     assert measure_cycle(system, 0.3) is None

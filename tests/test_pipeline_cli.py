@@ -10,7 +10,14 @@ import pytest
 from polycycle.change_of_variables import assemble_constraints
 from polycycle.cli import _parse_alphas, main
 from polycycle.definition import instantiate, load_definition
-from polycycle.pipeline import AnalysisOptions, run_analyze, run_sweep, sweep_to_csv
+from polycycle.oracle import CYCLE_SAMPLES
+from polycycle.pipeline import (
+    CURVE_SAMPLES,
+    AnalysisOptions,
+    run_analyze,
+    run_sweep,
+    sweep_to_csv,
+)
 
 
 def _fast_options(**overrides):
@@ -180,6 +187,25 @@ def test_cli_analyze_json_output(systems_dir, capsys):
     assert payload["status"] == "ok"
 
 
+def test_step_size_underflow_counts_as_blow_up():
+    # at alpha = 1/50 an orbit of the oracle's root solve outruns the
+    # stepper at |x| about 1e6, just short of the blow-up norm: a blow-up,
+    # not an error that escapes the analysis
+    definition = {
+        "name": "underflow",
+        "jac": [["alpha", -1], [1, "alpha"]],
+        "phi": [
+            [["3/2", "-1/4", "3/2"], ["1", "4/3", "1"]],
+            [["4", "1/3", "0", "5/3"], ["-1/2", "2/3", "-6", "3"]],
+        ],
+    }
+    report = run_analyze(definition, AnalysisOptions(alpha="1/50"))
+    assert report.status == "ok"
+    assert not report.prediction["exists"]
+    assert report.measurement is None
+    assert report.verdict == "agreement"
+
+
 def test_cli_analyze_text_output(systems_dir, capsys):
     code = main(["analyze", str(systems_dir / "quadratic.json")])
     assert code == 0
@@ -209,6 +235,13 @@ def test_cli_analyze_writes_output_files(systems_dir, tmp_path, capsys):
     assert header == "t,x1,x2"
     payload = json.loads((out_dir / "report.json").read_text())
     assert payload["alpha"] == 0.04
+    measured = (out_dir / "measured_cycle.csv").read_text().splitlines()[1:]
+    times = [float(line.split(",")[0]) for line in measured]
+    assert len(times) == CYCLE_SAMPLES + 1
+    assert times[0] == 0.0 and times[-1] == payload["measurement"]["period"]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    predicted = (out_dir / "predicted_cycle.csv").read_text().splitlines()[1:]
+    assert len(predicted) == CURVE_SAMPLES
 
 
 def test_cli_sweep_to_directory(systems_dir, tmp_path, capsys):
