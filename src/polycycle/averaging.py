@@ -36,7 +36,7 @@ import numpy as np
 
 from .change_of_variables import ChangeOfVariables
 from .inversion import InverseSeries
-from .monomials import l_matrix, r_matrix, s_check, s_hat
+from .monomials import lie_row
 from .system import PlanarPolySystem
 
 __all__ = [
@@ -61,30 +61,6 @@ class GCoefficients:
     g3: np.ndarray
 
 
-def _gradient_drift_column(k: int, jac: np.ndarray, theta_k: np.ndarray) -> np.ndarray:
-    """Column of quadratic/cubic terms sourced by d/dt acting on Theta_k.
-
-    This is the linear-velocity part of the chain rule: row 2 of
-    Theta_k differentiates through lambda_k and picks up the Jacobian.
-    """
-    lift_u_t = s_hat(k - 1, 1).T
-    lift_v_t = s_check(k - 1, 1).T
-    row2 = theta_k[1, :]
-    return (jac[0, 0] * lift_u_t + jac[0, 1] * lift_v_t) @ (r_matrix(k).T @ row2) + (
-        jac[1, 0] * lift_u_t + jac[1, 1] * lift_v_t
-    ) @ (l_matrix(k).T @ row2)
-
-
-def _velocity_quadratic_column(theta2: np.ndarray, phi2: np.ndarray) -> np.ndarray:
-    """Cubic terms from the quadratic field velocity meeting Theta_2."""
-    lift_u_t = s_hat(2, 1).T
-    lift_v_t = s_check(2, 1).T
-    a21, a22, a23 = theta2[1, 0], theta2[1, 1], theta2[1, 2]
-    return (2 * a21 * lift_u_t + a22 * lift_v_t) @ phi2[0, :] + (
-        a22 * lift_u_t + 2 * a23 * lift_v_t
-    ) @ phi2[1, :]
-
-
 def g_coefficients(
     system: PlanarPolySystem, cov: ChangeOfVariables, inv: InverseSeries
 ) -> GCoefficients:
@@ -103,9 +79,11 @@ def g_coefficients(
     phi2, phi3 = system.phi_matrix(2), system.phi_matrix(3)
     theta2, theta3 = cov.theta(2), cov.theta(3)
 
-    drift2 = _gradient_drift_column(2, jac, theta2)
-    drift3 = _gradient_drift_column(3, jac, theta3)
-    vel_quad = _velocity_quadratic_column(theta2, phi2)
+    # the chain rule on row 2 of Theta_k: d/dt along the linear field,
+    # and along the quadratic one for the cubic terms of Theta_2
+    drift2 = lie_row(theta2[1], jac)
+    drift3 = lie_row(theta3[1], jac)
+    vel_quad = lie_row(theta2[1], phi2)
 
     g2 = (gamma @ jac @ xi2 + gamma @ phi2 @ p2)[1, :] + p2.T @ drift2
     g3 = (

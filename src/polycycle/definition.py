@@ -5,7 +5,8 @@ planar field, with entries that are either plain numbers or small
 arithmetic expressions in a parameter ``alpha`` (for example
 ``"alpha"``, ``"2*alpha - 1"``, ``"-1/4"``).  Expressions are parsed
 with :mod:`ast` and evaluated against a whitelist, so a definition
-file can never run code.
+file can never run code, and a power too large to take is refused
+before it is taken (``MAX_POWER_BITS``).
 
 Schema::
 
@@ -36,6 +37,11 @@ __all__ = ["SystemDefinition", "load_definition", "instantiate"]
 
 _Entry = int | float | str
 
+# An exact power is refused when its base's bit length times its exponent
+# exceeds this, before it is taken: the cost of a power grows with the
+# size of its result, and no coefficient needs more than a few hundred bits.
+MAX_POWER_BITS = 10_000
+
 
 def _entry_uses_alpha(entry: _Entry) -> bool:
     if not isinstance(entry, str):
@@ -52,15 +58,19 @@ def _eval_entry(entry: _Entry, alpha, exact: bool):
     """
     if isinstance(entry, bool):
         raise ValueError(f"boolean is not a valid entry: {entry!r}")
-    if isinstance(entry, (int, float)):
-        return _leaf_number(entry, exact)
-    if not isinstance(entry, str):
+    if isinstance(entry, str):
+        try:
+            node = ast.parse(entry, mode="eval").body
+        except SyntaxError as err:
+            raise ValueError(f"cannot parse entry {entry!r}: {err.msg}") from None
+    elif isinstance(entry, (int, float)):
+        node = ast.Constant(entry)
+    else:
         raise ValueError(f"entry must be a number or string, got {type(entry).__name__}")
     try:
-        tree = ast.parse(entry, mode="eval")
-    except SyntaxError as err:
-        raise ValueError(f"cannot parse entry {entry!r}: {err.msg}") from None
-    return _eval_node(tree.body, entry, alpha, exact)
+        return _eval_node(node, str(entry), alpha, exact)
+    except OverflowError:
+        raise ValueError(f"entry {entry!r} overflows a float") from None
 
 
 def _leaf_number(value, exact: bool):
@@ -104,6 +114,10 @@ def _eval_node(node, src: str, alpha, exact: bool):
             ) or (isinstance(right, float) and right.is_integer())
             if not integral or right < 0:
                 raise ValueError(f"exponent must be a non-negative integer in {src!r}")
+            if exact:
+                bits = max(left.numerator.bit_length(), left.denominator.bit_length())
+                if bits * int(right) > MAX_POWER_BITS:
+                    raise ValueError(f"power in {src!r} would exceed {MAX_POWER_BITS} bits")
             return left ** int(right)
         raise ValueError(f"unsupported operator in {src!r}")
     raise ValueError(f"unsupported syntax in {src!r}")

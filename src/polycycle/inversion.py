@@ -13,8 +13,8 @@ of lambda_2 evaluated at A Y + B lambda_2(Y),
     lambda_2(A Y + B lambda_2(Y)) = P_2(A) lambda_2(Y)
                                     + R2(A, B) lambda_3(Y) + O(|Y|^4).
 
-Both operators are products of the integer structural matrices of
-:mod:`polycycle.monomials`, so they take the dtype of A and B: an exact
+Both operators are products of coefficient rows (``np.convolve``, see
+:mod:`polycycle.monomials`), so they take the dtype of A and B: an exact
 Gamma (Fractions) gives an exact series, a float Gamma a float one.
 
 Composing H with the truncation leaves a quartic-order defect; the
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
-from .monomials import as_fraction_matrix, eval_poly_map, l_matrix, r_matrix, s_check, s_hat
+from .monomials import as_fraction_matrix, eval_poly_map
 
 __all__ = [
     "InverseSeries",
@@ -55,38 +55,38 @@ def p_operator(k: int, a) -> np.ndarray:
     """Matrix of the degree-k monomial map applied after A.
 
     Satisfies lambda_k(A y) = p_operator(k, A) lambda_k(y) for every y;
-    in particular it is multiplicative in A.  Exact for an object array
-    of ints and Fractions, float64 otherwise.
+    in particular it is multiplicative in A.  Row i is the coefficient
+    row of (A y)_1^(k-i) (A y)_2^i, a product of powers of A's rows.
+    Exact for an object array of ints and Fractions, float64 otherwise.
     """
     if k < 1:
         raise ValueError(f"p_operator needs k >= 1, got {k}")
     mat = np.asarray(a)
     if mat.shape != (2, 2):
         raise ValueError(f"A must be 2x2, got {mat.shape}")
-    if mat.dtype == object:
-        mat = as_fraction_matrix(mat)  # the division below must stay exact
-    cur = mat
-    for deg in range(2, k + 1):
-        lift_u = s_hat(deg - 1, 1)
-        lift_v = s_check(deg - 1, 1)
-        cur = (
-            r_matrix(deg) @ cur @ (lift_u * mat[0, 0] + lift_v * mat[0, 1])
-            + l_matrix(deg) @ cur @ (lift_u * mat[1, 0] + lift_v * mat[1, 1])
-        ) / deg
-    return cur
+    powers_u = [np.ones(1, dtype=mat.dtype)]
+    powers_v = [np.ones(1, dtype=mat.dtype)]
+    for _ in range(k):
+        powers_u.append(np.convolve(powers_u[-1], mat[0]))
+        powers_v.append(np.convolve(powers_v[-1], mat[1]))
+    return np.array([np.convolve(powers_u[k - i], powers_v[i]) for i in range(k + 1)])
 
 
 def r2_operator(a, b) -> np.ndarray:
-    """Cubic cross-term block of lambda_2 at A y + B lambda_2(y)."""
+    """Cubic cross-term block of lambda_2 at A y + B lambda_2(y).
+
+    The rows of lambda_2 are (A y)_1^2, (A y)_1 (A y)_2 and (A y)_2^2;
+    adding B lambda_2(y) to A y gives them the cubic parts 2 A_1 B_1,
+    A_1 B_2 + A_2 B_1 and 2 A_2 B_2, with A_i and B_i the rows of A and
+    B and each product a product of coefficient rows.
+    """
     mat_a = np.asarray(a)
     mat_b = np.asarray(b)
     if mat_a.shape != (2, 2) or mat_b.shape != (2, 3):
         raise ValueError(f"expected shapes (2,2) and (2,3), got {mat_a.shape} and {mat_b.shape}")
-    lift_u = s_hat(2, 1)
-    lift_v = s_check(2, 1)
-    return (
-        r_matrix(2) @ mat_b @ (lift_u * mat_a[0, 0] + lift_v * mat_a[0, 1])
-        + l_matrix(2) @ mat_b @ (lift_u * mat_a[1, 0] + lift_v * mat_a[1, 1])
+    (a1, a2), (b1, b2) = mat_a, mat_b
+    return np.array(
+        [2 * np.convolve(a1, b1), np.convolve(a1, b2) + np.convolve(a2, b1), 2 * np.convolve(a2, b2)]
     )
 
 

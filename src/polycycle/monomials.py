@@ -1,27 +1,22 @@
-"""Monomial vectors of planar points and the matrices that act on them.
+"""Monomial vectors of planar points and products of coefficient rows.
 
 The degree-k monomial vector of a point (u, v) is
 
     lambda_k(u, v) = (u^k, u^(k-1) v, ..., u v^(k-1), v^k),
 
-a column of length k + 1 whose entry i holds u^(k-i) v^i.  Everything
-downstream (the change of variables, its inversion, the averaged
-coefficients) is bookkeeping on these vectors, driven by four integer
-matrix families:
+a column of length k + 1 whose entry i holds u^(k-i) v^i.  A row c of
+k + 1 coefficients stands for the homogeneous polynomial c . lambda_k.
+The inverse series and the G rows of the reduced equation are algebra
+of such rows, and that algebra needs one product rule: the row of a
+product of two homogeneous polynomials is the convolution of their rows,
 
-* ``R`` and ``L`` encode differentiation along a trajectory,
+    (a . lambda_p)(b . lambda_q) = (a * b) . lambda_(p+q),
 
-      d/dt lambda_k = (u' R_k + v' L_k) lambda_{k-1},
-
-* ``S_hat`` and ``S_check`` encode multiplication by coordinate powers,
-
-      u^p lambda_k = S_hat(k, p) lambda_{k+p},
-      v^p lambda_k = S_check(k, p) lambda_{k+p}.
-
-The matrices are plain integer arrays.  Each takes the dtype of what it
-multiplies: against an object array of ints and Fractions the product
-stays exact, against float64 it is float64, so one expression serves
-both arithmetics.
+so powers, compositions with a linear map and derivatives along a field
+(:func:`lie_row`) are all ``np.convolve`` of rows.  ``np.convolve``
+keeps the dtype: against an object array of ints and Fractions the
+product stays exact, against float64 it is float64, so one expression
+serves both arithmetics.
 """
 
 from __future__ import annotations
@@ -33,10 +28,7 @@ import numpy as np
 __all__ = [
     "eval_lambda",
     "eval_poly_map",
-    "r_matrix",
-    "l_matrix",
-    "s_hat",
-    "s_check",
+    "lie_row",
 ]
 
 
@@ -90,48 +82,21 @@ def eval_poly_map(blocks: dict, point) -> np.ndarray:
     return out
 
 
-def r_matrix(k: int) -> np.ndarray:
-    """(k+1) x k differentiation weights for the u-velocity.
+def lie_row(row, block) -> np.ndarray:
+    """Coefficient row of d/dt (row . lambda_k) along a homogeneous field.
 
-    Row i carries k - i at column i; the last row is zero.
+    The field is u' = block[0] . lambda_j, v' = block[1] . lambda_j, with
+    ``block`` of shape 2 x (j + 1); ``row`` has k + 1 entries, k >= 1.
+    By the chain rule the derivative is (d_u row) u' + (d_v row) v', and
+    each product is a convolution of coefficient rows, so the result is
+    the k + j entries of a row over lambda_(k+j-1).
     """
+    row = np.asarray(row)
+    k = len(row) - 1
     _check_degree(k)
-    rows = [[k - i if j == i else 0 for j in range(k)] for i in range(k + 1)]
-    return np.array(rows)
-
-
-def l_matrix(k: int) -> np.ndarray:
-    """(k+1) x k differentiation weights for the v-velocity.
-
-    The first row is zero; row i + 1 carries i + 1 at column i.
-    """
-    _check_degree(k)
-    rows = [[i if j == i - 1 else 0 for j in range(k)] for i in range(k + 1)]
-    return np.array(rows)
-
-
-def s_hat(k: int, p: int) -> np.ndarray:
-    """(k+1) x (k+p+1) selector with the identity in the leading block.
-
-    Multiplication by u^p: u^p lambda_k = s_hat(k, p) lambda_{k+p}.
-    """
-    _check_degree(k)
-    if not isinstance(p, (int, np.integer)) or p < 0:
-        raise ValueError(f"power p must be an integer >= 0, got {p!r}")
-    rows = [[1 if j == i else 0 for j in range(k + p + 1)] for i in range(k + 1)]
-    return np.array(rows)
-
-
-def s_check(k: int, p: int) -> np.ndarray:
-    """(k+1) x (k+p+1) selector with the identity in the trailing block.
-
-    Multiplication by v^p: v^p lambda_k = s_check(k, p) lambda_{k+p}.
-    """
-    _check_degree(k)
-    if not isinstance(p, (int, np.integer)) or p < 0:
-        raise ValueError(f"power p must be an integer >= 0, got {p!r}")
-    rows = [[1 if j == i + p else 0 for j in range(k + p + 1)] for i in range(k + 1)]
-    return np.array(rows)
+    d_u = np.arange(k, 0, -1) * row[:-1]
+    d_v = np.arange(1, k + 1) * row[1:]
+    return np.convolve(d_u, block[0]) + np.convolve(d_v, block[1])
 
 
 def as_fraction_matrix(a) -> np.ndarray:

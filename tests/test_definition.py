@@ -1,6 +1,7 @@
 """JSON system definitions: parsing, validation, instantiation."""
 
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,25 @@ def test_entry_whitelist():
 def test_division_by_zero_is_reported():
     with pytest.raises(ValueError, match="division by zero"):
         load_definition(_minimal(jac=[["1/0", -1], [1, 0]]))
+
+
+def test_huge_powers_are_refused_before_they_are_taken():
+    # taken, these powers would need 12.5 GB and 128 MB
+    for entry in ("2**10**11", "((((2**64)**64)**64)**64)**64"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="would exceed"):
+            load_definition(_minimal(jac=[[entry, -1], [1, 0]]))
+        assert time.perf_counter() - start < 0.5
+    defn = load_definition(_minimal(jac=[["alpha**3", "(1/2)**4"], [1, 0]]))
+    assert instantiate(defn, Fraction(1, 2)).jac[0].tolist() == [Fraction(1, 8), Fraction(1, 16)]
+    assert instantiate(defn, 0.5, exact=False).jac[0].tolist() == [0.125, 0.0625]
+
+
+def test_float_overflow_is_an_input_error():
+    # exact 2^1500 is fine; as a float it overflows
+    defn = load_definition(_minimal(jac=[["2**1500", -1], [1, 0]]))
+    with pytest.raises(ValueError, match="overflows a float"):
+        instantiate(defn, 0.05, exact=False)
 
 
 def test_exact_instantiation_keeps_rationals():

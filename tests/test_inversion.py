@@ -19,6 +19,7 @@ from polycycle.inversion import (
     trust_radius,
 )
 from polycycle.monomials import as_fraction_matrix, eval_lambda
+from polycycle.polyops import poly_add, poly_from_lambda_row, poly_mul
 
 
 def _obj(rows):
@@ -63,6 +64,20 @@ def test_r2_operator_known_case():
     xi2 = _obj([[-1, 0, 0], [0, 0, 0]])
     expected = [[-2, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0]]
     assert r2_operator(eye, xi2).tolist() == _obj(expected).tolist()
+
+
+def test_r2_operator_is_the_cubic_part_of_the_composition():
+    # expand lambda_2(A y + B lambda_2(y)) with polyops and keep degree 3
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        a = _obj(rng.integers(-3, 4, size=(2, 2)).tolist())
+        nums, dens = rng.integers(-4, 5, size=(2, 3)), rng.integers(1, 4, size=(2, 3))
+        b = _obj([[Fraction(int(n), int(d)) for n, d in zip(*rows)] for rows in zip(nums, dens)])
+        w1, w2 = (poly_add(poly_from_lambda_row(1, a[i]), poly_from_lambda_row(2, b[i])) for i in (0, 1))
+        r2 = r2_operator(a, b)
+        for i, full in enumerate((poly_mul(w1, w1), poly_mul(w1, w2), poly_mul(w2, w2))):
+            cubic = {e: c for e, c in full.items() if sum(e) == 3}
+            assert poly_from_lambda_row(3, r2[i]) == cubic
 
 
 def _univariate_cov():

@@ -1,18 +1,13 @@
-"""Monomial vectors and the structural matrices acting on them."""
+"""Monomial vectors and the product rule on coefficient rows."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polycycle.monomials import (
-    as_fraction_matrix,
-    eval_lambda,
-    l_matrix,
-    r_matrix,
-    s_check,
-    s_hat,
-)
+from polycycle.monomials import as_fraction_matrix, eval_lambda, lie_row
+from polycycle.polyops import poly_from_lambda_row
+from polycycle.system import build_system, lie_derivative
 
 
 def test_eval_lambda_small_degrees():
@@ -37,22 +32,34 @@ def test_eval_lambda_rejects_degree_below_one():
         eval_lambda(0, (1.0, 2.0))
 
 
-def test_r_and_l_explicit_at_degree_two():
-    assert r_matrix(2).tolist() == [[2, 0], [0, 1], [0, 0]]
-    assert l_matrix(2).tolist() == [[0, 0], [1, 0], [0, 2]]
+def _rand_row(rng, k):
+    """k + 1 exact coefficients with small numerators and denominators."""
+    return np.array(
+        [Fraction(int(n), int(d)) for n, d in zip(rng.integers(-4, 5, k + 1), rng.integers(1, 4, k + 1))],
+        dtype=object,
+    )
+
+
+def test_lie_row_explicit_at_degree_two():
+    # along u' = a1 u + a2 v, v' = b1 u + b2 v:
+    # d/dt u^2 = 2 u u', d/dt uv = v u' + u v', d/dt v^2 = 2 v v'
+    a1, a2, b1, b2 = 2, 3, 5, 7
+    block = np.array([[a1, a2], [b1, b2]], dtype=object)
+    assert lie_row([1, 0, 0], block).tolist() == [2 * a1, 2 * a2, 0]
+    assert lie_row([0, 1, 0], block).tolist() == [b1, a1 + b2, a2]
+    assert lie_row([0, 0, 1], block).tolist() == [0, 2 * b1, 2 * b2]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_r_plus_l_row_and_column_sums(k):
-    total = r_matrix(k) + l_matrix(k)
-    assert total.shape == (k + 1, k)
-    # each row sums to k, each column to k + 1
-    assert [int(s) for s in total.sum(axis=1)] == [k] * (k + 1)
-    assert [int(s) for s in total.sum(axis=0)] == [k + 1] * k
+def test_lie_row_euler_identity(k):
+    # along u' = u, v' = v every degree-k form grows at rate k
+    row = _rand_row(np.random.default_rng(k), k)
+    got = lie_row(row, np.array([[1, 0], [0, 1]], dtype=object))
+    assert got.tolist() == (k * row).tolist()
 
 
 def test_derivative_identity():
-    # d/dt lambda_k = (du R_k + dv L_k) lambda_{k-1} along any motion
+    # d/dt (u^(k-i) v^i) at a point moving with velocity (du, dv)
     rng = np.random.default_rng(7)
     for _ in range(20):
         k = int(rng.integers(2, 6))
@@ -63,31 +70,39 @@ def test_derivative_identity():
             right = i * u0 ** (k - i) * v0 ** (i - 1) if i > 0 else Fraction(0)
             return du * left + dv * right
 
-        expected = [d_monomial(i) for i in range(k + 1)]
-        got = (du * r_matrix(k) + dv * l_matrix(k)) @ eval_lambda(k - 1, (u0, v0))
-        assert list(got) == expected
+        # a constant velocity is a field of degree 0: one coefficient per row
+        velocity = np.array([[du], [dv]], dtype=object)
+        got = [lie_row(row, velocity) @ eval_lambda(k - 1, (u0, v0)) for row in np.eye(k + 1, dtype=int)]
+        assert got == [d_monomial(i) for i in range(k + 1)]
 
 
-def test_shift_identities():
-    # u^p lambda_k and v^p lambda_k are slices of lambda_{k+p}
-    rng = np.random.default_rng(11)
-    for _ in range(12):
-        k = int(rng.integers(1, 5))
-        p = int(rng.integers(1, 4))
-        u = Fraction(int(rng.integers(-5, 6)))
-        v = Fraction(int(rng.integers(-5, 6)))
-        lam_k = eval_lambda(k, (u, v))
-        lam_kp = eval_lambda(k + p, (u, v))
-        assert list(s_hat(k, p) @ lam_kp) == [u**p * w for w in lam_k]
-        assert list(s_check(k, p) @ lam_kp) == [v**p * w for w in lam_k]
+def test_lie_row_matches_lie_derivative():
+    # the row product against the polyops expansion of d/dt (row . lambda_k)
+    # along the homogeneous degree-j field u' = block[0] . lambda_j,
+    # v' = block[1] . lambda_j
+    rng = np.random.default_rng(19)
+    for k in range(1, 6):
+        for j in range(1, 5):
+            for _ in range(3):
+                row = _rand_row(rng, k)
+                block = np.array([_rand_row(rng, j), _rand_row(rng, j)])
+                if j == 1:
+                    system = build_system(block)
+                else:
+                    zero = np.zeros((2, 2), dtype=int)
+                    lower = [np.zeros((2, d + 1), dtype=int) for d in range(2, j)]
+                    system = build_system(zero, lower + [block])
+                expected = lie_derivative(poly_from_lambda_row(k, row), system)
+                got = lie_row(row, block)
+                assert got.dtype == object and len(got) == k + j
+                assert poly_from_lambda_row(k + j - 1, got) == expected, (k, j)
 
 
-def test_shift_shapes_and_blocks():
-    sh = s_hat(2, 1)
-    sc = s_check(2, 1)
-    assert sh.shape == (3, 4) and sc.shape == (3, 4)
-    assert sh.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-    assert sc.tolist() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+def test_lie_row_keeps_float_dtype():
+    got = lie_row(np.array([0.5, -1.0, 2.0]), np.array([[1.0, 0.25], [-3.0, 0.5]]))
+    assert got.dtype == np.float64
+    # d/dt (u^2/2 - u v + 2 v^2) = (u - v)(u + v/4) + (-u + 4 v)(-3 u + v/2)
+    assert got.tolist() == [4.0, -13.25, 1.75]
 
 
 def test_as_fraction_matrix_coerces_entries():

@@ -310,6 +310,16 @@ def test_cli_input_errors_exit_one(systems_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_power_errors_exit_one(capsys):
+    # a power too large to take, and one that overflows only as a float
+    huge = json.dumps({"name": "pow", "jac": [["2**10**11", -1], [1, 0]]})
+    assert main(["analyze", huge, "--no-measure"]) == 1
+    assert "would exceed" in capsys.readouterr().err
+    overflow = json.dumps({"name": "pow", "jac": [["2**1500", -1], [1, 0]]})
+    assert main(["analyze", overflow, "--no-measure", "--float"]) == 1
+    assert "overflows a float" in capsys.readouterr().err
+
+
 def test_cli_no_measure_flag(systems_dir, capsys):
     code = main(
         ["analyze", str(systems_dir / "normal_form.json"), "--no-measure", "--json"]
