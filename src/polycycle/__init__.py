@@ -30,7 +30,6 @@ from .inversion import InverseSeries, invert_to_cubic, trust_radius
 from .oracle import (
     ComparisonReport,
     CycleMeasurement,
-    IntegratorControls,
     Trajectory,
     TransversalityError,
     compare,
@@ -53,7 +52,6 @@ __all__ = [
     "CycleMeasurement",
     "GCoefficients",
     "HopfIndicator",
-    "IntegratorControls",
     "InverseSeries",
     "KbmPrediction",
     "NoSolutionError",

@@ -7,8 +7,8 @@ Two subcommands::
 
 Exit status: 0 when the analysis ran (whatever the verdict, including
 "no change of variables found"), 1 on bad input (unreadable file,
-invalid definition, origin without a complex pair, bad flags), 2 on
-an internal failure.
+invalid definition, origin without a complex pair, a value beyond
+the float range, bad flags), 2 on an internal failure.
 
 Alpha values are passed as strings so exact arithmetic can honor them
 literally: "0.05" means 1/20, and plain fractions like "1/20" work
@@ -56,13 +56,10 @@ def _add_shared(sub):
         dest="use_float",
         help="solve the reduction in floating point instead of exact rationals",
     )
-    sub.add_argument("--m", type=int, default=None, help="override the reduction degree m")
     sub.add_argument(
         "--no-measure", action="store_true", help="skip the numerical cross-check"
     )
     sub.add_argument("--seed-radius", type=float, default=None, help="oracle seed radius")
-    sub.add_argument("--rtol", type=float, default=1e-10, help="integrator relative tolerance")
-    sub.add_argument("--atol", type=float, default=1e-10, help="integrator absolute tolerance")
     sub.add_argument(
         "--amp-tol", type=float, default=0.1, help="relative amplitude tolerance for agreement"
     )
@@ -76,11 +73,8 @@ def _options(args, alpha) -> AnalysisOptions:
     return AnalysisOptions(
         alpha=alpha,
         exact=not args.use_float,
-        m=args.m,
         measure=not args.no_measure,
         seed_radius=args.seed_radius,
-        rtol=args.rtol,
-        atol=args.atol,
         amp_tol=args.amp_tol,
         period_tol=args.period_tol,
     )

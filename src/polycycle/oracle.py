@@ -7,7 +7,7 @@ return map P of a Poincare section, and :func:`compare` reduces a
 prediction/measurement pair to a verdict.
 
 Crossing times are located inside accepted steps by bisection on the
-cubic Hermite interpolant, which at the default 1e-10 tolerances is
+cubic Hermite interpolant, which at the fixed 1e-10 tolerances is
 accurate to well below 1e-6 in time.  Attracting and repelling cycles
 are both found in forward time: the root solve does not need the
 return map to contract, and its last orbit, once around from the fixed
@@ -25,7 +25,6 @@ from .averaging import KbmPrediction
 from .system import PlanarPolySystem, compile_field
 
 __all__ = [
-    "IntegratorControls",
     "Trajectory",
     "CycleMeasurement",
     "ComparisonReport",
@@ -54,6 +53,12 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 # First trial step of the adaptive integrator.
 H_INIT = 1e-3
+# Relative and absolute tolerances of every integration.  They are fixed
+# because SETTLE_REL and NEUTRAL_SLOPE below are calibrated to them: at
+# 1e-8 the oracle finds no cycle on the center linear_center (float), and
+# at 1e-6 an orbit of the center quadratic has return-map slope 1.00012,
+# outside NEUTRAL_SLOPE, and reads as unstable.
+RTOL = ATOL = 1e-10
 # Accepted-step budget of one integration.
 MAX_STEPS = 5_000_000
 # A state with |x1| + |x2| above this has blown up.
@@ -71,14 +76,6 @@ NEUTRAL_SLOPE = 1e-4
 
 
 @dataclass
-class IntegratorControls:
-    """Knobs for the trajectory integrator."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-10
-
-
-@dataclass
 class Trajectory:
     """Integration output sampled at accepted step endpoints."""
 
@@ -86,7 +83,6 @@ class Trajectory:
     states: np.ndarray
     truncated: bool
     steps: int
-    max_error_estimate: float
 
 
 @dataclass
@@ -127,19 +123,16 @@ class TransversalityError(RuntimeError):
 class _Stepper:
     """Adaptive Dormand-Prince stepping with FSAL reuse."""
 
-    __slots__ = ("f", "t", "u", "v", "fu", "fv", "h", "rtol", "atol", "steps", "rejects", "max_err")
+    __slots__ = ("f", "t", "u", "v", "fu", "fv", "h", "steps", "rejects")
 
-    def __init__(self, f, u, v, controls: IntegratorControls):
+    def __init__(self, f, u, v):
         self.f = f
         self.t = 0.0
         self.u, self.v = u, v
         self.fu, self.fv = f(u, v)
         self.h = H_INIT
-        self.rtol = controls.rtol
-        self.atol = controls.atol
         self.steps = 0
         self.rejects = 0
-        self.max_err = 0.0
 
     def advance(self, t_limit: float):
         """One accepted step, not overshooting t_limit.
@@ -175,8 +168,8 @@ class _Stepper:
             k7u, k7v = f(u1, v1)
             eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
             ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-            su = self.atol + self.rtol * max(abs(u0), abs(u1))
-            sv = self.atol + self.rtol * max(abs(v0), abs(v1))
+            su = ATOL + RTOL * max(abs(u0), abs(u1))
+            sv = ATOL + RTOL * max(abs(v0), abs(v1))
             err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
             if err <= 1.0:
                 break
@@ -190,9 +183,6 @@ class _Stepper:
         self.u, self.v = u1, v1
         self.fu, self.fv = k7u, k7v
         self.steps += 1
-        abs_err = max(abs(eu), abs(ev))
-        if abs_err > self.max_err:
-            self.max_err = abs_err
         return (t0, u0, v0, fu1, fv1, self.t, u1, v1, k7u, k7v)
 
 
@@ -230,7 +220,7 @@ def _hermite(rec, t):
     return u, v
 
 
-def integrate(system: PlanarPolySystem, x0, t_end: float, controls: IntegratorControls | None = None) -> Trajectory:
+def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     """Integrate the field from x0 for t in [0, t_end] by adaptive DP45 steps.
 
     The trajectory is truncated, and flagged, if the state norm passes
@@ -238,13 +228,12 @@ def integrate(system: PlanarPolySystem, x0, t_end: float, controls: IntegratorCo
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    controls = controls or IntegratorControls()
     f = compile_field(system)
     u, v = float(x0[0]), float(x0[1])
     ts = [0.0]
     states = [(u, v)]
     truncated = False
-    stepper = _Stepper(f, u, v, controls)
+    stepper = _Stepper(f, u, v)
     while True:
         rec = stepper.advance(t_end)
         if rec is None:
@@ -257,7 +246,7 @@ def integrate(system: PlanarPolySystem, x0, t_end: float, controls: IntegratorCo
         if stepper.steps >= MAX_STEPS:
             truncated = True
             break
-    return Trajectory(np.array(ts), np.array(states), truncated, stepper.steps, stepper.max_err)
+    return Trajectory(np.array(ts), np.array(states), truncated, stepper.steps)
 
 
 def _locate_crossing(rec, zero_idx: int, t_tol: float) -> float:
@@ -288,7 +277,7 @@ class _NoReturn(Exception):
     """An orbit did not come back to the section within its time budget."""
 
 
-def _return_map(f, controls, work, zero_idx, pos_idx, x: float, t_budget: float):
+def _return_map(f, work, zero_idx, pos_idx, x: float, t_budget: float):
     """Follow the orbit from the section point ``x`` once around.
 
     Returns (P(x), return time, accepted step records) at the first
@@ -298,7 +287,7 @@ def _return_map(f, controls, work, zero_idx, pos_idx, x: float, t_budget: float)
     tangency guard below cannot tell a flat section from a dead orbit.
     The orbit is counted in ``work``.
     """
-    stepper = _Stepper(f, *((x, 0.0) if zero_idx == 1 else (0.0, x)), controls)
+    stepper = _Stepper(f, *((x, 0.0) if zero_idx == 1 else (0.0, x)))
     work.steppers.append(stepper)
     rising = (stepper.fu, stepper.fv)[zero_idx] > 0.0
     records = []
@@ -332,7 +321,7 @@ def _return_map(f, controls, work, zero_idx, pos_idx, x: float, t_budget: float)
     raise _NoReturn
 
 
-def _fixed_point(f, controls, work, zero_idx, pos_idx, seed: float, tau: float):
+def _fixed_point(f, work, zero_idx, pos_idx, seed: float, tau: float):
     """Solve g(x) = P(x) - x; returns (x*, return time, evaluations,
     step records) or None, x* being the last point evaluated.
 
@@ -345,7 +334,7 @@ def _fixed_point(f, controls, work, zero_idx, pos_idx, seed: float, tau: float):
     def g(x):
         nonlocal evaluations, records
         evaluations += 1
-        p, t, records = _return_map(f, controls, work, zero_idx, pos_idx, x, 1e5)
+        p, t, records = _return_map(f, work, zero_idx, pos_idx, x, 1e5)
         return p - x, t
 
     ga, ta = g(seed)
@@ -393,11 +382,7 @@ def _fixed_point(f, controls, work, zero_idx, pos_idx, seed: float, tau: float):
     return None
 
 
-def measure_cycle(
-    system: PlanarPolySystem,
-    seed_radius: float,
-    controls: IntegratorControls | None = None,
-) -> CycleMeasurement | None:
+def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurement | None:
     """Find a periodic orbit as a root of g(x) = P(x) - x on a section.
 
     P is the forward-time return map of the half-line through the seed.
@@ -418,7 +403,6 @@ def measure_cycle(
     """
     if seed_radius <= 0.0:
         raise ValueError(f"seed_radius must be positive, got {seed_radius}")
-    controls = controls or IntegratorControls()
     flt = system.to_float()
     f = compile_field(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
@@ -427,10 +411,10 @@ def measure_cycle(
     last_error = None
     for zero_idx, pos_idx, label in _SECTIONS:
         try:
-            found = _fixed_point(f, controls, work, zero_idx, pos_idx, seed_radius, tau)
+            found = _fixed_point(f, work, zero_idx, pos_idx, seed_radius, tau)
             if found is None:
                 return None
-            return _finish_measurement(f, controls, work, zero_idx, pos_idx, label, *found)
+            return _finish_measurement(f, work, zero_idx, pos_idx, label, *found)
         except TransversalityError as err:
             last_error = err
         except _NoReturn:
@@ -438,7 +422,7 @@ def measure_cycle(
     raise last_error
 
 
-def _finish_measurement(f, controls, work, zero_idx, pos_idx, label, x_star, period, evaluations, records):
+def _finish_measurement(f, work, zero_idx, pos_idx, label, x_star, period, evaluations, records):
     # one period from the fixed point, densely sampled: each time in the
     # first step ending at or after it, or in the last step
     recs = np.array(records).T
@@ -450,8 +434,8 @@ def _finish_measurement(f, controls, work, zero_idx, pos_idx, label, x_star, per
     radius_rms = float(math.sqrt(np.mean(samples[:, 1] ** 2 + samples[:, 2] ** 2)))
 
     h = max(1e-4 * x_star, 1e-8)
-    p_plus = _return_map(f, controls, work, zero_idx, pos_idx, x_star + h, 50.0 * period)[0]
-    p_minus = _return_map(f, controls, work, zero_idx, pos_idx, x_star - h, 50.0 * period)[0]
+    p_plus = _return_map(f, work, zero_idx, pos_idx, x_star + h, 50.0 * period)[0]
+    p_minus = _return_map(f, work, zero_idx, pos_idx, x_star - h, 50.0 * period)[0]
     slope = (p_plus - p_minus) / (2.0 * h)
     steps, rejects, field_evals = work.totals()
     return CycleMeasurement(

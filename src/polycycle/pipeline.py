@@ -30,7 +30,7 @@ from .change_of_variables import (  # noqa: F401
 )
 from .definition import SystemDefinition, instantiate, load_definition
 from .inversion import invert_to_cubic, trust_radius
-from .oracle import IntegratorControls, compare, measure_cycle
+from .oracle import compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
 
 __all__ = ["AnalysisOptions", "AnalysisReport", "run_analyze", "run_sweep", "sweep_to_csv"]
@@ -46,11 +46,8 @@ class AnalysisOptions:
 
     alpha: object = None
     exact: bool = True
-    m: int | None = None
     measure: bool = True
     seed_radius: float | None = None
-    rtol: float = 1e-10
-    atol: float = 1e-10
     amp_tol: float = 0.1
     period_tol: float = 0.1
 
@@ -192,27 +189,26 @@ def _resolve(source, options):
     return defn, system, alpha
 
 
-def _invariants(system, m):
-    """Change of variables, its inverse, the G rows and (p3, q3).
-
-    Raises NoSolutionError when no change of variables exists.
-    """
-    cov = solve_theta(system, m=m)
-    inv = invert_to_cubic(cov)
-    g = g_coefficients(system, cov, inv)
-    return cov, inv, g, p3_q3(g.g3, float(hopf_indicator(system).delta))
-
-
 def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisReport:
     """Analyze one system end to end.
 
     Raises ValueError when the origin is not of center-focus type
     (``delta <= 0`` or real eigenvalues): the method does not apply
-    and there is nothing meaningful to report.  A missing change of
-    variables is NOT an error; the report comes back with status
-    ``no_change_of_variables``.
+    and there is nothing meaningful to report.  Also ValueError when an
+    exact value of the system or of its analysis lies beyond the float
+    range, since the report and the oracle are in floats.  A missing
+    change of variables is NOT an error; the report comes back with
+    status ``no_change_of_variables``.
     """
-    options = options or AnalysisOptions()
+    try:
+        return _analyze(source, options or AnalysisOptions())
+    except OverflowError as err:
+        # exact values meet float() at many places (alpha, tau and delta,
+        # the G rows, the report's fields); each overflow is the input's
+        raise ValueError(f"a value of the analysis overflows a float ({err})") from err
+
+
+def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
     defn, system, alpha = _resolve(source, options)
     name = defn.name if defn is not None else "<system>"
     alpha_out = None
@@ -244,33 +240,19 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
     )
 
     try:
-        cov, inv, g, (p3, q3) = _invariants(system, options.m)
+        cov = solve_theta(system)
     except NoSolutionError as err:
         warnings.append(str(err))
         return AnalysisReport(
             status="no_change_of_variables", warnings=warnings, **base
         )
 
+    inv = invert_to_cubic(cov)
+    g = g_coefficients(system, cov, inv)
+    p3, q3 = p3_q3(g.g3, delta)
     residual = residual_condition33(cov, system)
     trust = trust_radius(cov, inv)
     pred = predict_cycle(tau, delta, p3, q3)
-
-    if pred.degenerate and defn is not None and defn.uses_alpha and alpha_out:
-        try:
-            half = instantiate(defn, _half_alpha(alpha), exact=options.exact)
-            _, _, _, (p3_half, _) = _invariants(half, options.m)
-            if abs(p3_half) > 1e-9:
-                warnings.append(
-                    f"p3 vanishes at alpha={alpha_out!r} but not at alpha/2"
-                    f" (p3={p3_half!r}); the degeneracy is specific to this parameter value"
-                )
-            else:
-                warnings.append(
-                    "p3 also vanishes at alpha/2; cubic averaging looks inconclusive"
-                    " for this family, higher-order terms decide"
-                )
-        except (NoSolutionError, ValueError):
-            pass
 
     curve = None
     if pred.exists:
@@ -280,12 +262,11 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
     comparison = None
     samples = None
     if options.measure:
-        controls = IntegratorControls(rtol=options.rtol, atol=options.atol)
         if pred.exists:
             seed = options.seed_radius or 0.5 * float(np.max(np.abs(curve[:, 1:])))
         else:
             seed = options.seed_radius or 0.25
-        measurement = measure_cycle(system, seed, controls)
+        measurement = measure_cycle(system, seed)
         comp = compare(
             pred, curve, measurement, amp_tol=options.amp_tol, period_tol=options.period_tol
         )
@@ -325,12 +306,6 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
         measured_samples=samples,
         **base,
     )
-
-
-def _half_alpha(alpha):
-    if isinstance(alpha, str):
-        return Fraction(alpha) / 2
-    return alpha / 2
 
 
 def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[dict]:

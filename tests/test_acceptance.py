@@ -28,7 +28,7 @@ from polycycle.inversion import (
     residual_slope,
 )
 from polycycle.monomials import eval_lambda
-from polycycle.oracle import IntegratorControls, integrate
+from polycycle.oracle import integrate
 from polycycle.definition import instantiate, load_definition
 from polycycle.pipeline import CURVE_SAMPLES, AnalysisOptions, run_analyze
 from polycycle.polyops import poly_add, poly_eval, poly_mul, poly_scale
@@ -300,7 +300,7 @@ def test_criterion_8_reduced_equation_along_trajectories(corpus_systems, corpus_
         sysf = system.to_float()
         peaks = []
         for rho in (0.1, 0.05, 0.025):
-            traj = integrate(sysf, (rho, 0.0), 2.0, IntegratorControls(rtol=1e-12, atol=1e-12))
+            traj = integrate(sysf, (rho, 0.0), 2.0)
             peaks.append(
                 max(abs(poly_eval(flt, float(u), float(v))) for u, v in traj.states)
             )

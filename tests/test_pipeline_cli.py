@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polycycle import pipeline
 from polycycle.change_of_variables import assemble_constraints
 from polycycle.cli import _parse_alphas, main
 from polycycle.definition import instantiate, load_definition
@@ -20,16 +21,8 @@ from polycycle.pipeline import (
 )
 
 
-def _fast_options(**overrides):
-    # loose-enough integrator to keep the suite quick without touching
-    # the verdict
-    defaults = dict(rtol=1e-9, atol=1e-9)
-    defaults.update(overrides)
-    return AnalysisOptions(**defaults)
-
-
 def test_analyze_normal_form_agrees(systems_dir):
-    report = run_analyze(systems_dir / "normal_form.json", _fast_options())
+    report = run_analyze(systems_dir / "normal_form.json", AnalysisOptions())
     assert report.status == "ok"
     assert report.arithmetic == "exact"
     assert report.residual_is_exact_zero
@@ -46,7 +39,7 @@ def test_analyze_normal_form_agrees(systems_dir):
 
 
 def test_analyze_quadratic_center_is_degenerate(systems_dir):
-    report = run_analyze(systems_dir / "quadratic.json", _fast_options())
+    report = run_analyze(systems_dir / "quadratic.json", AnalysisOptions())
     assert report.status == "ok"
     assert report.verdict == "degenerate"
     assert report.p3 == pytest.approx(0.0, abs=1e-12)
@@ -54,15 +47,34 @@ def test_analyze_quadratic_center_is_degenerate(systems_dir):
     assert report.prediction["stability"] == "undetermined"
 
 
+def test_degenerate_family_point_is_solved_once(monkeypatch):
+    # p3 vanishes on a linear family: the report says degenerate from one
+    # reduction, with no second solve at another alpha and no warning
+    calls = []
+    solve = pipeline.solve_theta
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_theta", counting)
+    definition = {"name": "linfam", "jac": [["alpha", -1], [1, "alpha"]]}
+    report = run_analyze(definition, AnalysisOptions(alpha="1/20"))
+    assert len(calls) == 1
+    assert report.verdict == "degenerate"
+    assert report.prediction["stability"] == "undetermined"
+    assert report.warnings == []
+
+
 def test_analyze_rejects_saddle(tmp_path):
     bad = tmp_path / "saddle.json"
     bad.write_text(json.dumps({"name": "saddle", "jac": [[0, 1], [1, 0]]}))
     with pytest.raises(ValueError, match="complex eigenvalue pair"):
-        run_analyze(bad, _fast_options())
+        run_analyze(bad, AnalysisOptions())
 
 
 def test_analyze_without_measurement(systems_dir):
-    report = run_analyze(systems_dir / "normal_form.json", _fast_options(measure=False))
+    report = run_analyze(systems_dir / "normal_form.json", AnalysisOptions(measure=False))
     assert report.measurement is None
     assert report.comparison is None
     assert report.verdict is None
@@ -70,7 +82,7 @@ def test_analyze_without_measurement(systems_dir):
 
 
 def test_report_serialization_is_deterministic(systems_dir):
-    options = _fast_options()
+    options = AnalysisOptions()
     a = run_analyze(systems_dir / "normal_form.json", options)
     b = run_analyze(systems_dir / "normal_form.json", options)
     assert a.to_json() == b.to_json()
@@ -85,7 +97,7 @@ def test_report_serialization_is_deterministic(systems_dir):
 
 def test_alpha_threading_and_exact_strings(systems_dir):
     report = run_analyze(
-        systems_dir / "normal_form.json", _fast_options(alpha="1/10", measure=False)
+        systems_dir / "normal_form.json", AnalysisOptions(alpha="1/10", measure=False)
     )
     assert report.alpha == pytest.approx(0.1)
     assert report.tau == pytest.approx(0.2)
@@ -93,7 +105,7 @@ def test_alpha_threading_and_exact_strings(systems_dir):
 
 def test_sweep_rows_and_csv(systems_dir):
     rows = run_sweep(
-        systems_dir / "normal_form.json", ["0.04", "0.09"], _fast_options()
+        systems_dir / "normal_form.json", ["0.04", "0.09"], AnalysisOptions()
     )
     assert [row["alpha"] for row in rows] == [0.04, 0.09]
     for row in rows:
@@ -114,7 +126,7 @@ def test_report_counts_match_a_fresh_assembly(definitions, exact):
     # the report takes its counts and rank from the solve; a fresh
     # assembly of the same system and its own elimination must agree
     for name, defn in definitions.items():
-        report = run_analyze(defn, _fast_options(exact=exact, measure=False))
+        report = run_analyze(defn, AnalysisOptions(exact=exact, measure=False))
         system = instantiate(defn, defn.alpha_default, exact=exact)
         cs = assemble_constraints(system, report.m, report.gamma_params)
         assert report.unknown_count == cs.unknown_count, name
@@ -176,7 +188,7 @@ def test_alpha_grid_is_exact(systems_dir, capsys):
 
 def test_sweep_requires_parameterized_system(systems_dir):
     with pytest.raises(ValueError, match="no alpha parameter"):
-        run_sweep(systems_dir / "quadratic.json", [0.1], _fast_options())
+        run_sweep(systems_dir / "quadratic.json", [0.1], AnalysisOptions())
 
 
 def test_cli_analyze_json_output(systems_dir, capsys):
@@ -318,6 +330,25 @@ def test_cli_power_errors_exit_one(capsys):
     overflow = json.dumps({"name": "pow", "jac": [["2**1500", -1], [1, 0]]})
     assert main(["analyze", overflow, "--no-measure", "--float"]) == 1
     assert "overflows a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", json.dumps({"name": "pow", "jac": [["2**1500", -1], [1, 0]]}), "--no-measure"],
+        ["analyze", "normal_form.json", "--alpha", "1e400", "--no-measure"],
+        ["analyze", "normal_form.json", "--alpha", "1e400", "--no-measure", "--float"],
+        ["sweep", "normal_form.json", "--alphas", "1e400"],
+    ],
+    ids=["exact-entry", "exact-alpha", "float-alpha", "sweep"],
+)
+def test_cli_values_beyond_the_float_range_exit_one(systems_dir, capsys, argv):
+    # exact values that only overflow when the analysis takes them to
+    # floats are input errors, not tracebacks
+    argv = [str(systems_dir / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: a value of the analysis overflows a float")
 
 
 def test_cli_no_measure_flag(systems_dir, capsys):
