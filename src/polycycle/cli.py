@@ -8,7 +8,9 @@ Two subcommands::
 Exit status: 0 when the analysis ran (whatever the verdict, including
 "no change of variables found"), 1 on bad input (unreadable file,
 invalid definition, origin without a complex pair, a value beyond
-the float range, bad flags), 2 on an internal failure.
+the float range, bad flags), 2 on an internal failure.  A sweep
+prints every row, and exits 1 when any row is an ``error`` row, after
+one ``error:`` line per such row on stderr.
 
 Alpha values are passed as strings so exact arithmetic can honor them
 literally: "0.05" means 1/20, and plain fractions like "1/20" work
@@ -129,7 +131,10 @@ def _cmd_sweep(args) -> int:
         sys.stdout.write(f"wrote {path}\n")
     else:
         sys.stdout.write(csv)
-    return 0
+    failed = [row["error"] for row in rows if row["verdict"] == "error"]
+    for message in failed:
+        sys.stderr.write(f"error: {message}\n")
+    return 1 if failed else 0
 
 
 def _build_parser() -> _Parser:

@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "eval_lambda",
     "eval_poly_map",
+    "partial_rows",
     "lie_row",
 ]
 
@@ -82,6 +83,18 @@ def eval_poly_map(blocks: dict, point) -> np.ndarray:
     return out
 
 
+def partial_rows(row) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (d_u, d_v) of the two partial derivatives of row . lambda_k.
+
+    ``row`` has k + 1 entries, k >= 1; each derivative is a row of k
+    entries over lambda_(k-1).
+    """
+    row = np.asarray(row)
+    k = len(row) - 1
+    _check_degree(k)
+    return np.arange(k, 0, -1) * row[:-1], np.arange(1, k + 1) * row[1:]
+
+
 def lie_row(row, block) -> np.ndarray:
     """Coefficient row of d/dt (row . lambda_k) along a homogeneous field.
 
@@ -91,11 +104,7 @@ def lie_row(row, block) -> np.ndarray:
     each product is a convolution of coefficient rows, so the result is
     the k + j entries of a row over lambda_(k+j-1).
     """
-    row = np.asarray(row)
-    k = len(row) - 1
-    _check_degree(k)
-    d_u = np.arange(k, 0, -1) * row[:-1]
-    d_v = np.arange(1, k + 1) * row[1:]
+    d_u, d_v = partial_rows(row)
     return np.convolve(d_u, block[0]) + np.convolve(d_v, block[1])
 
 

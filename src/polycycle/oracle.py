@@ -8,10 +8,25 @@ prediction/measurement pair to a verdict.
 
 Crossing times are located inside accepted steps by bisection on the
 cubic Hermite interpolant, which at the fixed 1e-10 tolerances is
-accurate to well below 1e-6 in time.  Attracting and repelling cycles
-are both found in forward time: the root solve does not need the
-return map to contract, and its last orbit, once around from the fixed
-point, is the one the measured period is sampled from.
+accurate to well below 1e-6 in time, and the state there is taken by
+one more Dormand-Prince step from the start of the step: the
+interpolant's own error, up to about 2e-7 relative next to the Hopf
+point, would otherwise reach the fixed point multiplied by 1/|P' - 1|.
+
+Each orbit also gives the slope of the return map, from the divergence
+identity for planar flows (Perko, Differential Equations and Dynamical
+Systems, sec. 3.4):
+
+    P'(x) = f_n(x) / f_n(P(x)) * exp(integral_0^T(x) div f dt),
+
+with f_n the field component normal to the section and T(x) the return
+time.  The integral is taken on the orbit's own accepted steps, so the
+slope costs no further orbit and no further field evaluation.  With it
+the root solve is a safeguarded Newton iteration, the multiplier of the
+cycle is the slope at its last point, and attracting and repelling
+cycles are both found in forward time.  The root solve's last orbit,
+once around from the fixed point, is also the one the measured period
+is sampled from.
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import KbmPrediction
+from .monomials import eval_poly_map, partial_rows
 from .system import PlanarPolySystem, compile_field
 
 __all__ = [
@@ -63,16 +79,21 @@ RTOL = ATOL = 1e-10
 MAX_STEPS = 5_000_000
 # A state with |x1| + |x2| above this has blown up.
 BLOWUP_NORM = 1e6
-# measure_cycle: the fixed point of the return map is bracketed within
-# SEARCH_RANGE times the seed and pinned down to SETTLE_REL relative
-# width; the measured period is sampled at CYCLE_SAMPLES + 1 points.
+# measure_cycle: the fixed point of the return map is searched for
+# within SEARCH_RANGE times the seed and pinned down to SETTLE_REL
+# relative width; the measured period is sampled at CYCLE_SAMPLES + 1
+# points.
 SEARCH_RANGE = (1e-7, 8.0)
 SETTLE_REL = 1e-8
 CYCLE_SAMPLES = 2048
 # A return-map slope magnitude within this of 1 is neutral (a center's
-# orbit): about 100x the finite-difference noise on the corpus centers,
-# and about 12x below 1 - slope on normal_form at alpha = 1/10000.
+# orbit): the corpus centers' slopes are within 1e-8 of 1, and 1 - slope
+# on normal_form at alpha = 1/10000 is about 12x this.
 NEUTRAL_SLOPE = 1e-4
+
+# 3-point Gauss-Legendre nodes on [0, 1] and their weights.
+_GL_NODES = np.array([[0.5 - math.sqrt(0.15)], [0.5], [0.5 + math.sqrt(0.15)]])
+_GL_WEIGHTS = np.array([[5.0], [8.0], [5.0]]) / 18.0
 
 
 @dataclass
@@ -92,15 +113,15 @@ class CycleMeasurement:
     ``amplitude`` is max |x1| over one period, ``radius_rms`` the root
     mean square distance from the origin, ``convergence_rate`` the
     magnitude of the return-map slope at the fixed point (so < 1
-    exactly when the cycle attracts), ``stable`` whether it attracts,
-    None when the slope magnitude is within ``NEUTRAL_SLOPE`` of 1
-    (neutral, as on the orbits of a center), ``crossings`` the number of
-    return-map evaluations the root solve took, and ``samples`` one
+    exactly when the cycle attracts), taken from the divergence
+    integral along the root solve's last orbit, ``stable`` whether it
+    attracts, None when the slope magnitude is within ``NEUTRAL_SLOPE``
+    of 1 (neutral, as on the orbits of a center), ``crossings`` the
+    number of return-map evaluations the root solve took, which is the
+    number of orbits the measurement followed, and ``samples`` one
     period of (t, x1, x2) rows for export, interpolated in the steps of
     the root solve's last orbit.  ``steps``, ``rejected_steps`` and
-    ``field_evals`` are the integrator's work, summed over every orbit
-    the measurement followed: the root solve's and the two slope
-    returns.
+    ``field_evals`` are the integrator's work, summed over those orbits.
     """
 
     amplitude: float
@@ -186,21 +207,13 @@ class _Stepper:
         return (t0, u0, v0, fu1, fv1, self.t, u1, v1, k7u, k7v)
 
 
-class _Work:
-    """The orbits one measurement followed, for its work counts."""
-
-    __slots__ = ("steppers", "checks")
-
-    def __init__(self):
-        self.steppers: list[_Stepper] = []
-        self.checks = 0  # field evaluations of the transversality test
-
-    def totals(self) -> tuple[int, int, int]:
-        """(accepted steps, rejected steps, field evaluations)."""
-        steps = sum(s.steps for s in self.steppers)
-        rejects = sum(s.rejects for s in self.steppers)
-        # one evaluation to start each orbit, six per attempted step (k2..k7)
-        return steps, rejects, len(self.steppers) + 6 * (steps + rejects) + self.checks
+def _work(orbits: list[_Stepper]) -> tuple[int, int, int]:
+    """(accepted steps, rejected steps, field evaluations) of the orbits
+    one measurement followed."""
+    steps = sum(s.steps for s in orbits)
+    rejects = sum(s.rejects for s in orbits)
+    # one evaluation to start each orbit, six per attempted step (k2..k7)
+    return steps, rejects, len(orbits) + 6 * (steps + rejects)
 
 
 def _hermite(rec, t):
@@ -277,30 +290,67 @@ class _NoReturn(Exception):
     """An orbit did not come back to the section within its time budget."""
 
 
-def _return_map(f, work, zero_idx, pos_idx, x: float, t_budget: float):
+def _divergence(flt: PlanarPolySystem):
+    """div f = d(u')/du + d(v')/dv of a float system, as a callable on arrays.
+
+    Block k of the field contributes the row d_u(block[0]) + d_v(block[1])
+    over lambda_(k-1); the trace of J is the constant term.
+    """
+    trace = float(flt.jac[0, 0] + flt.jac[1, 1])
+    rows = {
+        k - 1: (partial_rows(block[0])[0] + partial_rows(block[1])[1])[None, :]
+        for k, block in enumerate(flt.phi, start=2)
+    }
+
+    def div(u, v):
+        return trace + eval_poly_map(rows, np.stack([u, v]))[0] if rows else trace
+
+    return div
+
+
+def _divergence_integral(div, records, tc: float) -> float:
+    """Integral of div f over [0, tc] along the step records, tc lying in
+    the last one: 3-point Gauss-Legendre on each step's Hermite
+    interpolant, in one array pass."""
+    recs = np.array(records).T
+    t0 = recs[0]
+    span = np.append(recs[5, :-1], tc) - t0
+    u, v = _hermite(recs, t0 + span * _GL_NODES)
+    return float(np.sum(_GL_WEIGHTS * div(u, v) * span))
+
+
+def _return_map(f, div, orbits, zero_idx, pos_idx, x: float):
     """Follow the orbit from the section point ``x`` once around.
 
-    Returns (P(x), return time, accepted step records) at the first
-    crossing of the section in the direction the flow crosses it at the
-    start.  P is inf when the orbit blows up or its step size underflows,
-    and 0 when it falls inside the 1e-8 numerical-origin scale, where the
-    tangency guard below cannot tell a flat section from a dead orbit.
-    The orbit is counted in ``work``.
+    Returns (P(x), return time, P'(x), accepted step records) at the
+    first crossing of the section in the direction the flow crosses it
+    at the start.  P is inf when the orbit blows up or its step size
+    underflows, and 0 when it falls inside the 1e-8 numerical-origin
+    scale, where the tangency guard below cannot tell a flat section
+    from a dead orbit; P' is nan in both cases.  Otherwise P(x) is the
+    state at the crossing time, stepped to from the start of the step
+    that holds it, and P' comes from the divergence identity of the
+    module docstring: the normal components are the orbit's first field
+    evaluation and the last stage of that step, which the transversality
+    check reads, so the slope adds no field call.  The orbit's stepper
+    is appended to ``orbits``.
     """
     stepper = _Stepper(f, *((x, 0.0) if zero_idx == 1 else (0.0, x)))
-    work.steppers.append(stepper)
-    rising = (stepper.fu, stepper.fv)[zero_idx] > 0.0
+    orbits.append(stepper)
+    normal_start = (stepper.fu, stepper.fv)[zero_idx]
+    rising = normal_start > 0.0
     records = []
     while stepper.steps < MAX_STEPS:
         try:
-            rec = stepper.advance(t_budget)
+            # the time budget only stops an orbit that never comes back
+            rec = stepper.advance(1e5)
         except ArithmeticError:  # step size underflow
-            return math.inf, stepper.t, records
+            return math.inf, stepper.t, math.nan, records
         if rec is None:
             break
         records.append(rec)
         if abs(rec[6]) + abs(rec[7]) > BLOWUP_NORM:
-            return math.inf, rec[5], records
+            return math.inf, rec[5], math.nan, records
         g0 = (rec[1], rec[2])[zero_idx]
         g1 = (rec[6], rec[7])[zero_idx]
         if g0 == 0.0 or (g0 > 0.0) == (g1 > 0.0):
@@ -308,93 +358,98 @@ def _return_map(f, work, zero_idx, pos_idx, x: float, t_budget: float):
         tc = _locate_crossing(rec, zero_idx, 1e-12 * max(1.0, abs(rec[5])))
         state = _hermite(rec, tc)
         if math.hypot(state[0], state[1]) < 1e-8:
-            return 0.0, tc, records
+            return 0.0, tc, math.nan, records
         if state[pos_idx] <= 0.0 or (g1 > 0.0) != rising:
             continue
-        work.checks += 1
-        speed = f(state[0], state[1])
+        # the state at tc to the integrator's order, not the interpolant's:
+        # step again from the start of this step, to tc
+        stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv = rec[:5]
+        stepper.h = tc - rec[0]
+        while stepper.advance(tc) is not None:
+            pass
+        state, speed = (stepper.u, stepper.v), (stepper.fu, stepper.fv)
         if abs(speed[zero_idx]) <= 1e-9 * (1.0 + math.hypot(speed[0], speed[1])):
             raise TransversalityError(
                 f"flow is tangent to the section at t={tc:.6g}, point {state}"
             )
-        return state[pos_idx], tc, records
+        growth = math.exp(_divergence_integral(div, records, tc))
+        return state[pos_idx], tc, normal_start / speed[zero_idx] * growth, records
     raise _NoReturn
 
 
-def _fixed_point(f, work, zero_idx, pos_idx, seed: float, tau: float):
-    """Solve g(x) = P(x) - x; returns (x*, return time, evaluations,
-    step records) or None, x* being the last point evaluated.
+def _fixed_point(f, div, orbits, zero_idx, pos_idx, seed: float, tau: float):
+    """Solve g(x) = P(x) - x by safeguarded Newton steps on g' = P' - 1.
 
-    Blow-up makes g = inf and decay onto the origin g = -x, so both
-    count with the sign they imply.
+    Returns (return time, P', evaluations, step records) of the last
+    point evaluated, which is the fixed point to ``SETTLE_REL``, or
+    None.  Blow-up makes g = inf and decay onto the origin g = -x, so
+    both count with the sign they imply; P' is undefined there.
     """
     evaluations = 0
-    records = None
 
     def g(x):
-        nonlocal evaluations, records
+        nonlocal evaluations
         evaluations += 1
-        p, t, records = _return_map(f, work, zero_idx, pos_idx, x, 1e5)
-        return p - x, t
+        p, t, slope, records = _return_map(f, div, orbits, zero_idx, pos_idx, x)
+        return p - x, (t, slope, evaluations, records)
 
-    ga, ta = g(seed)
-    if abs(ga) <= SETTLE_REL * seed:
-        return seed, ta, evaluations, records
+    x = seed
+    gx, last = g(x)
+    if abs(gx) <= SETTLE_REL * seed:
+        return last
 
-    # next to the origin g has the sign of tau, so the sign change lies
-    # outward while g still has that sign and inward once it has not
-    factor = 2.0 if (ga > 0.0) == (tau > 0.0) else 0.5
-    a = seed
-    while True:
-        b = a * factor
-        if not SEARCH_RANGE[0] * seed <= b <= SEARCH_RANGE[1] * seed:
-            return None  # no sign change in range: no cycle
-        gb, tb = g(b)
-        if gb == 0.0:
-            return b, tb, evaluations, records
-        if (gb > 0.0) != (ga > 0.0):
-            break
-        a, ga = b, gb
-
-    # Illinois false position: when the same end is replaced twice
-    # running, halve the other end's value; bisect while an end is infinite
-    replaced = 0  # 1 when b was replaced last, -1 when a was
+    # next to the origin g has the sign of tau, so until g changes sign
+    # the root lies outward while g still has that sign and inward once
+    # it has not; a Newton step the other way heads for another root
+    outward = (gx > 0.0) == (tau > 0.0)
+    ends = {gx > 0.0: x}  # the last point where g > 0 (True), g < 0 (False)
     for _ in range(200):
-        if math.isinf(ga) or math.isinf(gb):
-            c = 0.5 * (a + b)
+        slope = last[1]
+        step = None
+        if math.isfinite(slope) and slope != 1.0:
+            step = -gx / (slope - 1.0)
+            if abs(step) <= SETTLE_REL * x:
+                return last
+        if len(ends) == 1:
+            # double or halve, or a Newton step that way within [x/2, 2x]
+            if step is None or (step > 0.0) != outward:
+                nxt = 2.0 * x if outward else 0.5 * x
+            else:
+                nxt = min(max(x + step, 0.5 * x), 2.0 * x)
+            nxt = min(max(nxt, SEARCH_RANGE[0] * seed), SEARCH_RANGE[1] * seed)
+            if nxt == x:
+                return None  # no sign change in range: no cycle
         else:
-            c = (a * gb - b * ga) / (gb - ga)
-        gc, tc = g(c)
-        if gc == 0.0:
-            return c, tc, evaluations, records
-        if (gc > 0.0) == (gb > 0.0):
-            b, gb = c, gc
-            if replaced == 1:
-                ga *= 0.5
-            replaced = 1
-        else:
-            a, ga = c, gc
-            if replaced == -1:
-                gb *= 0.5
-            replaced = -1
-        if abs(b - a) <= SETTLE_REL * c:
-            return c, tc, evaluations, records
+            lo, hi = sorted(ends.values())
+            nxt = x + step if step is not None and lo < x + step < hi else 0.5 * (lo + hi)
+        x, (gx, last) = nxt, g(nxt)
+        if gx == 0.0:
+            return last
+        ends[gx > 0.0] = x
+        if len(ends) == 2 and abs(ends[True] - ends[False]) <= SETTLE_REL * x:
+            return last
     return None
 
 
 def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurement | None:
     """Find a periodic orbit as a root of g(x) = P(x) - x on a section.
 
-    P is the forward-time return map of the half-line through the seed.
-    g is evaluated at ``seed_radius``; if it already vanishes to
-    ``SETTLE_REL`` (a center) the seed is the fixed point.  Otherwise
-    the search doubles or halves x, within ``SEARCH_RANGE`` times the
-    seed, until g changes sign, and Illinois false position shrinks
-    that bracket to ``SETTLE_REL`` times x.  The test is on x, not on
-    |g|, because |g'| is small when the cycle is weakly attracting or
-    repelling.  Returns None when g has no sign change in the range or
-    an orbit does not come back to the section; a measurement
-    otherwise.
+    P is the forward-time return map of the half-line through the seed,
+    and each evaluation of it also gives P'(x) from the divergence
+    integral along its orbit.  g is evaluated at ``seed_radius``; if it
+    already vanishes to ``SETTLE_REL`` (a center) the seed is the fixed
+    point.  Otherwise Newton steps x - g/g' are taken, with g' = P' - 1.
+    Until g changes sign they stay within [x/2, 2x] and ``SEARCH_RANGE``
+    times the seed and go the way the sign of g next to the origin
+    points; where a Newton step points the other way, or P' is undefined
+    (blow-up or decay), x is doubled or halved instead.  Once g has
+    changed sign the steps stay inside the bracket, and a step that
+    would leave it bisects.  The solve stops when the Newton step or the
+    bracket is within ``SETTLE_REL`` times x, and the last point
+    evaluated is the fixed point: its orbit gives the period, the
+    sampled cycle and the multiplier P'.  Returns None when g has no
+    sign change in the range or an orbit does not come back to the
+    section; a measurement otherwise.
 
     Raises
     ------
@@ -405,16 +460,17 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
         raise ValueError(f"seed_radius must be positive, got {seed_radius}")
     flt = system.to_float()
     f = compile_field(flt)
+    div = _divergence(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
 
-    work = _Work()
+    orbits: list[_Stepper] = []
     last_error = None
     for zero_idx, pos_idx, label in _SECTIONS:
         try:
-            found = _fixed_point(f, work, zero_idx, pos_idx, seed_radius, tau)
+            found = _fixed_point(f, div, orbits, zero_idx, pos_idx, seed_radius, tau)
             if found is None:
                 return None
-            return _finish_measurement(f, work, zero_idx, pos_idx, label, *found)
+            return _finish_measurement(orbits, label, *found)
         except TransversalityError as err:
             last_error = err
         except _NoReturn:
@@ -422,7 +478,7 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     raise last_error
 
 
-def _finish_measurement(f, work, zero_idx, pos_idx, label, x_star, period, evaluations, records):
+def _finish_measurement(orbits, label, period, slope, evaluations, records):
     # one period from the fixed point, densely sampled: each time in the
     # first step ending at or after it, or in the last step
     recs = np.array(records).T
@@ -432,12 +488,7 @@ def _finish_measurement(f, work, zero_idx, pos_idx, label, x_star, period, evalu
     samples = np.column_stack([t, u, v])
     amplitude = float(np.max(np.abs(samples[:, 1])))
     radius_rms = float(math.sqrt(np.mean(samples[:, 1] ** 2 + samples[:, 2] ** 2)))
-
-    h = max(1e-4 * x_star, 1e-8)
-    p_plus = _return_map(f, work, zero_idx, pos_idx, x_star + h, 50.0 * period)[0]
-    p_minus = _return_map(f, work, zero_idx, pos_idx, x_star - h, 50.0 * period)[0]
-    slope = (p_plus - p_minus) / (2.0 * h)
-    steps, rejects, field_evals = work.totals()
+    steps, rejects, field_evals = _work(orbits)
     return CycleMeasurement(
         amplitude=amplitude,
         radius_rms=radius_rms,

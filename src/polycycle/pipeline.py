@@ -6,7 +6,8 @@ that serializes to JSON and to a short text summary.  Reports are
 deterministic: no timestamps, fixed key order, floats through repr.
 
 :func:`run_sweep` repeats the analysis over a parameter grid and
-tabulates predicted against measured amplitudes.
+tabulates predicted against measured amplitudes; a point whose input
+is refused gets an ``error`` row, and the other points still run.
 """
 
 from __future__ import annotations
@@ -313,7 +314,10 @@ def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[di
 
     Returns one row per alpha with the prediction, the measurement,
     and their relative amplitude error (None when either side has no
-    cycle).
+    cycle).  A point whose analysis raises ValueError (an input error,
+    see :func:`run_analyze`) gets a row with verdict ``error``, the
+    alpha as given, no other values and the message under ``error``;
+    other exceptions propagate.
     """
     options = options or AnalysisOptions()
     defn = source if isinstance(source, SystemDefinition) else load_definition(source)
@@ -321,7 +325,10 @@ def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[di
         raise ValueError(f"system {defn.name!r} has no alpha parameter to sweep")
 
     def one(alpha) -> dict:
-        report = run_analyze(defn, dataclasses.replace(options, alpha=alpha))
+        try:
+            report = run_analyze(defn, dataclasses.replace(options, alpha=alpha))
+        except ValueError as err:
+            return {"alpha": alpha, "verdict": "error", "error": str(err)}
         pred_amp = None
         if report.predicted_curve is not None:
             pred_amp = float(np.max(np.abs(report.predicted_curve[:, 1])))

@@ -8,6 +8,7 @@ import pytest
 
 import polycycle.oracle as oracle
 from polycycle.averaging import predict_cycle
+from polycycle.definition import instantiate, load_definition
 from polycycle.oracle import (
     CycleMeasurement,
     compare,
@@ -109,8 +110,9 @@ def test_work_counters_match_the_field_calls(monkeypatch):
 
 
 def test_measurement_follows_each_orbit_once(monkeypatch):
-    # one orbit per root-solve evaluation and the two slope returns; the
-    # sampled period is the root solve's last orbit, not a new one
+    # one orbit per root-solve evaluation: the slope comes from the
+    # divergence integral along each orbit, and the sampled period from
+    # the root solve's last orbit, so neither starts a new one
     started = 0
     stepper = oracle._Stepper
 
@@ -122,7 +124,7 @@ def test_measurement_follows_each_orbit_once(monkeypatch):
     monkeypatch.setattr(oracle, "_Stepper", counting)
     meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
     assert meas is not None
-    assert started == meas.crossings + 2
+    assert started == meas.crossings
 
 
 def _loop_samples(records, period):
@@ -149,7 +151,8 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     monkeypatch.setattr(oracle, "_finish_measurement", keep_args)
     meas = measure_cycle(system, 0.05)
     assert meas is not None and meas.section == "x2=0, x1>0"
-    ((*_, x_star, period, _evaluations, records),) = seen
+    ((*_, period, _slope, _evaluations, records),) = seen
+    x_star = records[0][1]  # the start of the last orbit, on x2 = 0
     # the last record is the step that holds the return crossing
     assert records[-1][0] < period <= records[-1][5]
     assert [float(v).hex() for v in meas.samples[0]] == [
@@ -182,8 +185,48 @@ def test_unstable_cycle_found_in_forward_time():
     assert not meas.stable
     assert meas.convergence_rate > 1.0
     assert meas.amplitude == pytest.approx(math.sqrt(0.05), rel=1e-3)
-    # Illinois steps, not plain false position (which takes about 100)
+    # Newton steps, not plain false position (which takes about 100)
     assert meas.crossings <= 20
+
+
+# (family, sign of alpha where it has a cycle, period of the cycle)
+_FAMILIES = ((_normal_form, 1, 2.0 * math.pi), (_hardening, -1, 2.0 * math.pi), (_rescaled, 1, math.pi))
+
+
+@pytest.mark.parametrize("family, sign, period", _FAMILIES, ids=["normal", "reflected", "rescaled"])
+@pytest.mark.parametrize("size", [Fraction(1, 100), Fraction(1, 2000)], ids=["1/100", "1/2000"])
+def test_multiplier_matches_the_closed_form(family, sign, period, size):
+    # r' = alpha r -+ r^3 linearized at r = sqrt(|alpha|) is r' = -2 alpha r,
+    # so the cycle's multiplier is exp(-2 alpha T), above 1 when alpha < 0
+    alpha = sign * size
+    meas = measure_cycle(family(alpha), 0.5 * math.sqrt(size))
+    assert meas is not None
+    expected = math.exp(-2.0 * float(alpha) * period)
+    assert meas.convergence_rate == pytest.approx(expected, rel=1e-6)
+    assert meas.stable == (sign > 0)
+
+
+@pytest.mark.parametrize(
+    "name, alpha, x", [("mixed", None, 0.05), ("normal_form", Fraction(1, 100), 0.3)]
+)
+def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
+    # P'(x) from the divergence integral against the central difference
+    # of P at a section point that is not fixed, where the ratio of the
+    # normal speeds at x and at P(x) is far from 1
+    defn = load_definition(systems_dir / f"{name}.json")
+    system = instantiate(defn, defn.alpha_default if alpha is None else alpha, exact=True).to_float()
+    f = oracle.compile_field(system)
+    div = oracle._divergence(system)
+
+    def ret(y):
+        return oracle._return_map(f, div, [], 1, 0, y)
+
+    p, _, slope, _ = ret(x)
+    assert abs(p - x) > 0.1 * x
+    assert abs(f(x, 0.0)[1] / f(p, 0.0)[1] - 1.0) > 0.2
+    h = 1e-4 * x
+    difference = (ret(x + h)[0] - ret(x - h)[0]) / (2.0 * h)
+    assert slope == pytest.approx(difference, rel=1e-5)
 
 
 def test_spiral_source_yields_no_cycle():

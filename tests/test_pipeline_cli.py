@@ -156,13 +156,27 @@ def test_oracle_agrees_next_to_the_hopf_point(systems_dir, name, alpha):
     assert report.measurement["crossings"] <= 15
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "name, sign", [("normal_form", 1), ("reflected_normal_form", -1), ("rescaled_normal_form", 1)]
+)
+@pytest.mark.parametrize("size", ["1/100", "1/1000", "1/10000"])
+def test_oracle_work_next_to_the_hopf_point(systems_dir, name, sign, size, exact):
+    # Newton on P - x with P' from the divergence integral, from the seed
+    # half the predicted amplitude: a few return-map evaluations settle
+    alpha = size if sign > 0 else f"-{size}"
+    report = run_analyze(systems_dir / f"{name}.json", AnalysisOptions(alpha=alpha, exact=exact))
+    assert report.verdict == "agreement"
+    assert report.measurement["crossings"] <= 4
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("name", ["linear_center", "quadratic"])
 def test_center_orbits_are_neutral(systems_dir, name, exact):
-    # every orbit of a center closes: the finite-difference return-map
-    # slope is 1 + O(1e-6), neither an attracting nor a repelling cycle
+    # every orbit of a center closes: the return-map slope from the
+    # divergence integral is 1 to 1e-8, neither attracting nor repelling
     report = run_analyze(systems_dir / f"{name}.json", AnalysisOptions(exact=exact))
-    assert abs(report.measurement["convergence_rate"] - 1.0) < 1e-5
+    assert abs(report.measurement["convergence_rate"] - 1.0) < 1e-8
     assert report.measurement["stable"] is None
     assert report.comparison["stability_match"] is None
     assert "neutral (return-map slope magnitude" in report.to_text()
@@ -349,6 +363,24 @@ def test_cli_values_beyond_the_float_range_exit_one(systems_dir, capsys, argv):
     assert main(argv) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: a value of the analysis overflows a float")
+
+
+def test_sweep_keeps_the_rows_next_to_a_failed_point(systems_dir, capsys):
+    # one refused grid value costs its own row, not the others
+    path = systems_dir / "normal_form.json"
+    rows = run_sweep(path, ["0.01", "1e400"], AnalysisOptions(measure=False))
+    assert rows[0]["alpha"] == 0.01 and rows[0]["verdict"] == "ok"
+    assert rows[0]["predicted_amplitude"] == pytest.approx(0.1, rel=1e-3)
+    assert rows[1]["alpha"] == "1e400" and rows[1]["verdict"] == "error"
+    assert rows[1]["error"].startswith("a value of the analysis overflows a float")
+    assert main(["sweep", str(path), "--alphas", "0.01,1e400", "--no-measure"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("0.01,") and lines[1].endswith(",ok")
+    assert lines[2] == "1e400,,,,,,,error"
+    [message] = captured.err.splitlines()
+    assert message.startswith("error: a value of the analysis overflows a float")
 
 
 def test_cli_no_measure_flag(systems_dir, capsys):
