@@ -16,7 +16,6 @@ from .averaging import (
     predict_cycle,
 )
 from .change_of_variables import (
-    GAMMA_CANDIDATES,
     ChangeOfVariables,
     ConstraintSystem,
     NoSolutionError,
@@ -43,7 +42,6 @@ from .system import HopfIndicator, PlanarPolySystem, build_system, hopf_indicato
 __version__ = "0.1.0"
 
 __all__ = [
-    "GAMMA_CANDIDATES",
     "AnalysisOptions",
     "AnalysisReport",
     "ChangeOfVariables",

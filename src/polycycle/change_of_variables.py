@@ -5,8 +5,8 @@ that z = (H(X))_1 obeys a second-order equation: the defining condition
 is that the time derivative of the first component of H equals its
 second component along trajectories.  Expanding that condition in the
 monomial basis gives one homogeneous linear system over the entries of
-Gamma and the Theta blocks; this module assembles it, solves it with a
-deterministic policy, and certifies solutions by independent polynomial
+Gamma and the Theta blocks; this module assembles it, solves it once at
+Gamma = Gamma_1, and certifies solutions by independent polynomial
 expansion.
 
 Gamma is generated by two concordant matrices built from the Jacobian
@@ -41,21 +41,13 @@ __all__ = [
     "ChangeOfVariables",
     "ConstraintSystem",
     "NoSolutionError",
-    "GAMMA_CANDIDATES",
     "min_degree_bound",
-    "gamma_basis",
     "gamma_matrix",
     "assemble_constraints",
     "solve_theta",
     "residual_condition33",
     "counting_identity",
 ]
-
-# (a, b) scan order; deterministic across runs.
-GAMMA_CANDIDATES = ((1, 0), (0, 1), (1, 1), (1, -1))
-# Theta degrees tried above the counting bound before giving up.
-EXTRA_DEGREES = 3
-
 
 def min_degree_bound(n: int) -> int:
     """Smallest Theta degree m making unknowns outnumber equations.
@@ -74,20 +66,12 @@ def min_degree_bound(n: int) -> int:
     return m
 
 
-def gamma_basis(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two concordant generators Gamma_1, Gamma_2 of the Jacobian."""
-    g1 = np.array([[1, 0], [jac[0, 0], jac[0, 1]]], dtype=jac.dtype)
-    g2 = np.array([[0, 1], [jac[1, 0], jac[1, 1]]], dtype=jac.dtype)
-    return g1, g2
-
-
 def gamma_matrix(jac: np.ndarray, a, b) -> np.ndarray:
-    g1, g2 = gamma_basis(jac)
-    return a * g1 + b * g2
-
-
-def _det2(m: np.ndarray):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    """Gamma = a Gamma_1 + b Gamma_2 from the concordant generators of J."""
+    return np.array(
+        [[a, b], [a * jac[0, 0] + b * jac[1, 0], a * jac[0, 1] + b * jac[1, 1]]],
+        dtype=jac.dtype,
+    )
 
 
 @dataclass(frozen=True)
@@ -296,16 +280,7 @@ class ChangeOfVariables:
 
 
 class NoSolutionError(RuntimeError):
-    """Raised when no admissible Gamma/Theta pair exists up to the degree cap.
-
-    ``attempts`` records, per (m, (a, b)) pair, the determinant of the
-    candidate Gamma and the rank of the assembled system, so callers
-    can report why the search failed.
-    """
-
-    def __init__(self, message: str, attempts: list[dict]):
-        super().__init__(message)
-        self.attempts = attempts
+    """Raised when Gamma_1 is singular or the constraint system is inconsistent."""
 
 
 def _extract_cov(solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray) -> ChangeOfVariables:
@@ -324,58 +299,45 @@ def _extract_cov(solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray) -
 
 
 def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVariables:
-    """Find a change of variables with invertible Gamma.
+    """Find the change of variables with Gamma = Gamma_1, by one solve.
 
-    The (a, b) parameters are scanned in the fixed order of
-    ``GAMMA_CANDIDATES``; for each candidate with det Gamma != 0 the
-    inhomogeneous system in the Theta entries is solved exactly for an
-    exact system and in floats otherwise, keeping the minimum-norm
-    solution.  When ``m`` is omitted the search starts at the counting
-    bound for the system's degree and retries up to ``EXTRA_DEGREES``
-    higher before giving up.
+    (a, b) = (1, 0) and Theta runs to degree ``m``, by default the
+    counting bound for the system's degree n (2 for a linear system).
+    The inhomogeneous system in the Theta entries is solved exactly for
+    an exact system and in floats otherwise, keeping the minimum-norm
+    solution.  No other (a, b) or degree could be needed:
+
+    - det(a Gamma_1 + b Gamma_2) = j12 a^2 + (j22 - j11) ab - j21 b^2
+      has discriminant (j11 - j22)^2 + 4 j12 j21 = tau^2 - 4 delta < 0
+      for a complex pair, so the form is definite and det Gamma_1 =
+      j12 != 0.
+    - For m >= n, H = (u, f_1(u, v)) solves the system, since
+      d/dt u = f_1: row 1 of every Theta_k is zero and row 2 of Theta_k
+      is row 1 of phi_k.  The counting bound is >= n for every n >= 2.
 
     Raises
     ------
     NoSolutionError
-        When every (m, candidate) pair is singular or inconsistent.
+        When Gamma_1 is singular (j12 = 0, or |j12| < 1e-12 in floats)
+        or the system is inconsistent (m < n, or a float solve that
+        fails numerically).
     """
     n = system.degree
-    exact = system.exact
-    if m is not None:
-        if m < 2:
-            raise ValueError(f"theta degree m must be >= 2, got {m}")
-        degrees = [m]
-    else:
-        start = min_degree_bound(n) if n >= 2 else 2
-        degrees = list(range(start, start + EXTRA_DEGREES + 1))
-
-    attempts: list[dict] = []
-    for m_try in degrees:
-        for a, b in GAMMA_CANDIDATES:
-            if exact:
-                a, b = Fraction(a), Fraction(b)
-            else:
-                a, b = float(a), float(b)
-            gamma = gamma_matrix(system.jac, a, b)
-            det = _det2(gamma)
-            entry = {"m": m_try, "params": (a, b), "det": det, "consistent": None, "rank": None}
-            attempts.append(entry)
-            if det == 0 or (not exact and abs(det) < 1e-12):
-                continue
-            cs = assemble_constraints(system, m_try, gamma_params=(a, b))
-            if exact:
-                sol, rank = solve_min_norm_exact(cs.matrix, cs.rhs)
-            else:
-                sol, rank = solve_min_norm_float(cs.matrix, cs.rhs)
-            entry["consistent"] = sol is not None
-            entry["rank"] = rank
-            if sol is not None:
-                return _extract_cov(sol, cs, rank, gamma)
-    raise NoSolutionError(
-        f"no admissible change of variables up to theta degree {degrees[-1]} "
-        f"(system degree {n}; tried {len(attempts)} candidate/degree pairs)",
-        attempts,
-    )
+    if m is None:
+        m = min_degree_bound(n) if n >= 2 else 2
+    a, b = (Fraction(1), Fraction(0)) if system.exact else (1.0, 0.0)
+    j12 = system.jac[0, 1]
+    if j12 == 0 or (not system.exact and abs(j12) < 1e-12):
+        raise NoSolutionError(f"Gamma_1 is singular (j12 = {j12}); no change of variables")
+    cs = assemble_constraints(system, m, gamma_params=(a, b))
+    solve = solve_min_norm_exact if system.exact else solve_min_norm_float
+    sol, rank = solve(cs.matrix, cs.rhs)
+    if sol is None:
+        raise NoSolutionError(
+            f"no change of variables at theta degree {m} (system degree {n}):"
+            f" the constraint system is inconsistent (rank {rank})"
+        )
+    return _extract_cov(sol, cs, rank, gamma_matrix(system.jac, a, b))
 
 
 def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):

@@ -6,11 +6,12 @@ Two subcommands::
     polycycle sweep SYSTEM.json --alphas SPEC [options]
 
 Exit status: 0 when the analysis ran (whatever the verdict, including
-"no change of variables found"), 1 on bad input (unreadable file,
-invalid definition, origin without a complex pair, a value beyond
-the float range, bad flags), 2 on an internal failure.  A sweep
-prints every row, and exits 1 when any row is an ``error`` row, after
-one ``error:`` line per such row on stderr.
+"no change of variables found", which only the float backend can
+report), 1 on bad input (unreadable file, invalid definition, origin
+without a complex pair, a value beyond the float range, a --seed-radius
+that is not positive, 0 included, bad flags), 2 on an internal failure.
+A sweep prints every row, and exits 1 when any row is an ``error`` row,
+after one ``error:`` line per such row on stderr.
 
 Alpha values are passed as strings so exact arithmetic can honor them
 literally: "0.05" means 1/20, and plain fractions like "1/20" work

@@ -177,16 +177,10 @@ def _resolve(source, options):
     """Return (definition or None, system, alpha used)."""
     if isinstance(source, PlanarPolySystem):
         return None, source, options.alpha
-    if isinstance(source, SystemDefinition):
-        defn = source
-    else:
-        defn = load_definition(source)
-    alpha = options.alpha
-    if alpha is None and defn.uses_alpha:
-        alpha = defn.alpha_default
-        if alpha is None:
-            raise ValueError(f"system {defn.name!r} needs alpha and has no default")
-    system = instantiate(defn, alpha, exact=options.exact)
+    defn = source if isinstance(source, SystemDefinition) else load_definition(source)
+    # instantiate falls back to the default alpha, or refuses when there is none
+    system = instantiate(defn, options.alpha, exact=options.exact)
+    alpha = defn.alpha_default if options.alpha is None else options.alpha
     return defn, system, alpha
 
 
@@ -263,10 +257,9 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
     comparison = None
     samples = None
     if options.measure:
-        if pred.exists:
-            seed = options.seed_radius or 0.5 * float(np.max(np.abs(curve[:, 1:])))
-        else:
-            seed = options.seed_radius or 0.25
+        seed = options.seed_radius
+        if seed is None:
+            seed = 0.5 * float(np.max(np.abs(curve[:, 1:]))) if pred.exists else 0.25
         measurement = measure_cycle(system, seed)
         comp = compare(
             pred, curve, measurement, amp_tol=options.amp_tol, period_tol=options.period_tol
@@ -332,18 +325,14 @@ def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[di
         pred_amp = None
         if report.predicted_curve is not None:
             pred_amp = float(np.max(np.abs(report.predicted_curve[:, 1])))
-        meas_amp = report.measurement["amplitude"] if report.measurement else None
-        rel_err = None
-        if pred_amp is not None and meas_amp:
-            rel_err = abs(pred_amp - meas_amp) / abs(meas_amp)
         return {
-            "alpha": float(Fraction(alpha)) if isinstance(alpha, str) else float(alpha),
+            "alpha": report.alpha,
             "tau": report.tau,
             "p3": report.p3,
             "q3": report.q3,
             "predicted_amplitude": pred_amp,
-            "measured_amplitude": meas_amp,
-            "rel_err": rel_err,
+            "measured_amplitude": report.measurement["amplitude"] if report.measurement else None,
+            "rel_err": report.comparison["amplitude_rel_err"] if report.comparison else None,
             "verdict": report.verdict if report.verdict is not None else report.status,
         }
 

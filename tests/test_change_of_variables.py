@@ -1,23 +1,23 @@
-"""Constraint assembly and the search for the polynomial change of variables."""
+"""Constraint assembly and the one solve for the polynomial change of variables."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import polycycle.change_of_variables as cov_mod
 from polycycle.change_of_variables import (
-    GAMMA_CANDIDATES,
     ChangeOfVariables,
     NoSolutionError,
     assemble_constraints,
     counting_identity,
-    gamma_basis,
     gamma_matrix,
     min_degree_bound,
     residual_condition33,
     solve_theta,
 )
-from polycycle.linalg import fraction_rows, rref
+from polycycle.linalg import fraction_rows, rref, solve_min_norm_exact
 from polycycle.monomials import as_fraction_matrix
 from polycycle.polyops import poly_add, poly_eval, poly_scale
 from polycycle.system import build_system, lie_derivative
@@ -42,14 +42,17 @@ def test_counting_identity_values():
 
 def test_gamma_matrix_combines_basis():
     jac = as_fraction_matrix([[Fraction(1, 20), -1], [1, Fraction(1, 20)]])
-    g1, g2 = gamma_basis(jac)
-    assert g1.tolist() == [[1, 0], [Fraction(1, 20), -1]]
-    assert g2.tolist() == [[0, 1], [1, Fraction(1, 20)]]
+    g1 = [[1, 0], [Fraction(1, 20), -1]]
+    g2 = [[0, 1], [1, Fraction(1, 20)]]
+    assert gamma_matrix(jac, Fraction(1), Fraction(0)).tolist() == g1
+    assert gamma_matrix(jac, Fraction(0), Fraction(1)).tolist() == g2
     a, b = Fraction(2), Fraction(-3)
     combo = gamma_matrix(jac, a, b)
-    assert combo.tolist() == (a * g1 + b * g2).tolist()
+    assert combo.tolist() == [[a * x + b * y for x, y in zip(r1, r2)] for r1, r2 in zip(g1, g2)]
     # the first row of Gamma is exactly (a, b)
     assert [combo[0, 0], combo[0, 1]] == [a, b]
+    assert combo.dtype == object
+    assert gamma_matrix(jac.astype(float), 1.0, 0.0).dtype == float
 
 
 def _random_fraction(rng):
@@ -134,18 +137,78 @@ def test_residual_zero_across_corpus(corpus_systems, corpus_covs):
 
 
 def test_degree_two_is_too_low_for_the_cubic(normal_form_system):
-    with pytest.raises(NoSolutionError) as info:
+    with pytest.raises(NoSolutionError, match="inconsistent"):
         solve_theta(normal_form_system, m=2)
-    attempts = info.value.attempts
-    assert len(attempts) == len(GAMMA_CANDIDATES)
-    assert [a["m"] for a in attempts] == [2] * 4
-    assert all(a["consistent"] is False for a in attempts if a["det"] != 0)
-    # each rank comes from the failed solve's own elimination; the Fraction
+    # the failed solve's rank comes from its own elimination; the Fraction
     # RREF of the assembled matrix is the reference
-    for a in attempts:
-        if a["det"] != 0:
-            cs = assemble_constraints(normal_form_system, 2, a["params"])
-            assert a["rank"] == len(rref(fraction_rows(cs.matrix))[1])
+    cs = assemble_constraints(normal_form_system, 2, (Fraction(1), Fraction(0)))
+    sol, rank = solve_min_norm_exact(cs.matrix, cs.rhs)
+    assert sol is None
+    assert rank == len(rref(fraction_rows(cs.matrix))[1])
+
+
+def _counting_calls(monkeypatch, name):
+    calls = []
+    original = getattr(cov_mod, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cov_mod, name, counting)
+    return calls
+
+
+def test_solve_theta_assembles_and_solves_once(monkeypatch, normal_form_system):
+    assembled = _counting_calls(monkeypatch, "assemble_constraints")
+    solved = _counting_calls(monkeypatch, "solve_min_norm_exact")
+    with pytest.raises(NoSolutionError):
+        solve_theta(normal_form_system, m=2)
+    assert (len(assembled), len(solved)) == (1, 1)
+    cov = solve_theta(normal_form_system)
+    assert (len(assembled), len(solved)) == (2, 2)
+    assert assembled[-1][1] == min_degree_bound(3) == cov.m
+
+
+def test_singular_gamma_one_has_no_solution():
+    # j12 = 0 means real eigenvalues, which run_analyze refuses before this
+    phi = [[[1, 0, 0], [0, 0, 1]]]
+    zero = build_system([[0, 0], [1, 0]], phi)
+    tiny = build_system([[0, Fraction(1, 10**13)], [-1, 0]], phi)
+    for system in (zero, zero.to_float(), tiny.to_float()):
+        with pytest.raises(NoSolutionError, match="singular"):
+            solve_theta(system)
+
+
+def _complex_pair_system(rng, n):
+    while True:
+        jac = [[_random_fraction(rng) for _ in range(2)] for _ in range(2)]
+        if (jac[0][0] - jac[1][1]) ** 2 + 4 * jac[0][1] * jac[1][0] < 0:
+            break
+    phi = [
+        [[_random_fraction(rng) for _ in range(k + 1)] for _ in range(2)]
+        for k in range(2, n + 1)
+    ]
+    return build_system(jac, phi)
+
+
+def test_gamma_one_system_is_consistent_from_degree_n():
+    # the reason one solve suffices: from m = n up to the counting bound,
+    # H = (u, f_1(u, v)) solves the system assembled at (a, b) = (1, 0)
+    rng = np.random.default_rng(1618)
+    gamma_one = (Fraction(1), Fraction(0))
+    for n, _ in itertools.product(range(2, 6), range(3)):
+        system = _complex_pair_system(rng, n)
+        for m in range(n, min_degree_bound(n) + 1):
+            cs = assemble_constraints(system, m, gamma_one)
+            trivial = [
+                system.phi_matrix(k)[0, col - 1] if row == 2 and k <= n else 0
+                for _, k, row, col in cs.unknown_layout
+            ]
+            residual = cs.matrix.dot(np.array(trivial, dtype=object)) - cs.rhs
+            assert all(r == 0 for r in residual), (n, m)
+            sol, _ = solve_min_norm_exact(cs.matrix, cs.rhs)
+            assert sol is not None, (n, m)
 
 
 def test_solve_theta_rejects_bad_arguments(normal_form_system):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from polycycle import pipeline
-from polycycle.change_of_variables import assemble_constraints
+from polycycle.change_of_variables import NoSolutionError, assemble_constraints
 from polycycle.cli import _parse_alphas, main
 from polycycle.definition import instantiate, load_definition
 from polycycle.oracle import CYCLE_SAMPLES
@@ -64,6 +64,38 @@ def test_degenerate_family_point_is_solved_once(monkeypatch):
     assert report.verdict == "degenerate"
     assert report.prediction["stability"] == "undetermined"
     assert report.warnings == []
+
+
+def _no_solution(system, m=None):
+    raise NoSolutionError("no change of variables at theta degree 4 (system degree 3)")
+
+
+def test_missing_change_of_variables_is_reported(systems_dir, monkeypatch, capsys):
+    # a float solve can still fail numerically; the analysis reports it
+    monkeypatch.setattr(pipeline, "solve_theta", _no_solution)
+    path = str(systems_dir / "normal_form.json")
+    report = run_analyze(path, AnalysisOptions(exact=False))
+    assert report.status == "no_change_of_variables"
+    assert report.warnings == ["no change of variables at theta degree 4 (system degree 3)"]
+    assert report.m is None and report.prediction is None and report.verdict is None
+    assert "change of variables: none found\n" in report.to_text()
+    assert main(["analyze", path, "--float"]) == 0
+    out = capsys.readouterr().out
+    assert "change of variables: none found" in out
+    assert "warning: no change of variables at theta degree 4" in out
+
+
+def test_zero_seed_radius_is_refused(systems_dir, capsys):
+    # 0 is a given seed radius, not a missing one
+    path = systems_dir / "normal_form.json"
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="seed_radius must be positive"):
+            run_analyze(path, AnalysisOptions(seed_radius=radius))
+    for flag in ("--seed-radius=0", "--seed-radius=-1"):
+        assert main(["analyze", str(path), flag]) == 1
+        assert "seed_radius must be positive" in capsys.readouterr().err
+    report = run_analyze(path, AnalysisOptions(seed_radius=0.2))
+    assert report.verdict == "agreement"
 
 
 def test_analyze_rejects_saddle(tmp_path):
