@@ -9,6 +9,13 @@ and every combined row is divided by its content, so entries stay near
 the size of the minors they encode instead of growing to full
 determinants.  Consistency and rank come out of the same elimination,
 without tolerance, and Fractions are created only for the final values.
+:func:`solve_min_norm_exact` and :func:`rank_exact` take the columns
+with exactly one nonzero first: in a change-of-variables system these
+are the row-2 entries of each Theta_k, half the unknowns, each appearing
+only as a -1 in one equation.  Their rows leave the elimination
+untouched, so it runs on the coupled columns alone and makes less
+fill-in.  :func:`integer_rref` and :func:`nullspace_exact` keep index
+order, since their outputs depend on it.
 :func:`rref` is the plain Fraction Gauss-Jordan; no solver uses it, the
 tests keep it as the reference the integer kernel must reproduce.
 
@@ -20,6 +27,7 @@ space so results are canonical, and both return the rank of A with it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -68,7 +76,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         for i in range(m):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -117,8 +125,9 @@ def _cancel(row: Row, pivot_row: Row, c: int) -> Row:
     return _primitive(out) if out else out
 
 
-def _echelon(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
-    """Row echelon form: the pivot rows in column order and their pivot columns.
+def _echelon(rows: list[Row], order: list[int] | range) -> tuple[list[Row], list[int]]:
+    """Row echelon form over the columns in ``order``: the pivot rows and
+    their pivot columns, both in the order the columns were taken.
 
     The pivot for each column is the sparsest row that has it, which
     keeps fill-in low; the pivot columns do not depend on that choice.
@@ -126,7 +135,7 @@ def _echelon(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
     active = rows
     done: list[Row] = []
     pivots: list[int] = []
-    for c in range(width):
+    for c in order:
         hits = [r for r in active if c in r]
         if not hits:
             continue
@@ -146,8 +155,19 @@ def _echelon(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
     return done, pivots
 
 
+def _singletons_first(rows: list[Row], width: int) -> list[int]:
+    """Columns 0 .. width - 1: those with exactly one nonzero first, then
+    the rest, each group in index order."""
+    count = Counter(k for row in rows for k in row)
+    return sorted(range(width), key=lambda c: count[c] != 1)
+
+
 def _reduce(rows: list[Row], pivots: list[int]) -> None:
-    """Clear the entries above each pivot of an echelon form, in place."""
+    """Clear the entries above each pivot of an echelon form, in place.
+
+    Row i is already zero in ``pivots[:i]``, so clearing from the last
+    pivot back works whatever order the columns were taken in.
+    """
     for i in range(len(rows) - 1, 0, -1):
         c, p = pivots[i], rows[i]
         for j in range(i):
@@ -161,13 +181,14 @@ def integer_rref(matrix) -> tuple[list[Row], list[int]]:
     Row i is zero in every pivot column but ``pivots[i]``; dividing it
     by its entry there gives row i of the rational RREF.
     """
-    rows, pivots = _echelon(_integer_rows(matrix), _width(matrix))
+    rows, pivots = _echelon(_integer_rows(matrix), range(_width(matrix)))
     _reduce(rows, pivots)
     return rows, pivots
 
 
 def rank_exact(matrix) -> int:
-    return len(_echelon(_integer_rows(matrix), _width(matrix))[1])
+    rows = _integer_rows(matrix)
+    return len(_echelon(rows, _singletons_first(rows, _width(matrix)))[1])
 
 
 def nullspace_exact(matrix) -> list[list[Fraction]]:
@@ -191,6 +212,15 @@ def nullspace_exact(matrix) -> list[list[Fraction]]:
 def solve_min_norm_exact(matrix, rhs) -> tuple[list[Fraction] | None, int]:
     """Minimum-norm exact solution of A x = b (None when inconsistent) and rank A.
 
+    The columns of A with one nonzero are eliminated first, then the
+    rest in index order, and b last, so a pivot in b still marks an
+    inconsistent system.  In a change-of-variables system those are the
+    row-2 Theta_k unknowns, each met only by the -1 of its own equation:
+    that row is its pivot row at once and needs no row operation.  The
+    order changes the pivots and the work, not the answer: the
+    minimum-norm solution of a consistent system is unique, and the rank
+    is that of A whatever the order.
+
     Row i of the integer RREF of [A | b] reads p_i x_{c_i} + e_i . x_F =
     beta_i, with x_F the free unknowns.  The norm is least where
     (I + sum_i e_i e_i^T / p_i^2) x_F = sum_i e_i beta_i / p_i^2; scaled
@@ -198,7 +228,8 @@ def solve_min_norm_exact(matrix, rhs) -> tuple[list[Fraction] | None, int]:
     through the same kernel.
     """
     n = _width(matrix)
-    rows, pivots = _echelon(_integer_rows(matrix, rhs), n + 1)
+    rows = _integer_rows(matrix, rhs)
+    rows, pivots = _echelon(rows, [*_singletons_first(rows, n), n])
     if pivots and pivots[-1] == n:
         return None, len(pivots) - 1
     _reduce(rows, pivots)
@@ -230,7 +261,7 @@ def solve_min_norm_exact(matrix, rhs) -> tuple[list[Fraction] | None, int]:
             g = gram[i]
             for j, w in e:
                 g[j] += u * w
-    g_rows, g_pivots = _echelon(_integer_rows(gram, proj), len(free) + 1)
+    g_rows, g_pivots = _echelon(_integer_rows(gram, proj), range(len(free) + 1))
     _reduce(g_rows, g_pivots)
     # x_F = X / q over one common denominator q
     q = math.lcm(*(r[c] for r, c in zip(g_rows, g_pivots)))

@@ -145,7 +145,14 @@ class AnalysisReport:
                 f" period={pred['period']!r}, {pred['stability']}"
             )
         elif pred is not None:
-            lines.append(f"prediction: no limit cycle ({pred['stability']})")
+            # stability is set only when p3 = 0 ("undetermined")
+            if pred["stability"] is not None:
+                reason = pred["stability"]
+            elif self.tau == 0:
+                reason = "tau = 0"
+            else:
+                reason = "sign of tau differs from sign of p3"
+            lines.append(f"prediction: no limit cycle ({reason})")
         if self.measurement is not None:
             meas = self.measurement
             lines.append(

@@ -6,7 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polycycle import linalg
+from polycycle.change_of_variables import assemble_constraints, min_degree_bound
 from polycycle.linalg import (
+    fraction_rows,
     integer_rref,
     nullspace_dim_float,
     nullspace_exact,
@@ -16,6 +19,7 @@ from polycycle.linalg import (
     solve_min_norm_exact,
     solve_min_norm_float,
 )
+from polycycle.system import build_system
 
 
 def _f(rows):
@@ -83,14 +87,20 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _reference_min_norm(a, b):
-    """Minimum-norm solution through Fraction RREF: a particular solution
-    minus its projection on the nullspace (the Gram system solved by RREF
-    too), or None when the RREF of [A | b] has a pivot in column b."""
+def _reference_min_norm(a, b, order=None):
+    """Minimum-norm solution through Fraction RREF, and the rank of A.
+
+    A particular solution minus its projection x_p - N (N^T N)^-1 N^T x_p
+    on the nullspace (the Gram system solved by RREF too), or None when
+    the RREF of [A | b] has a pivot in column b.  The columns are taken
+    in ``order`` (index order by default); the minimum-norm solution does
+    not depend on it, only the work does.
+    """
     n = len(a[0])
-    red, pivots = rref([row + [v] for row, v in zip(a, b)])
+    order = list(range(n)) if order is None else order
+    red, pivots = rref([[row[c] for c in order] + [v] for row, v in zip(a, b)])
     if pivots and pivots[-1] == n:
-        return None
+        return None, len(pivots) - 1
     particular = [Fraction(0)] * n
     for row, c in zip(red, pivots):
         particular[c] = row[n]
@@ -102,11 +112,15 @@ def _reference_min_norm(a, b):
             for row, c in zip(red, pivots):
                 v[c] = -row[f]
             basis.append(v)
-    if not basis:
-        return particular
-    gram = [[_dot(u, v) for v in basis] + [_dot(u, particular)] for u in basis]
-    coeff = [row[-1] for row in rref(gram)[0]]
-    return [p - _dot(coeff, [v[k] for v in basis]) for k, p in enumerate(particular)]
+    x = particular
+    if basis:
+        gram = [[_dot(u, v) for v in basis] + [_dot(u, particular)] for u in basis]
+        coeff = [row[-1] for row in rref(gram)[0]]
+        x = [p - _dot(coeff, [v[k] for v in basis]) for k, p in enumerate(particular)]
+    out = [Fraction(0)] * n
+    for k, c in enumerate(order):
+        out[c] = x[k]
+    return out, len(pivots)
 
 
 def _random_rational(rng, zero_share):
@@ -165,7 +179,7 @@ def test_integer_kernel_matches_fraction_rref():
         assert nullspace_exact(np.array(a, dtype=object)) == basis
         x, rank = solve_min_norm_exact(a, b)
         assert rank == len(pivots)
-        expected = _reference_min_norm(a, b)
+        expected, _ = _reference_min_norm(a, b)
         if expected is None:
             assert x is None
             seen["inconsistent"] += 1
@@ -174,6 +188,105 @@ def test_integer_kernel_matches_fraction_rref():
         seen["full_rank" if rank == min(len(a), n) else "rank_deficient"] += 1
         seen["zero_row"] += any(all(v == 0 for v in row) for row in a)
     assert min(seen.values()) >= 20, seen
+
+
+def _complex_pair_system(rng, n):
+    """A seeded exact system of degree n whose Jacobian has a complex pair."""
+    while True:
+        jac = [[_random_rational(rng, 0.0) for _ in range(2)] for _ in range(2)]
+        if (jac[0][0] - jac[1][1]) ** 2 + 4 * jac[0][1] * jac[1][0] < 0:
+            break
+    phi = [
+        [[_random_rational(rng, 0.2) for _ in range(k + 1)] for _ in range(2)]
+        for k in range(2, n + 1)
+    ]
+    return build_system(jac, phi)
+
+
+def test_min_norm_exact_on_constraint_systems():
+    # the change-of-variables systems at the counting-bound degree; each
+    # row-2 Theta_k entry meets one equation only (its -1), and those are
+    # all the singleton columns
+    rng = random.Random(4242)
+    for n in range(2, 7):
+        system = _complex_pair_system(rng, n)
+        cs = assemble_constraints(system, min_degree_bound(n), (Fraction(1), Fraction(0)))
+        a = fraction_rows(cs.matrix)
+        row_two = [c for c, label in enumerate(cs.unknown_layout) if label[2] == 2]
+        nonzeros = [sum(1 for row in a if row[c] != 0) for c in range(cs.unknown_count)]
+        assert [c for c, count in enumerate(nonzeros) if count == 1] == row_two, n
+        assert all(a[i][c] in (0, -1) for c in row_two for i in range(len(a)))
+        # taking those columns first keeps the Fraction reference fast
+        order = row_two + [c for c in range(cs.unknown_count) if c not in row_two]
+        expected, rank = _reference_min_norm(a, list(cs.rhs), order)
+        assert expected is not None
+        assert solve_min_norm_exact(cs.matrix, cs.rhs) == (expected, rank), n
+        assert rank_exact(cs.matrix) == cs.rank() == rank
+        assert cs.nullspace_dimension() == cs.unknown_count - rank
+
+
+def _planted_singleton_case(rng, inconsistent):
+    """A matrix whose coupled columns are joined, at shuffled positions, by
+    singleton columns (one nonzero each) in rows 3 and up.  Row 1 is a
+    combination of rows 0 and 2, which carry no singleton, so raising b_1
+    leaves a contradiction that no singleton unknown can absorb; it shows
+    only once the coupled columns are eliminated, after every singleton
+    pivot."""
+    rows, coupled = rng.randint(3, 9), rng.randint(2, 9)
+    a = [[_random_rational(rng, 0.4) for _ in range(coupled)] for _ in range(rows)]
+    c0, c2 = _random_rational(rng, 0.0), _random_rational(rng, 0.3)
+    a[1] = [c0 * u + c2 * w for u, w in zip(a[0], a[2])]
+    columns = [list(col) for col in zip(*a)]
+    for i in range(3, rows):
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            col = [Fraction(0)] * rows
+            col[i] = _random_rational(rng, 0.0)
+            columns.append(col)
+    rng.shuffle(columns)
+    a = [list(row) for row in zip(*columns)]
+    x0 = [_random_rational(rng, 0.2) for _ in columns]
+    b = [_dot(row, x0) for row in a]
+    if inconsistent:
+        b[1] += _random_rational(rng, 0.0)
+    return a, b
+
+
+def test_min_norm_exact_with_planted_singleton_columns():
+    rng = random.Random(977)
+    singletons = 0
+    for trial in range(120):
+        inconsistent = trial % 3 == 0
+        a, b = _planted_singleton_case(rng, inconsistent)
+        singletons += sum(1 for col in zip(*a) if sum(1 for v in col if v != 0) == 1)
+        expected, rank = _reference_min_norm(a, b)
+        assert (expected is None) == inconsistent
+        assert solve_min_norm_exact(a, b) == (expected, rank)
+        assert rank_exact(a) == rank
+    assert singletons >= 150, singletons
+
+
+def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
+    # one fixed degree-4 system at its counting bound, m = 7 (63 x 66):
+    # eliminating in column index order takes 1236 row operations, taking
+    # the 33 singleton columns first 504
+    jac = [[Fraction(1, 50), -1], [1, Fraction(1, 50)]]
+    phi = [
+        [[-1, -3, Fraction(3, 2)], [-1, -2, Fraction(-3, 4)]],
+        [[6, 1, Fraction(19, 2), -4], [Fraction(-1, 2), 9, Fraction(-1, 3), 7]],
+        [[Fraction(-2, 3), Fraction(4, 3), -4, -2, -3], [-2, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), 1]],
+    ]
+    cs = assemble_constraints(build_system(jac, phi), 7, (Fraction(1), Fraction(0)))
+    calls = []
+    original = linalg._cancel
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "_cancel", counting)
+    x, rank = solve_min_norm_exact(cs.matrix, cs.rhs)
+    assert x is not None and rank == 54
+    assert 0 < len(calls) < 1236 // 2
 
 
 def test_rank_float_tolerates_noise():

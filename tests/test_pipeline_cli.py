@@ -423,3 +423,38 @@ def test_cli_no_measure_flag(systems_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["measurement"] is None
     assert payload["verdict"] is None
+
+
+QUARTIC = {
+    "name": "quartic",
+    "jac": [[0, 1], [-1, 0]],
+    "phi": [
+        [[0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 1]],
+        [["1", 0, 0, 0, 0], [0, 0, 0, 0, 1]],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "source, alpha, reason",
+    [
+        (QUARTIC, None, "tau = 0"),
+        ("normal_form.json", "-1/100", "sign of tau differs from sign of p3"),
+    ],
+)
+def test_no_cycle_text_names_the_reason(systems_dir, capsys, source, alpha, reason):
+    # p3 != 0 in both, so stability stays null in the JSON report and the
+    # text names why no cycle is predicted instead of printing it
+    if isinstance(source, str):
+        source = str(systems_dir / source)
+    report = run_analyze(source, AnalysisOptions(alpha=alpha, measure=False))
+    assert report.p3 != 0
+    assert report.prediction["exists"] is False
+    assert json.loads(report.to_json())["prediction"]["stability"] is None
+    line = f"prediction: no limit cycle ({reason})\n"
+    assert line in report.to_text()
+    argv = ["analyze", json.dumps(source) if isinstance(source, dict) else source, "--no-measure"]
+    assert main(argv + ([] if alpha is None else ["--alpha", alpha])) == 0
+    out = capsys.readouterr().out
+    assert line in out and "(None)" not in out
