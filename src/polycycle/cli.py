@@ -9,7 +9,8 @@ Exit status: 0 when the analysis ran (whatever the verdict, including
 "no change of variables found", which only the float backend can
 report), 1 on bad input (unreadable file, invalid definition, origin
 without a complex pair, a value beyond the float range, a --seed-radius
-that is not positive, 0 included, bad flags), 2 on an internal failure.
+that is not positive and finite, 0 included, a tolerance that is
+negative or not finite, bad flags), 2 on an internal failure.
 A sweep prints every row, and exits 1 when any row is an ``error`` row,
 after one ``error:`` line per such row on stderr.
 

@@ -4,9 +4,9 @@ A definition file holds the Jacobian and the polynomial blocks of a
 planar field, with entries that are either plain numbers or small
 arithmetic expressions in a parameter ``alpha`` (for example
 ``"alpha"``, ``"2*alpha - 1"``, ``"-1/4"``).  Expressions are parsed
-with :mod:`ast` and evaluated against a whitelist, so a definition
-file can never run code, and a power too large to take is refused
-before it is taken (``MAX_POWER_BITS``).
+with :mod:`ast` and checked against a whitelist, so a definition file
+can never run code, and a power too large to take is refused before it
+is taken (``MAX_POWER_BITS``).
 
 Schema::
 
@@ -18,43 +18,99 @@ Schema::
       "alpha_default": 0.05            optional
     }
 
-In exact mode every number becomes a Fraction: integers directly,
-decimal literals through their string form (so "0.1" means 1/10, not
-the nearest double).
+Each entry is parsed once, by :func:`load_definition`, which checks
+the whitelist and folds every part that does not involve alpha to a
+Fraction.  An error no value of alpha can mend (a division by zero, a
+negative exponent) is refused there; one that depends on alpha
+(``"1/(alpha-1)"`` at alpha = 1) is refused by :func:`instantiate`.
+Entries are evaluated in exact arithmetic only: integers are taken as
+they are, decimal literals through their string form (so "0.1" means
+1/10, not the nearest double), and a float system is the exact one
+rounded once.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .system import PlanarPolySystem, build_system
 
-__all__ = ["SystemDefinition", "load_definition", "instantiate"]
-
-_Entry = int | float | str
+__all__ = ["SystemDefinition", "load_definition", "resolve_alpha", "instantiate"]
 
 # An exact power is refused when its base's bit length times its exponent
 # exceeds this, before it is taken: the cost of a power grows with the
 # size of its result, and no coefficient needs more than a few hundred bits.
 MAX_POWER_BITS = 10_000
 
+_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
 
-def _entry_uses_alpha(entry: _Entry) -> bool:
-    if not isinstance(entry, str):
-        return False
-    tree = ast.parse(entry, mode="eval")
-    return any(isinstance(node, ast.Name) for node in ast.walk(tree))
+# A parsed entry is a Fraction when it does not involve alpha, and
+# otherwise _ALPHA or a triple (operator, left, right) of parsed entries
+# whose alpha-free parts are Fractions.  A minus sign is a product by -1.
+_ALPHA = "alpha"
 
 
-def _eval_entry(entry: _Entry, alpha, exact: bool):
-    """Evaluate one matrix entry.
+def _check_right(op, right: Fraction, src: str) -> None:
+    if op is operator.truediv and right == 0:
+        raise ValueError(f"division by zero in {src!r}")
+    if op is operator.pow and (right.denominator != 1 or right < 0):
+        raise ValueError(f"exponent must be a non-negative integer in {src!r}")
 
-    ``alpha`` is already coerced to the target arithmetic by the
-    caller.  Raises ValueError on anything outside the whitelist.
+
+def _apply(op, left: Fraction, right: Fraction, src: str) -> Fraction:
+    _check_right(op, right, src)
+    if op is operator.pow:
+        bits = max(left.numerator.bit_length(), left.denominator.bit_length())
+        if bits * right > MAX_POWER_BITS:
+            raise ValueError(f"power in {src!r} would exceed {MAX_POWER_BITS} bits")
+        return left ** int(right)
+    return op(left, right)
+
+
+def _combine(op, left, right, src: str):
+    if isinstance(right, Fraction):
+        if isinstance(left, Fraction):
+            return _apply(op, left, right, src)
+        _check_right(op, right, src)  # wrong at every alpha
+    return (op, left, right)
+
+
+def _fold(node, src: str):
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
+            raise ValueError(f"unsupported constant in {src!r}: {node.value!r}")
+        return Fraction(node.value if isinstance(node.value, int) else str(node.value))
+    if isinstance(node, ast.Name):
+        if node.id != "alpha":
+            raise ValueError(f"unknown name {node.id!r} in {src!r}; only 'alpha' is allowed")
+        return _ALPHA
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _fold(node.operand, src)
+        return value if isinstance(node.op, ast.UAdd) else _combine(operator.mul, Fraction(-1), value, src)
+    if isinstance(node, ast.BinOp):
+        left, right = _fold(node.left, src), _fold(node.right, src)
+        if type(node.op) not in _OPERATORS:
+            raise ValueError(f"unsupported operator in {src!r}")
+        return _combine(_OPERATORS[type(node.op)], left, right, src)
+    raise ValueError(f"unsupported syntax in {src!r}")
+
+
+def _parse_entry(entry) -> tuple:
+    """(parsed entry, source text) of one matrix entry.
+
+    Raises ValueError on anything outside the whitelist, and on an
+    error that no value of alpha can mend.
     """
     if isinstance(entry, bool):
         raise ValueError(f"boolean is not a valid entry: {entry!r}")
@@ -67,65 +123,22 @@ def _eval_entry(entry: _Entry, alpha, exact: bool):
         node = ast.Constant(entry)
     else:
         raise ValueError(f"entry must be a number or string, got {type(entry).__name__}")
-    try:
-        return _eval_node(node, str(entry), alpha, exact)
-    except OverflowError:
-        raise ValueError(f"entry {entry!r} overflows a float") from None
+    src = str(entry)
+    return _fold(node, src), src
 
 
-def _leaf_number(value, exact: bool):
-    if not exact:
-        return float(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(str(value))
-
-
-def _eval_node(node, src: str, alpha, exact: bool):
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            raise ValueError(f"unsupported constant in {src!r}: {node.value!r}")
-        return _leaf_number(node.value, exact)
-    if isinstance(node, ast.Name):
-        if node.id != "alpha":
-            raise ValueError(f"unknown name {node.id!r} in {src!r}; only 'alpha' is allowed")
-        if alpha is None:
-            raise ValueError(f"entry {src!r} needs alpha, but no value was given")
+def _evaluate(tree, alpha: Fraction, src: str) -> Fraction:
+    if isinstance(tree, Fraction):
+        return tree
+    if tree is _ALPHA:
         return alpha
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        value = _eval_node(node.operand, src, alpha, exact)
-        return value if isinstance(node.op, ast.UAdd) else -value
-    if isinstance(node, ast.BinOp):
-        left = _eval_node(node.left, src, alpha, exact)
-        right = _eval_node(node.right, src, alpha, exact)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            if right == 0:
-                raise ValueError(f"division by zero in {src!r}")
-            return left / right
-        if isinstance(node.op, ast.Pow):
-            integral = (
-                isinstance(right, (int, Fraction)) and right == int(right)
-            ) or (isinstance(right, float) and right.is_integer())
-            if not integral or right < 0:
-                raise ValueError(f"exponent must be a non-negative integer in {src!r}")
-            if exact:
-                bits = max(left.numerator.bit_length(), left.denominator.bit_length())
-                if bits * int(right) > MAX_POWER_BITS:
-                    raise ValueError(f"power in {src!r} would exceed {MAX_POWER_BITS} bits")
-            return left ** int(right)
-        raise ValueError(f"unsupported operator in {src!r}")
-    raise ValueError(f"unsupported syntax in {src!r}")
+    op, left, right = tree
+    return _apply(op, _evaluate(left, alpha, src), _evaluate(right, alpha, src), src)
 
 
 @dataclass(frozen=True)
 class SystemDefinition:
-    """A parsed definition file, entries kept in raw form."""
+    """A loaded definition; each entry is kept as (parsed entry, source text)."""
 
     name: str
     description: str
@@ -135,10 +148,8 @@ class SystemDefinition:
 
     @property
     def uses_alpha(self) -> bool:
-        entries = [e for row in self.jac for e in row]
-        for block in self.phi:
-            entries.extend(e for row in block for e in row)
-        return any(_entry_uses_alpha(e) for e in entries)
+        rows = [*self.jac, *(row for block in self.phi for row in block)]
+        return any(not isinstance(tree, Fraction) for row in rows for tree, _ in row)
 
 
 def load_definition(source) -> SystemDefinition:
@@ -184,48 +195,58 @@ def load_definition(source) -> SystemDefinition:
     if alpha_default is not None and not isinstance(alpha_default, (int, float)):
         raise ValueError("'alpha_default' must be a number")
 
-    defn = SystemDefinition(
+    def parse(rows):
+        return tuple(tuple(_parse_entry(e) for e in row) for row in rows)
+
+    return SystemDefinition(
         name=name,
         description=raw.get("description", ""),
-        jac=tuple(tuple(row) for row in jac),
-        phi=tuple(tuple(tuple(row) for row in block) for block in phi),
+        jac=parse(jac),
+        phi=tuple(parse(block) for block in phi),
         alpha_default=alpha_default,
     )
-    for entry in [e for row in defn.jac for e in row] + [
-        e for block in defn.phi for row in block for e in row
-    ]:
-        _eval_entry(entry, Fraction(1), True)  # validate syntax eagerly
-    return defn
 
 
-def _coerce_alpha(alpha, exact: bool):
+def resolve_alpha(defn: SystemDefinition, alpha=None) -> Fraction | None:
+    """The exact alpha ``defn`` is instantiated at; None when it has none.
+
+    ``alpha`` falls back to the file's ``alpha_default``.  An int, a
+    Fraction or a numeric string ("1/20", "0.05") is taken exactly, and
+    a float through its decimal literal, so 0.05 means 1/20.  A given
+    alpha is checked even where the definition does not use it.
+    """
     if alpha is None:
-        return None
-    if exact:
-        if isinstance(alpha, (int, Fraction)):
-            return Fraction(alpha)
-        if isinstance(alpha, str):
-            return Fraction(alpha)
-        if isinstance(alpha, float):
-            return Fraction(str(alpha))
-        raise ValueError(f"cannot use {type(alpha).__name__} as an exact alpha")
-    return float(Fraction(alpha) if isinstance(alpha, str) else alpha)
+        if not defn.uses_alpha:
+            return None
+        alpha = defn.alpha_default
+        if alpha is None:
+            raise ValueError(f"system {defn.name!r} needs alpha and has no default")
+    if not isinstance(alpha, (int, Fraction, str, float)):
+        raise ValueError(f"cannot use {type(alpha).__name__} as alpha")
+    try:
+        value = Fraction(str(alpha) if isinstance(alpha, float) else alpha)
+    except ZeroDivisionError:
+        raise ValueError(f"alpha {alpha!r} divides by zero") from None
+    return value if defn.uses_alpha else None
 
 
 def instantiate(defn: SystemDefinition, alpha=None, exact: bool = True) -> PlanarPolySystem:
     """Build the concrete system for one parameter value.
 
-    ``alpha`` may be an int, float, Fraction, or numeric string; it
-    falls back to the file's ``alpha_default``.  Definitions that do
-    not mention alpha ignore it.
+    ``alpha`` is resolved by :func:`resolve_alpha`, and the entries are
+    evaluated exactly at it; with ``exact=False`` the exact system is
+    then rounded to floats, and a coefficient beyond the float range is
+    a ValueError.
     """
-    if alpha is None and defn.uses_alpha:
-        alpha = defn.alpha_default
-        if alpha is None:
-            raise ValueError(f"system {defn.name!r} needs alpha and has no default")
-    value = _coerce_alpha(alpha, exact)
-    jac = [[_eval_entry(e, value, exact) for e in row] for row in defn.jac]
-    phi = tuple(
-        [[_eval_entry(e, value, exact) for e in row] for row in block] for block in defn.phi
-    )
-    return build_system(jac, phi)
+    value = resolve_alpha(defn, alpha)
+
+    def evaluate(rows):
+        return [[_evaluate(tree, value, src) for tree, src in row] for row in rows]
+
+    system = build_system(evaluate(defn.jac), [evaluate(block) for block in defn.phi])
+    if exact:
+        return system
+    try:
+        return system.to_float()
+    except OverflowError:
+        raise ValueError(f"a coefficient of {defn.name!r} overflows a float") from None

@@ -14,8 +14,7 @@ with exactly one nonzero first: in a change-of-variables system these
 are the row-2 entries of each Theta_k, half the unknowns, each appearing
 only as a -1 in one equation.  Their rows leave the elimination
 untouched, so it runs on the coupled columns alone and makes less
-fill-in.  :func:`integer_rref` and :func:`nullspace_exact` keep index
-order, since their outputs depend on it.
+fill-in.
 :func:`rref` is the plain Fraction Gauss-Jordan; no solver uses it, the
 tests keep it as the reference the integer kernel must reproduce.
 
@@ -35,12 +34,9 @@ import numpy as np
 __all__ = [
     "fraction_rows",
     "rref",
-    "integer_rref",
     "rank_exact",
-    "nullspace_exact",
     "solve_min_norm_exact",
     "rank_float",
-    "nullspace_dim_float",
     "solve_min_norm_float",
 ]
 
@@ -175,38 +171,9 @@ def _reduce(rows: list[Row], pivots: list[int]) -> None:
                 rows[j] = _cancel(rows[j], p, c)
 
 
-def integer_rref(matrix) -> tuple[list[Row], list[int]]:
-    """Integer reduced row echelon form and the pivot columns.
-
-    Row i is zero in every pivot column but ``pivots[i]``; dividing it
-    by its entry there gives row i of the rational RREF.
-    """
-    rows, pivots = _echelon(_integer_rows(matrix), range(_width(matrix)))
-    _reduce(rows, pivots)
-    return rows, pivots
-
-
 def rank_exact(matrix) -> int:
     rows = _integer_rows(matrix)
     return len(_echelon(rows, _singletons_first(rows, _width(matrix)))[1])
-
-
-def nullspace_exact(matrix) -> list[list[Fraction]]:
-    """Basis of the kernel, one vector per free column."""
-    n = _width(matrix)
-    rows, pivots = integer_rref(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            if f in row:
-                v[c] = Fraction(-row[f], row[c])
-        basis.append(v)
-    return basis
 
 
 def solve_min_norm_exact(matrix, rhs) -> tuple[list[Fraction] | None, int]:
@@ -282,11 +249,6 @@ def rank_float(matrix) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > SV_REL_TOL * sv[0]))
-
-
-def nullspace_dim_float(matrix) -> int:
-    a = np.asarray(matrix, dtype=float)
-    return a.shape[1] - rank_float(a)
 
 
 def solve_min_norm_float(matrix, rhs):

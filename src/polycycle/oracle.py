@@ -456,8 +456,8 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     TransversalityError
         When the flow is tangent to both candidate sections.
     """
-    if seed_radius <= 0.0:
-        raise ValueError(f"seed_radius must be positive, got {seed_radius}")
+    if not 0.0 < seed_radius < math.inf:
+        raise ValueError(f"seed_radius must be positive and finite, got {seed_radius}")
     flt = system.to_float()
     f = compile_field(flt)
     div = _divergence(flt)
@@ -534,8 +534,12 @@ def compare(
     inconclusive (p3 = 0), ``disagreement`` otherwise.  A neutral
     measurement (``stable`` None) cannot confirm or refute the predicted
     stability, so ``stability_match`` is None and only the amplitude
-    and period decide.  A disagreement is a result, not an error.
+    and period decide.  A disagreement is a result, not an error; a
+    tolerance that is negative or not finite is a ValueError.
     """
+    for name, tol in (("amp_tol", amp_tol), ("period_tol", period_tol)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {tol}")
     pred_amp = None
     pred_period = prediction.period
     if prediction.exists and curve is not None:

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .change_of_variables import (  # noqa: F401
     residual_condition33,
     solve_theta,
 )
-from .definition import SystemDefinition, instantiate, load_definition
+from .definition import SystemDefinition, instantiate, load_definition, resolve_alpha
 from .inversion import invert_to_cubic, trust_radius
 from .oracle import compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
@@ -181,14 +180,15 @@ class AnalysisReport:
 
 
 def _resolve(source, options):
-    """Return (definition or None, system, alpha used)."""
+    """Return (definition or None, system, exact alpha used or None)."""
     if isinstance(source, PlanarPolySystem):
-        return None, source, options.alpha
+        return None, source, None
     defn = source if isinstance(source, SystemDefinition) else load_definition(source)
-    # instantiate falls back to the default alpha, or refuses when there is none
-    system = instantiate(defn, options.alpha, exact=options.exact)
-    alpha = defn.alpha_default if options.alpha is None else options.alpha
-    return defn, system, alpha
+    alpha = resolve_alpha(defn, options.alpha)
+    # rounded here rather than by instantiate(exact=False), so that an
+    # overflow meets run_analyze's handler like every other one
+    system = instantiate(defn, alpha)
+    return defn, system if options.exact else system.to_float(), alpha
 
 
 def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisReport:
@@ -213,9 +213,7 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
 def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
     defn, system, alpha = _resolve(source, options)
     name = defn.name if defn is not None else "<system>"
-    alpha_out = None
-    if alpha is not None and defn is not None and defn.uses_alpha:
-        alpha_out = float(Fraction(alpha) if isinstance(alpha, str) else alpha)
+    alpha_out = None if alpha is None else float(alpha)
 
     hopf = hopf_indicator(system)
     tau, delta = float(hopf.tau), float(hopf.delta)

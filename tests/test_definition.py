@@ -1,13 +1,16 @@
 """JSON system definitions: parsing, validation, instantiation."""
 
+import ast
 import json
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polycycle.definition import instantiate, load_definition
+from polycycle.definition import instantiate, load_definition, resolve_alpha
+from polycycle.pipeline import AnalysisOptions, run_sweep
 
 
 def _minimal(**overrides):
@@ -58,6 +61,7 @@ def test_entry_whitelist():
         "sin(alpha)",
         "2**-1",
         "2**0.5",
+        "alpha**-1",
         "alpha +",
     ]
     for entry in bad_entries:
@@ -148,3 +152,91 @@ def test_bundled_corpus_loads(definitions):
         assert defn.name
         system = instantiate(defn, defn.alpha_default)
         assert system.degree >= 1
+
+
+def test_entry_invalid_only_at_one_alpha_loads():
+    # valid at every alpha but 1, which must not be the one load checks
+    cubic = [["1/(alpha-1)", 0, 0, 0], [0, 0, 0, -1]]
+    defn = load_definition(_minimal(phi=[[[0, 0, 0], [0, 0, 0]], cubic]))
+    exact = instantiate(defn, Fraction(1, 20))
+    assert exact.phi[1][0, 0] == Fraction(-20, 19)
+    assert instantiate(defn, Fraction(1, 20), exact=False).phi[1][0, 0] == float(Fraction(-20, 19))
+    for exact in (True, False):
+        with pytest.raises(ValueError, match="division by zero"):
+            instantiate(defn, 1, exact=exact)
+    # a zero divisor whatever alpha is still fails at load
+    with pytest.raises(ValueError, match="division by zero"):
+        load_definition(_minimal(jac=[["alpha/(2 - 2)", -1], [1, 0]]))
+
+
+def test_entries_are_parsed_once_at_load(systems_dir, monkeypatch):
+    calls = []
+    original = ast.parse
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting)
+    raw = json.loads((systems_dir / "mixed.json").read_text())
+    raw["phi"][1][0][1] = "3/4 - alpha**2"
+    raw["phi"][0][1][2] = "-1/8"
+    strings = [e for rows in [raw["jac"], *raw["phi"]] for row in rows for e in row if isinstance(e, str)]
+    defn = load_definition(raw)
+    assert sorted(calls) == sorted(strings) and len(strings) == 4
+    calls.clear()
+    instantiate(defn, "1/20")
+    instantiate(defn, 0.05, exact=False)
+    run_sweep(defn, ["0.02", "1/30"], AnalysisOptions(measure=False))
+    run_sweep(defn, [0.02], AnalysisOptions(exact=False, measure=False))
+    assert calls == []
+
+
+def _random_entry(rng, depth=0):
+    """A random whitelisted expression in alpha, as source text."""
+    pick = rng.random()
+    if depth > 2 or pick < 0.3:
+        return rng.choice(["alpha", str(rng.randint(-9, 9)), f"{rng.randint(1, 99)}/{rng.randint(1, 13)}", "0.1", "2.5e-3"])
+    left, right = _random_entry(rng, depth + 1), _random_entry(rng, depth + 1)
+    if pick < 0.4:
+        return f"-({left})"
+    if pick < 0.5:
+        return f"({left})**{rng.randint(0, 3)}"
+    op = rng.choice(["+", "-", "*", "/"])
+    return f"({left}) {op} ({right} + 1/7)" if op == "/" else f"({left}) {op} ({right})"
+
+
+def test_float_instantiation_is_the_exact_one_rounded_once(definitions):
+    def rounded(system):
+        return [np.array([[float(x) for x in row] for row in m]) for m in (system.jac, *system.phi)]
+
+    def assert_bitwise(flt, exact):
+        assert [m.tobytes() for m in (flt.jac, *flt.phi)] == [m.tobytes() for m in rounded(exact)]
+
+    for defn in definitions.values():
+        for alpha in (None, "1/30", -0.07, 1e-5):
+            assert_bitwise(instantiate(defn, alpha, exact=False), instantiate(defn, alpha))
+    rng = random.Random(1213)
+    for trial in range(40):
+        degree = rng.randint(2, 4)
+        raw = {
+            "name": f"generic{trial}",
+            "jac": [["alpha", -1], [1, "alpha"]],
+            "phi": [[[_random_entry(rng) for _ in range(k + 1)] for _ in range(2)] for k in range(2, degree + 1)],
+        }
+        defn = load_definition(raw)
+        alpha = rng.choice([Fraction(1, 20), 0.013, "-1/3"])
+        assert_bitwise(instantiate(defn, alpha, exact=False), instantiate(defn, alpha))
+
+
+def test_alpha_rule():
+    defn = load_definition(_minimal())
+    assert resolve_alpha(defn) == Fraction(1, 20)  # the file default, 0.05 as written
+    assert resolve_alpha(defn, 0.1) == Fraction(1, 10)
+    assert resolve_alpha(defn, "-1/30") == Fraction(-1, 30)
+    assert resolve_alpha(defn, 3) == 3
+    free = load_definition({"name": "fixed", "jac": [[0, -1], [1, 0]], "alpha_default": 0.5})
+    assert resolve_alpha(free) is None and resolve_alpha(free, "1/3") is None
+    for bad in ("abc", "1/0", [1]):
+        with pytest.raises(ValueError):
+            resolve_alpha(free, bad)

@@ -10,9 +10,6 @@ from polycycle import linalg
 from polycycle.change_of_variables import assemble_constraints, min_degree_bound
 from polycycle.linalg import (
     fraction_rows,
-    integer_rref,
-    nullspace_dim_float,
-    nullspace_exact,
     rank_exact,
     rank_float,
     rref,
@@ -38,15 +35,6 @@ def test_rank_exact_detects_dependence():
     # floats would call this full rank
     eps = Fraction(1, 10**30)
     assert rank_exact(_f([[1, 1], [1, 1]]) + [[Fraction(1), Fraction(1) + eps]]) == 2
-
-
-def test_nullspace_exact_annihilates():
-    a = _f([[1, 2, 3], [2, 4, 6]])
-    basis = nullspace_exact(a)
-    assert len(basis) == 2
-    for vec in basis:
-        for row in a:
-            assert sum(r * x for r, x in zip(row, vec)) == 0
 
 
 def test_min_norm_exact_unique_case():
@@ -76,7 +64,7 @@ def test_min_norm_exact_matches_least_squares():
         for row, b in zip(a, rhs):
             assert sum(r * v for r, v in zip(row, x)) == b
         # exact minimality: orthogonal to the nullspace
-        for vec in nullspace_exact(a):
+        for vec in _kernel_basis(*rref(a), cols):
             assert sum(u * v for u, v in zip(x, vec)) == 0
         # and numerically equal to the float least-squares answer
         ref = np.linalg.lstsq(a_int.astype(float), rhs_int.astype(float), rcond=None)[0]
@@ -85,6 +73,20 @@ def test_min_norm_exact_matches_least_squares():
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def _kernel_basis(red, pivots, n):
+    """Kernel basis of a matrix with n columns from its RREF, one vector
+    per free column."""
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for row, c in zip(red, pivots):
+                v[c] = -row[f]
+            basis.append(v)
+    return basis
 
 
 def _reference_min_norm(a, b, order=None):
@@ -104,14 +106,7 @@ def _reference_min_norm(a, b, order=None):
     particular = [Fraction(0)] * n
     for row, c in zip(red, pivots):
         particular[c] = row[n]
-    basis = []
-    for f in range(n):
-        if f not in pivots:
-            v = [Fraction(0)] * n
-            v[f] = Fraction(1)
-            for row, c in zip(red, pivots):
-                v[c] = -row[f]
-            basis.append(v)
+    basis = _kernel_basis(red, pivots, n)
     x = particular
     if basis:
         gram = [[_dot(u, v) for v in basis] + [_dot(u, particular)] for u in basis]
@@ -162,21 +157,8 @@ def test_integer_kernel_matches_fraction_rref():
     for _ in range(300):
         a, b = _random_case(rng)
         n = len(a[0])
-        red, pivots = rref(a)
-        rows, int_pivots = integer_rref(a)
-        assert int_pivots == pivots
-        # dividing each integer row by its pivot entry gives the rational RREF
-        scaled = [
-            [Fraction(row.get(k, 0), row[c]) for k in range(n)] for row, c in zip(rows, pivots)
-        ]
-        assert scaled == red[: len(pivots)]
+        _, pivots = rref(a)
         assert rank_exact(a) == len(pivots)
-        free = [f for f in range(n) if f not in pivots]
-        basis = [[Fraction(int(k == f)) for k in range(n)] for f in free]
-        for v, f in zip(basis, free):
-            for row, c in zip(red, pivots):
-                v[c] = -row[f]
-        assert nullspace_exact(np.array(a, dtype=object)) == basis
         x, rank = solve_min_norm_exact(a, b)
         assert rank == len(pivots)
         expected, _ = _reference_min_norm(a, b)
@@ -292,7 +274,6 @@ def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
 def test_rank_float_tolerates_noise():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
     assert rank_float(a) == 1
-    assert nullspace_dim_float(a) == 1
     assert rank_float(np.array([[1.0, 0.0], [0.0, 1.0]])) == 2
 
 

@@ -88,10 +88,10 @@ def test_missing_change_of_variables_is_reported(systems_dir, monkeypatch, capsy
 def test_zero_seed_radius_is_refused(systems_dir, capsys):
     # 0 is a given seed radius, not a missing one
     path = systems_dir / "normal_form.json"
-    for radius in (0.0, -1.0):
+    for radius in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="seed_radius must be positive"):
             run_analyze(path, AnalysisOptions(seed_radius=radius))
-    for flag in ("--seed-radius=0", "--seed-radius=-1"):
+    for flag in ("--seed-radius=0", "--seed-radius=-1", "--seed-radius=nan", "--seed-radius=inf"):
         assert main(["analyze", str(path), flag]) == 1
         assert "seed_radius must be positive" in capsys.readouterr().err
     report = run_analyze(path, AnalysisOptions(seed_radius=0.2))
@@ -367,6 +367,16 @@ def test_cli_input_errors_exit_one(systems_dir, tmp_path, capsys):
     assert main(["sweep", str(systems_dir / "normal_form.json"), "--alphas", "1:2"]) == 1
     assert "error:" in capsys.readouterr().err
 
+    # a tolerance that no measurement can meet, or that every one meets,
+    # is a bad flag, not a silent disagreement
+    path = str(systems_dir / "normal_form.json")
+    for flag in ("--amp-tol=-1", "--amp-tol=nan", "--amp-tol=inf", "--period-tol=-0.1"):
+        assert main(["analyze", path, flag]) == 1
+        assert "must be non-negative and finite" in capsys.readouterr().err
+    for flag in ("--seed-radius=nan", "--seed-radius=inf"):
+        assert main(["analyze", path, flag]) == 1
+        assert "seed_radius must be positive" in capsys.readouterr().err
+
 
 def test_cli_power_errors_exit_one(capsys):
     # a power too large to take, and one that overflows only as a float
@@ -376,6 +386,24 @@ def test_cli_power_errors_exit_one(capsys):
     overflow = json.dumps({"name": "pow", "jac": [["2**1500", -1], [1, 0]]})
     assert main(["analyze", overflow, "--no-measure", "--float"]) == 1
     assert "overflows a float" in capsys.readouterr().err
+
+
+def test_cli_float_entry_overflow_is_an_input_error(capsys):
+    # in float arithmetic 1e308*10 is inf, which used to reach LAPACK
+    overflow = json.dumps({"name": "big", "jac": [["alpha", -1], [1, "alpha"]], "phi": [[[0, 0, 0], [0, 0, 0]], [["1e308*10", 0, 0, 0], [0, 0, 0, -1]]]})
+    assert main(["analyze", overflow, "--float", "--alpha", "1/20"]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and "overflows a float" in line
+    assert captured.out == ""
+
+
+def test_cli_entry_valid_away_from_alpha_one(capsys):
+    family = json.dumps({"name": "pole", "jac": [["alpha", -1], [1, "alpha"]], "phi": [[[0, 0, 0], [0, 0, 0]], [["1/(alpha-1)", 0, 0, 0], [0, 0, 0, -1]]]})
+    assert main(["analyze", family, "--float", "--alpha", "1/20", "--no-measure"]) == 0
+    assert "prediction: limit cycle" in capsys.readouterr().out
+    assert main(["analyze", family, "--alpha", "1", "--no-measure"]) == 1
+    assert "division by zero in '1/(alpha-1)'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
