@@ -17,13 +17,24 @@ so Gamma = a Gamma_1 + b Gamma_2 automatically ties its second row to
 the first row propagated by J.  The remaining unknowns are the Theta
 entries, coupled degree by degree through shift/differentiation
 matrices.
+
+An exact system is worked over the integers with one common
+denominator.  The constraints are assembled from J and phi scaled by
+D, the lcm of their denominators, straight into the sparse integer rows
+that :func:`~polycycle.linalg.solve_min_norm_exact` eliminates; the
+dense Fraction matrix is built only when asked for.  The certificate
+expands D_h H along D_f f in integer polynomials and divides by
+D_h D_f once.  Float systems go through the same assembly with scale 1
+and are solved from the dense matrix by least squares.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -78,13 +89,21 @@ def gamma_matrix(jac: np.ndarray, a, b) -> np.ndarray:
 class ConstraintSystem:
     """Assembled linear system over the change-of-variables unknowns.
 
+    ``rows[i]`` is equation i of ``scale`` * [A | b] as a sparse row
+    {column: entry}, the right-hand side in column ``unknown_count``.
+    An exact system is scaled by the lcm D of its coefficient
+    denominators, so every entry is an int; a float system has scale 1.
+    The dense ``matrix`` and ``rhs`` are built from the rows on first
+    use.
+
     When ``gamma_params`` is None the system is homogeneous with (a, b)
-    as the two leading unknowns; otherwise (a, b) are substituted and
-    ``rhs`` carries the induced inhomogeneity.
+    as the two leading unknowns and ``rhs`` is None; otherwise (a, b)
+    are substituted and ``rhs`` carries the induced inhomogeneity.
     """
 
-    matrix: np.ndarray
-    rhs: np.ndarray | None
+    rows: tuple[dict, ...]
+    scale: int
+    exact: bool
     unknown_layout: tuple
     m: int
     n: int
@@ -92,15 +111,31 @@ class ConstraintSystem:
 
     @property
     def unknown_count(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.unknown_layout)
 
     @property
     def equation_count(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.rows)
+
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray | None]:
+        rows = self.rows
+        if self.exact:
+            rows = [{c: Fraction(v, self.scale) for c, v in row.items()} for row in rows]
+        width = self.unknown_count
+        full = np.zeros((len(rows), width + 1), dtype=object if self.exact else float)
+        for line, row in zip(full, rows):
+            for c, value in row.items():
+                line[c] = value
+        return full[:, :width], None if self.gamma_params is None else full[:, width]
 
     @property
-    def exact(self) -> bool:
-        return self.matrix.dtype == object
+    def matrix(self) -> np.ndarray:
+        return self._dense[0]
+
+    @property
+    def rhs(self) -> np.ndarray | None:
+        return self._dense[1]
 
     def rank(self) -> int:
         if self.equation_count == 0 or self.unknown_count == 0:
@@ -122,6 +157,17 @@ def _theta_layout(m: int) -> list[tuple]:
     return labels
 
 
+def _denominator_lcm(arrays) -> int:
+    return math.lcm(*(x.denominator for arr in arrays for x in arr.flat))
+
+
+def _scaled(arr: np.ndarray, d: int) -> np.ndarray:
+    """d * arr as an object array of ints (d a multiple of every denominator)."""
+    out = np.empty(arr.shape, dtype=object)
+    out.flat[:] = [x.numerator * (d // x.denominator) for x in arr.flat]
+    return out
+
+
 def assemble_constraints(
     system: PlanarPolySystem, m: int, gamma_params: tuple | None = None
 ) -> ConstraintSystem:
@@ -130,7 +176,7 @@ def assemble_constraints(
     Parameters
     ----------
     system : PlanarPolySystem
-        The planar system; its exactness decides the matrix dtype.
+        The planar system; its exactness decides the arithmetic.
     m : int
         Highest Theta degree carried by the candidate change of
         variables (at least 2).
@@ -152,12 +198,22 @@ def assemble_constraints(
 
         (l - c) phi_j[0, i - c] + c phi_j[1, i - c + 1],
 
-    with out-of-range indices counting as zero.
+    with out-of-range indices counting as zero.  Row 2 of Theta_k enters
+    block k as -1 on the diagonal, and the degree-k field block through
+    Gamma's first row (a, b) as a phi_k[0, i] + b phi_k[1, i].
+
+    An exact system is written over the integers: J and the phi_k are
+    scaled once by D, the lcm of their denominators (times that of a and
+    b when pinned), so the couplings are the same combinations of D phi_j,
+    the row-2 entries are -D and the right-hand side is
+    -(a D phi_k[0, i] + b D phi_k[1, i]).  Each row is D times the
+    rational one, so its primitive integer form is the same.
     """
     if m < 2:
         raise ValueError(f"theta degree m must be >= 2, got {m}")
     n = system.degree
     free = gamma_params is None
+    exact = system.exact
 
     theta_cols: dict[tuple, int] = {}
     layout: list[tuple] = []
@@ -166,52 +222,70 @@ def assemble_constraints(
     for label in _theta_layout(m):
         theta_cols[label] = len(layout)
         layout.append(label)
+    width = len(layout)
 
-    n_unknowns = len(layout)
-    k_range = range(2, m + n)
-    n_rows = sum(k + 1 for k in k_range)
-    a_mat = np.zeros((n_rows, n_unknowns), dtype=system.jac.dtype)
-    rhs = None if free else np.zeros(n_rows, dtype=system.jac.dtype)
+    blocks = (system.jac, *system.phi)
+    scale = 1
+    if exact:
+        # pinned (a, b) = (p/q, r/s): D phi_k is a multiple of lcm(q, s),
+        # so a D phi_k = p (D phi_k // q) stays an integer
+        ab_den = 1 if free else math.lcm(*(x.denominator for x in gamma_params))
+        scale = _denominator_lcm(blocks) * ab_den
+        blocks = [_scaled(block, scale) for block in blocks]
+    phi_rows = {j: block.tolist() for j, block in enumerate(blocks, start=1)}
+    # pairs (phi_j[0, s - 1], phi_j[1, s]) for s = 0 .. j + 1, zero out of range
+    shifted = {j: list(zip([0, *u], [*v, 0])) for j, (u, v) in phi_rows.items()}
+    if not free:
+        # right-hand side of block k = 2 .. n: -(a phi_k[0, i] + b phi_k[1, i])
+        field = {k: zip(*phi_rows[k]) for k in range(2, n + 1)}
+        if exact:
+            (pa, qa), (pb, qb) = ((x.numerator, x.denominator) for x in gamma_params)
+            rhs = {k: [-(pa * (u // qa) + pb * (v // qb)) for u, v in uv] for k, uv in field.items()}
+        else:
+            a, b = gamma_params
+            rhs = {k: [-(a * u + b * v) for u, v in uv] for k, uv in field.items()}
 
-    phi_rows = {j: phi.tolist() for j, phi in enumerate((system.jac, *system.phi), start=1)}
-    row0 = 0
-    for k in k_range:
-        height = k + 1
+    rows: list[dict] = []
+    for k in range(2, m + n):
+        # row 2 of Theta_k appears directly, as -1 (times the scale) on
+        # the diagonal of block k
+        if k <= m:
+            c0 = theta_cols[("theta", k, 2, 1)]
+            block_rows = [{c0 + i: -scale} for i in range(k + 1)]
+        else:
+            block_rows = [{} for _ in range(k + 1)]
         # contribution of the degree-k field block through Gamma's first row
         if 2 <= k <= n:
-            phi_k = system.phi_matrix(k)
             if free:
-                for i in range(height):
-                    a_mat[row0 + i, 0] = phi_k[0, i]
-                    a_mat[row0 + i, 1] = phi_k[1, i]
+                for row, u, v in zip(block_rows, *phi_rows[k]):
+                    if u:
+                        row[0] = u
+                    if v:
+                        row[1] = v
             else:
-                a, b = gamma_params
-                for i in range(height):
-                    rhs[row0 + i] = -(a * phi_k[0, i] + b * phi_k[1, i])
+                for row, value in zip(block_rows, rhs[k]):
+                    if value:
+                        row[width] = value
         # derivative couplings: row 1 of each Theta_l with j + l - 1 = k
         for l in range(2, m + 1):
             j = k - l + 1
             if j < 1 or j > n:
                 continue
-            phi_u, phi_v = phi_rows[j]
+            pairs = shifted[j]
             c0 = theta_cols[("theta", l, 1, 1)]
-            for i in range(height):
-                for c in range(max(0, i - j), min(l, i + 1) + 1):
-                    du = (l - c) * phi_u[i - c] if 0 <= i - c <= j else 0
-                    dv = c * phi_v[i - c + 1] if i - c + 1 <= j else 0
-                    value = du + dv
-                    if value != 0:
-                        a_mat[row0 + i, c0 + c] = value
-        # direct appearance of row 2 of Theta_k
-        if k <= m:
-            c0 = theta_cols[("theta", k, 2, 1)]
-            for i in range(height):
-                a_mat[row0 + i, c0 + i] = -1
-        row0 += height
+            for c in range(l + 1):
+                # pairs[s] meets column c in row i = c - 1 + s
+                col, wu = c0 + c, l - c
+                for row, (pu, pv) in zip(block_rows[c - 1 :] if c else block_rows, pairs[0 if c else 1 :]):
+                    value = wu * pu + c * pv
+                    if value:
+                        row[col] = value
+        rows.extend(block_rows)
 
     return ConstraintSystem(
-        matrix=a_mat,
-        rhs=rhs,
+        rows=tuple(rows),
+        scale=scale,
+        exact=exact,
         unknown_layout=tuple(layout),
         m=m,
         n=n,
@@ -265,7 +339,8 @@ class ChangeOfVariables:
         if self.gamma[row - 1, 1] != 0:
             p[(0, 1)] = self.gamma[row - 1, 1]
         for k in sorted(self.thetas):
-            p = poly_add(p, poly_from_lambda_row(k, self.thetas[k][row - 1]))
+            # each block has its own degree, so no exponent is met twice
+            p.update(poly_from_lambda_row(k, self.thetas[k][row - 1]))
         return p
 
     def to_float(self) -> "ChangeOfVariables":
@@ -284,10 +359,13 @@ class NoSolutionError(RuntimeError):
 
 
 def _extract_cov(solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray) -> ChangeOfVariables:
-    thetas = {k: np.zeros((2, k + 1), dtype=gamma.dtype) for k in range(2, cs.m + 1)}
-    for value, label in zip(solution, cs.unknown_layout):
-        _, k, row, col = label
-        thetas[k][row - 1, col - 1] = value
+    # the layout lists the entries of each Theta_k row by row, k = 2 .. m
+    thetas = {}
+    start = 0
+    for k in range(2, cs.m + 1):
+        end = start + 2 * (k + 1)
+        thetas[k] = np.array(solution[start:end], dtype=gamma.dtype).reshape(2, k + 1)
+        start = end
     return ChangeOfVariables(
         gamma_params=cs.gamma_params,
         gamma=gamma,
@@ -330,8 +408,10 @@ def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVaria
     if j12 == 0 or (not system.exact and abs(j12) < 1e-12):
         raise NoSolutionError(f"Gamma_1 is singular (j12 = {j12}); no change of variables")
     cs = assemble_constraints(system, m, gamma_params=(a, b))
-    solve = solve_min_norm_exact if system.exact else solve_min_norm_float
-    sol, rank = solve(cs.matrix, cs.rhs)
+    if system.exact:
+        sol, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
+    else:
+        sol, rank = solve_min_norm_float(cs.matrix, cs.rhs)
     if sol is None:
         raise NoSolutionError(
             f"no change of variables at theta degree {m} (system degree {n}):"
@@ -345,16 +425,33 @@ def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):
 
     Expands d/dt (H(X))_1 - (H(X))_2 along the field as a polynomial in
     the phase variables using plain coefficient arithmetic (no shift
-    matrices) and returns the largest coefficient magnitude.  Exact
-    inputs give an exact (Fraction or int) result, so a correct change
-    of variables certifies to literal zero.
+    matrices, no assembled rows) and returns the largest coefficient
+    magnitude.  Exact inputs are expanded over the integers: with D_h
+    and D_f the lcms of the denominators of H and of the field, the
+    expansion is L_{D_f f}(D_h h1) - D_f D_h h2, and its largest
+    coefficient is divided by D_h D_f once.  The result is exact (a
+    Fraction, or 0), so a correct change of variables certifies to
+    literal zero.
     """
-    if not (cov.exact and system.exact):
+    exact = cov.exact and system.exact
+    if exact:
+        d_h = _denominator_lcm((cov.gamma, *cov.thetas.values()))
+        d_f = _denominator_lcm((system.jac, *system.phi))
+        cov = dataclasses.replace(
+            cov,
+            gamma=_scaled(cov.gamma, d_h),
+            thetas={k: _scaled(t, d_h) for k, t in cov.thetas.items()},
+        )
+        system = PlanarPolySystem(_scaled(system.jac, d_f), tuple(_scaled(p, d_f) for p in system.phi))
+    else:
+        d_h = d_f = 1
         cov, system = cov.to_float(), system.to_float()
-    h1 = cov.component_polynomial(1)
-    h2 = cov.component_polynomial(2)
-    res = poly_add(lie_derivative(h1, system), poly_scale(h2, -1))
-    return poly_max_abs(res)
+    res = poly_add(
+        lie_derivative(cov.component_polynomial(1), system),
+        poly_scale(cov.component_polynomial(2), -d_f),
+    )
+    top = poly_max_abs(res)
+    return Fraction(top, d_h * d_f) if exact and top else top
 
 
 def counting_identity(n: int, m: int) -> tuple[int, int]:

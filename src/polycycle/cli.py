@@ -109,7 +109,10 @@ def _parse_alphas(spec: str):
             raise ValueError(f"grid spec must be start:stop:count, got {spec!r}")
         # Fractions from the literal strings, so "0.01:0.09:5" gives 7/100
         # and not the float drift 0.06999999999999999
-        start, stop = Fraction(parts[0]), Fraction(parts[1])
+        try:
+            start, stop = Fraction(parts[0]), Fraction(parts[1])
+        except ZeroDivisionError:
+            raise ValueError(f"grid endpoint divides by zero in {spec!r}") from None
         count = int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be >= 1, got {count}")

@@ -1,14 +1,18 @@
 """Exact-rational and floating-point linear solvers.
 
-The exact route runs one integer kernel: each row of [A | b] is scaled
-to coprime integers (denominators cleared, content divided out) and
-reduced by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
-22, 1968) on sparse rows.  A row already zero in the pivot column is
-skipped, so the banded structure of the constraint matrices survives,
-and every combined row is divided by its content, so entries stay near
-the size of the minors they encode instead of growing to full
-determinants.  Consistency and rank come out of the same elimination,
-without tolerance, and Fractions are created only for the final values.
+The exact route runs one integer kernel: fraction-free Gauss-Jordan
+elimination (Bareiss, Math. Comp. 22, 1968) on sparse integer rows of
+[A | b], each a {column: int} dict with b in column n (the width of A).
+:func:`solve_min_norm_exact` takes such rows directly, scaled by any
+positive integer (the change-of-variables assembly writes them over one
+common denominator), and divides each by its content first; a dense
+Fraction matrix goes through :func:`_integer_rows`, which clears each
+row's denominators.  A row already zero in the pivot column is skipped,
+so the banded structure of the constraint matrices survives, and every
+combined row is divided by its content, so entries stay near the size
+of the minors they encode instead of growing to full determinants.
+Consistency and rank come out of the same elimination, without
+tolerance, and Fractions are created only for the final values.
 :func:`solve_min_norm_exact` and :func:`rank_exact` take the columns
 with exactly one nonzero first: in a change-of-variables system these
 are the row-2 entries of each Theta_k, half the unknowns, each appearing
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -176,8 +181,13 @@ def rank_exact(matrix) -> int:
     return len(_echelon(rows, _singletons_first(rows, _width(matrix)))[1])
 
 
-def solve_min_norm_exact(matrix, rhs) -> tuple[list[Fraction] | None, int]:
+def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[list[Fraction] | None, int]:
     """Minimum-norm exact solution of A x = b (None when inconsistent) and rank A.
+
+    ``rows`` are the rows of [A | b], A with ``n`` columns, as sparse
+    integer rows with b in column n; each may carry any positive factor
+    and may be empty.  A dense Fraction system goes in as
+    ``_integer_rows(A, b)``.  The rows are not modified.
 
     The columns of A with one nonzero are eliminated first, then the
     rest in index order, and b last, so a pivot in b still marks an
@@ -194,8 +204,7 @@ def solve_min_norm_exact(matrix, rhs) -> tuple[list[Fraction] | None, int]:
     by D^2, D = lcm(p_i), that Gram system has integer entries and goes
     through the same kernel.
     """
-    n = _width(matrix)
-    rows = _integer_rows(matrix, rhs)
+    rows = [_primitive(row) for row in rows if row]
     rows, pivots = _echelon(rows, [*_singletons_first(rows, n), n])
     if pivots and pivots[-1] == n:
         return None, len(pivots) - 1

@@ -1,6 +1,9 @@
 """Constraint assembly and the one solve for the polynomial change of variables."""
 
+import dataclasses
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +20,10 @@ from polycycle.change_of_variables import (
     residual_condition33,
     solve_theta,
 )
+from polycycle import linalg
 from polycycle.linalg import fraction_rows, rref, solve_min_norm_exact
 from polycycle.monomials import as_fraction_matrix
-from polycycle.polyops import poly_add, poly_eval, poly_scale
+from polycycle.polyops import poly_add, poly_eval, poly_max_abs, poly_scale
 from polycycle.system import build_system, lie_derivative
 
 
@@ -72,7 +76,7 @@ def test_assembled_rows_are_the_defining_condition_coefficients():
             ]
             system = build_system(jac, phi)
             for m in (2, 3, 4):
-                for params in (None, (Fraction(1), Fraction(-2))):
+                for params in (None, (Fraction(1), Fraction(-2)), (Fraction(2, 3), Fraction(-5, 4))):
                     cs = assemble_constraints(system, m, params)
                     x = [_random_fraction(rng) for _ in range(cs.unknown_count)]
                     a, b = (x[0], x[1]) if params is None else params
@@ -142,7 +146,7 @@ def test_degree_two_is_too_low_for_the_cubic(normal_form_system):
     # the failed solve's rank comes from its own elimination; the Fraction
     # RREF of the assembled matrix is the reference
     cs = assemble_constraints(normal_form_system, 2, (Fraction(1), Fraction(0)))
-    sol, rank = solve_min_norm_exact(cs.matrix, cs.rhs)
+    sol, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
     assert sol is None
     assert rank == len(rref(fraction_rows(cs.matrix))[1])
 
@@ -207,7 +211,7 @@ def test_gamma_one_system_is_consistent_from_degree_n():
             ]
             residual = cs.matrix.dot(np.array(trivial, dtype=object)) - cs.rhs
             assert all(r == 0 for r in residual), (n, m)
-            sol, _ = solve_min_norm_exact(cs.matrix, cs.rhs)
+            sol, _ = solve_min_norm_exact(cs.rows, cs.unknown_count)
             assert sol is not None, (n, m)
 
 
@@ -240,3 +244,123 @@ def test_theta_zero_fill_and_bounds(normal_form_cov):
     assert all(x == 0 for x in high.reshape(-1))
     with pytest.raises(ValueError):
         normal_form_cov.theta(1)
+
+
+def _fraction_certificate(cov, system):
+    """The certificate expanded in Fractions, the reference for the
+    integer expansion of residual_condition33."""
+    expansion = poly_add(
+        lie_derivative(cov.component_polynomial(1), system),
+        poly_scale(cov.component_polynomial(2), -1),
+    )
+    return poly_max_abs(expansion)
+
+
+def _reference_constraints(system, m):
+    """Dense Fraction A and b of the system pinned at (a, b) = (1, 0),
+    column by column from the polyops expansion of L_f h1 - h2, which is
+    affine in the Theta entries: b is minus its value at Theta = 0, and
+    column c of A its change when entry c is set to 1."""
+    n = system.degree
+    one = (Fraction(1), Fraction(0))
+    gamma = gamma_matrix(system.jac, *one)
+    labels = [
+        ("theta", k, row, col) for k in range(2, m + 1) for row in (1, 2) for col in range(1, k + 2)
+    ]
+
+    def expand(label):
+        thetas = {k: np.zeros((2, k + 1), dtype=object) for k in range(2, m + 1)}
+        if label is not None:
+            _, k, row, col = label
+            thetas[k][row - 1, col - 1] = Fraction(1)
+        cov = ChangeOfVariables(gamma_params=one, gamma=gamma, thetas=thetas)
+        e = poly_add(
+            lie_derivative(cov.component_polynomial(1), system),
+            poly_scale(cov.component_polynomial(2), -1),
+        )
+        return [e.get((k - i, i), 0) for k in range(2, m + n) for i in range(k + 1)]
+
+    base = expand(None)
+    columns = [[x - y for x, y in zip(expand(label), base)] for label in labels]
+    return [list(row) for row in zip(*columns)], [-v for v in base], labels
+
+
+def _mixed_denominator_system(rng, n):
+    """An exact system of degree n whose coefficients have denominators
+    up to 9, so that rows differ in their own lcm, and whose degree-k0
+    block has a zero first row for a drawn k0, so that block's
+    right-hand side is zero."""
+    def entry():
+        return Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 4, 5, 7, 9)))
+
+    jac = [[entry(), entry()], [entry(), entry()]]
+    phi = [[[entry() for _ in range(k + 1)] for _ in range(2)] for k in range(2, n + 1)]
+    k0 = rng.randint(2, n)
+    phi[k0 - 2][0] = [Fraction(0)] * (k0 + 1)
+    return build_system(jac, phi)
+
+
+def test_integer_rows_match_the_fraction_assembly():
+    # the sparse rows scaled by D are, once divided by their content, the
+    # coprime integer rows of a Fraction assembly built independently, row
+    # for row, and they solve to the same minimum-norm solution and rank
+    rng = random.Random(1414)
+    for n in range(2, 7):
+        system = _mixed_denominator_system(rng, n)
+        entries = [system.jac, *system.phi]
+        d = math.lcm(*(x.denominator for block in entries for x in block.flat))
+        zero_rhs = [k for k in range(2, n + 1) if all(x == 0 for x in system.phi_matrix(k)[0])]
+        assert zero_rhs, n
+        for m in range(n, min_degree_bound(n) + 2):
+            cs = assemble_constraints(system, m, (Fraction(1), Fraction(0)))
+            assert cs.exact and cs.scale == d
+            assert all(isinstance(v, int) for row in cs.rows for v in row.values())
+            matrix, rhs, labels = _reference_constraints(system, m)
+            assert list(cs.unknown_layout) == labels
+            assert [list(row) for row in cs.matrix] == matrix and list(cs.rhs) == rhs
+            # D is the lcm over the whole system, not of each row
+            row_lcms = [
+                math.lcm(*(Fraction(x).denominator for x in [*row, b] if x != 0))
+                for row, b in zip(matrix, rhs)
+                if any(row) or b
+            ]
+            assert any(r != d for r in row_lcms), (n, m)
+            reference_rows = linalg._integer_rows(matrix, rhs)
+            assert [linalg._primitive(row) for row in cs.rows if row] == reference_rows, (n, m)
+            w = cs.unknown_count
+            before = [dict(row) for row in cs.rows]
+            assert solve_min_norm_exact(cs.rows, w) == solve_min_norm_exact(reference_rows, w), (n, m)
+            assert list(cs.rows) == before  # the solve leaves its rows as they were
+
+
+def test_integer_certificate_matches_the_fraction_expansion(corpus_systems, corpus_covs):
+    # exact zero on the corpus; and on a change of variables with one
+    # Theta entry off by 1/7 the same nonzero Fraction, so the integer
+    # expansion still catches a wrong H
+    wrong = 0
+    for name, system in corpus_systems.items():
+        cov = corpus_covs[name]
+        assert residual_condition33(cov, system) == _fraction_certificate(cov, system) == 0, name
+        for k, theta in cov.thetas.items():
+            for row, col in ((0, 0), (1, k), (0, k // 2)):
+                bumped = theta.copy()
+                bumped[row, col] += Fraction(1, 7)
+                bad = dataclasses.replace(cov, thetas={**cov.thetas, k: bumped})
+                value = residual_condition33(bad, system)
+                assert isinstance(value, Fraction) and value > 0, (name, k, row, col)
+                assert value == _fraction_certificate(bad, system), (name, k, row, col)
+                wrong += 1
+    assert wrong >= 50, wrong
+
+
+def test_exact_solve_does_not_build_the_dense_matrix(monkeypatch, corpus_systems):
+    def refuse(self):
+        raise AssertionError("dense constraint matrix built")
+
+    monkeypatch.setattr(cov_mod.ConstraintSystem, "_dense", property(refuse))
+    for name, system in corpus_systems.items():
+        cov = solve_theta(system)
+        assert residual_condition33(cov, system) == 0, name
+        # the float solve is the one that reads the dense matrix
+        with pytest.raises(AssertionError, match="dense constraint matrix"):
+            solve_theta(system.to_float())

@@ -23,6 +23,11 @@ def _f(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _solve_dense(a, b):
+    """The exact solve of a dense system, through its coprime integer rows."""
+    return solve_min_norm_exact(linalg._integer_rows(a, b), len(a[0]))
+
+
 def test_rref_known_matrix():
     reduced, pivots = rref(_f([[0, 2, 4], [1, 1, 1]]))
     assert pivots == [0, 1]
@@ -39,14 +44,14 @@ def test_rank_exact_detects_dependence():
 
 def test_min_norm_exact_unique_case():
     a = _f([[2, 0], [0, 4]])
-    x, rank = solve_min_norm_exact(a, [Fraction(6), Fraction(8)])
+    x, rank = _solve_dense(a, [Fraction(6), Fraction(8)])
     assert x == [Fraction(3), Fraction(2)]
     assert rank == 2
 
 
 def test_min_norm_exact_inconsistent_returns_none():
     a = _f([[1, 0], [1, 0]])
-    assert solve_min_norm_exact(a, [Fraction(0), Fraction(1)]) == (None, 1)
+    assert _solve_dense(a, [Fraction(0), Fraction(1)]) == (None, 1)
 
 
 def test_min_norm_exact_matches_least_squares():
@@ -58,7 +63,7 @@ def test_min_norm_exact_matches_least_squares():
         rhs_int = a_int @ x_int  # consistent by construction
         a = _f(a_int.tolist())
         rhs = [Fraction(int(b)) for b in rhs_int]
-        x, _ = solve_min_norm_exact(a, rhs)
+        x, _ = _solve_dense(a, rhs)
         assert x is not None
         # exact consistency
         for row, b in zip(a, rhs):
@@ -159,7 +164,7 @@ def test_integer_kernel_matches_fraction_rref():
         n = len(a[0])
         _, pivots = rref(a)
         assert rank_exact(a) == len(pivots)
-        x, rank = solve_min_norm_exact(a, b)
+        x, rank = _solve_dense(a, b)
         assert rank == len(pivots)
         expected, _ = _reference_min_norm(a, b)
         if expected is None:
@@ -202,7 +207,7 @@ def test_min_norm_exact_on_constraint_systems():
         order = row_two + [c for c in range(cs.unknown_count) if c not in row_two]
         expected, rank = _reference_min_norm(a, list(cs.rhs), order)
         assert expected is not None
-        assert solve_min_norm_exact(cs.matrix, cs.rhs) == (expected, rank), n
+        assert solve_min_norm_exact(cs.rows, cs.unknown_count) == (expected, rank), n
         assert rank_exact(cs.matrix) == cs.rank() == rank
         assert cs.nullspace_dimension() == cs.unknown_count - rank
 
@@ -242,7 +247,7 @@ def test_min_norm_exact_with_planted_singleton_columns():
         singletons += sum(1 for col in zip(*a) if sum(1 for v in col if v != 0) == 1)
         expected, rank = _reference_min_norm(a, b)
         assert (expected is None) == inconsistent
-        assert solve_min_norm_exact(a, b) == (expected, rank)
+        assert _solve_dense(a, b) == (expected, rank)
         assert rank_exact(a) == rank
     assert singletons >= 150, singletons
 
@@ -266,7 +271,7 @@ def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(linalg, "_cancel", counting)
-    x, rank = solve_min_norm_exact(cs.matrix, cs.rhs)
+    x, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
     assert x is not None and rank == 54
     assert 0 < len(calls) < 1236 // 2
 
@@ -282,7 +287,7 @@ def test_min_norm_float_matches_exact():
     a_int = rng.integers(-4, 5, size=(3, 7))
     x_int = rng.integers(-3, 4, size=7)
     rhs_int = a_int @ x_int
-    exact, exact_rank = solve_min_norm_exact(
+    exact, exact_rank = _solve_dense(
         _f(a_int.tolist()), [Fraction(int(b)) for b in rhs_int]
     )
     approx, rank = solve_min_norm_float(a_int.astype(float), rhs_int.astype(float))

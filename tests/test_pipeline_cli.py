@@ -337,6 +337,17 @@ def test_cli_grid_spec(systems_dir, capsys):
     assert lines[1].split(",")[0] == "0.04"
 
 
+@pytest.mark.parametrize("spec", ["1/0:1:2", "0:1/0:2", "-1/0:1/0:3"])
+def test_cli_grid_endpoint_dividing_by_zero_is_an_input_error(systems_dir, capsys, spec):
+    # Fraction("1/0") raises ZeroDivisionError, which used to escape as a
+    # traceback with exit status 2
+    path = str(systems_dir / "normal_form.json")
+    assert main(["sweep", path, "--alphas", spec, "--no-measure"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: grid endpoint divides by zero in {spec!r}"]
+
+
 def test_cli_accepts_negative_parameters(systems_dir, capsys):
     path = str(systems_dir / "reflected_normal_form.json")
     assert main(["analyze", path, "--alpha", "-1/20", "--no-measure", "--json"]) == 0
