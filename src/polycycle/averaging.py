@@ -36,7 +36,7 @@ import numpy as np
 
 from .change_of_variables import ChangeOfVariables
 from .inversion import InverseSeries
-from .monomials import lie_row
+from .monomials import as_array, as_scaled, lie_row
 from .system import PlanarPolySystem
 
 __all__ = [
@@ -67,17 +67,21 @@ def g_coefficients(
     """Quadratic and cubic blocks G2, G3 of the reduced equation.
 
     Assembled from the solved change of variables, its truncated
-    inverse and the original field; exact inputs give exact rows.  The
-    independent check is dynamic: along any trajectory X(t) with
-    z = (H(X))_1, the residual z'' - tau z' + delta z - G2.lambda_2 -
-    G3.lambda_3 must shrink like the fourth power of the amplitude.
+    inverse and the original field.  Exact inputs give exact rows: the
+    blocks are split into integer numerators over one denominator each
+    (:class:`~polycycle.monomials.Scaled`), the rows are formed in
+    integer arithmetic, and only G2 and G3 become Fractions.  Float
+    inputs run the same expressions on float64 arrays.  The independent
+    check is dynamic: along any trajectory X(t) with z = (H(X))_1, the
+    residual z'' - tau z' + delta z - G2.lambda_2 - G3.lambda_3 must
+    shrink like the fourth power of the amplitude.
     """
     if not (system.exact and cov.exact and inv.exact):
         system, cov, inv = system.to_float(), cov.to_float(), inv.to_float()
-    jac, gamma, xi2, xi3 = system.jac, cov.gamma, inv.xi2, inv.xi3
+    jac, phi2, phi3 = (as_scaled(b) for b in (system.jac, system.phi_matrix(2), system.phi_matrix(3)))
+    gamma, theta2, theta3 = (as_scaled(b) for b in (cov.gamma, cov.theta(2), cov.theta(3)))
+    xi2, xi3 = inv.blocks[2], inv.blocks[3]
     p2, p3, r2 = inv.p2_op, inv.p3_op, inv.r2_op
-    phi2, phi3 = system.phi_matrix(2), system.phi_matrix(3)
-    theta2, theta3 = cov.theta(2), cov.theta(3)
 
     # the chain rule on row 2 of Theta_k: d/dt along the linear field,
     # and along the quadratic one for the cubic terms of Theta_2
@@ -91,7 +95,7 @@ def g_coefficients(
         + r2.T @ drift2
         + p3.T @ (drift3 + vel_quad)
     )
-    return GCoefficients(g2=g2, g3=g3)
+    return GCoefficients(g2=as_array(g2), g3=as_array(g3))
 
 
 def p3_q3(g3, delta) -> tuple[float, float]:

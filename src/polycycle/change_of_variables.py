@@ -44,7 +44,7 @@ from .linalg import (
     solve_min_norm_exact,
     solve_min_norm_float,
 )
-from .monomials import eval_poly_map
+from .monomials import denominator_lcm, eval_poly_map, numerators
 from .polyops import poly_add, poly_from_lambda_row, poly_max_abs, poly_scale
 from .system import PlanarPolySystem, lie_derivative
 
@@ -157,17 +157,6 @@ def _theta_layout(m: int) -> list[tuple]:
     return labels
 
 
-def _denominator_lcm(arrays) -> int:
-    return math.lcm(*(x.denominator for arr in arrays for x in arr.flat))
-
-
-def _scaled(arr: np.ndarray, d: int) -> np.ndarray:
-    """d * arr as an object array of ints (d a multiple of every denominator)."""
-    out = np.empty(arr.shape, dtype=object)
-    out.flat[:] = [x.numerator * (d // x.denominator) for x in arr.flat]
-    return out
-
-
 def assemble_constraints(
     system: PlanarPolySystem, m: int, gamma_params: tuple | None = None
 ) -> ConstraintSystem:
@@ -230,8 +219,8 @@ def assemble_constraints(
         # pinned (a, b) = (p/q, r/s): D phi_k is a multiple of lcm(q, s),
         # so a D phi_k = p (D phi_k // q) stays an integer
         ab_den = 1 if free else math.lcm(*(x.denominator for x in gamma_params))
-        scale = _denominator_lcm(blocks) * ab_den
-        blocks = [_scaled(block, scale) for block in blocks]
+        scale = denominator_lcm(blocks) * ab_den
+        blocks = [numerators(block, scale) for block in blocks]
     phi_rows = {j: block.tolist() for j, block in enumerate(blocks, start=1)}
     # pairs (phi_j[0, s - 1], phi_j[1, s]) for s = 0 .. j + 1, zero out of range
     shifted = {j: list(zip([0, *u], [*v, 0])) for j, (u, v) in phi_rows.items()}
@@ -435,14 +424,14 @@ def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):
     """
     exact = cov.exact and system.exact
     if exact:
-        d_h = _denominator_lcm((cov.gamma, *cov.thetas.values()))
-        d_f = _denominator_lcm((system.jac, *system.phi))
+        d_h = denominator_lcm((cov.gamma, *cov.thetas.values()))
+        d_f = denominator_lcm((system.jac, *system.phi))
         cov = dataclasses.replace(
             cov,
-            gamma=_scaled(cov.gamma, d_h),
-            thetas={k: _scaled(t, d_h) for k, t in cov.thetas.items()},
+            gamma=numerators(cov.gamma, d_h),
+            thetas={k: numerators(t, d_h) for k, t in cov.thetas.items()},
         )
-        system = PlanarPolySystem(_scaled(system.jac, d_f), tuple(_scaled(p, d_f) for p in system.phi))
+        system = PlanarPolySystem(numerators(system.jac, d_f), tuple(numerators(p, d_f) for p in system.phi))
     else:
         d_h = d_f = 1
         cov, system = cov.to_float(), system.to_float()

@@ -14,8 +14,15 @@ of lambda_2 evaluated at A Y + B lambda_2(Y),
                                     + R2(A, B) lambda_3(Y) + O(|Y|^4).
 
 Both operators are products of coefficient rows (``np.convolve``, see
-:mod:`polycycle.monomials`), so they take the dtype of A and B: an exact
-Gamma (Fractions) gives an exact series, a float Gamma a float one.
+:mod:`polycycle.monomials`), so they take the dtype of A and B.
+
+An exact series is worked over the integers, each block as integer
+numerators over one denominator (:class:`~polycycle.monomials.Scaled`).
+With Gamma = G / d_Gamma and G integral, Gamma^{-1} is d_Gamma adj(G)
+over det(G); P_k(Gamma^{-1}) is P_k of those numerators over det(G)^k,
+a product multiplies denominators and a sum brings its terms to their
+lcm.  Fractions are made only for the blocks read back as arrays.  A
+float series runs the same expressions on float64 arrays.
 
 Composing H with the truncation leaves a quartic-order defect; the
 empirical trust radius estimates where that defect stays small.  H and
@@ -26,12 +33,12 @@ sends every sample point of every circle through them in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
-from .monomials import as_fraction_matrix, eval_poly_map
+from .monomials import Scaled, as_array, as_scaled, eval_poly_map
 
 __all__ = [
     "InverseSeries",
@@ -57,8 +64,12 @@ def p_operator(k: int, a) -> np.ndarray:
     Satisfies lambda_k(A y) = p_operator(k, A) lambda_k(y) for every y;
     in particular it is multiplicative in A.  Row i is the coefficient
     row of (A y)_1^(k-i) (A y)_2^i, a product of powers of A's rows.
-    Exact for an object array of ints and Fractions, float64 otherwise.
+    Exact for an object array of ints and Fractions, float64 otherwise;
+    for a :class:`~polycycle.monomials.Scaled` A it is P_k of the
+    numerators over den^k, since P_k is homogeneous of degree k.
     """
+    if isinstance(a, Scaled):
+        return Scaled(p_operator(k, a.num), a.den**k)
     if k < 1:
         raise ValueError(f"p_operator needs k >= 1, got {k}")
     mat = np.asarray(a)
@@ -78,8 +89,11 @@ def r2_operator(a, b) -> np.ndarray:
     The rows of lambda_2 are (A y)_1^2, (A y)_1 (A y)_2 and (A y)_2^2;
     adding B lambda_2(y) to A y gives them the cubic parts 2 A_1 B_1,
     A_1 B_2 + A_2 B_1 and 2 A_2 B_2, with A_i and B_i the rows of A and
-    B and each product a product of coefficient rows.
+    B and each product a product of coefficient rows.  Bilinear, so for
+    :class:`~polycycle.monomials.Scaled` blocks the denominators multiply.
     """
+    if isinstance(a, Scaled):
+        return Scaled(r2_operator(a.num, b.num), a.den * b.den)
     mat_a = np.asarray(a)
     mat_b = np.asarray(b)
     if mat_a.shape != (2, 2) or mat_b.shape != (2, 3):
@@ -94,21 +108,35 @@ def r2_operator(a, b) -> np.ndarray:
 class InverseSeries:
     """Truncated inverse X = Gamma^{-1} Y + Xi_2 lambda_2 + Xi_3 lambda_3.
 
-    ``p2_op``, ``p3_op`` and ``r2_op`` are the operators the series was
-    built from, P_2(Gamma^{-1}), P_3(Gamma^{-1}) and R2(Gamma^{-1}, Xi_2);
-    the G rows of the reduced equation reuse them.
+    ``blocks`` maps each degree k = 1, 2, 3 to its coefficient block,
+    Gamma^{-1}, Xi_2 and Xi_3; ``p2_op``, ``p3_op`` and ``r2_op`` are the
+    operators the series was built from, P_2(Gamma^{-1}), P_3(Gamma^{-1})
+    and R2(Gamma^{-1}, Xi_2), which the G rows reuse.  They are
+    :class:`~polycycle.monomials.Scaled` blocks for an exact series and
+    float64 arrays otherwise; ``gamma_inv``, ``xi2`` and ``xi3`` read the
+    first three as arrays, of Fractions when exact (built on each read).
     """
 
-    gamma_inv: np.ndarray
-    xi2: np.ndarray
-    xi3: np.ndarray
-    p2_op: np.ndarray
-    p3_op: np.ndarray
-    r2_op: np.ndarray
+    blocks: dict
+    p2_op: Scaled | np.ndarray
+    p3_op: Scaled | np.ndarray
+    r2_op: Scaled | np.ndarray
 
     @property
     def exact(self) -> bool:
-        return self.gamma_inv.dtype == object
+        return isinstance(self.p2_op, Scaled)
+
+    @property
+    def gamma_inv(self) -> np.ndarray:
+        return as_array(self.blocks[1])
+
+    @property
+    def xi2(self) -> np.ndarray:
+        return as_array(self.blocks[2])
+
+    @property
+    def xi3(self) -> np.ndarray:
+        return as_array(self.blocks[3])
 
     def evaluate(self, point) -> np.ndarray:
         """X at a point Y = (u, v), or at each column of a (2, N) array."""
@@ -117,28 +145,41 @@ class InverseSeries:
     def to_float(self) -> "InverseSeries":
         if not self.exact:
             return self
-        return InverseSeries(*(getattr(self, f.name).astype(float) for f in fields(self)))
+        return InverseSeries(
+            {k: b.to_float() for k, b in self.blocks.items()},
+            self.p2_op.to_float(),
+            self.p3_op.to_float(),
+            self.r2_op.to_float(),
+        )
 
 
-def _inverse2(m: np.ndarray) -> np.ndarray:
+def _adjugate(m: np.ndarray) -> tuple[np.ndarray, object]:
+    """adj(M) and det(M) of a 2 x 2 matrix, so that M^{-1} = adj(M) / det(M)."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if det == 0:
         raise ZeroDivisionError("Gamma is singular; the change of variables cannot be inverted")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype) / det
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype), det
 
 
 def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
     """Series inverse of a solved change of variables through cubic order."""
-    gamma = as_fraction_matrix(cov.gamma) if cov.exact else cov.gamma
-    ginv = _inverse2(gamma)
-    theta2 = cov.theta(2)
-    theta3 = cov.theta(3)
+    gamma = as_scaled(cov.gamma)
+    if cov.exact:
+        # (G / d)^{-1} = d adj(G) / det(G), over a positive denominator
+        adj, det = _adjugate(gamma.num)
+        sign = 1 if det > 0 else -1
+        ginv = Scaled(adj * (sign * gamma.den), sign * det)
+    else:
+        adj, det = _adjugate(gamma)
+        ginv = adj / det
+    theta2 = as_scaled(cov.theta(2))
+    theta3 = as_scaled(cov.theta(3))
     p2 = p_operator(2, ginv)
     p3 = p_operator(3, ginv)
     xi2 = -(ginv @ theta2 @ p2)
     r2 = r2_operator(ginv, xi2)
     xi3 = -(ginv @ (theta2 @ r2 + theta3 @ p3))
-    return InverseSeries(gamma_inv=ginv, xi2=xi2, xi3=xi3, p2_op=p2, p3_op=p3, r2_op=r2)
+    return InverseSeries(blocks={1: ginv, 2: xi2, 3: xi3}, p2_op=p2, p3_op=p3, r2_op=r2)
 
 
 def composition_residual(cov: ChangeOfVariables, inv: InverseSeries, radii) -> list[tuple[float, float]]:

@@ -17,10 +17,20 @@ so powers, compositions with a linear map and derivatives along a field
 keeps the dtype: against an object array of ints and Fractions the
 product stays exact, against float64 it is float64, so one expression
 serves both arithmetics.
+
+The rows may also be integer numerators over a shared denominator.  A
+:class:`Scaled` block holds an exact array as Python ints in an object
+array over one int denominator; matrix products and sums of blocks
+carry the denominators along, so the same expression that runs on
+float64 arrays runs on blocks in integer arithmetic, and a Fraction is
+made only when a block is read back (:func:`as_array`).  The object
+arrays matter: an array of Python ints built without ``dtype=object``
+becomes int64 and wraps silently.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +40,11 @@ __all__ = [
     "eval_poly_map",
     "partial_rows",
     "lie_row",
+    "denominator_lcm",
+    "numerators",
+    "Scaled",
+    "as_scaled",
+    "as_array",
 ]
 
 
@@ -102,8 +117,12 @@ def lie_row(row, block) -> np.ndarray:
     ``block`` of shape 2 x (j + 1); ``row`` has k + 1 entries, k >= 1.
     By the chain rule the derivative is (d_u row) u' + (d_v row) v', and
     each product is a convolution of coefficient rows, so the result is
-    the k + j entries of a row over lambda_(k+j-1).
+    the k + j entries of a row over lambda_(k+j-1).  For :class:`Scaled`
+    blocks it is the row of the numerators over the product of the
+    denominators, since it is bilinear in the row and the field.
     """
+    if isinstance(row, Scaled):
+        return Scaled(lie_row(row.num, block.num), row.den * block.den)
     d_u, d_v = partial_rows(row)
     return np.convolve(d_u, block[0]) + np.convolve(d_v, block[1])
 
@@ -116,4 +135,80 @@ def as_fraction_matrix(a) -> np.ndarray:
     flat_out = out.reshape(-1)
     for i, x in enumerate(flat_in):
         flat_out[i] = x if isinstance(x, Fraction) else Fraction(x)
+    return out
+
+
+def denominator_lcm(arrays) -> int:
+    """Least common multiple of the denominators of ints and Fractions."""
+    return math.lcm(*(x.denominator for arr in arrays for x in arr.flat))
+
+
+def numerators(arr: np.ndarray, d: int) -> np.ndarray:
+    """d * arr as an object array of ints (d a multiple of every denominator)."""
+    out = np.empty(arr.shape, dtype=object)
+    out.flat[:] = [x.numerator * (d // x.denominator) for x in arr.flat]
+    return out
+
+
+def _times(num: np.ndarray, factor: int) -> np.ndarray:
+    return num if factor == 1 else num * factor
+
+
+class Scaled:
+    """An exact array held as integer numerators over one denominator.
+
+    ``num`` is an object array of Python ints and ``den`` a positive int;
+    the array stands for num / den.  A matrix product multiplies the
+    denominators and a sum brings its terms to the lcm of theirs, so an
+    expression of blocks runs in integer arithmetic.  :func:`lie_row`
+    and the operators of :mod:`polycycle.inversion` take blocks too.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: int):
+        self.num = num
+        self.den = den
+
+    @property
+    def T(self) -> "Scaled":
+        return Scaled(self.num.T, self.den)
+
+    def __getitem__(self, index) -> "Scaled":
+        return Scaled(self.num[index], self.den)
+
+    def __neg__(self) -> "Scaled":
+        return Scaled(-self.num, self.den)
+
+    def __matmul__(self, other: "Scaled") -> "Scaled":
+        return Scaled(self.num @ other.num, self.den * other.den)
+
+    def __add__(self, other: "Scaled") -> "Scaled":
+        if self.den == other.den:
+            return Scaled(self.num + other.num, self.den)
+        den = math.lcm(self.den, other.den)
+        return Scaled(_times(self.num, den // self.den) + _times(other.num, den // other.den), den)
+
+    def to_float(self) -> np.ndarray:
+        """The block rounded to float64.  Python's int / int is correctly
+        rounded, so each entry equals float() of its Fraction."""
+        return (self.num / self.den).astype(float)
+
+
+def as_scaled(arr):
+    """An array of ints and Fractions as a :class:`Scaled` block over the
+    lcm of its denominators; a float array is returned as it is."""
+    if arr.dtype != object:
+        return arr
+    den = denominator_lcm((arr,))
+    return Scaled(numerators(arr, den), den)
+
+
+def as_array(block) -> np.ndarray:
+    """A :class:`Scaled` block as an object array of Fractions; a float
+    array is returned as it is."""
+    if not isinstance(block, Scaled):
+        return block
+    out = np.empty(block.num.shape, dtype=object)
+    out.flat[:] = [Fraction(n, block.den) for n in block.num.flat]
     return out

@@ -1,6 +1,7 @@
 """Reduced-equation coefficients, averaged moments, cycle prediction."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,9 @@ from polycycle.averaging import (
     p3_q3,
     predict_cycle,
 )
-from polycycle.change_of_variables import ChangeOfVariables
-from polycycle.inversion import invert_to_cubic
-from polycycle.monomials import as_fraction_matrix
+from polycycle.change_of_variables import ChangeOfVariables, solve_theta
+from polycycle.inversion import invert_to_cubic, p_operator, r2_operator
+from polycycle.monomials import as_array, as_fraction_matrix, lie_row
 from polycycle.system import build_system, hopf_indicator
 
 
@@ -201,3 +202,98 @@ def test_exact_reduction_stays_in_fractions(corpus_systems, corpus_covs):
         blocks = [cov.gamma, *cov.thetas.values(), inv.gamma_inv, inv.xi2, inv.xi3, g.g2, g.g3]
         for block in blocks:
             assert all(type(x) is Fraction for x in block.reshape(-1)), name
+
+
+def _reference_rows(system, cov):
+    """Gamma^{-1}, Xi_2, Xi_3, P_2, P_3, R2, G2 and G3 by the formulas on
+    plain arrays, Fractions or float64: the reference for the library's
+    integer numerators over common denominators."""
+    gamma = as_fraction_matrix(cov.gamma) if cov.exact else cov.gamma
+    det = gamma[0, 0] * gamma[1, 1] - gamma[0, 1] * gamma[1, 0]
+    ginv = np.array([[gamma[1, 1], -gamma[0, 1]], [-gamma[1, 0], gamma[0, 0]]], dtype=gamma.dtype) / det
+    theta2, theta3 = cov.theta(2), cov.theta(3)
+    p2, p3 = p_operator(2, ginv), p_operator(3, ginv)
+    xi2 = -(ginv @ theta2 @ p2)
+    r2 = r2_operator(ginv, xi2)
+    xi3 = -(ginv @ (theta2 @ r2 + theta3 @ p3))
+    jac, phi2, phi3 = system.jac, system.phi_matrix(2), system.phi_matrix(3)
+    drift2, drift3 = lie_row(theta2[1], jac), lie_row(theta3[1], jac)
+    vel_quad = lie_row(theta2[1], phi2)
+    g2 = (gamma @ jac @ xi2 + gamma @ phi2 @ p2)[1, :] + p2.T @ drift2
+    g3 = (
+        (gamma @ jac @ xi3 + gamma @ phi2 @ r2 + gamma @ phi3 @ p3)[1, :]
+        + r2.T @ drift2
+        + p3.T @ (drift3 + vel_quad)
+    )
+    return ginv, xi2, xi3, p2, p3, r2, g2, g3
+
+
+def _library_rows(system, cov):
+    inv = invert_to_cubic(cov)
+    g = g_coefficients(system, cov, inv)
+    ops = (as_array(inv.p2_op), as_array(inv.p3_op), as_array(inv.r2_op))
+    return inv.gamma_inv, inv.xi2, inv.xi3, *ops, g.g2, g.g3
+
+
+def _random_exact_system(rng, n, big=False):
+    """Degree-n system with a non-integer J, j12 not in {0, 1, -1} (so
+    det Gamma_1 = j12 is not a unit) and denominators up to 9; with
+    ``big`` some entries get 30-digit numerators."""
+
+    def entry():
+        num = rng.randint(-9, 9)
+        if big and rng.random() < 0.5:
+            num = rng.choice((-1, 1)) * rng.randint(10**29, 10**30 - 1)
+        return Fraction(num, rng.randint(1, 9))
+
+    while True:
+        jac = [[entry(), entry()], [entry(), entry()]]
+        if jac[0][1] not in (0, 1, -1) and any(x.denominator != 1 for row in jac for x in row):
+            break
+    phi = [[[entry() for _ in range(k + 1)] for _ in range(2)] for k in range(2, n + 1)]
+    return build_system(jac, phi)
+
+
+def test_exact_rows_match_the_fraction_reference(corpus_systems, corpus_covs):
+    # the integer stage equals the Fraction formulas entry for entry, and
+    # the same formulas on float64 give the float stage bit for bit
+    rng = random.Random(2024)
+    cases = [(system, corpus_covs[name]) for name, system in corpus_systems.items()]
+    for i in range(32):
+        system = _random_exact_system(rng, 2 + i % 4)
+        cases.append((system, solve_theta(system)))
+    big = _random_exact_system(rng, 3, big=True)
+    assert max(abs(x.numerator) for x in big.phi[1].flat) >= 10**29
+    cases.append((big, solve_theta(big)))
+    for case, (system, cov) in enumerate(cases):
+        lib, ref = _library_rows(system, cov), _reference_rows(system, cov)
+        for got, want in zip(lib, ref):
+            assert got.dtype == object and got.tolist() == want.tolist(), case
+        system_f, cov_f = system.to_float(), cov.to_float()
+        lib, ref = _library_rows(system_f, cov_f), _reference_rows(system_f, cov_f)
+        for got, want in zip(lib, ref):
+            assert got.dtype == np.float64 and np.array_equal(got, want), case
+
+
+def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
+    # from the solved Theta to G2 and G3 the exact stage runs on integer
+    # numerators; only the Fractions it hands back are constructed
+    system = _random_exact_system(random.Random(4), 4)
+    cov = solve_theta(system)
+    calls = []
+    for name in ("add", "sub", "mul", "truediv"):
+        for dunder in (f"__{name}__", f"__r{name}__"):
+            method = getattr(Fraction, dunder)
+
+            def counted(self, other, _method=method, _dunder=dunder):
+                calls.append(_dunder)
+                return _method(self, other)
+
+            monkeypatch.setattr(Fraction, dunder, counted)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and calls == ["__add__"]
+    calls.clear()
+    inv = invert_to_cubic(cov)
+    g = g_coefficients(system, cov, inv)
+    blocks = [inv.gamma_inv, inv.xi2, inv.xi3, g.g2, g.g3]
+    assert calls == []
+    assert all(type(x) is Fraction for block in blocks for x in block.reshape(-1))
