@@ -1,16 +1,17 @@
 """Exact-rational and floating-point linear solvers.
 
-The exact route runs one integer kernel: fraction-free Gauss-Jordan
-elimination (Bareiss, Math. Comp. 22, 1968) on sparse integer rows of
-[A | b], each a {column: int} dict with b in column n (the width of A).
-:func:`solve_min_norm_exact` takes such rows directly, scaled by any
-positive integer (the change-of-variables assembly writes them over one
-common denominator), and divides each by its content first; a dense
-Fraction matrix goes through :func:`_integer_rows`, which clears each
-row's denominators.  A row already zero in the pivot column is skipped,
-so the banded structure of the constraint matrices survives, and every
-combined row is divided by its content, so entries stay near the size
-of the minors they encode instead of growing to full determinants.
+The exact route runs fraction-free integer elimination (Bareiss, Math.
+Comp. 22, 1968) in two kernels.  The main one is Gauss-Jordan on sparse
+integer rows of [A | b], each a {column: int} dict with b in column n
+(the width of A).  :func:`solve_min_norm_exact` takes such rows
+directly, scaled by any positive integer (the change-of-variables
+assembly writes them over one common denominator), and divides each by
+its content first; a dense Fraction matrix goes through
+:func:`_integer_rows`, which clears each row's denominators.  A row
+already zero in the pivot column is skipped, so the banded structure of
+the constraint matrices survives, and every combined row is divided by
+its content, so entries stay near the size of the minors they encode
+instead of growing to full determinants.
 Consistency and rank come out of the same elimination, without
 tolerance, and Fractions are created only for the final values.
 :func:`solve_min_norm_exact` and :func:`rank_exact` take the columns
@@ -19,8 +20,16 @@ are the row-2 entries of each Theta_k, half the unknowns, each appearing
 only as a -1 in one equation.  Their rows leave the elimination
 untouched, so it runs on the coupled columns alone and makes less
 fill-in.
+The minimum-norm step then solves a Gram system that is dense by
+construction, in the second kernel (:func:`_spd_solve`): Bareiss
+elimination on lists of ints over the upper triangle only.  The Gram
+matrix is symmetric positive definite, so every pivot, a leading
+principal minor, is positive and no pivoting is needed; every entry
+the elimination writes is a minor of the matrix, so each division is
+exact, and so is each of the back substitution over q = det, by
+Cramer's rule.
 :func:`rref` is the plain Fraction Gauss-Jordan; no solver uses it, the
-tests keep it as the reference the integer kernel must reproduce.
+tests keep it as the reference the integer kernels must reproduce.
 
 The float route uses SVD-based rank with a relative threshold and least
 squares.  Both pick the minimum-norm element of the solution affine
@@ -176,6 +185,44 @@ def _reduce(rows: list[Row], pivots: list[int]) -> None:
                 rows[j] = _cancel(rows[j], p, c)
 
 
+def _spd_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
+    """Integers X and q = det(matrix) > 0 with matrix . X = q rhs, for a
+    symmetric positive definite integer matrix; only its upper triangle
+    is read.
+
+    Fraction-free (Bareiss) elimination in the given order: step p sets
+    a_ij = (a_pp a_ij - a_ip a_pj) / (the pivot of step p - 1, or 1),
+    which by Sylvester's identity is the minor of rows 0..p, i and
+    columns 0..p, j, so the division is exact.  Pivot p is the leading
+    principal minor of order p + 1, positive for a positive definite
+    matrix, so no pivot is zero and no row is swapped.  The minors for
+    (i, j) and (j, i) are transposes of each other, so each stage stays
+    symmetric and only the entries with j >= i (and the right-hand side)
+    are updated: row i of ``tri`` holds the entries i .. k - 1 and the
+    right-hand side last.  Back substitution scales by the last pivot
+    q = det(matrix); by Cramer's rule q x_i is the integer determinant
+    with column i replaced by rhs, so each division there is exact too.
+    """
+    k = len(matrix)
+    tri = [[*matrix[i][i:], rhs[i]] for i in range(k)]
+    prev = 1
+    for p in range(k):
+        top = tri[p]
+        piv = top[0]
+        for i in range(p + 1, k):
+            lead = top[i - p:]
+            f = lead[0]
+            tri[i] = [(piv * v - f * w) // prev for v, w in zip(tri[i], lead)]
+        prev = piv
+    q = prev
+    x = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = tri[i]
+        s = q * row[-1] - sum(v * x[j] for j, v in enumerate(row[1:-1], i + 1))
+        x[i] = s // row[0]
+    return x, q
+
+
 def rank_exact(matrix) -> int:
     rows = _integer_rows(matrix)
     return len(_echelon(rows, _singletons_first(rows, _width(matrix)))[1])
@@ -201,8 +248,13 @@ def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[list[Fraction] | 
     Row i of the integer RREF of [A | b] reads p_i x_{c_i} + e_i . x_F =
     beta_i, with x_F the free unknowns.  The norm is least where
     (I + sum_i e_i e_i^T / p_i^2) x_F = sum_i e_i beta_i / p_i^2; scaled
-    by D^2, D = lcm(p_i), that Gram system has integer entries and goes
-    through the same kernel.
+    by D^2, D = lcm(p_i), that Gram system has integer entries.  It is
+    dense and symmetric positive definite (D^2 I plus a sum of outer
+    products), so it needs no pivoting: :func:`_spd_solve` eliminates it
+    fraction-free in the given order, every pivot a positive leading
+    minor and every division exact, and returns x_F = X / q with q its
+    determinant.  The solution is unique, so the Fractions are those any
+    exact elimination would give.
     """
     rows = [_primitive(row) for row in rows if row]
     rows, pivots = _echelon(rows, [*_singletons_first(rows, n), n])
@@ -224,24 +276,23 @@ def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[list[Fraction] | 
     free = [f for f in range(n) if f not in pivot_set]
     slot = {f: i for i, f in enumerate(free)}
     d = math.lcm(*(row[c] for row, c in coupled))
+    # the upper triangle of the Gram matrix, all _spd_solve reads
     gram = [[0] * len(free) for _ in free]
     for i in range(len(free)):
         gram[i][i] = d * d
     proj = [0] * len(free)
     for row, c in coupled:
         s = d // row[c]
-        e = [(slot[k], v * s) for k, v in row.items() if k != c and k != n]
+        e = sorted((slot[k], v * s) for k, v in row.items() if k != c and k != n)
         beta = row.get(n, 0) * s
-        for i, u in e:
+        for t, (i, u) in enumerate(e):
             proj[i] += u * beta
             g = gram[i]
-            for j, w in e:
+            for j, w in e[t:]:
                 g[j] += u * w
-    g_rows, g_pivots = _echelon(_integer_rows(gram, proj), range(len(free) + 1))
-    _reduce(g_rows, g_pivots)
     # x_F = X / q over one common denominator q
-    q = math.lcm(*(r[c] for r, c in zip(g_rows, g_pivots)))
-    free_num = {free[c]: r.get(len(free), 0) * (q // r[c]) for r, c in zip(g_rows, g_pivots)}
+    free_x, q = _spd_solve(gram, proj)
+    free_num = dict(zip(free, free_x))
     for f, value in free_num.items():
         x[f] = Fraction(value, q)
     for row, c in coupled:

@@ -127,17 +127,6 @@ def lie_row(row, block) -> np.ndarray:
     return np.convolve(d_u, block[0]) + np.convolve(d_v, block[1])
 
 
-def as_fraction_matrix(a) -> np.ndarray:
-    """Copy a matrix (or vector) into an object array of Fractions."""
-    arr = np.asarray(a)
-    out = np.empty(arr.shape, dtype=object)
-    flat_in = arr.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i, x in enumerate(flat_in):
-        flat_out[i] = x if isinstance(x, Fraction) else Fraction(x)
-    return out
-
-
 def denominator_lcm(arrays) -> int:
     """Least common multiple of the denominators of ints and Fractions."""
     return math.lcm(*(x.denominator for arr in arrays for x in arr.flat))

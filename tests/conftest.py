@@ -1,12 +1,14 @@
 """Shared fixtures: the bundled system definitions and solved reductions.
 
 Solving the change of variables is the slow part, so solved reductions
-are session-scoped and shared across test modules.
+are session-scoped and shared across test modules.  Test modules import
+the plain helpers below with ``from conftest import ...``.
 """
 
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polycycle import (
@@ -27,6 +29,14 @@ CORPUS = (
     "mixed",
     "linear_center",
 )
+
+
+def as_fraction_matrix(a) -> np.ndarray:
+    """Copy a matrix (or vector) into an object array of Fractions."""
+    arr = np.asarray(a)
+    out = np.empty(arr.shape, dtype=object)
+    out.flat[:] = [x if isinstance(x, Fraction) else Fraction(x) for x in arr.flat]
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import as_fraction_matrix
 from polycycle.averaging import (
     cycle_curve,
     g_coefficients,
@@ -15,7 +16,7 @@ from polycycle.averaging import (
 )
 from polycycle.change_of_variables import ChangeOfVariables, solve_theta
 from polycycle.inversion import invert_to_cubic, p_operator, r2_operator
-from polycycle.monomials import as_array, as_fraction_matrix, lie_row
+from polycycle.monomials import as_array, lie_row
 from polycycle.system import build_system, hopf_indicator
 
 

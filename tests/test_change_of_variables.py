@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import as_fraction_matrix
 import polycycle.change_of_variables as cov_mod
 from polycycle.change_of_variables import (
     ChangeOfVariables,
@@ -22,7 +23,6 @@ from polycycle.change_of_variables import (
 )
 from polycycle import linalg
 from polycycle.linalg import fraction_rows, rref, solve_min_norm_exact
-from polycycle.monomials import as_fraction_matrix
 from polycycle.polyops import poly_add, poly_eval, poly_max_abs, poly_scale
 from polycycle.system import build_system, lie_derivative
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import as_fraction_matrix
 from polycycle.change_of_variables import ChangeOfVariables
 from polycycle.inversion import (
     DIRECTIONS,
@@ -18,7 +19,7 @@ from polycycle.inversion import (
     residual_slope,
     trust_radius,
 )
-from polycycle.monomials import as_fraction_matrix, eval_lambda
+from polycycle.monomials import eval_lambda
 from polycycle.polyops import poly_add, poly_from_lambda_row, poly_mul
 
 

@@ -252,10 +252,62 @@ def test_min_norm_exact_with_planted_singleton_columns():
     assert singletons >= 150, singletons
 
 
+def _spd_case(rng, k):
+    """A Gram-like integer system: d^2 I + sum e e^T over a few integer
+    vectors e, and an integer right-hand side.  Every third case has
+    entries of 40 digits and more."""
+    digits = 22 if k % 3 == 0 else 2
+    d = rng.randint(1, 10**digits)
+    gram = [[d * d if i == j else 0 for j in range(k)] for i in range(k)]
+    for _ in range(rng.randint(0, k + 2)):
+        e = [rng.randint(-(10**digits), 10**digits) if rng.random() < 0.6 else 0 for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                gram[i][j] += e[i] * e[j]
+    rhs = [rng.randint(-(10**(2 * digits)), 10**(2 * digits)) for _ in range(k)]
+    return gram, rhs
+
+
+def _det(matrix):
+    """Determinant by Fraction elimination (the matrix is nonsingular)."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next(i for i in range(c, len(rows)) if rows[i][c] != 0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in rows[c + 1 :]:
+            f = r[c] / rows[c][c]
+            r[c:] = [a - f * b for a, b in zip(r[c:], rows[c][c:])]
+    return det
+
+
+def test_spd_solve_matches_fraction_rref():
+    rng = random.Random(1968)
+    big = 0
+    for trial in range(45):
+        k = trial % 15 + 1
+        gram, rhs = _spd_case(rng, k)
+        big += max(abs(v) for row in gram for v in row) >= 10**40
+        # only the upper triangle may be read
+        upper = [[v if j >= i else None for j, v in enumerate(row)] for i, row in enumerate(gram)]
+        x, q = linalg._spd_solve(upper, rhs)
+        assert all(isinstance(v, int) for v in x)
+        assert q == _det(gram) > 0
+        assert [_dot(row, x) for row in gram] == [q * b for b in rhs]
+        reduced, pivots = rref([[*map(Fraction, row), Fraction(b)] for row, b in zip(gram, rhs)])
+        assert pivots == list(range(k))
+        assert [Fraction(v, q) for v in x] == [row[k] for row in reduced]
+    assert big >= 15, big
+
+
 def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
     # one fixed degree-4 system at its counting bound, m = 7 (63 x 66):
-    # eliminating in column index order takes 1236 row operations, taking
-    # the 33 singleton columns first 504
+    # eliminating in column index order takes 1104 row operations, taking
+    # the 33 singleton columns first 372; the Gram system is solved
+    # densely, outside this kernel
     jac = [[Fraction(1, 50), -1], [1, Fraction(1, 50)]]
     phi = [
         [[-1, -3, Fraction(3, 2)], [-1, -2, Fraction(-3, 4)]],
@@ -263,17 +315,23 @@ def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
         [[Fraction(-2, 3), Fraction(4, 3), -4, -2, -3], [-2, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), 1]],
     ]
     cs = assemble_constraints(build_system(jac, phi), 7, (Fraction(1), Fraction(0)))
-    calls = []
-    original = linalg._cancel
+    calls = {"_cancel": 0, "_echelon": 0}
 
-    def counting(*args):
-        calls.append(None)
-        return original(*args)
+    def counting(name):
+        original = getattr(linalg, name)
 
-    monkeypatch.setattr(linalg, "_cancel", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counting(name))
     x, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
     assert x is not None and rank == 54
-    assert 0 < len(calls) < 1236 // 2
+    assert calls["_echelon"] == 1
+    assert 0 < calls["_cancel"] < 1104 // 2
 
 
 def test_rank_float_tolerates_noise():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polycycle.monomials import as_fraction_matrix, eval_lambda, lie_row
+from conftest import as_fraction_matrix
+from polycycle.monomials import eval_lambda, lie_row
 from polycycle.polyops import poly_from_lambda_row
 from polycycle.system import build_system, lie_derivative
 
