@@ -31,7 +31,6 @@ and are solved from the dense matrix by least squares.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -96,9 +95,9 @@ class ConstraintSystem:
     The dense ``matrix`` and ``rhs`` are built from the rows on first
     use.
 
-    When ``gamma_params`` is None the system is homogeneous with (a, b)
-    as the two leading unknowns and ``rhs`` is None; otherwise (a, b)
-    are substituted and ``rhs`` carries the induced inhomogeneity.
+    A ``free`` system is homogeneous with (a, b) as the two leading
+    unknowns and ``rhs`` is None; otherwise (a, b) = (1, 0), Gamma =
+    Gamma_1, and ``rhs`` carries the induced inhomogeneity.
     """
 
     rows: tuple[dict, ...]
@@ -107,7 +106,7 @@ class ConstraintSystem:
     unknown_layout: tuple
     m: int
     n: int
-    gamma_params: tuple | None
+    free: bool
 
     @property
     def unknown_count(self) -> int:
@@ -127,7 +126,7 @@ class ConstraintSystem:
         for line, row in zip(full, rows):
             for c, value in row.items():
                 line[c] = value
-        return full[:, :width], None if self.gamma_params is None else full[:, width]
+        return full[:, :width], None if self.free else full[:, width]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -138,10 +137,11 @@ class ConstraintSystem:
         return self._dense[1]
 
     def rank(self) -> int:
-        if self.equation_count == 0 or self.unknown_count == 0:
-            return 0
+        """Rank of A; an exact system is eliminated from its own
+        integer rows, without the right-hand-side column."""
         if self.exact:
-            return rank_exact(self.matrix)
+            width = self.unknown_count
+            return rank_exact([{c: v for c, v in row.items() if c < width} for row in self.rows], width)
         return rank_float(self.matrix)
 
     def nullspace_dimension(self) -> int:
@@ -157,9 +157,7 @@ def _theta_layout(m: int) -> list[tuple]:
     return labels
 
 
-def assemble_constraints(
-    system: PlanarPolySystem, m: int, gamma_params: tuple | None = None
-) -> ConstraintSystem:
+def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -> ConstraintSystem:
     """Assemble the degree-by-degree constraints on Gamma and Theta.
 
     Parameters
@@ -169,9 +167,10 @@ def assemble_constraints(
     m : int
         Highest Theta degree carried by the candidate change of
         variables (at least 2).
-    gamma_params : tuple, optional
-        Fixed (a, b).  When omitted the system is left homogeneous in
-        all of (a, b, Theta).
+    free : bool, optional
+        Leave the system homogeneous in all of (a, b, Theta).  By
+        default (a, b) = (1, 0), the Gamma_1 that :func:`solve_theta`
+        solves at.
 
     Returns
     -------
@@ -189,19 +188,19 @@ def assemble_constraints(
 
     with out-of-range indices counting as zero.  Row 2 of Theta_k enters
     block k as -1 on the diagonal, and the degree-k field block through
-    Gamma's first row (a, b) as a phi_k[0, i] + b phi_k[1, i].
+    Gamma's first row (a, b) as a phi_k[0, i] + b phi_k[1, i]: the
+    coefficients of the unknowns a and b in a free system, and the
+    right-hand side -phi_k[0, i] at Gamma_1.
 
     An exact system is written over the integers: J and the phi_k are
-    scaled once by D, the lcm of their denominators (times that of a and
-    b when pinned), so the couplings are the same combinations of D phi_j,
-    the row-2 entries are -D and the right-hand side is
-    -(a D phi_k[0, i] + b D phi_k[1, i]).  Each row is D times the
-    rational one, so its primitive integer form is the same.
+    scaled once by D, the lcm of their denominators, so the couplings are
+    the same combinations of D phi_j, the row-2 entries are -D and the
+    right-hand side is -D phi_k[0, i].  Each row is D times the rational
+    one, so its primitive integer form is the same.
     """
     if m < 2:
         raise ValueError(f"theta degree m must be >= 2, got {m}")
     n = system.degree
-    free = gamma_params is None
     exact = system.exact
 
     theta_cols: dict[tuple, int] = {}
@@ -216,23 +215,11 @@ def assemble_constraints(
     blocks = (system.jac, *system.phi)
     scale = 1
     if exact:
-        # pinned (a, b) = (p/q, r/s): D phi_k is a multiple of lcm(q, s),
-        # so a D phi_k = p (D phi_k // q) stays an integer
-        ab_den = 1 if free else math.lcm(*(x.denominator for x in gamma_params))
-        scale = denominator_lcm(blocks) * ab_den
+        scale = denominator_lcm(blocks)
         blocks = [numerators(block, scale) for block in blocks]
     phi_rows = {j: block.tolist() for j, block in enumerate(blocks, start=1)}
     # pairs (phi_j[0, s - 1], phi_j[1, s]) for s = 0 .. j + 1, zero out of range
     shifted = {j: list(zip([0, *u], [*v, 0])) for j, (u, v) in phi_rows.items()}
-    if not free:
-        # right-hand side of block k = 2 .. n: -(a phi_k[0, i] + b phi_k[1, i])
-        field = {k: zip(*phi_rows[k]) for k in range(2, n + 1)}
-        if exact:
-            (pa, qa), (pb, qb) = ((x.numerator, x.denominator) for x in gamma_params)
-            rhs = {k: [-(pa * (u // qa) + pb * (v // qb)) for u, v in uv] for k, uv in field.items()}
-        else:
-            a, b = gamma_params
-            rhs = {k: [-(a * u + b * v) for u, v in uv] for k, uv in field.items()}
 
     rows: list[dict] = []
     for k in range(2, m + n):
@@ -252,9 +239,9 @@ def assemble_constraints(
                     if v:
                         row[1] = v
             else:
-                for row, value in zip(block_rows, rhs[k]):
-                    if value:
-                        row[width] = value
+                for row, u in zip(block_rows, phi_rows[k][0]):
+                    if u:
+                        row[width] = -u
         # derivative couplings: row 1 of each Theta_l with j + l - 1 = k
         for l in range(2, m + 1):
             j = k - l + 1
@@ -278,7 +265,7 @@ def assemble_constraints(
         unknown_layout=tuple(layout),
         m=m,
         n=n,
-        gamma_params=gamma_params,
+        free=free,
     )
 
 
@@ -286,12 +273,11 @@ def assemble_constraints(
 class ChangeOfVariables:
     """Solved change of variables H(X) = Gamma X + sum Theta_k lambda_k.
 
-    ``equation_count``, ``unknown_count`` and ``rank`` describe the
+    The first row of ``gamma`` is (a, b).  ``equation_count``, ``unknown_count`` and ``rank`` describe the
     linear system over the Theta entries that :func:`solve_theta`
     solved; they are None for a change of variables built directly.
     """
 
-    gamma_params: tuple
     gamma: np.ndarray
     thetas: dict[int, np.ndarray]
     equation_count: int | None = None
@@ -337,7 +323,6 @@ class ChangeOfVariables:
             return self
         return dataclasses.replace(
             self,
-            gamma_params=tuple(float(x) for x in self.gamma_params),
             gamma=self.gamma.astype(float),
             thetas={k: v.astype(float) for k, v in self.thetas.items()},
         )
@@ -356,7 +341,6 @@ def _extract_cov(solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray) -
         thetas[k] = np.array(solution[start:end], dtype=gamma.dtype).reshape(2, k + 1)
         start = end
     return ChangeOfVariables(
-        gamma_params=cs.gamma_params,
         gamma=gamma,
         thetas=thetas,
         equation_count=cs.equation_count,
@@ -396,7 +380,7 @@ def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVaria
     j12 = system.jac[0, 1]
     if j12 == 0 or (not system.exact and abs(j12) < 1e-12):
         raise NoSolutionError(f"Gamma_1 is singular (j12 = {j12}); no change of variables")
-    cs = assemble_constraints(system, m, gamma_params=(a, b))
+    cs = assemble_constraints(system, m)
     if system.exact:
         sol, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
     else:

@@ -192,7 +192,9 @@ def load_definition(source) -> SystemDefinition:
             raise ValueError(f"phi block for degree {k} must be 2 x {k + 1}")
 
     alpha_default = raw.get("alpha_default")
-    if alpha_default is not None and not isinstance(alpha_default, (int, float)):
+    if alpha_default is not None and (
+        isinstance(alpha_default, bool) or not isinstance(alpha_default, (int, float))
+    ):
         raise ValueError("'alpha_default' must be a number")
 
     def parse(rows):
@@ -212,8 +214,9 @@ def resolve_alpha(defn: SystemDefinition, alpha=None) -> Fraction | None:
 
     ``alpha`` falls back to the file's ``alpha_default``.  An int, a
     Fraction or a numeric string ("1/20", "0.05") is taken exactly, and
-    a float through its decimal literal, so 0.05 means 1/20.  A given
-    alpha is checked even where the definition does not use it.
+    a float through its decimal literal, so 0.05 means 1/20; a boolean
+    is refused.  A given alpha is checked even where the definition does
+    not use it.
     """
     if alpha is None:
         if not defn.uses_alpha:
@@ -221,7 +224,7 @@ def resolve_alpha(defn: SystemDefinition, alpha=None) -> Fraction | None:
         alpha = defn.alpha_default
         if alpha is None:
             raise ValueError(f"system {defn.name!r} needs alpha and has no default")
-    if not isinstance(alpha, (int, Fraction, str, float)):
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction, str, float)):
         raise ValueError(f"cannot use {type(alpha).__name__} as alpha")
     try:
         value = Fraction(str(alpha) if isinstance(alpha, float) else alpha)
@@ -230,23 +233,16 @@ def resolve_alpha(defn: SystemDefinition, alpha=None) -> Fraction | None:
     return value if defn.uses_alpha else None
 
 
-def instantiate(defn: SystemDefinition, alpha=None, exact: bool = True) -> PlanarPolySystem:
-    """Build the concrete system for one parameter value.
+def instantiate(defn: SystemDefinition, alpha=None) -> PlanarPolySystem:
+    """Build the exact system for one parameter value.
 
     ``alpha`` is resolved by :func:`resolve_alpha`, and the entries are
-    evaluated exactly at it; with ``exact=False`` the exact system is
-    then rounded to floats, and a coefficient beyond the float range is
-    a ValueError.
+    evaluated exactly at it.  The float system is this one rounded once,
+    ``instantiate(defn, alpha).to_float()``.
     """
     value = resolve_alpha(defn, alpha)
 
     def evaluate(rows):
         return [[_evaluate(tree, value, src) for tree, src in row] for row in rows]
 
-    system = build_system(evaluate(defn.jac), [evaluate(block) for block in defn.phi])
-    if exact:
-        return system
-    try:
-        return system.to_float()
-    except OverflowError:
-        raise ValueError(f"a coefficient of {defn.name!r} overflows a float") from None
+    return build_system(evaluate(defn.jac), [evaluate(block) for block in defn.phi])

@@ -6,12 +6,12 @@ integer rows of [A | b], each a {column: int} dict with b in column n
 (the width of A).  :func:`solve_min_norm_exact` takes such rows
 directly, scaled by any positive integer (the change-of-variables
 assembly writes them over one common denominator), and divides each by
-its content first; a dense Fraction matrix goes through
-:func:`_integer_rows`, which clears each row's denominators.  A row
-already zero in the pivot column is skipped, so the banded structure of
-the constraint matrices survives, and every combined row is divided by
-its content, so entries stay near the size of the minors they encode
-instead of growing to full determinants.
+its content first; :func:`rank_exact` takes the rows of A the same
+way.  No kernel takes a dense Fraction matrix.  A row already zero in
+the pivot column is skipped, so the banded structure of the constraint
+matrices survives, and every combined row is divided by its content,
+so entries stay near the size of the minors they encode instead of
+growing to full determinants.
 Consistency and rank come out of the same elimination, without
 tolerance, and Fractions are created only for the final values.
 :func:`solve_min_norm_exact` and :func:`rank_exact` take the columns
@@ -46,7 +46,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "fraction_rows",
     "rref",
     "rank_exact",
     "solve_min_norm_exact",
@@ -60,11 +59,6 @@ CONSISTENCY_TOL = 1e-9
 
 # A sparse integer row: column index -> nonzero entry.
 Row = dict[int, int]
-
-
-def fraction_rows(matrix) -> list[list[Fraction]]:
-    arr = np.asarray(matrix, dtype=object)
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in arr]
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -92,33 +86,12 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def _width(matrix) -> int:
-    return len(matrix[0]) if len(matrix) else 0
-
-
 def _primitive(row: Row) -> Row:
     """The row divided by the gcd of its entries."""
     g = math.gcd(*row.values())
     if g == 1:
         return row
     return {k: v // g for k, v in row.items()}
-
-
-def _integer_rows(matrix, rhs=None) -> list[Row]:
-    """Rows of A (or of [A | b]) as coprime integer rows; zero rows dropped."""
-    out = []
-    for i, row in enumerate(matrix):
-        entries = list(row) if rhs is None else [*row, rhs[i]]
-        frac = {
-            k: x if isinstance(x, (int, Fraction)) else Fraction(x)
-            for k, x in enumerate(entries)
-            if x != 0
-        }
-        if frac:
-            den = math.lcm(*(x.denominator for x in frac.values()))
-            scaled = {k: x.numerator * (den // x.denominator) for k, x in frac.items()}
-            out.append(_primitive(scaled))
-    return out
 
 
 def _cancel(row: Row, pivot_row: Row, c: int) -> Row:
@@ -223,9 +196,16 @@ def _spd_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int]
     return x, q
 
 
-def rank_exact(matrix) -> int:
-    rows = _integer_rows(matrix)
-    return len(_echelon(rows, _singletons_first(rows, _width(matrix)))[1])
+def rank_exact(rows: Sequence[Row], n: int) -> int:
+    """Rank of the matrix A with ``n`` columns whose rows are ``rows``.
+
+    The rows are sparse integer rows as :func:`solve_min_norm_exact`
+    takes them, without a right-hand side: each may carry any positive
+    factor and may be empty, and none is modified.  The columns with one
+    nonzero are eliminated first, as there.
+    """
+    rows = [_primitive(row) for row in rows if row]
+    return len(_echelon(rows, _singletons_first(rows, n))[1])
 
 
 def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[list[Fraction] | None, int]:
@@ -233,8 +213,7 @@ def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[list[Fraction] | 
 
     ``rows`` are the rows of [A | b], A with ``n`` columns, as sparse
     integer rows with b in column n; each may carry any positive factor
-    and may be empty.  A dense Fraction system goes in as
-    ``_integer_rows(A, b)``.  The rows are not modified.
+    and may be empty.  The rows are not modified.
 
     The columns of A with one nonzero are eliminated first, then the
     rest in index order, and b last, so a pivot in b still marks an

@@ -185,8 +185,8 @@ def _resolve(source, options):
         return None, source, None
     defn = source if isinstance(source, SystemDefinition) else load_definition(source)
     alpha = resolve_alpha(defn, options.alpha)
-    # rounded here rather than by instantiate(exact=False), so that an
-    # overflow meets run_analyze's handler like every other one
+    # the one place a definition's system is rounded: an overflow here
+    # meets run_analyze's handler like every other one
     system = instantiate(defn, alpha)
     return defn, system if options.exact else system.to_float(), alpha
 
@@ -285,7 +285,7 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
     return AnalysisReport(
         status="ok",
         m=cov.m,
-        gamma_params=tuple(int(c) for c in cov.gamma_params),
+        gamma_params=tuple(int(c) for c in cov.gamma[0]),
         unknown_count=cov.unknown_count,
         equation_count=cov.equation_count,
         nullspace_dim=cov.unknown_count - cov.rank,

@@ -5,6 +5,7 @@ are session-scoped and shared across test modules.  Test modules import
 the plain helpers below with ``from conftest import ...``.
 """
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from polycycle import (
     load_definition,
     solve_theta,
 )
+from polycycle.linalg import _primitive
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
 
@@ -29,6 +31,23 @@ CORPUS = (
     "mixed",
     "linear_center",
 )
+
+
+def _integer_rows(matrix, rhs=None) -> list[dict]:
+    """Rows of A (or of [A | b]) as coprime integer rows; zero rows dropped."""
+    out = []
+    for i, row in enumerate(matrix):
+        entries = list(row) if rhs is None else [*row, rhs[i]]
+        frac = {
+            k: x if isinstance(x, (int, Fraction)) else Fraction(x)
+            for k, x in enumerate(entries)
+            if x != 0
+        }
+        if frac:
+            den = math.lcm(*(x.denominator for x in frac.values()))
+            scaled = {k: x.numerator * (den // x.denominator) for k, x in frac.items()}
+            out.append(_primitive(scaled))
+    return out
 
 
 def as_fraction_matrix(a) -> np.ndarray:
@@ -54,13 +73,13 @@ def corpus_systems(definitions):
     """Exact instance of every bundled system at its default parameter."""
     out = {}
     for name, defn in definitions.items():
-        out[name] = instantiate(defn, defn.alpha_default, exact=True)
+        out[name] = instantiate(defn, defn.alpha_default)
     return out
 
 
 @pytest.fixture(scope="session")
 def normal_form_system(definitions):
-    return instantiate(definitions["normal_form"], Fraction(1, 20), exact=True)
+    return instantiate(definitions["normal_form"], Fraction(1, 20))
 
 
 @pytest.fixture(scope="session")

@@ -76,7 +76,7 @@ def test_criterion_2_variant_discrimination(systems_dir):
     measured = report.measurement["amplitude"]
 
     defn = load_definition(path)
-    system = instantiate(defn, defn.alpha_default, exact=True)
+    system = instantiate(defn, defn.alpha_default)
     cov = solve_theta(system)
     g = g_coefficients(system, cov, invert_to_cubic(cov))
     hopf = hopf_indicator(system)
@@ -145,7 +145,7 @@ def test_criterion_4_counting_identity_and_solvability():
     for n in range(2, 7):
         system = _degree_n_system(n)
         for m in range(2, 9):
-            cs = assemble_constraints(system, m, None)
+            cs = assemble_constraints(system, m, free=True)
             unknowns, equations = counting_identity(n, m)
             assert cs.unknown_count == unknowns == m * m + 3 * m - 2, (n, m)
             assert (
@@ -157,7 +157,7 @@ def test_criterion_4_counting_identity_and_solvability():
     nullspace_at_bound = {}
     for n in range(2, 7):
         m = min_degree_bound(n)
-        cs = assemble_constraints(_degree_n_system(n), m, None)
+        cs = assemble_constraints(_degree_n_system(n), m, free=True)
         nullspace_at_bound[n] = cs.nullspace_dimension()
     ok = checked == 35 and all(d >= 1 for d in nullspace_at_bound.values())
     _line(

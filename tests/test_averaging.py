@@ -112,7 +112,7 @@ def test_g_rows_vanish_for_linear_triangular_change(normal_form_system):
     # Theta = 0 and phi = 0 leave nothing to feed the nonlinear rows
     system = build_system(normal_form_system.jac)
     eye = as_fraction_matrix([[1, 0], [0, 1]])
-    cov = ChangeOfVariables(gamma_params=(Fraction(1), Fraction(0)), gamma=eye, thetas={})
+    cov = ChangeOfVariables(gamma=eye, thetas={})
     g = g_coefficients(system, cov, invert_to_cubic(cov))
     assert all(x == 0 for x in g.g2)
     assert all(x == 0 for x in g.g3)
@@ -124,7 +124,7 @@ def test_g2_reduces_to_field_row_for_identity_gamma():
     phi2 = [[1, 2, 3], [4, 5, 6]]
     system = build_system(jac, [phi2])
     eye = as_fraction_matrix([[1, 0], [0, 1]])
-    cov = ChangeOfVariables(gamma_params=(Fraction(1), Fraction(0)), gamma=eye, thetas={})
+    cov = ChangeOfVariables(gamma=eye, thetas={})
     g = g_coefficients(system, cov, invert_to_cubic(cov))
     assert list(g.g2) == [Fraction(4), Fraction(5), Fraction(6)]
     assert all(x == 0 for x in g.g3)

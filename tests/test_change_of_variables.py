@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import as_fraction_matrix
+from conftest import _integer_rows, as_fraction_matrix
 import polycycle.change_of_variables as cov_mod
 from polycycle.change_of_variables import (
     ChangeOfVariables,
@@ -22,7 +22,7 @@ from polycycle.change_of_variables import (
     solve_theta,
 )
 from polycycle import linalg
-from polycycle.linalg import fraction_rows, rref, solve_min_norm_exact
+from polycycle.linalg import rref, solve_min_norm_exact
 from polycycle.polyops import poly_add, poly_eval, poly_max_abs, poly_scale
 from polycycle.system import build_system, lie_derivative
 
@@ -76,18 +76,16 @@ def test_assembled_rows_are_the_defining_condition_coefficients():
             ]
             system = build_system(jac, phi)
             for m in (2, 3, 4):
-                for params in (None, (Fraction(1), Fraction(-2)), (Fraction(2, 3), Fraction(-5, 4))):
-                    cs = assemble_constraints(system, m, params)
+                for free in (True, False):
+                    cs = assemble_constraints(system, m, free=free)
                     x = [_random_fraction(rng) for _ in range(cs.unknown_count)]
-                    a, b = (x[0], x[1]) if params is None else params
+                    a, b = (x[0], x[1]) if free else (Fraction(1), Fraction(0))
                     thetas = {k: np.zeros((2, k + 1), dtype=object) for k in range(2, m + 1)}
                     for value, label in zip(x, cs.unknown_layout):
                         if label[0] == "theta":
                             _, k, row, col = label
                             thetas[k][row - 1, col - 1] = value
-                    cov = ChangeOfVariables(
-                        gamma_params=(a, b), gamma=gamma_matrix(system.jac, a, b), thetas=thetas
-                    )
+                    cov = ChangeOfVariables(gamma=gamma_matrix(system.jac, a, b), thetas=thetas)
                     expansion = poly_add(
                         lie_derivative(cov.component_polynomial(1), system),
                         poly_scale(cov.component_polynomial(2), -1),
@@ -100,26 +98,39 @@ def test_assembled_rows_are_the_defining_condition_coefficients():
                         for k in range(2, m + n)
                         for i in range(k + 1)
                     ]
-                    assert list(lhs) == expected, (n, m, params)
-                    assert all(sum(e) >= 2 for e in expansion), (n, m, params)
+                    assert list(lhs) == expected, (n, m, free)
+                    assert all(sum(e) >= 2 for e in expansion), (n, m, free)
 
 
 def test_assemble_counts_match_identity():
     sys2 = build_system([[0, -1], [1, 0]], [[[1, 0, 0], [0, 0, 0]]])
     for m in (2, 3, 4):
-        free = assemble_constraints(sys2, m, None)
+        free = assemble_constraints(sys2, m, free=True)
         unknowns, equations = counting_identity(2, m)
         assert free.unknown_count == unknowns
         assert free.equation_count == equations
-        pinned = assemble_constraints(sys2, m, (Fraction(1), Fraction(0)))
+        pinned = assemble_constraints(sys2, m)
         assert pinned.unknown_count == unknowns - 2
         assert pinned.equation_count == equations
+    # at the counting bound the free system's nullspace is the Gamma_1
+    # one plus (a, b): at n = 2 that is 2 against 0, which is why
+    # criterion 4 counts on the free system
+    rng = np.random.default_rng(577)
+    nullspaces = {}
+    for n in range(2, 7):
+        system = _complex_pair_system(rng, n)
+        m = min_degree_bound(n)
+        free = assemble_constraints(system, m, free=True).nullspace_dimension()
+        pinned = assemble_constraints(system, m).nullspace_dimension()
+        assert free == pinned + 2, (n, free, pinned)
+        nullspaces[n] = (free, pinned)
+    assert nullspaces[2] == (2, 0), nullspaces
 
 
 def test_solve_theta_on_cubic_normal_form(normal_form_system, normal_form_cov):
     cov = normal_form_cov
     assert cov.m == 4
-    assert cov.gamma_params == (Fraction(1), Fraction(0))
+    assert list(cov.gamma[0]) == [Fraction(1), Fraction(0)]
     assert cov.exact
     assert cov.gamma.tolist() == [[1, 0], [Fraction(1, 20), -1]]
     assert residual_condition33(cov, normal_form_system) == 0
@@ -128,7 +139,6 @@ def test_solve_theta_on_cubic_normal_form(normal_form_system, normal_form_cov):
 def test_solve_theta_is_deterministic(normal_form_system):
     first = solve_theta(normal_form_system)
     second = solve_theta(normal_form_system)
-    assert first.gamma_params == second.gamma_params
     assert first.gamma.tolist() == second.gamma.tolist()
     assert sorted(first.thetas) == sorted(second.thetas)
     for k in first.thetas:
@@ -145,10 +155,10 @@ def test_degree_two_is_too_low_for_the_cubic(normal_form_system):
         solve_theta(normal_form_system, m=2)
     # the failed solve's rank comes from its own elimination; the Fraction
     # RREF of the assembled matrix is the reference
-    cs = assemble_constraints(normal_form_system, 2, (Fraction(1), Fraction(0)))
+    cs = assemble_constraints(normal_form_system, 2)
     sol, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
     assert sol is None
-    assert rank == len(rref(fraction_rows(cs.matrix))[1])
+    assert rank == len(rref(cs.matrix.tolist())[1])
 
 
 def _counting_calls(monkeypatch, name):
@@ -200,11 +210,10 @@ def test_gamma_one_system_is_consistent_from_degree_n():
     # the reason one solve suffices: from m = n up to the counting bound,
     # H = (u, f_1(u, v)) solves the system assembled at (a, b) = (1, 0)
     rng = np.random.default_rng(1618)
-    gamma_one = (Fraction(1), Fraction(0))
     for n, _ in itertools.product(range(2, 6), range(3)):
         system = _complex_pair_system(rng, n)
         for m in range(n, min_degree_bound(n) + 1):
-            cs = assemble_constraints(system, m, gamma_one)
+            cs = assemble_constraints(system, m)
             trivial = [
                 system.phi_matrix(k)[0, col - 1] if row == 2 and k <= n else 0
                 for _, k, row, col in cs.unknown_layout
@@ -262,8 +271,7 @@ def _reference_constraints(system, m):
     affine in the Theta entries: b is minus its value at Theta = 0, and
     column c of A its change when entry c is set to 1."""
     n = system.degree
-    one = (Fraction(1), Fraction(0))
-    gamma = gamma_matrix(system.jac, *one)
+    gamma = gamma_matrix(system.jac, Fraction(1), Fraction(0))
     labels = [
         ("theta", k, row, col) for k in range(2, m + 1) for row in (1, 2) for col in range(1, k + 2)
     ]
@@ -273,7 +281,7 @@ def _reference_constraints(system, m):
         if label is not None:
             _, k, row, col = label
             thetas[k][row - 1, col - 1] = Fraction(1)
-        cov = ChangeOfVariables(gamma_params=one, gamma=gamma, thetas=thetas)
+        cov = ChangeOfVariables(gamma=gamma, thetas=thetas)
         e = poly_add(
             lie_derivative(cov.component_polynomial(1), system),
             poly_scale(cov.component_polynomial(2), -1),
@@ -312,7 +320,7 @@ def test_integer_rows_match_the_fraction_assembly():
         zero_rhs = [k for k in range(2, n + 1) if all(x == 0 for x in system.phi_matrix(k)[0])]
         assert zero_rhs, n
         for m in range(n, min_degree_bound(n) + 2):
-            cs = assemble_constraints(system, m, (Fraction(1), Fraction(0)))
+            cs = assemble_constraints(system, m)
             assert cs.exact and cs.scale == d
             assert all(isinstance(v, int) for row in cs.rows for v in row.values())
             matrix, rhs, labels = _reference_constraints(system, m)
@@ -325,7 +333,7 @@ def test_integer_rows_match_the_fraction_assembly():
                 if any(row) or b
             ]
             assert any(r != d for r in row_lcms), (n, m)
-            reference_rows = linalg._integer_rows(matrix, rhs)
+            reference_rows = _integer_rows(matrix, rhs)
             assert [linalg._primitive(row) for row in cs.rows if row] == reference_rows, (n, m)
             w = cs.unknown_count
             before = [dict(row) for row in cs.rows]
@@ -364,3 +372,24 @@ def test_exact_solve_does_not_build_the_dense_matrix(monkeypatch, corpus_systems
         # the float solve is the one that reads the dense matrix
         with pytest.raises(AssertionError, match="dense constraint matrix"):
             solve_theta(system.to_float())
+
+
+def test_exact_rank_does_not_build_the_dense_matrix(monkeypatch, corpus_systems):
+    # ConstraintSystem.rank() of an exact system eliminates its own integer
+    # rows, without the right-hand side, for the free and the Gamma_1
+    # system alike; the Fraction RREF of the dense matrix is the reference
+    def assembled():
+        for name, system in corpus_systems.items():
+            m = min_degree_bound(system.degree) if system.degree >= 2 else 2
+            for free in (True, False):
+                yield name, assemble_constraints(system, m, free=free)
+
+    reference = [len(rref(cs.matrix.tolist())[1]) for _, cs in assembled()]
+
+    def refuse(self):
+        raise AssertionError("dense constraint matrix built")
+
+    monkeypatch.setattr(cov_mod.ConstraintSystem, "_dense", property(refuse))
+    for (name, cs), rank in zip(assembled(), reference):
+        assert cs.rank() == rank, (name, cs.free)
+        assert cs.nullspace_dimension() == cs.unknown_count - rank, (name, cs.free)

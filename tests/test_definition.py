@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from polycycle.definition import instantiate, load_definition, resolve_alpha
-from polycycle.pipeline import AnalysisOptions, run_sweep
+from polycycle.pipeline import AnalysisOptions, run_analyze, run_sweep
 
 
 def _minimal(**overrides):
@@ -83,14 +83,14 @@ def test_huge_powers_are_refused_before_they_are_taken():
         assert time.perf_counter() - start < 0.5
     defn = load_definition(_minimal(jac=[["alpha**3", "(1/2)**4"], [1, 0]]))
     assert instantiate(defn, Fraction(1, 2)).jac[0].tolist() == [Fraction(1, 8), Fraction(1, 16)]
-    assert instantiate(defn, 0.5, exact=False).jac[0].tolist() == [0.125, 0.0625]
+    assert instantiate(defn, 0.5).to_float().jac[0].tolist() == [0.125, 0.0625]
 
 
 def test_float_overflow_is_an_input_error():
     # exact 2^1500 is fine; as a float it overflows
     defn = load_definition(_minimal(jac=[["2**1500", -1], [1, 0]]))
     with pytest.raises(ValueError, match="overflows a float"):
-        instantiate(defn, 0.05, exact=False)
+        run_analyze(defn, AnalysisOptions(alpha=0.05, exact=False, measure=False))
 
 
 def test_exact_instantiation_keeps_rationals():
@@ -113,7 +113,7 @@ def test_exact_instantiation_keeps_rationals():
 
 def test_float_instantiation():
     defn = load_definition(_minimal())
-    system = instantiate(defn, 0.05, exact=False)
+    system = instantiate(defn, 0.05).to_float()
     assert not system.exact
     assert system.jac.dtype == np.float64
     np.testing.assert_allclose(system.jac, [[0.05, -1.0], [1.0, 0.05]])
@@ -160,10 +160,11 @@ def test_entry_invalid_only_at_one_alpha_loads():
     defn = load_definition(_minimal(phi=[[[0, 0, 0], [0, 0, 0]], cubic]))
     exact = instantiate(defn, Fraction(1, 20))
     assert exact.phi[1][0, 0] == Fraction(-20, 19)
-    assert instantiate(defn, Fraction(1, 20), exact=False).phi[1][0, 0] == float(Fraction(-20, 19))
-    for exact in (True, False):
-        with pytest.raises(ValueError, match="division by zero"):
-            instantiate(defn, 1, exact=exact)
+    assert instantiate(defn, Fraction(1, 20)).to_float().phi[1][0, 0] == float(Fraction(-20, 19))
+    with pytest.raises(ValueError, match="division by zero"):
+        instantiate(defn, 1)
+    with pytest.raises(ValueError, match="division by zero"):
+        run_analyze(defn, AnalysisOptions(alpha=1, exact=False, measure=False))
     # a zero divisor whatever alpha is still fails at load
     with pytest.raises(ValueError, match="division by zero"):
         load_definition(_minimal(jac=[["alpha/(2 - 2)", -1], [1, 0]]))
@@ -186,7 +187,7 @@ def test_entries_are_parsed_once_at_load(systems_dir, monkeypatch):
     assert sorted(calls) == sorted(strings) and len(strings) == 4
     calls.clear()
     instantiate(defn, "1/20")
-    instantiate(defn, 0.05, exact=False)
+    instantiate(defn, 0.05).to_float()
     run_sweep(defn, ["0.02", "1/30"], AnalysisOptions(measure=False))
     run_sweep(defn, [0.02], AnalysisOptions(exact=False, measure=False))
     assert calls == []
@@ -215,7 +216,7 @@ def test_float_instantiation_is_the_exact_one_rounded_once(definitions):
 
     for defn in definitions.values():
         for alpha in (None, "1/30", -0.07, 1e-5):
-            assert_bitwise(instantiate(defn, alpha, exact=False), instantiate(defn, alpha))
+            assert_bitwise(instantiate(defn, alpha).to_float(), instantiate(defn, alpha))
     rng = random.Random(1213)
     for trial in range(40):
         degree = rng.randint(2, 4)
@@ -226,7 +227,7 @@ def test_float_instantiation_is_the_exact_one_rounded_once(definitions):
         }
         defn = load_definition(raw)
         alpha = rng.choice([Fraction(1, 20), 0.013, "-1/3"])
-        assert_bitwise(instantiate(defn, alpha, exact=False), instantiate(defn, alpha))
+        assert_bitwise(instantiate(defn, alpha).to_float(), instantiate(defn, alpha))
 
 
 def test_alpha_rule():
@@ -240,3 +241,21 @@ def test_alpha_rule():
     for bad in ("abc", "1/0", [1]):
         with pytest.raises(ValueError):
             resolve_alpha(free, bad)
+
+
+def test_boolean_alpha_is_refused():
+    # bool is a subclass of int: true would otherwise run at alpha = 1
+    # and false at alpha = 0, as matrix entries already refuse to
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="'alpha_default' must be a number"):
+            load_definition(_minimal(alpha_default=flag))
+    defn = load_definition(_minimal())
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="cannot use bool as alpha"):
+            resolve_alpha(defn, flag)
+        with pytest.raises(ValueError, match="cannot use bool as alpha"):
+            run_analyze(defn, AnalysisOptions(alpha=flag, measure=False))
+    # a sweep point given as a boolean is an error row, not alpha = 0
+    rows = run_sweep(defn, [False, "1/20"], AnalysisOptions(measure=False))
+    assert [row["verdict"] for row in rows][0] == "error"
+    assert rows[1]["alpha"] == 0.05 and rows[1]["verdict"] != "error"

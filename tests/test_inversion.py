@@ -85,7 +85,7 @@ def _univariate_cov():
     # H(u, v) = (u + u^2, v)
     eye = _obj([[1, 0], [0, 1]])
     theta2 = _obj([[1, 0, 0], [0, 0, 0]])
-    return ChangeOfVariables(gamma_params=(Fraction(1), Fraction(0)), gamma=eye, thetas={2: theta2})
+    return ChangeOfVariables(gamma=eye, thetas={2: theta2})
 
 
 def test_univariate_series_coefficients():
@@ -107,7 +107,7 @@ def test_univariate_series_evaluation_is_exact():
 
 def test_singular_gamma_is_rejected():
     gamma = _obj([[1, 0], [2, 0]])
-    cov = ChangeOfVariables(gamma_params=(Fraction(1), Fraction(0)), gamma=gamma, thetas={})
+    cov = ChangeOfVariables(gamma=gamma, thetas={})
     with pytest.raises(ZeroDivisionError):
         invert_to_cubic(cov)
 

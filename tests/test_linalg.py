@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import _integer_rows
 from polycycle import linalg
 from polycycle.change_of_variables import assemble_constraints, min_degree_bound
 from polycycle.linalg import (
-    fraction_rows,
     rank_exact,
     rank_float,
     rref,
@@ -25,7 +25,12 @@ def _f(rows):
 
 def _solve_dense(a, b):
     """The exact solve of a dense system, through its coprime integer rows."""
-    return solve_min_norm_exact(linalg._integer_rows(a, b), len(a[0]))
+    return solve_min_norm_exact(_integer_rows(a, b), len(a[0]))
+
+
+def _rank_dense(a):
+    """The exact rank of a dense matrix, through its coprime integer rows."""
+    return rank_exact(_integer_rows(a), len(a[0]))
 
 
 def test_rref_known_matrix():
@@ -35,11 +40,17 @@ def test_rref_known_matrix():
 
 
 def test_rank_exact_detects_dependence():
-    assert rank_exact(_f([[1, 2], [2, 4]])) == 1
-    assert rank_exact(_f([[1, 2], [3, 4]])) == 2
+    assert _rank_dense(_f([[1, 2], [2, 4]])) == 1
+    assert _rank_dense(_f([[1, 2], [3, 4]])) == 2
     # floats would call this full rank
     eps = Fraction(1, 10**30)
-    assert rank_exact(_f([[1, 1], [1, 1]]) + [[Fraction(1), Fraction(1) + eps]]) == 2
+    assert _rank_dense(_f([[1, 1], [1, 1]]) + [[Fraction(1), Fraction(1) + eps]]) == 2
+    # sparse rows as the change-of-variables assembly writes them: any
+    # positive factor, empty rows allowed, and left as they were
+    rows = [{0: 6, 1: 12}, {}, {1: 5, 2: -10}, {0: 3, 2: 12}]
+    before = [dict(row) for row in rows]
+    assert rank_exact(rows, 3) == 2 and rows == before
+    assert rank_exact([], 4) == rank_exact([{}], 4) == 0
 
 
 def test_min_norm_exact_unique_case():
@@ -163,7 +174,7 @@ def test_integer_kernel_matches_fraction_rref():
         a, b = _random_case(rng)
         n = len(a[0])
         _, pivots = rref(a)
-        assert rank_exact(a) == len(pivots)
+        assert _rank_dense(a) == len(pivots)
         x, rank = _solve_dense(a, b)
         assert rank == len(pivots)
         expected, _ = _reference_min_norm(a, b)
@@ -197,8 +208,8 @@ def test_min_norm_exact_on_constraint_systems():
     rng = random.Random(4242)
     for n in range(2, 7):
         system = _complex_pair_system(rng, n)
-        cs = assemble_constraints(system, min_degree_bound(n), (Fraction(1), Fraction(0)))
-        a = fraction_rows(cs.matrix)
+        cs = assemble_constraints(system, min_degree_bound(n))
+        a = cs.matrix.tolist()
         row_two = [c for c, label in enumerate(cs.unknown_layout) if label[2] == 2]
         nonzeros = [sum(1 for row in a if row[c] != 0) for c in range(cs.unknown_count)]
         assert [c for c, count in enumerate(nonzeros) if count == 1] == row_two, n
@@ -208,7 +219,7 @@ def test_min_norm_exact_on_constraint_systems():
         expected, rank = _reference_min_norm(a, list(cs.rhs), order)
         assert expected is not None
         assert solve_min_norm_exact(cs.rows, cs.unknown_count) == (expected, rank), n
-        assert rank_exact(cs.matrix) == cs.rank() == rank
+        assert _rank_dense(a) == cs.rank() == rank
         assert cs.nullspace_dimension() == cs.unknown_count - rank
 
 
@@ -248,7 +259,7 @@ def test_min_norm_exact_with_planted_singleton_columns():
         expected, rank = _reference_min_norm(a, b)
         assert (expected is None) == inconsistent
         assert _solve_dense(a, b) == (expected, rank)
-        assert rank_exact(a) == rank
+        assert _rank_dense(a) == rank
     assert singletons >= 150, singletons
 
 
@@ -314,7 +325,7 @@ def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
         [[6, 1, Fraction(19, 2), -4], [Fraction(-1, 2), 9, Fraction(-1, 3), 7]],
         [[Fraction(-2, 3), Fraction(4, 3), -4, -2, -3], [-2, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), 1]],
     ]
-    cs = assemble_constraints(build_system(jac, phi), 7, (Fraction(1), Fraction(0)))
+    cs = assemble_constraints(build_system(jac, phi), 7)
     calls = {"_cancel": 0, "_echelon": 0}
 
     def counting(name):

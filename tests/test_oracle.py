@@ -214,7 +214,7 @@ def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
     # of P at a section point that is not fixed, where the ratio of the
     # normal speeds at x and at P(x) is far from 1
     defn = load_definition(systems_dir / f"{name}.json")
-    system = instantiate(defn, defn.alpha_default if alpha is None else alpha, exact=True).to_float()
+    system = instantiate(defn, defn.alpha_default if alpha is None else alpha).to_float()
     f = oracle.compile_field(system)
     div = oracle._divergence(system)
 

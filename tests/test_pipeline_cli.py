@@ -159,8 +159,9 @@ def test_report_counts_match_a_fresh_assembly(definitions, exact):
     # assembly of the same system and its own elimination must agree
     for name, defn in definitions.items():
         report = run_analyze(defn, AnalysisOptions(exact=exact, measure=False))
-        system = instantiate(defn, defn.alpha_default, exact=exact)
-        cs = assemble_constraints(system, report.m, report.gamma_params)
+        system = instantiate(defn, defn.alpha_default)
+        cs = assemble_constraints(system if exact else system.to_float(), report.m)
+        assert report.gamma_params == (1, 0), name
         assert report.unknown_count == cs.unknown_count, name
         assert report.equation_count == cs.equation_count, name
         assert report.nullspace_dim == cs.nullspace_dimension(), name
@@ -222,7 +223,7 @@ def test_alpha_grid_is_exact(systems_dir, capsys):
     assert _parse_alphas("1/3:1/3:1") == [Fraction(1, 3)]
     defn = load_definition(systems_dir / "normal_form.json")
     for alpha in _parse_alphas("0.01:0.09:5") + _parse_alphas("-0.05:-0.01:3"):
-        jac = instantiate(defn, alpha, exact=True).jac
+        jac = instantiate(defn, alpha).jac
         assert jac[0, 0] == alpha
         assert max(Fraction(v).denominator for v in jac.flat) <= 100
 
