@@ -36,7 +36,7 @@ import numpy as np
 
 from .change_of_variables import ChangeOfVariables
 from .inversion import InverseSeries
-from .monomials import as_array, as_scaled, lie_row
+from .monomials import as_array, as_float, as_scaled, lie_row
 from .system import PlanarPolySystem
 
 __all__ = [
@@ -68,9 +68,11 @@ def g_coefficients(
 
     Assembled from the solved change of variables, its truncated
     inverse and the original field.  Exact inputs give exact rows: the
-    blocks are split into integer numerators over one denominator each
-    (:class:`~polycycle.monomials.Scaled`), the rows are formed in
-    integer arithmetic, and only G2 and G3 become Fractions.  Float
+    change of variables and the inverse hold their blocks as integer
+    numerators over one denominator each
+    (:class:`~polycycle.monomials.Scaled`), the field's blocks are split
+    the same way, the rows are formed in integer arithmetic, and only G2
+    and G3 become Fractions.  Float
     inputs run the same expressions on float64 arrays.  The independent
     check is dynamic: along any trajectory X(t) with z = (H(X))_1, the
     residual z'' - tau z' + delta z - G2.lambda_2 - G3.lambda_3 must
@@ -79,7 +81,7 @@ def g_coefficients(
     if not (system.exact and cov.exact and inv.exact):
         system, cov, inv = system.to_float(), cov.to_float(), inv.to_float()
     jac, phi2, phi3 = (as_scaled(b) for b in (system.jac, system.phi_matrix(2), system.phi_matrix(3)))
-    gamma, theta2, theta3 = (as_scaled(b) for b in (cov.gamma, cov.theta(2), cov.theta(3)))
+    gamma, theta2, theta3 = cov.block(1), cov.block(2), cov.block(3)
     xi2, xi3 = inv.blocks[2], inv.blocks[3]
     p2, p3, r2 = inv.p2_op, inv.p3_op, inv.r2_op
 
@@ -194,7 +196,7 @@ def cycle_curve(cov: ChangeOfVariables, prediction: KbmPrediction, sample_count:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     if prediction.omega0 is None or prediction.omega0 <= 0.0:
         raise ValueError(f"predicted frequency is not positive: {prediction.omega0!r}")
-    ginv = np.linalg.inv(cov.to_float().gamma)
+    ginv = np.linalg.inv(as_float(cov.block(1)))
     amp = prediction.z_amplitude
     rate = math.sqrt(prediction.delta) * prediction.omega0
     t = prediction.period * np.arange(sample_count) / sample_count

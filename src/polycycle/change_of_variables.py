@@ -22,15 +22,19 @@ An exact system is worked over the integers with one common
 denominator.  The constraints are assembled from J and phi scaled by
 D, the lcm of their denominators, straight into the sparse integer rows
 that :func:`~polycycle.linalg.solve_min_norm_exact` eliminates; the
-dense Fraction matrix is built only when asked for.  The certificate
-expands D_h H along D_f f in integer polynomials and divides by
-D_h D_f once.  Float systems go through the same assembly with scale 1
+dense Fraction matrix is built only when asked for.  The solve returns
+integer numerators over one denominator, and the change of variables
+keeps each Theta_k block as its numerators over its own denominator,
+so no Fraction is made until a block is read as an array.  The
+certificate expands D_h H along D_f f in integer polynomials and
+divides by D_h D_f once.  Float systems go through the same assembly with scale 1
 and are solved from the dense matrix by least squares.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,7 +47,7 @@ from .linalg import (
     solve_min_norm_exact,
     solve_min_norm_float,
 )
-from .monomials import denominator_lcm, eval_poly_map, numerators
+from .monomials import Scaled, as_array, as_float, as_scaled, denominator_lcm, eval_poly_map, numerators
 from .polyops import poly_add, poly_from_lambda_row, poly_max_abs, poly_scale
 from .system import PlanarPolySystem, lie_derivative
 
@@ -105,7 +109,6 @@ class ConstraintSystem:
     exact: bool
     unknown_layout: tuple
     m: int
-    n: int
     free: bool
 
     @property
@@ -264,41 +267,95 @@ def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -
         exact=exact,
         unknown_layout=tuple(layout),
         m=m,
-        n=n,
         free=free,
     )
+
+
+def _held(block):
+    """A block as :class:`ChangeOfVariables` holds it: Scaled when exact."""
+    return block if isinstance(block, Scaled) else as_scaled(block)
+
+
+class _Blocks:
+    """A block field of :class:`ChangeOfVariables`, ``gamma`` or the dict
+    ``thetas``.  It takes arrays or Scaled blocks, holds exact ones as
+    Scaled blocks and reads back arrays, of Fractions when exact (built
+    on each read).  A dataclass field whose default is a descriptor goes
+    through the descriptor on every set and get; raising AttributeError
+    on the class leaves the field without a default."""
+
+    def __init__(self, many: bool):
+        self.many = many
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)
+        held = getattr(obj, self.slot)
+        return {k: as_array(b) for k, b in held.items()} if self.many else as_array(held)
+
+    def __set__(self, obj, value):
+        held = {k: _held(b) for k, b in value.items()} if self.many else _held(value)
+        object.__setattr__(obj, self.slot, held)
 
 
 @dataclass(frozen=True)
 class ChangeOfVariables:
     """Solved change of variables H(X) = Gamma X + sum Theta_k lambda_k.
 
-    The first row of ``gamma`` is (a, b).  ``equation_count``, ``unknown_count`` and ``rank`` describe the
-    linear system over the Theta entries that :func:`solve_theta`
-    solved; they are None for a change of variables built directly.
+    The first row of ``gamma`` is (a, b).  ``equation_count``,
+    ``unknown_count`` and ``rank`` describe the linear system over the
+    Theta entries that :func:`solve_theta` solved; they are None for a
+    change of variables built directly.
+
+    ``gamma`` and ``thetas`` take and return arrays, of Fractions (or
+    ints) when exact and float64 otherwise.  An exact change of
+    variables holds each block as integer numerators over one
+    denominator (:class:`~polycycle.monomials.Scaled`), which
+    :meth:`block` hands to the integer stages; the Fraction arrays are
+    built when ``gamma``, ``thetas`` or :meth:`theta` are read.
     """
 
-    gamma: np.ndarray
-    thetas: dict[int, np.ndarray]
+    gamma: np.ndarray = _Blocks(many=False)
+    thetas: dict[int, np.ndarray] = _Blocks(many=True)
     equation_count: int | None = None
     unknown_count: int | None = None
     rank: int | None = None
 
     @property
     def m(self) -> int:
-        return max(self.thetas) if self.thetas else 1
+        return max(self._thetas) if self._thetas else 1
 
     @property
     def exact(self) -> bool:
-        return self.gamma.dtype == object
+        return isinstance(self._gamma, Scaled)
+
+    @property
+    def blocks(self) -> dict:
+        """Gamma (degree 1) and each Theta_k as held: Scaled blocks when
+        exact, float64 arrays otherwise."""
+        return {1: self._gamma, **self._thetas}
+
+    def block(self, k: int):
+        """Gamma for k = 1, Theta_k (zero-filled when absent) for k >= 2,
+        as held."""
+        if k < 1:
+            raise ValueError(f"blocks start at degree 1, got {k}")
+        if k == 1:
+            return self._gamma
+        if k in self._thetas:
+            return self._thetas[k]
+        if self.exact:
+            return Scaled(np.zeros((2, k + 1), dtype=object), 1)
+        return np.zeros((2, k + 1))
 
     def theta(self, k: int) -> np.ndarray:
         """Degree-k block, zero-filled when absent (k >= 2)."""
         if k < 2:
             raise ValueError(f"theta blocks start at degree 2, got {k}")
-        if k in self.thetas:
-            return self.thetas[k]
-        return np.zeros((2, k + 1), dtype=self.gamma.dtype)
+        return as_array(self.block(k))
 
     def h_evaluate(self, point) -> np.ndarray:
         """H at a point (u, v), or at each column of a (2, N) array."""
@@ -306,26 +363,28 @@ class ChangeOfVariables:
 
     def component_polynomial(self, row: int):
         """Component ``row`` (1 or 2) of H as an exponent-dict polynomial."""
-        if row not in (1, 2):
-            raise ValueError(f"row must be 1 or 2, got {row!r}")
-        p = {}
-        if self.gamma[row - 1, 0] != 0:
-            p[(1, 0)] = self.gamma[row - 1, 0]
-        if self.gamma[row - 1, 1] != 0:
-            p[(0, 1)] = self.gamma[row - 1, 1]
-        for k in sorted(self.thetas):
-            # each block has its own degree, so no exponent is met twice
-            p.update(poly_from_lambda_row(k, self.thetas[k][row - 1]))
-        return p
+        return _component_polynomial({1: self.gamma, **self.thetas}, row)
 
     def to_float(self) -> "ChangeOfVariables":
         if not self.exact:
             return self
         return dataclasses.replace(
             self,
-            gamma=self.gamma.astype(float),
-            thetas={k: v.astype(float) for k, v in self.thetas.items()},
+            gamma=as_float(self._gamma),
+            thetas={k: as_float(b) for k, b in self._thetas.items()},
         )
+
+
+def _component_polynomial(blocks: dict, row: int):
+    """Row ``row`` (1 or 2) of the blocks {degree: array} as an
+    exponent-dict polynomial."""
+    if row not in (1, 2):
+        raise ValueError(f"row must be 1 or 2, got {row!r}")
+    p = {}
+    for k in sorted(blocks):
+        # each block has its own degree, so no exponent is met twice
+        p.update(poly_from_lambda_row(k, blocks[k][row - 1]))
+    return p
 
 
 class NoSolutionError(RuntimeError):
@@ -333,12 +392,21 @@ class NoSolutionError(RuntimeError):
 
 
 def _extract_cov(solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray) -> ChangeOfVariables:
+    """The change of variables from the solution of ``cs``: float64
+    values, or integer numerators over one denominator, (nums, den), of
+    which each Theta_k block keeps its own, reduced by their gcd."""
     # the layout lists the entries of each Theta_k row by row, k = 2 .. m
+    nums, den = solution if cs.exact else (solution, None)
     thetas = {}
     start = 0
     for k in range(2, cs.m + 1):
         end = start + 2 * (k + 1)
-        thetas[k] = np.array(solution[start:end], dtype=gamma.dtype).reshape(2, k + 1)
+        part = nums[start:end]
+        if cs.exact:
+            g = math.gcd(den, *part)
+            thetas[k] = Scaled(np.array([v // g for v in part], dtype=object).reshape(2, k + 1), den // g)
+        else:
+            thetas[k] = np.array(part, dtype=float).reshape(2, k + 1)
         start = end
     return ChangeOfVariables(
         gamma=gamma,
@@ -376,21 +444,23 @@ def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVaria
     n = system.degree
     if m is None:
         m = min_degree_bound(n) if n >= 2 else 2
-    a, b = (Fraction(1), Fraction(0)) if system.exact else (1.0, 0.0)
     j12 = system.jac[0, 1]
     if j12 == 0 or (not system.exact and abs(j12) < 1e-12):
         raise NoSolutionError(f"Gamma_1 is singular (j12 = {j12}); no change of variables")
     cs = assemble_constraints(system, m)
     if system.exact:
         sol, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
+        # Gamma_1 = [[1, 0], first row of J], without Fraction arithmetic
+        gamma = np.array([[1, 0], system.jac[0].tolist()], dtype=object)
     else:
         sol, rank = solve_min_norm_float(cs.matrix, cs.rhs)
+        gamma = gamma_matrix(system.jac, 1.0, 0.0)
     if sol is None:
         raise NoSolutionError(
             f"no change of variables at theta degree {m} (system degree {n}):"
             f" the constraint system is inconsistent (rank {rank})"
         )
-    return _extract_cov(sol, cs, rank, gamma_matrix(system.jac, a, b))
+    return _extract_cov(sol, cs, rank, gamma)
 
 
 def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):
@@ -408,20 +478,17 @@ def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):
     """
     exact = cov.exact and system.exact
     if exact:
-        d_h = denominator_lcm((cov.gamma, *cov.thetas.values()))
+        d_h = math.lcm(*(b.den for b in cov.blocks.values()))
+        blocks = {k: b.num * (d_h // b.den) for k, b in cov.blocks.items()}
         d_f = denominator_lcm((system.jac, *system.phi))
-        cov = dataclasses.replace(
-            cov,
-            gamma=numerators(cov.gamma, d_h),
-            thetas={k: numerators(t, d_h) for k, t in cov.thetas.items()},
-        )
         system = PlanarPolySystem(numerators(system.jac, d_f), tuple(numerators(p, d_f) for p in system.phi))
     else:
         d_h = d_f = 1
-        cov, system = cov.to_float(), system.to_float()
+        blocks = {k: as_float(b) for k, b in cov.blocks.items()}
+        system = system.to_float()
     res = poly_add(
-        lie_derivative(cov.component_polynomial(1), system),
-        poly_scale(cov.component_polynomial(2), -d_f),
+        lie_derivative(_component_polynomial(blocks, 1), system),
+        poly_scale(_component_polynomial(blocks, 2), -d_f),
     )
     top = poly_max_abs(res)
     return Fraction(top, d_h * d_f) if exact and top else top

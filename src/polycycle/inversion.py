@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
-from .monomials import Scaled, as_array, as_scaled, eval_poly_map
+from .monomials import Scaled, as_array, eval_poly_map
 
 __all__ = [
     "InverseSeries",
@@ -163,7 +163,7 @@ def _adjugate(m: np.ndarray) -> tuple[np.ndarray, object]:
 
 def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
     """Series inverse of a solved change of variables through cubic order."""
-    gamma = as_scaled(cov.gamma)
+    gamma = cov.block(1)
     if cov.exact:
         # (G / d)^{-1} = d adj(G) / det(G), over a positive denominator
         adj, det = _adjugate(gamma.num)
@@ -172,8 +172,8 @@ def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
     else:
         adj, det = _adjugate(gamma)
         ginv = adj / det
-    theta2 = as_scaled(cov.theta(2))
-    theta3 = as_scaled(cov.theta(3))
+    theta2 = cov.block(2)
+    theta3 = cov.block(3)
     p2 = p_operator(2, ginv)
     p3 = p_operator(3, ginv)
     xi2 = -(ginv @ theta2 @ p2)

@@ -13,13 +13,20 @@ matrices survives, and every combined row is divided by its content,
 so entries stay near the size of the minors they encode instead of
 growing to full determinants.
 Consistency and rank come out of the same elimination, without
-tolerance, and Fractions are created only for the final values.
-:func:`solve_min_norm_exact` and :func:`rank_exact` take the columns
-with exactly one nonzero first: in a change-of-variables system these
-are the row-2 entries of each Theta_k, half the unknowns, each appearing
-only as a -1 in one equation.  Their rows leave the elimination
-untouched, so it runs on the coupled columns alone and makes less
-fill-in.
+tolerance, and no Fraction is created: the solution comes back as
+integer numerators over one positive denominator.
+Only part of the rows is eliminated.  A row that holds a column no
+other row has is that column's defining row: its unknown can take up
+whatever the other rows leave, so the row adds one to the rank and is
+set aside.  In a change-of-variables system these are the equations of
+the row-2 entries of each Theta_k, half the unknowns, each appearing
+only as a -1 in one equation.  The other rows, the coupled ones, are
+eliminated over their columns and reduced.  A reduced pivot row with a
+single entry and no right-hand side forces its unknown to 0: such a
+column is dropped from the rows that hold it, all at once, and no row
+is cancelled against a pivot row with one entry.  The defining rows are
+then cleared the same way, one drop of the zero columns and one
+cancellation per pivot row with more than one entry that they meet.
 The minimum-norm step then solves a Gram system that is dense by
 construction, in the second kernel (:func:`_spd_solve`): Bareiss
 elimination on lists of ints over the upper triangle only.  The Gram
@@ -41,6 +48,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
+from itertools import chain
 from fractions import Fraction
 
 import numpy as np
@@ -108,12 +116,20 @@ def _cancel(row: Row, pivot_row: Row, c: int) -> Row:
     return _primitive(out) if out else out
 
 
-def _echelon(rows: list[Row], order: list[int] | range) -> tuple[list[Row], list[int]]:
+def _drop(row: Row, columns) -> Row:
+    """The row without the entries in ``columns``, made primitive."""
+    out = {k: v for k, v in row.items() if k not in columns}
+    return _primitive(out) if out else out
+
+
+def _echelon(rows: list[Row], order: list[int]) -> tuple[list[Row], list[int]]:
     """Row echelon form over the columns in ``order``: the pivot rows and
     their pivot columns, both in the order the columns were taken.
 
     The pivot for each column is the sparsest row that has it, which
     keeps fill-in low; the pivot columns do not depend on that choice.
+    A pivot row with one entry sets its unknown to 0, so its column is
+    dropped from the other rows rather than cancelled.
     """
     active = rows
     done: list[Row] = []
@@ -128,7 +144,7 @@ def _echelon(rows: list[Row], order: list[int] | range) -> tuple[list[Row], list
             if r is p:
                 continue
             if c in r:
-                r = _cancel(r, p, c)
+                r = _drop(r, {c}) if len(p) == 1 else _cancel(r, p, c)
                 if not r:
                     continue
             rest.append(r)
@@ -138,24 +154,65 @@ def _echelon(rows: list[Row], order: list[int] | range) -> tuple[list[Row], list
     return done, pivots
 
 
-def _singletons_first(rows: list[Row], width: int) -> list[int]:
-    """Columns 0 .. width - 1: those with exactly one nonzero first, then
-    the rest, each group in index order."""
-    count = Counter(k for row in rows for k in row)
-    return sorted(range(width), key=lambda c: count[c] != 1)
+def _split(rows: list[Row], n: int) -> tuple[list[tuple[Row, int]], list[Row]]:
+    """The defining rows, each with its pivot column, and the other rows.
 
-
-def _reduce(rows: list[Row], pivots: list[int]) -> None:
-    """Clear the entries above each pivot of an echelon form, in place.
-
-    Row i is already zero in ``pivots[:i]``, so clearing from the last
-    pivot back works whatever order the columns were taken in.
+    A row holding a column of A that no other row has is that column's
+    pivot row (the lowest such column it holds, when it has several).
+    Its unknown can absorb any value the rest of the system leaves, so
+    it adds one to the rank, cannot make the system inconsistent and
+    needs no elimination.  In a change-of-variables system these are the
+    equations of the row-2 Theta_k unknowns, each met only by the -1 of
+    its own equation.
     """
-    for i in range(len(rows) - 1, 0, -1):
-        c, p = pivots[i], rows[i]
-        for j in range(i):
-            if c in rows[j]:
-                rows[j] = _cancel(rows[j], p, c)
+    count = Counter(chain.from_iterable(rows))
+    single = {k for k, v in count.items() if v == 1 and k < n}
+    defining, rest = [], []
+    for row in rows:
+        own = single.intersection(row)
+        if own:
+            defining.append((row, min(own)))
+        else:
+            rest.append(row)
+    return defining, rest
+
+
+def _columns(rows: list[Row], n: int) -> list[int]:
+    """The columns of A that ``rows`` hold, in index order."""
+    return sorted({k for row in rows for k in row if k < n})
+
+
+def _clear(row: Row, zero: set[int], pivot_rows: dict[int, Row]) -> Row:
+    """The row cleared of the zero unknowns and of the pivot columns of
+    ``pivot_rows``, which are reduced: each holds no other pivot column,
+    so no cancellation brings one back.  The zero columns go in one pass;
+    the row is cancelled only against the pivot rows with more than one
+    entry."""
+    if not zero.isdisjoint(row):
+        row = _drop(row, zero)
+    for c in [k for k in row if k in pivot_rows]:
+        row = _cancel(row, pivot_rows[c], c)
+    return row
+
+
+def _reduce(rows: list[Row], pivots: list[int]) -> tuple[set[int], dict[int, Row]]:
+    """Reduce an echelon form from its last row up: the zero unknowns and
+    the reduced pivot rows with more than one entry, by pivot column.
+
+    Each row is cleared of the pivots below it, which are reduced by
+    then.  A reduced row with a single entry and no right-hand side
+    forces its unknown to 0.  Row i is already zero in ``pivots[:i]``,
+    so this works whatever order the columns were taken in.
+    """
+    zero: set[int] = set()
+    reduced: dict[int, Row] = {}
+    for row, c in zip(reversed(rows), reversed(pivots)):
+        row = _clear(row, zero, reduced)
+        if len(row) == 1:
+            zero.add(c)
+        else:
+            reduced[c] = row
+    return zero, reduced
 
 
 def _spd_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
@@ -201,66 +258,68 @@ def rank_exact(rows: Sequence[Row], n: int) -> int:
 
     The rows are sparse integer rows as :func:`solve_min_norm_exact`
     takes them, without a right-hand side: each may carry any positive
-    factor and may be empty, and none is modified.  The columns with one
-    nonzero are eliminated first, as there.
+    factor and may be empty, and none is modified.  The rank is the
+    number of defining rows plus the rank of the others, as there.
     """
     rows = [_primitive(row) for row in rows if row]
-    return len(_echelon(rows, _singletons_first(rows, n))[1])
+    defining, rest = _split(rows, n)
+    return len(defining) + len(_echelon(rest, _columns(rest, n))[1])
 
 
-def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[list[Fraction] | None, int]:
-    """Minimum-norm exact solution of A x = b (None when inconsistent) and rank A.
+def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[tuple[list[int], int] | None, int]:
+    """Minimum-norm exact solution of A x = b and rank A.
 
     ``rows`` are the rows of [A | b], A with ``n`` columns, as sparse
     integer rows with b in column n; each may carry any positive factor
-    and may be empty.  The rows are not modified.
+    and may be empty.  The rows are not modified.  The solution comes
+    back as integers over one positive denominator, ``(nums, den)`` with
+    x_i = nums[i] / den, or as None when the system is inconsistent.
 
-    The columns of A with one nonzero are eliminated first, then the
-    rest in index order, and b last, so a pivot in b still marks an
-    inconsistent system.  In a change-of-variables system those are the
-    row-2 Theta_k unknowns, each met only by the -1 of its own equation:
-    that row is its pivot row at once and needs no row operation.  The
-    order changes the pivots and the work, not the answer: the
-    minimum-norm solution of a consistent system is unique, and the rank
-    is that of A whatever the order.
+    The defining rows (:func:`_split`) are set aside.  The coupled rows
+    are eliminated over their columns in index order and b last, so a
+    pivot in b still marks an inconsistent system, and reduced
+    (:func:`_reduce`); the rank is the number of defining rows plus
+    theirs.  Each defining row is then cleared of the zero unknowns in
+    one drop and cancelled against the reduced pivot rows with more than
+    one entry (:func:`_clear`).  In a change-of-variables system the
+    coupled rows are homogeneous and meet only row 1 of the top Theta
+    blocks; on the generic systems of degree 3 to 7 they force every
+    unknown they hold to 0, so the defining rows need drops alone.  The
+    order changes the work, not the answer: the minimum-norm solution of
+    a consistent system is unique.
 
-    Row i of the integer RREF of [A | b] reads p_i x_{c_i} + e_i . x_F =
-    beta_i, with x_F the free unknowns.  The norm is least where
+    Each pivot row now reads p_i x_{c_i} + e_i . x_F = beta_i, with x_F
+    the free unknowns.  The norm is least where
     (I + sum_i e_i e_i^T / p_i^2) x_F = sum_i e_i beta_i / p_i^2; scaled
     by D^2, D = lcm(p_i), that Gram system has integer entries.  It is
     dense and symmetric positive definite (D^2 I plus a sum of outer
     products), so it needs no pivoting: :func:`_spd_solve` eliminates it
     fraction-free in the given order, every pivot a positive leading
     minor and every division exact, and returns x_F = X / q with q its
-    determinant.  The solution is unique, so the Fractions are those any
-    exact elimination would give.
+    determinant.
     """
     rows = [_primitive(row) for row in rows if row]
-    rows, pivots = _echelon(rows, [*_singletons_first(rows, n), n])
+    defining, rest = _split(rows, n)
+    rest, pivots = _echelon(rest, [*_columns(rest, n), n])
+    rank = len(defining) + len(pivots)
     if pivots and pivots[-1] == n:
-        return None, len(pivots) - 1
-    _reduce(rows, pivots)
-    rank = len(pivots)
-    x = [Fraction(0)] * n
-    coupled = []
-    for row, c in zip(rows, pivots):
-        if len(row) - (n in row) > 1:
-            coupled.append((row, c))
-        else:
-            x[c] = Fraction(row.get(n, 0), row[c])
-    if not coupled:
-        return x, rank
+        return None, rank - 1
+    zero, reduced = _reduce(rest, pivots)
+    solved = [(_clear(row, zero, reduced), c) for row, c in defining]
+    solved += [(row, c) for c, row in reduced.items()]
 
-    pivot_set = set(pivots)
+    # the Gram system couples only the pivot rows with free entries
+    linked = [(row, c) for row, c in solved if len(row) - (n in row) > 1]
+    pivot_set = zero.union(c for _, c in solved)
     free = [f for f in range(n) if f not in pivot_set]
     slot = {f: i for i, f in enumerate(free)}
-    d = math.lcm(*(row[c] for row, c in coupled))
+    d = math.lcm(*(row[c] for row, c in linked))
     # the upper triangle of the Gram matrix, all _spd_solve reads
     gram = [[0] * len(free) for _ in free]
     for i in range(len(free)):
         gram[i][i] = d * d
     proj = [0] * len(free)
-    for row, c in coupled:
+    for row, c in linked:
         s = d // row[c]
         e = sorted((slot[k], v * s) for k, v in row.items() if k != c and k != n)
         beta = row.get(n, 0) * s
@@ -269,15 +328,18 @@ def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[list[Fraction] | 
             g = gram[i]
             for j, w in e[t:]:
                 g[j] += u * w
-    # x_F = X / q over one common denominator q
-    free_x, q = _spd_solve(gram, proj)
+    # x_F = X / q, then every unknown over den = q lcm(p_i); a zero
+    # unknown keeps numerator 0
+    free_x, q = _spd_solve(gram, proj) if linked else ([0] * len(free), 1)
+    den = q * math.lcm(*(row[c] for row, c in solved))
+    nums = [0] * n
     free_num = dict(zip(free, free_x))
     for f, value in free_num.items():
-        x[f] = Fraction(value, q)
-    for row, c in coupled:
+        nums[f] = value * (den // q)
+    for row, c in solved:
         num = row.get(n, 0) * q - sum(v * free_num[k] for k, v in row.items() if k != c and k != n)
-        x[c] = Fraction(num, row[c] * q)
-    return x, rank
+        nums[c] = num * (den // (row[c] * q))
+    return (nums, den), rank
 
 
 def rank_float(matrix) -> int:

@@ -45,6 +45,7 @@ __all__ = [
     "Scaled",
     "as_scaled",
     "as_array",
+    "as_float",
 ]
 
 
@@ -201,3 +202,9 @@ def as_array(block) -> np.ndarray:
     out = np.empty(block.num.shape, dtype=object)
     out.flat[:] = [Fraction(n, block.den) for n in block.num.flat]
     return out
+
+
+def as_float(block) -> np.ndarray:
+    """A :class:`Scaled` block rounded to float64 (:meth:`Scaled.to_float`);
+    a float array is returned as it is."""
+    return block.to_float() if isinstance(block, Scaled) else block

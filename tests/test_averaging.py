@@ -14,8 +14,8 @@ from polycycle.averaging import (
     p3_q3,
     predict_cycle,
 )
-from polycycle.change_of_variables import ChangeOfVariables, solve_theta
-from polycycle.inversion import invert_to_cubic, p_operator, r2_operator
+from polycycle.change_of_variables import ChangeOfVariables, residual_condition33, solve_theta
+from polycycle.inversion import invert_to_cubic, p_operator, r2_operator, trust_radius
 from polycycle.monomials import as_array, lie_row
 from polycycle.system import build_system, hopf_indicator
 
@@ -277,10 +277,13 @@ def test_exact_rows_match_the_fraction_reference(corpus_systems, corpus_covs):
 
 
 def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
-    # from the solved Theta to G2 and G3 the exact stage runs on integer
-    # numerators; only the Fractions it hands back are constructed
+    # from the solve to G2 and G3, the certificate and the trust scan the
+    # exact stage runs on integer numerators: it does no Fraction
+    # arithmetic and constructs only the Fractions of G2 and G3 (7 here).
+    # While the solver returned Fractions the same chain constructed 82,
+    # 75 of them in solve_theta.  Reading a block back as an array
+    # (Gamma^{-1}, Xi_2, Xi_3 below) is what builds the others
     system = _random_exact_system(random.Random(4), 4)
-    cov = solve_theta(system)
     calls = []
     for name in ("add", "sub", "mul", "truediv"):
         for dunder in (f"__{name}__", f"__r{name}__"):
@@ -291,10 +294,22 @@ def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
                 return _method(self, other)
 
             monkeypatch.setattr(Fraction, dunder, counted)
-    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and calls == ["__add__"]
+    new = Fraction.__new__
+
+    def constructed(cls, *args, **kwargs):
+        calls.append("__new__")
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(constructed))
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert "__add__" in calls and "__new__" in calls
     calls.clear()
+    cov = solve_theta(system)
     inv = invert_to_cubic(cov)
     g = g_coefficients(system, cov, inv)
+    assert residual_condition33(cov, system) == 0
+    assert trust_radius(cov, inv) > 0
+    assert calls == ["__new__"] * (len(g.g2) + len(g.g3)) == ["__new__"] * 7
     blocks = [inv.gamma_inv, inv.xi2, inv.xi3, g.g2, g.g3]
-    assert calls == []
     assert all(type(x) is Fraction for block in blocks for x in block.reshape(-1))
+    assert set(calls) == {"__new__"}

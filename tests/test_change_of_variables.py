@@ -22,6 +22,7 @@ from polycycle.change_of_variables import (
     solve_theta,
 )
 from polycycle import linalg
+from polycycle.monomials import Scaled, as_scaled
 from polycycle.linalg import rref, solve_min_norm_exact
 from polycycle.polyops import poly_add, poly_eval, poly_max_abs, poly_scale
 from polycycle.system import build_system, lie_derivative
@@ -143,6 +144,37 @@ def test_solve_theta_is_deterministic(normal_form_system):
     assert sorted(first.thetas) == sorted(second.thetas)
     for k in first.thetas:
         assert first.thetas[k].tolist() == second.thetas[k].tolist()
+
+
+def test_blocks_are_held_as_their_scaled_fraction_blocks(corpus_systems, corpus_covs):
+    # solve_theta hands every block on as integer numerators over its own
+    # denominator, the pair as_scaled makes of its Fraction array; a change
+    # of variables built from those arrays, directly or through
+    # dataclasses.replace, holds the same pairs, and a float one holds
+    # float64 arrays
+    rng = np.random.default_rng(99)
+    covs = list(corpus_covs.values())
+    covs += [solve_theta(_complex_pair_system(rng, n)) for n in (2, 3, 4, 5)]
+    for cov in covs:
+        arrays = {1: cov.gamma, **cov.thetas}
+        assert set(cov.blocks) == set(arrays) == {1, *range(2, cov.m + 1)}
+        rebuilt = ChangeOfVariables(gamma=cov.gamma, thetas=cov.thetas)
+        replaced = dataclasses.replace(cov, thetas=cov.thetas)
+        assert (replaced.rank, rebuilt.rank) == (cov.rank, None)
+        for k, array in arrays.items():
+            assert array.dtype == object and all(type(x) is Fraction for x in array.flat)
+            want = as_scaled(array)
+            for held in (cov.block(k), rebuilt.block(k), replaced.block(k)):
+                assert isinstance(held, Scaled) and held.den == want.den > 0
+                assert held.num.tolist() == want.num.tolist()
+                assert all(type(x) is int for x in held.num.flat)
+    floaty = solve_theta(corpus_systems["mixed"].to_float())
+    assert not floaty.exact
+    for k, block in floaty.blocks.items():
+        assert block.dtype == np.float64
+        assert np.array_equal(block, floaty.gamma if k == 1 else floaty.thetas[k])
+    with pytest.raises(TypeError):
+        ChangeOfVariables(gamma=floaty.gamma)
 
 
 def test_residual_zero_across_corpus(corpus_systems, corpus_covs):

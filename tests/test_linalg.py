@@ -8,7 +8,12 @@ import pytest
 
 from conftest import _integer_rows
 from polycycle import linalg
-from polycycle.change_of_variables import assemble_constraints, min_degree_bound
+from polycycle.change_of_variables import (
+    assemble_constraints,
+    min_degree_bound,
+    residual_condition33,
+    solve_theta,
+)
 from polycycle.linalg import (
     rank_exact,
     rank_float,
@@ -23,9 +28,20 @@ def _f(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _fractions(result):
+    """The exact solve's integer numerators over their positive common
+    denominator, read as Fractions; the rank as it is."""
+    sol, rank = result
+    if sol is None:
+        return None, rank
+    nums, den = sol
+    assert type(den) is int and den > 0 and all(type(v) is int for v in nums)
+    return [Fraction(v, den) for v in nums], rank
+
+
 def _solve_dense(a, b):
     """The exact solve of a dense system, through its coprime integer rows."""
-    return solve_min_norm_exact(_integer_rows(a, b), len(a[0]))
+    return _fractions(solve_min_norm_exact(_integer_rows(a, b), len(a[0])))
 
 
 def _rank_dense(a):
@@ -218,9 +234,33 @@ def test_min_norm_exact_on_constraint_systems():
         order = row_two + [c for c in range(cs.unknown_count) if c not in row_two]
         expected, rank = _reference_min_norm(a, list(cs.rhs), order)
         assert expected is not None
-        assert solve_min_norm_exact(cs.rows, cs.unknown_count) == (expected, rank), n
+        assert _fractions(solve_min_norm_exact(cs.rows, cs.unknown_count)) == (expected, rank), n
         assert _rank_dense(a) == cs.rank() == rank
         assert cs.nullspace_dimension() == cs.unknown_count - rank
+
+
+def test_min_norm_exact_on_a_coupled_block_with_free_unknowns():
+    # phi_3 = (x^2 + y^2)(-y, x) with J = [[alpha, -1], [1, alpha]]: at
+    # m = 4 the 13 rows that own no column have rank 8 over 9 columns,
+    # so they force some of their unknowns to 0 and leave one free, and
+    # the defining rows are cancelled against the two reduced pivot rows
+    # with more than one entry
+    alpha = Fraction(1, 20)
+    system = build_system([[alpha, -1], [1, alpha]], [[[0, 0, 0], [0, 0, 0]], [[0, -1, 0, -1], [1, 0, 1, 0]]])
+    cs = assemble_constraints(system, 4)
+    n = cs.unknown_count
+    defining, rest = linalg._split([linalg._primitive(row) for row in cs.rows if row], n)
+    assert (len(defining), len(rest), len(linalg._columns(rest, n))) == (12, 13, 9)
+    assert rank_exact(rest, n) == 8
+    a = cs.matrix.tolist()
+    row_two = [c for c, label in enumerate(cs.unknown_layout) if label[2] == 2]
+    order = row_two + [c for c in range(n) if c not in row_two]
+    expected, rank = _reference_min_norm(a, list(cs.rhs), order)
+    assert expected is not None and rank == 12 + 8
+    assert _fractions(solve_min_norm_exact(cs.rows, n)) == (expected, rank)
+    assert rank_exact([{c: v for c, v in row.items() if c < n} for row in cs.rows], n) == rank
+    assert _rank_dense(a) == rank
+    assert residual_condition33(solve_theta(system), system) == 0
 
 
 def _planted_singleton_case(rng, inconsistent):
@@ -316,9 +356,13 @@ def test_spd_solve_matches_fraction_rref():
 
 def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
     # one fixed degree-4 system at its counting bound, m = 7 (63 x 66):
-    # eliminating in column index order takes 1104 row operations, taking
-    # the 33 singleton columns first 372; the Gram system is solved
-    # densely, outside this kernel
+    # eliminating every row in column index order takes 1104 row
+    # operations, taking the 33 singleton columns first 372 (232 of them
+    # against a pivot row with one entry).  Setting the 33 rows that own
+    # those columns aside and eliminating only the other 30 takes 140;
+    # those 30 force all 21 of their unknowns to 0, and each zero column
+    # is dropped from the rows that hold it, not cancelled.  The Gram
+    # system is solved densely, outside this kernel
     jac = [[Fraction(1, 50), -1], [1, Fraction(1, 50)]]
     phi = [
         [[-1, -3, Fraction(3, 2)], [-1, -2, Fraction(-3, 4)]],
@@ -326,23 +370,31 @@ def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
         [[Fraction(-2, 3), Fraction(4, 3), -4, -2, -3], [-2, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), 1]],
     ]
     cs = assemble_constraints(build_system(jac, phi), 7)
-    calls = {"_cancel": 0, "_echelon": 0}
+    calls = {"_cancel": 0, "_echelon": 0, "_drop": 0}
+    one_entry = []
 
     def counting(name):
         original = getattr(linalg, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "_cancel" and len(args[1]) == 1:
+                one_entry.append(args[1])
             return original(*args)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(linalg, name, counting(name))
-    x, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
-    assert x is not None and rank == 54
+    (nums, den), rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
+    assert rank == 54 and den > 0
     assert calls["_echelon"] == 1
-    assert 0 < calls["_cancel"] < 1104 // 2
+    assert 0 < calls["_cancel"] <= 140
+    assert one_entry == []
+    # 50 drops of zero columns, each a comprehension and a gcd: 9 in the
+    # forward pass, then at most one per row, of all the zero columns it
+    # holds at once
+    assert calls["_drop"] <= 50
 
 
 def test_rank_float_tolerates_noise():
