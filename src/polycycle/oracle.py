@@ -6,12 +6,22 @@ original planar field are integrated with an embedded Dormand-Prince
 return map P of a Poincare section, and :func:`compare` reduces a
 prediction/measurement pair to a verdict.
 
+All stepping runs in one loop, :func:`_dp45`: the Dormand-Prince pair
+with first-same-as-last reuse and Hermite dense output (Hairer, Norsett
+and Wanner, Solving Ordinary Differential Equations I, sec. II.4-II.6),
+its state in local variables, appending one record per accepted step.
+It stops at the first event: a sign change of the section coordinate,
+a blow-up past ``BLOWUP_NORM``, a step size underflow, the time limit
+or the step budget, and returns the state it stopped in, from which the
+return map resumes it past a crossing on the wrong side.
+
 Crossing times are located inside accepted steps by bisection on the
-cubic Hermite interpolant, which at the fixed 1e-10 tolerances is
-accurate to well below 1e-6 in time, and the state there is taken by
-one more Dormand-Prince step from the start of the step: the
-interpolant's own error, up to about 2e-7 relative next to the Hopf
-point, would otherwise reach the fixed point multiplied by 1/|P' - 1|.
+section coordinate's cubic Hermite interpolant, which at the fixed
+1e-10 tolerances is accurate to well below 1e-6 in time, and the state
+there is taken by one more run of the loop from the start of the step:
+the interpolant's own error, up to about 2e-7 relative next to the
+Hopf point, would otherwise reach the fixed point multiplied by
+1/|P' - 1|.
 
 Each orbit also gives the slope of the return map, from the divergence
 identity for planar flows (Perko, Differential Equations and Dynamical
@@ -32,6 +42,7 @@ is sampled from.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,34 +152,42 @@ class TransversalityError(RuntimeError):
     """Both Poincare sections met the flow tangentially."""
 
 
-class _Stepper:
-    """Adaptive Dormand-Prince stepping with FSAL reuse."""
+_UNDERFLOW = "step size underflow; the field may be singular here"
 
-    __slots__ = ("f", "t", "u", "v", "fu", "fv", "h", "steps", "rejects")
 
-    def __init__(self, f, u, v):
-        self.f = f
-        self.t = 0.0
-        self.u, self.v = u, v
-        self.fu, self.fv = f(u, v)
-        self.h = H_INIT
-        self.steps = 0
-        self.rejects = 0
+def _dp45(f, t0, u0, v0, fu0, fv0, trial, t_limit, section, budget, norm, records):
+    """Accepted Dormand-Prince steps from t0, where f(u0, v0) = (fu0,
+    fv0) and ``trial`` is the next step to try, up to the first event.
 
-    def advance(self, t_limit: float):
-        """One accepted step, not overshooting t_limit.
+    Each accepted step appends (t0, u0, v0, fu0, fv0, t1, u1, v1, fu1,
+    fv1) to ``records``.  The events: "budget" once ``budget`` steps
+    were accepted and "limit" once t is within 1e-14 relative of
+    ``t_limit``, both checked before a step; "underflow" when
+    rejections cut the step below 1e-14, leaving the state at the
+    step's start; after a step, "blowup" when |u| + |v| passes
+    ``norm``, then "cross" when coordinate ``section`` (0: u, 1: v,
+    None: no section) changed sign from a nonzero start.
 
-        Returns (t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1), the raw
-        material for Hermite interpolation, or None at the limit.
-        """
-        f = self.f
-        t0, u0, v0 = self.t, self.u, self.v
-        if t_limit - t0 <= 1e-14 * max(1.0, abs(t_limit)):
-            return None
-        fu1, fv1 = self.fu, self.fv
-        h = min(self.h, t_limit - t0)
+    Returns (event, t, u, v, fu, fv, trial, accepted steps, rejected
+    steps), from which a later call resumes the same stepping.
+    """
+    sqrt = math.sqrt
+    append = records.append
+    t_tol = 1e-14 * max(1.0, abs(t_limit))
+    g0 = None if section is None else (u0, v0)[section]
+    steps = rejects = 0
+    while True:
+        if steps >= budget:
+            event = "budget"
+            break
+        if t_limit - t0 <= t_tol:
+            event = "limit"
+            break
+        h = t_limit - t0
+        if not h < trial:  # min(trial, t_limit - t0)
+            h = trial
+        k1u, k1v = fu0, fv0
         while True:
-            k1u, k1v = fu1, fv1
             yu = u0 + h * (_A21 * k1u)
             yv = v0 + h * (_A21 * k1v)
             k2u, k2v = f(yu, yv)
@@ -189,29 +208,52 @@ class _Stepper:
             k7u, k7v = f(u1, v1)
             eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
             ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-            su = ATOL + RTOL * max(abs(u0), abs(u1))
-            sv = ATOL + RTOL * max(abs(v0), abs(v1))
-            err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+            # max(a, b) as a comparison: a unless b is greater
+            a, b = abs(u0), abs(u1)
+            su = ATOL + RTOL * (b if b > a else a)
+            a, b = abs(v0), abs(v1)
+            sv = ATOL + RTOL * (b if b > a else a)
+            err = sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
             if err <= 1.0:
                 break
-            self.rejects += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+            rejects += 1
+            q = 0.9 * err ** -0.2
+            h *= q if q > 0.2 else 0.2  # max(0.2, q)
             if h < 1e-14:
-                raise ArithmeticError("step size underflow; the field may be singular here")
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        self.h = h * factor
-        self.t = t0 + h
-        self.u, self.v = u1, v1
-        self.fu, self.fv = k7u, k7v
-        self.steps += 1
-        return (t0, u0, v0, fu1, fv1, self.t, u1, v1, k7u, k7v)
+                return "underflow", t0, u0, v0, fu0, fv0, trial, steps, rejects
+        if err == 0.0:
+            trial = h * 5.0
+        else:
+            q = 0.9 * err ** -0.2
+            q = q if q > 0.2 else 0.2
+            trial = h * (q if q < 5.0 else 5.0)  # min(5.0, max(0.2, q))
+        t1 = t0 + h
+        append((t0, u0, v0, fu0, fv0, t1, u1, v1, k7u, k7v))
+        t0, u0, v0, fu0, fv0 = t1, u1, v1, k7u, k7v
+        steps += 1
+        if abs(u1) + abs(v1) > norm:
+            event = "blowup"
+            break
+        if section is not None:
+            g1 = v1 if section else u1
+            if g0 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
+                event = "cross"
+                break
+            g0 = g1
+    return event, t0, u0, v0, fu0, fv0, trial, steps, rejects
 
 
-def _work(orbits: list[_Stepper]) -> tuple[int, int, int]:
+def _record_array(records) -> np.ndarray:
+    """The (10, N) array of N step records."""
+    flat = np.fromiter(chain.from_iterable(records), float, 10 * len(records))
+    return flat.reshape(-1, 10).T
+
+
+def _work(orbits: list[list[int]]) -> tuple[int, int, int]:
     """(accepted steps, rejected steps, field evaluations) of the orbits
-    one measurement followed."""
-    steps = sum(s.steps for s in orbits)
-    rejects = sum(s.rejects for s in orbits)
+    one measurement followed, each held as its [steps, rejects]."""
+    steps = sum(o[0] for o in orbits)
+    rejects = sum(o[1] for o in orbits)
     # one evaluation to start each orbit, six per attempted step (k2..k7)
     return steps, rejects, len(orbits) + 6 * (steps + rejects)
 
@@ -237,41 +279,44 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     """Integrate the field from x0 for t in [0, t_end] by adaptive DP45 steps.
 
     The trajectory is truncated, and flagged, if the state norm passes
-    ``BLOWUP_NORM``.
+    ``BLOWUP_NORM`` or the steps reach ``MAX_STEPS``; a step size
+    underflow raises ArithmeticError.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     f = compile_field(system)
     u, v = float(x0[0]), float(x0[1])
-    ts = [0.0]
-    states = [(u, v)]
-    truncated = False
-    stepper = _Stepper(f, u, v)
-    while True:
-        rec = stepper.advance(t_end)
-        if rec is None:
-            break
-        ts.append(rec[5])
-        states.append((rec[6], rec[7]))
-        if abs(rec[6]) + abs(rec[7]) > BLOWUP_NORM:
-            truncated = True
-            break
-        if stepper.steps >= MAX_STEPS:
-            truncated = True
-            break
-    return Trajectory(np.array(ts), np.array(states), truncated, stepper.steps)
+    records = []
+    event, *_, steps, _ = _dp45(f, 0.0, u, v, *f(u, v), H_INIT, t_end, None, MAX_STEPS, BLOWUP_NORM, records)
+    if event == "underflow":
+        raise ArithmeticError(_UNDERFLOW)
+    ts = [0.0] + [rec[5] for rec in records]
+    states = [(u, v)] + [(rec[6], rec[7]) for rec in records]
+    return Trajectory(np.array(ts), np.array(states), event != "limit", steps)
 
 
 def _locate_crossing(rec, zero_idx: int, t_tol: float) -> float:
-    """Bisect the Hermite interpolant for a sign change of one coordinate."""
-    ta, tb = rec[0], rec[5]
-    ga = (rec[1], rec[2])[zero_idx]
-    gb = (rec[6], rec[7])[zero_idx]
-    if ga == 0.0:
-        return ta
+    """Bisect the Hermite interpolant for a sign change of one coordinate.
+
+    Only that coordinate is interpolated, by the expression of
+    :func:`_hermite`, so the time is the one both coordinates would give.
+    """
+    t0, t1 = rec[0], rec[5]
+    g0, d0, g1, d1 = rec[1 + zero_idx], rec[3 + zero_idx], rec[6 + zero_idx], rec[8 + zero_idx]
+    if g0 == 0.0:
+        return t0
+    h = t1 - t0
+    ta, tb, gb = t0, t1, g1
     for _ in range(200):
         tm = 0.5 * (ta + tb)
-        gm = _hermite(rec, tm)[zero_idx]
+        s = (tm - t0) / h
+        s2 = s * s
+        w2 = (1.0 - s) * (1.0 - s)
+        h00 = (1.0 + 2.0 * s) * w2
+        h10 = s * w2
+        h01 = s2 * (3.0 - 2.0 * s)
+        h11 = s2 * (s - 1.0)
+        gm = h00 * g0 + h10 * h * d0 + h01 * g1 + h11 * h * d1
         if gm == 0.0:
             return tm
         if (gm > 0.0) == (gb > 0.0):
@@ -308,11 +353,10 @@ def _divergence(flt: PlanarPolySystem):
     return div
 
 
-def _divergence_integral(div, records, tc: float) -> float:
-    """Integral of div f over [0, tc] along the step records, tc lying in
-    the last one: 3-point Gauss-Legendre on each step's Hermite
+def _divergence_integral(div, recs: np.ndarray, tc: float) -> float:
+    """Integral of div f over [0, tc] along the (10, N) step records, tc
+    lying in the last one: 3-point Gauss-Legendre on each step's Hermite
     interpolant, in one array pass."""
-    recs = np.array(records).T
     t0 = recs[0]
     span = np.append(recs[5, :-1], tc) - t0
     u, v = _hermite(recs, t0 + span * _GL_NODES)
@@ -322,59 +366,63 @@ def _divergence_integral(div, records, tc: float) -> float:
 def _return_map(f, div, orbits, zero_idx, pos_idx, x: float):
     """Follow the orbit from the section point ``x`` once around.
 
-    Returns (P(x), return time, P'(x), accepted step records) at the
-    first crossing of the section in the direction the flow crosses it
-    at the start.  P is inf when the orbit blows up or its step size
-    underflows, and 0 when it falls inside the 1e-8 numerical-origin
-    scale, where the tangency guard below cannot tell a flat section
-    from a dead orbit; P' is nan in both cases.  Otherwise P(x) is the
-    state at the crossing time, stepped to from the start of the step
-    that holds it, and P' comes from the divergence identity of the
-    module docstring: the normal components are the orbit's first field
-    evaluation and the last stage of that step, which the transversality
-    check reads, so the slope adds no field call.  The orbit's stepper
-    is appended to ``orbits``.
+    Returns (P(x), return time, P'(x), (10, N) array of the accepted
+    step records) at the first crossing of the section in the direction
+    the flow crosses it at the start.  P is inf when the orbit blows up
+    or its step size underflows, and 0 when it falls inside the 1e-8
+    numerical-origin scale, where the tangency guard below cannot tell a
+    flat section from a dead orbit; P' is nan in both cases.  Otherwise
+    P(x) is the state at the crossing time, stepped to from the start of
+    the step that holds it, and P' comes from the divergence identity of
+    the module docstring: the normal components are the orbit's first
+    field evaluation and the last stage of that step, which the
+    transversality check reads, so the slope adds no field call.  The
+    orbit's [accepted steps, rejected steps] is appended to ``orbits``.
     """
-    stepper = _Stepper(f, *((x, 0.0) if zero_idx == 1 else (0.0, x)))
-    orbits.append(stepper)
-    normal_start = (stepper.fu, stepper.fv)[zero_idx]
+    u, v = (x, 0.0) if zero_idx == 1 else (0.0, x)
+    fu, fv = f(u, v)
+    normal_start = (fu, fv)[zero_idx]
     rising = normal_start > 0.0
+    t, trial = 0.0, H_INIT
+    work = [0, 0]
+    orbits.append(work)
     records = []
-    while stepper.steps < MAX_STEPS:
-        try:
-            # the time budget only stops an orbit that never comes back
-            rec = stepper.advance(1e5)
-        except ArithmeticError:  # step size underflow
-            return math.inf, stepper.t, math.nan, records
-        if rec is None:
-            break
-        records.append(rec)
-        if abs(rec[6]) + abs(rec[7]) > BLOWUP_NORM:
-            return math.inf, rec[5], math.nan, records
-        g0 = (rec[1], rec[2])[zero_idx]
-        g1 = (rec[6], rec[7])[zero_idx]
-        if g0 == 0.0 or (g0 > 0.0) == (g1 > 0.0):
-            continue
+    while True:
+        # the time budget only stops an orbit that never comes back
+        event, t, u, v, fu, fv, trial, steps, rejects = _dp45(
+            f, t, u, v, fu, fv, trial, 1e5, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM, records
+        )
+        work[0] += steps
+        work[1] += rejects
+        if event in ("blowup", "underflow"):
+            return math.inf, t, math.nan, _record_array(records)
+        if event != "cross":
+            raise _NoReturn
+        rec = records[-1]
         tc = _locate_crossing(rec, zero_idx, 1e-12 * max(1.0, abs(rec[5])))
         state = _hermite(rec, tc)
         if math.hypot(state[0], state[1]) < 1e-8:
-            return 0.0, tc, math.nan, records
-        if state[pos_idx] <= 0.0 or (g1 > 0.0) != rising:
+            return 0.0, tc, math.nan, _record_array(records)
+        if state[pos_idx] <= 0.0 or (rec[6 + zero_idx] > 0.0) != rising:
             continue
         # the state at tc to the integrator's order, not the interpolant's:
-        # step again from the start of this step, to tc
-        stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv = rec[:5]
-        stepper.h = tc - rec[0]
-        while stepper.advance(tc) is not None:
-            pass
-        state, speed = (stepper.u, stepper.v), (stepper.fu, stepper.fv)
+        # step again from the start of this step, to tc, stopping for
+        # nothing else, as the step it repeats passed every check
+        event, _, u, v, fu, fv, _, steps, rejects = _dp45(
+            f, *rec[:5], tc - rec[0], tc, None, math.inf, math.inf, []
+        )
+        work[0] += steps
+        work[1] += rejects
+        if event == "underflow":
+            raise ArithmeticError(_UNDERFLOW)
+        state, speed = (u, v), (fu, fv)
         if abs(speed[zero_idx]) <= 1e-9 * (1.0 + math.hypot(speed[0], speed[1])):
             raise TransversalityError(
                 f"flow is tangent to the section at t={tc:.6g}, point {state}"
             )
-        growth = math.exp(_divergence_integral(div, records, tc))
-        return state[pos_idx], tc, normal_start / speed[zero_idx] * growth, records
-    raise _NoReturn
+        recs = _record_array(records)
+        growth = math.exp(_divergence_integral(div, recs, tc))
+        return state[pos_idx], tc, normal_start / speed[zero_idx] * growth, recs
 
 
 def _fixed_point(f, div, orbits, zero_idx, pos_idx, seed: float, tau: float):
@@ -463,7 +511,7 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     div = _divergence(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
 
-    orbits: list[_Stepper] = []
+    orbits: list[list[int]] = []
     last_error = None
     for zero_idx, pos_idx, label in _SECTIONS:
         try:
@@ -478,10 +526,9 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     raise last_error
 
 
-def _finish_measurement(orbits, label, period, slope, evaluations, records):
+def _finish_measurement(orbits, label, period, slope, evaluations, recs):
     # one period from the fixed point, densely sampled: each time in the
     # first step ending at or after it, or in the last step
-    recs = np.array(records).T
     t = period * np.arange(CYCLE_SAMPLES + 1) / CYCLE_SAMPLES
     ri = np.minimum(np.searchsorted(recs[5], t), recs.shape[1] - 1)
     u, v = _hermite(recs[:, ri], np.minimum(t, recs[5, ri]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,12 +180,18 @@ def _monomial(a: int, b: int) -> str:
     return {(1, 0): "u", (0, 1): "v"}.get((a, b), f"m{a}_{b}")
 
 
+@lru_cache(maxsize=128)
+def _field_code(source: str):
+    """The compiled code of a generated field source."""
+    return compile(source, "<string>", "exec")
+
+
 def compile_field(system: PlanarPolySystem):
-    """Straight-line float code for the field, generated once per system.
+    """Straight-line float code for the field, generated for each system.
 
     The returned callable ``f(u, v) -> (du, dv)`` is the hot path of
-    the numerical oracle, so its source is written for this system and
-    compiled once.  It computes ``du = j11*u + j12*v``, the powers
+    the numerical oracle, so its source is written for this system's
+    nonzero pattern.  It computes ``du = j11*u + j12*v``, the powers
     u^2, u^3, ... and v^2, v^3, ... by repeated multiplication, as far
     as a nonzero term needs them, and then, for each block k, the
     products u^(k-i) v^i of the block's nonzero coefficients, summed in
@@ -194,8 +201,11 @@ def compile_field(system: PlanarPolySystem):
     reference, and the order is fixed because float addition is not
     associative: the two agree bit for bit wherever the powers stay
     finite.  A skipped term 0*m is a signed zero, which leaves a sum
-    started from 0.0 as it was.  The coefficients are bound as names in
-    the function's namespace; none of them is written into the source.
+    started from 0.0 as it was.  The coefficients are bound per call as
+    names in a fresh namespace of the function; none of them is written
+    into the source, so systems with the same nonzero pattern (all
+    alpha of a family) share one source, which is compiled once per
+    process and kept in a bounded cache of code objects.
     """
     flt = system.to_float()
     namespace: dict[str, float] = {}
@@ -228,5 +238,5 @@ def compile_field(system: PlanarPolySystem):
     lines += [f"    {_monomial(0, e)} = {_monomial(0, e - 1)} * v" for e in range(2, top_v + 1)]
     lines += [f"    {_monomial(a, b)} = {_monomial(a, 0)} * {_monomial(0, b)}" for a, b in sorted(used) if a and b]
     lines.append(f"    return {exprs[0]}, {exprs[1]}")
-    exec("\n".join(lines), namespace)
+    exec(_field_code("\n".join(lines)), namespace)
     return namespace.pop("field")

@@ -10,6 +10,9 @@ import polycycle.oracle as oracle
 from polycycle.averaging import predict_cycle
 from polycycle.definition import instantiate, load_definition
 from polycycle.oracle import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _E1, _E3, _E4, _E5, _E6, _E7, ATOL, RTOL,
     CycleMeasurement,
     compare,
     integrate,
@@ -17,6 +20,8 @@ from polycycle.oracle import (
     samples_to_csv,
 )
 from polycycle.system import build_system
+
+from conftest import CORPUS
 
 CUBIC_SOFTENING = [[-1, 0, -1, 0], [0, -1, 0, -1]]
 CUBIC_HARDENING = [[1, 0, 1, 0], [0, 1, 0, 1]]
@@ -31,6 +36,12 @@ def _normal_form(alpha):
 def _rescaled(alpha):
     return build_system(
         [[alpha, -2], [2, alpha]], [[[0] * 3, [0] * 3], CUBIC_SOFTENING]
+    )
+
+
+def _hardening(alpha):
+    return build_system(
+        [[alpha, -1], [1, alpha]], [[[0] * 3, [0] * 3], CUBIC_HARDENING]
     )
 
 
@@ -112,19 +123,256 @@ def test_work_counters_match_the_field_calls(monkeypatch):
 def test_measurement_follows_each_orbit_once(monkeypatch):
     # one orbit per root-solve evaluation: the slope comes from the
     # divergence integral along each orbit, and the sampled period from
-    # the root solve's last orbit, so neither starts a new one
+    # the root solve's last orbit, so neither starts a new one; an orbit
+    # starts where the stepping loop starts at t = 0, while resuming it
+    # past a crossing and the re-step to the crossing time start later
     started = 0
-    stepper = oracle._Stepper
+    loop = oracle._dp45
 
-    def counting(*args):
+    def counting(f, t0, *args):
         nonlocal started
-        started += 1
-        return stepper(*args)
+        started += t0 == 0.0
+        return loop(f, t0, *args)
 
-    monkeypatch.setattr(oracle, "_Stepper", counting)
+    monkeypatch.setattr(oracle, "_dp45", counting)
     meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
     assert meas is not None
     assert started == meas.crossings
+
+
+class _Stepper:
+    """Reference for the stepping loop: adaptive Dormand-Prince steps
+    with FSAL reuse, one accepted step per call, the state in
+    attributes."""
+
+    __slots__ = ("f", "t", "u", "v", "fu", "fv", "h", "steps", "rejects")
+
+    def __init__(self, f, u, v):
+        self.f = f
+        self.t = 0.0
+        self.u, self.v = u, v
+        self.fu, self.fv = f(u, v)
+        self.h = oracle.H_INIT
+        self.steps = 0
+        self.rejects = 0
+
+    def advance(self, t_limit: float):
+        """One accepted step, not overshooting t_limit.
+
+        Returns (t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1), or None at
+        the limit.
+        """
+        f = self.f
+        t0, u0, v0 = self.t, self.u, self.v
+        if t_limit - t0 <= 1e-14 * max(1.0, abs(t_limit)):
+            return None
+        fu1, fv1 = self.fu, self.fv
+        h = min(self.h, t_limit - t0)
+        while True:
+            k1u, k1v = fu1, fv1
+            yu = u0 + h * (_A21 * k1u)
+            yv = v0 + h * (_A21 * k1v)
+            k2u, k2v = f(yu, yv)
+            yu = u0 + h * (_A31 * k1u + _A32 * k2u)
+            yv = v0 + h * (_A31 * k1v + _A32 * k2v)
+            k3u, k3v = f(yu, yv)
+            yu = u0 + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+            yv = v0 + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
+            k4u, k4v = f(yu, yv)
+            yu = u0 + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+            yv = v0 + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
+            k5u, k5v = f(yu, yv)
+            yu = u0 + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+            yv = v0 + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
+            k6u, k6v = f(yu, yv)
+            u1 = u0 + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+            v1 = v0 + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+            k7u, k7v = f(u1, v1)
+            eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+            su = ATOL + RTOL * max(abs(u0), abs(u1))
+            sv = ATOL + RTOL * max(abs(v0), abs(v1))
+            err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+            if err <= 1.0:
+                break
+            self.rejects += 1
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if h < 1e-14:
+                raise ArithmeticError("step size underflow; the field may be singular here")
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        self.h = h * factor
+        self.t = t0 + h
+        self.u, self.v = u1, v1
+        self.fu, self.fv = k7u, k7v
+        self.steps += 1
+        return (t0, u0, v0, fu1, fv1, self.t, u1, v1, k7u, k7v)
+
+
+def _reference_run(stepper, t_limit, section, budget):
+    """The loop's events, read off the reference stepper: (event, records)
+    up to the first event, with the stepper left where the loop stops."""
+    records = []
+    while stepper.steps < budget:
+        try:
+            rec = stepper.advance(t_limit)
+        except ArithmeticError:
+            return "underflow", records
+        if rec is None:
+            return "limit", records
+        records.append(rec)
+        if abs(rec[6]) + abs(rec[7]) > oracle.BLOWUP_NORM:
+            return "blowup", records
+        if section is not None:
+            g0, g1 = (rec[1], rec[2])[section], (rec[6], rec[7])[section]
+            if g0 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
+                return "cross", records
+    return "budget", records
+
+
+def _reference_crossing(rec, zero_idx, t_tol):
+    """Reference for _locate_crossing: bisection on both Hermite coordinates."""
+    ta, tb = rec[0], rec[5]
+    ga = (rec[1], rec[2])[zero_idx]
+    gb = (rec[6], rec[7])[zero_idx]
+    if ga == 0.0:
+        return ta
+    for _ in range(200):
+        tm = 0.5 * (ta + tb)
+        gm = oracle._hermite(rec, tm)[zero_idx]
+        if gm == 0.0:
+            return tm
+        if (gm > 0.0) == (gb > 0.0):
+            tb, gb = tm, gm
+        else:
+            ta = tm
+        if tb - ta <= t_tol:
+            break
+    return 0.5 * (ta + tb)
+
+
+def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_STEPS, events=100):
+    """Step from the point x of the section through up to ``events``
+    events with the loop, resuming after each crossing, and with the
+    reference stepper; every record, event and count must be equal, and
+    each crossing time equal to the reference bisection's.  Returns the
+    events."""
+    f = oracle.compile_field(system)
+    u, v = (x, 0.0) if section == 1 else (0.0, x)
+    stepper = _Stepper(f, u, v)
+    state = (0.0, u, v, *f(u, v), oracle.H_INIT)
+    seen = []
+    for _ in range(events):
+        steps_before, rejects_before = stepper.steps, stepper.rejects
+        event, ref_records = _reference_run(stepper, t_limit, section, budget)
+        records = []
+        got, *state, steps, rejects = oracle._dp45(
+            f, *state, t_limit, section, budget - steps_before, oracle.BLOWUP_NORM, records
+        )
+        assert (got, records) == (event, ref_records)
+        assert (steps, rejects) == (stepper.steps - steps_before, stepper.rejects - rejects_before)
+        assert tuple(state) == (stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv, stepper.h)
+        seen.append(event)
+        if event != "cross":
+            break
+        t_tol = 1e-12 * max(1.0, abs(records[-1][5]))
+        crossing = oracle._locate_crossing(records[-1], section, t_tol)
+        assert crossing == _reference_crossing(records[-1], section, t_tol)
+    return seen
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_loop_steps_as_the_reference_stepper_on_the_corpus(systems_dir, name):
+    defn = load_definition(systems_dir / f"{name}.json")
+    system = instantiate(defn, defn.alpha_default).to_float()
+    for section in (1, 0):
+        for x in (0.05, 0.3):
+            # an orbit outside reflected_normal_form's repelling cycle blows up
+            assert _assert_loop_is_the_stepper(system, x, section, 30.0)[-1] in ("limit", "blowup")
+
+
+def _random_system(rng, degree):
+    alpha = rng.uniform(-0.1, 0.1)
+    blocks = [rng.uniform(-2.0, 2.0, size=(2, k + 1)) for k in range(2, degree + 1)]
+    return build_system([[alpha, -1.0], [1.0, alpha]], blocks)
+
+
+@pytest.mark.parametrize("degree, seed", [(3, 1), (3, 2), (3, 3), (4, 4), (5, 5)])
+def test_loop_steps_as_the_reference_stepper_on_random_systems(degree, seed):
+    rng = np.random.default_rng(1900 + seed)
+    events = set()
+    for _ in range(4):
+        system = _random_system(rng, degree)
+        for x in (0.05, 0.2, 0.6):
+            events.update(_assert_loop_is_the_stepper(system, x, 1, 40.0, budget=3000))
+    assert "cross" in events
+
+
+def test_loop_reports_underflow_blowup_and_budget_as_the_stepper():
+    # the console step-size-underflow system from (0.8, 0): the orbit's
+    # step size underflows just short of the blow-up norm
+    underflow = build_system(
+        [[Fraction(1, 50), -1], [1, Fraction(1, 50)]],
+        [
+            [[Fraction(3, 2), Fraction(-1, 4), Fraction(3, 2)], [1, Fraction(4, 3), 1]],
+            [[4, Fraction(1, 3), 0, Fraction(5, 3)], [Fraction(-1, 2), Fraction(2, 3), -6, 3]],
+        ],
+    ).to_float()
+    assert _assert_loop_is_the_stepper(underflow, 0.8, 1, 1e5)[-1] == "underflow"
+    # a spiral source: every orbit moves outward until it blows up
+    source = _hardening(0.05).to_float()
+    assert _assert_loop_is_the_stepper(source, 0.1, 1, 1e5, events=1000)[-1] == "blowup"
+    # a step budget runs out before the time limit
+    events = _assert_loop_is_the_stepper(_normal_form(0.01).to_float(), 0.1, 1, 1e5, budget=150)
+    assert events[-1] == "budget" and set(events[:-1]) == {"cross"}
+
+
+def _reference_integrate(system, x0, t_end):
+    """Reference for integrate: its loop over the reference stepper."""
+    stepper = _Stepper(oracle.compile_field(system), float(x0[0]), float(x0[1]))
+    ts, states = [0.0], [(stepper.u, stepper.v)]
+    truncated = False
+    while True:
+        rec = stepper.advance(t_end)
+        if rec is None:
+            break
+        ts.append(rec[5])
+        states.append((rec[6], rec[7]))
+        if abs(rec[6]) + abs(rec[7]) > oracle.BLOWUP_NORM:
+            truncated = True
+            break
+        if stepper.steps >= oracle.MAX_STEPS:
+            truncated = True
+            break
+    return ts, states, truncated, stepper.steps
+
+
+@pytest.mark.parametrize(
+    "system, x0, t_end",
+    [
+        (build_system([[0.0, -1.0], [1.0, 0.0]]), (1.0, 0.0), 2.0 * math.pi),
+        (_normal_form(Fraction(1, 100)).to_float(), (0.3, -0.1), 25.0),
+        (build_system([[0, 0], [0, 0]], [[[1, 0, 0], [0, 0, 1]]]).to_float(), (2.0, 2.0), 10.0),
+        (_hardening(0.05).to_float(), (0.1, 0.0), 1e4),
+    ],
+    ids=["center", "normal_form", "quadratic_growth", "spiral_source"],
+)
+def test_integrate_steps_as_the_reference_stepper(system, x0, t_end):
+    traj = integrate(system, x0, t_end)
+    ts, states, truncated, steps = _reference_integrate(system, x0, t_end)
+    assert traj.t.tolist() == ts
+    assert traj.states.tolist() == [list(s) for s in states]
+    assert (traj.truncated, traj.steps) == (truncated, steps)
+
+
+def test_integrate_raises_on_a_step_size_underflow():
+    underflow = build_system(
+        [[0.02, -1.0], [1.0, 0.02]],
+        [[[1.5, -0.25, 1.5], [1.0, 4.0 / 3.0, 1.0]], [[4.0, 1.0 / 3.0, 0.0, 5.0 / 3.0], [-0.5, 2.0 / 3.0, -6.0, 3.0]]],
+    )
+    with pytest.raises(ArithmeticError):
+        _reference_integrate(underflow, (0.8, 0.0), 1e5)
+    with pytest.raises(ArithmeticError, match="step size underflow"):
+        integrate(underflow, (0.8, 0.0), 1e5)
 
 
 def _loop_samples(records, period):
@@ -151,7 +399,10 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     monkeypatch.setattr(oracle, "_finish_measurement", keep_args)
     meas = measure_cycle(system, 0.05)
     assert meas is not None and meas.section == "x2=0, x1>0"
-    ((*_, period, _slope, _evaluations, records),) = seen
+    ((*_, period, _slope, _evaluations, recs),) = seen
+    # the root solve's last orbit as its (10, N) record array
+    assert recs.dtype == np.float64 and recs.shape[0] == 10
+    records = recs.T.tolist()
     x_star = records[0][1]  # the start of the last orbit, on x2 = 0
     # the last record is the step that holds the return crossing
     assert records[-1][0] < period <= records[-1][5]
@@ -168,12 +419,6 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
 def test_spiral_sink_yields_no_cycle():
     system = _normal_form(-0.05).to_float()
     assert measure_cycle(system, 0.3) is None
-
-
-def _hardening(alpha):
-    return build_system(
-        [[alpha, -1], [1, alpha]], [[[0] * 3, [0] * 3], CUBIC_HARDENING]
-    )
 
 
 def test_unstable_cycle_found_in_forward_time():

@@ -1,5 +1,6 @@
 """System container, field evaluation, Hopf indicator, Lie derivative."""
 
+import builtins
 from fractions import Fraction
 
 import numpy as np
@@ -221,3 +222,31 @@ def test_generated_field_is_bit_identical_to_the_loop():
     generated, reference = compile_field(quadratic), _loop_field(quadratic)
     for u, v in points:
         assert bits(generated(u, v)) == bits(reference(u, v)), (u, v)
+
+
+def test_a_repeated_nonzero_pattern_compiles_nothing(monkeypatch):
+    # the coefficients are bound per call and never enter the source, so a
+    # second system with the same nonzero pattern reuses the compiled code
+    # yet evaluates its own field
+    zero = [[0.0] * 3, [0.0] * 3]
+    first = build_system(
+        [[0.125, -1.0], [1.0, 0.125]], [zero, [[-1.5, 0.0, 2.5, 0.0], [0.0, -1.0, 0.0, 0.75]]]
+    )
+    second = build_system(
+        [[-0.25, -3.0], [2.0, 0.5]], [zero, [[4.0, 0.0, -0.5, 0.0], [0.0, 3.0, 0.0, -2.0]]]
+    )
+    f_first = compile_field(first)
+    compiled = []
+    compile_ = builtins.compile
+
+    def counting(*args, **kwargs):
+        compiled.append(args[0])
+        return compile_(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    f_second = compile_field(second)
+    assert compiled == []
+    for point in [(0.375, -0.625), (-1.25, 0.5)]:
+        assert f_second(*point) == _loop_field(second)(*point)
+        assert f_first(*point) == _loop_field(first)(*point)
+        assert f_second(*point) != f_first(*point)
