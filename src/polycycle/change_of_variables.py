@@ -24,11 +24,13 @@ D, the lcm of their denominators, straight into the sparse integer rows
 that :func:`~polycycle.linalg.solve_min_norm_exact` eliminates; the
 dense Fraction matrix is built only when asked for.  The solve returns
 integer numerators over one denominator, and the change of variables
-keeps each Theta_k block as its numerators over its own denominator,
-so no Fraction is made until a block is read as an array.  The
-certificate expands D_h H along D_f f in integer polynomials and
-divides by D_h D_f once.  Float systems go through the same assembly with scale 1
-and are solved from the dense matrix by least squares.
+holds Gamma and each Theta_k in one form, a dict {degree: block} of
+integer numerators over the block's own denominator
+(:class:`~polycycle.monomials.Scaled`); Fractions are made only where
+H is evaluated at exact points.  The certificate expands D_h H along
+D_f f in integer polynomials and divides by D_h D_f once.  Float
+systems go through the same assembly with scale 1, are solved from the
+dense matrix by least squares, and hold float64 blocks.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "gamma_matrix",
     "assemble_constraints",
     "solve_theta",
+    "component_polynomial",
     "residual_condition33",
     "counting_identity",
 ]
@@ -271,119 +274,63 @@ def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -
     )
 
 
-def _held(block):
-    """A block as :class:`ChangeOfVariables` holds it: Scaled when exact."""
-    return block if isinstance(block, Scaled) else as_scaled(block)
-
-
-class _Blocks:
-    """A block field of :class:`ChangeOfVariables`, ``gamma`` or the dict
-    ``thetas``.  It takes arrays or Scaled blocks, holds exact ones as
-    Scaled blocks and reads back arrays, of Fractions when exact (built
-    on each read).  A dataclass field whose default is a descriptor goes
-    through the descriptor on every set and get; raising AttributeError
-    on the class leaves the field without a default."""
-
-    def __init__(self, many: bool):
-        self.many = many
-
-    def __set_name__(self, owner, name):
-        self.slot = f"_{name}"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.slot)
-        held = getattr(obj, self.slot)
-        return {k: as_array(b) for k, b in held.items()} if self.many else as_array(held)
-
-    def __set__(self, obj, value):
-        held = {k: _held(b) for k, b in value.items()} if self.many else _held(value)
-        object.__setattr__(obj, self.slot, held)
-
-
 @dataclass(frozen=True)
 class ChangeOfVariables:
     """Solved change of variables H(X) = Gamma X + sum Theta_k lambda_k.
 
-    The first row of ``gamma`` is (a, b).  ``equation_count``,
-    ``unknown_count`` and ``rank`` describe the linear system over the
-    Theta entries that :func:`solve_theta` solved; they are None for a
-    change of variables built directly.
-
-    ``gamma`` and ``thetas`` take and return arrays, of Fractions (or
-    ints) when exact and float64 otherwise.  An exact change of
-    variables holds each block as integer numerators over one
-    denominator (:class:`~polycycle.monomials.Scaled`), which
-    :meth:`block` hands to the integer stages; the Fraction arrays are
-    built when ``gamma``, ``thetas`` or :meth:`theta` are read.
+    ``blocks`` maps degree 1 to Gamma, whose first row is (a, b), and
+    each k = 2 .. m to Theta_k.  An exact change of variables holds
+    every block as integer numerators over one denominator
+    (:class:`~polycycle.monomials.Scaled`), the form the integer stages
+    compute with; a float one holds float64 arrays.
+    ``equation_count``, ``unknown_count`` and ``rank`` describe the
+    linear system over the Theta entries that :func:`solve_theta`
+    solved; they are None for a change of variables built directly.
     """
 
-    gamma: np.ndarray = _Blocks(many=False)
-    thetas: dict[int, np.ndarray] = _Blocks(many=True)
+    blocks: dict
     equation_count: int | None = None
     unknown_count: int | None = None
     rank: int | None = None
 
     @property
     def m(self) -> int:
-        return max(self._thetas) if self._thetas else 1
+        return max(self.blocks)
 
     @property
     def exact(self) -> bool:
-        return isinstance(self._gamma, Scaled)
-
-    @property
-    def blocks(self) -> dict:
-        """Gamma (degree 1) and each Theta_k as held: Scaled blocks when
-        exact, float64 arrays otherwise."""
-        return {1: self._gamma, **self._thetas}
+        return isinstance(self.blocks[1], Scaled)
 
     def block(self, k: int):
-        """Gamma for k = 1, Theta_k (zero-filled when absent) for k >= 2,
-        as held."""
+        """Gamma for k = 1, Theta_k (zero-filled when absent) for k >= 2."""
         if k < 1:
             raise ValueError(f"blocks start at degree 1, got {k}")
-        if k == 1:
-            return self._gamma
-        if k in self._thetas:
-            return self._thetas[k]
+        if k in self.blocks:
+            return self.blocks[k]
         if self.exact:
             return Scaled(np.zeros((2, k + 1), dtype=object), 1)
         return np.zeros((2, k + 1))
 
-    def theta(self, k: int) -> np.ndarray:
-        """Degree-k block, zero-filled when absent (k >= 2)."""
-        if k < 2:
-            raise ValueError(f"theta blocks start at degree 2, got {k}")
-        return as_array(self.block(k))
-
     def h_evaluate(self, point) -> np.ndarray:
-        """H at a point (u, v), or at each column of a (2, N) array."""
-        return eval_poly_map({1: self.gamma, **self.thetas}, point)
-
-    def component_polynomial(self, row: int):
-        """Component ``row`` (1 or 2) of H as an exponent-dict polynomial."""
-        return _component_polynomial({1: self.gamma, **self.thetas}, row)
+        """H at a point (u, v), or at each column of a (2, N) array;
+        exact blocks evaluate as Fractions."""
+        return eval_poly_map({k: as_array(b) for k, b in self.blocks.items()}, point)
 
     def to_float(self) -> "ChangeOfVariables":
         if not self.exact:
             return self
-        return dataclasses.replace(
-            self,
-            gamma=as_float(self._gamma),
-            thetas={k: as_float(b) for k, b in self._thetas.items()},
-        )
+        return dataclasses.replace(self, blocks={k: as_float(b) for k, b in self.blocks.items()})
 
 
-def _component_polynomial(blocks: dict, row: int):
-    """Row ``row`` (1 or 2) of the blocks {degree: array} as an
-    exponent-dict polynomial."""
+def component_polynomial(blocks: dict, row: int):
+    """Row ``row`` (1 or 2) of the blocks {degree: block} as an
+    exponent-dict polynomial; Scaled blocks become Fractions."""
     if row not in (1, 2):
         raise ValueError(f"row must be 1 or 2, got {row!r}")
     p = {}
     for k in sorted(blocks):
         # each block has its own degree, so no exponent is met twice
-        p.update(poly_from_lambda_row(k, blocks[k][row - 1]))
+        p.update(poly_from_lambda_row(k, as_array(blocks[k])[row - 1]))
     return p
 
 
@@ -391,26 +338,26 @@ class NoSolutionError(RuntimeError):
     """Raised when Gamma_1 is singular or the constraint system is inconsistent."""
 
 
-def _extract_cov(solution, cs: ConstraintSystem, rank: int, gamma: np.ndarray) -> ChangeOfVariables:
-    """The change of variables from the solution of ``cs``: float64
-    values, or integer numerators over one denominator, (nums, den), of
-    which each Theta_k block keeps its own, reduced by their gcd."""
+def _extract_cov(solution, cs: ConstraintSystem, rank: int, gamma) -> ChangeOfVariables:
+    """The change of variables from Gamma and the solution of ``cs``:
+    float64 values, or integer numerators over one denominator,
+    (nums, den), of which each Theta_k block keeps its own, reduced by
+    their gcd."""
     # the layout lists the entries of each Theta_k row by row, k = 2 .. m
     nums, den = solution if cs.exact else (solution, None)
-    thetas = {}
+    blocks = {1: gamma}
     start = 0
     for k in range(2, cs.m + 1):
         end = start + 2 * (k + 1)
         part = nums[start:end]
         if cs.exact:
             g = math.gcd(den, *part)
-            thetas[k] = Scaled(np.array([v // g for v in part], dtype=object).reshape(2, k + 1), den // g)
+            blocks[k] = Scaled(np.array([v // g for v in part], dtype=object).reshape(2, k + 1), den // g)
         else:
-            thetas[k] = np.array(part, dtype=float).reshape(2, k + 1)
+            blocks[k] = np.array(part, dtype=float).reshape(2, k + 1)
         start = end
     return ChangeOfVariables(
-        gamma=gamma,
-        thetas=thetas,
+        blocks=blocks,
         equation_count=cs.equation_count,
         unknown_count=cs.unknown_count,
         rank=rank,
@@ -451,7 +398,7 @@ def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVaria
     if system.exact:
         sol, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
         # Gamma_1 = [[1, 0], first row of J], without Fraction arithmetic
-        gamma = np.array([[1, 0], system.jac[0].tolist()], dtype=object)
+        gamma = as_scaled(np.array([[1, 0], system.jac[0].tolist()], dtype=object))
     else:
         sol, rank = solve_min_norm_float(cs.matrix, cs.rhs)
         gamma = gamma_matrix(system.jac, 1.0, 0.0)
@@ -487,8 +434,8 @@ def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):
         blocks = {k: as_float(b) for k, b in cov.blocks.items()}
         system = system.to_float()
     res = poly_add(
-        lie_derivative(_component_polynomial(blocks, 1), system),
-        poly_scale(_component_polynomial(blocks, 2), -d_f),
+        lie_derivative(component_polynomial(blocks, 1), system),
+        poly_scale(component_polynomial(blocks, 2), -d_f),
     )
     top = poly_max_abs(res)
     return Fraction(top, d_h * d_f) if exact and top else top

@@ -21,8 +21,9 @@ numerators over one denominator (:class:`~polycycle.monomials.Scaled`).
 With Gamma = G / d_Gamma and G integral, Gamma^{-1} is d_Gamma adj(G)
 over det(G); P_k(Gamma^{-1}) is P_k of those numerators over det(G)^k,
 a product multiplies denominators and a sum brings its terms to their
-lcm.  Fractions are made only for the blocks read back as arrays.  A
-float series runs the same expressions on float64 arrays.
+lcm.  The series holds its blocks in that form, and only
+:meth:`InverseSeries.evaluate` turns them into Fractions.  A float
+series runs the same expressions on float64 arrays.
 
 Composing H with the truncation leaves a quartic-order defect; the
 empirical trust radius estimates where that defect stays small.  H and
@@ -113,8 +114,7 @@ class InverseSeries:
     operators the series was built from, P_2(Gamma^{-1}), P_3(Gamma^{-1})
     and R2(Gamma^{-1}, Xi_2), which the G rows reuse.  They are
     :class:`~polycycle.monomials.Scaled` blocks for an exact series and
-    float64 arrays otherwise; ``gamma_inv``, ``xi2`` and ``xi3`` read the
-    first three as arrays, of Fractions when exact (built on each read).
+    float64 arrays otherwise, the form the G rows compute with.
     """
 
     blocks: dict
@@ -126,21 +126,10 @@ class InverseSeries:
     def exact(self) -> bool:
         return isinstance(self.p2_op, Scaled)
 
-    @property
-    def gamma_inv(self) -> np.ndarray:
-        return as_array(self.blocks[1])
-
-    @property
-    def xi2(self) -> np.ndarray:
-        return as_array(self.blocks[2])
-
-    @property
-    def xi3(self) -> np.ndarray:
-        return as_array(self.blocks[3])
-
     def evaluate(self, point) -> np.ndarray:
-        """X at a point Y = (u, v), or at each column of a (2, N) array."""
-        return eval_poly_map({1: self.gamma_inv, 2: self.xi2, 3: self.xi3}, point)
+        """X at a point Y = (u, v), or at each column of a (2, N) array;
+        exact blocks evaluate as Fractions."""
+        return eval_poly_map({k: as_array(b) for k, b in self.blocks.items()}, point)
 
     def to_float(self) -> "InverseSeries":
         if not self.exact:

@@ -282,8 +282,8 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     ``BLOWUP_NORM`` or the steps reach ``MAX_STEPS``; a step size
     underflow raises ArithmeticError.
     """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     f = compile_field(system)
     u, v = float(x0[0]), float(x0[1])
     records = []
@@ -479,6 +479,12 @@ def _fixed_point(f, div, orbits, zero_idx, pos_idx, seed: float, tau: float):
     return None
 
 
+def check_seed_radius(seed_radius) -> None:
+    """Refuse a seed radius that is not positive and finite."""
+    if not 0.0 < seed_radius < math.inf:
+        raise ValueError(f"seed_radius must be positive and finite, got {seed_radius}")
+
+
 def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurement | None:
     """Find a periodic orbit as a root of g(x) = P(x) - x on a section.
 
@@ -504,8 +510,7 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     TransversalityError
         When the flow is tangent to both candidate sections.
     """
-    if not 0.0 < seed_radius < math.inf:
-        raise ValueError(f"seed_radius must be positive and finite, got {seed_radius}")
+    check_seed_radius(seed_radius)
     flt = system.to_float()
     f = compile_field(flt)
     div = _divergence(flt)
@@ -567,6 +572,13 @@ class ComparisonReport:
     period_tol: float
 
 
+def check_tolerances(amp_tol, period_tol) -> None:
+    """Refuse a comparison tolerance that is negative or not finite."""
+    for name, tol in (("amp_tol", amp_tol), ("period_tol", period_tol)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {tol}")
+
+
 def compare(
     prediction: KbmPrediction,
     curve: np.ndarray | None,
@@ -584,9 +596,7 @@ def compare(
     and period decide.  A disagreement is a result, not an error; a
     tolerance that is negative or not finite is a ValueError.
     """
-    for name, tol in (("amp_tol", amp_tol), ("period_tol", period_tol)):
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {tol}")
+    check_tolerances(amp_tol, period_tol)
     pred_amp = None
     pred_period = prediction.period
     if prediction.exists and curve is not None:

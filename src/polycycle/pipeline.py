@@ -30,7 +30,7 @@ from .change_of_variables import (  # noqa: F401
 )
 from .definition import SystemDefinition, instantiate, load_definition, resolve_alpha
 from .inversion import invert_to_cubic, trust_radius
-from .oracle import compare, measure_cycle
+from .oracle import check_seed_radius, check_tolerances, compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
 
 __all__ = ["AnalysisOptions", "AnalysisReport", "run_analyze", "run_sweep", "sweep_to_csv"]
@@ -179,6 +179,15 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
+def _checked(options: AnalysisOptions | None) -> AnalysisOptions:
+    """The options, or the defaults, after the oracle's own checks."""
+    options = options or AnalysisOptions()
+    if options.seed_radius is not None:
+        check_seed_radius(options.seed_radius)
+    check_tolerances(options.amp_tol, options.period_tol)
+    return options
+
+
 def _resolve(source, options):
     """Return (definition or None, system, exact alpha used or None)."""
     if isinstance(source, PlanarPolySystem):
@@ -200,10 +209,14 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
     exact value of the system or of its analysis lies beyond the float
     range, since the report and the oracle are in floats.  A missing
     change of variables is NOT an error; the report comes back with
-    status ``no_change_of_variables``.
+    status ``no_change_of_variables``.  A seed radius or tolerance that
+    :func:`~polycycle.oracle.measure_cycle` or
+    :func:`~polycycle.oracle.compare` would refuse is a ValueError even
+    when the oracle does not run.
     """
+    options = _checked(options)
     try:
-        return _analyze(source, options or AnalysisOptions())
+        return _analyze(source, options)
     except OverflowError as err:
         # exact values meet float() at many places (alpha, tau and delta,
         # the G rows, the report's fields); each overflow is the input's
@@ -285,7 +298,8 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
     return AnalysisReport(
         status="ok",
         m=cov.m,
-        gamma_params=tuple(int(c) for c in cov.gamma[0]),
+        # solve_theta always solves at Gamma_1
+        gamma_params=(1, 0),
         unknown_count=cov.unknown_count,
         equation_count=cov.equation_count,
         nullspace_dim=cov.unknown_count - cov.rank,
@@ -315,9 +329,10 @@ def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[di
     cycle).  A point whose analysis raises ValueError (an input error,
     see :func:`run_analyze`) gets a row with verdict ``error``, the
     alpha as given, no other values and the message under ``error``;
-    other exceptions propagate.
+    other exceptions propagate.  Bad options raise ValueError once, as
+    for :func:`run_analyze`, before any point runs.
     """
-    options = options or AnalysisOptions()
+    options = _checked(options)
     defn = source if isinstance(source, SystemDefinition) else load_definition(source)
     if not defn.uses_alpha:
         raise ValueError(f"system {defn.name!r} has no alpha parameter to sweep")

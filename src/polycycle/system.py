@@ -109,7 +109,7 @@ def build_system(jac, phi=()) -> PlanarPolySystem:
         raise ValueError("phi declares nonlinear degrees but every block is zero; pass phi=() for a linear system")
     while blocks and _is_zero_matrix(blocks[-1]):
         blocks.pop()
-    if blocks and jac_arr.dtype != blocks[0].dtype:
+    if any(b.dtype != jac_arr.dtype for b in blocks):
         # mixed exact/float input: fall back to float throughout
         jac_arr = jac_arr.astype(float)
         blocks = [b.astype(float) for b in blocks]

@@ -16,6 +16,7 @@ import pytest
 from polycycle.averaging import cycle_curve, g_coefficients, p3_q3, predict_cycle
 from polycycle.change_of_variables import (
     assemble_constraints,
+    component_polynomial,
     counting_identity,
     min_degree_bound,
     residual_condition33,
@@ -273,8 +274,8 @@ def _reduced_equation_remainder(system, cov):
     inv = invert_to_cubic(cov)
     g = g_coefficients(system, cov, inv)
     ind = hopf_indicator(system)
-    h1 = cov.component_polynomial(1)
-    h2 = cov.component_polynomial(2)
+    h1 = component_polynomial(cov.blocks, 1)
+    h2 = component_polynomial(cov.blocks, 2)
     remainder = poly_add(lie_derivative(h2, system), poly_scale(h2, -ind.tau))
     remainder = poly_add(remainder, poly_scale(h1, ind.delta))
     lam2 = [poly_mul(h1, h1), poly_mul(h1, h2), poly_mul(h2, h2)]

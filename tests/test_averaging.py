@@ -16,7 +16,7 @@ from polycycle.averaging import (
 )
 from polycycle.change_of_variables import ChangeOfVariables, residual_condition33, solve_theta
 from polycycle.inversion import invert_to_cubic, p_operator, r2_operator, trust_radius
-from polycycle.monomials import as_array, lie_row
+from polycycle.monomials import as_array, as_scaled, lie_row
 from polycycle.system import build_system, hopf_indicator
 
 
@@ -112,7 +112,7 @@ def test_g_rows_vanish_for_linear_triangular_change(normal_form_system):
     # Theta = 0 and phi = 0 leave nothing to feed the nonlinear rows
     system = build_system(normal_form_system.jac)
     eye = as_fraction_matrix([[1, 0], [0, 1]])
-    cov = ChangeOfVariables(gamma=eye, thetas={})
+    cov = ChangeOfVariables(blocks={1: as_scaled(eye)})
     g = g_coefficients(system, cov, invert_to_cubic(cov))
     assert all(x == 0 for x in g.g2)
     assert all(x == 0 for x in g.g3)
@@ -124,7 +124,7 @@ def test_g2_reduces_to_field_row_for_identity_gamma():
     phi2 = [[1, 2, 3], [4, 5, 6]]
     system = build_system(jac, [phi2])
     eye = as_fraction_matrix([[1, 0], [0, 1]])
-    cov = ChangeOfVariables(gamma=eye, thetas={})
+    cov = ChangeOfVariables(blocks={1: as_scaled(eye)})
     g = g_coefficients(system, cov, invert_to_cubic(cov))
     assert list(g.g2) == [Fraction(4), Fraction(5), Fraction(6)]
     assert all(x == 0 for x in g.g3)
@@ -160,7 +160,7 @@ def test_cycle_curve_single_sample(normal_form_cov, normal_form_system, normal_f
     point = cycle_curve(normal_form_cov, pred, sample_count=1)
     assert point.shape == (1, 3)
     assert point[0, 0] == 0.0
-    gamma_inv = np.linalg.inv(np.asarray(normal_form_cov.gamma.tolist(), dtype=float))
+    gamma_inv = np.linalg.inv(np.asarray(as_array(normal_form_cov.block(1)).tolist(), dtype=float))
     rate = math.sqrt(float(ind.delta)) * pred.omega0
     expected = gamma_inv @ np.array([0.0, pred.z_amplitude * rate])
     np.testing.assert_allclose(point[0, 1:], expected, rtol=1e-12)
@@ -177,7 +177,7 @@ def test_cycle_curve_spacing_and_validation(normal_form_cov, normal_form_system,
     steps = np.diff(curve[:, 0])
     np.testing.assert_allclose(steps, period / 64, rtol=1e-12)
     # reference: the curve sample by sample
-    gamma_inv = np.linalg.inv(normal_form_cov.to_float().gamma)
+    gamma_inv = np.linalg.inv(normal_form_cov.to_float().block(1))
     rate = math.sqrt(pred.delta) * pred.omega0
     for i, row in enumerate(curve):
         t = period * i / 64
@@ -200,7 +200,7 @@ def test_exact_reduction_stays_in_fractions(corpus_systems, corpus_covs):
         cov = corpus_covs[name]
         inv = invert_to_cubic(cov)
         g = g_coefficients(system, cov, inv)
-        blocks = [cov.gamma, *cov.thetas.values(), inv.gamma_inv, inv.xi2, inv.xi3, g.g2, g.g3]
+        blocks = [*map(as_array, [*cov.blocks.values(), *inv.blocks.values()]), g.g2, g.g3]
         for block in blocks:
             assert all(type(x) is Fraction for x in block.reshape(-1)), name
 
@@ -209,10 +209,10 @@ def _reference_rows(system, cov):
     """Gamma^{-1}, Xi_2, Xi_3, P_2, P_3, R2, G2 and G3 by the formulas on
     plain arrays, Fractions or float64: the reference for the library's
     integer numerators over common denominators."""
-    gamma = as_fraction_matrix(cov.gamma) if cov.exact else cov.gamma
+    gamma = as_array(cov.block(1))
     det = gamma[0, 0] * gamma[1, 1] - gamma[0, 1] * gamma[1, 0]
     ginv = np.array([[gamma[1, 1], -gamma[0, 1]], [-gamma[1, 0], gamma[0, 0]]], dtype=gamma.dtype) / det
-    theta2, theta3 = cov.theta(2), cov.theta(3)
+    theta2, theta3 = as_array(cov.block(2)), as_array(cov.block(3))
     p2, p3 = p_operator(2, ginv), p_operator(3, ginv)
     xi2 = -(ginv @ theta2 @ p2)
     r2 = r2_operator(ginv, xi2)
@@ -232,8 +232,8 @@ def _reference_rows(system, cov):
 def _library_rows(system, cov):
     inv = invert_to_cubic(cov)
     g = g_coefficients(system, cov, inv)
-    ops = (as_array(inv.p2_op), as_array(inv.p3_op), as_array(inv.r2_op))
-    return inv.gamma_inv, inv.xi2, inv.xi3, *ops, g.g2, g.g3
+    blocks = [inv.blocks[k] for k in (1, 2, 3)] + [inv.p2_op, inv.p3_op, inv.r2_op]
+    return *map(as_array, blocks), g.g2, g.g3
 
 
 def _random_exact_system(rng, n, big=False):
@@ -281,8 +281,8 @@ def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
     # exact stage runs on integer numerators: it does no Fraction
     # arithmetic and constructs only the Fractions of G2 and G3 (7 here).
     # While the solver returned Fractions the same chain constructed 82,
-    # 75 of them in solve_theta.  Reading a block back as an array
-    # (Gamma^{-1}, Xi_2, Xi_3 below) is what builds the others
+    # 75 of them in solve_theta.  Reading a block as a Fraction array
+    # (as_array below) is what builds the others
     system = _random_exact_system(random.Random(4), 4)
     calls = []
     for name in ("add", "sub", "mul", "truediv"):
@@ -310,6 +310,6 @@ def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
     assert residual_condition33(cov, system) == 0
     assert trust_radius(cov, inv) > 0
     assert calls == ["__new__"] * (len(g.g2) + len(g.g3)) == ["__new__"] * 7
-    blocks = [inv.gamma_inv, inv.xi2, inv.xi3, g.g2, g.g3]
+    blocks = [*map(as_array, inv.blocks.values()), g.g2, g.g3]
     assert all(type(x) is Fraction for block in blocks for x in block.reshape(-1))
     assert set(calls) == {"__new__"}

@@ -12,9 +12,9 @@ import pytest
 from conftest import _integer_rows, as_fraction_matrix
 import polycycle.change_of_variables as cov_mod
 from polycycle.change_of_variables import (
-    ChangeOfVariables,
     NoSolutionError,
     assemble_constraints,
+    component_polynomial,
     counting_identity,
     gamma_matrix,
     min_degree_bound,
@@ -22,7 +22,7 @@ from polycycle.change_of_variables import (
     solve_theta,
 )
 from polycycle import linalg
-from polycycle.monomials import Scaled, as_scaled
+from polycycle.monomials import Scaled, as_array, as_scaled
 from polycycle.linalg import rref, solve_min_norm_exact
 from polycycle.polyops import poly_add, poly_eval, poly_max_abs, poly_scale
 from polycycle.system import build_system, lie_derivative
@@ -86,10 +86,10 @@ def test_assembled_rows_are_the_defining_condition_coefficients():
                         if label[0] == "theta":
                             _, k, row, col = label
                             thetas[k][row - 1, col - 1] = value
-                    cov = ChangeOfVariables(gamma=gamma_matrix(system.jac, a, b), thetas=thetas)
+                    blocks = {1: gamma_matrix(system.jac, a, b), **thetas}
                     expansion = poly_add(
-                        lie_derivative(cov.component_polynomial(1), system),
-                        poly_scale(cov.component_polynomial(2), -1),
+                        lie_derivative(component_polynomial(blocks, 1), system),
+                        poly_scale(component_polynomial(blocks, 2), -1),
                     )
                     lhs = cs.matrix.dot(np.array(x, dtype=object))
                     if cs.rhs is not None:
@@ -131,50 +131,43 @@ def test_assemble_counts_match_identity():
 def test_solve_theta_on_cubic_normal_form(normal_form_system, normal_form_cov):
     cov = normal_form_cov
     assert cov.m == 4
-    assert list(cov.gamma[0]) == [Fraction(1), Fraction(0)]
+    gamma = as_array(cov.block(1))
+    assert list(gamma[0]) == [Fraction(1), Fraction(0)]
     assert cov.exact
-    assert cov.gamma.tolist() == [[1, 0], [Fraction(1, 20), -1]]
+    assert gamma.tolist() == [[1, 0], [Fraction(1, 20), -1]]
     assert residual_condition33(cov, normal_form_system) == 0
 
 
 def test_solve_theta_is_deterministic(normal_form_system):
     first = solve_theta(normal_form_system)
     second = solve_theta(normal_form_system)
-    assert first.gamma.tolist() == second.gamma.tolist()
-    assert sorted(first.thetas) == sorted(second.thetas)
-    for k in first.thetas:
-        assert first.thetas[k].tolist() == second.thetas[k].tolist()
+    assert sorted(first.blocks) == sorted(second.blocks)
+    for k in first.blocks:
+        assert as_array(first.blocks[k]).tolist() == as_array(second.blocks[k]).tolist()
 
 
 def test_blocks_are_held_as_their_scaled_fraction_blocks(corpus_systems, corpus_covs):
     # solve_theta hands every block on as integer numerators over its own
-    # denominator, the pair as_scaled makes of its Fraction array; a change
-    # of variables built from those arrays, directly or through
-    # dataclasses.replace, holds the same pairs, and a float one holds
-    # float64 arrays
+    # denominator, the pair as_scaled makes of its Fraction array (so in
+    # lowest terms), and a float change of variables holds float64 arrays
     rng = np.random.default_rng(99)
     covs = list(corpus_covs.values())
     covs += [solve_theta(_complex_pair_system(rng, n)) for n in (2, 3, 4, 5)]
     for cov in covs:
-        arrays = {1: cov.gamma, **cov.thetas}
-        assert set(cov.blocks) == set(arrays) == {1, *range(2, cov.m + 1)}
-        rebuilt = ChangeOfVariables(gamma=cov.gamma, thetas=cov.thetas)
-        replaced = dataclasses.replace(cov, thetas=cov.thetas)
-        assert (replaced.rank, rebuilt.rank) == (cov.rank, None)
-        for k, array in arrays.items():
+        assert set(cov.blocks) == {1, *range(2, cov.m + 1)}
+        for k, held in cov.blocks.items():
+            array = as_array(held)
             assert array.dtype == object and all(type(x) is Fraction for x in array.flat)
             want = as_scaled(array)
-            for held in (cov.block(k), rebuilt.block(k), replaced.block(k)):
-                assert isinstance(held, Scaled) and held.den == want.den > 0
-                assert held.num.tolist() == want.num.tolist()
-                assert all(type(x) is int for x in held.num.flat)
+            assert held is cov.block(k)
+            assert isinstance(held, Scaled) and held.den == want.den > 0
+            assert held.num.tolist() == want.num.tolist()
+            assert all(type(x) is int for x in held.num.flat)
     floaty = solve_theta(corpus_systems["mixed"].to_float())
     assert not floaty.exact
     for k, block in floaty.blocks.items():
         assert block.dtype == np.float64
-        assert np.array_equal(block, floaty.gamma if k == 1 else floaty.thetas[k])
-    with pytest.raises(TypeError):
-        ChangeOfVariables(gamma=floaty.gamma)
+        assert block is floaty.block(k)
 
 
 def test_residual_zero_across_corpus(corpus_systems, corpus_covs):
@@ -269,8 +262,8 @@ def test_float_arithmetic_path(normal_form_system):
 
 def test_h_evaluate_matches_component_polynomials(normal_form_cov):
     rng = np.random.default_rng(31)
-    h1 = normal_form_cov.component_polynomial(1)
-    h2 = normal_form_cov.component_polynomial(2)
+    h1 = component_polynomial(normal_form_cov.blocks, 1)
+    h2 = component_polynomial(normal_form_cov.blocks, 2)
     for _ in range(8):
         u = Fraction(int(rng.integers(-8, 9)), 10)
         v = Fraction(int(rng.integers(-8, 9)), 10)
@@ -280,19 +273,19 @@ def test_h_evaluate_matches_component_polynomials(normal_form_cov):
 
 
 def test_theta_zero_fill_and_bounds(normal_form_cov):
-    high = normal_form_cov.theta(normal_form_cov.m + 2)
+    high = as_array(normal_form_cov.block(normal_form_cov.m + 2))
     assert high.shape == (2, normal_form_cov.m + 3)
     assert all(x == 0 for x in high.reshape(-1))
     with pytest.raises(ValueError):
-        normal_form_cov.theta(1)
+        normal_form_cov.block(0)
 
 
 def _fraction_certificate(cov, system):
     """The certificate expanded in Fractions, the reference for the
     integer expansion of residual_condition33."""
     expansion = poly_add(
-        lie_derivative(cov.component_polynomial(1), system),
-        poly_scale(cov.component_polynomial(2), -1),
+        lie_derivative(component_polynomial(cov.blocks, 1), system),
+        poly_scale(component_polynomial(cov.blocks, 2), -1),
     )
     return poly_max_abs(expansion)
 
@@ -313,10 +306,10 @@ def _reference_constraints(system, m):
         if label is not None:
             _, k, row, col = label
             thetas[k][row - 1, col - 1] = Fraction(1)
-        cov = ChangeOfVariables(gamma=gamma, thetas=thetas)
+        blocks = {1: gamma, **thetas}
         e = poly_add(
-            lie_derivative(cov.component_polynomial(1), system),
-            poly_scale(cov.component_polynomial(2), -1),
+            lie_derivative(component_polynomial(blocks, 1), system),
+            poly_scale(component_polynomial(blocks, 2), -1),
         )
         return [e.get((k - i, i), 0) for k in range(2, m + n) for i in range(k + 1)]
 
@@ -381,11 +374,11 @@ def test_integer_certificate_matches_the_fraction_expansion(corpus_systems, corp
     for name, system in corpus_systems.items():
         cov = corpus_covs[name]
         assert residual_condition33(cov, system) == _fraction_certificate(cov, system) == 0, name
-        for k, theta in cov.thetas.items():
+        for k in range(2, cov.m + 1):
             for row, col in ((0, 0), (1, k), (0, k // 2)):
-                bumped = theta.copy()
+                bumped = as_array(cov.block(k))
                 bumped[row, col] += Fraction(1, 7)
-                bad = dataclasses.replace(cov, thetas={**cov.thetas, k: bumped})
+                bad = dataclasses.replace(cov, blocks={**cov.blocks, k: as_scaled(bumped)})
                 value = residual_condition33(bad, system)
                 assert isinstance(value, Fraction) and value > 0, (name, k, row, col)
                 assert value == _fraction_certificate(bad, system), (name, k, row, col)

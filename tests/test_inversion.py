@@ -19,7 +19,7 @@ from polycycle.inversion import (
     residual_slope,
     trust_radius,
 )
-from polycycle.monomials import eval_lambda
+from polycycle.monomials import as_array, as_scaled, eval_lambda
 from polycycle.polyops import poly_add, poly_from_lambda_row, poly_mul
 
 
@@ -85,15 +85,16 @@ def _univariate_cov():
     # H(u, v) = (u + u^2, v)
     eye = _obj([[1, 0], [0, 1]])
     theta2 = _obj([[1, 0, 0], [0, 0, 0]])
-    return ChangeOfVariables(gamma=eye, thetas={2: theta2})
+    return ChangeOfVariables(blocks={1: as_scaled(eye), 2: as_scaled(theta2)})
 
 
 def test_univariate_series_coefficients():
     inv = invert_to_cubic(_univariate_cov())
     assert inv.exact
-    assert inv.gamma_inv.tolist() == _obj([[1, 0], [0, 1]]).tolist()
-    assert inv.xi2.tolist() == _obj([[-1, 0, 0], [0, 0, 0]]).tolist()
-    assert inv.xi3.tolist() == _obj([[2, 0, 0, 0], [0, 0, 0, 0]]).tolist()
+    gamma_inv, xi2, xi3 = (as_array(inv.blocks[k]) for k in (1, 2, 3))
+    assert gamma_inv.tolist() == _obj([[1, 0], [0, 1]]).tolist()
+    assert xi2.tolist() == _obj([[-1, 0, 0], [0, 0, 0]]).tolist()
+    assert xi3.tolist() == _obj([[2, 0, 0, 0], [0, 0, 0, 0]]).tolist()
 
 
 def test_univariate_series_evaluation_is_exact():
@@ -107,7 +108,7 @@ def test_univariate_series_evaluation_is_exact():
 
 def test_singular_gamma_is_rejected():
     gamma = _obj([[1, 0], [2, 0]])
-    cov = ChangeOfVariables(gamma=gamma, thetas={})
+    cov = ChangeOfVariables(blocks={1: as_scaled(gamma)})
     with pytest.raises(ZeroDivisionError):
         invert_to_cubic(cov)
 

@@ -64,8 +64,11 @@ def test_adaptive_integration_matches_the_exact_rotation():
 
 def test_integrate_validates_inputs():
     center = build_system([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        integrate(center, (1.0, 0.0), 0.0)
+    # unchecked, inf would end at once with the start point alone and
+    # nan would step until MAX_STEPS
+    for t_end in (0.0, math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            integrate(center, (1.0, 0.0), t_end)
 
 
 def test_blowup_is_flagged():

@@ -94,6 +94,9 @@ def test_zero_seed_radius_is_refused(systems_dir, capsys):
     for flag in ("--seed-radius=0", "--seed-radius=-1", "--seed-radius=nan", "--seed-radius=inf"):
         assert main(["analyze", str(path), flag]) == 1
         assert "seed_radius must be positive" in capsys.readouterr().err
+        # refused whether or not the oracle runs
+        assert main(["analyze", str(path), flag, "--no-measure"]) == 1
+        assert "seed_radius must be positive" in capsys.readouterr().err
     report = run_analyze(path, AnalysisOptions(seed_radius=0.2))
     assert report.verdict == "agreement"
 
@@ -385,6 +388,12 @@ def test_cli_input_errors_exit_one(systems_dir, tmp_path, capsys):
     for flag in ("--amp-tol=-1", "--amp-tol=nan", "--amp-tol=inf", "--period-tol=-0.1"):
         assert main(["analyze", path, flag]) == 1
         assert "must be non-negative and finite" in capsys.readouterr().err
+        assert main(["analyze", path, flag, "--no-measure"]) == 1
+        assert "must be non-negative and finite" in capsys.readouterr().err
+        # a sweep refuses the flag once, with no row printed
+        assert main(["sweep", path, "--alphas", "1/100,1/50", flag]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1 and "must be non-negative and finite" in err
     for flag in ("--seed-radius=nan", "--seed-radius=inf"):
         assert main(["analyze", path, flag]) == 1
         assert "seed_radius must be positive" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polycycle.pipeline import AnalysisOptions, run_analyze
 from polycycle.polyops import poly_add, poly_eval, poly_mul, poly_scale
 from polycycle.system import (
     build_system,
@@ -63,6 +64,13 @@ def test_exact_detection_and_to_float():
     # mixed input falls back to float
     mixed = build_system([[0.0, -1.0], [1.0, 0.0]], [[[1, 0, 0], [0, 0, 0]]])
     assert not mixed.exact
+    # also when the float block comes after exact ones, so no stage meets
+    # a float64 block in an exact system
+    mixed = build_system([[0, -1], [1, 0]], [[[1, 0, 0], [0, 0, 0]], [[0.5, 0, 0, 0], [0, 0, -1, 0]]])
+    assert not mixed.exact
+    assert all(b.dtype == np.float64 for b in (mixed.jac, *mixed.phi))
+    report = run_analyze(mixed, AnalysisOptions(measure=False))
+    assert report.arithmetic == "float" and report.status == "ok"
 
 
 def test_field_value_at_unit_point():
