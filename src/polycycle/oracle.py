@@ -30,13 +30,14 @@ Systems, sec. 3.4):
     P'(x) = f_n(x) / f_n(P(x)) * exp(integral_0^T(x) div f dt),
 
 with f_n the field component normal to the section and T(x) the return
-time.  The integral is taken on the orbit's own accepted steps, so the
-slope costs no further orbit and no further field evaluation.  With it
-the root solve is a safeguarded Newton iteration, the multiplier of the
-cycle is the slope at its last point, and attracting and repelling
-cycles are both found in forward time.  The root solve's last orbit,
-once around from the fixed point, is also the one the measured period
-is sampled from.
+time.  The generated field returns div f with f, and the stepping loop
+integrates it with the same stages, outside the error norm, so the
+slope costs no further orbit, field evaluation or pass over the steps.
+With it the root solve is a safeguarded Newton iteration, the
+multiplier of the cycle is the slope at its last point, and attracting
+and repelling cycles are both found in forward time.  The root solve's
+last orbit, once around from the fixed point, is also the one the
+measured period is sampled from.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaging import KbmPrediction
-from .monomials import eval_poly_map, partial_rows
 from .system import PlanarPolySystem, compile_field
 
 __all__ = [
@@ -102,11 +102,6 @@ CYCLE_SAMPLES = 2048
 # on normal_form at alpha = 1/10000 is about 12x this.
 NEUTRAL_SLOPE = 1e-4
 
-# 3-point Gauss-Legendre nodes on [0, 1] and their weights.
-_GL_NODES = np.array([[0.5 - math.sqrt(0.15)], [0.5], [0.5 + math.sqrt(0.15)]])
-_GL_WEIGHTS = np.array([[5.0], [8.0], [5.0]]) / 18.0
-
-
 @dataclass
 class Trajectory:
     """Integration output sampled at accepted step endpoints."""
@@ -124,8 +119,8 @@ class CycleMeasurement:
     ``amplitude`` is max |x1| over one period, ``radius_rms`` the root
     mean square distance from the origin, ``convergence_rate`` the
     magnitude of the return-map slope at the fixed point (so < 1
-    exactly when the cycle attracts), taken from the divergence
-    integral along the root solve's last orbit, ``stable`` whether it
+    exactly when the cycle attracts), from the integral of div f along
+    the root solve's last orbit, ``stable`` whether it
     attracts, None when the slope magnitude is within ``NEUTRAL_SLOPE``
     of 1 (neutral, as on the orbits of a center), ``crossings`` the
     number of return-map evaluations the root solve took, which is the
@@ -155,21 +150,24 @@ class TransversalityError(RuntimeError):
 _UNDERFLOW = "step size underflow; the field may be singular here"
 
 
-def _dp45(f, t0, u0, v0, fu0, fv0, trial, t_limit, section, budget, norm, records):
+def _dp45(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, norm, records):
     """Accepted Dormand-Prince steps from t0, where f(u0, v0) = (fu0,
-    fv0) and ``trial`` is the next step to try, up to the first event.
+    fv0, fw0) and ``trial`` is the next step to try, up to the first
+    event.
 
+    w0, the integral of div f so far, is stepped with the same weights
+    but left out of the error norm, so it moves no step size or event.
     Each accepted step appends (t0, u0, v0, fu0, fv0, t1, u1, v1, fu1,
-    fv1) to ``records``.  The events: "budget" once ``budget`` steps
-    were accepted and "limit" once t is within 1e-14 relative of
+    fv1, w0, fw0) to ``records``.  The events: "budget" once ``budget``
+    steps were accepted and "limit" once t is within 1e-14 relative of
     ``t_limit``, both checked before a step; "underflow" when
     rejections cut the step below 1e-14, leaving the state at the
     step's start; after a step, "blowup" when |u| + |v| passes
     ``norm``, then "cross" when coordinate ``section`` (0: u, 1: v,
     None: no section) changed sign from a nonzero start.
 
-    Returns (event, t, u, v, fu, fv, trial, accepted steps, rejected
-    steps), from which a later call resumes the same stepping.
+    Returns (event, t, u, v, fu, fv, w, fw, trial, accepted steps,
+    rejected steps), from which a later call resumes the same stepping.
     """
     sqrt = math.sqrt
     append = records.append
@@ -190,22 +188,22 @@ def _dp45(f, t0, u0, v0, fu0, fv0, trial, t_limit, section, budget, norm, record
         while True:
             yu = u0 + h * (_A21 * k1u)
             yv = v0 + h * (_A21 * k1v)
-            k2u, k2v = f(yu, yv)
+            k2u, k2v, _ = f(yu, yv)
             yu = u0 + h * (_A31 * k1u + _A32 * k2u)
             yv = v0 + h * (_A31 * k1v + _A32 * k2v)
-            k3u, k3v = f(yu, yv)
+            k3u, k3v, k3w = f(yu, yv)
             yu = u0 + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
             yv = v0 + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-            k4u, k4v = f(yu, yv)
+            k4u, k4v, k4w = f(yu, yv)
             yu = u0 + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
             yv = v0 + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-            k5u, k5v = f(yu, yv)
+            k5u, k5v, k5w = f(yu, yv)
             yu = u0 + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
             yv = v0 + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-            k6u, k6v = f(yu, yv)
+            k6u, k6v, k6w = f(yu, yv)
             u1 = u0 + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
             v1 = v0 + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v = f(u1, v1)
+            k7u, k7v, k7w = f(u1, v1)
             eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
             ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
             # max(a, b) as a comparison: a unless b is greater
@@ -220,16 +218,17 @@ def _dp45(f, t0, u0, v0, fu0, fv0, trial, t_limit, section, budget, norm, record
             q = 0.9 * err ** -0.2
             h *= q if q > 0.2 else 0.2  # max(0.2, q)
             if h < 1e-14:
-                return "underflow", t0, u0, v0, fu0, fv0, trial, steps, rejects
+                return "underflow", t0, u0, v0, fu0, fv0, w0, fw0, trial, steps, rejects
         if err == 0.0:
             trial = h * 5.0
         else:
             q = 0.9 * err ** -0.2
             q = q if q > 0.2 else 0.2
             trial = h * (q if q < 5.0 else 5.0)  # min(5.0, max(0.2, q))
+        w1 = w0 + h * (_B1 * fw0 + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
         t1 = t0 + h
-        append((t0, u0, v0, fu0, fv0, t1, u1, v1, k7u, k7v))
-        t0, u0, v0, fu0, fv0 = t1, u1, v1, k7u, k7v
+        append((t0, u0, v0, fu0, fv0, t1, u1, v1, k7u, k7v, w0, fw0))
+        t0, u0, v0, fu0, fv0, w0, fw0 = t1, u1, v1, k7u, k7v, w1, k7w
         steps += 1
         if abs(u1) + abs(v1) > norm:
             event = "blowup"
@@ -240,13 +239,13 @@ def _dp45(f, t0, u0, v0, fu0, fv0, trial, t_limit, section, budget, norm, record
                 event = "cross"
                 break
             g0 = g1
-    return event, t0, u0, v0, fu0, fv0, trial, steps, rejects
+    return event, t0, u0, v0, fu0, fv0, w0, fw0, trial, steps, rejects
 
 
 def _record_array(records) -> np.ndarray:
-    """The (10, N) array of N step records."""
-    flat = np.fromiter(chain.from_iterable(records), float, 10 * len(records))
-    return flat.reshape(-1, 10).T
+    """The (12, N) array of N step records."""
+    flat = np.fromiter(chain.from_iterable(records), float, 12 * len(records))
+    return flat.reshape(-1, 12).T
 
 
 def _work(orbits: list[list[int]]) -> tuple[int, int, int]:
@@ -259,8 +258,8 @@ def _work(orbits: list[list[int]]) -> tuple[int, int, int]:
 
 
 def _hermite(rec, t):
-    """Interpolate a step record at t; also a (10, N) record array at N times."""
-    t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1 = rec
+    """Interpolate (u, v) in a step record at t; also a (12, N) record array at N times."""
+    t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1 = rec[:10]
     h = t1 - t0
     s = (t - t0) / h
     s2 = s * s
@@ -286,8 +285,9 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     f = compile_field(system)
     u, v = float(x0[0]), float(x0[1])
+    fu, fv, fw = f(u, v)
     records = []
-    event, *_, steps, _ = _dp45(f, 0.0, u, v, *f(u, v), H_INIT, t_end, None, MAX_STEPS, BLOWUP_NORM, records)
+    event, *_, steps, _ = _dp45(f, 0.0, u, v, fu, fv, 0.0, fw, H_INIT, t_end, None, MAX_STEPS, BLOWUP_NORM, records)
     if event == "underflow":
         raise ArithmeticError(_UNDERFLOW)
     ts = [0.0] + [rec[5] for rec in records]
@@ -335,81 +335,54 @@ class _NoReturn(Exception):
     """An orbit did not come back to the section within its time budget."""
 
 
-def _divergence(flt: PlanarPolySystem):
-    """div f = d(u')/du + d(v')/dv of a float system, as a callable on arrays.
-
-    Block k of the field contributes the row d_u(block[0]) + d_v(block[1])
-    over lambda_(k-1); the trace of J is the constant term.
-    """
-    trace = float(flt.jac[0, 0] + flt.jac[1, 1])
-    rows = {
-        k - 1: (partial_rows(block[0])[0] + partial_rows(block[1])[1])[None, :]
-        for k, block in enumerate(flt.phi, start=2)
-    }
-
-    def div(u, v):
-        return trace + eval_poly_map(rows, np.stack([u, v]))[0] if rows else trace
-
-    return div
-
-
-def _divergence_integral(div, recs: np.ndarray, tc: float) -> float:
-    """Integral of div f over [0, tc] along the (10, N) step records, tc
-    lying in the last one: 3-point Gauss-Legendre on each step's Hermite
-    interpolant, in one array pass."""
-    t0 = recs[0]
-    span = np.append(recs[5, :-1], tc) - t0
-    u, v = _hermite(recs, t0 + span * _GL_NODES)
-    return float(np.sum(_GL_WEIGHTS * div(u, v) * span))
-
-
-def _return_map(f, div, orbits, zero_idx, pos_idx, x: float):
+def _return_map(f, orbits, zero_idx, pos_idx, x: float):
     """Follow the orbit from the section point ``x`` once around.
 
-    Returns (P(x), return time, P'(x), (10, N) array of the accepted
-    step records) at the first crossing of the section in the direction
-    the flow crosses it at the start.  P is inf when the orbit blows up
-    or its step size underflows, and 0 when it falls inside the 1e-8
+    Returns (P(x), return time, P'(x), list of the accepted step
+    records) at the first crossing of the section in the direction the
+    flow crosses it at the start.  P is inf when the orbit blows up or
+    its step size underflows, and 0 when it falls inside the 1e-8
     numerical-origin scale, where the tangency guard below cannot tell a
     flat section from a dead orbit; P' is nan in both cases.  Otherwise
     P(x) is the state at the crossing time, stepped to from the start of
     the step that holds it, and P' comes from the divergence identity of
-    the module docstring: the normal components are the orbit's first
-    field evaluation and the last stage of that step, which the
+    the module docstring, with w stepped to the crossing time along
+    with it.  The normal components are the orbit's first field
+    evaluation and the last stage of that step, which the
     transversality check reads, so the slope adds no field call.  The
     orbit's [accepted steps, rejected steps] is appended to ``orbits``.
     """
     u, v = (x, 0.0) if zero_idx == 1 else (0.0, x)
-    fu, fv = f(u, v)
+    fu, fv, fw = f(u, v)
     normal_start = (fu, fv)[zero_idx]
     rising = normal_start > 0.0
-    t, trial = 0.0, H_INIT
+    t, w, trial = 0.0, 0.0, H_INIT
     work = [0, 0]
     orbits.append(work)
     records = []
     while True:
         # the time budget only stops an orbit that never comes back
-        event, t, u, v, fu, fv, trial, steps, rejects = _dp45(
-            f, t, u, v, fu, fv, trial, 1e5, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM, records
+        event, t, u, v, fu, fv, w, fw, trial, steps, rejects = _dp45(
+            f, t, u, v, fu, fv, w, fw, trial, 1e5, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM, records
         )
         work[0] += steps
         work[1] += rejects
         if event in ("blowup", "underflow"):
-            return math.inf, t, math.nan, _record_array(records)
+            return math.inf, t, math.nan, records
         if event != "cross":
             raise _NoReturn
         rec = records[-1]
         tc = _locate_crossing(rec, zero_idx, 1e-12 * max(1.0, abs(rec[5])))
         state = _hermite(rec, tc)
         if math.hypot(state[0], state[1]) < 1e-8:
-            return 0.0, tc, math.nan, _record_array(records)
+            return 0.0, tc, math.nan, records
         if state[pos_idx] <= 0.0 or (rec[6 + zero_idx] > 0.0) != rising:
             continue
         # the state at tc to the integrator's order, not the interpolant's:
         # step again from the start of this step, to tc, stopping for
         # nothing else, as the step it repeats passed every check
-        event, _, u, v, fu, fv, _, steps, rejects = _dp45(
-            f, *rec[:5], tc - rec[0], tc, None, math.inf, math.inf, []
+        event, _, u, v, fu, fv, w, _, _, steps, rejects = _dp45(
+            f, *rec[:5], *rec[10:], tc - rec[0], tc, None, math.inf, math.inf, []
         )
         work[0] += steps
         work[1] += rejects
@@ -420,12 +393,10 @@ def _return_map(f, div, orbits, zero_idx, pos_idx, x: float):
             raise TransversalityError(
                 f"flow is tangent to the section at t={tc:.6g}, point {state}"
             )
-        recs = _record_array(records)
-        growth = math.exp(_divergence_integral(div, recs, tc))
-        return state[pos_idx], tc, normal_start / speed[zero_idx] * growth, recs
+        return state[pos_idx], tc, normal_start / speed[zero_idx] * math.exp(w), records
 
 
-def _fixed_point(f, div, orbits, zero_idx, pos_idx, seed: float, tau: float):
+def _fixed_point(f, orbits, zero_idx, pos_idx, seed: float, tau: float):
     """Solve g(x) = P(x) - x by safeguarded Newton steps on g' = P' - 1.
 
     Returns (return time, P', evaluations, step records) of the last
@@ -438,7 +409,7 @@ def _fixed_point(f, div, orbits, zero_idx, pos_idx, seed: float, tau: float):
     def g(x):
         nonlocal evaluations
         evaluations += 1
-        p, t, slope, records = _return_map(f, div, orbits, zero_idx, pos_idx, x)
+        p, t, slope, records = _return_map(f, orbits, zero_idx, pos_idx, x)
         return p - x, (t, slope, evaluations, records)
 
     x = seed
@@ -475,7 +446,12 @@ def _fixed_point(f, div, orbits, zero_idx, pos_idx, seed: float, tau: float):
             return last
         ends[gx > 0.0] = x
         if len(ends) == 2 and abs(ends[True] - ends[False]) <= SETTLE_REL * x:
-            return last
+            # a bracket also collapses on a jump of g, next to orbits that
+            # blew up or did not close; with g ~ (P' - 1)(x - x*), an orbit
+            # within SETTLE_REL x of a fixed point closes as checked here
+            slope = last[1]
+            closed = math.isfinite(slope) and abs(gx) <= SETTLE_REL * x * (abs(slope) + 1.0)
+            return last if closed else None
     return None
 
 
@@ -502,8 +478,9 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     bracket is within ``SETTLE_REL`` times x, and the last point
     evaluated is the fixed point: its orbit gives the period, the
     sampled cycle and the multiplier P'.  Returns None when g has no
-    sign change in the range or an orbit does not come back to the
-    section; a measurement otherwise.
+    sign change in the range, an orbit does not come back to the
+    section, or the last orbit does not close: P' is not finite or
+    |P(x) - x| > ``SETTLE_REL`` x (|P'| + 1); a measurement otherwise.
 
     Raises
     ------
@@ -513,14 +490,13 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     check_seed_radius(seed_radius)
     flt = system.to_float()
     f = compile_field(flt)
-    div = _divergence(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
 
     orbits: list[list[int]] = []
     last_error = None
     for zero_idx, pos_idx, label in _SECTIONS:
         try:
-            found = _fixed_point(f, div, orbits, zero_idx, pos_idx, seed_radius, tau)
+            found = _fixed_point(f, orbits, zero_idx, pos_idx, seed_radius, tau)
             if found is None:
                 return None
             return _finish_measurement(orbits, label, *found)
@@ -531,7 +507,8 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     raise last_error
 
 
-def _finish_measurement(orbits, label, period, slope, evaluations, recs):
+def _finish_measurement(orbits, label, period, slope, evaluations, records):
+    recs = _record_array(records)
     # one period from the fixed point, densely sampled: each time in the
     # first step ending at or after it, or in the last step
     t = period * np.arange(CYCLE_SAMPLES + 1) / CYCLE_SAMPLES

@@ -189,8 +189,8 @@ def _field_code(source: str):
 def compile_field(system: PlanarPolySystem):
     """Straight-line float code for the field, generated for each system.
 
-    The returned callable ``f(u, v) -> (du, dv)`` is the hot path of
-    the numerical oracle, so its source is written for this system's
+    The returned callable ``f(u, v) -> (du, dv, div)`` is the hot path
+    of the numerical oracle, so its source is written for this system's
     nonzero pattern.  It computes ``du = j11*u + j12*v``, the powers
     u^2, u^3, ... and v^2, v^3, ... by repeated multiplication, as far
     as a nonzero term needs them, and then, for each block k, the
@@ -201,7 +201,10 @@ def compile_field(system: PlanarPolySystem):
     reference, and the order is fixed because float addition is not
     associative: the two agree bit for bit wherever the powers stay
     finite.  A skipped term 0*m is a signed zero, which leaves a sum
-    started from 0.0 as it was.  The coefficients are bound per call as
+    started from 0.0 as it was.  ``div`` = d(du)/du + d(dv)/dv is the
+    trace of J plus a block sum per block k of the terms c_i u^(k-1-i)
+    v^i, c_i = (k-i) phi_k[0, i] + (i+1) phi_k[1, i+1], wherever either
+    coefficient is nonzero.  The coefficients are bound per call as
     names in a fresh namespace of the function; none of them is written
     into the source, so systems with the same nonzero pattern (all
     alpha of a family) share one source, which is compiled once per
@@ -216,7 +219,7 @@ def compile_field(system: PlanarPolySystem):
         return name
 
     exprs = []
-    used = set()  # (a, b) of each u^a v^b with a nonzero coefficient
+    used = set()  # (a, b) of each u^a v^b that a term multiplies
     for row in (0, 1):
         parts = [f"{bind(flt.jac[row, 0])} * u + {bind(flt.jac[row, 1])} * v"]
         for k, block in enumerate(flt.phi, start=2):
@@ -230,6 +233,17 @@ def compile_field(system: PlanarPolySystem):
         if flt.phi and len(parts) == 1:
             parts.append("0.0")  # the loop's zero block sums turn -0.0 into 0.0
         exprs.append(" + ".join(parts))
+    parts = [bind(flt.jac[0, 0] + flt.jac[1, 1])]
+    for k, (row0, row1) in enumerate(flt.phi, start=2):
+        # d/du of row 0 plus d/dv of row 1, over the monomials of degree k - 1
+        terms = []
+        for i in range(k):
+            if row0[i] != 0 or row1[i + 1] != 0:
+                used.add((k - 1 - i, i))
+                terms.append(f"{bind((k - i) * row0[i] + (i + 1) * row1[i + 1])} * {_monomial(k - 1 - i, i)}")
+        if terms:
+            parts.append(f"(0.0 + {' + '.join(terms)})")
+    exprs.append(" + ".join(parts))
 
     lines = ["def field(u, v):"]
     top_u = max((a for a, _ in used), default=1)
@@ -237,6 +251,6 @@ def compile_field(system: PlanarPolySystem):
     lines += [f"    {_monomial(e, 0)} = {_monomial(e - 1, 0)} * u" for e in range(2, top_u + 1)]
     lines += [f"    {_monomial(0, e)} = {_monomial(0, e - 1)} * v" for e in range(2, top_v + 1)]
     lines += [f"    {_monomial(a, b)} = {_monomial(a, 0)} * {_monomial(0, b)}" for a, b in sorted(used) if a and b]
-    lines.append(f"    return {exprs[0]}, {exprs[1]}")
+    lines.append(f"    return {', '.join(exprs)}")
     exec(_field_code("\n".join(lines)), namespace)
     return namespace.pop("field")

@@ -1,5 +1,6 @@
 """Numerical integrator, return map, cycle measurement, comparison."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 import polycycle.oracle as oracle
 from polycycle.averaging import predict_cycle
 from polycycle.definition import instantiate, load_definition
+from polycycle.pipeline import AnalysisOptions, run_analyze
 from polycycle.oracle import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
@@ -143,10 +145,15 @@ def test_measurement_follows_each_orbit_once(monkeypatch):
     assert started == meas.crossings
 
 
+def _uv(f):
+    """The field (du, dv) of a generated field, without its div f."""
+    return lambda u, v: f(u, v)[:2]
+
+
 class _Stepper:
     """Reference for the stepping loop: adaptive Dormand-Prince steps
     with FSAL reuse, one accepted step per call, the state in
-    attributes."""
+    attributes.  ``f`` returns (du, dv)."""
 
     __slots__ = ("f", "t", "u", "v", "fu", "fv", "h", "steps", "rejects")
 
@@ -256,13 +263,14 @@ def _reference_crossing(rec, zero_idx, t_tol):
 def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_STEPS, events=100):
     """Step from the point x of the section through up to ``events``
     events with the loop, resuming after each crossing, and with the
-    reference stepper; every record, event and count must be equal, and
-    each crossing time equal to the reference bisection's.  Returns the
-    events."""
+    reference stepper; every record's step ends, every event and count
+    must be equal, and each crossing time equal to the reference
+    bisection's.  Returns the events."""
     f = oracle.compile_field(system)
     u, v = (x, 0.0) if section == 1 else (0.0, x)
-    stepper = _Stepper(f, u, v)
-    state = (0.0, u, v, *f(u, v), oracle.H_INIT)
+    stepper = _Stepper(_uv(f), u, v)
+    fu, fv, fw = f(u, v)
+    state = (0.0, u, v, fu, fv, 0.0, fw, oracle.H_INIT)
     seen = []
     for _ in range(events):
         steps_before, rejects_before = stepper.steps, stepper.rejects
@@ -271,9 +279,9 @@ def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_S
         got, *state, steps, rejects = oracle._dp45(
             f, *state, t_limit, section, budget - steps_before, oracle.BLOWUP_NORM, records
         )
-        assert (got, records) == (event, ref_records)
+        assert (got, [rec[:10] for rec in records]) == (event, ref_records)
         assert (steps, rejects) == (stepper.steps - steps_before, stepper.rejects - rejects_before)
-        assert tuple(state) == (stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv, stepper.h)
+        assert (*state[:5], state[7]) == (stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv, stepper.h)
         seen.append(event)
         if event != "cross":
             break
@@ -331,7 +339,7 @@ def test_loop_reports_underflow_blowup_and_budget_as_the_stepper():
 
 def _reference_integrate(system, x0, t_end):
     """Reference for integrate: its loop over the reference stepper."""
-    stepper = _Stepper(oracle.compile_field(system), float(x0[0]), float(x0[1]))
+    stepper = _Stepper(_uv(oracle.compile_field(system)), float(x0[0]), float(x0[1]))
     ts, states = [0.0], [(stepper.u, stepper.v)]
     truncated = False
     while True:
@@ -402,10 +410,9 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     monkeypatch.setattr(oracle, "_finish_measurement", keep_args)
     meas = measure_cycle(system, 0.05)
     assert meas is not None and meas.section == "x2=0, x1>0"
-    ((*_, period, _slope, _evaluations, recs),) = seen
-    # the root solve's last orbit as its (10, N) record array
-    assert recs.dtype == np.float64 and recs.shape[0] == 10
-    records = recs.T.tolist()
+    ((*_, period, _slope, _evaluations, records),) = seen
+    # the root solve's last orbit as its list of 12-field step records
+    assert {len(rec) for rec in records} == {12}
     x_star = records[0][1]  # the start of the last orbit, on x2 = 0
     # the last record is the step that holds the return crossing
     assert records[-1][0] < period <= records[-1][5]
@@ -442,10 +449,14 @@ _FAMILIES = ((_normal_form, 1, 2.0 * math.pi), (_hardening, -1, 2.0 * math.pi), 
 
 
 @pytest.mark.parametrize("family, sign, period", _FAMILIES, ids=["normal", "reflected", "rescaled"])
-@pytest.mark.parametrize("size", [Fraction(1, 100), Fraction(1, 2000)], ids=["1/100", "1/2000"])
+@pytest.mark.parametrize(
+    "size", [Fraction(1, 100), Fraction(1, 2000), Fraction(1, 2)], ids=["1/100", "1/2000", "1/2"]
+)
 def test_multiplier_matches_the_closed_form(family, sign, period, size):
     # r' = alpha r -+ r^3 linearized at r = sqrt(|alpha|) is r' = -2 alpha r,
-    # so the cycle's multiplier is exp(-2 alpha T), above 1 when alpha < 0
+    # so the cycle's multiplier is exp(-2 alpha T), above 1 when alpha < 0;
+    # at |alpha| = 1/2 the reflected cycle repels with e^(2 pi), about 535,
+    # and its orbit still closes
     alpha = sign * size
     meas = measure_cycle(family(alpha), 0.5 * math.sqrt(size))
     assert meas is not None
@@ -464,10 +475,9 @@ def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
     defn = load_definition(systems_dir / f"{name}.json")
     system = instantiate(defn, defn.alpha_default if alpha is None else alpha).to_float()
     f = oracle.compile_field(system)
-    div = oracle._divergence(system)
 
     def ret(y):
-        return oracle._return_map(f, div, [], 1, 0, y)
+        return oracle._return_map(f, [], 1, 0, y)
 
     p, _, slope, _ = ret(x)
     assert abs(p - x) > 0.1 * x
@@ -475,6 +485,27 @@ def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
     h = 1e-4 * x
     difference = (ret(x + h)[0] - ret(x - h)[0]) / (2.0 * h)
     assert slope == pytest.approx(difference, rel=1e-5)
+
+
+@pytest.mark.parametrize("alpha", [-2, -3, -4])
+def test_a_cycle_too_repelling_to_close_is_not_measured(systems_dir, alpha):
+    # the reflected cycle at r = sqrt(-alpha) has multiplier e^(-4 pi
+    # alpha) >= e^(8 pi), about 8e10, so the integration error grows past
+    # the radius within one period and no orbit near the cycle closes; the
+    # root solve's bracket collapses between orbits that decay and orbits
+    # that blow up, and its last orbit (at -3 one that blew up, with no
+    # slope) is no measurement.  At the seed run_analyze takes from the
+    # prediction, that last orbit reads amplitude 878546 at -3 and
+    # multipliers 1.1e7 and 5.9 at -2 and -4
+    defn = load_definition(systems_dir / "reflected_normal_form.json")
+    report = run_analyze(defn, AnalysisOptions(alpha=Fraction(alpha)))
+    assert report.measurement is None
+    assert report.verdict == "disagreement"
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    assert json.loads(report.to_json(), parse_constant=refuse)["measurement"] is None
 
 
 def test_spiral_source_yields_no_cycle():

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polycycle.definition import instantiate, load_definition
+from polycycle.monomials import eval_poly_map, partial_rows
 from polycycle.pipeline import AnalysisOptions, run_analyze
 from polycycle.polyops import poly_add, poly_eval, poly_mul, poly_scale
 from polycycle.system import (
@@ -16,6 +18,8 @@ from polycycle.system import (
     hopf_indicator,
     lie_derivative,
 )
+
+from conftest import CORPUS
 
 CUBIC_PHI = [[-1, 0, -1, 0], [0, -1, 0, -1]]
 
@@ -151,7 +155,7 @@ def test_compiled_field_matches_evaluation():
     field = compile_field(sys3)
     for _ in range(20):
         u, v = rng.uniform(-2, 2, size=2)
-        du, dv = field(u, v)
+        du, dv, _ = field(u, v)
         ref = evaluate_field(sys3, (u, v))
         np.testing.assert_allclose([du, dv], ref, rtol=1e-14, atol=1e-14)
 
@@ -222,14 +226,14 @@ def test_generated_field_is_bit_identical_to_the_loop():
         assert system.degree == degree
         generated, reference = compile_field(system), _loop_field(system)
         for u, v in points:
-            assert bits(generated(u, v)) == bits(reference(u, v)), (degree, u, v)
+            assert bits(generated(u, v)[:2]) == bits(reference(u, v)), (degree, u, v)
     # signed zeros: at (0, 0) du's linear part and block sum are both
     # -0.0 unless the block sum starts from 0.0, and dv, a row with no
     # nonlinear term, is -0.0 at (-0, -0) unless 0.0 is added to it
     quadratic = build_system([[-1.0, -1.0], [1.0, 0.0]], [[[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
     generated, reference = compile_field(quadratic), _loop_field(quadratic)
     for u, v in points:
-        assert bits(generated(u, v)) == bits(reference(u, v)), (u, v)
+        assert bits(generated(u, v)[:2]) == bits(reference(u, v)), (u, v)
 
 
 def test_a_repeated_nonzero_pattern_compiles_nothing(monkeypatch):
@@ -255,6 +259,52 @@ def test_a_repeated_nonzero_pattern_compiles_nothing(monkeypatch):
     f_second = compile_field(second)
     assert compiled == []
     for point in [(0.375, -0.625), (-1.25, 0.5)]:
-        assert f_second(*point) == _loop_field(second)(*point)
-        assert f_first(*point) == _loop_field(first)(*point)
+        assert f_second(*point)[:2] == _loop_field(second)(*point)
+        assert f_first(*point)[:2] == _loop_field(first)(*point)
         assert f_second(*point) != f_first(*point)
+
+
+def _divergence(system, magnitude=False):
+    """Reference for the generated div f = d(u')/du + d(v')/dv: block k
+    of the field contributes the row d_u(block[0]) + d_v(block[1]) over
+    lambda_(k-1), evaluated as a polynomial map; the trace of J is the
+    constant term.  With ``magnitude`` it is the sum of the terms'
+    magnitudes instead, the scale of the rounding error of either sum."""
+    flt = system.to_float()
+    size = np.abs if magnitude else (lambda x: x)
+    trace = size(float(flt.jac[0, 0] + flt.jac[1, 1]))
+    rows = {
+        k - 1: size(partial_rows(block[0])[0] + partial_rows(block[1])[1])[None, :]
+        for k, block in enumerate(flt.phi, start=2)
+    }
+
+    def div(u, v):
+        return trace + float(eval_poly_map(rows, size(np.array([u, v])))[0]) if rows else trace
+
+    return div
+
+
+def _assert_div_is_the_reference(system, points):
+    # to 1e-13 of the terms' magnitudes: the two sums differ in order and
+    # cancel to far below their terms at some of the points
+    generated, reference = compile_field(system), _divergence(system)
+    scale = _divergence(system, magnitude=True)
+    for u, v in points:
+        assert abs(generated(u, v)[2] - reference(u, v)) <= 1e-13 * scale(u, v), (u, v)
+
+
+def test_generated_divergence_matches_the_reference_on_the_corpus(systems_dir):
+    points = [(0.0, 0.0)] + [tuple(p) for p in np.random.default_rng(29).uniform(-1.5, 1.5, size=(100, 2))]
+    for name in CORPUS:
+        defn = load_definition(systems_dir / f"{name}.json")
+        _assert_div_is_the_reference(instantiate(defn, defn.alpha_default), points)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_generated_divergence_matches_the_reference_on_random_systems(degree):
+    rng = np.random.default_rng(31 + degree)
+    points = [tuple(p) for p in rng.uniform(-1.5, 1.5, size=(200, 2))]
+    for _ in range(5):
+        system = _random_float_system(rng, degree)
+        assert system.degree == degree
+        _assert_div_is_the_reference(system, points)
