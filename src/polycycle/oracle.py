@@ -1,27 +1,31 @@
 """Numerical cross-validation of the averaged predictions.
 
 Nothing here knows about the change of variables: trajectories of the
-original planar field are integrated with an embedded Dormand-Prince
-5(4) pair, periodic orbits are found as roots of P(x) - x for the
-return map P of a Poincare section, and :func:`compare` reduces a
+original planar field are integrated with the embedded Dormand-Prince
+8(5,3) pair, DOP853, periodic orbits are found as roots of P(x) - x for
+the return map P of a Poincare section, and :func:`compare` reduces a
 prediction/measurement pair to a verdict.
 
-All stepping runs in one loop, :func:`_dp45`: the Dormand-Prince pair
-with first-same-as-last reuse and Hermite dense output (Hairer, Norsett
-and Wanner, Solving Ordinary Differential Equations I, sec. II.4-II.6),
-its state in local variables, appending one record per accepted step.
-It stops at the first event: a sign change of the section coordinate,
-a blow-up past ``BLOWUP_NORM``, a step size underflow, the time limit
-or the step budget, and returns the state it stopped in, from which the
-return map resumes it past a crossing on the wrong side.
+All stepping runs in one loop, :func:`_dop853`: the pair with its
+combined 5th- and 3rd-order error estimate and first-same-as-last reuse
+(Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
+sec. II.10), its state in local variables, appending one record per
+accepted step.  It stops at the first event: a sign change of the
+section coordinate, a blow-up past ``BLOWUP_NORM``, a step size
+underflow, the time limit or the step budget, and returns the state it
+stopped in, from which the return map resumes it past a crossing on the
+wrong side.  Each orbit's first trial step comes from the starting-step
+rule of sec. II.4.
 
-Crossing times are located inside accepted steps by bisection on the
-section coordinate's cubic Hermite interpolant, which at the fixed
-1e-10 tolerances is accurate to well below 1e-6 in time, and the state
-there is taken by one more run of the loop from the start of the step:
-the interpolant's own error, up to about 2e-7 relative next to the
-Hopf point, would otherwise reach the fixed point multiplied by
-1/|P' - 1|.
+Between its end points a step is interpolated by the pair's own 7th-order
+dense output (sec. II.6, :func:`_dense`), which costs three more field
+evaluations and is formed only for the steps that need it: the step that
+holds a crossing, and the steps of the orbit a measurement is sampled
+from.  Crossing times are located by bisection on the section
+coordinate's dense output, and the state there is taken by one more run
+of the loop from the start of the step: the interpolant's own error,
+though far below a cubic Hermite interpolant's at these step sizes,
+would otherwise reach the fixed point multiplied by 1/|P' - 1|.
 
 Each orbit also gives the slope of the return map, from the divergence
 identity for planar flows (Perko, Differential Equations and Dynamical
@@ -43,7 +47,6 @@ measured period is sampled from.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,24 +65,82 @@ __all__ = [
     "samples_to_csv",
 ]
 
-# Dormand-Prince 5(4) tableau.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett and Wanner, sec. II.6 and
+# II.10), as the shortest float literals of its published constants: stage
+# weights _Ai_j, solution weights _B, the weights _BHH whose difference from
+# _B is the 3rd-order error estimate, the 5th-order error estimate _ER, the
+# three dense-output stages 14 to 16 and the dense-output rows _D4 to _D7.
+# Stages 2 to 5 enter neither the weights nor the dense output.  The nodes c
+# are left out, as the field does not depend on t.
+_A2_1 = 0.05260015195876773
+_A3_1, _A3_2 = 0.0197250569845379, 0.0591751709536137
+_A4_1, _A4_3 = 0.02958758547680685, 0.08876275643042054
+_A5_1, _A5_3, _A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A6_1, _A6_4, _A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A7_1, _A7_4, _A7_5, _A7_6 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_A8_1, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023,
+)
+_A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996,
+)
+_A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627,
+)
+_A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+)
+_A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636,
+)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+_BHH1, _BHH9, _BHH12 = 0.2440944881889764, 0.7338466882816118, 0.022058823529411766
+_ER1, _ER6, _ER7, _ER8, _ER9, _ER10, _ER11, _ER12 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+)
+_A14_1, _A14_7, _A14_8, _A14_9, _A14_10, _A14_11, _A14_12, _A14_13 = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
+)
+_A15_1, _A15_6, _A15_7, _A15_8, _A15_11, _A15_12, _A15_13, _A15_14 = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+)
+_A16_1, _A16_6, _A16_7, _A16_8, _A16_9, _A16_13, _A16_14, _A16_15 = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+)
+_D4_1, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15, _D4_16 = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894,
+)
+_D5_1, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15, _D5_16 = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408,
+)
+_D6_1, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15, _D6_16 = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279,
+)
+_D7_1, _D7_6, _D7_7, _D7_8, _D7_9, _D7_10, _D7_11, _D7_12, _D7_13, _D7_14, _D7_15, _D7_16 = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+    96.32455395918828, -39.17726167561544, -149.72683625798564,
 )
 
-# First trial step of the adaptive integrator.
-H_INIT = 1e-3
 # Relative and absolute tolerances of every integration.  They are fixed
 # because SETTLE_REL and NEUTRAL_SLOPE below are calibrated to them: at
 # 1e-8 the oracle finds no cycle on the center linear_center (float), and
@@ -97,6 +158,14 @@ BLOWUP_NORM = 1e6
 SEARCH_RANGE = (1e-7, 8.0)
 SETTLE_REL = 1e-8
 CYCLE_SAMPLES = 2048
+# A last orbit whose return-map slope magnitude is above this is no
+# measurement: the orbit's integration error, about RTOL of the radius,
+# grows by |P'| over one period, and above 1e-4 of the radius the
+# repelling cycle is no longer resolved.  On the reflected family at
+# alpha = -1 (multiplier e^(4 pi), 2.9e5) amplitude and multiplier are
+# within 1e-3 of their closed forms, at -1.25 (6.6e6) up to 6 % and 18 %
+# off, and at -1.5 (1.5e8) the amplitude can be 3.8 times the radius.
+MAX_MULTIPLIER = 1e-4 / RTOL
 # A return-map slope magnitude within this of 1 is neutral (a center's
 # orbit): the corpus centers' slopes are within 1e-8 of 1, and 1 - slope
 # on normal_form at alpha = 1/10000 is about 12x this.
@@ -125,8 +194,8 @@ class CycleMeasurement:
     of 1 (neutral, as on the orbits of a center), ``crossings`` the
     number of return-map evaluations the root solve took, which is the
     number of orbits the measurement followed, and ``samples`` one
-    period of (t, x1, x2) rows for export, interpolated in the steps of
-    the root solve's last orbit.  ``steps``, ``rejected_steps`` and
+    period of (t, x1, x2) rows for export, from the dense output of the
+    steps of the root solve's last orbit.  ``steps``, ``rejected_steps`` and
     ``field_evals`` are the integrator's work, summed over those orbits.
     """
 
@@ -150,21 +219,27 @@ class TransversalityError(RuntimeError):
 _UNDERFLOW = "step size underflow; the field may be singular here"
 
 
-def _dp45(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, norm, records):
-    """Accepted Dormand-Prince steps from t0, where f(u0, v0) = (fu0,
-    fv0, fw0) and ``trial`` is the next step to try, up to the first
-    event.
+def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, norm, records):
+    """Accepted Dormand-Prince 8(5,3) steps from t0, where f(u0, v0) =
+    (fu0, fv0, fw0) and ``trial`` is the next step to try, up to the
+    first event.
 
-    w0, the integral of div f so far, is stepped with the same weights
-    but left out of the error norm, so it moves no step size or event.
-    Each accepted step appends (t0, u0, v0, fu0, fv0, t1, u1, v1, fu1,
-    fv1, w0, fw0) to ``records``.  The events: "budget" once ``budget``
-    steps were accepted and "limit" once t is within 1e-14 relative of
-    ``t_limit``, both checked before a step; "underflow" when
-    rejections cut the step below 1e-14, leaving the state at the
-    step's start; after a step, "blowup" when |u| + |v| passes
-    ``norm``, then "cross" when coordinate ``section`` (0: u, 1: v,
-    None: no section) changed sign from a nonzero start.
+    The error of a step is the pair's 5th-order estimate damped by its
+    3rd-order one, |h| err5^2 / sqrt(2 (err5^2 + err3^2 / 100)) with
+    both in the norm of the scales ATOL + RTOL max(|y0|, |y1|), and sets
+    the next step by the factor 0.9 err^(-1/8) within [0.2, 5].  The
+    last stage, f at the step's end, is evaluated once the step is
+    accepted, and is the next step's first.  w0, the integral of div f
+    so far, is stepped with the same weights but left out of the error
+    norm, so it moves no step size or event.  Each accepted step appends
+    (t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0) and the (u, v)
+    of stages 6 to 12 to ``records``: all that :func:`_dense` reads.
+    The events: "budget" once ``budget`` steps were accepted and "limit"
+    once t is within 1e-14 relative of ``t_limit``, both checked before
+    a step; "underflow" when rejections cut the step below 1e-14,
+    leaving the state at the step's start; after a step, "blowup" when
+    |u| + |v| passes ``norm``, then "cross" when coordinate ``section``
+    (0: u, 1: v, None: no section) changed sign from a nonzero start.
 
     Returns (event, t, u, v, fu, fv, w, fw, trial, accepted steps,
     rejected steps), from which a later call resumes the same stepping.
@@ -186,49 +261,95 @@ def _dp45(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, nor
             h = trial
         k1u, k1v = fu0, fv0
         while True:
-            yu = u0 + h * (_A21 * k1u)
-            yv = v0 + h * (_A21 * k1v)
-            k2u, k2v, _ = f(yu, yv)
-            yu = u0 + h * (_A31 * k1u + _A32 * k2u)
-            yv = v0 + h * (_A31 * k1v + _A32 * k2v)
-            k3u, k3v, k3w = f(yu, yv)
-            yu = u0 + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-            yv = v0 + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-            k4u, k4v, k4w = f(yu, yv)
-            yu = u0 + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            yv = v0 + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-            k5u, k5v, k5w = f(yu, yv)
-            yu = u0 + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            yv = v0 + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-            k6u, k6v, k6w = f(yu, yv)
-            u1 = u0 + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            v1 = v0 + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v, k7w = f(u1, v1)
-            eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+            k2u, k2v, _ = f(u0 + h * (_A2_1 * k1u), v0 + h * (_A2_1 * k1v))
+            k3u, k3v, _ = f(
+                u0 + h * (_A3_1 * k1u + _A3_2 * k2u),
+                v0 + h * (_A3_1 * k1v + _A3_2 * k2v),
+            )
+            k4u, k4v, _ = f(
+                u0 + h * (_A4_1 * k1u + _A4_3 * k3u),
+                v0 + h * (_A4_1 * k1v + _A4_3 * k3v),
+            )
+            k5u, k5v, _ = f(
+                u0 + h * (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u),
+                v0 + h * (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v),
+            )
+            k6u, k6v, k6w = f(
+                u0 + h * (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u),
+                v0 + h * (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v),
+            )
+            k7u, k7v, k7w = f(
+                u0 + h * (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u),
+                v0 + h * (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v),
+            )
+            k8u, k8v, k8w = f(
+                u0 + h * (_A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u),
+                v0 + h * (_A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v),
+            )
+            k9u, k9v, k9w = f(
+                u0 + h * (_A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
+                          + _A9_8 * k8u),
+                v0 + h * (_A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
+                          + _A9_8 * k8v),
+            )
+            k10u, k10v, k10w = f(
+                u0 + h * (_A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u + _A10_7 * k7u
+                          + _A10_8 * k8u + _A10_9 * k9u),
+                v0 + h * (_A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v + _A10_7 * k7v
+                          + _A10_8 * k8v + _A10_9 * k9v),
+            )
+            k11u, k11v, k11w = f(
+                u0 + h * (_A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u + _A11_7 * k7u
+                          + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u),
+                v0 + h * (_A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v + _A11_7 * k7v
+                          + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v),
+            )
+            k12u, k12v, k12w = f(
+                u0 + h * (_A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u + _A12_7 * k7u
+                          + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u + _A12_11 * k11u),
+                v0 + h * (_A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v + _A12_7 * k7v
+                          + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v + _A12_11 * k11v),
+            )
+            su = (_B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u + _B10 * k10u
+                  + _B11 * k11u + _B12 * k12u)
+            sv = (_B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v + _B10 * k10v
+                  + _B11 * k11v + _B12 * k12v)
+            u1 = u0 + h * su
+            v1 = v0 + h * sv
             # max(a, b) as a comparison: a unless b is greater
             a, b = abs(u0), abs(u1)
-            su = ATOL + RTOL * (b if b > a else a)
+            scale = ATOL + RTOL * (b if b > a else a)
+            e3 = (su - (_BHH1 * k1u + _BHH9 * k9u + _BHH12 * k12u)) / scale
+            e5 = (_ER1 * k1u + _ER6 * k6u + _ER7 * k7u + _ER8 * k8u + _ER9 * k9u + _ER10 * k10u
+                  + _ER11 * k11u + _ER12 * k12u) / scale
             a, b = abs(v0), abs(v1)
-            sv = ATOL + RTOL * (b if b > a else a)
-            err = sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+            scale = ATOL + RTOL * (b if b > a else a)
+            f3 = (sv - (_BHH1 * k1v + _BHH9 * k9v + _BHH12 * k12v)) / scale
+            f5 = (_ER1 * k1v + _ER6 * k6v + _ER7 * k7v + _ER8 * k8v + _ER9 * k9v + _ER10 * k10v
+                  + _ER11 * k11v + _ER12 * k12v) / scale
+            err5 = e5 * e5 + f5 * f5
+            deno = err5 + 0.01 * (e3 * e3 + f3 * f3)
+            err = 0.0 if deno == 0.0 else h * err5 / sqrt(2.0 * deno)
             if err <= 1.0:
                 break
             rejects += 1
-            q = 0.9 * err ** -0.2
+            q = 0.9 * err ** -0.125
             h *= q if q > 0.2 else 0.2  # max(0.2, q)
             if h < 1e-14:
                 return "underflow", t0, u0, v0, fu0, fv0, w0, fw0, trial, steps, rejects
         if err == 0.0:
             trial = h * 5.0
         else:
-            q = 0.9 * err ** -0.2
+            q = 0.9 * err ** -0.125
             q = q if q > 0.2 else 0.2
             trial = h * (q if q < 5.0 else 5.0)  # min(5.0, max(0.2, q))
-        w1 = w0 + h * (_B1 * fw0 + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
+        fu1, fv1, fw1 = f(u1, v1)
+        w1 = w0 + h * (_B1 * fw0 + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w + _B10 * k10w
+                       + _B11 * k11w + _B12 * k12w)
         t1 = t0 + h
-        append((t0, u0, v0, fu0, fv0, t1, u1, v1, k7u, k7v, w0, fw0))
-        t0, u0, v0, fu0, fv0, w0, fw0 = t1, u1, v1, k7u, k7v, w1, k7w
+        append((t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0,
+                k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v))
+        t0, u0, v0, fu0, fv0, w0, fw0 = t1, u1, v1, fu1, fv1, w1, fw1
         steps += 1
         if abs(u1) + abs(v1) > norm:
             event = "blowup"
@@ -242,40 +363,113 @@ def _dp45(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, nor
     return event, t0, u0, v0, fu0, fv0, w0, fw0, trial, steps, rejects
 
 
-def _record_array(records) -> np.ndarray:
-    """The (12, N) array of N step records."""
-    flat = np.fromiter(chain.from_iterable(records), float, 12 * len(records))
-    return flat.reshape(-1, 12).T
+def _first_step(f, u0, v0, fu0, fv0) -> float:
+    """The first trial step from (u0, v0), where f(u0, v0) = (fu0, fv0,
+    ...), by the starting-step rule of Hairer, Norsett and Wanner (sec.
+    II.4) for an 8th-order pair, in the norm of the error test.
+
+    An Euler step of 1/100 of |y| / |f| gives a difference quotient for
+    the second derivative, at one more field evaluation, and the trial
+    step is the h with h^8 max(|f|, |f'|) = 1/100, at most 100 times that
+    Euler step.  With the step grown by at most 5 per step, an orbit so
+    reaches the step size it keeps within about two steps.
+    """
+    sqrt = math.sqrt
+    su = ATOL + RTOL * abs(u0)
+    sv = ATOL + RTOL * abs(v0)
+    # products, not ** 2: float ** raises OverflowError where * gives inf
+    a, b = u0 / su, v0 / sv
+    d0 = sqrt(0.5 * (a * a + b * b))
+    a, b = fu0 / su, fv0 / sv
+    d1 = sqrt(0.5 * (a * a + b * b))
+    h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
+    if not 0.0 < h0 < math.inf:
+        return 1e-6  # an infinite state or speed
+    fu1, fv1, _ = f(u0 + h0 * fu0, v0 + h0 * fv0)
+    a, b = (fu1 - fu0) / su, (fv1 - fv0) / sv
+    d = max(d1, sqrt(0.5 * (a * a + b * b)) / h0)
+    h = min(100.0 * h0, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
+    return h if h > 0.0 else 1e-6
 
 
 def _work(orbits: list[list[int]]) -> tuple[int, int, int]:
     """(accepted steps, rejected steps, field evaluations) of the orbits
-    one measurement followed, each held as its [steps, rejects]."""
+    one measurement followed, each held as its [steps, rejects, dense
+    outputs]."""
     steps = sum(o[0] for o in orbits)
     rejects = sum(o[1] for o in orbits)
-    # one evaluation to start each orbit, six per attempted step (k2..k7)
-    return steps, rejects, len(orbits) + 6 * (steps + rejects)
+    dense = sum(o[2] for o in orbits)
+    # two evaluations to start each orbit (f and the first step's), eleven
+    # per attempted step (k2 to k12), one more per accepted step (f at its
+    # end) and three per dense output (k14 to k16)
+    return steps, rejects, 2 * len(orbits) + 11 * (steps + rejects) + steps + 3 * dense
 
 
-def _hermite(rec, t):
-    """Interpolate (u, v) in a step record at t; also a (12, N) record array at N times."""
-    t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1 = rec[:10]
+def _dense(f, rec):
+    """The 7th-order dense output of one step record (sec. II.6).
+
+    Three more stages, from the record's stages 1 and 6 to 13, give
+    (u0, c0, ..., c6, v0, c0, ..., c6): each coordinate's value at the
+    step's start and the coefficients :func:`_interpolate` takes.
+    """
+    (t0, u0, v0, k1u, k1v, t1, u1, v1, k13u, k13v, _, _,
+     k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v) = rec
     h = t1 - t0
-    s = (t - t0) / h
-    s2 = s * s
-    # a product, not ** 2: float ** is libm pow, numpy's ** 2 a product
-    w2 = (1.0 - s) * (1.0 - s)
-    h00 = (1.0 + 2.0 * s) * w2
-    h10 = s * w2
-    h01 = s2 * (3.0 - 2.0 * s)
-    h11 = s2 * (s - 1.0)
-    u = h00 * u0 + h10 * h * fu0 + h01 * u1 + h11 * h * fu1
-    v = h00 * v0 + h10 * h * fv0 + h01 * v1 + h11 * h * fv1
-    return u, v
+    k14u, k14v, _ = f(
+        u0 + h * (_A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
+                  + _A14_11 * k11u + _A14_12 * k12u + _A14_13 * k13u),
+        v0 + h * (_A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
+                  + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v),
+    )
+    k15u, k15v, _ = f(
+        u0 + h * (_A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
+                  + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u),
+        v0 + h * (_A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
+                  + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v),
+    )
+    k16u, k16v, _ = f(
+        u0 + h * (_A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
+                  + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u),
+        v0 + h * (_A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
+                  + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v),
+    )
+    out = []
+    for y0, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16 in (
+        (u0, u1, k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u),
+        (v0, v1, k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v),
+    ):
+        dy = y1 - y0
+        out += (
+            y0,
+            dy,
+            h * k1 - dy,
+            2.0 * dy - h * (k13 + k1),
+            h * (_D4_1 * k1 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8 + _D4_9 * k9 + _D4_10 * k10
+                 + _D4_11 * k11 + _D4_12 * k12 + _D4_13 * k13 + _D4_14 * k14 + _D4_15 * k15
+                 + _D4_16 * k16),
+            h * (_D5_1 * k1 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8 + _D5_9 * k9 + _D5_10 * k10
+                 + _D5_11 * k11 + _D5_12 * k12 + _D5_13 * k13 + _D5_14 * k14 + _D5_15 * k15
+                 + _D5_16 * k16),
+            h * (_D6_1 * k1 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8 + _D6_9 * k9 + _D6_10 * k10
+                 + _D6_11 * k11 + _D6_12 * k12 + _D6_13 * k13 + _D6_14 * k14 + _D6_15 * k15
+                 + _D6_16 * k16),
+            h * (_D7_1 * k1 + _D7_6 * k6 + _D7_7 * k7 + _D7_8 * k8 + _D7_9 * k9 + _D7_10 * k10
+                 + _D7_11 * k11 + _D7_12 * k12 + _D7_13 * k13 + _D7_14 * k14 + _D7_15 * k15
+                 + _D7_16 * k16),
+        )
+    return tuple(out)
+
+
+def _interpolate(y0, c0, c1, c2, c3, c4, c5, c6, s):
+    """One coordinate of a dense output at s = (t - t0) / h, for a scalar
+    s or, with arrays of coefficients, an array: y0 + s (c0 + (1 - s) (c1
+    + s (c2 + (1 - s) (c3 + s (c4 + (1 - s) (c5 + s c6))))))."""
+    r = 1.0 - s
+    return y0 + s * (c0 + r * (c1 + s * (c2 + r * (c3 + s * (c4 + r * (c5 + s * c6))))))
 
 
 def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
-    """Integrate the field from x0 for t in [0, t_end] by adaptive DP45 steps.
+    """Integrate the field from x0 for t in [0, t_end] by adaptive DOP853 steps.
 
     The trajectory is truncated, and flagged, if the state norm passes
     ``BLOWUP_NORM`` or the steps reach ``MAX_STEPS``; a step size
@@ -286,8 +480,9 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     f = compile_field(system)
     u, v = float(x0[0]), float(x0[1])
     fu, fv, fw = f(u, v)
+    trial = _first_step(f, u, v, fu, fv)
     records = []
-    event, *_, steps, _ = _dp45(f, 0.0, u, v, fu, fv, 0.0, fw, H_INIT, t_end, None, MAX_STEPS, BLOWUP_NORM, records)
+    event, *_, steps, _ = _dop853(f, 0.0, u, v, fu, fv, 0.0, fw, trial, t_end, None, MAX_STEPS, BLOWUP_NORM, records)
     if event == "underflow":
         raise ArithmeticError(_UNDERFLOW)
     ts = [0.0] + [rec[5] for rec in records]
@@ -295,34 +490,25 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     return Trajectory(np.array(ts), np.array(states), event != "limit", steps)
 
 
-def _locate_crossing(rec, zero_idx: int, t_tol: float) -> float:
-    """Bisect the Hermite interpolant for a sign change of one coordinate.
-
-    Only that coordinate is interpolated, by the expression of
-    :func:`_hermite`, so the time is the one both coordinates would give.
-    """
-    t0, t1 = rec[0], rec[5]
-    g0, d0, g1, d1 = rec[1 + zero_idx], rec[3 + zero_idx], rec[6 + zero_idx], rec[8 + zero_idx]
+def _locate_crossing(coeffs, t0: float, t1: float, t_tol: float) -> float:
+    """Bisect one coordinate's dense output in the step [t0, t1] for its
+    sign change; ``coeffs`` are the eight numbers :func:`_dense` gives
+    that coordinate, its value at t0 first."""
+    g0 = coeffs[0]
     if g0 == 0.0:
         return t0
+    positive = g0 > 0.0
     h = t1 - t0
-    ta, tb, gb = t0, t1, g1
+    ta, tb = t0, t1
     for _ in range(200):
         tm = 0.5 * (ta + tb)
-        s = (tm - t0) / h
-        s2 = s * s
-        w2 = (1.0 - s) * (1.0 - s)
-        h00 = (1.0 + 2.0 * s) * w2
-        h10 = s * w2
-        h01 = s2 * (3.0 - 2.0 * s)
-        h11 = s2 * (s - 1.0)
-        gm = h00 * g0 + h10 * h * d0 + h01 * g1 + h11 * h * d1
+        gm = _interpolate(*coeffs, (tm - t0) / h)
         if gm == 0.0:
             return tm
-        if (gm > 0.0) == (gb > 0.0):
-            tb, gb = tm, gm
-        else:
+        if (gm > 0.0) == positive:
             ta = tm
+        else:
+            tb = tm
         if tb - ta <= t_tol:
             break
     return 0.5 * (ta + tb)
@@ -350,19 +536,20 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float):
     with it.  The normal components are the orbit's first field
     evaluation and the last stage of that step, which the
     transversality check reads, so the slope adds no field call.  The
-    orbit's [accepted steps, rejected steps] is appended to ``orbits``.
+    orbit's [accepted steps, rejected steps, dense outputs] is appended
+    to ``orbits``.
     """
     u, v = (x, 0.0) if zero_idx == 1 else (0.0, x)
     fu, fv, fw = f(u, v)
     normal_start = (fu, fv)[zero_idx]
     rising = normal_start > 0.0
-    t, w, trial = 0.0, 0.0, H_INIT
-    work = [0, 0]
+    t, w, trial = 0.0, 0.0, _first_step(f, u, v, fu, fv)
+    work = [0, 0, 0]
     orbits.append(work)
     records = []
     while True:
         # the time budget only stops an orbit that never comes back
-        event, t, u, v, fu, fv, w, fw, trial, steps, rejects = _dp45(
+        event, t, u, v, fu, fv, w, fw, trial, steps, rejects = _dop853(
             f, t, u, v, fu, fv, w, fw, trial, 1e5, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM, records
         )
         work[0] += steps
@@ -372,8 +559,12 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float):
         if event != "cross":
             raise _NoReturn
         rec = records[-1]
-        tc = _locate_crossing(rec, zero_idx, 1e-12 * max(1.0, abs(rec[5])))
-        state = _hermite(rec, tc)
+        t0, t1 = rec[0], rec[5]
+        coeffs = _dense(f, rec)
+        work[2] += 1
+        tc = _locate_crossing(coeffs[8 * zero_idx : 8 * zero_idx + 8], t0, t1, 1e-12 * max(1.0, abs(t1)))
+        s = (tc - t0) / (t1 - t0)
+        state = _interpolate(*coeffs[:8], s), _interpolate(*coeffs[8:], s)
         if math.hypot(state[0], state[1]) < 1e-8:
             return 0.0, tc, math.nan, records
         if state[pos_idx] <= 0.0 or (rec[6 + zero_idx] > 0.0) != rising:
@@ -381,8 +572,8 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float):
         # the state at tc to the integrator's order, not the interpolant's:
         # step again from the start of this step, to tc, stopping for
         # nothing else, as the step it repeats passed every check
-        event, _, u, v, fu, fv, w, _, _, steps, rejects = _dp45(
-            f, *rec[:5], *rec[10:], tc - rec[0], tc, None, math.inf, math.inf, []
+        event, _, u, v, fu, fv, w, _, _, steps, rejects = _dop853(
+            f, *rec[:5], *rec[10:12], tc - t0, tc, None, math.inf, math.inf, []
         )
         work[0] += steps
         work[1] += rejects
@@ -479,8 +670,9 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     evaluated is the fixed point: its orbit gives the period, the
     sampled cycle and the multiplier P'.  Returns None when g has no
     sign change in the range, an orbit does not come back to the
-    section, or the last orbit does not close: P' is not finite or
-    |P(x) - x| > ``SETTLE_REL`` x (|P'| + 1); a measurement otherwise.
+    section, the last orbit does not close (P' is not finite or
+    |P(x) - x| > ``SETTLE_REL`` x (|P'| + 1)), or its |P'| is above
+    ``MAX_MULTIPLIER``; a measurement otherwise.
 
     Raises
     ------
@@ -497,9 +689,9 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     for zero_idx, pos_idx, label in _SECTIONS:
         try:
             found = _fixed_point(f, orbits, zero_idx, pos_idx, seed_radius, tau)
-            if found is None:
+            if found is None or abs(found[1]) > MAX_MULTIPLIER:
                 return None
-            return _finish_measurement(orbits, label, *found)
+            return _finish_measurement(f, orbits, label, *found)
         except TransversalityError as err:
             last_error = err
         except _NoReturn:
@@ -507,16 +699,22 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     raise last_error
 
 
-def _finish_measurement(orbits, label, period, slope, evaluations, records):
-    recs = _record_array(records)
+def _finish_measurement(f, orbits, label, period, slope, evaluations, records):
     # one period from the fixed point, densely sampled: each time in the
     # first step ending at or after it, or in the last step
+    t0 = np.array([rec[0] for rec in records])
+    t1 = np.array([rec[5] for rec in records])
+    coeffs = np.array([_dense(f, rec) for rec in records]).T
+    orbits[-1][2] += len(records)
     t = period * np.arange(CYCLE_SAMPLES + 1) / CYCLE_SAMPLES
-    ri = np.minimum(np.searchsorted(recs[5], t), recs.shape[1] - 1)
-    u, v = _hermite(recs[:, ri], np.minimum(t, recs[5, ri]))
+    ri = np.minimum(np.searchsorted(t1, t), len(records) - 1)
+    t0, t1 = t0[ri], t1[ri]
+    s = (np.minimum(t, t1) - t0) / (t1 - t0)
+    c = coeffs[:, ri]
+    u, v = _interpolate(*c[:8], s), _interpolate(*c[8:], s)
     samples = np.column_stack([t, u, v])
-    amplitude = float(np.max(np.abs(samples[:, 1])))
-    radius_rms = float(math.sqrt(np.mean(samples[:, 1] ** 2 + samples[:, 2] ** 2)))
+    amplitude = float(np.max(np.abs(u)))
+    radius_rms = float(math.sqrt(np.mean(u * u + v * v)))
     steps, rejects, field_evals = _work(orbits)
     return CycleMeasurement(
         amplitude=amplitude,

@@ -293,6 +293,9 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
                 "convergence_rate": measurement.convergence_rate,
                 "section": measurement.section,
                 "crossings": measurement.crossings,
+                "steps": measurement.steps,
+                "rejected_steps": measurement.rejected_steps,
+                "field_evals": measurement.field_evals,
             }
 
     return AnalysisReport(

@@ -12,9 +12,6 @@ from polycycle.averaging import predict_cycle
 from polycycle.definition import instantiate, load_definition
 from polycycle.pipeline import AnalysisOptions, run_analyze
 from polycycle.oracle import (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
-    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
-    _E1, _E3, _E4, _E5, _E6, _E7, ATOL, RTOL,
     CycleMeasurement,
     compare,
     integrate,
@@ -132,90 +129,106 @@ def test_measurement_follows_each_orbit_once(monkeypatch):
     # starts where the stepping loop starts at t = 0, while resuming it
     # past a crossing and the re-step to the crossing time start later
     started = 0
-    loop = oracle._dp45
+    loop = oracle._dop853
 
     def counting(f, t0, *args):
         nonlocal started
         started += t0 == 0.0
         return loop(f, t0, *args)
 
-    monkeypatch.setattr(oracle, "_dp45", counting)
+    monkeypatch.setattr(oracle, "_dop853", counting)
     meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
     assert meas is not None
     assert started == meas.crossings
 
 
-def _uv(f):
-    """The field (du, dv) of a generated field, without its div f."""
-    return lambda u, v: f(u, v)[:2]
+def _row(name):
+    """The loop's nonzero weights ``_<name><j>`` as (j, weight), j = 1..16."""
+    return [(j, getattr(oracle, f"_{name}{j}")) for j in range(1, 17) if hasattr(oracle, f"_{name}{j}")]
+
+
+# the tableau as data: stage i from the stages j < i, with weights _Ai_j;
+# stage 13 is f at the step's end, from the weights _B
+_STAGES = {i: _row(f"A{i}_") for i in range(2, 17) if i != 13}
+_B, _BHH, _ER = _row("B"), _row("BHH"), _row("ER")
+_DENSE = [_row(f"D{r}_") for r in range(4, 8)]
+
+
+def _dot(row, k, c):
+    """Sum of weight * k[j][c] over a row, in stage order."""
+    total = None
+    for j, weight in row:
+        term = weight * k[j][c]
+        total = term if total is None else total + term
+    return total
+
+
+def _ref_first_step(f, u, v, fu, fv):
+    """Reference for _first_step: the starting-step rule of Hairer,
+    Norsett and Wanner (sec. II.4) in numpy RMS norms."""
+    y0, f0 = np.array([u, v]), np.array([fu, fv])
+    scale = oracle.ATOL + oracle.RTOL * np.abs(y0)
+    d0, d1 = (float(np.sqrt(np.mean((x / scale) ** 2))) for x in (y0, f0))
+    h0 = 0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6
+    f1 = np.array(f(*(y0 + h0 * f0))[:2])
+    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d = max(d1, d2)
+    return min(100 * h0, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** (1 / 8))
 
 
 class _Stepper:
-    """Reference for the stepping loop: adaptive Dormand-Prince steps
-    with FSAL reuse, one accepted step per call, the state in
-    attributes.  ``f`` returns (du, dv)."""
+    """Reference for the stepping loop: adaptive DOP853 steps over the
+    tableau held as data, one accepted step per call, the state in
+    attributes.  ``f`` returns (du, dv, div f)."""
 
-    __slots__ = ("f", "t", "u", "v", "fu", "fv", "h", "steps", "rejects")
+    __slots__ = ("f", "t", "u", "v", "fu", "fv", "w", "fw", "h", "steps", "rejects")
 
     def __init__(self, f, u, v):
         self.f = f
-        self.t = 0.0
+        self.t = self.w = 0.0
         self.u, self.v = u, v
-        self.fu, self.fv = f(u, v)
-        self.h = oracle.H_INIT
-        self.steps = 0
-        self.rejects = 0
+        self.fu, self.fv, self.fw = f(u, v)
+        self.h = oracle._first_step(f, u, v, self.fu, self.fv)
+        self.steps = self.rejects = 0
 
     def advance(self, t_limit: float):
         """One accepted step, not overshooting t_limit.
 
-        Returns (t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1), or None at
-        the limit.
+        Returns the loop's step record, or None at the limit.
         """
-        f = self.f
         t0, u0, v0 = self.t, self.u, self.v
         if t_limit - t0 <= 1e-14 * max(1.0, abs(t_limit)):
             return None
-        fu1, fv1 = self.fu, self.fv
         h = min(self.h, t_limit - t0)
         while True:
-            k1u, k1v = fu1, fv1
-            yu = u0 + h * (_A21 * k1u)
-            yv = v0 + h * (_A21 * k1v)
-            k2u, k2v = f(yu, yv)
-            yu = u0 + h * (_A31 * k1u + _A32 * k2u)
-            yv = v0 + h * (_A31 * k1v + _A32 * k2v)
-            k3u, k3v = f(yu, yv)
-            yu = u0 + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-            yv = v0 + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-            k4u, k4v = f(yu, yv)
-            yu = u0 + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            yv = v0 + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-            k5u, k5v = f(yu, yv)
-            yu = u0 + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            yv = v0 + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-            k6u, k6v = f(yu, yv)
-            u1 = u0 + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            v1 = v0 + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            k7u, k7v = f(u1, v1)
-            eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-            su = ATOL + RTOL * max(abs(u0), abs(u1))
-            sv = ATOL + RTOL * max(abs(v0), abs(v1))
-            err = math.sqrt(0.5 * ((eu / su) ** 2 + (ev / sv) ** 2))
+            k = {1: (self.fu, self.fv, self.fw)}
+            for i in range(2, 13):
+                k[i] = self.f(u0 + h * _dot(_STAGES[i], k, 0), v0 + h * _dot(_STAGES[i], k, 1))
+            su, sv = _dot(_B, k, 0), _dot(_B, k, 1)
+            u1, v1 = u0 + h * su, v0 + h * sv
+            err5 = err3 = 0.0
+            for c, y0, y1, s in ((0, u0, u1, su), (1, v0, v1, sv)):
+                scale = oracle.ATOL + oracle.RTOL * max(abs(y0), abs(y1))
+                e5, e3 = _dot(_ER, k, c) / scale, (s - _dot(_BHH, k, c)) / scale
+                err5 += e5 * e5
+                err3 += e3 * e3
+            deno = err5 + 0.01 * err3
+            err = 0.0 if deno == 0.0 else h * err5 / math.sqrt(2.0 * deno)
             if err <= 1.0:
                 break
             self.rejects += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= max(0.2, 0.9 * err ** (-1 / 8))
             if h < 1e-14:
                 raise ArithmeticError("step size underflow; the field may be singular here")
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        self.h = h * factor
-        self.t = t0 + h
-        self.u, self.v = u1, v1
-        self.fu, self.fv = k7u, k7v
+        self.h = h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** (-1 / 8))))
+        fu1, fv1, fw1 = self.f(u1, v1)
+        w0, fw0 = self.w, self.fw
+        rec = (t0, u0, v0, self.fu, self.fv, t0 + h, u1, v1, fu1, fv1, w0, fw0)
+        rec += tuple(x for i in range(6, 13) for x in k[i][:2])
+        self.t, self.u, self.v, self.fu, self.fv, self.fw = t0 + h, u1, v1, fu1, fv1, fw1
+        self.w = w0 + h * _dot(_B, k, 2)
         self.steps += 1
-        return (t0, u0, v0, fu1, fv1, self.t, u1, v1, k7u, k7v)
+        return rec
 
 
 def _reference_run(stepper, t_limit, section, budget):
@@ -239,8 +252,31 @@ def _reference_run(stepper, t_limit, section, budget):
     return "budget", records
 
 
-def _reference_crossing(rec, zero_idx, t_tol):
-    """Reference for _locate_crossing: bisection on both Hermite coordinates."""
+def _reference_dense(f, rec, t):
+    """Reference for the dense output: the state in the step ``rec`` at
+    time t, from the three extra stages and the rows _D4 to _D7 as data,
+    summed in the form of scipy's Dop853DenseOutput."""
+    t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1 = rec[:10]
+    h = t1 - t0
+    k = {1: (fu0, fv0), 13: (fu1, fv1)}
+    k.update({i: rec[12 + 2 * (i - 6) : 14 + 2 * (i - 6)] for i in range(6, 13)})
+    for i in (14, 15, 16):
+        k[i] = f(u0 + h * _dot(_STAGES[i], k, 0), v0 + h * _dot(_STAGES[i], k, 1))
+    x = (t - t0) / h
+    state = []
+    for c, y0, y1 in ((0, u0, u1), (1, v0, v1)):
+        dy = y1 - y0
+        coeffs = [dy, h * k[1][c] - dy, 2.0 * dy - h * (k[13][c] + k[1][c])]
+        coeffs += [h * _dot(row, k, c) for row in _DENSE]
+        y = 0.0
+        for i, coeff in enumerate(reversed(coeffs)):
+            y = (y + coeff) * (x if i % 2 == 0 else 1 - x)
+        state.append(y0 + y)
+    return tuple(state)
+
+
+def _reference_crossing(f, rec, zero_idx, t_tol):
+    """Reference for _locate_crossing: bisection on the reference dense output."""
     ta, tb = rec[0], rec[5]
     ga = (rec[1], rec[2])[zero_idx]
     gb = (rec[6], rec[7])[zero_idx]
@@ -248,7 +284,7 @@ def _reference_crossing(rec, zero_idx, t_tol):
         return ta
     for _ in range(200):
         tm = 0.5 * (ta + tb)
-        gm = oracle._hermite(rec, tm)[zero_idx]
+        gm = _reference_dense(f, rec, tm)[zero_idx]
         if gm == 0.0:
             return tm
         if (gm > 0.0) == (gb > 0.0):
@@ -263,31 +299,34 @@ def _reference_crossing(rec, zero_idx, t_tol):
 def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_STEPS, events=100):
     """Step from the point x of the section through up to ``events``
     events with the loop, resuming after each crossing, and with the
-    reference stepper; every record's step ends, every event and count
-    must be equal, and each crossing time equal to the reference
-    bisection's.  Returns the events."""
+    reference stepper; every record, every event and count must be
+    equal, and each crossing time equal to the reference bisection's.
+    Returns the events."""
     f = oracle.compile_field(system)
     u, v = (x, 0.0) if section == 1 else (0.0, x)
-    stepper = _Stepper(_uv(f), u, v)
-    fu, fv, fw = f(u, v)
-    state = (0.0, u, v, fu, fv, 0.0, fw, oracle.H_INIT)
+    stepper = _Stepper(f, u, v)
+    state = (0.0, u, v, stepper.fu, stepper.fv, 0.0, stepper.fw, stepper.h)
     seen = []
     for _ in range(events):
         steps_before, rejects_before = stepper.steps, stepper.rejects
         event, ref_records = _reference_run(stepper, t_limit, section, budget)
         records = []
-        got, *state, steps, rejects = oracle._dp45(
+        got, *state, steps, rejects = oracle._dop853(
             f, *state, t_limit, section, budget - steps_before, oracle.BLOWUP_NORM, records
         )
-        assert (got, [rec[:10] for rec in records]) == (event, ref_records)
+        assert (got, records) == (event, ref_records)
         assert (steps, rejects) == (stepper.steps - steps_before, stepper.rejects - rejects_before)
-        assert (*state[:5], state[7]) == (stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv, stepper.h)
+        assert tuple(state) == (
+            stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv, stepper.w, stepper.fw, stepper.h
+        )
         seen.append(event)
         if event != "cross":
             break
-        t_tol = 1e-12 * max(1.0, abs(records[-1][5]))
-        crossing = oracle._locate_crossing(records[-1], section, t_tol)
-        assert crossing == _reference_crossing(records[-1], section, t_tol)
+        rec = records[-1]
+        t_tol = 1e-12 * max(1.0, abs(rec[5]))
+        coeffs = oracle._dense(f, rec)[8 * section : 8 * section + 8]
+        crossing = oracle._locate_crossing(coeffs, rec[0], rec[5], t_tol)
+        assert crossing == _reference_crossing(f, rec, section, t_tol)
     return seen
 
 
@@ -318,16 +357,26 @@ def test_loop_steps_as_the_reference_stepper_on_random_systems(degree, seed):
     assert "cross" in events
 
 
-def test_loop_reports_underflow_blowup_and_budget_as_the_stepper():
-    # the console step-size-underflow system from (0.8, 0): the orbit's
-    # step size underflows just short of the blow-up norm
-    underflow = build_system(
-        [[Fraction(1, 50), -1], [1, Fraction(1, 50)]],
+def _underflow_system(alpha):
+    """The console step-size-underflow system: quadratic and cubic terms
+    under which orbits outside the origin's basin escape, and u^5 in du,
+    under which they escape so fast that the step size underflows before
+    the blow-up norm is reached (without it the pair resolves the orbit
+    up to the norm)."""
+    return build_system(
+        [[alpha, -1], [1, alpha]],
         [
             [[Fraction(3, 2), Fraction(-1, 4), Fraction(3, 2)], [1, Fraction(4, 3), 1]],
             [[4, Fraction(1, 3), 0, Fraction(5, 3)], [Fraction(-1, 2), Fraction(2, 3), -6, 3]],
+            [[0] * 5, [0] * 5],
+            [[1, 0, 0, 0, 0, 0], [0] * 6],
         ],
-    ).to_float()
+    )
+
+
+def test_loop_reports_underflow_blowup_and_budget_as_the_stepper():
+    # the console step-size-underflow system from (0.8, 0)
+    underflow = _underflow_system(Fraction(1, 50)).to_float()
     assert _assert_loop_is_the_stepper(underflow, 0.8, 1, 1e5)[-1] == "underflow"
     # a spiral source: every orbit moves outward until it blows up
     source = _hardening(0.05).to_float()
@@ -337,9 +386,56 @@ def test_loop_reports_underflow_blowup_and_budget_as_the_stepper():
     assert events[-1] == "budget" and set(events[:-1]) == {"cross"}
 
 
+# the nodes c_i of the pair, from their closed forms
+_C4 = (6.0 - math.sqrt(6.0)) / 30.0
+_C = {1: 0.0, 2: 4.0 * _C4 / 9.0, 3: 2.0 * _C4 / 3.0, 4: _C4, 5: (6.0 + math.sqrt(6.0)) / 30.0,
+      6: 1 / 3, 7: 1 / 4, 8: 4 / 13, 9: 127 / 195, 10: 3 / 5, 11: 6 / 7, 12: 1.0, 13: 1.0,
+      14: 1 / 10, 15: 1 / 5, 16: 7 / 9}
+
+
+def test_tableau_is_the_dop853_pair():
+    # every stage row sums to its node
+    for i, row in _STAGES.items():
+        assert sum(a for _, a in row) == pytest.approx(_C[i], abs=1e-13), i
+    # the 8th-order weights integrate c^q exactly for q = 0..7
+    for q in range(8):
+        assert sum(b * _C[j] ** q for j, b in _B) == pytest.approx(1.0 / (q + 1), abs=1e-14), q
+    # both error estimates vanish on a step that is exact
+    assert sum(e for _, e in _ER) == pytest.approx(0.0, abs=1e-15)
+    assert sum(b for _, b in _B) - sum(b for _, b in _BHH) == pytest.approx(0.0, abs=1e-15)
+    # every constant is the published one, as scipy holds it
+    dop = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    for i in range(2, 17):
+        for j in range(1, i):
+            held = dop.A[i - 1, j - 1] if i != 13 else 0.0  # row 13 is B
+            assert getattr(oracle, f"_A{i}_{j}", 0.0) == held, (i, j)
+    for j in range(1, 13):
+        assert getattr(oracle, f"_B{j}", 0.0) == dop.B[j - 1], j
+        assert getattr(oracle, f"_B{j}", 0.0) - getattr(oracle, f"_BHH{j}", 0.0) == dop.E3[j - 1], j
+        assert getattr(oracle, f"_ER{j}", 0.0) == dop.E5[j - 1], j
+    assert dop.E3[12] == dop.E5[12] == 0.0  # f at the step's end enters neither
+    for r in range(4):
+        for j in range(1, 17):
+            assert getattr(oracle, f"_D{r + 4}_{j}", 0.0) == dop.D[r, j - 1], (r, j)
+    assert [_C[i] for i in range(1, 17)] == pytest.approx(list(dop.C), abs=1e-15)
+
+
+def test_first_step_follows_the_starting_rule():
+    f = oracle.compile_field(_normal_form(Fraction(1, 100)))
+    for u, v in ((0.1, 0.0), (0.0, 0.02), (0.7, -0.3), (3.0, 1e-12)):
+        fu, fv, _ = f(u, v)
+        assert oracle._first_step(f, u, v, fu, fv) == pytest.approx(_ref_first_step(f, u, v, fu, fv), rel=1e-12)
+    # at the origin the field vanishes and the rule falls back to 1e-6
+    assert oracle._first_step(f, 0.0, 0.0, 0.0, 0.0) == 1e-6
+    # an infinite or undefined state still gets a finite positive step,
+    # which the loop then rejects down to an underflow
+    for u in (math.inf, math.nan, 1e200):
+        assert 0.0 < oracle._first_step(f, u, 0.0, *f(u, 0.0)[:2]) < math.inf
+
+
 def _reference_integrate(system, x0, t_end):
     """Reference for integrate: its loop over the reference stepper."""
-    stepper = _Stepper(_uv(oracle.compile_field(system)), float(x0[0]), float(x0[1]))
+    stepper = _Stepper(oracle.compile_field(system), float(x0[0]), float(x0[1]))
     ts, states = [0.0], [(stepper.u, stepper.v)]
     truncated = False
     while True:
@@ -376,25 +472,22 @@ def test_integrate_steps_as_the_reference_stepper(system, x0, t_end):
 
 
 def test_integrate_raises_on_a_step_size_underflow():
-    underflow = build_system(
-        [[0.02, -1.0], [1.0, 0.02]],
-        [[[1.5, -0.25, 1.5], [1.0, 4.0 / 3.0, 1.0]], [[4.0, 1.0 / 3.0, 0.0, 5.0 / 3.0], [-0.5, 2.0 / 3.0, -6.0, 3.0]]],
-    )
+    underflow = _underflow_system(0.02)
     with pytest.raises(ArithmeticError):
         _reference_integrate(underflow, (0.8, 0.0), 1e5)
     with pytest.raises(ArithmeticError, match="step size underflow"):
         integrate(underflow, (0.8, 0.0), 1e5)
 
 
-def _loop_samples(records, period):
-    """The reference sampler: one scalar _hermite call per sample time."""
+def _loop_samples(f, records, period):
+    """The reference sampler: one scalar reference dense output per sample time."""
     rows = []
     ri = 0
     for i in range(oracle.CYCLE_SAMPLES + 1):
         t = period * i / oracle.CYCLE_SAMPLES
         while ri < len(records) - 1 and records[ri][5] < t:
             ri += 1
-        rows.append((t, *oracle._hermite(records[ri], min(t, records[ri][5]))))
+        rows.append((t, *_reference_dense(f, records[ri], min(t, records[ri][5]))))
     return rows
 
 
@@ -410,9 +503,10 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     monkeypatch.setattr(oracle, "_finish_measurement", keep_args)
     meas = measure_cycle(system, 0.05)
     assert meas is not None and meas.section == "x2=0, x1>0"
-    ((*_, period, _slope, _evaluations, records),) = seen
-    # the root solve's last orbit as its list of 12-field step records
-    assert {len(rec) for rec in records} == {12}
+    ((f, *_, period, _slope, _evaluations, records),) = seen
+    # the root solve's last orbit as its list of step records: 12 fields
+    # and the (u, v) of stages 6 to 12
+    assert {len(rec) for rec in records} == {26}
     x_star = records[0][1]  # the start of the last orbit, on x2 = 0
     # the last record is the step that holds the return crossing
     assert records[-1][0] < period <= records[-1][5]
@@ -421,9 +515,35 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
         float.hex(x_star),
         float.hex(0.0),
     ]
-    # the array pass is the scalar formula, bit for bit
+    # the array pass is the scalar reference, bit for bit
     got = [[float(v).hex() for v in row] for row in meas.samples]
-    assert got == [[v.hex() for v in row] for row in _loop_samples(records, period)]
+    assert got == [[v.hex() for v in row] for row in _loop_samples(f, records, period)]
+
+
+def test_dense_output_meets_the_step():
+    # the dense output starts and ends at the step's end points, and in
+    # between agrees with the loop stepped there to the integrator's
+    # order; endpoints alone would not see the rows _D4 to _D7
+    f = oracle.compile_field(_normal_form(Fraction(1, 100)))
+    u, v = 0.1, 0.0
+    fu, fv, fw = f(u, v)
+    records = []
+    oracle._dop853(f, 0.0, u, v, fu, fv, 0.0, fw, 0.4, 1.2, None, 3, math.inf, records)
+    assert len(records) == 3
+    for rec in records:
+        t0, u0, v0, _, _, t1, u1, v1 = rec[:8]
+        coeffs = oracle._dense(f, rec)
+        assert oracle._interpolate(*coeffs[:8], 0.0) == u0 and oracle._interpolate(*coeffs[8:], 0.0) == v0
+        end = oracle._interpolate(*coeffs[:8], 1.0), oracle._interpolate(*coeffs[8:], 1.0)
+        assert end == pytest.approx((u1, v1), rel=1e-15, abs=1e-17)
+        for s in (0.25, 0.5, 0.8):
+            tm = t0 + s * (t1 - t0)
+            _, _, um, vm, *_ = oracle._dop853(f, *rec[:5], *rec[10:12], tm - t0, tm, None, 10, math.inf, [])
+            dense = oracle._interpolate(*coeffs[:8], s), oracle._interpolate(*coeffs[8:], s)
+            # 7th order: within 1e-8 of the radius 0.1 at steps of 0.4 and
+            # more, where a wrong row would be off by 1e-4 of it
+            assert dense == pytest.approx((um, vm), abs=1e-9)
+            assert dense == pytest.approx(_reference_dense(f, rec, tm), rel=1e-14, abs=1e-17)
 
 
 def test_spiral_sink_yields_no_cycle():
@@ -463,6 +583,26 @@ def test_multiplier_matches_the_closed_form(family, sign, period, size):
     expected = math.exp(-2.0 * float(alpha) * period)
     assert meas.convergence_rate == pytest.approx(expected, rel=1e-6)
     assert meas.stable == (sign > 0)
+    # the cycle itself: radius sqrt(|alpha|) and period T.  The amplitude
+    # is the fixed point, off by the integration error grown by 1/(1 - P'):
+    # at |alpha| = 1/2000 by 1.3e-7 at most
+    assert meas.amplitude == pytest.approx(math.sqrt(size), rel=1e-6)
+    assert meas.period == pytest.approx(period, rel=1e-9)
+
+
+def test_a_multiplier_beyond_the_tolerances_is_not_measured():
+    # the reflected cycle at alpha = -2 repels with e^(8 pi), about 8.2e10:
+    # an integration error of RTOL grows past the radius within one
+    # period, so no measurement can resolve it.  From this seed the root
+    # solve stops after two orbits, on one that closes to its own
+    # tolerance SETTLE_REL x (|P'| + 1) with a multiplier 7 % off e^(8 pi)
+    system = _hardening(-2).to_float()
+    assert measure_cycle(system, 0.5 * math.sqrt(2.0)) is None
+    assert oracle.MAX_MULTIPLIER < math.exp(8.0 * math.pi)
+    # alpha = -1, multiplier e^(4 pi) = 2.9e5, is still measured
+    meas = measure_cycle(_hardening(-1).to_float(), 0.5)
+    assert meas is not None
+    assert meas.convergence_rate == pytest.approx(math.exp(4.0 * math.pi), rel=1e-3)
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,32 @@ def test_oracle_work_next_to_the_hopf_point(systems_dir, name, sign, size, exact
     assert report.measurement["crossings"] <= 4
 
 
+def test_measurement_reports_the_oracle_work(systems_dir, monkeypatch):
+    # the integrator's work sits next to the number of orbits; it is
+    # deterministic, so the JSON report stays the same from run to run
+    seen = []
+    measure = pipeline.measure_cycle
+
+    def keep(*args):
+        seen.append(measure(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(pipeline, "measure_cycle", keep)
+    options = AnalysisOptions(alpha="1/1000", exact=False)
+    report = run_analyze(systems_dir / "normal_form.json", options)
+    assert set(report.measurement) == {
+        "amplitude", "radius_rms", "period", "stable", "convergence_rate", "section",
+        "crossings", "steps", "rejected_steps", "field_evals",
+    }
+    (meas,) = seen
+    work = (meas.steps, meas.rejected_steps, meas.field_evals)
+    assert tuple(report.measurement[k] for k in ("steps", "rejected_steps", "field_evals")) == work
+    assert all(type(n) is int for n in work)
+    # twelve evaluations per accepted step at the least
+    assert meas.field_evals >= 12 * meas.steps > 0
+    assert run_analyze(systems_dir / "normal_form.json", options).to_json() == report.to_json()
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("name", ["linear_center", "quadratic"])
 def test_center_orbits_are_neutral(systems_dir, name, exact):
@@ -250,15 +276,17 @@ def test_cli_analyze_json_output(systems_dir, capsys):
 
 
 def test_step_size_underflow_counts_as_blow_up():
-    # at alpha = 1/50 an orbit of the oracle's root solve outruns the
-    # stepper at |x| about 1e6, just short of the blow-up norm: a blow-up,
-    # not an error that escapes the analysis
+    # at alpha = 1/50 the orbits of the oracle's root solve escape, under
+    # the u^5 term so fast that the step size underflows before the
+    # blow-up norm: a blow-up, not an error that escapes the analysis
     definition = {
         "name": "underflow",
         "jac": [["alpha", -1], [1, "alpha"]],
         "phi": [
             [["3/2", "-1/4", "3/2"], ["1", "4/3", "1"]],
             [["4", "1/3", "0", "5/3"], ["-1/2", "2/3", "-6", "3"]],
+            [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+            [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]],
         ],
     }
     report = run_analyze(definition, AnalysisOptions(alpha="1/50"))
