@@ -20,12 +20,14 @@ rule of sec. II.4.
 Between its end points a step is interpolated by the pair's own 7th-order
 dense output (sec. II.6, :func:`_dense`), which costs three more field
 evaluations and is formed only for the steps that need it: the step that
-holds a crossing, and the steps of the orbit a measurement is sampled
-from.  Crossing times are located by bisection on the section
-coordinate's dense output, and the state there is taken by one more run
-of the loop from the start of the step: the interpolant's own error,
-though far below a cubic Hermite interpolant's at these step sizes,
-would otherwise reach the fixed point multiplied by 1/|P' - 1|.
+holds a return to the section, and the steps of a measured orbit in
+which x1 turns, where the amplitude is found.  A crossing of the section
+in the other direction is told from the step's end alone.  Crossing
+times are located by bisection on the section coordinate's dense
+output, and the state there is taken by one more run of the loop from
+the start of the step: the interpolant's own error, though far below a
+cubic Hermite interpolant's at these step sizes, would otherwise reach
+the fixed point multiplied by 1/|P' - 1|.
 
 Each orbit also gives the slope of the return map, from the divergence
 identity for planar flows (Perko, Differential Equations and Dynamical
@@ -40,14 +42,17 @@ slope costs no further orbit, field evaluation or pass over the steps.
 With it the root solve is a safeguarded Newton iteration, the
 multiplier of the cycle is the slope at its last point, and attracting
 and repelling cycles are both found in forward time.  The root solve's
-last orbit, once around from the fixed point, is also the one the
-measured period is sampled from.
+last orbit, once around from the fixed point, is also the measured
+cycle: the loop integrates x1^2 + x2^2 along it for the rms radius in
+the same way, the amplitude is the largest |x1| of its dense output,
+and its period is sampled for export only when the samples are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -153,8 +158,8 @@ MAX_STEPS = 5_000_000
 BLOWUP_NORM = 1e6
 # measure_cycle: the fixed point of the return map is searched for
 # within SEARCH_RANGE times the seed and pinned down to SETTLE_REL
-# relative width; the measured period is sampled at CYCLE_SAMPLES + 1
-# points.
+# relative width; the measured period is sampled, when read, at
+# CYCLE_SAMPLES + 1 points.
 SEARCH_RANGE = (1e-7, 8.0)
 SETTLE_REL = 1e-8
 CYCLE_SAMPLES = 2048
@@ -185,18 +190,25 @@ class Trajectory:
 class CycleMeasurement:
     """A periodic orbit pinned down by the return map.
 
-    ``amplitude`` is max |x1| over one period, ``radius_rms`` the root
-    mean square distance from the origin, ``convergence_rate`` the
+    Every figure comes from the root solve's last orbit, once around
+    from the fixed point over the return time T, ``period``.
+    ``amplitude`` is max |x1| over [0, T] of that orbit's dense output
+    and ``radius_rms`` the root mean square distance from the origin,
+    sqrt((1/T) integral_0^T (x1^2 + x2^2) dt), integrated by the
+    stepping loop along the orbit.  ``convergence_rate`` is the
     magnitude of the return-map slope at the fixed point (so < 1
     exactly when the cycle attracts), from the integral of div f along
-    the root solve's last orbit, ``stable`` whether it
-    attracts, None when the slope magnitude is within ``NEUTRAL_SLOPE``
-    of 1 (neutral, as on the orbits of a center), ``crossings`` the
-    number of return-map evaluations the root solve took, which is the
-    number of orbits the measurement followed, and ``samples`` one
-    period of (t, x1, x2) rows for export, from the dense output of the
-    steps of the root solve's last orbit.  ``steps``, ``rejected_steps`` and
-    ``field_evals`` are the integrator's work, summed over those orbits.
+    the orbit, ``stable`` whether it attracts, None when the slope
+    magnitude is within ``NEUTRAL_SLOPE`` of 1 (neutral, as on the
+    orbits of a center), and ``crossings`` the number of return-map
+    evaluations the root solve took, which is the number of orbits the
+    measurement followed.  ``steps``, ``rejected_steps`` and
+    ``field_evals`` are the integrator's work, summed over those
+    orbits.  ``orbit`` holds the float system and the last orbit's step
+    records, from which ``samples``, one period of (t, x1, x2) rows for
+    export, is formed from the dense output of each step the first time
+    it is read; ``field_evals`` does not count the field evaluations
+    that takes.
     """
 
     amplitude: float
@@ -209,7 +221,14 @@ class CycleMeasurement:
     steps: int
     rejected_steps: int
     field_evals: int
-    samples: np.ndarray = field(repr=False, default=None)
+    orbit: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def samples(self) -> np.ndarray | None:
+        if self.orbit is None:
+            return None
+        system, records = self.orbit
+        return _sample_orbit(compile_field(system), records, self.period)
 
 
 class TransversalityError(RuntimeError):
@@ -219,7 +238,7 @@ class TransversalityError(RuntimeError):
 _UNDERFLOW = "step size underflow; the field may be singular here"
 
 
-def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, norm, records):
+def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budget, norm, records):
     """Accepted Dormand-Prince 8(5,3) steps from t0, where f(u0, v0) =
     (fu0, fv0, fw0) and ``trial`` is the next step to try, up to the
     first event.
@@ -230,10 +249,11 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, n
     the next step by the factor 0.9 err^(-1/8) within [0.2, 5].  The
     last stage, f at the step's end, is evaluated once the step is
     accepted, and is the next step's first.  w0, the integral of div f
-    so far, is stepped with the same weights but left out of the error
-    norm, so it moves no step size or event.  Each accepted step appends
-    (t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0) and the (u, v)
-    of stages 6 to 12 to ``records``: all that :func:`_dense` reads.
+    so far, and q0, the integral of u^2 + v^2, are stepped with the same
+    weights (q from the stage states) but left out of the error norm, so
+    they move no step size or event.  Each accepted step appends (t0, u0,
+    v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0), the (u, v) of stages 6
+    to 12, which is all that :func:`_dense` reads, and q0 to ``records``.
     The events: "budget" once ``budget`` steps were accepted and "limit"
     once t is within 1e-14 relative of ``t_limit``, both checked before
     a step; "underflow" when rejections cut the step below 1e-14,
@@ -241,7 +261,7 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, n
     |u| + |v| passes ``norm``, then "cross" when coordinate ``section``
     (0: u, 1: v, None: no section) changed sign from a nonzero start.
 
-    Returns (event, t, u, v, fu, fv, w, fw, trial, accepted steps,
+    Returns (event, t, u, v, fu, fv, w, fw, q, trial, accepted steps,
     rejected steps), from which a later call resumes the same stepping.
     """
     sqrt = math.sqrt
@@ -274,42 +294,35 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, n
                 u0 + h * (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u),
                 v0 + h * (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v),
             )
-            k6u, k6v, k6w = f(
-                u0 + h * (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u),
-                v0 + h * (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v),
-            )
-            k7u, k7v, k7w = f(
-                u0 + h * (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u),
-                v0 + h * (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v),
-            )
-            k8u, k8v, k8w = f(
-                u0 + h * (_A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u),
-                v0 + h * (_A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v),
-            )
-            k9u, k9v, k9w = f(
-                u0 + h * (_A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
-                          + _A9_8 * k8u),
-                v0 + h * (_A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
-                          + _A9_8 * k8v),
-            )
-            k10u, k10v, k10w = f(
-                u0 + h * (_A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u + _A10_7 * k7u
-                          + _A10_8 * k8u + _A10_9 * k9u),
-                v0 + h * (_A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v + _A10_7 * k7v
-                          + _A10_8 * k8v + _A10_9 * k9v),
-            )
-            k11u, k11v, k11w = f(
-                u0 + h * (_A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u + _A11_7 * k7u
-                          + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u),
-                v0 + h * (_A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v + _A11_7 * k7v
-                          + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v),
-            )
-            k12u, k12v, k12w = f(
-                u0 + h * (_A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u + _A12_7 * k7u
-                          + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u + _A12_11 * k11u),
-                v0 + h * (_A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v + _A12_7 * k7v
-                          + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v + _A12_11 * k11v),
-            )
+            y6u = u0 + h * (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u)
+            y6v = v0 + h * (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v)
+            k6u, k6v, k6w = f(y6u, y6v)
+            y7u = u0 + h * (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u)
+            y7v = v0 + h * (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v)
+            k7u, k7v, k7w = f(y7u, y7v)
+            y8u = u0 + h * (_A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u)
+            y8v = v0 + h * (_A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v)
+            k8u, k8v, k8w = f(y8u, y8v)
+            y9u = u0 + h * (_A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
+                            + _A9_8 * k8u)
+            y9v = v0 + h * (_A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
+                            + _A9_8 * k8v)
+            k9u, k9v, k9w = f(y9u, y9v)
+            y10u = u0 + h * (_A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u + _A10_7 * k7u
+                             + _A10_8 * k8u + _A10_9 * k9u)
+            y10v = v0 + h * (_A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v + _A10_7 * k7v
+                             + _A10_8 * k8v + _A10_9 * k9v)
+            k10u, k10v, k10w = f(y10u, y10v)
+            y11u = u0 + h * (_A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u + _A11_7 * k7u
+                             + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u)
+            y11v = v0 + h * (_A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v + _A11_7 * k7v
+                             + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v)
+            k11u, k11v, k11w = f(y11u, y11v)
+            y12u = u0 + h * (_A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u + _A12_7 * k7u
+                             + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u + _A12_11 * k11u)
+            y12v = v0 + h * (_A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v + _A12_7 * k7v
+                             + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v + _A12_11 * k11v)
+            k12u, k12v, k12w = f(y12u, y12v)
             su = (_B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u + _B10 * k10u
                   + _B11 * k11u + _B12 * k12u)
             sv = (_B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v + _B10 * k10v
@@ -336,7 +349,7 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, n
             q = 0.9 * err ** -0.125
             h *= q if q > 0.2 else 0.2  # max(0.2, q)
             if h < 1e-14:
-                return "underflow", t0, u0, v0, fu0, fv0, w0, fw0, trial, steps, rejects
+                return "underflow", t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, steps, rejects
         if err == 0.0:
             trial = h * 5.0
         else:
@@ -346,10 +359,14 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, n
         fu1, fv1, fw1 = f(u1, v1)
         w1 = w0 + h * (_B1 * fw0 + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w + _B10 * k10w
                        + _B11 * k11w + _B12 * k12w)
+        q1 = q0 + h * (_B1 * (u0 * u0 + v0 * v0) + _B6 * (y6u * y6u + y6v * y6v)
+                       + _B7 * (y7u * y7u + y7v * y7v) + _B8 * (y8u * y8u + y8v * y8v)
+                       + _B9 * (y9u * y9u + y9v * y9v) + _B10 * (y10u * y10u + y10v * y10v)
+                       + _B11 * (y11u * y11u + y11v * y11v) + _B12 * (y12u * y12u + y12v * y12v))
         t1 = t0 + h
         append((t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0,
-                k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v))
-        t0, u0, v0, fu0, fv0, w0, fw0 = t1, u1, v1, fu1, fv1, w1, fw1
+                k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v, q0))
+        t0, u0, v0, fu0, fv0, w0, fw0, q0 = t1, u1, v1, fu1, fv1, w1, fw1, q1
         steps += 1
         if abs(u1) + abs(v1) > norm:
             event = "blowup"
@@ -360,7 +377,7 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, trial, t_limit, section, budget, n
                 event = "cross"
                 break
             g0 = g1
-    return event, t0, u0, v0, fu0, fv0, w0, fw0, trial, steps, rejects
+    return event, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, steps, rejects
 
 
 def _first_step(f, u0, v0, fu0, fv0) -> float:
@@ -413,7 +430,7 @@ def _dense(f, rec):
     step's start and the coefficients :func:`_interpolate` takes.
     """
     (t0, u0, v0, k1u, k1v, t1, u1, v1, k13u, k13v, _, _,
-     k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v) = rec
+     k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v, _) = rec
     h = t1 - t0
     k14u, k14v, _ = f(
         u0 + h * (_A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
@@ -468,6 +485,71 @@ def _interpolate(y0, c0, c1, c2, c3, c4, c5, c6, s):
     return y0 + s * (c0 + r * (c1 + s * (c2 + r * (c3 + s * (c4 + r * (c5 + s * c6))))))
 
 
+def _interpolate_slope(y0, c0, c1, c2, c3, c4, c5, c6, s):
+    """d/ds of :func:`_interpolate` at a scalar s, its nested form
+    differentiated from the inside out."""
+    r = 1.0 - s
+    a, d = c5 + s * c6, c6
+    a, d = c4 + r * a, r * d - a
+    a, d = c3 + s * a, s * d + a
+    a, d = c2 + r * a, r * d - a
+    a, d = c1 + s * a, s * d + a
+    a, d = c0 + r * a, r * d - a
+    return s * d + a
+
+
+def _slope_zeros(coeffs, s_end: float) -> list[float]:
+    """The zeros in (0, s_end] of the derivative of one coordinate's dense
+    output, whose eight numbers from :func:`_dense` are ``coeffs``.
+
+    The derivative is bracketed by its signs at 0 and s_end or, where
+    they agree, at eight equal intervals between, so a pair of zeros
+    within one interval is passed over.
+    """
+    d0 = _interpolate_slope(*coeffs, 0.0)
+    d1 = _interpolate_slope(*coeffs, s_end)
+    n = 1 if (d0 > 0.0) != (d1 > 0.0) else 8
+    zeros = []
+    a, da = 0.0, d0
+    for i in range(1, n + 1):
+        b = s_end * i / n
+        db = d1 if i == n else _interpolate_slope(*coeffs, b)
+        if db == 0.0:
+            zeros.append(b)
+        elif da < 0.0 < db or db < 0.0 < da:
+            zeros.append(_slope_zero(coeffs, a, b, da, db))
+        a, da = b, db
+    return zeros
+
+
+def _slope_zero(coeffs, lo: float, hi: float, dlo: float, dhi: float) -> float:
+    """The zero in (lo, hi) of the derivative of a dense output, which is
+    dlo at lo and dhi at hi, of opposite signs: regula falsi with the
+    Illinois modification, bisecting where a step would leave the
+    bracket, to 1e-12 in s."""
+    kept = 0  # the end the last step kept: 1 for hi, -1 for lo
+    for _ in range(100):
+        m = (lo * dhi - hi * dlo) / (dhi - dlo)
+        if not lo < m < hi:
+            m = 0.5 * (lo + hi)
+        dm = _interpolate_slope(*coeffs, m)
+        if dm == 0.0:
+            break
+        if (dm > 0.0) == (dlo > 0.0):
+            lo, dlo = m, dm
+            if kept == 1:
+                dhi *= 0.5
+            kept = 1
+        else:
+            hi, dhi = m, dm
+            if kept == -1:
+                dlo *= 0.5
+            kept = -1
+        if hi - lo <= 1e-12:
+            break
+    return m
+
+
 def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     """Integrate the field from x0 for t in [0, t_end] by adaptive DOP853 steps.
 
@@ -482,7 +564,9 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     fu, fv, fw = f(u, v)
     trial = _first_step(f, u, v, fu, fv)
     records = []
-    event, *_, steps, _ = _dop853(f, 0.0, u, v, fu, fv, 0.0, fw, trial, t_end, None, MAX_STEPS, BLOWUP_NORM, records)
+    event, *_, steps, _ = _dop853(
+        f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, trial, t_end, None, MAX_STEPS, BLOWUP_NORM, records
+    )
     if event == "underflow":
         raise ArithmeticError(_UNDERFLOW)
     ts = [0.0] + [rec[5] for rec in records]
@@ -524,41 +608,47 @@ class _NoReturn(Exception):
 def _return_map(f, orbits, zero_idx, pos_idx, x: float):
     """Follow the orbit from the section point ``x`` once around.
 
-    Returns (P(x), return time, P'(x), list of the accepted step
-    records) at the first crossing of the section in the direction the
-    flow crosses it at the start.  P is inf when the orbit blows up or
-    its step size underflows, and 0 when it falls inside the 1e-8
+    Returns (P(x), return time T, P'(x), q(T), crossing dense output,
+    list of the accepted step records) at the first crossing of the
+    section in the direction the flow crosses it at the start; q(T) is
+    the integral of x1^2 + x2^2 over [0, T].  A crossing the other way,
+    half a turn on, is told by the step's end alone and passed over: no
+    dense output is formed and no crossing time located for it.  P is
+    inf when the orbit blows up or its step size underflows, and 0 when
+    at the next crossing in the right direction it is inside the 1e-8
     numerical-origin scale, where the tangency guard below cannot tell a
-    flat section from a dead orbit; P' is nan in both cases.  Otherwise
-    P(x) is the state at the crossing time, stepped to from the start of
-    the step that holds it, and P' comes from the divergence identity of
-    the module docstring, with w stepped to the crossing time along
-    with it.  The normal components are the orbit's first field
-    evaluation and the last stage of that step, which the
-    transversality check reads, so the slope adds no field call.  The
-    orbit's [accepted steps, rejected steps, dense outputs] is appended
-    to ``orbits``.
+    flat section from a dead orbit; P' and q(T) are nan and the dense
+    output None in both cases.  Otherwise P(x) is the state at the
+    crossing time, stepped to from the start of the step that holds it,
+    and P' comes from the divergence identity of the module docstring,
+    with w and q stepped to the crossing time along with it.  The normal
+    components are the orbit's first field evaluation and the last stage
+    of that step, which the transversality check reads, so the slope
+    adds no field call.  The orbit's [accepted steps, rejected steps,
+    dense outputs] is appended to ``orbits``.
     """
     u, v = (x, 0.0) if zero_idx == 1 else (0.0, x)
     fu, fv, fw = f(u, v)
     normal_start = (fu, fv)[zero_idx]
     rising = normal_start > 0.0
-    t, w, trial = 0.0, 0.0, _first_step(f, u, v, fu, fv)
+    t, w, q, trial = 0.0, 0.0, 0.0, _first_step(f, u, v, fu, fv)
     work = [0, 0, 0]
     orbits.append(work)
     records = []
     while True:
         # the time budget only stops an orbit that never comes back
-        event, t, u, v, fu, fv, w, fw, trial, steps, rejects = _dop853(
-            f, t, u, v, fu, fv, w, fw, trial, 1e5, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM, records
+        event, t, u, v, fu, fv, w, fw, q, trial, steps, rejects = _dop853(
+            f, t, u, v, fu, fv, w, fw, q, trial, 1e5, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM, records
         )
         work[0] += steps
         work[1] += rejects
         if event in ("blowup", "underflow"):
-            return math.inf, t, math.nan, records
+            return math.inf, t, math.nan, math.nan, None, records
         if event != "cross":
             raise _NoReturn
         rec = records[-1]
+        if (rec[6 + zero_idx] > 0.0) != rising:
+            continue
         t0, t1 = rec[0], rec[5]
         coeffs = _dense(f, rec)
         work[2] += 1
@@ -566,14 +656,14 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float):
         s = (tc - t0) / (t1 - t0)
         state = _interpolate(*coeffs[:8], s), _interpolate(*coeffs[8:], s)
         if math.hypot(state[0], state[1]) < 1e-8:
-            return 0.0, tc, math.nan, records
-        if state[pos_idx] <= 0.0 or (rec[6 + zero_idx] > 0.0) != rising:
+            return 0.0, tc, math.nan, math.nan, None, records
+        if state[pos_idx] <= 0.0:
             continue
         # the state at tc to the integrator's order, not the interpolant's:
         # step again from the start of this step, to tc, stopping for
         # nothing else, as the step it repeats passed every check
-        event, _, u, v, fu, fv, w, _, _, steps, rejects = _dop853(
-            f, *rec[:5], *rec[10:12], tc - t0, tc, None, math.inf, math.inf, []
+        event, _, u, v, fu, fv, w, _, q, _, steps, rejects = _dop853(
+            f, *rec[:5], *rec[10:12], rec[26], tc - t0, tc, None, math.inf, math.inf, []
         )
         work[0] += steps
         work[1] += rejects
@@ -584,24 +674,25 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float):
             raise TransversalityError(
                 f"flow is tangent to the section at t={tc:.6g}, point {state}"
             )
-        return state[pos_idx], tc, normal_start / speed[zero_idx] * math.exp(w), records
+        return state[pos_idx], tc, normal_start / speed[zero_idx] * math.exp(w), q, coeffs, records
 
 
 def _fixed_point(f, orbits, zero_idx, pos_idx, seed: float, tau: float):
     """Solve g(x) = P(x) - x by safeguarded Newton steps on g' = P' - 1.
 
-    Returns (return time, P', evaluations, step records) of the last
-    point evaluated, which is the fixed point to ``SETTLE_REL``, or
-    None.  Blow-up makes g = inf and decay onto the origin g = -x, so
-    both count with the sign they imply; P' is undefined there.
+    Returns (return time, P', evaluations, q, crossing dense output,
+    step records) of the last point evaluated, which is the fixed point
+    to ``SETTLE_REL``, or None.  Blow-up makes g = inf and decay onto
+    the origin g = -x, so both count with the sign they imply; P' is
+    undefined there.
     """
     evaluations = 0
 
     def g(x):
         nonlocal evaluations
         evaluations += 1
-        p, t, slope, records = _return_map(f, orbits, zero_idx, pos_idx, x)
-        return p - x, (t, slope, evaluations, records)
+        p, t, slope, *orbit = _return_map(f, orbits, zero_idx, pos_idx, x)
+        return p - x, (t, slope, evaluations, *orbit)
 
     x = seed
     gx, last = g(x)
@@ -668,7 +759,8 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     would leave it bisects.  The solve stops when the Newton step or the
     bracket is within ``SETTLE_REL`` times x, and the last point
     evaluated is the fixed point: its orbit gives the period, the
-    sampled cycle and the multiplier P'.  Returns None when g has no
+    multiplier P', the amplitude, the rms radius and, when read, the
+    samples.  Returns None when g has no
     sign change in the range, an orbit does not come back to the
     section, the last orbit does not close (P' is not finite or
     |P(x) - x| > ``SETTLE_REL`` x (|P'| + 1)), or its |P'| is above
@@ -691,7 +783,7 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
             found = _fixed_point(f, orbits, zero_idx, pos_idx, seed_radius, tau)
             if found is None or abs(found[1]) > MAX_MULTIPLIER:
                 return None
-            return _finish_measurement(f, orbits, label, *found)
+            return _finish_measurement(f, flt, orbits, label, *found)
         except TransversalityError as err:
             last_error = err
         except _NoReturn:
@@ -699,26 +791,12 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     raise last_error
 
 
-def _finish_measurement(f, orbits, label, period, slope, evaluations, records):
-    # one period from the fixed point, densely sampled: each time in the
-    # first step ending at or after it, or in the last step
-    t0 = np.array([rec[0] for rec in records])
-    t1 = np.array([rec[5] for rec in records])
-    coeffs = np.array([_dense(f, rec) for rec in records]).T
-    orbits[-1][2] += len(records)
-    t = period * np.arange(CYCLE_SAMPLES + 1) / CYCLE_SAMPLES
-    ri = np.minimum(np.searchsorted(t1, t), len(records) - 1)
-    t0, t1 = t0[ri], t1[ri]
-    s = (np.minimum(t, t1) - t0) / (t1 - t0)
-    c = coeffs[:, ri]
-    u, v = _interpolate(*c[:8], s), _interpolate(*c[8:], s)
-    samples = np.column_stack([t, u, v])
-    amplitude = float(np.max(np.abs(u)))
-    radius_rms = float(math.sqrt(np.mean(u * u + v * v)))
+def _finish_measurement(f, system, orbits, label, period, slope, evaluations, q, crossing, records):
+    amplitude = _amplitude(f, orbits[-1], records, period, crossing)
     steps, rejects, field_evals = _work(orbits)
     return CycleMeasurement(
         amplitude=amplitude,
-        radius_rms=radius_rms,
+        radius_rms=math.sqrt(q / period),
         period=period,
         stable=None if abs(abs(slope) - 1.0) <= NEUTRAL_SLOPE else abs(slope) < 1.0,
         convergence_rate=abs(slope),
@@ -727,8 +805,58 @@ def _finish_measurement(f, orbits, label, period, slope, evaluations, records):
         steps=steps,
         rejected_steps=rejects,
         field_evals=field_evals,
-        samples=samples,
+        orbit=(system, records),
     )
+
+
+def _amplitude(f, work, records, period, crossing) -> float:
+    """max |x1| over [0, period] of the dense output of an orbit's steps.
+
+    ``records`` are the orbit's steps, the last of which holds the
+    crossing at ``period``, and ``crossing`` is that step's dense output.
+    The candidates are the ends of the steps inside the period, x1 at the
+    period on ``crossing``, and the extrema of x1 inside a step.  Those
+    are looked for only in a step whose x1 slopes (stages 1, 6 to 12 and
+    13 of its record) are not all of one sign, on its dense output, and
+    in the crossing step only up to the period.  Each dense output
+    formed here is counted in ``work``, the orbit's [steps, rejects,
+    dense outputs].
+    """
+    last = records[-1]
+    s_end = (period - last[0]) / (last[5] - last[0])
+    top = abs(_interpolate(*crossing[:8], s_end))
+    for rec in records:
+        x1 = abs(rec[1])
+        if x1 > top:
+            top = x1
+        slopes = (rec[3], rec[8], *rec[12:26:2])
+        if min(slopes) > 0.0 or max(slopes) < 0.0:
+            continue
+        if rec is last:
+            coeffs, s1 = crossing[:8], s_end
+        else:
+            coeffs, s1 = _dense(f, rec)[:8], 1.0
+            work[2] += 1
+        for s in _slope_zeros(coeffs, s1):
+            x1 = abs(_interpolate(*coeffs, s))
+            if x1 > top:
+                top = x1
+    return top
+
+
+def _sample_orbit(f, records, period) -> np.ndarray:
+    """One period of (t, x1, x2) rows at CYCLE_SAMPLES + 1 equally spaced
+    times, from the dense output of an orbit's steps: each time in the
+    first step ending at or after it, or in the last step."""
+    t0 = np.array([rec[0] for rec in records])
+    t1 = np.array([rec[5] for rec in records])
+    coeffs = np.array([_dense(f, rec) for rec in records]).T
+    t = period * np.arange(CYCLE_SAMPLES + 1) / CYCLE_SAMPLES
+    ri = np.minimum(np.searchsorted(t1, t), len(records) - 1)
+    t0, t1 = t0[ri], t1[ri]
+    s = (np.minimum(t, t1) - t0) / (t1 - t0)
+    c = coeffs[:, ri]
+    return np.column_stack([t, _interpolate(*c[:8], s), _interpolate(*c[8:], s)])
 
 
 @dataclass

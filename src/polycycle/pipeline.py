@@ -30,7 +30,7 @@ from .change_of_variables import (  # noqa: F401
 )
 from .definition import SystemDefinition, instantiate, load_definition, resolve_alpha
 from .inversion import invert_to_cubic, trust_radius
-from .oracle import check_seed_radius, check_tolerances, compare, measure_cycle
+from .oracle import CycleMeasurement, check_seed_radius, check_tolerances, compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
 
 __all__ = ["AnalysisOptions", "AnalysisReport", "run_analyze", "run_sweep", "sweep_to_csv"]
@@ -67,9 +67,10 @@ def _prediction_dict(pred) -> dict:
 class AnalysisReport:
     """Everything one analysis produced.
 
-    ``predicted_curve`` and the measurement samples stay out of
-    ``to_dict`` (they go to CSV instead); everything else round-trips
-    through JSON.
+    ``predicted_curve`` and ``measured_cycle``, the oracle's
+    measurement with the orbit its samples are formed from, stay out of
+    ``to_dict`` (the curve and the samples go to CSV instead); everything
+    else round-trips through JSON.
     """
 
     system_name: str
@@ -99,12 +100,18 @@ class AnalysisReport:
     verdict: str | None = None
     warnings: list = field(default_factory=list)
     predicted_curve: np.ndarray | None = field(default=None, repr=False)
-    measured_samples: np.ndarray | None = field(default=None, repr=False)
+    measured_cycle: CycleMeasurement | None = field(default=None, repr=False)
+
+    @property
+    def measured_samples(self) -> np.ndarray | None:
+        """One period of the measured cycle as (t, x1, x2) rows, formed
+        when first read; None without a measurement."""
+        return None if self.measured_cycle is None else self.measured_cycle.samples
 
     def to_dict(self) -> dict:
         out = {}
         for f in dataclasses.fields(self):
-            if f.name in ("predicted_curve", "measured_samples"):
+            if f.name in ("predicted_curve", "measured_cycle"):
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
@@ -273,7 +280,7 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
 
     measurement = None
     comparison = None
-    samples = None
+    measured = None
     if options.measure:
         seed = options.seed_radius
         if seed is None:
@@ -284,7 +291,7 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
         )
         comparison = dataclasses.asdict(comp)
         if measurement is not None:
-            samples = measurement.samples
+            measured = measurement
             measurement = {
                 "amplitude": measurement.amplitude,
                 "radius_rms": measurement.radius_rms,
@@ -319,7 +326,7 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
         verdict=comparison["verdict"] if comparison is not None else None,
         warnings=warnings,
         predicted_curve=curve,
-        measured_samples=samples,
+        measured_cycle=measured,
         **base,
     )
 

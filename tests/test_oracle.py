@@ -179,13 +179,14 @@ def _ref_first_step(f, u, v, fu, fv):
 class _Stepper:
     """Reference for the stepping loop: adaptive DOP853 steps over the
     tableau held as data, one accepted step per call, the state in
-    attributes.  ``f`` returns (du, dv, div f)."""
+    attributes.  ``f`` returns (du, dv, div f); w integrates div f and q
+    integrates u^2 + v^2 over the stage states."""
 
-    __slots__ = ("f", "t", "u", "v", "fu", "fv", "w", "fw", "h", "steps", "rejects")
+    __slots__ = ("f", "t", "u", "v", "fu", "fv", "w", "fw", "q", "h", "steps", "rejects")
 
     def __init__(self, f, u, v):
         self.f = f
-        self.t = self.w = 0.0
+        self.t = self.w = self.q = 0.0
         self.u, self.v = u, v
         self.fu, self.fv, self.fw = f(u, v)
         self.h = oracle._first_step(f, u, v, self.fu, self.fv)
@@ -202,8 +203,10 @@ class _Stepper:
         h = min(self.h, t_limit - t0)
         while True:
             k = {1: (self.fu, self.fv, self.fw)}
+            y = {1: (u0, v0)}
             for i in range(2, 13):
-                k[i] = self.f(u0 + h * _dot(_STAGES[i], k, 0), v0 + h * _dot(_STAGES[i], k, 1))
+                y[i] = u0 + h * _dot(_STAGES[i], k, 0), v0 + h * _dot(_STAGES[i], k, 1)
+                k[i] = self.f(*y[i])
             su, sv = _dot(_B, k, 0), _dot(_B, k, 1)
             u1, v1 = u0 + h * su, v0 + h * sv
             err5 = err3 = 0.0
@@ -224,9 +227,11 @@ class _Stepper:
         fu1, fv1, fw1 = self.f(u1, v1)
         w0, fw0 = self.w, self.fw
         rec = (t0, u0, v0, self.fu, self.fv, t0 + h, u1, v1, fu1, fv1, w0, fw0)
-        rec += tuple(x for i in range(6, 13) for x in k[i][:2])
+        rec += tuple(x for i in range(6, 13) for x in k[i][:2]) + (self.q,)
         self.t, self.u, self.v, self.fu, self.fv, self.fw = t0 + h, u1, v1, fu1, fv1, fw1
         self.w = w0 + h * _dot(_B, k, 2)
+        squares = {i: (yu * yu + yv * yv,) for i, (yu, yv) in y.items()}
+        self.q += h * _dot(_B, squares, 0)
         self.steps += 1
         return rec
 
@@ -305,7 +310,7 @@ def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_S
     f = oracle.compile_field(system)
     u, v = (x, 0.0) if section == 1 else (0.0, x)
     stepper = _Stepper(f, u, v)
-    state = (0.0, u, v, stepper.fu, stepper.fv, 0.0, stepper.fw, stepper.h)
+    state = (0.0, u, v, stepper.fu, stepper.fv, 0.0, stepper.fw, 0.0, stepper.h)
     seen = []
     for _ in range(events):
         steps_before, rejects_before = stepper.steps, stepper.rejects
@@ -317,7 +322,8 @@ def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_S
         assert (got, records) == (event, ref_records)
         assert (steps, rejects) == (stepper.steps - steps_before, stepper.rejects - rejects_before)
         assert tuple(state) == (
-            stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv, stepper.w, stepper.fw, stepper.h
+            stepper.t, stepper.u, stepper.v, stepper.fu, stepper.fv, stepper.w, stepper.fw, stepper.q,
+            stepper.h,
         )
         seen.append(event)
         if event != "cross":
@@ -503,10 +509,10 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     monkeypatch.setattr(oracle, "_finish_measurement", keep_args)
     meas = measure_cycle(system, 0.05)
     assert meas is not None and meas.section == "x2=0, x1>0"
-    ((f, *_, period, _slope, _evaluations, records),) = seen
-    # the root solve's last orbit as its list of step records: 12 fields
-    # and the (u, v) of stages 6 to 12
-    assert {len(rec) for rec in records} == {26}
+    ((f, _system, _orbits, _label, period, *_, records),) = seen
+    # the root solve's last orbit as its list of step records: 12 fields,
+    # the (u, v) of stages 6 to 12 and q0
+    assert {len(rec) for rec in records} == {27}
     x_star = records[0][1]  # the start of the last orbit, on x2 = 0
     # the last record is the step that holds the return crossing
     assert records[-1][0] < period <= records[-1][5]
@@ -520,6 +526,152 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     assert got == [[v.hex() for v in row] for row in _loop_samples(f, records, period)]
 
 
+def _dense_max_abs_x1(f, records, period, points=20_000):
+    """max |x1| over [0, period] of the reference dense output, searched at
+    ``points`` equal intervals of each step: short of the true maximum by
+    about (1 / (2 points))^2 / 2 of it at steps of one radian, 3e-10."""
+    top = 0.0
+    for rec in records:
+        t = np.linspace(rec[0], min(rec[5], period), points + 1)
+        top = max(top, float(np.max(np.abs(_reference_dense(f, rec, t)[0]))))
+    return top
+
+
+def _dense_rms(f, records, period):
+    """sqrt((1/T) integral_0^T (x1^2 + x2^2) dt) of the reference dense
+    output by 16-node Gauss-Legendre quadrature of each step, exact for
+    the degree-14 integrand."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    total = 0.0
+    for rec in records:
+        a, b = rec[0], min(rec[5], period)
+        u, v = _reference_dense(f, rec, 0.5 * (b - a) * nodes + 0.5 * (a + b))
+        total += 0.5 * (b - a) * float(np.dot(weights, u * u + v * v))
+    return math.sqrt(total / period)
+
+
+def _assert_orbit_figures(meas):
+    """amplitude and radius_rms against the last orbit's dense output."""
+    system, records = meas.orbit
+    f = oracle.compile_field(system)
+    assert records[-1][0] < meas.period <= records[-1][5]
+    # no sample row lies outside the amplitude, which is the true maximum
+    assert np.max(np.abs(meas.samples[:, 1])) <= meas.amplitude * (1.0 + 1e-15)
+    assert meas.amplitude == pytest.approx(_dense_max_abs_x1(f, records, meas.period), rel=1e-10)
+    assert meas.radius_rms == pytest.approx(_dense_rms(f, records, meas.period), rel=1e-9)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_amplitude_and_rms_radius_are_those_of_the_orbit(systems_dir, name, exact):
+    report = run_analyze(systems_dir / f"{name}.json", AnalysisOptions(exact=exact))
+    assert report.measured_cycle is not None
+    _assert_orbit_figures(report.measured_cycle)
+
+
+def test_amplitude_stops_at_the_return():
+    # an orbit inside the cycle of radius 1/sqrt(10) grows from 0.1 to
+    # 0.168 in one turn and x1 still rises at the return: the largest |x1|
+    # over [0, T] is x1 at T, and the rest of the return step reaches
+    # 0.26 % further
+    f = oracle.compile_field(_normal_form(Fraction(1, 10)).to_float())
+    p, period, _, _, crossing, records = oracle._return_map(f, [], 1, 0, 0.1)
+    amplitude = oracle._amplitude(f, [0, 0, 0], records, period, crossing)
+    assert amplitude == pytest.approx(p, rel=1e-9)
+    assert amplitude == pytest.approx(_dense_max_abs_x1(f, records, period), rel=1e-10)
+    assert amplitude < 0.999 * _dense_max_abs_x1(f, records, records[-1][5])
+
+
+def test_samples_are_formed_on_read(monkeypatch):
+    calls = 0
+    compile_field = oracle.compile_field
+
+    def counting_compile(system):
+        field = compile_field(system)
+
+        def counted(u, v):
+            nonlocal calls
+            calls += 1
+            return field(u, v)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "compile_field", counting_compile)
+    meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
+    assert calls == meas.field_evals
+    _, records = meas.orbit
+    samples = meas.samples
+    assert samples.shape == (oracle.CYCLE_SAMPLES + 1, 3)
+    # the dense output of each step of the last orbit, three field
+    # evaluations apiece, outside the measurement's work; formed once
+    field_evals = meas.field_evals
+    assert calls == field_evals + 3 * len(records)
+    assert meas.samples is samples
+    assert (calls, meas.field_evals) == (field_evals + 3 * len(records), field_evals)
+    assert _fake_measurement(0.1, 1.0, True).samples is None
+
+
+def test_dense_outputs_are_formed_for_the_returns_and_the_extrema(monkeypatch):
+    # the root solve forms one dense output per orbit, for the step that
+    # holds its return to x2 = 0, x1 > 0, and none for the step crossing
+    # x2 = 0 downward half a turn on; the amplitude then one for each
+    # other step of the last orbit whose x1 slopes change sign (the
+    # downward crossing among them, where x1 is least), reusing the
+    # return step's
+    formed = []
+    dense = oracle._dense
+
+    def counting(f, rec):
+        formed.append(rec)
+        return dense(f, rec)
+
+    monkeypatch.setattr(oracle, "_dense", counting)
+    meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
+    assert meas is not None and meas.section == "x2=0, x1>0"
+    _, records = meas.orbit
+    assert any(rec[2] > 0.0 >= rec[7] for rec in records)  # the orbit crosses downward
+    returns, extrema = formed[: meas.crossings], formed[meas.crossings :]
+    assert all(rec[2] < 0.0 < rec[7] for rec in returns) and returns[-1] is records[-1]
+
+    def turns(rec):
+        slopes = (rec[3], rec[8], *rec[12:26:2])
+        return min(slopes) <= 0.0 <= max(slopes)
+
+    assert extrema == [rec for rec in records[:-1] if turns(rec)]
+    assert extrema  # x1 turns at least at the half turn
+    # three field evaluations each, counted in the measurement's work
+    steps_part = 11 * (meas.steps + meas.rejected_steps) + meas.steps
+    assert meas.field_evals == 2 * meas.crossings + steps_part + 3 * len(formed)
+
+
+def _nested_form(power):
+    """The eight numbers of the nested form :func:`oracle._interpolate`
+    evaluates, for the degree-7 polynomial with power-basis coefficients
+    ``power``, constant first: the form is linear in them."""
+    s = np.linspace(0.0, 1.0, 8)
+    basis = np.array([oracle._interpolate(*row, s) for row in np.eye(8)]).T
+    return tuple(np.linalg.solve(basis, np.polynomial.polynomial.polyval(s, power)))
+
+
+@pytest.mark.parametrize(
+    "roots, s_end, expected",
+    [
+        ((0.3, 0.55), 1.0, (0.3, 0.55)),  # same slope sign at both ends
+        ((0.3, 0.55), 0.5, (0.3,)),  # the crossing step, cut at the period
+        ((0.4, 1.8), 1.0, (0.4,)),  # slope signs differ at the ends
+        ((1.2, 1.8), 1.0, ()),  # monotone
+    ],
+)
+def test_slope_zeros_locate_the_extrema(roots, s_end, expected):
+    # p'(s) = (s - r1)(s - r2)(1 + s^2)^2
+    slope = np.polynomial.Polynomial.fromroots(roots) * np.polynomial.Polynomial([1.0, 0.0, 1.0]) ** 2
+    coeffs = _nested_form(slope.integ(k=0.25).coef)
+    zeros = oracle._slope_zeros(coeffs, s_end)
+    assert zeros == pytest.approx(list(expected), abs=1e-11)
+    for s in np.linspace(0.0, 1.0, 9):
+        assert oracle._interpolate_slope(*coeffs, s) == pytest.approx(slope(s), abs=1e-12)
+
+
 def test_dense_output_meets_the_step():
     # the dense output starts and ends at the step's end points, and in
     # between agrees with the loop stepped there to the integrator's
@@ -528,7 +680,7 @@ def test_dense_output_meets_the_step():
     u, v = 0.1, 0.0
     fu, fv, fw = f(u, v)
     records = []
-    oracle._dop853(f, 0.0, u, v, fu, fv, 0.0, fw, 0.4, 1.2, None, 3, math.inf, records)
+    oracle._dop853(f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, 0.4, 1.2, None, 3, math.inf, records)
     assert len(records) == 3
     for rec in records:
         t0, u0, v0, _, _, t1, u1, v1 = rec[:8]
@@ -538,7 +690,9 @@ def test_dense_output_meets_the_step():
         assert end == pytest.approx((u1, v1), rel=1e-15, abs=1e-17)
         for s in (0.25, 0.5, 0.8):
             tm = t0 + s * (t1 - t0)
-            _, _, um, vm, *_ = oracle._dop853(f, *rec[:5], *rec[10:12], tm - t0, tm, None, 10, math.inf, [])
+            _, _, um, vm, *_ = oracle._dop853(
+                f, *rec[:5], *rec[10:12], rec[26], tm - t0, tm, None, 10, math.inf, []
+            )
             dense = oracle._interpolate(*coeffs[:8], s), oracle._interpolate(*coeffs[8:], s)
             # 7th order: within 1e-8 of the radius 0.1 at steps of 0.4 and
             # more, where a wrong row would be off by 1e-4 of it
@@ -587,7 +741,9 @@ def test_multiplier_matches_the_closed_form(family, sign, period, size):
     # is the fixed point, off by the integration error grown by 1/(1 - P'):
     # at |alpha| = 1/2000 by 1.3e-7 at most
     assert meas.amplitude == pytest.approx(math.sqrt(size), rel=1e-6)
+    assert meas.radius_rms == pytest.approx(math.sqrt(size), rel=1e-6)
     assert meas.period == pytest.approx(period, rel=1e-9)
+    _assert_orbit_figures(meas)
 
 
 def test_a_multiplier_beyond_the_tolerances_is_not_measured():
@@ -619,7 +775,7 @@ def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
     def ret(y):
         return oracle._return_map(f, [], 1, 0, y)
 
-    p, _, slope, _ = ret(x)
+    p, _, slope, *_ = ret(x)
     assert abs(p - x) > 0.1 * x
     assert abs(f(x, 0.0)[1] / f(p, 0.0)[1] - 1.0) > 0.2
     h = 1e-4 * x
@@ -661,7 +817,6 @@ def test_measure_validates_seed():
 
 
 def _fake_measurement(amplitude, period, stable):
-    samples = np.zeros((4, 3))
     return CycleMeasurement(
         amplitude=amplitude,
         radius_rms=amplitude / math.sqrt(2),
@@ -673,7 +828,6 @@ def _fake_measurement(amplitude, period, stable):
         steps=400,
         rejected_steps=3,
         field_evals=2500,
-        samples=samples,
     )
 
 

@@ -124,7 +124,7 @@ def test_report_serialization_is_deterministic(systems_dir):
     payload = json.loads(a.to_json())
     assert payload["system_name"] == "normal_form"
     assert "predicted_curve" not in payload
-    assert "measured_samples" not in payload
+    assert "measured_samples" not in payload and "measured_cycle" not in payload
     text = a.to_text()
     assert "prediction: limit cycle" in text
     assert "verdict: agreement" in text
