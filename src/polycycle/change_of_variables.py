@@ -324,13 +324,15 @@ class ChangeOfVariables:
 
 def component_polynomial(blocks: dict, row: int):
     """Row ``row`` (1 or 2) of the blocks {degree: block} as an
-    exponent-dict polynomial; Scaled blocks become Fractions."""
+    exponent-dict polynomial; Scaled blocks become Fractions and float64
+    entries Python floats, which multiply faster than numpy scalars and
+    round the same."""
     if row not in (1, 2):
         raise ValueError(f"row must be 1 or 2, got {row!r}")
     p = {}
     for k in sorted(blocks):
         # each block has its own degree, so no exponent is met twice
-        p.update(poly_from_lambda_row(k, as_array(blocks[k])[row - 1]))
+        p.update(poly_from_lambda_row(k, as_array(blocks[k])[row - 1].tolist()))
     return p
 
 

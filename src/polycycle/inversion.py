@@ -26,9 +26,14 @@ lcm.  The series holds its blocks in that form, and only
 series runs the same expressions on float64 arrays.
 
 Composing H with the truncation leaves a quartic-order defect; the
-empirical trust radius estimates where that defect stays small.  H and
-the series both evaluate a (2, N) array of points at once, so the scan
-sends every sample point of every circle through them in one pass.
+empirical trust radius estimates where that defect stays small.  The
+scan points are the same in every analysis, so the table of their
+degree-1 to 3 monomials is built once, at import.  The scan is then two
+matrix products: the series blocks side by side times that table give
+X, and the blocks of H side by side times the table of X's monomials
+give H(X).  :meth:`InverseSeries.evaluate` and
+:meth:`~polycycle.change_of_variables.ChangeOfVariables.h_evaluate`
+stay the pointwise evaluations, exact for exact blocks.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
-from .monomials import Scaled, as_array, eval_poly_map
+from .monomials import Scaled, as_array, as_float, eval_poly_map, monomial_table
 
 __all__ = [
     "InverseSeries",
@@ -171,18 +176,44 @@ def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
     return InverseSeries(blocks={1: ginv, 2: xi2, 3: xi3}, p2_op=p2, p3_op=p3, r2_op=r2)
 
 
+def _scan_table(radii: np.ndarray) -> np.ndarray:
+    """lambda_1 ... lambda_3 of the scan points, DIRECTIONS equally
+    spaced ones on each circle |Y| = r; rows 0 and 1 are Y itself."""
+    angles = 2.0 * math.pi * np.arange(DIRECTIONS) / DIRECTIONS
+    # direction-major, so the circles are the columns of a (DIRECTIONS, R) view
+    y = np.stack([np.outer(np.cos(angles), radii), np.outer(np.sin(angles), radii)]).reshape(2, -1)
+    return monomial_table(3, y)
+
+
+# The trust scan's points are the same in every analysis (38 x 24 of
+# them), so their cubic monomial table is built once.
+_TRUST_TABLE = _scan_table(TRUST_GRID)
+
+
+def _worst_defects(cov: ChangeOfVariables, inv: InverseSeries, table: np.ndarray) -> np.ndarray:
+    """Max of |H(X) - Y| on each circle, X the truncated inverse at Y.
+
+    X is one matrix product of [Gamma^{-1} | Xi_2 | Xi_3] with the
+    table of the scan points, H(X) one of [Gamma | Theta_2 | ... |
+    Theta_m] with the monomial table of X.
+    """
+    series = np.concatenate([as_float(inv.blocks[k]) for k in (1, 2, 3)], axis=1)
+    h_map = np.concatenate([as_float(cov.block(k)) for k in range(1, cov.m + 1)], axis=1)
+    x = series @ table
+    h = h_map @ monomial_table(cov.m, x)
+    return np.hypot(*(h - table[:2])).reshape(DIRECTIONS, -1).max(axis=0)
+
+
 def composition_residual(cov: ChangeOfVariables, inv: InverseSeries, radii) -> list[tuple[float, float]]:
     """Max norm of H(H_trunc^{-1}(Y)) - Y over circles |Y| = r.
 
     Returns (radius, residual) pairs, floating point; directions are
     equally spaced so the scan is deterministic.  All points of all
-    circles go through H and the inverse as one (2, N) array.
+    circles go through H and the inverse at once (:func:`_worst_defects`).
     """
     radii = np.asarray(radii, dtype=float)
-    angles = 2.0 * math.pi * np.arange(DIRECTIONS) / DIRECTIONS
-    y = np.stack([np.outer(radii, np.cos(angles)), np.outer(radii, np.sin(angles))]).reshape(2, -1)
-    h = cov.to_float().h_evaluate(inv.to_float().evaluate(y))
-    worst = np.hypot(h[0] - y[0], h[1] - y[1]).reshape(len(radii), DIRECTIONS).max(axis=1)
+    table = _TRUST_TABLE if np.array_equal(radii, TRUST_GRID) else _scan_table(radii)
+    worst = _worst_defects(cov, inv, table)
     return [(float(r), float(w)) for r, w in zip(radii, worst)]
 
 
@@ -209,11 +240,8 @@ def trust_radius(cov: ChangeOfVariables, inv: InverseSeries) -> float:
     a certified bound.  Returns 0.0 when even the smallest radius
     violates the bound.
     """
-    pairs = composition_residual(cov, inv, TRUST_GRID)
-    best = 0.0
-    for r, res in pairs:
-        if res <= REL_DEFECT * r:
-            best = r
-        else:
-            break
-    return best
+    worst = _worst_defects(cov, inv, _TRUST_TABLE)
+    # the scan ends at the first radius whose defect is not at or below
+    # the bound, a NaN defect included
+    count = int(np.logical_and.accumulate(worst <= REL_DEFECT * TRUST_GRID).sum())
+    return float(TRUST_GRID[count - 1]) if count else 0.0

@@ -36,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
+    "monomial_table",
     "eval_lambda",
     "eval_poly_map",
     "partial_rows",
@@ -54,13 +55,14 @@ def _check_degree(k: int) -> None:
         raise ValueError(f"degree k must be an integer >= 1, got {k!r}")
 
 
-def eval_lambda(k: int, point) -> np.ndarray:
-    """Evaluate the degree-k monomial vector at a planar point or points.
+def monomial_table(m: int, point) -> np.ndarray:
+    """The monomial vectors lambda_1 ... lambda_m at a planar point or
+    points, stacked in degree order.
 
     Parameters
     ----------
-    k : int
-        Degree, at least 1.
+    m : int
+        Highest degree, at least 1.
     point : pair of numbers, or (2, N) array
         Coordinates (u, v), or one point per column.  Float coordinates
         give float64; ints and Fractions are kept exact in an object
@@ -69,18 +71,38 @@ def eval_lambda(k: int, point) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Shape (k + 1,) or (k + 1, N), entry i equal to u^(k-i) * v^i.
-        Each entry is built by repeated multiplication, so a column of
-        a batch rounds exactly as the same point alone.
+        Shape (m (m + 3) / 2,) or (m (m + 3) / 2, N): the k + 1 rows of
+        lambda_k follow those of lambda_(k-1), so that [B_1 | ... | B_m]
+        times the table is sum_k B_k lambda_k.  Each entry is one product,
+        u or v times an entry of the degree below, so a column of a batch
+        rounds exactly as the same point alone.
     """
-    _check_degree(k)
-    lam = np.array(point)
-    if lam.dtype.kind != "f":
-        lam = lam.astype(object)
-    u, v = lam
-    for _ in range(k - 1):
-        lam = np.concatenate([u * lam, v * lam[-1:]])
-    return lam
+    _check_degree(m)
+    points = np.asarray(point)
+    if points.dtype.kind != "f":
+        points = points.astype(object)
+    u, v = points
+    table = np.empty((m * (m + 3) // 2, *points.shape[1:]), dtype=points.dtype)
+    table[:2] = points
+    prev = 0
+    for k in range(2, m + 1):
+        # rows prev .. prev+k-1 hold lambda_(k-1), the next k + 1 lambda_k
+        start = prev + k
+        np.multiply(table[prev:start], u, out=table[start : start + k])
+        np.multiply(table[start - 1 : start], v, out=table[start + k : start + k + 1])
+        prev = start
+    return table
+
+
+def eval_lambda(k: int, point) -> np.ndarray:
+    """Evaluate the degree-k monomial vector at a planar point or points.
+
+    ``point`` is as for :func:`monomial_table`.  Returns shape (k + 1,)
+    or (k + 1, N), entry i equal to u^(k-i) * v^i: the last k + 1 rows of
+    the table, so a column of a batch rounds exactly as the same point
+    alone.
+    """
+    return monomial_table(k, point)[-(k + 1) :]
 
 
 def eval_poly_map(blocks: dict, point) -> np.ndarray:

@@ -151,19 +151,21 @@ def hopf_indicator(system: PlanarPolySystem) -> HopfIndicator:
 
 
 def field_polynomials(system: PlanarPolySystem) -> tuple[Poly, Poly]:
-    """Both field components as exponent-dict polynomials."""
-    j = system.jac
+    """Both field components as exponent-dict polynomials, with Python
+    numbers for coefficients (float64 entries become Python floats)."""
+    j = system.jac.tolist()
     f1: Poly = {}
     f2: Poly = {}
     for col, e in ((0, (1, 0)), (1, (0, 1))):
-        if j[0, col] != 0:
-            f1[e] = j[0, col]
-        if j[1, col] != 0:
-            f2[e] = j[1, col]
+        if j[0][col] != 0:
+            f1[e] = j[0][col]
+        if j[1][col] != 0:
+            f2[e] = j[1][col]
     for i, block in enumerate(system.phi):
         k = i + 2
-        f1 = poly_add(f1, poly_from_lambda_row(k, block[0]))
-        f2 = poly_add(f2, poly_from_lambda_row(k, block[1]))
+        rows = block.tolist()
+        f1 = poly_add(f1, poly_from_lambda_row(k, rows[0]))
+        f2 = poly_add(f2, poly_from_lambda_row(k, rows[1]))
     return f1, f2
 
 

@@ -24,8 +24,16 @@ from polycycle.change_of_variables import (
 from polycycle import linalg
 from polycycle.monomials import Scaled, as_array, as_scaled
 from polycycle.linalg import rref, solve_min_norm_exact
-from polycycle.polyops import poly_add, poly_eval, poly_max_abs, poly_scale
-from polycycle.system import build_system, lie_derivative
+from polycycle.polyops import (
+    poly_add,
+    poly_diff,
+    poly_eval,
+    poly_from_lambda_row,
+    poly_max_abs,
+    poly_mul,
+    poly_scale,
+)
+from polycycle.system import build_system, field_polynomials, lie_derivative
 
 
 def test_min_degree_bound_frozen_values():
@@ -384,6 +392,64 @@ def test_integer_certificate_matches_the_fraction_expansion(corpus_systems, corp
                 assert value == _fraction_certificate(bad, system), (name, k, row, col)
                 wrong += 1
     assert wrong >= 50, wrong
+
+
+def _float64_certificate(cov, system):
+    """The float certificate expanded with the np.float64 entries of the
+    arrays, in the order residual_condition33 expands it: the reference
+    for its expansion over Python floats."""
+    def row_polynomial(row):
+        p = {}
+        for k in sorted(cov.blocks):
+            p.update(poly_from_lambda_row(k, list(cov.blocks[k][row])))
+        return p
+
+    jac = system.jac
+    f1, f2 = {}, {}
+    for col, e in ((0, (1, 0)), (1, (0, 1))):
+        if jac[0, col] != 0:
+            f1[e] = jac[0, col]
+        if jac[1, col] != 0:
+            f2[e] = jac[1, col]
+    for k, block in enumerate(system.phi, start=2):
+        f1 = poly_add(f1, poly_from_lambda_row(k, list(block[0])))
+        f2 = poly_add(f2, poly_from_lambda_row(k, list(block[1])))
+    h1 = row_polynomial(0)
+    assert all(type(c) is np.float64 for p in (f1, f2, h1) for c in p.values())
+    lie = poly_add(poly_mul(poly_diff(h1, 0), f1), poly_mul(poly_diff(h1, 1), f2))
+    return poly_max_abs(poly_add(lie, poly_scale(row_polynomial(1), -1)))
+
+
+def _random_float_system(rng, n):
+    while True:
+        jac = rng.uniform(-2.0, 2.0, size=(2, 2))
+        if (jac[0, 0] - jac[1, 1]) ** 2 + 4 * jac[0, 1] * jac[1, 0] < 0 and abs(jac[0, 1]) > 0.1:
+            break
+    return build_system(jac, [rng.uniform(-3.0, 3.0, size=(2, k + 1)) for k in range(2, n + 1)])
+
+
+def test_float_certificate_is_the_float64_expansion(corpus_systems):
+    # the float expansion runs on Python floats; each product and sum is
+    # the one the np.float64 expansion makes, so the residual is the same
+    # bit for bit, on solved changes of variables (residual near zero)
+    # and on ones with a Theta entry moved by 1/7 (residual of order 1)
+    rng = np.random.default_rng(1193)
+    systems = [s.to_float() for s in corpus_systems.values()]
+    systems += [_random_float_system(rng, n) for n in (2, 3, 3, 4, 4, 5)]
+    for system in systems:
+        cov = solve_theta(system)
+        f1, f2 = field_polynomials(system)
+        h1 = component_polynomial(cov.blocks, 1)
+        assert all(type(c) is float for p in (f1, f2, h1) for c in p.values())
+        residual = residual_condition33(cov, system)
+        assert residual <= 1e-10
+        assert residual == _float64_certificate(cov, system)
+        bumped = cov.block(cov.m).copy()
+        bumped[0, 0] += 1 / 7
+        bad = dataclasses.replace(cov, blocks={**cov.blocks, cov.m: bumped})
+        residual = residual_condition33(bad, system)
+        assert residual > 0.1
+        assert residual == _float64_certificate(bad, system)
 
 
 def test_exact_solve_does_not_build_the_dense_matrix(monkeypatch, corpus_systems):

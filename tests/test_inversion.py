@@ -1,15 +1,18 @@
 """Induced matrices on monomial vectors and truncated series inversion."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import as_fraction_matrix
-from polycycle.change_of_variables import ChangeOfVariables
+import polycycle.inversion as inversion
+from polycycle.change_of_variables import ChangeOfVariables, solve_theta
 from polycycle.inversion import (
     DIRECTIONS,
+    REL_DEFECT,
     TRUST_GRID,
     InverseSeries,
     composition_residual,
@@ -21,6 +24,7 @@ from polycycle.inversion import (
 )
 from polycycle.monomials import as_array, as_scaled, eval_lambda
 from polycycle.polyops import poly_add, poly_from_lambda_row, poly_mul
+from polycycle.system import build_system
 
 
 def _obj(rows):
@@ -164,6 +168,93 @@ def test_composition_residual_matches_a_pointwise_scan(corpus_covs):
                 worst = max(worst, math.hypot(h[0] - y[0], h[1] - y[1]))
             assert r == radius
             assert abs(res - worst) <= 1e-14 * r + 1e-12 * worst, (name, r)
+
+
+def _reference_scan(cov, inv, radii):
+    """The worst defect per circle from the batched pointwise
+    evaluations, h_evaluate(evaluate(y)) over the (2, R * DIRECTIONS)
+    grid of scan points."""
+    radii = np.asarray(radii, dtype=float)
+    angles = 2.0 * math.pi * np.arange(DIRECTIONS) / DIRECTIONS
+    y = np.stack([np.outer(radii, np.cos(angles)), np.outer(radii, np.sin(angles))]).reshape(2, -1)
+    h = cov.to_float().h_evaluate(inv.to_float().evaluate(y))
+    return np.hypot(h[0] - y[0], h[1] - y[1]).reshape(len(radii), DIRECTIONS).max(axis=1)
+
+
+def _reference_trust_radius(cov, inv):
+    best = 0.0
+    for r, res in zip(TRUST_GRID, _reference_scan(cov, inv, TRUST_GRID)):
+        if res <= REL_DEFECT * r:
+            best = float(r)
+        else:
+            break
+    return best
+
+
+def _random_exact_system(rng, n, alpha):
+    """J = [[alpha, -1], [1, alpha]] and random rational phi_2 .. phi_n."""
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    phi = [[[entry() for _ in range(k + 1)] for _ in range(2)] for k in range(2, n + 1)]
+    return build_system([[alpha, -1], [1, alpha]], phi)
+
+
+def test_scan_matches_the_reference_scan(corpus_systems, corpus_covs):
+    # the two matrix products give the reference's trust radius exactly,
+    # and its defects to the pointwise tolerance, on the grid and off it
+    rng = random.Random(2459)
+    cases = list(corpus_covs.items())
+    cases += [(name + " float", solve_theta(s.to_float())) for name, s in corpus_systems.items()]
+    for n in (3, 4, 5):
+        for alpha in (Fraction(1, 50), Fraction(-1, 50)):
+            system = _random_exact_system(rng, n, alpha)
+            cases.append((f"n={n} {alpha}", solve_theta(system)))
+            cases.append((f"n={n} {alpha} float", solve_theta(system.to_float())))
+    off_grid = [10.0 ** (-e) for e in (0.5, 1.0, 1.5, 2.0, 3.0)] + [0.37, 2.0, 3.9]
+    trusted = set()
+    for name, cov in cases:
+        inv = invert_to_cubic(cov)
+        radius = trust_radius(cov, inv)
+        assert radius == _reference_trust_radius(cov, inv), name
+        trusted.add(radius)
+        for radii in (TRUST_GRID, off_grid):
+            points = composition_residual(cov, inv, radii)
+            assert [r for r, _ in points] == list(radii), name
+            for (r, res), worst in zip(points, _reference_scan(cov, inv, radii)):
+                assert abs(res - worst) <= 1e-14 * r + 1e-12 * worst, (name, r, res, worst)
+    # the cases reach both ends of the grid and radii in between
+    assert 4.0 in trusted and len(trusted) >= 5, sorted(trusted)
+
+
+def test_trust_radius_stops_at_the_first_failing_radius(monkeypatch, corpus_covs):
+    defects = {}
+    monkeypatch.setattr(inversion, "_worst_defects", lambda cov, inv, table: defects["worst"])
+
+    def scan(worst):
+        defects["worst"] = np.array(worst, dtype=float)
+        return trust_radius(None, None)
+
+    at_bound = REL_DEFECT * TRUST_GRID
+    above = 2.0 * at_bound
+    # a defect at the bound passes; the scan stops at the first failure
+    # even when larger radii pass again
+    assert scan(at_bound) == 4.0
+    assert scan(np.where(np.arange(38) == 5, above, 0.0)) == TRUST_GRID[4]
+    assert scan(np.where(np.arange(38) % 7 == 6, above, 0.0)) == TRUST_GRID[5]
+    assert scan(np.where(np.arange(38) == 0, above, 0.0)) == 0.0
+    assert scan(above) == 0.0
+    # a NaN or inf defect fails
+    for bad in (math.nan, math.inf):
+        assert scan(np.where(np.arange(38) == 3, bad, 0.0)) == TRUST_GRID[2]
+        assert scan(np.where(np.arange(38) == 0, bad, 0.0)) == 0.0
+        assert scan(np.where(np.arange(38) == 37, bad, 0.0)) == TRUST_GRID[36]
+    monkeypatch.undo()
+    # no radius fails for a change of variables whose truncated inverse
+    # is exact to rounding
+    for name in ("linear_center", "quadratic"):
+        cov = corpus_covs[name]
+        assert trust_radius(cov, invert_to_cubic(cov)) == 4.0, name
 
 
 def test_residual_slope_on_synthetic_quartic():

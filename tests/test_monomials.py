@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import as_fraction_matrix
-from polycycle.monomials import eval_lambda, lie_row
+from polycycle.monomials import eval_lambda, lie_row, monomial_table
 from polycycle.polyops import poly_from_lambda_row
 from polycycle.system import build_system, lie_derivative
 
@@ -26,6 +26,19 @@ def test_eval_lambda_float_points_give_float_arrays():
     lam = eval_lambda(2, (0.5, 2.0))
     assert lam.dtype == np.float64
     np.testing.assert_allclose(lam, [0.25, 1.0, 4.0])
+
+
+def test_monomial_table_stacks_the_degrees():
+    # lambda_1 .. lambda_4 in degree order, exactly at a Fraction point;
+    # at float points each column of a batch is that point alone
+    u, v = Fraction(1, 2), Fraction(-2, 3)
+    table = monomial_table(4, (u, v))
+    assert list(table) == [u ** (k - i) * v**i for k in range(1, 5) for i in range(k + 1)]
+    points = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2, 7))
+    batch = monomial_table(5, points)
+    assert batch.shape == (20, 7) and batch.dtype == np.float64
+    for j in range(7):
+        assert np.array_equal(batch[:, j], monomial_table(5, tuple(points[:, j])))
 
 
 def test_eval_lambda_rejects_degree_below_one():
