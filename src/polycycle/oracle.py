@@ -15,7 +15,13 @@ section coordinate, a blow-up past ``BLOWUP_NORM``, a step size
 underflow, the time limit or the step budget, and returns the state it
 stopped in, from which the return map resumes it past a crossing on the
 wrong side.  Each orbit's first trial step comes from the starting-step
-rule of sec. II.4.
+rule of sec. II.4.  An orbit of the return map has ``RETURN_PERIODS``
+= 50 linear periods 2 pi / sqrt(delta) to come back to the section,
+ten times the longest return measured: 4.83 linear periods over 155
+returns on 40 random quadratic+cubic systems at alpha = +-1/50, and
+1.015 over 519 returns on the benchmark's corpus and near-Hopf inputs.
+An orbit past that has settled on or circles another equilibrium, and
+there is no cycle around the origin through its start.
 
 Between its end points a step is interpolated by the pair's own 7th-order
 dense output (sec. II.6, :func:`_dense`), which costs three more field
@@ -157,12 +163,15 @@ MAX_STEPS = 5_000_000
 # A state with |x1| + |x2| above this has blown up.
 BLOWUP_NORM = 1e6
 # measure_cycle: the fixed point of the return map is searched for
-# within SEARCH_RANGE times the seed and pinned down to SETTLE_REL
-# relative width; the measured period is sampled, when read, at
-# CYCLE_SAMPLES + 1 points.
+# within SEARCH_RANGE times the seed, which run_analyze takes from the
+# predicted amplitude, and pinned down to SETTLE_REL relative width; the
+# measured period is sampled, when read, at CYCLE_SAMPLES + 1 points.
 SEARCH_RANGE = (1e-7, 8.0)
 SETTLE_REL = 1e-8
 CYCLE_SAMPLES = 2048
+# The time budget of one return in linear periods 2 pi / sqrt(delta), ten
+# times the longest return measured (4.83, see the module docstring).
+RETURN_PERIODS = 50
 # A last orbit whose return-map slope magnitude is above this is no
 # measurement: the orbit's integration error, about RTOL of the radius,
 # grows by |P'| over one period, and above 1e-4 of the radius the
@@ -602,11 +611,14 @@ _SECTIONS = ((1, 0, "x2=0, x1>0"), (0, 1, "x1=0, x2>0"))
 
 
 class _NoReturn(Exception):
-    """An orbit did not come back to the section within its time budget."""
+    """An orbit did not come back to the section within its step budget
+    or its time budget, ``RETURN_PERIODS`` = 50 linear periods, ten
+    times the longest return measured (4.83 linear periods)."""
 
 
-def _return_map(f, orbits, zero_idx, pos_idx, x: float):
-    """Follow the orbit from the section point ``x`` once around.
+def _return_map(f, orbits, zero_idx, pos_idx, x: float, t_limit: float):
+    """Follow the orbit from the section point ``x`` once around, for at
+    most the time ``t_limit``.
 
     Returns (P(x), return time T, P'(x), q(T), crossing dense output,
     list of the accepted step records) at the first crossing of the
@@ -636,9 +648,11 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float):
     orbits.append(work)
     records = []
     while True:
-        # the time budget only stops an orbit that never comes back
+        # the time budget, 50 linear periods against at most 4.83 measured
+        # for a return, only stops an orbit that never comes back
         event, t, u, v, fu, fv, w, fw, q, trial, steps, rejects = _dop853(
-            f, t, u, v, fu, fv, w, fw, q, trial, 1e5, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM, records
+            f, t, u, v, fu, fv, w, fw, q, trial, t_limit, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM,
+            records,
         )
         work[0] += steps
         work[1] += rejects
@@ -677,26 +691,31 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float):
         return state[pos_idx], tc, normal_start / speed[zero_idx] * math.exp(w), q, coeffs, records
 
 
-def _fixed_point(f, orbits, zero_idx, pos_idx, seed: float, tau: float):
+def _fixed_point(f, orbits, zero_idx, pos_idx, seed: float, tau: float, t_limit: float):
     """Solve g(x) = P(x) - x by safeguarded Newton steps on g' = P' - 1.
 
     Returns (return time, P', evaluations, q, crossing dense output,
     step records) of the last point evaluated, which is the fixed point
     to ``SETTLE_REL``, or None.  Blow-up makes g = inf and decay onto
     the origin g = -x, so both count with the sign they imply; P' is
-    undefined there.
+    undefined there.  Each orbit runs for at most ``t_limit``.
     """
     evaluations = 0
 
     def g(x):
         nonlocal evaluations
         evaluations += 1
-        p, t, slope, *orbit = _return_map(f, orbits, zero_idx, pos_idx, x)
+        p, t, slope, *orbit = _return_map(f, orbits, zero_idx, pos_idx, x, t_limit)
         return p - x, (t, slope, evaluations, *orbit)
 
     x = seed
     gx, last = g(x)
-    if abs(gx) <= SETTLE_REL * seed:
+    # |g| alone settles the seed only on a center's orbit: elsewhere a
+    # small |g| still leaves the seed |g| / |1 - P'| from the cycle, so
+    # the seed takes the Newton-step test below
+    slope = last[1]
+    neutral = not math.isfinite(slope) or abs(slope - 1.0) <= NEUTRAL_SLOPE
+    if neutral and abs(gx) <= SETTLE_REL * seed:
         return last
 
     # next to the origin g has the sign of tau, so until g changes sign
@@ -743,14 +762,26 @@ def check_seed_radius(seed_radius) -> None:
         raise ValueError(f"seed_radius must be positive and finite, got {seed_radius}")
 
 
+def _return_budget(system: PlanarPolySystem) -> float:
+    """The time budget of one return, ``RETURN_PERIODS`` linear periods
+    2 pi / sqrt(delta) of a float system; ValueError when delta <= 0, as
+    the origin then has no linear period and no orbit turns around it."""
+    jac = system.jac
+    delta = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
+    if not delta > 0.0:
+        raise ValueError(f"the origin has no linear period: delta={delta!r} is not positive")
+    return RETURN_PERIODS * 2.0 * math.pi / math.sqrt(delta)
+
+
 def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurement | None:
     """Find a periodic orbit as a root of g(x) = P(x) - x on a section.
 
     P is the forward-time return map of the half-line through the seed,
     and each evaluation of it also gives P'(x) from the divergence
     integral along its orbit.  g is evaluated at ``seed_radius``; if it
-    already vanishes to ``SETTLE_REL`` (a center) the seed is the fixed
-    point.  Otherwise Newton steps x - g/g' are taken, with g' = P' - 1.
+    already vanishes to ``SETTLE_REL`` and P' is within ``NEUTRAL_SLOPE``
+    of 1 (a center) the seed is the fixed point.  Otherwise Newton steps
+    x - g/g' are taken, with g' = P' - 1.
     Until g changes sign they stay within [x/2, 2x] and ``SEARCH_RANGE``
     times the seed and go the way the sign of g next to the origin
     points; where a Newton step points the other way, or P' is undefined
@@ -762,17 +793,25 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     multiplier P', the amplitude, the rms radius and, when read, the
     samples.  Returns None when g has no
     sign change in the range, an orbit does not come back to the
-    section, the last orbit does not close (P' is not finite or
-    |P(x) - x| > ``SETTLE_REL`` x (|P'| + 1)), or its |P'| is above
-    ``MAX_MULTIPLIER``; a measurement otherwise.
+    section within ``RETURN_PERIODS`` linear periods, the last orbit
+    does not close (P' is not finite or |P(x) - x| > ``SETTLE_REL`` x
+    (|P'| + 1)), or its |P'| is above ``MAX_MULTIPLIER``; a measurement
+    otherwise.
 
     Raises
     ------
+    ValueError
+        When the seed radius is not positive and finite, or delta <= 0:
+        the origin then has no linear period to budget a return by.
     TransversalityError
         When the flow is tangent to both candidate sections.
     """
     check_seed_radius(seed_radius)
+    # a numpy scalar seed would make every state of the stepping loop a
+    # numpy scalar, at more than twice the cost
+    seed_radius = float(seed_radius)
     flt = system.to_float()
+    t_limit = _return_budget(flt)
     f = compile_field(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
 
@@ -780,7 +819,7 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     last_error = None
     for zero_idx, pos_idx, label in _SECTIONS:
         try:
-            found = _fixed_point(f, orbits, zero_idx, pos_idx, seed_radius, tau)
+            found = _fixed_point(f, orbits, zero_idx, pos_idx, seed_radius, tau, t_limit)
             if found is None or abs(found[1]) > MAX_MULTIPLIER:
                 return None
             return _finish_measurement(f, flt, orbits, label, *found)

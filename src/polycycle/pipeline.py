@@ -284,7 +284,8 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
     if options.measure:
         seed = options.seed_radius
         if seed is None:
-            seed = 0.5 * float(np.max(np.abs(curve[:, 1:]))) if pred.exists else 0.25
+            # the predicted amplitude: its error shrinks as alpha -> 0
+            seed = float(np.max(np.abs(curve[:, 1:]))) if pred.exists else 0.25
         measurement = measure_cycle(system, seed)
         comp = compare(
             pred, curve, measurement, amp_tol=options.amp_tol, period_tol=options.period_tol

@@ -574,8 +574,11 @@ def test_amplitude_stops_at_the_return():
     # 0.168 in one turn and x1 still rises at the return: the largest |x1|
     # over [0, T] is x1 at T, and the rest of the return step reaches
     # 0.26 % further
-    f = oracle.compile_field(_normal_form(Fraction(1, 10)).to_float())
-    p, period, _, _, crossing, records = oracle._return_map(f, [], 1, 0, 0.1)
+    system = _normal_form(Fraction(1, 10)).to_float()
+    f = oracle.compile_field(system)
+    p, period, _, _, crossing, records = oracle._return_map(
+        f, [], 1, 0, 0.1, oracle._return_budget(system)
+    )
     amplitude = oracle._amplitude(f, [0, 0, 0], records, period, crossing)
     assert amplitude == pytest.approx(p, rel=1e-9)
     assert amplitude == pytest.approx(_dense_max_abs_x1(f, records, period), rel=1e-10)
@@ -773,7 +776,7 @@ def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
     f = oracle.compile_field(system)
 
     def ret(y):
-        return oracle._return_map(f, [], 1, 0, y)
+        return oracle._return_map(f, [], 1, 0, y, oracle._return_budget(system))
 
     p, _, slope, *_ = ret(x)
     assert abs(p - x) > 0.1 * x
@@ -814,6 +817,56 @@ def test_measure_validates_seed():
     system = _normal_form(0.05).to_float()
     with pytest.raises(ValueError):
         measure_cycle(system, 0.0)
+
+
+def test_a_numpy_seed_is_stepped_as_a_float():
+    # an np.float64 seed would make every state of the stepping loop a
+    # numpy scalar, at more than twice the cost, and the figures numpy
+    # scalars too; the work is the same
+    system = _normal_form(Fraction(1, 100))
+    plain = measure_cycle(system, 0.05)
+    meas = measure_cycle(system, np.float64(0.05))
+    work = ("crossings", "steps", "rejected_steps", "field_evals")
+    assert [getattr(meas, k) for k in work] == [getattr(plain, k) for k in work]
+    assert type(meas.amplitude) is float
+    assert type(meas.period) is float
+    assert meas.amplitude == plain.amplitude
+
+
+@pytest.mark.parametrize("jac", [[[1, 0], [0, -1]], [[0, 1], [0, 0]]], ids=["saddle", "delta0"])
+def test_no_linear_period_is_refused(jac):
+    # each return's time budget is a multiple of the linear period
+    # 2 pi / sqrt(delta), which delta <= 0 does not have
+    system = build_system(jac, [[[0] * 3, [0] * 3], CUBIC_SOFTENING])
+    with pytest.raises(ValueError, match="no linear period"):
+        measure_cycle(system, 0.1)
+
+
+def test_an_orbit_that_does_not_return_stops_within_its_budget(monkeypatch):
+    # r6 of a random batch: the root solve reaches orbits that never come
+    # back to the section; each stops after RETURN_PERIODS linear periods,
+    # 1 871 accepted steps in all, where a budget of t = 1e5 took 574 959
+    # to report the same "no cycle"
+    steps = 0
+    loop = oracle._dop853
+
+    def counting(*args):
+        nonlocal steps
+        out = loop(*args)
+        steps += out[-2]
+        return out
+
+    monkeypatch.setattr(oracle, "_dop853", counting)
+    defn = load_definition({
+        "name": "r6",
+        "jac": [["alpha", -1], [1, "alpha"]],
+        "phi": [[["5", "-2", "1"], ["-1", "-3", "-5/3"]],
+                [["0", "-3", "-3", "-2/3"], ["1", "-5/3", "-1", "-1/2"]]],
+    })
+    report = run_analyze(defn, AnalysisOptions(alpha=Fraction(1, 50), exact=False))
+    assert report.prediction["exists"]
+    assert report.measurement is None
+    assert 0 < steps < 10_000
 
 
 def _fake_measurement(amplitude, period, stable):

@@ -199,11 +199,21 @@ def test_oracle_agrees_next_to_the_hopf_point(systems_dir, name, alpha):
 @pytest.mark.parametrize("size", ["1/100", "1/1000", "1/10000"])
 def test_oracle_work_next_to_the_hopf_point(systems_dir, name, sign, size, exact):
     # Newton on P - x with P' from the divergence integral, from the seed
-    # half the predicted amplitude: a few return-map evaluations settle
+    # at the predicted amplitude: one Newton step settles
     alpha = size if sign > 0 else f"-{size}"
     report = run_analyze(systems_dir / f"{name}.json", AnalysisOptions(alpha=alpha, exact=exact))
     assert report.verdict == "agreement"
-    assert report.measurement["crossings"] <= 4
+    assert report.measurement["crossings"] <= 2
+
+
+def test_a_close_prediction_is_not_taken_for_the_cycle(systems_dir):
+    # at alpha = 1/1000 the predicted amplitude is so close to the cycle
+    # that |P(x) - x| is below SETTLE_REL x there; taken as the fixed
+    # point, it would leave the amplitude 4.9e-7 off sqrt(alpha), 25 times
+    # the error of the point one Newton step on
+    report = run_analyze(systems_dir / "normal_form.json", AnalysisOptions(alpha="1/1000"))
+    amplitude = report.measurement["amplitude"]
+    assert amplitude == pytest.approx(math.sqrt(1 / 1000), rel=1e-7)
 
 
 def test_measurement_reports_the_oracle_work(systems_dir, monkeypatch):
@@ -240,6 +250,8 @@ def test_center_orbits_are_neutral(systems_dir, name, exact):
     report = run_analyze(systems_dir / f"{name}.json", AnalysisOptions(exact=exact))
     assert abs(report.measurement["convergence_rate"] - 1.0) < 1e-8
     assert report.measurement["stable"] is None
+    # the seed is on a closed orbit: one orbit settles it
+    assert report.measurement["crossings"] == 1
     assert report.comparison["stability_match"] is None
     assert "neutral (return-map slope magnitude" in report.to_text()
 
