@@ -15,22 +15,19 @@ Gamma is generated by two concordant matrices built from the Jacobian
 
 so Gamma = a Gamma_1 + b Gamma_2 automatically ties its second row to
 the first row propagated by J.  The remaining unknowns are the Theta
-entries, coupled degree by degree through shift/differentiation
-matrices.
+entries, coupled degree by degree.  Where each constraint entry and
+each product of the certificate comes from depends only on the degrees,
+so both are read off index tables built once per degree.
 
-An exact system is worked over the integers with one common
-denominator.  The constraints are assembled from J and phi scaled by
-D, the lcm of their denominators, straight into the sparse integer rows
-that :func:`~polycycle.linalg.solve_min_norm_exact` eliminates; the
-dense Fraction matrix is built only when asked for.  The solve returns
-integer numerators over one denominator, and the change of variables
-holds Gamma and each Theta_k in one form, a dict {degree: block} of
-integer numerators over the block's own denominator
-(:class:`~polycycle.monomials.Scaled`); Fractions are made only where
-H is evaluated at exact points.  The certificate expands D_h H along
-D_f f in integer polynomials and divides by D_h D_f once.  Float
-systems go through the same assembly with scale 1, are solved from the
-dense matrix by least squares, and hold float64 blocks.
+An exact system is worked over the integers: the constraints are J and
+phi scaled by D, the lcm of their denominators, written straight into
+the sparse integer rows that :func:`~polycycle.linalg.solve_min_norm_exact`
+eliminates, and the change of variables holds Gamma and each Theta_k
+as integer numerators over the block's own denominator
+(:class:`~polycycle.monomials.Scaled`).  The certificate expands D_h H
+along D_f f over the integers and divides by D_h D_f once.  A float
+system is gathered into a dense [A | b], solved by least squares, and
+holds float64 blocks.
 """
 
 from __future__ import annotations
@@ -39,19 +36,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import (
-    rank_exact,
-    rank_float,
-    solve_min_norm_exact,
-    solve_min_norm_float,
-)
+from .linalg import rank_exact, rank_float, solve_min_norm_exact, solve_min_norm_float
 from .monomials import Scaled, as_array, as_float, as_scaled, denominator_lcm, eval_poly_map, numerators
-from .polyops import poly_add, poly_from_lambda_row, poly_max_abs, poly_scale
-from .system import PlanarPolySystem, lie_derivative
+from .polyops import poly_from_lambda_row
+from .system import PlanarPolySystem
 
 __all__ = [
     "ChangeOfVariables",
@@ -91,28 +83,35 @@ def gamma_matrix(jac: np.ndarray, a, b) -> np.ndarray:
     )
 
 
+def _slot(k: int, row: int, col: int) -> int:
+    """Index of entry (row, col) of the degree-k block in the 2 x (k + 1)
+    blocks of degrees 1, 2, ... (J, phi_k or Gamma, Theta_k), flattened."""
+    return (k - 1) * (k + 2) + row * (k + 1) + col
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
     """Assembled linear system over the change-of-variables unknowns.
 
-    ``rows[i]`` is equation i of ``scale`` * [A | b] as a sparse row
-    {column: entry}, the right-hand side in column ``unknown_count``.
-    An exact system is scaled by the lcm D of its coefficient
-    denominators, so every entry is an int; a float system has scale 1.
-    The dense ``matrix`` and ``rhs`` are built from the rows on first
-    use.
+    An exact system holds ``rows``: ``rows[i]`` is equation i of
+    ``scale`` * [A | b] as a sparse row {column: int}, b in column
+    ``unknown_count`` and ``scale`` the lcm D of the coefficient
+    denominators; the dense Fraction ``matrix`` and ``rhs`` are built
+    from the rows on first use.  A float system holds [A | b] as one
+    float64 array, ``augmented``, and no rows.
 
     A ``free`` system is homogeneous with (a, b) as the two leading
     unknowns and ``rhs`` is None; otherwise (a, b) = (1, 0), Gamma =
     Gamma_1, and ``rhs`` carries the induced inhomogeneity.
     """
 
-    rows: tuple[dict, ...]
+    rows: tuple[dict, ...] | None
     scale: int
     exact: bool
     unknown_layout: tuple
     m: int
     free: bool
+    augmented: np.ndarray | None = None
 
     @property
     def unknown_count(self) -> int:
@@ -120,18 +119,17 @@ class ConstraintSystem:
 
     @property
     def equation_count(self) -> int:
-        return len(self.rows)
+        return len(self.rows) if self.exact else len(self.augmented)
 
     @cached_property
     def _dense(self) -> tuple[np.ndarray, np.ndarray | None]:
-        rows = self.rows
-        if self.exact:
-            rows = [{c: Fraction(v, self.scale) for c, v in row.items()} for row in rows]
         width = self.unknown_count
-        full = np.zeros((len(rows), width + 1), dtype=object if self.exact else float)
-        for line, row in zip(full, rows):
-            for c, value in row.items():
-                line[c] = value
+        full = self.augmented
+        if self.exact:
+            full = np.zeros((len(self.rows), width + 1), dtype=object)
+            for line, row in zip(full, self.rows):
+                for c, value in row.items():
+                    line[c] = Fraction(value, self.scale)
         return full[:, :width], None if self.free else full[:, width]
 
     @property
@@ -154,36 +152,55 @@ class ConstraintSystem:
         return self.unknown_count - self.rank()
 
 
-def _theta_layout(m: int) -> list[tuple]:
-    labels = []
-    for k in range(2, m + 1):
-        for row in (1, 2):
-            for col in range(1, k + 2):
-                labels.append(("theta", k, row, col))
-    return labels
+@lru_cache(maxsize=64)
+def _coupling_table(n: int, m: int, free: bool):
+    """Where each constraint entry comes from, for system degree n and
+    Theta degree m: with p the flat coefficients of J, phi_2 .. phi_n
+    (see :func:`_slot`), then 0 and the scale, the entry in row r and
+    column c is w1 p[i1] + w2 p[i2] for each (r, c, w1, i1, w2, i2),
+    listed in the order of the row's keys.  Returns the unknown layout,
+    the entries, the shape of [A | b] and the index arrays of the float
+    gather: positions in the flattened [A | b], then w1, i1, w2, i2."""
+    layout = (("a",), ("b",))[: 2 if free else 0]
+    layout += tuple(("theta", k, r, c) for k in range(2, m + 1) for r in (1, 2) for c in range(1, k + 2))
+    zero, one = n * (n + 3), n * (n + 3) + 1
+    shift = (2 if free else 0) - 4  # column of Theta_k[r, c] minus its slot
+    width = len(layout)
+    entries = []
+    row = 0
+    for k in range(2, m + n):
+        for i in range(k + 1):
+            if k <= m:
+                entries.append((row, _slot(k, 1, i) + shift, -1, one, 0, zero))
+            if k <= n and free:
+                entries += [(row, 0, 1, _slot(k, 0, i), 0, zero), (row, 1, 1, _slot(k, 1, i), 0, zero)]
+            elif k <= n:
+                entries.append((row, width, -1, _slot(k, 0, i), 0, zero))
+            # row 1 of Theta_l meets phi_j, j + l - 1 = k, with column c
+            # taking phi_j[0, s - 1] and phi_j[1, s] for s = i - c + 1
+            for l in range(max(2, k - n + 1), min(m, k) + 1):
+                j = k - l + 1
+                for c in range(max(0, i - j), min(l, i + 1) + 1):
+                    s = i - c + 1
+                    pu = _slot(j, 0, s - 1) if s else zero
+                    pv = _slot(j, 1, s) if s <= j else zero
+                    entries.append((row, _slot(l, 0, c) + shift, l - c, pu, c, pv))
+            row += 1
+    index = np.array(entries, dtype=np.intp).T
+    index = np.vstack([index[0] * (width + 1) + index[1], index[2:]])
+    index.flags.writeable = False  # shared by every caller, as the tuples are
+    return layout, tuple(entries), (row, width + 1), index
 
 
 def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -> ConstraintSystem:
     """Assemble the degree-by-degree constraints on Gamma and Theta.
 
-    Parameters
-    ----------
-    system : PlanarPolySystem
-        The planar system; its exactness decides the arithmetic.
-    m : int
-        Highest Theta degree carried by the candidate change of
-        variables (at least 2).
-    free : bool, optional
-        Leave the system homogeneous in all of (a, b, Theta).  By
-        default (a, b) = (1, 0), the Gamma_1 that :func:`solve_theta`
-        solves at.
-
-    Returns
-    -------
-    ConstraintSystem
-        One row block per monomial degree k = 2 .. m + n - 1, each of
-        height k + 1: row i of block k is the coefficient of
-        u^(k-i) v^i in d/dt (H(X))_1 - (H(X))_2.
+    The system's exactness decides the arithmetic; Theta runs to degree
+    ``m`` (at least 2).  A ``free`` system is homogeneous in all of
+    (a, b, Theta); by default (a, b) = (1, 0), the Gamma_1 that
+    :func:`solve_theta` solves at.  There is one row block per monomial
+    degree k = 2 .. m + n - 1, each of height k + 1: row i of block k is
+    the coefficient of u^(k-i) v^i in d/dt (H(X))_1 - (H(X))_2.
 
     Row 1 of Theta_l meets the degree-j field block phi_j (phi_1 = J)
     in block k = j + l - 1.  Differentiating u^(l-c) v^c along the
@@ -198,80 +215,33 @@ def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -
     coefficients of the unknowns a and b in a free system, and the
     right-hand side -phi_k[0, i] at Gamma_1.
 
-    An exact system is written over the integers: J and the phi_k are
-    scaled once by D, the lcm of their denominators, so the couplings are
-    the same combinations of D phi_j, the row-2 entries are -D and the
-    right-hand side is -D phi_k[0, i].  Each row is D times the rational
-    one, so its primitive integer form is the same.
+    The entries are read off one table per (n, m, free), built on first
+    use (:func:`_coupling_table`).  An exact system is written over the
+    integers: J and the phi_k are scaled once by D, the lcm of their
+    denominators, so the couplings are the same combinations of D phi_j,
+    the row-2 entries are -D and the right-hand side is -D phi_k[0, i].
+    Each row is D times the rational one, so its primitive integer form
+    is the same.  A float system is one gather over the table into
+    [A | b].
     """
     if m < 2:
         raise ValueError(f"theta degree m must be >= 2, got {m}")
-    n = system.degree
-    exact = system.exact
-
-    theta_cols: dict[tuple, int] = {}
-    layout: list[tuple] = []
-    if free:
-        layout.extend([("a",), ("b",)])
-    for label in _theta_layout(m):
-        theta_cols[label] = len(layout)
-        layout.append(label)
-    width = len(layout)
-
+    layout, entries, shape, (flat, w1, i1, w2, i2) = _coupling_table(system.degree, m, free)
     blocks = (system.jac, *system.phi)
-    scale = 1
-    if exact:
+    if system.exact:
         scale = denominator_lcm(blocks)
-        blocks = [numerators(block, scale) for block in blocks]
-    phi_rows = {j: block.tolist() for j, block in enumerate(blocks, start=1)}
-    # pairs (phi_j[0, s - 1], phi_j[1, s]) for s = 0 .. j + 1, zero out of range
-    shifted = {j: list(zip([0, *u], [*v, 0])) for j, (u, v) in phi_rows.items()}
-
-    rows: list[dict] = []
-    for k in range(2, m + n):
-        # row 2 of Theta_k appears directly, as -1 (times the scale) on
-        # the diagonal of block k
-        if k <= m:
-            c0 = theta_cols[("theta", k, 2, 1)]
-            block_rows = [{c0 + i: -scale} for i in range(k + 1)]
-        else:
-            block_rows = [{} for _ in range(k + 1)]
-        # contribution of the degree-k field block through Gamma's first row
-        if 2 <= k <= n:
-            if free:
-                for row, u, v in zip(block_rows, *phi_rows[k]):
-                    if u:
-                        row[0] = u
-                    if v:
-                        row[1] = v
-            else:
-                for row, u in zip(block_rows, phi_rows[k][0]):
-                    if u:
-                        row[width] = -u
-        # derivative couplings: row 1 of each Theta_l with j + l - 1 = k
-        for l in range(2, m + 1):
-            j = k - l + 1
-            if j < 1 or j > n:
-                continue
-            pairs = shifted[j]
-            c0 = theta_cols[("theta", l, 1, 1)]
-            for c in range(l + 1):
-                # pairs[s] meets column c in row i = c - 1 + s
-                col, wu = c0 + c, l - c
-                for row, (pu, pv) in zip(block_rows[c - 1 :] if c else block_rows, pairs[0 if c else 1 :]):
-                    value = wu * pu + c * pv
-                    if value:
-                        row[col] = value
-        rows.extend(block_rows)
-
-    return ConstraintSystem(
-        rows=tuple(rows),
-        scale=scale,
-        exact=exact,
-        unknown_layout=tuple(layout),
-        m=m,
-        free=free,
-    )
+        p = [x for block in blocks for x in numerators(block, scale).flat] + [0, scale]
+        rows = [{} for _ in range(shape[0])]
+        for r, c, wu, pu, wv, pv in entries:
+            value = wu * p[pu] + wv * p[pv]
+            if value:
+                rows[r][c] = value
+        return ConstraintSystem(tuple(rows), scale, True, layout, m, free)
+    p = np.concatenate([*(block.reshape(-1) for block in blocks), (0.0, 1.0)])
+    full = np.zeros(shape)
+    # + 0.0 makes a -0.0 entry the 0.0 of an entry that is not there
+    full.reshape(-1)[flat] = w1 * p[i1] + w2 * p[i2] + 0.0
+    return ConstraintSystem(None, 1, False, layout, m, free, full)
 
 
 @dataclass(frozen=True)
@@ -412,35 +382,65 @@ def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVaria
     return _extract_cov(sol, cs, rank, gamma)
 
 
-def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):
-    """Certificate for the defining condition, by independent expansion.
+@lru_cache(maxsize=64)
+def _lie_table(m: int, n: int):
+    """The products of d/dt (H(X))_1 - (H(X))_2 for Theta degree m and
+    system degree n over the flat coefficients h of Gamma, Theta_k and f
+    of J, phi_k (:func:`_slot`), as (weight, h slot, (output, f slot)
+    pairs) per term: h[k, 0, i] u^(k-i) v^i meets f[j, 0, s] u^(j-s) v^s
+    with weight k - i at v^(i+s) and f[j, 1, s] with weight i at v^(i+s-1)
+    in degree k + j - 1; a term of h2 has weight -1 against the field's
+    scale, after f.  The monomials of degrees 1 .. m + n - 1 come three
+    times, for the d/du, the d/dv and the h2 sums, added as ``lie_derivative``
+    adds them, and the products in its order, so a float sum rounds the same."""
+    size = (m + n - 1) * (m + n + 2) // 2
+    groups = []
+    for var in (0, 1):
+        for k in range(1, m + 1):
+            for i in range(k + 1):
+                weight = i if var else k - i
+                if weight:
+                    pairs = tuple((var * size + (k + j - 1) * (k + j) // 2 - 1 + i + s - var, _slot(j, var, s))
+                                  for j in range(1, n + 1) for s in range(j + 1))
+                    groups.append((weight, _slot(k, 0, i), pairs))
+    groups += [(-1, _slot(k, 1, i), ((2 * size + k * (k + 1) // 2 - 1 + i, n * (n + 3)),))
+               for k in range(1, m + 1) for i in range(k + 1)]
+    index = np.array([(o, w, hk, fj) for w, hk, pairs in groups for o, fj in pairs], dtype=np.intp).T
+    index.flags.writeable = False  # shared by every caller, as the groups are
+    return size, tuple(groups), index
 
-    Expands d/dt (H(X))_1 - (H(X))_2 along the field as a polynomial in
-    the phase variables using plain coefficient arithmetic (no shift
-    matrices, no assembled rows) and returns the largest coefficient
-    magnitude.  Exact inputs are expanded over the integers: with D_h
-    and D_f the lcms of the denominators of H and of the field, the
-    expansion is L_{D_f f}(D_h h1) - D_f D_h h2, and its largest
-    coefficient is divided by D_h D_f once.  The result is exact (a
-    Fraction, or 0), so a correct change of variables certifies to
-    literal zero.
-    """
-    exact = cov.exact and system.exact
-    if exact:
+
+def residual_condition33(cov: ChangeOfVariables, system: PlanarPolySystem):
+    """Certificate for the defining condition, by independent expansion:
+    the largest coefficient magnitude of d/dt (H(X))_1 - (H(X))_2 along
+    the field, one product per pair of terms (:func:`_lie_table`), no
+    assembled rows.  Exact inputs are expanded over the integers, as
+    L_{D_f f}(D_h h1) - D_f D_h h2 with D_h, D_f the lcms of the
+    denominators of H and of the field, and divided by D_h D_f once: the
+    result is exact (a Fraction, or 0), so a correct change of variables
+    certifies to literal zero.  A non-finite float expansion gives nan."""
+    m = cov.m
+    size, groups, (out, weight, hk, fj) = _lie_table(m, system.degree)
+    if cov.exact and system.exact:
+        fields = (system.jac, *system.phi)
         d_h = math.lcm(*(b.den for b in cov.blocks.values()))
-        blocks = {k: b.num * (d_h // b.den) for k, b in cov.blocks.items()}
-        d_f = denominator_lcm((system.jac, *system.phi))
-        system = PlanarPolySystem(numerators(system.jac, d_f), tuple(numerators(p, d_f) for p in system.phi))
-    else:
-        d_h = d_f = 1
-        blocks = {k: as_float(b) for k, b in cov.blocks.items()}
-        system = system.to_float()
-    res = poly_add(
-        lie_derivative(component_polynomial(blocks, 1), system),
-        poly_scale(component_polynomial(blocks, 2), -d_f),
-    )
-    top = poly_max_abs(res)
-    return Fraction(top, d_h * d_f) if exact and top else top
+        h = [x * (d_h // b.den) for b in map(cov.block, range(1, m + 1)) for x in b.num.flat]
+        d_f = denominator_lcm(fields)
+        f = [x for block in fields for x in numerators(block, d_f).flat] + [d_f]
+        res = [0] * (3 * size)
+        for w, i, pairs in groups:
+            hw = w * h[i]
+            if hw:  # row 1 of a Theta_k is often zero
+                for o, j in pairs:
+                    res[o] += hw * f[j]
+        top = max(abs(a + b + c) for a, b, c in zip(res[:size], res[size : 2 * size], res[2 * size :]))
+        return Fraction(top, d_h * d_f) if top else 0
+    h = np.concatenate([as_float(cov.block(k)).reshape(-1) for k in range(1, m + 1)])
+    system = system.to_float()
+    f = np.concatenate([*(block.reshape(-1) for block in (system.jac, *system.phi)), (1.0,)])
+    du, dv, h2 = np.bincount(out, weight * h[hk] * f[fj], minlength=3 * size).reshape(3, size)
+    top = float(np.abs(du + dv + h2).max())
+    return top if math.isfinite(top) else math.nan
 
 
 def counting_identity(n: int, m: int) -> tuple[int, int]:

@@ -366,8 +366,9 @@ def solve_min_norm_float(matrix, rhs):
     if a.size == 0:
         return np.zeros(0), 0
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=SV_REL_TOL)
-    res = float(np.linalg.norm(a @ x - b))
-    scale = max(1.0, float(np.linalg.norm(b)), float(np.linalg.norm(a @ x)))
+    ax = a @ x
+    res = float(np.linalg.norm(ax - b))
+    scale = max(1.0, float(np.linalg.norm(b)), float(np.linalg.norm(ax)))
     if res > CONSISTENCY_TOL * scale:
         return None, int(rank)
     return x, int(rank)

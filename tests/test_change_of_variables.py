@@ -24,6 +24,7 @@ from polycycle.change_of_variables import (
 from polycycle import linalg
 from polycycle.monomials import Scaled, as_array, as_scaled
 from polycycle.linalg import rref, solve_min_norm_exact
+from polycycle.pipeline import AnalysisOptions, run_sweep
 from polycycle.polyops import (
     poly_add,
     poly_diff,
@@ -72,11 +73,38 @@ def _random_fraction(rng):
     return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
 
 
+def _condition_coefficients(system, cs, x):
+    """A x - rhs of the assembled system and, expanded independently by
+    polyops at the same unknowns, the coefficients of L_f h1 - h2 that its
+    rows stand for, block k row i for u^(k-i) v^i; and the expansion."""
+    m, n = cs.m, system.degree
+    one, zero = (Fraction(1), Fraction(0)) if system.exact else (1.0, 0.0)
+    a, b = (x[0], x[1]) if cs.free else (one, zero)
+    dtype = object if system.exact else float
+    thetas = {k: np.zeros((2, k + 1), dtype=dtype) for k in range(2, m + 1)}
+    for value, label in zip(x, cs.unknown_layout):
+        if label[0] == "theta":
+            _, k, row, col = label
+            thetas[k][row - 1, col - 1] = value
+    blocks = {1: gamma_matrix(system.jac, a, b), **thetas}
+    expansion = poly_add(
+        lie_derivative(component_polynomial(blocks, 1), system),
+        poly_scale(component_polynomial(blocks, 2), -1),
+    )
+    lhs = cs.matrix.dot(np.array(x, dtype=dtype))
+    if cs.rhs is not None:
+        lhs = lhs - cs.rhs
+    expected = [expansion.get((k - i, i), 0) for k in range(2, m + n) for i in range(k + 1)]
+    return list(lhs), expected, expansion
+
+
 def test_assembled_rows_are_the_defining_condition_coefficients():
     # for any unknowns x, row i of block k of A x - rhs is the coefficient
-    # of u^(k-i) v^i in L_f h1 - h2, expanded independently by polyops
+    # of u^(k-i) v^i in L_f h1 - h2, expanded independently by polyops:
+    # exactly, and for the float assembly of the same system and unknowns
+    # rounded, to 1e-12 of the float expansion's largest coefficient
     rng = np.random.default_rng(2718)
-    for n in range(2, 6):
+    for n in range(1, 8):
         for _ in range(2):
             jac = [[_random_fraction(rng) for _ in range(2)] for _ in range(2)]
             phi = [
@@ -88,27 +116,15 @@ def test_assembled_rows_are_the_defining_condition_coefficients():
                 for free in (True, False):
                     cs = assemble_constraints(system, m, free=free)
                     x = [_random_fraction(rng) for _ in range(cs.unknown_count)]
-                    a, b = (x[0], x[1]) if free else (Fraction(1), Fraction(0))
-                    thetas = {k: np.zeros((2, k + 1), dtype=object) for k in range(2, m + 1)}
-                    for value, label in zip(x, cs.unknown_layout):
-                        if label[0] == "theta":
-                            _, k, row, col = label
-                            thetas[k][row - 1, col - 1] = value
-                    blocks = {1: gamma_matrix(system.jac, a, b), **thetas}
-                    expansion = poly_add(
-                        lie_derivative(component_polynomial(blocks, 1), system),
-                        poly_scale(component_polynomial(blocks, 2), -1),
-                    )
-                    lhs = cs.matrix.dot(np.array(x, dtype=object))
-                    if cs.rhs is not None:
-                        lhs = lhs - cs.rhs
-                    expected = [
-                        expansion.get((k - i, i), 0)
-                        for k in range(2, m + n)
-                        for i in range(k + 1)
-                    ]
-                    assert list(lhs) == expected, (n, m, free)
+                    lhs, expected, expansion = _condition_coefficients(system, cs, x)
+                    assert lhs == expected, (n, m, free)
                     assert all(sum(e) >= 2 for e in expansion), (n, m, free)
+                    flt = system.to_float()
+                    cs = assemble_constraints(flt, m, free=free)
+                    assert cs.matrix.dtype == np.float64 and cs.matrix.shape == (len(expected), len(x))
+                    lhs, expected, _ = _condition_coefficients(flt, cs, [float(v) for v in x])
+                    scale = max(abs(v) for v in expected)
+                    assert max(abs(p - q) for p, q in zip(lhs, expected)) <= 1e-12 * scale, (n, m, free)
 
 
 def test_assemble_counts_match_identity():
@@ -450,6 +466,59 @@ def test_float_certificate_is_the_float64_expansion(corpus_systems):
         residual = residual_condition33(bad, system)
         assert residual > 0.1
         assert residual == _float64_certificate(bad, system)
+
+
+def test_certificate_of_perturbed_theta_blocks_is_the_polyops_expansion():
+    # every Theta block of a solved change of variables moved by a random
+    # Fraction block, for n = 1 .. 7: the exact certificate is the Fraction
+    # expansion, and the float one of the same blocks rounded is the
+    # float64 expansion to 1e-12 relative
+    rng = np.random.default_rng(3141)
+    for n in range(1, 8):
+        system = _complex_pair_system(rng, n)
+        cov = solve_theta(system, m=max(2, n))
+        assert residual_condition33(cov, system) == _fraction_certificate(cov, system) == 0, n
+        for _ in range(2):
+            blocks = dict(cov.blocks)
+            for k in range(2, cov.m + 1):
+                moved = as_array(cov.block(k)) + np.array(
+                    [[_random_fraction(rng) for _ in range(k + 1)] for _ in range(2)], dtype=object
+                )
+                blocks[k] = as_scaled(moved)
+            bad = dataclasses.replace(cov, blocks=blocks)
+            value = residual_condition33(bad, system)
+            assert isinstance(value, Fraction) and value > 0, n
+            assert value == _fraction_certificate(bad, system), n
+            bad_f, system_f = bad.to_float(), system.to_float()
+            reference = _float64_certificate(bad_f, system_f)
+            assert abs(residual_condition33(bad_f, system_f) - reference) <= 1e-12 * reference, n
+
+
+def test_certificate_of_a_non_finite_change_of_variables_is_nan(normal_form_system):
+    # a nan or inf coefficient makes the expansion not finite, and the
+    # certificate says so instead of skipping it
+    system = normal_form_system.to_float()
+    cov = solve_theta(system)
+    assert residual_condition33(cov, system) <= 1e-10
+    for value in (math.nan, math.inf, -math.inf):
+        theta = cov.block(3).copy()
+        theta[0, 0] = value
+        bad = dataclasses.replace(cov, blocks={**cov.blocks, 3: theta})
+        with np.errstate(invalid="ignore"):  # inf times a zero coefficient
+            assert math.isnan(residual_condition33(bad, system)), value
+
+
+def test_a_family_sweep_builds_each_table_once(definitions):
+    # the index tables depend on the degrees only: one family swept over
+    # several alphas, exact and in floats, builds each of them once
+    tables = (cov_mod._coupling_table, cov_mod._lie_table)
+    for table in tables:
+        table.cache_clear()
+    defn = definitions["mixed"]
+    run_sweep(defn, ["1/20", "1/30", "-1/40"], AnalysisOptions(measure=False))
+    run_sweep(defn, [0.05, 0.02], AnalysisOptions(exact=False, measure=False))
+    assert [table.cache_info().misses for table in tables] == [1, 1]
+    assert [table.cache_info().hits for table in tables] == [4, 4]
 
 
 def test_exact_solve_does_not_build_the_dense_matrix(monkeypatch, corpus_systems):
