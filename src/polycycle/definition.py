@@ -36,6 +36,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .system import PlanarPolySystem, build_system
@@ -146,8 +147,9 @@ class SystemDefinition:
     phi: tuple
     alpha_default: float | None
 
-    @property
+    @cached_property
     def uses_alpha(self) -> bool:
+        """Whether an entry depends on alpha, walked once, on first read."""
         rows = [*self.jac, *(row for block in self.phi for row in block)]
         return any(not isinstance(tree, Fraction) for row in rows for tree, _ in row)
 

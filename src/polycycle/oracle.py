@@ -3,15 +3,15 @@
 Nothing here knows about the change of variables: trajectories of the
 original planar field are integrated with the embedded Dormand-Prince
 8(5,3) pair, DOP853, periodic orbits are found as roots of P(x) - x for
-the return map P of a Poincare section, and :func:`compare` reduces a
-prediction/measurement pair to a verdict.
+the return map P of the Poincare section x2 = 0, x1 > 0, and
+:func:`compare` reduces a prediction/measurement pair to a verdict.
 
 All stepping runs in one loop, :func:`_dop853`: the pair with its
 combined 5th- and 3rd-order error estimate and first-same-as-last reuse
 (Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
 sec. II.10), its state in local variables, appending one record per
-accepted step.  It stops at the first event: a sign change of the
-section coordinate, a blow-up past ``BLOWUP_NORM``, a step size
+accepted step.  It stops at the first event: a sign change of x2, a
+blow-up past ``BLOWUP_NORM``, a step size
 underflow, the time limit or the step budget, and returns the state it
 stopped in, from which the return map resumes it past a crossing on the
 wrong side.  Each orbit's first trial step comes from the starting-step
@@ -29,9 +29,10 @@ evaluations and is formed only for the steps that need it: the step that
 holds a return to the section, and the steps of a measured orbit in
 which x1 turns, where the amplitude is found.  A crossing of the section
 in the other direction is told from the step's end alone.  Crossing
-times are located by bisection on the section coordinate's dense
-output, and the state there is taken by one more run of the loop from
-the start of the step: the interpolant's own error, though far below a
+times are located on the dense output of x2 by the same regula falsi,
+:func:`_root`, that finds the extrema of x1 on the dense output of x1,
+and the state there is taken by one more run of the loop from the
+start of the step: the interpolant's own error, though far below a
 cubic Hermite interpolant's at these step sizes, would otherwise reach
 the fixed point multiplied by 1/|P' - 1|.
 
@@ -241,7 +242,7 @@ class CycleMeasurement:
 
 
 class TransversalityError(RuntimeError):
-    """Both Poincare sections met the flow tangentially."""
+    """The flow met the section x2 = 0, x1 > 0 tangentially; there is no other."""
 
 
 _UNDERFLOW = "step size underflow; the field may be singular here"
@@ -267,8 +268,8 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budge
     once t is within 1e-14 relative of ``t_limit``, both checked before
     a step; "underflow" when rejections cut the step below 1e-14,
     leaving the state at the step's start; after a step, "blowup" when
-    |u| + |v| passes ``norm``, then "cross" when coordinate ``section``
-    (0: u, 1: v, None: no section) changed sign from a nonzero start.
+    |u| + |v| passes ``norm``, then, if ``section`` is true, "cross" when
+    v changed sign from a nonzero start.
 
     Returns (event, t, u, v, fu, fv, w, fw, q, trial, accepted steps,
     rejected steps), from which a later call resumes the same stepping.
@@ -276,7 +277,6 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budge
     sqrt = math.sqrt
     append = records.append
     t_tol = 1e-14 * max(1.0, abs(t_limit))
-    g0 = None if section is None else (u0, v0)[section]
     steps = rejects = 0
     while True:
         if steps >= budget:
@@ -375,17 +375,15 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budge
         t1 = t0 + h
         append((t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0,
                 k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v, q0))
+        crossed = section and v0 != 0.0 and (v0 > 0.0) != (v1 > 0.0)
         t0, u0, v0, fu0, fv0, w0, fw0, q0 = t1, u1, v1, fu1, fv1, w1, fw1, q1
         steps += 1
         if abs(u1) + abs(v1) > norm:
             event = "blowup"
             break
-        if section is not None:
-            g1 = v1 if section else u1
-            if g0 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
-                event = "cross"
-                break
-            g0 = g1
+        if crossed:
+            event = "cross"
+            break
     return event, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, steps, rejects
 
 
@@ -526,35 +524,36 @@ def _slope_zeros(coeffs, s_end: float) -> list[float]:
         if db == 0.0:
             zeros.append(b)
         elif da < 0.0 < db or db < 0.0 < da:
-            zeros.append(_slope_zero(coeffs, a, b, da, db))
+            zeros.append(_root(_interpolate_slope, coeffs, a, b, da, db, 1e-12))
         a, da = b, db
     return zeros
 
 
-def _slope_zero(coeffs, lo: float, hi: float, dlo: float, dhi: float) -> float:
-    """The zero in (lo, hi) of the derivative of a dense output, which is
-    dlo at lo and dhi at hi, of opposite signs: regula falsi with the
+def _root(fn, coeffs, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
+    """The zero in (lo, hi) of fn(*coeffs, s), which is flo at lo and fhi
+    at hi, of opposite signs, to ``tol`` in s: regula falsi with the
     Illinois modification, bisecting where a step would leave the
-    bracket, to 1e-12 in s."""
+    bracket.  ``fn`` is :func:`_interpolate_slope` for the extrema of a
+    dense output and :func:`_interpolate` for its sign change."""
     kept = 0  # the end the last step kept: 1 for hi, -1 for lo
     for _ in range(100):
-        m = (lo * dhi - hi * dlo) / (dhi - dlo)
+        m = (lo * fhi - hi * flo) / (fhi - flo)
         if not lo < m < hi:
             m = 0.5 * (lo + hi)
-        dm = _interpolate_slope(*coeffs, m)
-        if dm == 0.0:
+        fm = fn(*coeffs, m)
+        if fm == 0.0:
             break
-        if (dm > 0.0) == (dlo > 0.0):
-            lo, dlo = m, dm
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = m, fm
             if kept == 1:
-                dhi *= 0.5
+                fhi *= 0.5
             kept = 1
         else:
-            hi, dhi = m, dm
+            hi, fhi = m, fm
             if kept == -1:
-                dlo *= 0.5
+                flo *= 0.5
             kept = -1
-        if hi - lo <= 1e-12:
+        if hi - lo <= tol:
             break
     return m
 
@@ -574,7 +573,7 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     trial = _first_step(f, u, v, fu, fv)
     records = []
     event, *_, steps, _ = _dop853(
-        f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, trial, t_end, None, MAX_STEPS, BLOWUP_NORM, records
+        f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, trial, t_end, False, MAX_STEPS, BLOWUP_NORM, records
     )
     if event == "underflow":
         raise ArithmeticError(_UNDERFLOW)
@@ -583,41 +582,14 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     return Trajectory(np.array(ts), np.array(states), event != "limit", steps)
 
 
-def _locate_crossing(coeffs, t0: float, t1: float, t_tol: float) -> float:
-    """Bisect one coordinate's dense output in the step [t0, t1] for its
-    sign change; ``coeffs`` are the eight numbers :func:`_dense` gives
-    that coordinate, its value at t0 first."""
-    g0 = coeffs[0]
-    if g0 == 0.0:
-        return t0
-    positive = g0 > 0.0
-    h = t1 - t0
-    ta, tb = t0, t1
-    for _ in range(200):
-        tm = 0.5 * (ta + tb)
-        gm = _interpolate(*coeffs, (tm - t0) / h)
-        if gm == 0.0:
-            return tm
-        if (gm > 0.0) == positive:
-            ta = tm
-        else:
-            tb = tm
-        if tb - ta <= t_tol:
-            break
-    return 0.5 * (ta + tb)
-
-
-_SECTIONS = ((1, 0, "x2=0, x1>0"), (0, 1, "x1=0, x2>0"))
-
-
 class _NoReturn(Exception):
     """An orbit did not come back to the section within its step budget
     or its time budget, ``RETURN_PERIODS`` = 50 linear periods, ten
     times the longest return measured (4.83 linear periods)."""
 
 
-def _return_map(f, orbits, zero_idx, pos_idx, x: float, t_limit: float):
-    """Follow the orbit from the section point ``x`` once around, for at
+def _return_map(f, orbits, x: float, t_limit: float):
+    """Follow the orbit from the section point (x, 0) once around, for at
     most the time ``t_limit``.
 
     Returns (P(x), return time T, P'(x), q(T), crossing dense output,
@@ -637,12 +609,12 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float, t_limit: float):
     components are the orbit's first field evaluation and the last stage
     of that step, which the transversality check reads, so the slope
     adds no field call.  The orbit's [accepted steps, rejected steps,
-    dense outputs] is appended to ``orbits``.
+    dense outputs] is appended to ``orbits``.  A return at which the flow
+    is tangent to the section raises TransversalityError.
     """
-    u, v = (x, 0.0) if zero_idx == 1 else (0.0, x)
+    u, v = x, 0.0
     fu, fv, fw = f(u, v)
-    normal_start = (fu, fv)[zero_idx]
-    rising = normal_start > 0.0
+    normal_start = fv
     t, w, q, trial = 0.0, 0.0, 0.0, _first_step(f, u, v, fu, fv)
     work = [0, 0, 0]
     orbits.append(work)
@@ -651,7 +623,7 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float, t_limit: float):
         # the time budget, 50 linear periods against at most 4.83 measured
         # for a return, only stops an orbit that never comes back
         event, t, u, v, fu, fv, w, fw, q, trial, steps, rejects = _dop853(
-            f, t, u, v, fu, fv, w, fw, q, trial, t_limit, zero_idx, MAX_STEPS - work[0], BLOWUP_NORM,
+            f, t, u, v, fu, fv, w, fw, q, trial, t_limit, True, MAX_STEPS - work[0], BLOWUP_NORM,
             records,
         )
         work[0] += steps
@@ -661,37 +633,38 @@ def _return_map(f, orbits, zero_idx, pos_idx, x: float, t_limit: float):
         if event != "cross":
             raise _NoReturn
         rec = records[-1]
-        if (rec[6 + zero_idx] > 0.0) != rising:
+        if (rec[7] > 0.0) != (normal_start > 0.0):
             continue
         t0, t1 = rec[0], rec[5]
+        h = t1 - t0
         coeffs = _dense(f, rec)
         work[2] += 1
-        tc = _locate_crossing(coeffs[8 * zero_idx : 8 * zero_idx + 8], t0, t1, 1e-12 * max(1.0, abs(t1)))
-        s = (tc - t0) / (t1 - t0)
-        state = _interpolate(*coeffs[:8], s), _interpolate(*coeffs[8:], s)
-        if math.hypot(state[0], state[1]) < 1e-8:
+        # x2 changes sign in the step: from rec[2] at s = 0 to rec[7] at 1
+        s = _root(_interpolate, coeffs[8:], 0.0, 1.0, rec[2], rec[7], 1e-12 * max(1.0, abs(t1)) / h)
+        tc = t0 + s * h
+        x1 = _interpolate(*coeffs[:8], s)
+        if math.hypot(x1, _interpolate(*coeffs[8:], s)) < 1e-8:
             return 0.0, tc, math.nan, math.nan, None, records
-        if state[pos_idx] <= 0.0:
+        if x1 <= 0.0:
             continue
         # the state at tc to the integrator's order, not the interpolant's:
         # step again from the start of this step, to tc, stopping for
         # nothing else, as the step it repeats passed every check
         event, _, u, v, fu, fv, w, _, q, _, steps, rejects = _dop853(
-            f, *rec[:5], *rec[10:12], rec[26], tc - t0, tc, None, math.inf, math.inf, []
+            f, *rec[:5], *rec[10:12], rec[26], tc - t0, tc, False, math.inf, math.inf, []
         )
         work[0] += steps
         work[1] += rejects
         if event == "underflow":
             raise ArithmeticError(_UNDERFLOW)
-        state, speed = (u, v), (fu, fv)
-        if abs(speed[zero_idx]) <= 1e-9 * (1.0 + math.hypot(speed[0], speed[1])):
+        if abs(fv) <= 1e-9 * (1.0 + math.hypot(fu, fv)):
             raise TransversalityError(
-                f"flow is tangent to the section at t={tc:.6g}, point {state}"
+                f"flow is tangent to the section at t={tc:.6g}, point {(u, v)}"
             )
-        return state[pos_idx], tc, normal_start / speed[zero_idx] * math.exp(w), q, coeffs, records
+        return u, tc, normal_start / fv * math.exp(w), q, coeffs, records
 
 
-def _fixed_point(f, orbits, zero_idx, pos_idx, seed: float, tau: float, t_limit: float):
+def _fixed_point(f, orbits, seed: float, tau: float, t_limit: float):
     """Solve g(x) = P(x) - x by safeguarded Newton steps on g' = P' - 1.
 
     Returns (return time, P', evaluations, q, crossing dense output,
@@ -705,7 +678,7 @@ def _fixed_point(f, orbits, zero_idx, pos_idx, seed: float, tau: float, t_limit:
     def g(x):
         nonlocal evaluations
         evaluations += 1
-        p, t, slope, *orbit = _return_map(f, orbits, zero_idx, pos_idx, x, t_limit)
+        p, t, slope, *orbit = _return_map(f, orbits, x, t_limit)
         return p - x, (t, slope, evaluations, *orbit)
 
     x = seed
@@ -776,7 +749,7 @@ def _return_budget(system: PlanarPolySystem) -> float:
 def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurement | None:
     """Find a periodic orbit as a root of g(x) = P(x) - x on a section.
 
-    P is the forward-time return map of the half-line through the seed,
+    P is the forward-time return map of the half-line x2 = 0, x1 > 0,
     and each evaluation of it also gives P'(x) from the divergence
     integral along its orbit.  g is evaluated at ``seed_radius``; if it
     already vanishes to ``SETTLE_REL`` and P' is within ``NEUTRAL_SLOPE``
@@ -804,7 +777,9 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
         When the seed radius is not positive and finite, or delta <= 0:
         the origin then has no linear period to budget a return by.
     TransversalityError
-        When the flow is tangent to both candidate sections.
+        When the flow is tangent to the section at a return.  There is no
+        other section to fall back on: at a focus or a center j12 j21 < 0,
+        so j21 != 0 and x2 = 0 is transverse near the origin.
     """
     check_seed_radius(seed_radius)
     # a numpy scalar seed would make every state of the stepping loop a
@@ -816,21 +791,16 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
 
     orbits: list[list[int]] = []
-    last_error = None
-    for zero_idx, pos_idx, label in _SECTIONS:
-        try:
-            found = _fixed_point(f, orbits, zero_idx, pos_idx, seed_radius, tau, t_limit)
-            if found is None or abs(found[1]) > MAX_MULTIPLIER:
-                return None
-            return _finish_measurement(f, flt, orbits, label, *found)
-        except TransversalityError as err:
-            last_error = err
-        except _NoReturn:
-            return None  # no rotation around the origin: nothing to measure
-    raise last_error
+    try:
+        found = _fixed_point(f, orbits, seed_radius, tau, t_limit)
+    except _NoReturn:
+        return None  # no rotation around the origin: nothing to measure
+    if found is None or abs(found[1]) > MAX_MULTIPLIER:
+        return None
+    return _finish_measurement(f, flt, orbits, *found)
 
 
-def _finish_measurement(f, system, orbits, label, period, slope, evaluations, q, crossing, records):
+def _finish_measurement(f, system, orbits, period, slope, evaluations, q, crossing, records):
     amplitude = _amplitude(f, orbits[-1], records, period, crossing)
     steps, rejects, field_evals = _work(orbits)
     return CycleMeasurement(
@@ -839,7 +809,7 @@ def _finish_measurement(f, system, orbits, label, period, slope, evaluations, q,
         period=period,
         stable=None if abs(abs(slope) - 1.0) <= NEUTRAL_SLOPE else abs(slope) < 1.0,
         convergence_rate=abs(slope),
-        section=label,
+        section="x2=0, x1>0",
         crossings=evaluations,
         steps=steps,
         rejected_steps=rejects,

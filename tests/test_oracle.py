@@ -236,7 +236,7 @@ class _Stepper:
         return rec
 
 
-def _reference_run(stepper, t_limit, section, budget):
+def _reference_run(stepper, t_limit, budget):
     """The loop's events, read off the reference stepper: (event, records)
     up to the first event, with the stepper left where the loop stops."""
     records = []
@@ -250,10 +250,9 @@ def _reference_run(stepper, t_limit, section, budget):
         records.append(rec)
         if abs(rec[6]) + abs(rec[7]) > oracle.BLOWUP_NORM:
             return "blowup", records
-        if section is not None:
-            g0, g1 = (rec[1], rec[2])[section], (rec[6], rec[7])[section]
-            if g0 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
-                return "cross", records
+        g0, g1 = rec[2], rec[7]
+        if g0 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
+            return "cross", records
     return "budget", records
 
 
@@ -280,16 +279,16 @@ def _reference_dense(f, rec, t):
     return tuple(state)
 
 
-def _reference_crossing(f, rec, zero_idx, t_tol):
-    """Reference for _locate_crossing: bisection on the reference dense output."""
+def _reference_crossing(f, rec, t_tol):
+    """Reference for the crossing time: bisection on the reference dense
+    output of x2."""
     ta, tb = rec[0], rec[5]
-    ga = (rec[1], rec[2])[zero_idx]
-    gb = (rec[6], rec[7])[zero_idx]
+    ga, gb = rec[2], rec[7]
     if ga == 0.0:
         return ta
     for _ in range(200):
         tm = 0.5 * (ta + tb)
-        gm = _reference_dense(f, rec, tm)[zero_idx]
+        gm = _reference_dense(f, rec, tm)[1]
         if gm == 0.0:
             return tm
         if (gm > 0.0) == (gb > 0.0):
@@ -301,23 +300,23 @@ def _reference_crossing(f, rec, zero_idx, t_tol):
     return 0.5 * (ta + tb)
 
 
-def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_STEPS, events=100):
-    """Step from the point x of the section through up to ``events``
-    events with the loop, resuming after each crossing, and with the
-    reference stepper; every record, every event and count must be
-    equal, and each crossing time equal to the reference bisection's.
-    Returns the events."""
+def _assert_loop_is_the_stepper(system, x, t_limit, budget=oracle.MAX_STEPS, events=100):
+    """Step from the point (x, 0) of the section through up to ``events``
+    events with the loop, resuming after each crossing of x2 = 0, and
+    with the reference stepper; every record, every event and count must
+    be equal, and each crossing time within the time tolerance of the
+    reference bisection's.  Returns the events."""
     f = oracle.compile_field(system)
-    u, v = (x, 0.0) if section == 1 else (0.0, x)
+    u, v = x, 0.0
     stepper = _Stepper(f, u, v)
     state = (0.0, u, v, stepper.fu, stepper.fv, 0.0, stepper.fw, 0.0, stepper.h)
     seen = []
     for _ in range(events):
         steps_before, rejects_before = stepper.steps, stepper.rejects
-        event, ref_records = _reference_run(stepper, t_limit, section, budget)
+        event, ref_records = _reference_run(stepper, t_limit, budget)
         records = []
         got, *state, steps, rejects = oracle._dop853(
-            f, *state, t_limit, section, budget - steps_before, oracle.BLOWUP_NORM, records
+            f, *state, t_limit, True, budget - steps_before, oracle.BLOWUP_NORM, records
         )
         assert (got, records) == (event, ref_records)
         assert (steps, rejects) == (stepper.steps - steps_before, stepper.rejects - rejects_before)
@@ -329,10 +328,11 @@ def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_S
         if event != "cross":
             break
         rec = records[-1]
-        t_tol = 1e-12 * max(1.0, abs(rec[5]))
-        coeffs = oracle._dense(f, rec)[8 * section : 8 * section + 8]
-        crossing = oracle._locate_crossing(coeffs, rec[0], rec[5], t_tol)
-        assert crossing == _reference_crossing(f, rec, section, t_tol)
+        t0, t1 = rec[0], rec[5]
+        h, t_tol = t1 - t0, 1e-12 * max(1.0, abs(t1))
+        coeffs = oracle._dense(f, rec)[8:]
+        s = oracle._root(oracle._interpolate, coeffs, 0.0, 1.0, rec[2], rec[7], t_tol / h)
+        assert abs(t0 + s * h - _reference_crossing(f, rec, t_tol)) <= t_tol
     return seen
 
 
@@ -340,10 +340,9 @@ def _assert_loop_is_the_stepper(system, x, section, t_limit, budget=oracle.MAX_S
 def test_loop_steps_as_the_reference_stepper_on_the_corpus(systems_dir, name):
     defn = load_definition(systems_dir / f"{name}.json")
     system = instantiate(defn, defn.alpha_default).to_float()
-    for section in (1, 0):
-        for x in (0.05, 0.3):
-            # an orbit outside reflected_normal_form's repelling cycle blows up
-            assert _assert_loop_is_the_stepper(system, x, section, 30.0)[-1] in ("limit", "blowup")
+    for x in (0.05, 0.3):
+        # an orbit outside reflected_normal_form's repelling cycle blows up
+        assert _assert_loop_is_the_stepper(system, x, 30.0)[-1] in ("limit", "blowup")
 
 
 def _random_system(rng, degree):
@@ -359,7 +358,7 @@ def test_loop_steps_as_the_reference_stepper_on_random_systems(degree, seed):
     for _ in range(4):
         system = _random_system(rng, degree)
         for x in (0.05, 0.2, 0.6):
-            events.update(_assert_loop_is_the_stepper(system, x, 1, 40.0, budget=3000))
+            events.update(_assert_loop_is_the_stepper(system, x, 40.0, budget=3000))
     assert "cross" in events
 
 
@@ -383,12 +382,12 @@ def _underflow_system(alpha):
 def test_loop_reports_underflow_blowup_and_budget_as_the_stepper():
     # the console step-size-underflow system from (0.8, 0)
     underflow = _underflow_system(Fraction(1, 50)).to_float()
-    assert _assert_loop_is_the_stepper(underflow, 0.8, 1, 1e5)[-1] == "underflow"
+    assert _assert_loop_is_the_stepper(underflow, 0.8, 1e5)[-1] == "underflow"
     # a spiral source: every orbit moves outward until it blows up
     source = _hardening(0.05).to_float()
-    assert _assert_loop_is_the_stepper(source, 0.1, 1, 1e5, events=1000)[-1] == "blowup"
+    assert _assert_loop_is_the_stepper(source, 0.1, 1e5, events=1000)[-1] == "blowup"
     # a step budget runs out before the time limit
-    events = _assert_loop_is_the_stepper(_normal_form(0.01).to_float(), 0.1, 1, 1e5, budget=150)
+    events = _assert_loop_is_the_stepper(_normal_form(0.01).to_float(), 0.1, 1e5, budget=150)
     assert events[-1] == "budget" and set(events[:-1]) == {"cross"}
 
 
@@ -509,7 +508,7 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     monkeypatch.setattr(oracle, "_finish_measurement", keep_args)
     meas = measure_cycle(system, 0.05)
     assert meas is not None and meas.section == "x2=0, x1>0"
-    ((f, _system, _orbits, _label, period, *_, records),) = seen
+    ((f, _system, _orbits, period, *_, records),) = seen
     # the root solve's last orbit as its list of step records: 12 fields,
     # the (u, v) of stages 6 to 12 and q0
     assert {len(rec) for rec in records} == {27}
@@ -577,7 +576,7 @@ def test_amplitude_stops_at_the_return():
     system = _normal_form(Fraction(1, 10)).to_float()
     f = oracle.compile_field(system)
     p, period, _, _, crossing, records = oracle._return_map(
-        f, [], 1, 0, 0.1, oracle._return_budget(system)
+        f, [], 0.1, oracle._return_budget(system)
     )
     amplitude = oracle._amplitude(f, [0, 0, 0], records, period, crossing)
     assert amplitude == pytest.approx(p, rel=1e-9)
@@ -675,6 +674,26 @@ def test_slope_zeros_locate_the_extrema(roots, s_end, expected):
         assert oracle._interpolate_slope(*coeffs, s) == pytest.approx(slope(s), abs=1e-12)
 
 
+@pytest.mark.parametrize("root", [0.013, 0.37, 0.5, 0.81, 0.996])
+def test_root_locates_a_sign_change_in_few_evaluations(root):
+    # p(s) = (s - r)(1 + s^2)^2 (2 - s), a sign change on [0, 1] with the
+    # curvature of a step's x2 on a dense output; bisection to 1e-12
+    # takes 40 evaluations, the regula falsi 6 to 9
+    p = (np.polynomial.Polynomial.fromroots((root, 2.0)) * -1.0
+         * np.polynomial.Polynomial([1.0, 0.0, 1.0]) ** 2)
+    coeffs = _nested_form(p.coef)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return oracle._interpolate(*args)
+
+    s = oracle._root(counted, coeffs, 0.0, 1.0, p(0.0), p(1.0), 1e-12)
+    assert s == pytest.approx(root, abs=1e-12)
+    assert calls <= 12
+
+
 def test_dense_output_meets_the_step():
     # the dense output starts and ends at the step's end points, and in
     # between agrees with the loop stepped there to the integrator's
@@ -683,7 +702,7 @@ def test_dense_output_meets_the_step():
     u, v = 0.1, 0.0
     fu, fv, fw = f(u, v)
     records = []
-    oracle._dop853(f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, 0.4, 1.2, None, 3, math.inf, records)
+    oracle._dop853(f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, 0.4, 1.2, False, 3, math.inf, records)
     assert len(records) == 3
     for rec in records:
         t0, u0, v0, _, _, t1, u1, v1 = rec[:8]
@@ -694,7 +713,7 @@ def test_dense_output_meets_the_step():
         for s in (0.25, 0.5, 0.8):
             tm = t0 + s * (t1 - t0)
             _, _, um, vm, *_ = oracle._dop853(
-                f, *rec[:5], *rec[10:12], rec[26], tm - t0, tm, None, 10, math.inf, []
+                f, *rec[:5], *rec[10:12], rec[26], tm - t0, tm, False, 10, math.inf, []
             )
             dense = oracle._interpolate(*coeffs[:8], s), oracle._interpolate(*coeffs[8:], s)
             # 7th order: within 1e-8 of the radius 0.1 at steps of 0.4 and
@@ -776,7 +795,7 @@ def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
     f = oracle.compile_field(system)
 
     def ret(y):
-        return oracle._return_map(f, [], 1, 0, y, oracle._return_budget(system))
+        return oracle._return_map(f, [], y, oracle._return_budget(system))
 
     p, _, slope, *_ = ret(x)
     assert abs(p - x) > 0.1 * x
