@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import rank_exact, rank_float, solve_min_norm_exact, solve_min_norm_float
+from .linalg import solve_min_norm_exact, solve_min_norm_float
 from .monomials import Scaled, as_array, as_float, as_scaled, denominator_lcm, eval_poly_map, numerators
 from .polyops import poly_from_lambda_row
 from .system import PlanarPolySystem
@@ -140,16 +140,12 @@ class ConstraintSystem:
     def rhs(self) -> np.ndarray | None:
         return self._dense[1]
 
-    def rank(self) -> int:
-        """Rank of A; an exact system is eliminated from its own
-        integer rows, without the right-hand-side column."""
-        if self.exact:
-            width = self.unknown_count
-            return rank_exact([{c: v for c, v in row.items() if c < width} for row in self.rows], width)
-        return rank_float(self.matrix)
-
     def nullspace_dimension(self) -> int:
-        return self.unknown_count - self.rank()
+        """Unknowns minus rank A, the rank the arithmetic's own solver returns."""
+        if self.exact:
+            return self.unknown_count - solve_min_norm_exact(self.rows, self.unknown_count)[1]
+        rhs = np.zeros(len(self.matrix)) if self.free else self.rhs
+        return self.unknown_count - solve_min_norm_float(self.matrix, rhs)[1]
 
 
 @lru_cache(maxsize=64)

@@ -6,8 +6,7 @@ integer rows of [A | b], each a {column: int} dict with b in column n
 (the width of A).  :func:`solve_min_norm_exact` takes such rows
 directly, scaled by any positive integer (the change-of-variables
 assembly writes them over one common denominator), and divides each by
-its content first; :func:`rank_exact` takes the rows of A the same
-way.  No kernel takes a dense Fraction matrix.  A row already zero in
+its content first.  No kernel takes a dense Fraction matrix.  A row already zero in
 the pivot column is skipped, so the banded structure of the constraint
 matrices survives, and every combined row is divided by its content,
 so entries stay near the size of the minors they encode instead of
@@ -38,9 +37,10 @@ Cramer's rule.
 :func:`rref` is the plain Fraction Gauss-Jordan; no solver uses it, the
 tests keep it as the reference the integer kernels must reproduce.
 
-The float route uses SVD-based rank with a relative threshold and least
-squares.  Both pick the minimum-norm element of the solution affine
-space so results are canonical, and both return the rank of A with it.
+The float route solves by least squares, whose SVD gives the rank with
+a relative threshold.  Both pick the minimum-norm element of the
+solution affine space so results are canonical, and both return the
+rank of A with it, the only rank the package computes.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ import numpy as np
 
 __all__ = [
     "rref",
-    "rank_exact",
     "solve_min_norm_exact",
-    "rank_float",
     "solve_min_norm_float",
 ]
 
@@ -253,19 +251,6 @@ def _spd_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int]
     return x, q
 
 
-def rank_exact(rows: Sequence[Row], n: int) -> int:
-    """Rank of the matrix A with ``n`` columns whose rows are ``rows``.
-
-    The rows are sparse integer rows as :func:`solve_min_norm_exact`
-    takes them, without a right-hand side: each may carry any positive
-    factor and may be empty, and none is modified.  The rank is the
-    number of defining rows plus the rank of the others, as there.
-    """
-    rows = [_primitive(row) for row in rows if row]
-    defining, rest = _split(rows, n)
-    return len(defining) + len(_echelon(rest, _columns(rest, n))[1])
-
-
 def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[tuple[list[int], int] | None, int]:
     """Minimum-norm exact solution of A x = b and rank A.
 
@@ -342,24 +327,14 @@ def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[tuple[list[int], 
     return (nums, den), rank
 
 
-def rank_float(matrix) -> int:
-    a = np.asarray(matrix, dtype=float)
-    if a.size == 0:
-        return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > SV_REL_TOL * sv[0]))
-
-
 def solve_min_norm_float(matrix, rhs):
     """Minimum-norm least-squares solution (None when inconsistent) and rank A.
 
-    The rank is the one ``lstsq`` determines with the same relative
-    cut-off as :func:`rank_float`.  Consistency means the residual is
-    small relative to the data: a genuinely unsolvable system leaves an
-    O(1) residual, roundoff leaves ~1e-13, so ``CONSISTENCY_TOL``
-    separates them cleanly.
+    The rank is the number of singular values of A above ``SV_REL_TOL``
+    times the largest, as ``lstsq`` counts them.  Consistency means the
+    residual is small relative to the data: a genuinely unsolvable
+    system leaves an O(1) residual, roundoff leaves ~1e-13, so
+    ``CONSISTENCY_TOL`` separates them cleanly.
     """
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)

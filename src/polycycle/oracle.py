@@ -210,11 +210,11 @@ class CycleMeasurement:
     exactly when the cycle attracts), from the integral of div f along
     the orbit, ``stable`` whether it attracts, None when the slope
     magnitude is within ``NEUTRAL_SLOPE`` of 1 (neutral, as on the
-    orbits of a center), and ``crossings`` the number of return-map
-    evaluations the root solve took, which is the number of orbits the
-    measurement followed.  ``steps``, ``rejected_steps`` and
-    ``field_evals`` are the integrator's work, summed over those
-    orbits.  ``orbit`` holds the float system and the last orbit's step
+    orbits of a center), and ``crossings`` the number of orbits the
+    measurement followed, one per return-map evaluation of the root
+    solve.  ``steps``, ``rejected_steps`` and ``field_evals`` are the
+    integrator's work over those orbits, counted in one tally as they
+    run.  ``orbit`` holds the float system and the last orbit's step
     records, from which ``samples``, one period of (t, x1, x2) rows for
     export, is formed from the dense output of each step the first time
     it is read; ``field_evals`` does not count the field evaluations
@@ -416,19 +416,6 @@ def _first_step(f, u0, v0, fu0, fv0) -> float:
     return h if h > 0.0 else 1e-6
 
 
-def _work(orbits: list[list[int]]) -> tuple[int, int, int]:
-    """(accepted steps, rejected steps, field evaluations) of the orbits
-    one measurement followed, each held as its [steps, rejects, dense
-    outputs]."""
-    steps = sum(o[0] for o in orbits)
-    rejects = sum(o[1] for o in orbits)
-    dense = sum(o[2] for o in orbits)
-    # two evaluations to start each orbit (f and the first step's), eleven
-    # per attempted step (k2 to k12), one more per accepted step (f at its
-    # end) and three per dense output (k14 to k16)
-    return steps, rejects, 2 * len(orbits) + 11 * (steps + rejects) + steps + 3 * dense
-
-
 def _dense(f, rec):
     """The 7th-order dense output of one step record (sec. II.6).
 
@@ -588,7 +575,7 @@ class _NoReturn(Exception):
     times the longest return measured (4.83 linear periods)."""
 
 
-def _return_map(f, orbits, x: float, t_limit: float):
+def _return_map(f, work, x: float, t_limit: float):
     """Follow the orbit from the section point (x, 0) once around, for at
     most the time ``t_limit``.
 
@@ -608,26 +595,26 @@ def _return_map(f, orbits, x: float, t_limit: float):
     with w and q stepped to the crossing time along with it.  The normal
     components are the orbit's first field evaluation and the last stage
     of that step, which the transversality check reads, so the slope
-    adds no field call.  The orbit's [accepted steps, rejected steps,
-    dense outputs] is appended to ``orbits``.  A return at which the flow
+    adds no field call.  The orbit, its accepted and rejected steps and
+    its dense outputs are added to the tally ``work``, [orbits, accepted
+    steps, rejected steps, dense outputs].  A return at which the flow
     is tangent to the section raises TransversalityError.
     """
     u, v = x, 0.0
     fu, fv, fw = f(u, v)
     normal_start = fv
     t, w, q, trial = 0.0, 0.0, 0.0, _first_step(f, u, v, fu, fv)
-    work = [0, 0, 0]
-    orbits.append(work)
+    work[0] += 1
     records = []
     while True:
         # the time budget, 50 linear periods against at most 4.83 measured
         # for a return, only stops an orbit that never comes back
         event, t, u, v, fu, fv, w, fw, q, trial, steps, rejects = _dop853(
-            f, t, u, v, fu, fv, w, fw, q, trial, t_limit, True, MAX_STEPS - work[0], BLOWUP_NORM,
-            records,
+            f, t, u, v, fu, fv, w, fw, q, trial, t_limit, True, MAX_STEPS - len(records),
+            BLOWUP_NORM, records,
         )
-        work[0] += steps
-        work[1] += rejects
+        work[1] += steps
+        work[2] += rejects
         if event in ("blowup", "underflow"):
             return math.inf, t, math.nan, math.nan, None, records
         if event != "cross":
@@ -638,7 +625,7 @@ def _return_map(f, orbits, x: float, t_limit: float):
         t0, t1 = rec[0], rec[5]
         h = t1 - t0
         coeffs = _dense(f, rec)
-        work[2] += 1
+        work[3] += 1
         # x2 changes sign in the step: from rec[2] at s = 0 to rec[7] at 1
         s = _root(_interpolate, coeffs[8:], 0.0, 1.0, rec[2], rec[7], 1e-12 * max(1.0, abs(t1)) / h)
         tc = t0 + s * h
@@ -653,8 +640,8 @@ def _return_map(f, orbits, x: float, t_limit: float):
         event, _, u, v, fu, fv, w, _, q, _, steps, rejects = _dop853(
             f, *rec[:5], *rec[10:12], rec[26], tc - t0, tc, False, math.inf, math.inf, []
         )
-        work[0] += steps
-        work[1] += rejects
+        work[1] += steps
+        work[2] += rejects
         if event == "underflow":
             raise ArithmeticError(_UNDERFLOW)
         if abs(fv) <= 1e-9 * (1.0 + math.hypot(fu, fv)):
@@ -664,22 +651,18 @@ def _return_map(f, orbits, x: float, t_limit: float):
         return u, tc, normal_start / fv * math.exp(w), q, coeffs, records
 
 
-def _fixed_point(f, orbits, seed: float, tau: float, t_limit: float):
+def _fixed_point(f, work, seed: float, tau: float, t_limit: float):
     """Solve g(x) = P(x) - x by safeguarded Newton steps on g' = P' - 1.
 
-    Returns (return time, P', evaluations, q, crossing dense output,
-    step records) of the last point evaluated, which is the fixed point
-    to ``SETTLE_REL``, or None.  Blow-up makes g = inf and decay onto
-    the origin g = -x, so both count with the sign they imply; P' is
-    undefined there.  Each orbit runs for at most ``t_limit``.
+    Returns (return time, P', q, crossing dense output, step records) of
+    the last point evaluated, which is the fixed point to ``SETTLE_REL``,
+    or None.  Blow-up makes g = inf and decay onto the origin g = -x, so
+    both count with the sign they imply; P' is undefined there.  Each
+    orbit runs for at most ``t_limit`` and is added to the tally ``work``.
     """
-    evaluations = 0
-
     def g(x):
-        nonlocal evaluations
-        evaluations += 1
-        p, t, slope, *orbit = _return_map(f, orbits, x, t_limit)
-        return p - x, (t, slope, evaluations, *orbit)
+        p, t, slope, *orbit = _return_map(f, work, x, t_limit)
+        return p - x, (t, slope, *orbit)
 
     x = seed
     gx, last = g(x)
@@ -790,19 +773,19 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     f = compile_field(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
 
-    orbits: list[list[int]] = []
+    work = [0, 0, 0, 0]  # orbits, accepted steps, rejected steps, dense outputs
     try:
-        found = _fixed_point(f, orbits, seed_radius, tau, t_limit)
+        found = _fixed_point(f, work, seed_radius, tau, t_limit)
     except _NoReturn:
         return None  # no rotation around the origin: nothing to measure
     if found is None or abs(found[1]) > MAX_MULTIPLIER:
         return None
-    return _finish_measurement(f, flt, orbits, *found)
+    return _finish_measurement(f, flt, work, *found)
 
 
-def _finish_measurement(f, system, orbits, period, slope, evaluations, q, crossing, records):
-    amplitude = _amplitude(f, orbits[-1], records, period, crossing)
-    steps, rejects, field_evals = _work(orbits)
+def _finish_measurement(f, system, work, period, slope, q, crossing, records):
+    amplitude = _amplitude(f, work, records, period, crossing)
+    orbits, steps, rejects, dense = work
     return CycleMeasurement(
         amplitude=amplitude,
         radius_rms=math.sqrt(q / period),
@@ -810,10 +793,13 @@ def _finish_measurement(f, system, orbits, period, slope, evaluations, q, crossi
         stable=None if abs(abs(slope) - 1.0) <= NEUTRAL_SLOPE else abs(slope) < 1.0,
         convergence_rate=abs(slope),
         section="x2=0, x1>0",
-        crossings=evaluations,
+        crossings=orbits,
         steps=steps,
         rejected_steps=rejects,
-        field_evals=field_evals,
+        # two evaluations to start each orbit (f and the first step's),
+        # eleven per attempted step (k2 to k12), one more per accepted
+        # step (f at its end) and three per dense output (k14 to k16)
+        field_evals=2 * orbits + 11 * (steps + rejects) + steps + 3 * dense,
         orbit=(system, records),
     )
 
@@ -828,8 +814,8 @@ def _amplitude(f, work, records, period, crossing) -> float:
     are looked for only in a step whose x1 slopes (stages 1, 6 to 12 and
     13 of its record) are not all of one sign, on its dense output, and
     in the crossing step only up to the period.  Each dense output
-    formed here is counted in ``work``, the orbit's [steps, rejects,
-    dense outputs].
+    formed here is counted in the tally ``work``, [orbits, accepted
+    steps, rejected steps, dense outputs].
     """
     last = records[-1]
     s_end = (period - last[0]) / (last[5] - last[0])
@@ -845,7 +831,7 @@ def _amplitude(f, work, records, period, crossing) -> float:
             coeffs, s1 = crossing[:8], s_end
         else:
             coeffs, s1 = _dense(f, rec)[:8], 1.0
-            work[2] += 1
+            work[3] += 1
         for s in _slope_zeros(coeffs, s1):
             x1 = abs(_interpolate(*coeffs, s))
             if x1 > top:

@@ -196,14 +196,20 @@ def _checked(options: AnalysisOptions | None) -> AnalysisOptions:
 
 
 def _resolve(source, options):
-    """Return (definition or None, system, exact alpha used or None)."""
+    """Return (definition or None, system, exact alpha used or None).
+
+    A built system has no alpha to set, so an alpha with one is a
+    ValueError.  Every system is rounded here when ``options.exact`` is
+    false: an overflow meets run_analyze's handler like every other one.
+    """
     if isinstance(source, PlanarPolySystem):
-        return None, source, None
-    defn = source if isinstance(source, SystemDefinition) else load_definition(source)
-    alpha = resolve_alpha(defn, options.alpha)
-    # the one place a definition's system is rounded: an overflow here
-    # meets run_analyze's handler like every other one
-    system = instantiate(defn, alpha)
+        if options.alpha is not None:
+            raise ValueError("a built system has no alpha parameter; pass its definition instead")
+        defn, system, alpha = None, source, None
+    else:
+        defn = source if isinstance(source, SystemDefinition) else load_definition(source)
+        alpha = resolve_alpha(defn, options.alpha)
+        system = instantiate(defn, alpha)
     return defn, system if options.exact else system.to_float(), alpha
 
 
@@ -293,17 +299,11 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
         comparison = dataclasses.asdict(comp)
         if measurement is not None:
             measured = measurement
+            # every field in declaration order, less the orbit behind the samples
             measurement = {
-                "amplitude": measurement.amplitude,
-                "radius_rms": measurement.radius_rms,
-                "period": measurement.period,
-                "stable": measurement.stable,
-                "convergence_rate": measurement.convergence_rate,
-                "section": measurement.section,
-                "crossings": measurement.crossings,
-                "steps": measurement.steps,
-                "rejected_steps": measurement.rejected_steps,
-                "field_evals": measurement.field_evals,
+                f.name: getattr(measured, f.name)
+                for f in dataclasses.fields(measured)
+                if f.name != "orbit"
             }
 
     return AnalysisReport(

@@ -535,21 +535,23 @@ def test_exact_solve_does_not_build_the_dense_matrix(monkeypatch, corpus_systems
 
 
 def test_exact_rank_does_not_build_the_dense_matrix(monkeypatch, corpus_systems):
-    # ConstraintSystem.rank() of an exact system eliminates its own integer
-    # rows, without the right-hand side, for the free and the Gamma_1
-    # system alike; the Fraction RREF of the dense matrix is the reference
-    def assembled():
+    # nullspace_dimension() takes the rank the arithmetic's own solver
+    # returns: an exact system's from its integer rows, for the free and
+    # the Gamma_1 system alike, a float system's from lstsq; the Fraction
+    # RREF of the dense exact matrix is the reference for both
+    def assembled(to_float=False):
         for name, system in corpus_systems.items():
             m = min_degree_bound(system.degree) if system.degree >= 2 else 2
             for free in (True, False):
-                yield name, assemble_constraints(system, m, free=free)
+                yield name, assemble_constraints(system.to_float() if to_float else system, m, free=free)
 
     reference = [len(rref(cs.matrix.tolist())[1]) for _, cs in assembled()]
+    for (name, cs), rank in zip(assembled(to_float=True), reference):
+        assert cs.nullspace_dimension() == cs.unknown_count - rank, (name, cs.free)
 
     def refuse(self):
         raise AssertionError("dense constraint matrix built")
 
     monkeypatch.setattr(cov_mod.ConstraintSystem, "_dense", property(refuse))
     for (name, cs), rank in zip(assembled(), reference):
-        assert cs.rank() == rank, (name, cs.free)
         assert cs.nullspace_dimension() == cs.unknown_count - rank, (name, cs.free)

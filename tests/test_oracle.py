@@ -576,9 +576,9 @@ def test_amplitude_stops_at_the_return():
     system = _normal_form(Fraction(1, 10)).to_float()
     f = oracle.compile_field(system)
     p, period, _, _, crossing, records = oracle._return_map(
-        f, [], 0.1, oracle._return_budget(system)
+        f, [0, 0, 0, 0], 0.1, oracle._return_budget(system)
     )
-    amplitude = oracle._amplitude(f, [0, 0, 0], records, period, crossing)
+    amplitude = oracle._amplitude(f, [0, 0, 0, 0], records, period, crossing)
     assert amplitude == pytest.approx(p, rel=1e-9)
     assert amplitude == pytest.approx(_dense_max_abs_x1(f, records, period), rel=1e-10)
     assert amplitude < 0.999 * _dense_max_abs_x1(f, records, records[-1][5])
@@ -795,7 +795,7 @@ def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
     f = oracle.compile_field(system)
 
     def ret(y):
-        return oracle._return_map(f, [], y, oracle._return_budget(system))
+        return oracle._return_map(f, [0, 0, 0, 0], y, oracle._return_budget(system))
 
     p, _, slope, *_ = ret(x)
     assert abs(p - x) > 0.1 * x

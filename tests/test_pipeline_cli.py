@@ -1,5 +1,6 @@
 """End-to-end reports, parameter sweeps, and the command line."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from polycycle import pipeline
 from polycycle.change_of_variables import NoSolutionError, assemble_constraints
 from polycycle.cli import _parse_alphas, main
 from polycycle.definition import instantiate, load_definition
-from polycycle.oracle import CYCLE_SAMPLES
+from polycycle.oracle import CYCLE_SAMPLES, CycleMeasurement
 from polycycle.pipeline import (
     CURVE_SAMPLES,
     AnalysisOptions,
@@ -240,6 +241,30 @@ def test_measurement_reports_the_oracle_work(systems_dir, monkeypatch):
     # twelve evaluations per accepted step at the least
     assert meas.field_evals >= 12 * meas.steps > 0
     assert run_analyze(systems_dir / "normal_form.json", options).to_json() == report.to_json()
+
+
+def test_measurement_keys_are_the_measurement_fields(systems_dir):
+    # the report's measurement is the CycleMeasurement less its orbit, in
+    # field order; the work comes from one tally: 2 field evaluations per
+    # orbit, 12 per accepted and 11 per rejected step, 3 per dense output,
+    # and at least one dense output per orbit here, at its return
+    report = run_analyze(systems_dir / "normal_form.json", AnalysisOptions(alpha="1/1000"))
+    fields = [f.name for f in dataclasses.fields(CycleMeasurement) if f.name != "orbit"]
+    assert list(report.measurement) == fields
+    meas = report.measurement
+    dense = meas["field_evals"] - 2 * meas["crossings"] - 12 * meas["steps"] - 11 * meas["rejected_steps"]
+    assert dense % 3 == 0 and dense >= 3 * meas["crossings"]
+
+
+def test_a_built_system_follows_the_options(normal_form_system):
+    # exact=False rounds a built system as it rounds a definition's, and
+    # a built system has no alpha to set
+    options = AnalysisOptions(exact=False, measure=False)
+    report = run_analyze(normal_form_system, options)
+    assert report.arithmetic == "float"
+    assert report.to_json() == run_analyze(normal_form_system.to_float(), options).to_json()
+    with pytest.raises(ValueError, match="alpha"):
+        run_analyze(normal_form_system, AnalysisOptions(alpha="1/3", measure=False))
 
 
 @pytest.mark.parametrize("exact", [True, False])
