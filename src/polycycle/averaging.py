@@ -48,6 +48,9 @@ __all__ = [
     "cycle_curve",
 ]
 
+# Points cycle_curve samples by default, as every report does: the oracle's
+# seed and the amplitude that compare() judges are read off them.
+CURVE_SAMPLES = 512
 # |p3| at or below this is degenerate: first-order averaging cannot
 # decide existence, reported distinctly from a clean "no cycle" verdict.
 P3_TOL = 1e-12
@@ -182,7 +185,7 @@ def predict_cycle(tau, delta, p3, q3) -> KbmPrediction:
     )
 
 
-def cycle_curve(cov: ChangeOfVariables, prediction: KbmPrediction, sample_count: int = 256) -> np.ndarray:
+def cycle_curve(cov: ChangeOfVariables, prediction: KbmPrediction, sample_count: int = CURVE_SAMPLES) -> np.ndarray:
     """Sample the predicted cycle back in the original coordinates.
 
     The averaged solution is z = sqrt(|tau|) r0 sin(sqrt(delta) w0 t)

@@ -8,9 +8,8 @@ Two subcommands::
 Exit status: 0 when the analysis ran (whatever the verdict, including
 "no change of variables found", which only the float backend can
 report), 1 on bad input (unreadable file, invalid definition, origin
-without a complex pair, a value beyond the float range, a --seed-radius
-that is not positive and finite, 0 included, a tolerance that is
-negative or not finite, bad flags), 2 on an internal failure.
+without a complex pair, a value beyond the float range, bad or unknown
+flags), 2 on an internal failure.
 A sweep prints every row, and exits 1 when any row is an ``error`` row,
 after one ``error:`` line per such row on stderr.
 
@@ -63,25 +62,11 @@ def _add_shared(sub):
     sub.add_argument(
         "--no-measure", action="store_true", help="skip the numerical cross-check"
     )
-    sub.add_argument("--seed-radius", type=float, default=None, help="oracle seed radius")
-    sub.add_argument(
-        "--amp-tol", type=float, default=0.1, help="relative amplitude tolerance for agreement"
-    )
-    sub.add_argument(
-        "--period-tol", type=float, default=0.1, help="relative period tolerance for agreement"
-    )
     sub.add_argument("--out", type=Path, default=None, help="directory for output files")
 
 
 def _options(args, alpha) -> AnalysisOptions:
-    return AnalysisOptions(
-        alpha=alpha,
-        exact=not args.use_float,
-        measure=not args.no_measure,
-        seed_radius=args.seed_radius,
-        amp_tol=args.amp_tol,
-        period_tol=args.period_tol,
-    )
+    return AnalysisOptions(alpha=alpha, exact=not args.use_float, measure=not args.no_measure)
 
 
 def _cmd_analyze(args) -> int:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import cycle_curve, g_coefficients, p3_q3, predict_cycle
+# CURVE_SAMPLES is not used here; the tests import it under this module's name.
+from .averaging import CURVE_SAMPLES, cycle_curve, g_coefficients, p3_q3, predict_cycle  # noqa: F401
 # assemble_constraints is not called here; perfbench/tracing.py wraps it
 # under this module's name, so it stays imported.
 from .change_of_variables import (  # noqa: F401
@@ -30,14 +31,10 @@ from .change_of_variables import (  # noqa: F401
 )
 from .definition import SystemDefinition, instantiate, load_definition, resolve_alpha
 from .inversion import invert_to_cubic, trust_radius
-from .oracle import CycleMeasurement, check_seed_radius, check_tolerances, compare, measure_cycle
+from .oracle import CycleMeasurement, compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
 
 __all__ = ["AnalysisOptions", "AnalysisReport", "run_analyze", "run_sweep", "sweep_to_csv"]
-
-# Points on the predicted cycle curve (the oracle's seed and the
-# amplitude that compare() judges are read off it).
-CURVE_SAMPLES = 512
 
 
 @dataclass
@@ -47,9 +44,6 @@ class AnalysisOptions:
     alpha: object = None
     exact: bool = True
     measure: bool = True
-    seed_radius: float | None = None
-    amp_tol: float = 0.1
-    period_tol: float = 0.1
 
 
 def _prediction_dict(pred) -> dict:
@@ -186,15 +180,6 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _checked(options: AnalysisOptions | None) -> AnalysisOptions:
-    """The options, or the defaults, after the oracle's own checks."""
-    options = options or AnalysisOptions()
-    if options.seed_radius is not None:
-        check_seed_radius(options.seed_radius)
-    check_tolerances(options.amp_tol, options.period_tol)
-    return options
-
-
 def _resolve(source, options):
     """Return (definition or None, system, exact alpha used or None).
 
@@ -222,12 +207,11 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
     exact value of the system or of its analysis lies beyond the float
     range, since the report and the oracle are in floats.  A missing
     change of variables is NOT an error; the report comes back with
-    status ``no_change_of_variables``.  A seed radius or tolerance that
-    :func:`~polycycle.oracle.measure_cycle` or
-    :func:`~polycycle.oracle.compare` would refuse is a ValueError even
-    when the oracle does not run.
+    status ``no_change_of_variables``.  The oracle's seed and the verdict
+    line are fixed: the predicted amplitude (0.25 with no predicted
+    cycle) and :data:`~polycycle.oracle.AGREE_TOL`.
     """
-    options = _checked(options)
+    options = options or AnalysisOptions()
     try:
         return _analyze(source, options)
     except OverflowError as err:
@@ -282,20 +266,16 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
 
     curve = None
     if pred.exists:
-        curve = cycle_curve(cov, pred, sample_count=CURVE_SAMPLES)
+        curve = cycle_curve(cov, pred)
 
     measurement = None
     comparison = None
     measured = None
     if options.measure:
-        seed = options.seed_radius
-        if seed is None:
-            # the predicted amplitude: its error shrinks as alpha -> 0
-            seed = float(np.max(np.abs(curve[:, 1:]))) if pred.exists else 0.25
+        # the predicted amplitude: its error shrinks as alpha -> 0
+        seed = float(np.max(np.abs(curve[:, 1:]))) if pred.exists else 0.25
         measurement = measure_cycle(system, seed)
-        comp = compare(
-            pred, curve, measurement, amp_tol=options.amp_tol, period_tol=options.period_tol
-        )
+        comp = compare(pred, curve, measurement)
         comparison = dataclasses.asdict(comp)
         if measurement is not None:
             measured = measurement
@@ -340,10 +320,12 @@ def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[di
     cycle).  A point whose analysis raises ValueError (an input error,
     see :func:`run_analyze`) gets a row with verdict ``error``, the
     alpha as given, no other values and the message under ``error``;
-    other exceptions propagate.  Bad options raise ValueError once, as
-    for :func:`run_analyze`, before any point runs.
+    other exceptions propagate.  A source with no alpha to sweep, a
+    built system among them, raises ValueError before any point runs.
     """
-    options = _checked(options)
+    options = options or AnalysisOptions()
+    if isinstance(source, PlanarPolySystem):
+        raise ValueError("a built system has no alpha parameter to sweep; pass its definition instead")
     defn = source if isinstance(source, SystemDefinition) else load_definition(source)
     if not defn.uses_alpha:
         raise ValueError(f"system {defn.name!r} has no alpha parameter to sweep")

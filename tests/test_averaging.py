@@ -17,6 +17,7 @@ from polycycle.averaging import (
 from polycycle.change_of_variables import ChangeOfVariables, residual_condition33, solve_theta
 from polycycle.inversion import invert_to_cubic, p_operator, r2_operator, trust_radius
 from polycycle.monomials import as_array, as_scaled, lie_row
+from polycycle.pipeline import AnalysisOptions, run_analyze
 from polycycle.system import build_system, hopf_indicator
 
 
@@ -191,6 +192,16 @@ def test_cycle_curve_spacing_and_validation(normal_form_cov, normal_form_system,
         cycle_curve(normal_form_cov, none)
     with pytest.raises(ValueError):
         cycle_curve(normal_form_cov, pred, sample_count=0)
+
+
+def test_cycle_curve_defaults_to_the_report_curve(normal_form_cov, normal_form_system, normal_form_inverse):
+    # a library call samples the same curve, and the same amplitude, as a report
+    ind = hopf_indicator(normal_form_system)
+    g = g_coefficients(normal_form_system, normal_form_cov, normal_form_inverse)
+    p3, q3 = p3_q3(g.g3, float(ind.delta))
+    pred = predict_cycle(float(ind.tau), float(ind.delta), p3, q3)
+    report = run_analyze(normal_form_system, AnalysisOptions(measure=False))
+    np.testing.assert_array_equal(cycle_curve(normal_form_cov, pred), report.predicted_curve)
 
 
 def test_exact_reduction_stays_in_fractions(corpus_systems, corpus_covs):

@@ -833,9 +833,13 @@ def test_spiral_source_yields_no_cycle():
 
 
 def test_measure_validates_seed():
+    # 0 is a given seed radius, not a missing one
     system = _normal_form(0.05).to_float()
-    with pytest.raises(ValueError):
-        measure_cycle(system, 0.0)
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="seed_radius must be positive and finite"):
+            measure_cycle(system, radius)
+    # a seed off the predicted amplitude finds the same cycle, of radius sqrt(alpha)
+    assert measure_cycle(system, 0.2).amplitude == pytest.approx(math.sqrt(0.05), rel=1e-6)
 
 
 def test_a_numpy_seed_is_stepped_as_a_float():
@@ -927,6 +931,23 @@ def test_compare_agreement_and_mismatch():
     neutral = compare(pred, _curve(pred.z_amplitude), _fake_measurement(pred.z_amplitude, period, None))
     assert neutral.verdict == "agreement"
     assert neutral.stability_match is None
+
+
+def test_compare_verdict_line_on_each_figure():
+    # the line is 10 % relative to the measurement, on the amplitude and on
+    # the period each: 9 % off on one figure alone agrees, 11 % off disagrees
+    pred = predict_cycle(0.1, 1.0, 0.5, 0.0)
+    amp, period = pred.z_amplitude, pred.period
+    for off, verdict in ((0.09, "agreement"), (0.11, "disagreement")):
+        by_amp = compare(pred, _curve(amp), _fake_measurement(amp / (1.0 + off), period, True))
+        assert by_amp.amplitude_rel_err == pytest.approx(off)
+        assert by_amp.period_rel_err == pytest.approx(0.0, abs=1e-15)
+        by_period = compare(pred, _curve(amp), _fake_measurement(amp, period / (1.0 + off), True))
+        assert by_period.period_rel_err == pytest.approx(off)
+        assert by_period.amplitude_rel_err == pytest.approx(0.0, abs=1e-15)
+        for comp in (by_amp, by_period):
+            assert comp.verdict == verdict
+            assert comp.amp_tol == comp.period_tol == oracle.AGREE_TOL == 0.1
 
 
 def test_compare_without_measurement():

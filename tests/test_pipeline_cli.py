@@ -86,22 +86,6 @@ def test_missing_change_of_variables_is_reported(systems_dir, monkeypatch, capsy
     assert "warning: no change of variables at theta degree 4" in out
 
 
-def test_zero_seed_radius_is_refused(systems_dir, capsys):
-    # 0 is a given seed radius, not a missing one
-    path = systems_dir / "normal_form.json"
-    for radius in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="seed_radius must be positive"):
-            run_analyze(path, AnalysisOptions(seed_radius=radius))
-    for flag in ("--seed-radius=0", "--seed-radius=-1", "--seed-radius=nan", "--seed-radius=inf"):
-        assert main(["analyze", str(path), flag]) == 1
-        assert "seed_radius must be positive" in capsys.readouterr().err
-        # refused whether or not the oracle runs
-        assert main(["analyze", str(path), flag, "--no-measure"]) == 1
-        assert "seed_radius must be positive" in capsys.readouterr().err
-    report = run_analyze(path, AnalysisOptions(seed_radius=0.2))
-    assert report.verdict == "agreement"
-
-
 def test_analyze_rejects_saddle(tmp_path):
     bad = tmp_path / "saddle.json"
     bad.write_text(json.dumps({"name": "saddle", "jac": [[0, 1], [1, 0]]}))
@@ -304,6 +288,13 @@ def test_sweep_requires_parameterized_system(systems_dir):
         run_sweep(systems_dir / "quadratic.json", [0.1], AnalysisOptions())
 
 
+def test_sweep_refuses_a_built_system(normal_form_system):
+    # a built system has no alpha to sweep: the same ValueError as the
+    # other input checks, before any point runs
+    with pytest.raises(ValueError, match="no alpha parameter to sweep"):
+        run_sweep(normal_form_system, [0.01])
+
+
 def test_cli_analyze_json_output(systems_dir, capsys):
     code = main(["analyze", str(systems_dir / "normal_form.json"), "--json"])
     assert code == 0
@@ -447,21 +438,24 @@ def test_cli_input_errors_exit_one(systems_dir, tmp_path, capsys):
     assert main(["sweep", str(systems_dir / "normal_form.json"), "--alphas", "1:2"]) == 1
     assert "error:" in capsys.readouterr().err
 
-    # a tolerance that no measurement can meet, or that every one meets,
-    # is a bad flag, not a silent disagreement
+    # the oracle's seed and the verdict lines are fixed, so their former
+    # flags are unknown ones, at any value, whether or not the oracle runs;
+    # a sweep refuses them once, with no row printed
     path = str(systems_dir / "normal_form.json")
-    for flag in ("--amp-tol=-1", "--amp-tol=nan", "--amp-tol=inf", "--period-tol=-0.1"):
-        assert main(["analyze", path, flag]) == 1
-        assert "must be non-negative and finite" in capsys.readouterr().err
-        assert main(["analyze", path, flag, "--no-measure"]) == 1
-        assert "must be non-negative and finite" in capsys.readouterr().err
-        # a sweep refuses the flag once, with no row printed
-        assert main(["sweep", path, "--alphas", "1/100,1/50", flag]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("error:") == 1 and "must be non-negative and finite" in err
-    for flag in ("--seed-radius=nan", "--seed-radius=inf"):
-        assert main(["analyze", path, flag]) == 1
-        assert "seed_radius must be positive" in capsys.readouterr().err
+    seeds = ("0", "-1", "nan", "inf", "0.2")
+    flags = [f"--seed-radius={v}" for v in seeds] + [
+        "--amp-tol=-1", "--amp-tol=nan", "--amp-tol=inf", "--amp-tol=0.5",
+        "--period-tol=-0.1", "--period-tol=0.5",
+    ]
+    for flag in flags:
+        for argv in (
+            ["analyze", path, flag],
+            ["analyze", path, flag, "--no-measure"],
+            ["sweep", path, "--alphas", "1/100,1/50", flag],
+        ):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "unrecognized arguments" in err
 
 
 def test_cli_power_errors_exit_one(capsys):
