@@ -238,7 +238,7 @@ def test_min_norm_exact_on_constraint_systems():
         assert cs.nullspace_dimension() == cs.unknown_count - rank
 
 
-def test_min_norm_exact_on_a_coupled_block_with_free_unknowns():
+def test_min_norm_exact_on_a_coupled_block_with_free_unknowns(monkeypatch):
     # phi_3 = (x^2 + y^2)(-y, x) with J = [[alpha, -1], [1, alpha]]: at
     # m = 4 the 13 rows that own no column have rank 8 over 9 columns,
     # so they force some of their unknowns to 0 and leave one free, and
@@ -251,12 +251,17 @@ def test_min_norm_exact_on_a_coupled_block_with_free_unknowns():
     defining, rest = linalg._split([linalg._primitive(row) for row in cs.rows if row], n)
     assert (len(defining), len(rest), len(linalg._columns(rest, n))) == (12, 13, 9)
     assert _rank(rest, n) == 8
+    # the certificate of full column rank refuses the block, so the
+    # exact elimination runs, once
+    assert not linalg._full_column_rank(rest, linalg._columns(rest, n))
     a = cs.matrix.tolist()
     row_two = [c for c, label in enumerate(cs.unknown_layout) if label[2] == 2]
     order = row_two + [c for c in range(n) if c not in row_two]
     expected, rank = _reference_min_norm(a, list(cs.rhs), order)
     assert expected is not None and rank == 12 + 8
+    calls, _ = _count_calls(monkeypatch, ["_echelon"])
     assert _fractions(solve_min_norm_exact(cs.rows, n)) == (expected, rank)
+    assert calls["_echelon"] == 1
     assert _rank([{c: v for c, v in row.items() if c < n} for row in cs.rows], n) == rank
     assert _rank_dense(a) == rank
     assert residual_condition33(solve_theta(system), system) == 0
@@ -353,23 +358,10 @@ def test_spd_solve_matches_fraction_rref():
     assert big >= 15, big
 
 
-def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
-    # one fixed degree-4 system at its counting bound, m = 7 (63 x 66):
-    # eliminating every row in column index order takes 1104 row
-    # operations, taking the 33 singleton columns first 372 (232 of them
-    # against a pivot row with one entry).  Setting the 33 rows that own
-    # those columns aside and eliminating only the other 30 takes 140;
-    # those 30 force all 21 of their unknowns to 0, and each zero column
-    # is dropped from the rows that hold it, not cancelled.  The Gram
-    # system is solved densely, outside this kernel
-    jac = [[Fraction(1, 50), -1], [1, Fraction(1, 50)]]
-    phi = [
-        [[-1, -3, Fraction(3, 2)], [-1, -2, Fraction(-3, 4)]],
-        [[6, 1, Fraction(19, 2), -4], [Fraction(-1, 2), 9, Fraction(-1, 3), 7]],
-        [[Fraction(-2, 3), Fraction(4, 3), -4, -2, -3], [-2, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), 1]],
-    ]
-    cs = assemble_constraints(build_system(jac, phi), 7)
-    calls = {"_cancel": 0, "_echelon": 0, "_drop": 0}
+def _count_calls(monkeypatch, names):
+    """Count the calls of the linalg functions ``names``, and list the
+    pivot rows with one entry that ``_cancel`` is called with."""
+    calls = dict.fromkeys(names, 0)
     one_entry = []
 
     def counting(name):
@@ -383,9 +375,39 @@ def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(linalg, name, counting(name))
+    return calls, one_entry
+
+
+def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
+    # one fixed degree-4 system at its counting bound, m = 7 (63 x 66):
+    # eliminating every row in column index order takes 1104 row
+    # operations, taking the 33 singleton columns first 372 (232 of them
+    # against a pivot row with one entry).  Setting the 33 rows that own
+    # those columns aside leaves 30 coupled rows over 21 columns, which
+    # force all their unknowns to 0.  The float certificate proves their
+    # full column rank, so nothing is eliminated or cancelled: the zero
+    # columns are dropped from the defining rows.  Eliminating the 30
+    # rows instead, the exact fallback, takes 140 row operations, and
+    # each zero column is dropped from the rows that hold it, not
+    # cancelled.  The Gram system is solved densely, outside this kernel
+    jac = [[Fraction(1, 50), -1], [1, Fraction(1, 50)]]
+    phi = [
+        [[-1, -3, Fraction(3, 2)], [-1, -2, Fraction(-3, 4)]],
+        [[6, 1, Fraction(19, 2), -4], [Fraction(-1, 2), 9, Fraction(-1, 3), 7]],
+        [[Fraction(-2, 3), Fraction(4, 3), -4, -2, -3], [-2, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), 1]],
+    ]
+    cs = assemble_constraints(build_system(jac, phi), 7)
+    calls, one_entry = _count_calls(monkeypatch, ["_cancel", "_echelon", "_drop"])
+    certified = solve_min_norm_exact(cs.rows, cs.unknown_count)
+    assert calls["_echelon"] == calls["_cancel"] == 0
+    assert calls["_drop"] <= 33
+
+    monkeypatch.setattr(linalg, "_full_column_rank", lambda rows, columns: False)
+    calls.update(dict.fromkeys(calls, 0))
     (nums, den), rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
+    assert ((nums, den), rank) == certified
     assert rank == 54 and den > 0
     assert calls["_echelon"] == 1
     assert 0 < calls["_cancel"] <= 140
@@ -394,6 +416,157 @@ def test_min_norm_exact_takes_singleton_columns_first(monkeypatch):
     # forward pass, then at most one per row, of all the zero columns it
     # holds at once
     assert calls["_drop"] <= 50
+
+
+def _known_rank_block(rng):
+    """An integer block, a product of random integer factors rows x r and
+    r x cols (r = cols half the time), whose rank the Fraction ``rref``
+    gives.  The factors' entries run from 1 digit to 2^520, so the
+    block's run from 1 digit past ``CERTIFY_MAX_BITS``; some rows are
+    zeroed or repeated, some columns zeroed, and now and then a row with
+    a single entry is added."""
+    cols = rng.randint(1, 6)
+    rows = rng.randint(1, 8)
+    if rng.random() < 0.5:
+        rows = max(rows, cols + rng.randint(0, 2))
+    r = cols if rng.random() < 0.5 else rng.randint(1, cols)
+    bits = rng.choice((2, 4, 30, 100, 300, 520))
+
+    def factor():
+        return rng.randint(-(2**bits), 2**bits) if rng.random() < 0.7 else 0
+
+    left = [[factor() for _ in range(r)] for _ in range(rows)]
+    right = [[factor() for _ in range(cols)] for _ in range(r)]
+    a = [[_dot(lrow, [rrow[j] for rrow in right]) for j in range(cols)] for lrow in left]
+    for row in a:
+        if rng.random() < 0.1:
+            row[:] = [0] * cols
+    for j in range(cols):
+        if rng.random() < 0.1:
+            for row in a:
+                row[j] = 0
+    if rng.random() < 0.3:
+        a.append(list(rng.choice(a)))
+    if rng.random() < 0.2:
+        single = [0] * cols
+        single[rng.randrange(cols)] = factor() or 1
+        a.insert(rng.randrange(len(a) + 1), single)
+    return a
+
+
+def _with_defining_rows(rng, a, b):
+    """[A | b] joined by up to two rows that each own a new column: a -1
+    there, some entries over A's columns and a nonzero right-hand side,
+    so a homogeneous block still has a nonzero minimum-norm solution."""
+    cols = len(a[0])
+    extra = rng.randint(0, 2)
+    a = [row + [0] * extra for row in a]
+    b = list(b)
+    for t in range(extra):
+        row = [rng.randint(-5, 5) for _ in range(cols)] + [0] * extra
+        row[cols + t] = -1
+        a.append(row)
+        b.append(rng.randint(1, 9))
+    return a, b
+
+
+def test_full_column_rank_certificate_is_sound():
+    rng = random.Random(2006)
+    kinds = ("proved", "float_proved", "refused_full", "deficient", "wide", "inconsistent", "homogeneous")
+    seen = dict.fromkeys(kinds, 0)
+    for trial in range(300):
+        a = _known_rank_block(rng)
+        rows = _integer_rows(a)
+        columns = linalg._columns(rows, len(a[0]))
+        full = len(rref(_f(a))[1]) == len(columns)
+        proved = linalg._full_column_rank(rows, columns)
+        # never a proof for a rank-deficient block
+        assert full or not proved, a
+        seen["proved" if proved else "refused_full" if full else "deficient"] += 1
+        # no row with one entry: the exact pre-pass settles nothing
+        seen["float_proved"] += proved and all(len(row) > 1 for row in rows)
+        bits = max(abs(v).bit_length() for row in a for v in row)
+        seen["wide"] += bits > linalg.CERTIFY_MAX_BITS
+        # the solve equals the Fraction reference, homogeneous (where the
+        # certificate may skip the elimination), consistent or not
+        kind = trial % 3
+        if kind == 0:
+            b = [0] * len(a)
+        else:
+            x0 = [rng.randint(-9, 9) for _ in a[0]]
+            b = [_dot(row, x0) + (rng.randint(-9, 9) if kind == 2 else 0) for row in a]
+        a, b = _with_defining_rows(rng, a, b)
+        a, b = _f(a), [*map(Fraction, b)]
+        expected, rank = _reference_min_norm(a, b)
+        assert _solve_dense(a, b) == (expected, rank)
+        seen["inconsistent"] += expected is None
+        seen["homogeneous"] += kind == 0
+    assert min(seen.values()) >= 10, seen
+
+
+def test_full_column_rank_refuses_an_ill_conditioned_block():
+    # k [[N, N + 1], [N + 1, N + 2]] with N = 2^60 has determinant -k^2:
+    # full rank, but both rows round to the same float direction, so the
+    # float step cannot prove it and the exact path runs
+    n_big = 2**60
+    for k in (1, 3, 2**40 + 1):
+        a = [[k * n_big, k * (n_big + 1)], [k * (n_big + 1), k * (n_big + 2)]]
+        assert _rank_dense(_f(a)) == 2
+        assert not linalg._full_column_rank([dict(enumerate(row)) for row in a], [0, 1])
+        for b in ([0, 0], [1, -1]):
+            wide, rhs = _with_defining_rows(random.Random(k), a, b)
+            wide, rhs = _f(wide), [*map(Fraction, rhs)]
+            assert _solve_dense(wide, rhs) == _reference_min_norm(wide, rhs)
+
+
+def _generic_system(rng, n, alpha, digits=0):
+    """A generic exact system of degree n: J = [[alpha, -1], [1, alpha]]
+    and phi_k coefficients +-p/q with p, q in 1..4, each times a random
+    integer of ``digits`` digits when that is not 0."""
+
+    def coefficient():
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 4))
+        return c * rng.randint(10 ** (digits - 1), 10**digits - 1) if digits else c
+
+    phi = [[[coefficient() for _ in range(k + 1)] for _ in range(2)] for k in range(2, n + 1)]
+    return build_system([[alpha, -1], [1, alpha]], phi)
+
+
+def _solves(systems):
+    """solve_theta of each system, its blocks as numerators and
+    denominators, and the exact solve of its constraint rows."""
+    out = []
+    for system in systems:
+        cov = solve_theta(system)
+        blocks = {k: (b.num.tolist(), b.den) for k, b in cov.blocks.items()}
+        cs = assemble_constraints(system, cov.m)
+        out.append((blocks, cov.rank, solve_min_norm_exact(cs.rows, cs.unknown_count)))
+    return out
+
+
+def test_certified_solve_equals_the_exact_elimination(monkeypatch, corpus_systems):
+    alphas = (Fraction(1, 20), Fraction(1, 50), Fraction(-1, 50))
+    generic = [
+        _generic_system(rng, n, alpha)
+        for rng in (random.Random(7), random.Random(8))
+        for n in range(2, 8)
+        for alpha in alphas
+    ]
+    rng = random.Random(17)
+    generic += [_generic_system(rng, n, Fraction(1, 50), digits=17) for n in range(2, 8)]
+    proofs = []
+    certify = linalg._full_column_rank
+
+    def recording(rows, columns):
+        proofs.append(certify(rows, columns))
+        return proofs[-1]
+
+    monkeypatch.setattr(linalg, "_full_column_rank", recording)
+    live = _solves(generic + list(corpus_systems.values()))
+    # every block is proved: its elimination is skipped
+    assert proofs == [True] * 2 * len(live)
+    monkeypatch.setattr(linalg, "_full_column_rank", lambda rows, columns: False)
+    assert _solves(generic + list(corpus_systems.values())) == live
 
 
 def _rank_float(a):
