@@ -21,8 +21,10 @@ so both are read off index tables built once per degree.
 
 An exact system is worked over the integers: the constraints are J and
 phi scaled by D, the lcm of their denominators, written straight into
-the sparse integer rows that :func:`~polycycle.linalg.solve_min_norm_exact`
-eliminates, and the change of variables holds Gamma and each Theta_k
+the split that :func:`~polycycle.linalg.solve_min_norm_exact` takes:
+the equations of the row-2 Theta_k unknowns as dense integer lists over
+the row-1 ones, the other equations as sparse integer rows.  The
+change of variables holds Gamma and each Theta_k
 as integer numerators over the block's own denominator
 (:class:`~polycycle.monomials.Scaled`).  The certificate expands D_h H
 along D_f f over the integers and divides by D_h D_f once.  A float
@@ -40,7 +42,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import solve_min_norm_exact, solve_min_norm_float
+from .linalg import Split, solve_min_norm_exact, solve_min_norm_float
 from .monomials import Scaled, as_array, as_float, as_scaled, denominator_lcm, eval_poly_map, numerators
 from .polyops import poly_from_lambda_row
 from .system import PlanarPolySystem
@@ -93,19 +95,20 @@ def _slot(k: int, row: int, col: int) -> int:
 class ConstraintSystem:
     """Assembled linear system over the change-of-variables unknowns.
 
-    An exact system holds ``rows``: ``rows[i]`` is equation i of
-    ``scale`` * [A | b] as a sparse row {column: int}, b in column
-    ``unknown_count`` and ``scale`` the lcm D of the coefficient
-    denominators; the dense Fraction ``matrix`` and ``rhs`` are built
-    from the rows on first use.  A float system holds [A | b] as one
-    float64 array, ``augmented``, and no rows.
+    An exact system holds ``split``: the rows of ``scale`` * [A | b],
+    ``scale`` the lcm D of the coefficient denominators, with the
+    defining rows set apart (:class:`~polycycle.linalg.Split`), b in
+    column ``unknown_count``.  ``rows``, equation i as a sparse row
+    {column: int}, and the dense Fraction ``matrix`` and ``rhs`` are
+    built from it on first use.  A float system holds [A | b] as one
+    float64 array, ``augmented``, and no split.
 
     A ``free`` system is homogeneous with (a, b) as the two leading
     unknowns and ``rhs`` is None; otherwise (a, b) = (1, 0), Gamma =
     Gamma_1, and ``rhs`` carries the induced inhomogeneity.
     """
 
-    rows: tuple[dict, ...] | None
+    split: Split | None
     scale: int
     exact: bool
     unknown_layout: tuple
@@ -119,7 +122,11 @@ class ConstraintSystem:
 
     @property
     def equation_count(self) -> int:
-        return len(self.rows) if self.exact else len(self.augmented)
+        return len(self.split.pivots) + len(self.split.coupled) if self.exact else len(self.augmented)
+
+    @cached_property
+    def rows(self) -> tuple[dict, ...] | None:
+        return tuple(self.split.rows(self.unknown_count)) if self.exact else None
 
     @cached_property
     def _dense(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -143,7 +150,7 @@ class ConstraintSystem:
     def nullspace_dimension(self) -> int:
         """Unknowns minus rank A, the rank the arithmetic's own solver returns."""
         if self.exact:
-            return self.unknown_count - solve_min_norm_exact(self.rows, self.unknown_count)[1]
+            return self.unknown_count - solve_min_norm_exact(self.split, self.unknown_count)[1]
         rhs = np.zeros(len(self.matrix)) if self.free else self.rhs
         return self.unknown_count - solve_min_norm_float(self.matrix, rhs)[1]
 
@@ -155,8 +162,14 @@ def _coupling_table(n: int, m: int, free: bool):
     (see :func:`_slot`), then 0 and the scale, the entry in row r and
     column c is w1 p[i1] + w2 p[i2] for each (r, c, w1, i1, w2, i2),
     listed in the order of the row's keys.  Returns the unknown layout,
-    the entries, the shape of [A | b] and the index arrays of the float
-    gather: positions in the flattened [A | b], then w1, i1, w2, i2."""
+    the shape of [A | b], the index arrays of the float gather
+    (positions in the flattened [A | b], then w1, i1, w2, i2) and the
+    split of the integer rows.  Each row of blocks 2 .. m is a defining
+    row, with -1 (times the scale) in a row-2 Theta_k column that no
+    other row holds; the rows of blocks m + 1 .. m + n - 1 are coupled.
+    The split is the pivot columns, the other columns of A, the defining
+    rows' other entries, each with its position in their dense rows over
+    those columns and b, and the coupled rows' entries, rows from 0."""
     layout = (("a",), ("b",))[: 2 if free else 0]
     layout += tuple(("theta", k, r, c) for k in range(2, m + 1) for r in (1, 2) for c in range(1, k + 2))
     zero, one = n * (n + 3), n * (n + 3) + 1
@@ -185,7 +198,13 @@ def _coupling_table(n: int, m: int, free: bool):
     index = np.array(entries, dtype=np.intp).T
     index = np.vstack([index[0] * (width + 1) + index[1], index[2:]])
     index.flags.writeable = False  # shared by every caller, as the tuples are
-    return layout, tuple(entries), (row, width + 1), index
+    pivots = tuple(_slot(k, 1, i) + shift for k in range(2, m + 1) for i in range(k + 1))
+    others = tuple(c for c in range(width) if c not in pivots)
+    at = {c: j for j, c in enumerate([*others, width])}
+    top = len(pivots)
+    dense = tuple((r * len(at) + at[c], *w) for r, c, *w in entries if r < top and c != pivots[r])
+    coupled = tuple((r - top, c, *w) for r, c, *w in entries if r >= top)
+    return layout, (row, width + 1), index, (pivots, others, dense, coupled)
 
 
 def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -> ConstraintSystem:
@@ -217,22 +236,27 @@ def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -
     denominators, so the couplings are the same combinations of D phi_j,
     the row-2 entries are -D and the right-hand side is -D phi_k[0, i].
     Each row is D times the rational one, so its primitive integer form
-    is the same.  A float system is one gather over the table into
-    [A | b].
+    is the same.  The rows come split as the table splits them
+    (:class:`~polycycle.linalg.Split`).  A float system is one gather
+    over the table into [A | b].
     """
     if m < 2:
         raise ValueError(f"theta degree m must be >= 2, got {m}")
-    layout, entries, shape, (flat, w1, i1, w2, i2) = _coupling_table(system.degree, m, free)
+    layout, shape, (flat, w1, i1, w2, i2), integer = _coupling_table(system.degree, m, free)
     blocks = (system.jac, *system.phi)
     if system.exact:
         scale = denominator_lcm(blocks)
         p = [x for block in blocks for x in numerators(block, scale).flat] + [0, scale]
-        rows = [{} for _ in range(shape[0])]
-        for r, c, wu, pu, wv, pv in entries:
+        pivots, others, dense, coupled = integer
+        values = [0] * (len(pivots) * (len(others) + 1))
+        for at, wu, pu, wv, pv in dense:
+            values[at] = wu * p[pu] + wv * p[pv]
+        split = Split([{} for _ in range(shape[0] - len(pivots))], pivots, -scale, others, values)
+        for r, c, wu, pu, wv, pv in coupled:
             value = wu * p[pu] + wv * p[pv]
             if value:
-                rows[r][c] = value
-        return ConstraintSystem(tuple(rows), scale, True, layout, m, free)
+                split.coupled[r][c] = value
+        return ConstraintSystem(split, scale, True, layout, m, free)
     p = np.concatenate([*(block.reshape(-1) for block in blocks), (0.0, 1.0)])
     full = np.zeros(shape)
     # + 0.0 makes a -0.0 entry the 0.0 of an entry that is not there
@@ -364,7 +388,7 @@ def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVaria
         raise NoSolutionError(f"Gamma_1 is singular (j12 = {j12}); no change of variables")
     cs = assemble_constraints(system, m)
     if system.exact:
-        sol, rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
+        sol, rank = solve_min_norm_exact(cs.split, cs.unknown_count)
         # Gamma_1 = [[1, 0], first row of J], without Fraction arithmetic
         gamma = as_scaled(np.array([[1, 0], system.jac[0].tolist()], dtype=object))
     else:

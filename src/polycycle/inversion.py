@@ -195,13 +195,15 @@ def _worst_defects(cov: ChangeOfVariables, inv: InverseSeries, table: np.ndarray
 
     X is one matrix product of [Gamma^{-1} | Xi_2 | Xi_3] with the
     table of the scan points, H(X) one of [Gamma | Theta_2 | ... |
-    Theta_m] with the monomial table of X.
+    Theta_m] with the monomial table of X.  A product that overflows
+    float64 gives an inf or NaN defect, without a numpy warning.
     """
     series = np.concatenate([as_float(inv.blocks[k]) for k in (1, 2, 3)], axis=1)
     h_map = np.concatenate([as_float(cov.block(k)) for k in range(1, cov.m + 1)], axis=1)
-    x = series @ table
-    h = h_map @ monomial_table(cov.m, x)
-    return np.hypot(*(h - table[:2])).reshape(DIRECTIONS, -1).max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = series @ table
+        h = h_map @ monomial_table(cov.m, x)
+        return np.hypot(*(h - table[:2])).reshape(DIRECTIONS, -1).max(axis=0)
 
 
 def composition_residual(cov: ChangeOfVariables, inv: InverseSeries, radii) -> list[tuple[float, float]]:
@@ -238,7 +240,8 @@ def trust_radius(cov: ChangeOfVariables, inv: InverseSeries) -> float:
     The defect bound is ``REL_DEFECT`` times the radius; the scan is a
     geometric grid, so the answer is a resolution-limited estimate, not
     a certified bound.  Returns 0.0 when even the smallest radius
-    violates the bound.
+    violates the bound, or when its defect overflows float64, which
+    ``run_analyze`` names in a warning.
     """
     worst = _worst_defects(cov, inv, _TRUST_TABLE)
     # the scan ends at the first radius whose defect is not at or below

@@ -1,47 +1,40 @@
 """Exact-rational and floating-point linear solvers.
 
-The exact route runs fraction-free integer elimination (Bareiss, Math.
-Comp. 22, 1968) in two kernels.  The main one is Gauss-Jordan on sparse
-integer rows of [A | b], each a {column: int} dict with b in column n
-(the width of A).  :func:`solve_min_norm_exact` takes such rows
-directly, scaled by any positive integer (the change-of-variables
-assembly writes them over one common denominator), and divides each by
-its content first.  No kernel takes a dense Fraction matrix.  A row already zero in
-the pivot column is skipped, so the banded structure of the constraint
-matrices survives, and every combined row is divided by its content,
-so entries stay near the size of the minors they encode instead of
-growing to full determinants.
-Consistency and rank come out of the same elimination, without
-tolerance, and no Fraction is created: the solution comes back as
-integer numerators over one positive denominator.
-Only part of the rows is eliminated.  A row that holds a column no
-other row has is that column's defining row: its unknown can take up
-whatever the other rows leave, so the row adds one to the rank and is
-set aside.  In a change-of-variables system these are the equations of
-the row-2 entries of each Theta_k, half the unknowns, each appearing
-only as a -1 in one equation.  The other rows are the coupled ones.
-When they are homogeneous and a certificate (:func:`_full_column_rank`)
-proves they have full column rank, every unknown they hold is 0 and
-nothing is eliminated: the certificate settles single-entry rows
-exactly and the rest by a Cholesky factorization in float64 with a
-rigorous error bound (Rump, BIT 46, 2006).  It proves the coupled rows
-of the generic change-of-variables systems of degree 2 to 7, at a third
-of the elimination's cost at degree 3 and a fortieth at degree 7.
-Otherwise the coupled rows are eliminated over their columns and
-reduced: a reduced pivot row with a single entry and no right-hand side
-forces its unknown to 0, such a column is dropped from the rows that
-hold it, all at once, and no row is cancelled against a pivot row with
-one entry.  The defining rows are then cleared the same way, one drop
-of the zero columns and one cancellation per pivot row with more than
-one entry that they meet.
-The minimum-norm step then solves a Gram system that is dense by
-construction, in the second kernel (:func:`_spd_solve`): Bareiss
-elimination on lists of ints over the upper triangle only.  The Gram
-matrix is symmetric positive definite, so every pivot, a leading
-principal minor, is positive and no pivoting is needed; every entry
-the elimination writes is a minor of the matrix, so each division is
-exact, and so is each of the back substitution over q = det, by
-Cramer's rule.
+The exact route works on integer rows of [A | b], b in column n (the
+width of A), as a :class:`Split`.  A defining row is the only row that
+holds its pivot column, so it adds one to the rank and needs no
+elimination; it is a dense integer list over the other columns, and the
+other rows, the coupled ones, are sparse {column: int} dicts.  The
+change-of-variables assembly writes the split from its index table (the
+defining rows are the equations of the row-2 Theta_k entries); bare
+sparse rows are divided by their content and split by :func:`_split`.
+No Fraction is created: the solution comes back as integer numerators
+over one positive denominator, with the rank.
+When the coupled rows are homogeneous and a certificate
+(:func:`_full_column_rank`) proves they have full column rank, every
+unknown they hold is 0 and nothing is eliminated: the certificate
+settles single-entry rows exactly and the rest by a Cholesky
+factorization in float64 with a rigorous error bound (Rump, BIT 46,
+2006).  It proves the coupled rows of the corpus and of the generic
+change-of-variables systems of degree 2 to 7.  Otherwise the coupled
+rows are eliminated, fraction-free (Bareiss, Math. Comp. 22, 1968), by
+Gauss-Jordan over their columns: a row already zero in the pivot
+column is skipped, so the banded structure survives, and every combined
+row is divided by its content, so entries stay near the size of the
+minors they encode.  A reduced pivot row with a single entry and no
+right-hand side forces its unknown to 0; such a column is dropped from
+the rows that hold it, all at once.  The defining rows are then cleared
+the same way, with one cancellation per pivot row with more than one
+entry that they meet.
+The minimum-norm step solves the Gram system of the defining rows over
+the free unknowns, D^2 I + E^T E, formed as one integer matrix product:
+in int64 when a bit-length bound says every sum fits, over Python ints
+otherwise.  It is dense and symmetric positive definite, and the second
+kernel (:func:`_spd_solve`) runs Bareiss elimination on lists of ints
+over its upper triangle only: every pivot, a leading principal minor,
+is positive, so no pivoting is needed; every entry the elimination
+writes is a minor of the matrix, so each division is exact, and so is
+each of the back substitution over q = det, by Cramer's rule.
 :func:`rref` is the plain Fraction Gauss-Jordan; no solver uses it, the
 tests keep it as the reference the integer kernels must reproduce.
 
@@ -57,11 +50,14 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from itertools import chain
+from operator import mul
+from typing import NamedTuple
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
+    "Split",
     "rref",
     "solve_min_norm_exact",
     "solve_min_norm_float",
@@ -71,9 +67,11 @@ SV_REL_TOL = 1e-10
 # Float consistency: residual of A x = b at most this times the data scale.
 CONSISTENCY_TOL = 1e-9
 
-# The unit roundoff of float64, and the widest entry, in bits, that the
-# float certificate of full column rank takes: a row scaled by 2^-b with
-# b at most this keeps every nonzero entry a normal float.
+# The unit roundoff of float64, and the widest span within a row, in
+# bits, that the float certificate of full column rank takes: the bit
+# length of its largest entry less that of its smallest nonzero one.  A
+# row of span at most this, scaled so that its largest entry is below 1,
+# keeps every nonzero entry a normal float, however long its integers.
 UNIT_ROUNDOFF = 2.0**-53
 CERTIFY_MAX_BITS = 1000
 
@@ -246,9 +244,12 @@ def _full_column_rank(rows: list[Row], columns: list[int]) -> bool:
     Then in float64, on the m x k rest A (m >= k, else False).  Each
     row is scaled by 2^-b, b the bit length of its largest entry, which
     keeps the rank; the scaled block S then has entries of modulus below
-    1, the largest in each row at least 1/2.  A row with b above
-    ``CERTIFY_MAX_BITS`` is refused, so every nonzero of S is at least
-    2^-1000, a normal float, and int / int rounds it correctly to F with
+    1, the largest in each row at least 1/2.  A row whose span, b less
+    the bit length a of its smallest nonzero entry, is above
+    ``CERTIFY_MAX_BITS`` is refused.  Every nonzero entry of a row is
+    at least 2^(a - 1), so every nonzero of S is at least
+    2^-(CERTIFY_MAX_BITS + 1) = 2^-1001, a normal float (the least is
+    2^-1022) whatever b is, and int / int rounds it correctly to F with
     |F - S| <= u |S| entrywise (u = 2^-53).  G = F^T F is formed in
     float64 and the shift
 
@@ -297,8 +298,9 @@ def _full_column_rank(rows: list[Row], columns: list[int]) -> bool:
     slot = {c: i for i, c in enumerate(sorted(live))}
     a = np.zeros((len(rows), len(slot)))
     for row, out in zip(rows, a):
-        b = max(map(abs, row.values())).bit_length()
-        if b > CERTIFY_MAX_BITS:
+        magnitudes = [abs(v) for v in row.values()]
+        b = max(magnitudes).bit_length()
+        if b - min(magnitudes).bit_length() > CERTIFY_MAX_BITS:
             return False
         scale = 1 << b
         for c, v in row.items():
@@ -352,91 +354,120 @@ def _spd_solve(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int]
     return x, q
 
 
-def solve_min_norm_exact(rows: Sequence[Row], n: int) -> tuple[tuple[list[int], int] | None, int]:
+class Split(NamedTuple):
+    """The rows of [A | b], b in column n, with the defining rows set apart.
+
+    ``coupled`` are the other rows, sparse, each with any nonzero factor.
+    Defining row i has the entry ``pivot`` (the same for all) in column
+    ``pivots[i]``, which no other row holds; its entries over ``others``,
+    the columns of A that no defining row pivots on, then its b, are
+    ``dense[i * w:(i + 1) * w]``, w = len(others) + 1.
+    """
+
+    coupled: list[Row]
+    pivots: Sequence[int]
+    pivot: int
+    others: Sequence[int]
+    dense: list[int]
+
+    def rows(self, n: int) -> list[Row]:
+        """The defining rows as sparse rows, then the coupled ones."""
+        w = len(self.others) + 1
+        out = [{c: self.pivot} for c in self.pivots]
+        for i, row in enumerate(out):
+            row.update((k, v) for k, v in zip([*self.others, n], self.dense[i * w : (i + 1) * w]) if v)
+        return out + list(self.coupled)
+
+
+def _scaled(solved: list[tuple[Row, int]], others: list[int], n: int, coupled=()) -> Split:
+    """The (row, pivot column) pairs as the defining rows of a split, each
+    times d / p, p its pivot entry and d = lcm |p| over them all."""
+    d = math.lcm(*(row[c] for row, c in solved))
+    dense = [row.get(k, 0) * (d // row[c]) for row, c in solved for k in [*others, n]]
+    return Split(list(coupled), [c for _, c in solved], d, others, dense)
+
+
+def _gram_dtype(top: int, rows: int):
+    """int64 when it holds every entry and partial sum of the Gram
+    product of ``rows`` rows whose d and entries are at most ``top`` in
+    modulus, all at most (rows + 1) top^2; else object (Python ints)."""
+    return np.int64 if 2 * top.bit_length() + (rows + 1).bit_length() <= 63 else object
+
+
+def _gram_solve(split: Split, zero: set[int], n: int) -> tuple[list[int], int]:
+    """Minimum-norm solution (nums, den), den > 0, of the defining rows
+    d x_{c_i} + e_i . x_F = beta_i of ``split``, x_F the unknowns that
+    are neither pivots nor in ``zero``.  As x_c = (beta - e . x_F) / d,
+    the norm is least where (d^2 I + E^T E) x_F = E^T beta: one matrix
+    product in the dtype :func:`_gram_dtype` picks, then
+    :func:`_spd_solve`.  The rows are divided first by the gcd of d and
+    their entries, signed as d: a factor does not change (nums, den)."""
+    keep = [j for j, c in enumerate(split.others) if c not in zero]
+    free = [split.others[j] for j in keep]
+    try:
+        e = np.array(split.dense, dtype=np.int64)
+    except OverflowError:
+        e = np.array(split.dense, dtype=object)
+    e = e.reshape(-1, len(split.others) + 1)[:, [*keep, -1]]
+    flat = e.ravel().tolist()
+    g = math.gcd(split.pivot, *flat) * (1 if split.pivot > 0 else -1)
+    d, top = split.pivot // g, max(abs(split.pivot), max(flat, default=0), -min(flat, default=0)) // abs(g)
+    a = (e // g).astype(_gram_dtype(top, len(e)), copy=False)
+    a, beta = a[:, :-1], a[:, -1]
+    gram = a.T @ a
+    gram.flat[:: len(free) + 1] += d * d
+    free_x, q = _spd_solve(gram.tolist(), (a.T @ beta).tolist())
+    # every unknown over den = q d
+    nums = [0] * n
+    for f, value in zip(free, free_x):
+        nums[f] = value * d
+    for c, row, b in zip(split.pivots, a.tolist(), beta.tolist()):
+        nums[c] = b * q - sum(map(mul, row, free_x))
+    return nums, q * d
+
+
+def solve_min_norm_exact(rows: Split | Sequence[Row], n: int) -> tuple[tuple[list[int], int] | None, int]:
     """Minimum-norm exact solution of A x = b and rank A.
 
-    ``rows`` are the rows of [A | b], A with ``n`` columns, as sparse
-    integer rows with b in column n; each may carry any positive factor
-    and may be empty.  The rows are not modified.  The solution comes
-    back as integers over one positive denominator, ``(nums, den)`` with
-    x_i = nums[i] / den, or as None when the system is inconsistent.
+    ``rows`` are the rows of [A | b], A with ``n`` columns: a
+    :class:`Split`, or sparse integer rows with b in column n, each with
+    any positive factor and perhaps empty, which :func:`_split` splits.
+    The rows are not modified.  The solution comes back as integers over
+    one positive denominator, ``(nums, den)`` with x_i = nums[i] / den,
+    or as None when the system is inconsistent.
 
-    The defining rows (:func:`_split`) are set aside.  When the coupled
-    rows hold no b and :func:`_full_column_rank` proves they have full
-    column rank, they force every unknown they hold to 0, with no
-    reduced pivot row left, and add their column count to the rank:
-    what their elimination would return, without running it.  In a
-    change-of-variables system the coupled rows are homogeneous and meet
-    only row 1 of the top Theta blocks, and on the generic systems of
-    degree 2 to 7 and the corpus systems the certificate proves them.
+    Each defining row adds one to the rank.  When the coupled rows hold
+    no b and :func:`_full_column_rank` proves they have full column rank,
+    they force every unknown they hold to 0 and add their column count
+    to the rank, as their elimination would, without running it.
     Otherwise (a right-hand side, a rank-deficient block such as the
-    rotation cubic's, or one the certificate cannot prove) the coupled
-    rows are eliminated over their columns in index order and b last, so
-    a pivot in b still marks an inconsistent system, and reduced
-    (:func:`_reduce`); the rank is the number of defining rows plus
-    theirs.  Each defining row is then cleared of the zero unknowns in
-    one drop and cancelled against the reduced pivot rows with more than
-    one entry (:func:`_clear`); after a proof, drops alone.  The order
-    changes the work, not the answer: the minimum-norm solution of a
-    consistent system is unique.
-
-    Each pivot row now reads p_i x_{c_i} + e_i . x_F = beta_i, with x_F
-    the free unknowns.  The norm is least where
-    (I + sum_i e_i e_i^T / p_i^2) x_F = sum_i e_i beta_i / p_i^2; scaled
-    by D^2, D = lcm(p_i), that Gram system has integer entries.  It is
-    dense and symmetric positive definite (D^2 I plus a sum of outer
-    products), so it needs no pivoting: :func:`_spd_solve` eliminates it
-    fraction-free in the given order, every pivot a positive leading
-    minor and every division exact, and returns x_F = X / q with q its
-    determinant.
+    rotation cubic's, or one the certificate cannot prove) they are
+    eliminated over their columns and b last, so a pivot in b marks an
+    inconsistent system, and reduced (:func:`_reduce`); each defining row
+    is cleared (:func:`_clear`), and the reduced pivot rows join them.
+    Either way :func:`_gram_solve` takes the minimum-norm solution, which
+    is unique: the order of the work changes the work, not the answer.
     """
-    rows = [_primitive(row) for row in rows if row]
-    defining, rest = _split(rows, n)
-    columns = _columns(rest, n)
-    if all(n not in row for row in rest) and _full_column_rank(rest, columns):
-        zero, reduced = set(columns), {}
-        rank = len(defining) + len(columns)
+    if isinstance(rows, Split):
+        split = rows
     else:
-        rest, pivots = _echelon(rest, [*columns, n])
-        rank = len(defining) + len(pivots)
-        if pivots and pivots[-1] == n:
-            return None, rank - 1
-        zero, reduced = _reduce(rest, pivots)
-    solved = [(_clear(row, zero, reduced), c) for row, c in defining]
+        defining, coupled = _split([_primitive(row) for row in rows if row], n)
+        owned = {c for _, c in defining}
+        split = _scaled(defining, [k for k in range(n) if k not in owned], n, coupled)
+    coupled = [row for row in split.coupled if row]
+    columns = _columns(coupled, n)
+    if all(n not in row for row in coupled) and _full_column_rank(coupled, columns):
+        return _gram_solve(split, set(columns), n), len(split.pivots) + len(columns)
+    coupled, pivots = _echelon(coupled, [*columns, n])
+    rank = len(split.pivots) + len(pivots)
+    if pivots and pivots[-1] == n:
+        return None, rank - 1
+    zero, reduced = _reduce(coupled, pivots)
+    # zip stops at the last defining row
+    solved = [(_clear(row, zero, reduced), c) for row, c in zip(split.rows(n), split.pivots)]
     solved += [(row, c) for c, row in reduced.items()]
-
-    # the Gram system couples only the pivot rows with free entries
-    linked = [(row, c) for row, c in solved if len(row) - (n in row) > 1]
-    pivot_set = zero.union(c for _, c in solved)
-    free = [f for f in range(n) if f not in pivot_set]
-    slot = {f: i for i, f in enumerate(free)}
-    d = math.lcm(*(row[c] for row, c in linked))
-    # the upper triangle of the Gram matrix, all _spd_solve reads
-    gram = [[0] * len(free) for _ in free]
-    for i in range(len(free)):
-        gram[i][i] = d * d
-    proj = [0] * len(free)
-    for row, c in linked:
-        s = d // row[c]
-        e = sorted((slot[k], v * s) for k, v in row.items() if k != c and k != n)
-        beta = row.get(n, 0) * s
-        for t, (i, u) in enumerate(e):
-            proj[i] += u * beta
-            g = gram[i]
-            for j, w in e[t:]:
-                g[j] += u * w
-    # x_F = X / q, then every unknown over den = q lcm(p_i); a zero
-    # unknown keeps numerator 0
-    free_x, q = _spd_solve(gram, proj) if linked else ([0] * len(free), 1)
-    den = q * math.lcm(*(row[c] for row, c in solved))
-    nums = [0] * n
-    free_num = dict(zip(free, free_x))
-    for f, value in free_num.items():
-        nums[f] = value * (den // q)
-    for row, c in solved:
-        num = row.get(n, 0) * q - sum(v * free_num[k] for k, v in row.items() if k != c and k != n)
-        nums[c] = num * (den // (row[c] * q))
-    return (nums, den), rank
+    owned = zero.union(c for _, c in solved)
+    return _gram_solve(_scaled(solved, [k for k in range(n) if k not in owned], n), set(), n), rank
 
 
 def solve_min_norm_float(matrix, rhs):

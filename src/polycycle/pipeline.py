@@ -30,7 +30,7 @@ from .change_of_variables import (  # noqa: F401
     solve_theta,
 )
 from .definition import SystemDefinition, instantiate, load_definition, resolve_alpha
-from .inversion import invert_to_cubic, trust_radius
+from .inversion import TRUST_GRID, composition_residual, invert_to_cubic, trust_radius
 from .oracle import CycleMeasurement, compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
 
@@ -262,6 +262,8 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
     p3, q3 = p3_q3(g.g3, delta)
     residual = residual_condition33(cov, system)
     trust = trust_radius(cov, inv)
+    if trust == 0.0 and not math.isfinite(composition_residual(cov, inv, TRUST_GRID[:1])[0][1]):
+        warnings.append(f"trust radius 0.0: the scan overflows float64 at its smallest radius, {TRUST_GRID[0]:g}")
     pred = predict_cycle(tau, delta, p3, q3)
 
     curve = None

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from polycycle import (
+    build_system,
     instantiate,
     invert_to_cubic,
     load_definition,
@@ -48,6 +49,24 @@ def _integer_rows(matrix, rhs=None) -> list[dict]:
             scaled = {k: x.numerator * (den // x.denominator) for k, x in frac.items()}
             out.append(_primitive(scaled))
     return out
+
+
+def _generic_system(rng, n, alpha, digits=0, long_denominators=False):
+    """A generic exact system of degree n: J = [[alpha, -1], [1, alpha]]
+    and phi_k coefficients +-p/q with p, q in 1..4, each times a random
+    integer of ``digits`` digits when that is not 0, and divided by
+    another one as well with ``long_denominators``."""
+
+    def coefficient():
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 4))
+        if digits:
+            c *= rng.randint(10 ** (digits - 1), 10**digits - 1)
+        if long_denominators:
+            c /= rng.randint(10 ** (digits - 1), 10**digits - 1)
+        return c
+
+    phi = [[[coefficient() for _ in range(k + 1)] for _ in range(2)] for k in range(2, n + 1)]
+    return build_system([[alpha, -1], [1, alpha]], phi)
 
 
 def as_fraction_matrix(a) -> np.ndarray:

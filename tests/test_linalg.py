@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _integer_rows
+from conftest import _generic_system, _integer_rows
 from polycycle import linalg
 from polycycle.change_of_variables import (
     assemble_constraints,
@@ -422,9 +422,13 @@ def _known_rank_block(rng):
     """An integer block, a product of random integer factors rows x r and
     r x cols (r = cols half the time), whose rank the Fraction ``rref``
     gives.  The factors' entries run from 1 digit to 2^520, so the
-    block's run from 1 digit past ``CERTIFY_MAX_BITS``; some rows are
-    zeroed or repeated, some columns zeroed, and now and then a row with
-    a single entry is added."""
+    block's run from 1 digit to past 1000 bits; some rows are zeroed or
+    repeated, some columns zeroed, and now and then a row with a single
+    entry is added.  Neither scaling below changes the rank: now and then
+    every row is multiplied by an integer of 1100 to 1900 bits, which
+    widens its entries but not the span of bit lengths within it, and a
+    column by a power of two past 2^1000, which widens that span past
+    ``CERTIFY_MAX_BITS`` in the rows that hold it and another entry."""
     cols = rng.randint(1, 6)
     rows = rng.randint(1, 8)
     if rng.random() < 0.5:
@@ -451,6 +455,12 @@ def _known_rank_block(rng):
         single = [0] * cols
         single[rng.randrange(cols)] = factor() or 1
         a.insert(rng.randrange(len(a) + 1), single)
+    if rng.random() < 0.25:
+        a = [[v * rng.randint(2**1100, 2**1900) for v in row] for row in a]
+    if rng.random() < 0.2:
+        j, wide = rng.randrange(cols), 2 ** rng.randint(1010, 1100)
+        for row in a:
+            row[j] *= wide
     return a
 
 
@@ -472,7 +482,8 @@ def _with_defining_rows(rng, a, b):
 
 def test_full_column_rank_certificate_is_sound():
     rng = random.Random(2006)
-    kinds = ("proved", "float_proved", "refused_full", "deficient", "wide", "inconsistent", "homogeneous")
+    kinds = ("proved", "float_proved", "refused_full", "deficient", "wide", "wide_proved", "inconsistent",
+             "homogeneous")
     seen = dict.fromkeys(kinds, 0)
     for trial in range(300):
         a = _known_rank_block(rng)
@@ -485,8 +496,10 @@ def test_full_column_rank_certificate_is_sound():
         seen["proved" if proved else "refused_full" if full else "deficient"] += 1
         # no row with one entry: the exact pre-pass settles nothing
         seen["float_proved"] += proved and all(len(row) > 1 for row in rows)
+        # entries past 1000 bits, the cap before it applied to the span
         bits = max(abs(v).bit_length() for row in a for v in row)
-        seen["wide"] += bits > linalg.CERTIFY_MAX_BITS
+        seen["wide"] += bits > 1000
+        seen["wide_proved"] += proved and bits > 1000 and all(len(row) > 1 for row in rows)
         # the solve equals the Fraction reference, homogeneous (where the
         # certificate may skip the elimination), consistent or not
         kind = trial % 3
@@ -502,6 +515,16 @@ def test_full_column_rank_certificate_is_sound():
         seen["inconsistent"] += expected is None
         seen["homogeneous"] += kind == 0
     assert min(seen.values()) >= 10, seen
+    # the degree-5 system with 17-digit numerators over 17-digit
+    # denominators: its coupled rows hold entries of over 1800 bits, with
+    # a span of at most 10 bits within each row, and the certificate
+    # proves them
+    system = _generic_system(random.Random(17), 5, Fraction(1, 50), digits=17, long_denominators=True)
+    cs = assemble_constraints(system, min_degree_bound(5))
+    coupled = [row for row in cs.split.coupled if row]
+    sizes = [[abs(v).bit_length() for v in row.values()] for row in coupled]
+    assert max(map(max, sizes)) > 1800 and max(max(b) - min(b) for b in sizes) <= 10
+    assert linalg._full_column_rank(coupled, linalg._columns(coupled, cs.unknown_count))
 
 
 def test_full_column_rank_refuses_an_ill_conditioned_block():
@@ -517,19 +540,6 @@ def test_full_column_rank_refuses_an_ill_conditioned_block():
             wide, rhs = _with_defining_rows(random.Random(k), a, b)
             wide, rhs = _f(wide), [*map(Fraction, rhs)]
             assert _solve_dense(wide, rhs) == _reference_min_norm(wide, rhs)
-
-
-def _generic_system(rng, n, alpha, digits=0):
-    """A generic exact system of degree n: J = [[alpha, -1], [1, alpha]]
-    and phi_k coefficients +-p/q with p, q in 1..4, each times a random
-    integer of ``digits`` digits when that is not 0."""
-
-    def coefficient():
-        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 4))
-        return c * rng.randint(10 ** (digits - 1), 10**digits - 1) if digits else c
-
-    phi = [[[coefficient() for _ in range(k + 1)] for _ in range(2)] for k in range(2, n + 1)]
-    return build_system([[alpha, -1], [1, alpha]], phi)
 
 
 def _solves(systems):
@@ -567,6 +577,83 @@ def test_certified_solve_equals_the_exact_elimination(monkeypatch, corpus_system
     assert proofs == [True] * 2 * len(live)
     monkeypatch.setattr(linalg, "_full_column_rank", lambda rows, columns: False)
     assert _solves(generic + list(corpus_systems.values())) == live
+
+
+def _rotation_cubic():
+    """phi_3 = (x^2 + y^2)(-y, x), whose coupled rows are rank deficient."""
+    alpha = Fraction(1, 20)
+    return build_system([[alpha, -1], [1, alpha]], [[[0, 0, 0], [0, 0, 0]], [[0, -1, 0, -1], [1, 0, 1, 0]]])
+
+
+def test_the_coupling_table_split_equals_the_split_of_the_rows(monkeypatch, corpus_systems):
+    # solve_theta hands the exact solve the split the coupling table
+    # implies, not the rows: the certificate gets the rows _split leaves
+    # of the bare rows (up to their content) and the same columns, once
+    # per solve, and the Theta blocks are those of the bare rows' solve.
+    # The bare rows are read off the same split, so the independent
+    # expansion certifies the blocks too
+    systems = {**corpus_systems, "rotation_cubic": _rotation_cubic()}
+    for seed in (7, 8):
+        rng = random.Random(seed)
+        for n in range(2, 8):
+            for alpha in (Fraction(1, 20), Fraction(1, 50), Fraction(-1, 50)):
+                systems[f"generic_{seed}_{n}_{alpha}"] = _generic_system(rng, n, alpha)
+    rng = random.Random(17)
+    for n in range(2, 8):
+        systems[f"digits17_{n}"] = _generic_system(rng, n, Fraction(1, 50), digits=17)
+    calls = []
+    certify = linalg._full_column_rank
+
+    def recording(rows, columns):
+        calls.append(([linalg._primitive(row) for row in rows], columns, certify(rows, columns)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(linalg, "_full_column_rank", recording)
+    refused = []
+    for name, system in systems.items():
+        calls.clear()
+        cov = solve_theta(system)
+        cs = assemble_constraints(system, cov.m)
+        (nums, den), rank = solve_min_norm_exact(cs.rows, cs.unknown_count)
+        assert len(calls) == 2 and calls[0] == calls[1], name
+        if not calls[0][2]:
+            refused.append(name)
+        theta = [Fraction(v, cov.block(k).den) for k in range(2, cov.m + 1) for v in cov.block(k).num.flat]
+        assert theta == [Fraction(v, den) for v in nums] and cov.rank == rank, name
+        assert residual_condition33(cov, system) == 0, name
+    assert refused == ["rotation_cubic"]
+
+
+def test_the_gram_product_runs_in_int64_only_where_it_fits(monkeypatch):
+    # a generic system's Gram product fits in int64 and takes it; with
+    # 17-digit coefficients the entries alone do not fit, so the product
+    # runs over Python ints, and forcing int64 on it raises rather than
+    # wrapping around.  Both equal the Fraction reference, and the
+    # generic one does not change when the object product is forced
+    chosen, forced = [], []
+    pick = linalg._gram_dtype
+
+    def picking(top, rows):
+        chosen.append(forced[-1] if forced else pick(top, rows))
+        return chosen[-1]
+
+    monkeypatch.setattr(linalg, "_gram_dtype", picking)
+    for digits, dtype, other in ((0, np.int64, object), (17, object, np.int64)):
+        system = _generic_system(random.Random(3), 3, Fraction(1, 50), digits=digits)
+        cs = assemble_constraints(system, min_degree_bound(3))
+        chosen.clear()
+        solution = solve_min_norm_exact(cs.split, cs.unknown_count)
+        assert chosen == [dtype], digits
+        row_two = [c for c, label in enumerate(cs.unknown_layout) if label[2] == 2]
+        order = row_two + [c for c in range(cs.unknown_count) if c not in row_two]
+        assert _fractions(solution) == _reference_min_norm(cs.matrix.tolist(), list(cs.rhs), order), digits
+        forced.append(other)
+        if other is object:
+            assert solve_min_norm_exact(cs.split, cs.unknown_count) == solution
+        else:
+            with pytest.raises(OverflowError):
+                solve_min_norm_exact(cs.split, cs.unknown_count)
+        forced.clear()
 
 
 def _rank_float(a):

@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import _generic_system
 from polycycle import pipeline
 from polycycle.change_of_variables import NoSolutionError, assemble_constraints
 from polycycle.cli import _parse_alphas, main
@@ -293,6 +296,27 @@ def test_sweep_refuses_a_built_system(normal_form_system):
     # other input checks, before any point runs
     with pytest.raises(ValueError, match="no alpha parameter to sweep"):
         run_sweep(normal_form_system, [0.01])
+
+
+def test_an_overflowing_trust_scan_is_named():
+    # degree 5 with its phi coefficients times 17-digit integers: the
+    # defect at the smallest radius is finite and far above the bound,
+    # and the scan's later radii overflow float64; times 30-digit integers
+    # the smallest radius's defect is NaN.  Both report a trust radius of
+    # 0.0 in strict JSON without a numpy warning; only the second says
+    # that the scan overflowed
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    for digits, overflows in ((17, False), (30, True)):
+        system = _generic_system(random.Random(17), 5, Fraction(1, 50), digits=digits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_analyze(system, AnalysisOptions(measure=False))
+        assert report.status == "ok" and report.trust_radius == 0.0, digits
+        named = [w for w in report.warnings if "overflows float64" in w]
+        assert len(named) == overflows, report.warnings
+        assert json.loads(report.to_json(), parse_constant=refuse)["warnings"] == report.warnings
 
 
 def test_cli_analyze_json_output(systems_dir, capsys):
