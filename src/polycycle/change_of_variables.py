@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import Split, solve_min_norm_exact, solve_min_norm_float
+from .linalg import Split, _eliminate, solve_min_norm_exact, solve_min_norm_float
 from .monomials import Scaled, as_array, as_float, as_scaled, denominator_lcm, eval_poly_map, numerators
 from .polyops import poly_from_lambda_row
 from .system import PlanarPolySystem
@@ -150,7 +150,7 @@ class ConstraintSystem:
     def nullspace_dimension(self) -> int:
         """Unknowns minus rank A, the rank the arithmetic's own solver returns."""
         if self.exact:
-            return self.unknown_count - solve_min_norm_exact(self.split, self.unknown_count)[1]
+            return self.unknown_count - _eliminate(self.split, self.unknown_count)[2]
         rhs = np.zeros(len(self.matrix)) if self.free else self.rhs
         return self.unknown_count - solve_min_norm_float(self.matrix, rhs)[1]
 

@@ -426,15 +426,9 @@ def _gram_solve(split: Split, zero: set[int], n: int) -> tuple[list[int], int]:
     return nums, q * d
 
 
-def solve_min_norm_exact(rows: Split | Sequence[Row], n: int) -> tuple[tuple[list[int], int] | None, int]:
-    """Minimum-norm exact solution of A x = b and rank A.
-
-    ``rows`` are the rows of [A | b], A with ``n`` columns: a
-    :class:`Split`, or sparse integer rows with b in column n, each with
-    any positive factor and perhaps empty, which :func:`_split` splits.
-    The rows are not modified.  The solution comes back as integers over
-    one positive denominator, ``(nums, den)`` with x_i = nums[i] / den,
-    or as None when the system is inconsistent.
+def _eliminate(rows: Split | Sequence[Row], n: int) -> tuple[Split | None, set[int], int]:
+    """The minimum-norm solve up to its Gram step: the rows and the zero
+    unknowns :func:`_gram_solve` takes (None, {} if inconsistent), rank A.
 
     Each defining row adds one to the rank.  When the coupled rows hold
     no b and :func:`_full_column_rank` proves they have full column rank,
@@ -445,8 +439,6 @@ def solve_min_norm_exact(rows: Split | Sequence[Row], n: int) -> tuple[tuple[lis
     eliminated over their columns and b last, so a pivot in b marks an
     inconsistent system, and reduced (:func:`_reduce`); each defining row
     is cleared (:func:`_clear`), and the reduced pivot rows join them.
-    Either way :func:`_gram_solve` takes the minimum-norm solution, which
-    is unique: the order of the work changes the work, not the answer.
     """
     if isinstance(rows, Split):
         split = rows
@@ -457,17 +449,33 @@ def solve_min_norm_exact(rows: Split | Sequence[Row], n: int) -> tuple[tuple[lis
     coupled = [row for row in split.coupled if row]
     columns = _columns(coupled, n)
     if all(n not in row for row in coupled) and _full_column_rank(coupled, columns):
-        return _gram_solve(split, set(columns), n), len(split.pivots) + len(columns)
+        return split, set(columns), len(split.pivots) + len(columns)
     coupled, pivots = _echelon(coupled, [*columns, n])
     rank = len(split.pivots) + len(pivots)
     if pivots and pivots[-1] == n:
-        return None, rank - 1
+        return None, set(), rank - 1
     zero, reduced = _reduce(coupled, pivots)
     # zip stops at the last defining row
     solved = [(_clear(row, zero, reduced), c) for row, c in zip(split.rows(n), split.pivots)]
     solved += [(row, c) for c, row in reduced.items()]
     owned = zero.union(c for _, c in solved)
-    return _gram_solve(_scaled(solved, [k for k in range(n) if k not in owned], n), set(), n), rank
+    return _scaled(solved, [k for k in range(n) if k not in owned], n), set(), rank
+
+
+def solve_min_norm_exact(rows: Split | Sequence[Row], n: int) -> tuple[tuple[list[int], int] | None, int]:
+    """Minimum-norm exact solution of A x = b and rank A.
+
+    ``rows`` are the rows of [A | b], A with ``n`` columns: a
+    :class:`Split`, or sparse integer rows with b in column n, each with
+    any positive factor and perhaps empty, which :func:`_split` splits.
+    The rows are not modified.  The solution comes back as integers over
+    one positive denominator, ``(nums, den)`` with x_i = nums[i] / den,
+    or as None when the system is inconsistent.  :func:`_eliminate` takes
+    the rank, :func:`_gram_solve` the minimum-norm solution, which is
+    unique: the order of the work changes the work, not the answer.
+    """
+    split, zero, rank = _eliminate(rows, n)
+    return (None if split is None else _gram_solve(split, zero, n)), rank
 
 
 def solve_min_norm_float(matrix, rhs):

@@ -1,9 +1,11 @@
 """End-to-end analysis: reduction, averaging, prediction, oracle.
 
 :func:`run_analyze` takes one system (or a definition plus a parameter
-value) through the whole chain and returns an :class:`AnalysisReport`
-that serializes to JSON and to a short text summary.  Reports are
-deterministic: no timestamps, fixed key order, floats through repr.
+value) through the stages :func:`reduce`, :func:`predict`, the oracle's
+``measure_cycle`` and ``compare``, and assembles their results into an
+:class:`AnalysisReport` that serializes to JSON and to a short text
+summary.  Reports are deterministic: no timestamps, fixed key order,
+floats through repr.
 
 :func:`run_sweep` repeats the analysis over a parameter grid and
 tabulates predicted against measured amplitudes; a point whose input
@@ -19,22 +21,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# CURVE_SAMPLES is not used here; the tests import it under this module's name.
-from .averaging import CURVE_SAMPLES, cycle_curve, g_coefficients, p3_q3, predict_cycle  # noqa: F401
+from .averaging import GCoefficients, KbmPrediction, cycle_curve, g_coefficients, p3_q3, predict_cycle
 # assemble_constraints is not called here; perfbench/tracing.py wraps it
 # under this module's name, so it stays imported.
 from .change_of_variables import (  # noqa: F401
+    ChangeOfVariables,
     NoSolutionError,
     assemble_constraints,
     residual_condition33,
     solve_theta,
 )
 from .definition import SystemDefinition, instantiate, load_definition, resolve_alpha
-from .inversion import TRUST_GRID, composition_residual, invert_to_cubic, trust_radius
+from .inversion import TRUST_GRID, InverseSeries, composition_residual, invert_to_cubic, trust_radius
 from .oracle import CycleMeasurement, compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
 
-__all__ = ["AnalysisOptions", "AnalysisReport", "run_analyze", "run_sweep", "sweep_to_csv"]
+__all__ = ["AnalysisOptions", "AnalysisReport", "Reduction", "predict", "reduce", "run_analyze", "run_sweep",
+           "sweep_to_csv"]
 
 
 @dataclass
@@ -46,15 +49,17 @@ class AnalysisOptions:
     measure: bool = True
 
 
-def _prediction_dict(pred) -> dict:
-    return {
-        "exists": pred.exists,
-        "r0": pred.r0,
-        "omega0": pred.omega0,
-        "z_amplitude": pred.z_amplitude,
-        "period": pred.period,
-        "stability": pred.stability,
-    }
+@dataclass(frozen=True)
+class Reduction:
+    """What :func:`reduce` gives for one system, with the warnings it raised;
+    ``residual`` is condition (3.3)'s, exact on an exact system."""
+
+    cov: ChangeOfVariables
+    inv: InverseSeries
+    g: GCoefficients
+    residual: object
+    trust_radius: float
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass
@@ -103,27 +108,20 @@ class AnalysisReport:
         return None if self.measured_cycle is None else self.measured_cycle.samples
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            if f.name in ("predicted_curve", "measured_cycle"):
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        del out["predicted_curve"], out["measured_cycle"]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
-        lines = []
         alpha_part = "" if self.alpha is None else f", alpha={self.alpha!r}"
-        lines.append(f"system: {self.system_name}{alpha_part} ({self.arithmetic} arithmetic)")
         pair = "yes" if self.complex_pair else "no"
-        lines.append(
-            f"origin: tau={self.tau!r}, delta={self.delta!r}, complex pair: {pair}"
-        )
+        lines = [
+            f"system: {self.system_name}{alpha_part} ({self.arithmetic} arithmetic)",
+            f"origin: tau={self.tau!r}, delta={self.delta!r}, complex pair: {pair}",
+        ]
         if self.status == "no_change_of_variables":
             lines.append("change of variables: none found")
         elif self.m is not None:
@@ -175,8 +173,7 @@ class AnalysisReport:
             lines.append(f"verdict: {comp['verdict']}{detail}")
         elif self.verdict is not None:
             lines.append(f"verdict: {self.verdict}")
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
+        lines += [f"warning: {warning}" for warning in self.warnings]
         return "\n".join(lines) + "\n"
 
 
@@ -220,11 +217,49 @@ def run_analyze(source, options: AnalysisOptions | None = None) -> AnalysisRepor
         raise ValueError(f"a value of the analysis overflows a float ({err})") from err
 
 
+def reduce(system: PlanarPolySystem) -> Reduction:
+    """The reduction stage: change of variables, inverse, G rows, certificate
+    and trust radius.  Raises NoSolutionError if no change of variables exists."""
+    cov = solve_theta(system)
+    inv = invert_to_cubic(cov)
+    g = g_coefficients(system, cov, inv)
+    residual = residual_condition33(cov, system)
+    trust = trust_radius(cov, inv)
+    overflow = trust == 0.0 and not math.isfinite(composition_residual(cov, inv, TRUST_GRID[:1])[0][1])
+    warning = f"trust radius 0.0: the scan overflows float64 at its smallest radius, {TRUST_GRID[0]:g}"
+    return Reduction(cov, inv, g, residual, trust, (warning,) if overflow else ())
+
+
+def predict(reduction: Reduction, tau: float, delta: float) -> tuple[KbmPrediction, np.ndarray | None]:
+    """The prediction stage: first-order averaging at (tau, delta), and the
+    predicted cycle in the original coordinates (None without one)."""
+    pred = predict_cycle(tau, delta, *p3_q3(reduction.g.g3, delta))
+    return pred, cycle_curve(reduction.cov, pred) if pred.exists else None
+
+
+def _reduced_fields(red: Reduction, pred: KbmPrediction, exact: bool) -> dict:
+    """The report fields the reduction and the prediction fill."""
+    cov = red.cov
+    return dict(
+        m=cov.m,
+        # solve_theta always solves at Gamma_1
+        gamma_params=(1, 0),
+        unknown_count=cov.unknown_count,
+        equation_count=cov.equation_count,
+        nullspace_dim=cov.unknown_count - cov.rank,
+        condition_residual=float(red.residual),
+        residual_is_exact_zero=bool(exact and red.residual == 0),
+        trust_radius=float(red.trust_radius),
+        g2=[float(v) for v in red.g.g2],
+        g3=[float(v) for v in red.g.g3],
+        p3=pred.p3,
+        q3=pred.q3,
+        prediction={k: getattr(pred, k) for k in ("exists", "r0", "omega0", "z_amplitude", "period", "stability")},
+    )
+
+
 def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
     defn, system, alpha = _resolve(source, options)
-    name = defn.name if defn is not None else "<system>"
-    alpha_out = None if alpha is None else float(alpha)
-
     hopf = hopf_indicator(system)
     tau, delta = float(hopf.tau), float(hopf.delta)
     if not hopf.complex_pair:
@@ -234,83 +269,41 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
         )
     warnings = []
     if abs(tau) > 0.25 * math.sqrt(delta):
-        warnings.append(
-            "tau is not small next to sqrt(delta); first-order averaging error grows with tau"
-        )
+        warnings.append("tau is not small next to sqrt(delta); first-order averaging error grows with tau")
+    red = pred = curve = measured = comparison = None
+    try:
+        red = reduce(system)
+    except NoSolutionError as err:
+        warnings.append(str(err))
+    else:
+        warnings += red.warnings
+        pred, curve = predict(red, tau, delta)
+        if options.measure:
+            # the predicted amplitude: its error shrinks as alpha -> 0
+            seed = float(np.max(np.abs(curve[:, 1:]))) if pred.exists else 0.25
+            measured = measure_cycle(system, seed)
+            comparison = dataclasses.asdict(compare(pred, curve, measured))
 
-    base = dict(
-        system_name=name,
-        alpha=alpha_out,
+    return AnalysisReport(
+        system_name="<system>" if defn is None else defn.name,
+        alpha=None if alpha is None else float(alpha),
         arithmetic="exact" if system.exact else "float",
+        status="no_change_of_variables" if red is None else "ok",
         tau=tau,
         delta=delta,
         complex_pair=hopf.complex_pair,
         near_critical=hopf.near_critical,
         degree=system.degree,
-    )
-
-    try:
-        cov = solve_theta(system)
-    except NoSolutionError as err:
-        warnings.append(str(err))
-        return AnalysisReport(
-            status="no_change_of_variables", warnings=warnings, **base
-        )
-
-    inv = invert_to_cubic(cov)
-    g = g_coefficients(system, cov, inv)
-    p3, q3 = p3_q3(g.g3, delta)
-    residual = residual_condition33(cov, system)
-    trust = trust_radius(cov, inv)
-    if trust == 0.0 and not math.isfinite(composition_residual(cov, inv, TRUST_GRID[:1])[0][1]):
-        warnings.append(f"trust radius 0.0: the scan overflows float64 at its smallest radius, {TRUST_GRID[0]:g}")
-    pred = predict_cycle(tau, delta, p3, q3)
-
-    curve = None
-    if pred.exists:
-        curve = cycle_curve(cov, pred)
-
-    measurement = None
-    comparison = None
-    measured = None
-    if options.measure:
-        # the predicted amplitude: its error shrinks as alpha -> 0
-        seed = float(np.max(np.abs(curve[:, 1:]))) if pred.exists else 0.25
-        measurement = measure_cycle(system, seed)
-        comp = compare(pred, curve, measurement)
-        comparison = dataclasses.asdict(comp)
-        if measurement is not None:
-            measured = measurement
-            # every field in declaration order, less the orbit behind the samples
-            measurement = {
-                f.name: getattr(measured, f.name)
-                for f in dataclasses.fields(measured)
-                if f.name != "orbit"
-            }
-
-    return AnalysisReport(
-        status="ok",
-        m=cov.m,
-        # solve_theta always solves at Gamma_1
-        gamma_params=(1, 0),
-        unknown_count=cov.unknown_count,
-        equation_count=cov.equation_count,
-        nullspace_dim=cov.unknown_count - cov.rank,
-        condition_residual=float(residual),
-        residual_is_exact_zero=bool(system.exact and residual == 0),
-        trust_radius=float(trust),
-        g2=[float(v) for v in g.g2],
-        g3=[float(v) for v in g.g3],
-        p3=p3,
-        q3=q3,
-        prediction=_prediction_dict(pred),
-        measurement=measurement,
+        **({} if red is None else _reduced_fields(red, pred, system.exact)),
+        # every field in declaration order, less the orbit behind the samples
+        measurement=None if measured is None else {
+            f.name: getattr(measured, f.name) for f in dataclasses.fields(measured) if f.name != "orbit"
+        },
         comparison=comparison,
-        verdict=comparison["verdict"] if comparison is not None else None,
+        verdict=None if comparison is None else comparison["verdict"],
         warnings=warnings,
         predicted_curve=curve,
         measured_cycle=measured,
-        **base,
     )
 
 
@@ -337,9 +330,8 @@ def run_sweep(source, alphas, options: AnalysisOptions | None = None) -> list[di
             report = run_analyze(defn, dataclasses.replace(options, alpha=alpha))
         except ValueError as err:
             return {"alpha": alpha, "verdict": "error", "error": str(err)}
-        pred_amp = None
-        if report.predicted_curve is not None:
-            pred_amp = float(np.max(np.abs(report.predicted_curve[:, 1])))
+        curve = report.predicted_curve
+        pred_amp = None if curve is None else float(np.max(np.abs(curve[:, 1])))
         return {
             "alpha": report.alpha,
             "tau": report.tau,

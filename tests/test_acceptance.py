@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polycycle.averaging import cycle_curve, g_coefficients, p3_q3, predict_cycle
+from polycycle.averaging import CURVE_SAMPLES, cycle_curve, g_coefficients, p3_q3, predict_cycle
 from polycycle.change_of_variables import (
     assemble_constraints,
     component_polynomial,
@@ -31,7 +31,7 @@ from polycycle.inversion import (
 from polycycle.monomials import eval_lambda
 from polycycle.oracle import integrate
 from polycycle.definition import instantiate, load_definition
-from polycycle.pipeline import CURVE_SAMPLES, AnalysisOptions, run_analyze
+from polycycle.pipeline import AnalysisOptions, run_analyze
 from polycycle.polyops import poly_add, poly_eval, poly_mul, poly_scale
 from polycycle.system import build_system, hopf_indicator, lie_derivative
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import _integer_rows, as_fraction_matrix
+from conftest import _generic_system, _integer_rows, as_fraction_matrix
 import polycycle.change_of_variables as cov_mod
 from polycycle.change_of_variables import (
     NoSolutionError,
@@ -555,3 +555,30 @@ def test_exact_rank_does_not_build_the_dense_matrix(monkeypatch, corpus_systems)
     monkeypatch.setattr(cov_mod.ConstraintSystem, "_dense", property(refuse))
     for (name, cs), rank in zip(assembled(), reference):
         assert cs.nullspace_dimension() == cs.unknown_count - rank, (name, cs.free)
+
+
+def test_exact_rank_stops_before_the_gram_step(monkeypatch, corpus_systems):
+    # nullspace_dimension() reads the rank off the solve's first step and
+    # never forms the minimum-norm (Gram) system; the rank is the solve's,
+    # on the corpus and on free and Gamma_1 generic systems of degree 2..7,
+    # whose coupled rows the certificate settles, and on the rotation
+    # cubic, whose coupled rows are eliminated
+    systems = [(name, system) for name, system in corpus_systems.items() if system.degree >= 2]
+    systems += [(n, _generic_system(random.Random(7), n, Fraction(1, 50))) for n in range(2, 8)]
+    rotation = [[[0, 0, 0], [0, 0, 0]], [[0, -1, 0, -1], [1, 0, 1, 0]]]
+    systems.append(("rotation cubic", build_system([[Fraction(1, 20), -1], [1, Fraction(1, 20)]], rotation)))
+    assembled = [
+        (name, assemble_constraints(system, min_degree_bound(system.degree), free=free))
+        for name, system in systems
+        for free in (True, False)
+    ]
+    ranks = [solve_min_norm_exact(cs.split, cs.unknown_count)[1] for _, cs in assembled]
+
+    def refuse(*args):
+        raise AssertionError("Gram step run")
+
+    monkeypatch.setattr(linalg, "_gram_solve", refuse)
+    for (name, cs), rank in zip(assembled, ranks):
+        assert cs.nullspace_dimension() == cs.unknown_count - rank, (name, cs.free)
+    with pytest.raises(AssertionError, match="Gram step run"):
+        solve_min_norm_exact(assembled[0][1].split, assembled[0][1].unknown_count)

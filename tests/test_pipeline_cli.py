@@ -12,12 +12,12 @@ import pytest
 
 from conftest import _generic_system
 from polycycle import pipeline
+from polycycle.averaging import CURVE_SAMPLES
 from polycycle.change_of_variables import NoSolutionError, assemble_constraints
 from polycycle.cli import _parse_alphas, main
 from polycycle.definition import instantiate, load_definition
 from polycycle.oracle import CYCLE_SAMPLES, CycleMeasurement
 from polycycle.pipeline import (
-    CURVE_SAMPLES,
     AnalysisOptions,
     run_analyze,
     run_sweep,
@@ -87,6 +87,93 @@ def test_missing_change_of_variables_is_reported(systems_dir, monkeypatch, capsy
     out = capsys.readouterr().out
     assert "change of variables: none found" in out
     assert "warning: no change of variables at theta degree 4" in out
+
+
+# The names the analysis calls through this module's globals, so that a
+# wrapper set on pipeline.<name> (a test's, a profiler's) sees each call.
+STAGE_CALLS = (
+    "instantiate",
+    "solve_theta",
+    "invert_to_cubic",
+    "g_coefficients",
+    "residual_condition33",
+    "trust_radius",
+    "predict_cycle",
+    "cycle_curve",
+    "measure_cycle",
+    "compare",
+)
+
+
+def test_each_stage_call_goes_through_the_pipeline_module(systems_dir, monkeypatch):
+    calls = {name: 0 for name in STAGE_CALLS}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in STAGE_CALLS:
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    report = run_analyze(systems_dir / "normal_form.json", AnalysisOptions())
+    assert report.verdict == "agreement"
+    assert calls == {name: 1 for name in STAGE_CALLS}
+
+
+def test_a_sweep_runs_one_analysis_per_point_through_the_pipeline_module(systems_dir, monkeypatch):
+    seen = []
+    analyze = pipeline.run_analyze
+
+    def keep(source, options):
+        seen.append(options.alpha)
+        return analyze(source, options)
+
+    monkeypatch.setattr(pipeline, "run_analyze", keep)
+    alphas = ["1/100", "1/50", "1/20"]
+    rows = run_sweep(systems_dir / "normal_form.json", alphas, AnalysisOptions(measure=False))
+    assert seen == alphas and len(rows) == 3
+
+
+def test_reduce_alone(normal_form_system):
+    # normal_form at alpha = 1/20: the certificate is an exact zero, and
+    # the trust radius is the one the README shows at alpha = 1/25 (the
+    # change of variables does not depend on alpha here)
+    red = pipeline.reduce(normal_form_system)
+    assert isinstance(red, pipeline.Reduction)
+    assert red.residual == 0 and red.cov.m == 4
+    assert red.trust_radius == 0.5387657669626049
+    assert red.warnings == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        red.trust_radius = 1.0
+
+
+def test_predict_alone(normal_form_system):
+    red = pipeline.reduce(normal_form_system)
+    pred, curve = pipeline.predict(red, 0.1, 1.0025)
+    assert pred.exists and pred.stability == "stable_supercritical"
+    # p3 = -(sqrt(delta)/8) g2 - (3 delta^(3/2)/8) g4 with G3 = (., -2 delta, ., -2)
+    assert pred.p3 == pytest.approx(1.0025**1.5, rel=1e-12)
+    assert curve.shape == (CURVE_SAMPLES, 3)
+    assert float(np.max(np.abs(curve[:, 1]))) == pytest.approx(pred.z_amplitude, rel=1e-4)
+    # the sign of tau against p3 decides existence: no cycle, no curve
+    pred, curve = pipeline.predict(red, -0.1, 1.0025)
+    assert not pred.exists and curve is None
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_stubbed_reduction_gives_the_same_report(systems_dir, normal_form_system, monkeypatch, exact):
+    # run_analyze takes the reduction only from pipeline.reduce: a stub
+    # returning one computed beforehand gives the same report, byte for byte
+    path = systems_dir / "normal_form.json"
+    options = AnalysisOptions(exact=exact)
+    expected = run_analyze(path, options).to_json()
+    # the file's default alpha, 1/20
+    red = pipeline.reduce(normal_form_system if exact else normal_form_system.to_float())
+    monkeypatch.setattr(pipeline, "reduce", lambda system: red)
+    monkeypatch.setattr(pipeline, "solve_theta", _no_solution)
+    assert run_analyze(path, options).to_json() == expected
 
 
 def test_analyze_rejects_saddle(tmp_path):
