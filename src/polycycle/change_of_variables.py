@@ -28,8 +28,11 @@ change of variables holds Gamma and each Theta_k
 as integer numerators over the block's own denominator
 (:class:`~polycycle.monomials.Scaled`).  The certificate expands D_h H
 along D_f f over the integers and divides by D_h D_f once.  A float
-system is gathered into a dense [A | b], solved by least squares, and
-holds float64 blocks.
+system is gathered into the same split as float64 blocks, which
+:func:`~polycycle.linalg.solve_min_norm_float` solves on the split
+where a certificate proves the coupled rows force their unknowns to 0
+and by least squares on the dense [A | b] otherwise, and holds float64
+blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import Split, _eliminate, solve_min_norm_exact, solve_min_norm_float
+from .linalg import FloatSplit, Split, _eliminate, solve_min_norm_exact, solve_min_norm_float
 from .monomials import Scaled, as_array, as_float, as_scaled, denominator_lcm, eval_poly_map, numerators
 from .polyops import poly_from_lambda_row
 from .system import PlanarPolySystem
@@ -95,26 +98,27 @@ def _slot(k: int, row: int, col: int) -> int:
 class ConstraintSystem:
     """Assembled linear system over the change-of-variables unknowns.
 
-    An exact system holds ``split``: the rows of ``scale`` * [A | b],
-    ``scale`` the lcm D of the coefficient denominators, with the
-    defining rows set apart (:class:`~polycycle.linalg.Split`), b in
-    column ``unknown_count``.  ``rows``, equation i as a sparse row
-    {column: int}, and the dense Fraction ``matrix`` and ``rhs`` are
-    built from it on first use.  A float system holds [A | b] as one
-    float64 array, ``augmented``, and no split.
+    ``split`` holds the rows of [A | b], b in column ``unknown_count``,
+    with the defining rows set apart.  An exact system holds them as
+    integers, ``scale`` * [A | b] with ``scale`` the lcm D of the
+    coefficient denominators (:class:`~polycycle.linalg.Split`); ``rows``,
+    equation i as a sparse row {column: int}, is built from them on
+    first use.  A float system holds them as float64 blocks
+    (:class:`~polycycle.linalg.FloatSplit`) and ``scale`` is 1.  The
+    dense ``matrix`` and ``rhs``, Fractions or float64, are built on
+    first use.
 
     A ``free`` system is homogeneous with (a, b) as the two leading
     unknowns and ``rhs`` is None; otherwise (a, b) = (1, 0), Gamma =
     Gamma_1, and ``rhs`` carries the induced inhomogeneity.
     """
 
-    split: Split | None
+    split: Split | FloatSplit
     scale: int
     exact: bool
     unknown_layout: tuple
     m: int
     free: bool
-    augmented: np.ndarray | None = None
 
     @property
     def unknown_count(self) -> int:
@@ -122,7 +126,7 @@ class ConstraintSystem:
 
     @property
     def equation_count(self) -> int:
-        return len(self.split.pivots) + len(self.split.coupled) if self.exact else len(self.augmented)
+        return len(self.split.pivots) + len(self.split.coupled)
 
     @cached_property
     def rows(self) -> tuple[dict, ...] | None:
@@ -131,8 +135,9 @@ class ConstraintSystem:
     @cached_property
     def _dense(self) -> tuple[np.ndarray, np.ndarray | None]:
         width = self.unknown_count
-        full = self.augmented
-        if self.exact:
+        if not self.exact:
+            full = self.split.augmented()
+        else:
             full = np.zeros((len(self.rows), width + 1), dtype=object)
             for line, row in zip(full, self.rows):
                 for c, value in row.items():
@@ -151,8 +156,7 @@ class ConstraintSystem:
         """Unknowns minus rank A, the rank the arithmetic's own solver returns."""
         if self.exact:
             return self.unknown_count - _eliminate(self.split, self.unknown_count)[2]
-        rhs = np.zeros(len(self.matrix)) if self.free else self.rhs
-        return self.unknown_count - solve_min_norm_float(self.matrix, rhs)[1]
+        return self.unknown_count - solve_min_norm_float(self.split)[1]
 
 
 @lru_cache(maxsize=64)
@@ -161,15 +165,20 @@ def _coupling_table(n: int, m: int, free: bool):
     Theta degree m: with p the flat coefficients of J, phi_2 .. phi_n
     (see :func:`_slot`), then 0 and the scale, the entry in row r and
     column c is w1 p[i1] + w2 p[i2] for each (r, c, w1, i1, w2, i2),
-    listed in the order of the row's keys.  Returns the unknown layout,
-    the shape of [A | b], the index arrays of the float gather
-    (positions in the flattened [A | b], then w1, i1, w2, i2) and the
-    split of the integer rows.  Each row of blocks 2 .. m is a defining
-    row, with -1 (times the scale) in a row-2 Theta_k column that no
-    other row holds; the rows of blocks m + 1 .. m + n - 1 are coupled.
-    The split is the pivot columns, the other columns of A, the defining
-    rows' other entries, each with its position in their dense rows over
-    those columns and b, and the coupled rows' entries, rows from 0."""
+    listed in the order of the row's keys.  Each row of blocks 2 .. m
+    is a defining row, with -1 (times the scale) in a row-2 Theta_k
+    column that no other row holds; the rows of blocks m + 1 .. m + n - 1
+    are coupled.  Returns the unknown layout, the row count of [A | b],
+    the split of the integer rows and that of the float ones.  The
+    integer split is the pivot columns, the other columns of A, the
+    defining rows' other entries, each with its position in their dense
+    rows over those columns and b, and the coupled rows' entries, rows
+    from 0.  The float split is the pivot and the other columns as index
+    arrays, the positions in (other columns, then b) that the coupled
+    rows hold, and the index arrays of one gather into the defining rows
+    over the other columns and b, then the coupled rows over the held
+    positions, flattened one after the other (positions, then w1, i1,
+    w2, i2)."""
     layout = (("a",), ("b",))[: 2 if free else 0]
     layout += tuple(("theta", k, r, c) for k in range(2, m + 1) for r in (1, 2) for c in range(1, k + 2))
     zero, one = n * (n + 3), n * (n + 3) + 1
@@ -195,16 +204,21 @@ def _coupling_table(n: int, m: int, free: bool):
                     pv = _slot(j, 1, s) if s <= j else zero
                     entries.append((row, _slot(l, 0, c) + shift, l - c, pu, c, pv))
             row += 1
-    index = np.array(entries, dtype=np.intp).T
-    index = np.vstack([index[0] * (width + 1) + index[1], index[2:]])
-    index.flags.writeable = False  # shared by every caller, as the tuples are
     pivots = tuple(_slot(k, 1, i) + shift for k in range(2, m + 1) for i in range(k + 1))
     others = tuple(c for c in range(width) if c not in pivots)
     at = {c: j for j, c in enumerate([*others, width])}
     top = len(pivots)
     dense = tuple((r * len(at) + at[c], *w) for r, c, *w in entries if r < top and c != pivots[r])
     coupled = tuple((r - top, c, *w) for r, c, *w in entries if r >= top)
-    return layout, (row, width + 1), index, (pivots, others, dense, coupled)
+    held = sorted({at[c] for _, c, *_ in coupled})
+    column = {j: i for i, j in enumerate(held)}
+    start = top * len(at)
+    gather = [*dense, *((start + r * len(held) + column[at[c]], *w) for r, c, *w in coupled)]
+    arrays = [np.array(a, dtype=np.intp).reshape(-1) for a in (pivots, others, held)]
+    arrays.append(np.array(gather, dtype=np.intp).T)
+    for a in arrays:
+        a.flags.writeable = False  # shared by every caller, as the tuples are
+    return layout, row, (pivots, others, dense, coupled), tuple(arrays)
 
 
 def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -> ConstraintSystem:
@@ -238,11 +252,13 @@ def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -
     Each row is D times the rational one, so its primitive integer form
     is the same.  The rows come split as the table splits them
     (:class:`~polycycle.linalg.Split`).  A float system is one gather
-    over the table into [A | b].
+    over the table into the same split, as float64 blocks
+    (:class:`~polycycle.linalg.FloatSplit`); an entry that overflows is
+    left to the solve, which refuses it.
     """
     if m < 2:
         raise ValueError(f"theta degree m must be >= 2, got {m}")
-    layout, shape, (flat, w1, i1, w2, i2), integer = _coupling_table(system.degree, m, free)
+    layout, rows, integer, floats = _coupling_table(system.degree, m, free)
     blocks = (system.jac, *system.phi)
     if system.exact:
         scale = denominator_lcm(blocks)
@@ -251,17 +267,21 @@ def assemble_constraints(system: PlanarPolySystem, m: int, free: bool = False) -
         values = [0] * (len(pivots) * (len(others) + 1))
         for at, wu, pu, wv, pv in dense:
             values[at] = wu * p[pu] + wv * p[pv]
-        split = Split([{} for _ in range(shape[0] - len(pivots))], pivots, -scale, others, values)
+        split = Split([{} for _ in range(rows - len(pivots))], pivots, -scale, others, values)
         for r, c, wu, pu, wv, pv in coupled:
             value = wu * p[pu] + wv * p[pv]
             if value:
                 split.coupled[r][c] = value
         return ConstraintSystem(split, scale, True, layout, m, free)
+    pivots, others, held, (flat, w1, i1, w2, i2) = floats
     p = np.concatenate([*(block.reshape(-1) for block in blocks), (0.0, 1.0)])
-    full = np.zeros(shape)
-    # + 0.0 makes a -0.0 entry the 0.0 of an entry that is not there
-    full.reshape(-1)[flat] = w1 * p[i1] + w2 * p[i2] + 0.0
-    return ConstraintSystem(None, 1, False, layout, m, free, full)
+    top, width = len(pivots), len(others) + 1
+    values = np.zeros(top * width + (rows - top) * len(held))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # + 0.0 makes a -0.0 entry the 0.0 of an entry that is not there
+        values[flat] = w1 * p[i1] + w2 * p[i2] + 0.0
+    dense, coupled = values[: top * width].reshape(top, width), values[top * width :].reshape(rows - top, len(held))
+    return ConstraintSystem(FloatSplit(pivots, -1.0, others, dense, held, coupled), 1, False, layout, m, free)
 
 
 @dataclass(frozen=True)
@@ -392,7 +412,7 @@ def solve_theta(system: PlanarPolySystem, m: int | None = None) -> ChangeOfVaria
         # Gamma_1 = [[1, 0], first row of J], without Fraction arithmetic
         gamma = as_scaled(np.array([[1, 0], system.jac[0].tolist()], dtype=object))
     else:
-        sol, rank = solve_min_norm_float(cs.matrix, cs.rhs)
+        sol, rank = solve_min_norm_float(cs.split)
         gamma = gamma_matrix(system.jac, 1.0, 0.0)
     if sol is None:
         raise NoSolutionError(

@@ -23,6 +23,9 @@ the whitelist and folds every part that does not involve alpha to a
 Fraction.  An error no value of alpha can mend (a division by zero, a
 negative exponent) is refused there; one that depends on alpha
 (``"1/(alpha-1)"`` at alpha = 1) is refused by :func:`instantiate`.
+The blocks are laid out once per definition, with every entry that
+does not involve alpha in place, and :func:`instantiate` copies them
+and evaluates only the entries that do.
 Entries are evaluated in exact arithmetic only: integers are taken as
 they are, decimal literals through their string form (so "0.1" means
 1/10, not the nearest double), and a float system is the exact one
@@ -39,7 +42,9 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .system import PlanarPolySystem, build_system
+import numpy as np
+
+from .system import PlanarPolySystem, _trim
 
 __all__ = ["SystemDefinition", "load_definition", "resolve_alpha", "instantiate"]
 
@@ -148,10 +153,28 @@ class SystemDefinition:
     alpha_default: float | None
 
     @cached_property
+    def template(self) -> tuple:
+        """The blocks J, phi_2, phi_3, ... as object arrays holding each
+        entry that does not involve alpha as its Fraction, and the entries
+        that do as (block, flat index, parsed entry, source text); laid
+        out once, on first read.  The arrays are read-only: an instance
+        copies them."""
+        blocks, entries = [], []
+        for b, rows in enumerate((self.jac, *self.phi)):
+            block = np.empty((len(rows), len(rows[0])), dtype=object)
+            for i, (tree, src) in enumerate(entry for row in rows for entry in row):
+                if isinstance(tree, Fraction):
+                    block.flat[i] = tree
+                else:
+                    entries.append((b, i, tree, src))
+            block.flags.writeable = False
+            blocks.append(block)
+        return tuple(blocks), tuple(entries)
+
+    @property
     def uses_alpha(self) -> bool:
-        """Whether an entry depends on alpha, walked once, on first read."""
-        rows = [*self.jac, *(row for block in self.phi for row in block)]
-        return any(not isinstance(tree, Fraction) for row in rows for tree, _ in row)
+        """Whether an entry depends on alpha."""
+        return bool(self.template[1])
 
 
 def load_definition(source) -> SystemDefinition:
@@ -238,13 +261,16 @@ def resolve_alpha(defn: SystemDefinition, alpha=None) -> Fraction | None:
 def instantiate(defn: SystemDefinition, alpha=None) -> PlanarPolySystem:
     """Build the exact system for one parameter value.
 
-    ``alpha`` is resolved by :func:`resolve_alpha`, and the entries are
-    evaluated exactly at it.  The float system is this one rounded once,
-    ``instantiate(defn, alpha).to_float()``.
+    ``alpha`` is resolved by :func:`resolve_alpha`.  The blocks are fresh
+    copies of the definition's :attr:`~SystemDefinition.template`, with
+    the entries that involve alpha evaluated exactly at it; trailing phi
+    blocks that are zero at this alpha are trimmed, as
+    :func:`~polycycle.system.build_system` trims them.  The float system
+    is this one rounded once, ``instantiate(defn, alpha).to_float()``.
     """
     value = resolve_alpha(defn, alpha)
-
-    def evaluate(rows):
-        return [[_evaluate(tree, value, src) for tree, src in row] for row in rows]
-
-    return build_system(evaluate(defn.jac), [evaluate(block) for block in defn.phi])
+    blocks, entries = defn.template
+    blocks = [block.copy() for block in blocks]
+    for b, i, tree, src in entries:
+        blocks[b].flat[i] = _evaluate(tree, value, src)
+    return PlanarPolySystem(blocks[0], tuple(_trim(blocks[1:])))

@@ -13,8 +13,9 @@ of lambda_2 evaluated at A Y + B lambda_2(Y),
     lambda_2(A Y + B lambda_2(Y)) = P_2(A) lambda_2(Y)
                                     + R2(A, B) lambda_3(Y) + O(|Y|^4).
 
-Both operators are products of coefficient rows (``np.convolve``, see
-:mod:`polycycle.monomials`), so they take the dtype of A and B.
+Both operators are products of coefficient rows, formed entry by entry
+over the Python scalars of A and B (:func:`~polycycle.monomials.row_product`),
+and come back in the dtype of A and B.
 
 An exact series is worked over the integers, each block as integer
 numerators over one denominator (:class:`~polycycle.monomials.Scaled`).
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
-from .monomials import Scaled, as_array, as_float, eval_poly_map, monomial_table
+from .monomials import Scaled, as_array, as_float, eval_poly_map, monomial_table, row_product
 
 __all__ = [
     "InverseSeries",
@@ -81,12 +82,12 @@ def p_operator(k: int, a) -> np.ndarray:
     mat = np.asarray(a)
     if mat.shape != (2, 2):
         raise ValueError(f"A must be 2x2, got {mat.shape}")
-    powers_u = [np.ones(1, dtype=mat.dtype)]
-    powers_v = [np.ones(1, dtype=mat.dtype)]
+    first, second = mat.tolist()
+    powers_u, powers_v = [[1]], [[1]]
     for _ in range(k):
-        powers_u.append(np.convolve(powers_u[-1], mat[0]))
-        powers_v.append(np.convolve(powers_v[-1], mat[1]))
-    return np.array([np.convolve(powers_u[k - i], powers_v[i]) for i in range(k + 1)])
+        powers_u.append(row_product(powers_u[-1], first))
+        powers_v.append(row_product(powers_v[-1], second))
+    return np.array([row_product(powers_u[k - i], powers_v[i]) for i in range(k + 1)], dtype=mat.dtype)
 
 
 def r2_operator(a, b) -> np.ndarray:
@@ -104,10 +105,10 @@ def r2_operator(a, b) -> np.ndarray:
     mat_b = np.asarray(b)
     if mat_a.shape != (2, 2) or mat_b.shape != (2, 3):
         raise ValueError(f"expected shapes (2,2) and (2,3), got {mat_a.shape} and {mat_b.shape}")
-    (a1, a2), (b1, b2) = mat_a, mat_b
-    return np.array(
-        [2 * np.convolve(a1, b1), np.convolve(a1, b2) + np.convolve(a2, b1), 2 * np.convolve(a2, b2)]
-    )
+    (a1, a2), (b1, b2) = mat_a.tolist(), mat_b.tolist()
+    cross = [x + y for x, y in zip(row_product(a1, b2), row_product(a2, b1))]
+    rows = [[2 * x for x in row_product(a1, b1)], cross, [2 * x for x in row_product(a2, b2)]]
+    return np.array(rows, dtype=np.result_type(mat_a, mat_b))
 
 
 @dataclass(frozen=True)

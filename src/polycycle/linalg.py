@@ -15,13 +15,13 @@ When the coupled rows are homogeneous and a certificate
 unknown they hold is 0 and nothing is eliminated: the certificate
 settles single-entry rows exactly and the rest by a Cholesky
 factorization in float64 with a rigorous error bound (Rump, BIT 46,
-2006).  It proves the coupled rows of the corpus and of the generic
-change-of-variables systems of degree 2 to 7.  Otherwise the coupled
-rows are eliminated, fraction-free (Bareiss, Math. Comp. 22, 1968), by
-Gauss-Jordan over their columns: a row already zero in the pivot
-column is skipped, so the banded structure survives, and every combined
-row is divided by its content, so entries stay near the size of the
-minors they encode.  A reduced pivot row with a single entry and no
+2006; :func:`_cholesky_proof`).  It proves the coupled rows of the
+corpus and of the generic change-of-variables systems of degree 2 to 7.
+Otherwise the coupled rows are eliminated, fraction-free (Bareiss,
+Math. Comp. 22, 1968), by Gauss-Jordan over their columns: a row
+already zero in the pivot column is skipped, so the banded structure
+survives, and every combined row is divided by its content, so entries
+stay near the size of the minors they encode.  A reduced pivot row with a single entry and no
 right-hand side forces its unknown to 0; such a column is dropped from
 the rows that hold it, all at once.  The defining rows are then cleared
 the same way, with one cancellation per pivot row with more than one
@@ -38,10 +38,20 @@ each of the back substitution over q = det, by Cramer's rule.
 :func:`rref` is the plain Fraction Gauss-Jordan; no solver uses it, the
 tests keep it as the reference the integer kernels must reproduce.
 
-The float route solves by least squares, whose SVD gives the rank with
-a relative threshold.  Both pick the minimum-norm element of the
-solution affine space so results are canonical, and both return the
-rank of A with it, the only rank the package computes.
+The float route takes the same split, as float64 blocks
+(:class:`FloatSplit`): the defining rows dense over the other columns
+and b, the coupled rows dense over the columns they hold.  Where the
+coupled rows hold no b and the same certificate, on their rows scaled
+by powers of two (:func:`_float_full_column_rank`), proves they have
+full column rank, their unknowns are 0 and the Gram system of the
+defining rows over the free unknowns gives the rest, in float64; a
+proof is kept for the next call on the same block.  Otherwise the
+dense [A | b] is built and solved by least squares, whose SVD gives the
+rank with a relative threshold.  A float system with a value that is
+not finite raises OverflowError before either runs.  Both routes pick
+the minimum-norm element of the solution affine space so results are
+canonical, and both return the rank of A with it, the only rank the
+package computes.
 """
 
 from __future__ import annotations
@@ -53,10 +63,12 @@ from itertools import chain
 from operator import mul
 from typing import NamedTuple
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
+    "FloatSplit",
     "Split",
     "rref",
     "solve_min_norm_exact",
@@ -74,6 +86,11 @@ CONSISTENCY_TOL = 1e-9
 # keeps every nonzero entry a normal float, however long its integers.
 UNIT_ROUNDOFF = 2.0**-53
 CERTIFY_MAX_BITS = 1000
+# The largest modulus of a defining-row entry (and of b) that the float
+# Gram step takes: below it (d^2 I + E^T E), E^T beta and the solution
+# stay below 2^800 for any system of fewer than 2^20 entries, so nothing
+# overflows; a larger system goes to lstsq.
+GRAM_MAX = 2.0**250
 
 # A sparse integer row: column index -> nonzero entry.
 Row = dict[int, int]
@@ -241,17 +258,75 @@ def _full_column_rank(rows: list[Row], columns: list[int]) -> bool:
     rank if the rest has; with no column left the proof is done.  This
     settles the corpus systems' blocks without floats.
 
-    Then in float64, on the m x k rest A (m >= k, else False).  Each
-    row is scaled by 2^-b, b the bit length of its largest entry, which
-    keeps the rank; the scaled block S then has entries of modulus below
-    1, the largest in each row at least 1/2.  A row whose span, b less
-    the bit length a of its smallest nonzero entry, is above
-    ``CERTIFY_MAX_BITS`` is refused.  Every nonzero entry of a row is
-    at least 2^(a - 1), so every nonzero of S is at least
-    2^-(CERTIFY_MAX_BITS + 1) = 2^-1001, a normal float (the least is
-    2^-1022) whatever b is, and int / int rounds it correctly to F with
-    |F - S| <= u |S| entrywise (u = 2^-53).  G = F^T F is formed in
-    float64 and the shift
+    Then in float64, on the m x k rest.  Each row is scaled by 2^-b, b
+    the bit length of its largest entry, which keeps the rank; the
+    scaled block S then has entries of modulus below 1, the largest in
+    each row at least 1/2.  A row whose span, b less the bit length a of
+    its smallest nonzero entry, is above ``CERTIFY_MAX_BITS`` is refused.
+    Every nonzero entry of a row is at least 2^(a - 1), so every nonzero
+    of S is at least 2^-(CERTIFY_MAX_BITS + 1) = 2^-1001, a normal float
+    (the least is 2^-1022) whatever b is, and int / int rounds it
+    correctly to F with |F - S| <= u |S| entrywise (u = 2^-53), which
+    :func:`_cholesky_proof` takes.
+    """
+    live = set(columns)
+    while True:
+        forced = {c for row in rows if len(row) == 1 for c in row}
+        if not forced:
+            break
+        live -= forced
+        rows = [row if forced.isdisjoint(row) else _drop(row, forced) for row in rows]
+        rows = [row for row in rows if row]
+    if not live:
+        return True
+    if len(rows) < len(live):
+        return False
+    slot = {c: i for i, c in enumerate(sorted(live))}
+    a = np.zeros((len(rows), len(slot)))
+    for row, out in zip(rows, a):
+        magnitudes = [abs(v) for v in row.values()]
+        b = max(magnitudes).bit_length()
+        if b - min(magnitudes).bit_length() > CERTIFY_MAX_BITS:
+            return False
+        scale = 1 << b
+        for c, v in row.items():
+            out[slot[c]] = v / scale
+    return _cholesky_proof(a)
+
+
+def _float_full_column_rank(block: np.ndarray) -> bool:
+    """True only when the float64 block is proved to have full column
+    rank, as :func:`_full_column_rank` proves an integer one; False means
+    not proved.  Each row is scaled by 2^-e, its largest modulus f 2^e
+    with 1/2 <= f < 1, so that the largest modulus in each row lies in
+    [1/2, 1).  A power of two scales exactly unless the result is
+    subnormal and loses bits, so a block that does not scale back to
+    itself is refused; otherwise :func:`_cholesky_proof` takes F = S."""
+    if block.shape[1] == 0:
+        return True
+    e = np.frexp(np.abs(block).max(axis=1))[1][:, None]
+    scaled = np.ldexp(block, -e)
+    return np.array_equal(np.ldexp(scaled, e), block) and _cholesky_proof(scaled)
+
+
+@lru_cache(maxsize=64)
+def _proved_float(shape: tuple, data: bytes) -> bool:
+    """:func:`_float_full_column_rank` of the float64 block with this
+    shape and these bytes, kept for the next call on the same block: the
+    coupled rows of a change-of-variables system hold no entry of J, so
+    the points of a sweep that moves only J ask about one block."""
+    return _float_full_column_rank(np.frombuffer(data).reshape(shape))
+
+
+def _cholesky_proof(a: np.ndarray) -> bool:
+    """True when the m x k float64 block F proves that S has full column
+    rank, S a block whose rows have their largest modulus in [1/2, 1)
+    and F either S itself or a rounding of it with |F - S| <= u |S|
+    entrywise.  False means not proved, and is the answer for m < k and
+    for a block with an entry that is not finite: ``np.linalg.cholesky``
+    returns NaN, without raising, on a matrix that holds one.
+
+    G = F^T F is formed in float64 and the shift
 
         delta = 2 (gamma_m + 3 u + gamma_{k+1} / (1 - 2 gamma_{k+1})) tr G
 
@@ -283,29 +358,9 @@ def _full_column_rank(rows: list[Row], columns: list[int]) -> bool:
     entry exceeds 1 in modulus and G's entries are at most m, so nothing
     overflows.
     """
-    live = set(columns)
-    while True:
-        forced = {c for row in rows if len(row) == 1 for c in row}
-        if not forced:
-            break
-        live -= forced
-        rows = [row if forced.isdisjoint(row) else _drop(row, forced) for row in rows]
-        rows = [row for row in rows if row]
-    if not live:
-        return True
-    if len(rows) < len(live):
-        return False
-    slot = {c: i for i, c in enumerate(sorted(live))}
-    a = np.zeros((len(rows), len(slot)))
-    for row, out in zip(rows, a):
-        magnitudes = [abs(v) for v in row.values()]
-        b = max(magnitudes).bit_length()
-        if b - min(magnitudes).bit_length() > CERTIFY_MAX_BITS:
-            return False
-        scale = 1 << b
-        for c, v in row.items():
-            out[slot[c]] = v / scale
     m, k = a.shape
+    if m < k or not np.isfinite(a).all():
+        return False
     gram = a.T @ a
     shift = 2 * (_gamma(m) + 3 * UNIT_ROUNDOFF + _gamma(k + 1) / (1 - 2 * _gamma(k + 1)))
     gram.flat[:: k + 1] -= shift * float(np.trace(gram))
@@ -377,6 +432,70 @@ class Split(NamedTuple):
         for i, row in enumerate(out):
             row.update((k, v) for k, v in zip([*self.others, n], self.dense[i * w : (i + 1) * w]) if v)
         return out + list(self.coupled)
+
+
+class FloatSplit(NamedTuple):
+    """A float64 [A | b], b in column n, split as :class:`Split` splits
+    integer rows: n = len(pivots) + len(others).
+
+    Defining row i has ``pivot`` in column ``pivots[i]`` and the row
+    ``dense[i]`` over the columns ``others``, then b.  The coupled rows
+    are ``coupled``, dense over the columns they hold: column j of it is
+    position ``held[j]`` in (``others``, then b).  The index arrays are
+    ``np.intp``.
+    """
+
+    pivots: np.ndarray
+    pivot: float
+    others: np.ndarray
+    dense: np.ndarray
+    held: np.ndarray
+    coupled: np.ndarray
+
+    def augmented(self) -> np.ndarray:
+        """The dense [A | b], built on each call."""
+        top, n = len(self.pivots), len(self.pivots) + len(self.others)
+        columns = np.append(self.others, n)
+        full = np.zeros((top + len(self.coupled), n + 1))
+        full[np.arange(top), self.pivots] = self.pivot
+        full[:top, columns] = self.dense
+        full[top:, columns[self.held]] = self.coupled
+        return full
+
+
+def _split_solve_float(split: FloatSplit) -> tuple[np.ndarray, int] | None:
+    """The minimum-norm solution and rank A where the coupled rows hold no
+    b, the defining rows no entry above ``GRAM_MAX``, and
+    :func:`_float_full_column_rank` proves that the coupled rows have full
+    column rank over the columns where they are not zero; None otherwise.
+
+    Those columns' unknowns are then 0, and the rank is their count plus
+    one per defining row.  Each defining row reads d x_{c_i} + e_i . x_F
+    = beta_i over the free unknowns x_F, so x_c = (beta - E_F x_F) / d
+    and the norm is least where (d^2 I + E_F^T E_F) x_F = E_F^T beta, as
+    in :func:`_gram_solve`; one product [E_F | beta]^T [E_F | beta]
+    holds both sides.
+    """
+    coupled, held = split.coupled, split.held
+    live = coupled.any(axis=0)
+    if not live.all():
+        coupled, held = coupled[:, live], held[live]
+    if held.size and held[-1] == len(split.others):
+        return None  # the coupled rows hold b
+    if np.abs(split.dense).max() > GRAM_MAX or not _proved_float(coupled.shape, coupled.tobytes()):
+        return None
+    keep = np.ones(len(split.others) + 1, dtype=bool)
+    keep[held] = False
+    e = split.dense[:, keep]
+    k = e.shape[1] - 1
+    gram = e.T @ e
+    d = split.pivot
+    gram.flat[: k * (k + 2) : k + 2] += d * d
+    free_x = np.linalg.solve(gram[:k, :k], gram[:k, k])
+    x = np.zeros(len(split.pivots) + len(split.others))
+    x[split.others[keep[:-1]]] = free_x
+    x[split.pivots] = (e[:, k] - e[:, :k] @ free_x) / d
+    return x, len(split.pivots) + len(held)
 
 
 def _scaled(solved: list[tuple[Row, int]], others: list[int], n: int, coupled=()) -> Split:
@@ -478,17 +597,37 @@ def solve_min_norm_exact(rows: Split | Sequence[Row], n: int) -> tuple[tuple[lis
     return (None if split is None else _gram_solve(split, zero, n)), rank
 
 
-def solve_min_norm_float(matrix, rhs):
+def _check_finite(*arrays) -> None:
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise OverflowError("the linear system holds a value beyond the float range")
+
+
+def solve_min_norm_float(matrix, rhs=None):
     """Minimum-norm least-squares solution (None when inconsistent) and rank A.
 
-    The rank is the number of singular values of A above ``SV_REL_TOL``
-    times the largest, as ``lstsq`` counts them.  Consistency means the
-    residual is small relative to the data: a genuinely unsolvable
-    system leaves an O(1) residual, roundoff leaves ~1e-13, so
-    ``CONSISTENCY_TOL`` separates them cleanly.
+    ``matrix`` is A and ``rhs`` b, or ``matrix`` is a :class:`FloatSplit`
+    of [A | b] and ``rhs`` is left out.  A split is solved on its own
+    rows where :func:`_split_solve_float` proves its coupled rows force
+    their unknowns to 0; otherwise, and for A and b, the dense system
+    goes to ``lstsq``.  A value beyond the float range raises
+    OverflowError before any of it runs.
+
+    The rank of a dense system is the number of singular values of A
+    above ``SV_REL_TOL`` times the largest, as ``lstsq`` counts them.
+    Consistency means the residual is small relative to the data: a
+    genuinely unsolvable system leaves an O(1) residual, roundoff leaves
+    ~1e-13, so ``CONSISTENCY_TOL`` separates them cleanly.
     """
+    if isinstance(matrix, FloatSplit):
+        _check_finite(matrix.dense, matrix.coupled)
+        solved = _split_solve_float(matrix)
+        if solved is not None:
+            return solved
+        full = matrix.augmented()
+        matrix, rhs = full[:, :-1], full[:, -1]
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
+    _check_finite(a, b)
     if a.size == 0:
         return np.zeros(0), 0
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=SV_REL_TOL)

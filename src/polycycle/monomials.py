@@ -13,10 +13,11 @@ product of two homogeneous polynomials is the convolution of their rows,
     (a . lambda_p)(b . lambda_q) = (a * b) . lambda_(p+q),
 
 so powers, compositions with a linear map and derivatives along a field
-(:func:`lie_row`) are all ``np.convolve`` of rows.  ``np.convolve``
-keeps the dtype: against an object array of ints and Fractions the
-product stays exact, against float64 it is float64, so one expression
-serves both arithmetics.
+(:func:`lie_row`) are all products of rows (:func:`row_product`).  The
+rows are short (two to four entries), so a product is formed entry by
+entry over Python scalars, the ``tolist()`` of the arrays: ints and
+Fractions stay exact, float64 entries become Python floats, which round
+the same, and one code serves both arithmetics.
 
 The rows may also be integer numerators over a shared denominator.  A
 :class:`Scaled` block holds an exact array as Python ints in an object
@@ -40,6 +41,7 @@ __all__ = [
     "eval_lambda",
     "eval_poly_map",
     "partial_rows",
+    "row_product",
     "lie_row",
     "denominator_lcm",
     "numerators",
@@ -121,16 +123,34 @@ def eval_poly_map(blocks: dict, point) -> np.ndarray:
     return out
 
 
-def partial_rows(row) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (d_u, d_v) of the two partial derivatives of row . lambda_k.
+def partial_rows(row) -> tuple[list, list]:
+    """Rows (d_u, d_v) of the two partial derivatives of row . lambda_k,
+    as lists of Python scalars (:func:`row_product` takes them).
 
     ``row`` has k + 1 entries, k >= 1; each derivative is a row of k
     entries over lambda_(k-1).
     """
-    row = np.asarray(row)
-    k = len(row) - 1
+    coeffs = np.asarray(row).tolist()
+    k = len(coeffs) - 1
     _check_degree(k)
-    return np.arange(k, 0, -1) * row[:-1], np.arange(1, k + 1) * row[1:]
+    return [(k - i) * x for i, x in enumerate(coeffs[:-1])], [i * x for i, x in enumerate(coeffs) if i]
+
+
+def row_product(p: list, q: list) -> list:
+    """Coefficient row of the product of the homogeneous polynomials with
+    rows ``p`` and ``q``, lists of Python scalars: entry k is the sum of
+    p[i] q[k - i] over i, added to 0 in the order of i.  An int 0 plus a
+    float is that float (or 0.0 for -0.0), so where one row has at most
+    two entries, as in every product the package forms, a float64 entry
+    is bit for bit numpy's convolution of the rows; ints and Fractions
+    stay exact."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        k = i
+        for y in q:
+            out[k] += x * y
+            k += 1
+    return out
 
 
 def lie_row(row, block) -> np.ndarray:
@@ -138,16 +158,21 @@ def lie_row(row, block) -> np.ndarray:
 
     The field is u' = block[0] . lambda_j, v' = block[1] . lambda_j, with
     ``block`` of shape 2 x (j + 1); ``row`` has k + 1 entries, k >= 1.
-    By the chain rule the derivative is (d_u row) u' + (d_v row) v', and
-    each product is a convolution of coefficient rows, so the result is
-    the k + j entries of a row over lambda_(k+j-1).  For :class:`Scaled`
-    blocks it is the row of the numerators over the product of the
-    denominators, since it is bilinear in the row and the field.
+    By the chain rule the derivative is (d_u row) u' + (d_v row) v', the
+    rows of :func:`partial_rows` times those of the field
+    (:func:`row_product`), so the result is the k + j entries of a row
+    over lambda_(k+j-1), in the dtype of the row and the block.  For
+    :class:`Scaled` blocks it is the row of the numerators over the
+    product of the denominators, since it is bilinear in the row and the
+    field.
     """
     if isinstance(row, Scaled):
         return Scaled(lie_row(row.num, block.num), row.den * block.den)
+    row, block = np.asarray(row), np.asarray(block)
     d_u, d_v = partial_rows(row)
-    return np.convolve(d_u, block[0]) + np.convolve(d_v, block[1])
+    f_u, f_v = block.tolist()
+    out = [a + b for a, b in zip(row_product(d_u, f_u), row_product(d_v, f_v))]
+    return np.array(out, dtype=np.result_type(row, block))
 
 
 def denominator_lcm(arrays) -> int:

@@ -82,6 +82,16 @@ class PlanarPolySystem:
         return PlanarPolySystem(jac, phi)
 
 
+def _trim(blocks: list) -> list:
+    """The phi blocks less their trailing all-zero ones; ValueError when
+    there are blocks and every one is zero."""
+    if blocks and all(_is_zero_matrix(b) for b in blocks):
+        raise ValueError("phi declares nonlinear degrees but every block is zero; pass phi=() for a linear system")
+    while blocks and _is_zero_matrix(blocks[-1]):
+        blocks.pop()
+    return blocks
+
+
 def build_system(jac, phi=()) -> PlanarPolySystem:
     """Validate and normalize the pieces of a planar polynomial system.
 
@@ -105,10 +115,7 @@ def build_system(jac, phi=()) -> PlanarPolySystem:
     for i, block in enumerate(phi):
         k = i + 2
         blocks.append(_coerce_matrix(block, (2, k + 1), f"phi[{k}]"))
-    if blocks and all(_is_zero_matrix(b) for b in blocks):
-        raise ValueError("phi declares nonlinear degrees but every block is zero; pass phi=() for a linear system")
-    while blocks and _is_zero_matrix(blocks[-1]):
-        blocks.pop()
+    blocks = _trim(blocks)
     if any(b.dtype != jac_arr.dtype for b in blocks):
         # mixed exact/float input: fall back to float throughout
         jac_arr = jac_arr.astype(float)

@@ -20,6 +20,7 @@ from polycycle import (
     solve_theta,
 )
 from polycycle.linalg import _primitive
+from polycycle.monomials import Scaled
 
 SYSTEMS_DIR = Path(__file__).resolve().parent.parent / "systems"
 
@@ -67,6 +68,21 @@ def _generic_system(rng, n, alpha, digits=0, long_denominators=False):
 
     phi = [[[coefficient() for _ in range(k + 1)] for _ in range(2)] for k in range(2, n + 1)]
     return build_system([[alpha, -1], [1, alpha]], phi)
+
+
+def assert_same_entries(got, want) -> None:
+    """The arrays are equal entry for entry in shape and dtype, an object
+    array in the type of each entry too, a float64 one bit for bit; two
+    Scaled blocks in their denominators and their numerators so."""
+    if isinstance(want, Scaled):
+        assert isinstance(got, Scaled) and got.den == want.den, (got, want)
+        got, want = got.num, want.num
+    assert got.shape == want.shape and got.dtype == want.dtype, (got, want)
+    if got.dtype == object:
+        assert [type(x) for x in got.flat] == [type(x) for x in want.flat], (got, want)
+        assert got.tolist() == want.tolist(), (got, want)
+    else:
+        assert got.tobytes() == want.tobytes(), (got, want)
 
 
 def as_fraction_matrix(a) -> np.ndarray:

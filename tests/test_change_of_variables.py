@@ -24,7 +24,8 @@ from polycycle.change_of_variables import (
 from polycycle import linalg
 from polycycle.monomials import Scaled, as_array, as_scaled
 from polycycle.linalg import rref, solve_min_norm_exact
-from polycycle.pipeline import AnalysisOptions, run_sweep
+from polycycle.definition import instantiate
+from polycycle.pipeline import AnalysisOptions, run_analyze, run_sweep
 from polycycle.polyops import (
     poly_add,
     poly_diff,
@@ -522,23 +523,31 @@ def test_a_family_sweep_builds_each_table_once(definitions):
 
 
 def test_exact_solve_does_not_build_the_dense_matrix(monkeypatch, corpus_systems):
+    # neither solve builds the dense [A | b] on the corpus: the exact one
+    # works on the integer split, the float one on its float split, whose
+    # coupled rows the certificate proves; the rotation cubic's coupled
+    # rows are rank deficient, so its float solve falls back to lstsq on
+    # the dense matrix
     def refuse(self):
         raise AssertionError("dense constraint matrix built")
 
     monkeypatch.setattr(cov_mod.ConstraintSystem, "_dense", property(refuse))
+    monkeypatch.setattr(linalg.FloatSplit, "augmented", refuse)
     for name, system in corpus_systems.items():
         cov = solve_theta(system)
         assert residual_condition33(cov, system) == 0, name
-        # the float solve is the one that reads the dense matrix
-        with pytest.raises(AssertionError, match="dense constraint matrix"):
-            solve_theta(system.to_float())
+        flt = system.to_float()
+        assert residual_condition33(solve_theta(flt), flt) <= 1e-12, name
+    rotation = build_system([[0.05, -1.0], [1.0, 0.05]], [[[0, 0, 0], [0, 0, 0]], [[0, -1, 0, -1], [1, 0, 1, 0]]])
+    with pytest.raises(AssertionError, match="dense constraint matrix"):
+        solve_theta(rotation)
 
 
 def test_exact_rank_does_not_build_the_dense_matrix(monkeypatch, corpus_systems):
     # nullspace_dimension() takes the rank the arithmetic's own solver
     # returns: an exact system's from its integer rows, for the free and
-    # the Gamma_1 system alike, a float system's from lstsq; the Fraction
-    # RREF of the dense exact matrix is the reference for both
+    # the Gamma_1 system alike, a float system's from its float split; the
+    # Fraction RREF of the dense exact matrix is the reference for both
     def assembled(to_float=False):
         for name, system in corpus_systems.items():
             m = min_degree_bound(system.degree) if system.degree >= 2 else 2
@@ -582,3 +591,19 @@ def test_exact_rank_stops_before_the_gram_step(monkeypatch, corpus_systems):
         assert cs.nullspace_dimension() == cs.unknown_count - rank, (name, cs.free)
     with pytest.raises(AssertionError, match="Gram step run"):
         solve_min_norm_exact(assembled[0][1].split, assembled[0][1].unknown_count)
+
+
+def test_float_reduction_in_units_scaled_by_powers_of_two(definitions):
+    # y = x / 2^k multiplies phi_3 by 2^(2k), and p3 with it.  At k = 20
+    # lstsq's relative cut-off took the dense system for inconsistent
+    # (rank 12, no change of variables); the split solve's certificate
+    # scales each row by a power of two, so the reduction runs at every k
+    from metamorphic import transform
+
+    base = instantiate(definitions["normal_form"], Fraction(1, 100))
+    p3 = run_analyze(base, AnalysisOptions(exact=False, measure=False)).p3
+    for k in (10, 20, 30):
+        s = Fraction(1, 2**k)
+        report = run_analyze(transform(base, ((s, 0), (0, s)), 1), AnalysisOptions(exact=False, measure=False))
+        assert report.status == "ok" and report.nullspace_dim == 3, k
+        assert report.p3 / 4.0**k == pytest.approx(p3, rel=1e-12), k

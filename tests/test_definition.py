@@ -9,8 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polycycle.definition import instantiate, load_definition, resolve_alpha
+from conftest import assert_same_entries
+from polycycle.definition import _evaluate, instantiate, load_definition, resolve_alpha
 from polycycle.pipeline import AnalysisOptions, run_analyze, run_sweep
+from polycycle.system import build_system
 
 
 def _minimal(**overrides):
@@ -259,3 +261,64 @@ def test_boolean_alpha_is_refused():
     rows = run_sweep(defn, [False, "1/20"], AnalysisOptions(measure=False))
     assert [row["verdict"] for row in rows][0] == "error"
     assert rows[1]["alpha"] == 0.05 and rows[1]["verdict"] != "error"
+
+
+def _built(defn, alpha):
+    """The system of every entry evaluated at alpha, through build_system:
+    the reference for the template."""
+    value = resolve_alpha(defn, alpha)
+
+    def evaluate(rows):
+        return [[_evaluate(tree, value, src) for tree, src in row] for row in rows]
+
+    return build_system(evaluate(defn.jac), [evaluate(block) for block in defn.phi])
+
+
+def test_instantiate_fills_the_template_as_build_system_builds(definitions):
+    for name, defn in definitions.items():
+        for alpha in (None, "1/30", -0.07, "1/7", 2):
+            system, reference = instantiate(defn, alpha), _built(defn, alpha)
+            assert system.degree == reference.degree, (name, alpha)
+            for got, want in zip((system.jac, *system.phi), (reference.jac, *reference.phi)):
+                assert_same_entries(got, want)
+
+
+def test_systems_of_one_definition_share_no_array(definitions):
+    defn = definitions["mixed"]
+    first, second, third = instantiate(defn, "1/20"), instantiate(defn, "1/20"), instantiate(defn, "1/30")
+    arrays = [a for system in (first, second, third) for a in (system.jac, *system.phi)]
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+    first.phi[0][0, 0] = Fraction(99)
+    first.jac[0, 0] = Fraction(99)
+    assert instantiate(defn, "1/20").phi[0][0, 0] == second.phi[0][0, 0] != 99
+    assert instantiate(defn, "1/20").jac[0, 0] == Fraction(1, 20)
+
+
+def test_an_entry_invalid_at_one_alpha_is_refused_there_only():
+    cubic = [["1/(alpha-1)", 0, 0, 0], [0, 0, 0, -1]]
+    defn = load_definition(_minimal(phi=[[[0, 0, 0], [0, 0, 0]], cubic]))
+    for alpha in ("1/20", 0, "-1/3", 2, "1/1000"):
+        value = resolve_alpha(defn, alpha)
+        assert instantiate(defn, alpha).phi[1][0, 0] == 1 / (value - 1)
+    with pytest.raises(ValueError, match=r"division by zero in '1/\(alpha-1\)'"):
+        instantiate(defn, 1)
+    assert instantiate(defn, "1/20").phi[1][0, 0] == Fraction(-20, 19)
+
+
+def test_a_block_zero_at_one_alpha_is_trimmed_there():
+    # the cubic block is zero at alpha = 1/20 only: the system is then of
+    # degree 2, and of degree 3 elsewhere; a family whose only block is
+    # zero at alpha = 0 is refused there, as build_system refuses it
+    cubic = [["alpha - 1/20", 0, 0, 0], [0, 0, 0, 0]]
+    defn = load_definition(_minimal(phi=[[[1, 0, 0], [0, 0, 0]], cubic]))
+    assert instantiate(defn, "1/20").degree == 2
+    assert instantiate(defn, "1/10").degree == 3
+    assert instantiate(defn, "1/10").phi[1][0, 0] == Fraction(1, 20)
+    single = load_definition(_minimal(phi=[[["alpha", 0, 0], [0, 0, 0]]]))
+    assert instantiate(single, "1/20").degree == 2
+    with pytest.raises(ValueError, match="every block is zero"):
+        instantiate(single, 0)
+    with pytest.raises(ValueError, match="every block is zero"):
+        _built(single, 0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import as_fraction_matrix
+from conftest import as_fraction_matrix, assert_same_entries
 import polycycle.inversion as inversion
 from polycycle.change_of_variables import ChangeOfVariables, solve_theta
 from polycycle.inversion import (
@@ -22,7 +22,7 @@ from polycycle.inversion import (
     residual_slope,
     trust_radius,
 )
-from polycycle.monomials import as_array, as_scaled, eval_lambda
+from polycycle.monomials import Scaled, as_array, as_scaled, eval_lambda
 from polycycle.polyops import poly_add, poly_from_lambda_row, poly_mul
 from polycycle.system import build_system
 
@@ -83,6 +83,53 @@ def test_r2_operator_is_the_cubic_part_of_the_composition():
         for i, full in enumerate((poly_mul(w1, w1), poly_mul(w1, w2), poly_mul(w2, w2))):
             cubic = {e: c for e, c in full.items() if sum(e) == 3}
             assert poly_from_lambda_row(3, r2[i]) == cubic
+
+
+def _convolve_p_operator(k, a):
+    """P_k(A) by np.convolve of coefficient rows, the reference the direct
+    products must reproduce."""
+    if isinstance(a, Scaled):
+        return Scaled(_convolve_p_operator(k, a.num), a.den**k)
+    mat = np.asarray(a)
+    powers_u = [np.ones(1, dtype=mat.dtype)]
+    powers_v = [np.ones(1, dtype=mat.dtype)]
+    for _ in range(k):
+        powers_u.append(np.convolve(powers_u[-1], mat[0]))
+        powers_v.append(np.convolve(powers_v[-1], mat[1]))
+    return np.array([np.convolve(powers_u[k - i], powers_v[i]) for i in range(k + 1)])
+
+
+def _convolve_r2_operator(a, b):
+    """R2(A, B) by np.convolve of coefficient rows."""
+    if isinstance(a, Scaled):
+        return Scaled(_convolve_r2_operator(a.num, b.num), a.den * b.den)
+    (a1, a2), (b1, b2) = np.asarray(a), np.asarray(b)
+    return np.array(
+        [2 * np.convolve(a1, b1), np.convolve(a1, b2) + np.convolve(a2, b1), 2 * np.convolve(a2, b2)]
+    )
+
+
+def _operands(rng, shape):
+    """One operand of each kind the operators take: int64, Python ints and
+    Fractions in object arrays, a Scaled block and float64 with signed
+    zeros among its entries; the degrees they are compared at (float64 up
+    to 3, the degrees the inverse uses: np.convolve rounds longer rows
+    through BLAS, whose fused sums differ in the last bit)."""
+    ints = rng.integers(-5, 6, size=shape)
+    fractions = _obj([[Fraction(int(n), int(d)) for n, d in zip(*rows)]
+                      for rows in zip(ints, rng.integers(1, 5, size=shape))])
+    floats = rng.uniform(-3.0, 3.0, size=shape)
+    floats.flat[rng.integers(0, floats.size, size=2)] = [0.0, -0.0]
+    return [(ints, 5), (ints.astype(object), 5), (fractions, 5), (as_scaled(fractions), 5), (floats, 3)]
+
+
+def test_operators_are_the_convolutions_of_their_rows():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        for (a, top), (b, _) in zip(_operands(rng, (2, 2)), _operands(rng, (2, 3))):
+            for k in range(1, top + 1):
+                assert_same_entries(p_operator(k, a), _convolve_p_operator(k, a))
+            assert_same_entries(r2_operator(a, b), _convolve_r2_operator(a, b))
 
 
 def _univariate_cov():

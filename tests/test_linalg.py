@@ -9,12 +9,14 @@ import pytest
 from conftest import _generic_system, _integer_rows
 from polycycle import linalg
 from polycycle.change_of_variables import (
+    NoSolutionError,
     assemble_constraints,
     min_degree_bound,
     residual_condition33,
     solve_theta,
 )
 from polycycle.linalg import rref, solve_min_norm_exact, solve_min_norm_float
+from polycycle.pipeline import AnalysisOptions, run_sweep
 from polycycle.system import build_system
 
 
@@ -684,3 +686,136 @@ def test_min_norm_float_matches_exact():
 def test_min_norm_float_inconsistent_returns_none():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert solve_min_norm_float(a, np.array([0.0, 1.0])) == (None, 1)
+
+
+def test_float_certificate_is_sound():
+    # float blocks of small integers, exact in float64, of the rank the
+    # Fraction rref gives; a power of two per row keeps that rank.  The
+    # certificate never proves a rank-deficient block, and proves the full
+    # ones here, which are well conditioned
+    rng = random.Random(1974)
+    seen = dict.fromkeys(("proved", "deficient", "scaled_proved"), 0)
+    for _ in range(300):
+        cols = rng.randint(1, 6)
+        rows = max(rng.randint(1, 8), cols + rng.randint(-1, 2))
+        r = cols if rng.random() < 0.5 else rng.randint(1, cols)
+        left = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(r)]
+        a = [[_dot(lrow, [rrow[j] for rrow in right]) for j in range(cols)] for lrow in left]
+        full = len(rref(_f(a))[1]) == cols
+        scaled = rng.random() < 0.4
+        block = np.array(a, dtype=float)
+        if scaled:
+            block = np.ldexp(block, np.array([rng.randint(-900, 900) for _ in range(rows)])[:, None])
+        proved = linalg._float_full_column_rank(block)
+        assert full == proved, a
+        seen["proved" if proved else "deficient"] += 1
+        seen["scaled_proved"] += scaled and proved
+    assert min(seen.values()) >= 10, seen
+    # full rank, but not proved: rows that round to one direction, a row
+    # that does not scale exactly, and a block with an entry that is not
+    # finite
+    assert linalg._float_full_column_rank(np.eye(2))
+    n_big = 2.0**40
+    assert not linalg._float_full_column_rank(np.array([[n_big, n_big + 1], [n_big + 1, n_big + 2]]))
+    assert not linalg._float_full_column_rank(np.array([[1.0, 5e-324], [0.0, 1.0]]))
+    for value in (np.inf, -np.inf, np.nan):
+        assert not linalg._float_full_column_rank(np.array([[value, 1.0], [0.0, 1.0]])), value
+        assert not linalg._cholesky_proof(np.array([[value, 0.5], [0.0, 0.5]])), value
+
+
+def _float_systems(corpus_systems):
+    """The corpus, the generic systems of degree 2 to 7 and the metamorphic
+    batch at three alphas, rounded to floats."""
+    from metamorphic import batch
+
+    systems = {name: system for name, system in corpus_systems.items()}
+    systems.update((f"generic_{n}", _generic_system(random.Random(7), n, Fraction(1, 50))) for n in range(2, 8))
+    for alpha in ("1/50", "1/200", "-1/50"):
+        systems.update((f"batch_{alpha}_{j}", system) for j, system in enumerate(batch(alpha)))
+    return {name: system.to_float() for name, system in systems.items()}
+
+
+def test_split_float_solve_equals_the_dense_lstsq_solve(monkeypatch, corpus_systems):
+    # the split solve equals lstsq on the dense [A | b] to 1e-12 of its
+    # largest entry, with the same rank, for the Gamma_1 and the free
+    # systems, and neither builds the dense matrix nor calls lstsq
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route taken")
+
+    for name, system in _float_systems(corpus_systems).items():
+        m = min_degree_bound(system.degree) if system.degree >= 2 else 2
+        for free in (False, True):
+            cs = assemble_constraints(system, m, free=free)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg.FloatSplit, "augmented", refuse)
+                patch.setattr(np.linalg, "lstsq", refuse)
+                solution, rank = solve_min_norm_float(cs.split)
+            reference, expected = solve_min_norm_float(cs.matrix, np.zeros(len(cs.matrix)) if free else cs.rhs)
+            assert rank == expected, (name, free)
+            scale = max(float(np.abs(reference).max()), 1.0 if free else 0.0)
+            assert np.abs(solution - reference).max() <= 1e-12 * scale, (name, free)
+
+
+def test_split_float_solve_falls_back_to_lstsq(monkeypatch, normal_form_system):
+    # coupled rows of rank 8 over 9 columns (the rotation cubic) and
+    # coupled rows that hold b (Theta degree m = 2 below the cubic's n = 3)
+    # are not proved, and defining rows with entries of 1e160, whose Gram
+    # product would overflow, are left to lstsq: each split is solved as
+    # today's dense system
+    built = []
+    augmented = linalg.FloatSplit.augmented
+
+    def recording(self):
+        built.append(self)
+        return augmented(self)
+
+    monkeypatch.setattr(linalg.FloatSplit, "augmented", recording)
+    rotation = _rotation_cubic().to_float()
+    normal_form = normal_form_system.to_float()
+    huge = build_system([[0.05, -1.0], [1.0, 0.05]], [np.zeros((2, 3)), [[1e160, 0, 1e160, 0], [0, 1e160, 0, -1]]])
+    for system, m in ((rotation, 4), (normal_form, 2), (huge, 4)):
+        cs = assemble_constraints(system, m)
+        built.clear()
+        # the dense route's residual norm overflows on the huge system
+        with np.errstate(over="ignore"):
+            solution, rank = solve_min_norm_float(cs.split)
+            assert len(built) == 1
+            reference, expected = solve_min_norm_float(cs.matrix, cs.rhs)
+        assert rank == expected
+        assert (solution is None) == (reference is None) == (m == 2)
+        if solution is not None:
+            assert np.isfinite(solution).all() and np.array_equal(solution, reference)
+    assert solve_theta(rotation).rank == solve_theta(_rotation_cubic()).rank == 20
+    with pytest.raises(NoSolutionError):
+        solve_theta(normal_form, 2)
+
+
+def test_a_float_sweep_proves_its_coupled_rows_once(monkeypatch, definitions):
+    # the coupled rows hold no entry of J, so a float sweep of a family
+    # whose phi does not move with alpha proves one block
+    proofs = []
+    certify = linalg._float_full_column_rank
+
+    def recording(block):
+        proofs.append(certify(block))
+        return proofs[-1]
+
+    monkeypatch.setattr(linalg, "_float_full_column_rank", recording)
+    linalg._proved_float.cache_clear()
+    rows = run_sweep(definitions["mixed"], [0.05, 0.02, -0.03], AnalysisOptions(exact=False, measure=False))
+    assert [row["verdict"] for row in rows] == ["ok"] * 3 and proofs == [True]
+
+
+def test_a_non_finite_float_system_raises_overflow(normal_form_system):
+    # on the split and on the dense route alike, before LAPACK sees it
+    cs = assemble_constraints(normal_form_system.to_float(), 4)
+    for field in ("dense", "coupled"):
+        block = getattr(cs.split, field).copy()
+        block[0, 0] = np.inf
+        with pytest.raises(OverflowError):
+            solve_min_norm_float(cs.split._replace(**{field: block}))
+    with pytest.raises(OverflowError):
+        solve_min_norm_float(np.array([[1.0, np.inf]]), np.array([1.0]))
+    with pytest.raises(OverflowError):
+        solve_min_norm_float(np.eye(2), np.array([np.nan, 1.0]))

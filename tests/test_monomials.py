@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import as_fraction_matrix
-from polycycle.monomials import eval_lambda, lie_row, monomial_table
+from conftest import as_fraction_matrix, assert_same_entries
+from polycycle.monomials import Scaled, as_scaled, eval_lambda, lie_row, monomial_table
 from polycycle.polyops import poly_from_lambda_row
 from polycycle.system import build_system, lie_derivative
 
@@ -117,6 +117,37 @@ def test_lie_row_keeps_float_dtype():
     assert got.dtype == np.float64
     # d/dt (u^2/2 - u v + 2 v^2) = (u - v)(u + v/4) + (-u + 4 v)(-3 u + v/2)
     assert got.tolist() == [4.0, -13.25, 1.75]
+
+
+def _convolve_lie_row(row, block):
+    """lie_row by np.convolve of coefficient rows, the reference the
+    direct products must reproduce."""
+    if isinstance(row, Scaled):
+        return Scaled(_convolve_lie_row(row.num, block.num), row.den * block.den)
+    k = len(row) - 1
+    d_u, d_v = np.arange(k, 0, -1) * row[:-1], np.arange(1, k + 1) * row[1:]
+    return np.convolve(d_u, block[0]) + np.convolve(d_v, block[1])
+
+
+def test_lie_row_is_the_convolution_of_its_rows():
+    # entry for entry and dtype for dtype: int64, Python ints, Fractions,
+    # Scaled blocks and float64 (with signed zeros), the last where one
+    # side of each product has at most two entries, as in the G rows:
+    # np.convolve rounds longer rows through BLAS, whose fused sums differ
+    # in the last bit
+    rng = np.random.default_rng(83)
+    for k in range(1, 6):
+        for j in range(0, 5):
+            for _ in range(3):
+                ints = rng.integers(-5, 6, size=k + 1), rng.integers(-5, 6, size=(2, j + 1))
+                fractions = [as_fraction_matrix(x) / int(rng.integers(1, 5)) for x in ints]
+                kinds = [ints, [x.astype(object) for x in ints], fractions, [as_scaled(x) for x in fractions]]
+                if min(k, j + 1) <= 2:
+                    floats = rng.uniform(-3.0, 3.0, size=k + 1), rng.uniform(-3.0, 3.0, size=(2, j + 1))
+                    floats[0][rng.integers(0, k + 1)] = -0.0
+                    kinds.append(floats)
+                for row, block in kinds:
+                    assert_same_entries(lie_row(row, block), _convolve_lie_row(row, block))
 
 
 def test_as_fraction_matrix_coerces_entries():

@@ -589,6 +589,21 @@ def test_cli_float_entry_overflow_is_an_input_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("arithmetic", [[], ["--float"]], ids=["exact", "float"])
+def test_cli_constraint_overflow_is_an_input_error(capfd, arithmetic):
+    # every entry is finite in floats, but the float constraint rows
+    # overflow: the solve refuses them before LAPACK sees them, with no
+    # numpy warning, and the exact run names the same overflow
+    overflow = json.dumps({"name": "big", "jac": [["alpha", -1], [1, "alpha"]], "phi": [[[0, 0, 0], [0, 0, 0]], [["1e308", 0, "1e308", 0], [0, "1e308", 0, -1]]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", overflow, "--alpha", "1/20", "--no-measure", *arithmetic]) == 1
+    captured = capfd.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: a value of the analysis overflows a float")
+    assert captured.out == ""
+
+
 def test_cli_entry_valid_away_from_alpha_one(capsys):
     family = json.dumps({"name": "pole", "jac": [["alpha", -1], [1, "alpha"]], "phi": [[[0, 0, 0], [0, 0, 0]], [["1/(alpha-1)", 0, 0, 0], [0, 0, 0, -1]]]})
     assert main(["analyze", family, "--float", "--alpha", "1/20", "--no-measure"]) == 0

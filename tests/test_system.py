@@ -274,7 +274,7 @@ def _divergence(system, magnitude=False):
     size = np.abs if magnitude else (lambda x: x)
     trace = size(float(flt.jac[0, 0] + flt.jac[1, 1]))
     rows = {
-        k - 1: size(partial_rows(block[0])[0] + partial_rows(block[1])[1])[None, :]
+        k - 1: size(np.add(partial_rows(block[0])[0], partial_rows(block[1])[1]))[None, :]
         for k, block in enumerate(flt.phi, start=2)
     }
 
