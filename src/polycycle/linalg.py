@@ -632,8 +632,13 @@ def solve_min_norm_float(matrix, rhs=None):
         return np.zeros(0), 0
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=SV_REL_TOL)
     ax = a @ x
-    res = float(np.linalg.norm(ax - b))
-    scale = max(1.0, float(np.linalg.norm(b)), float(np.linalg.norm(ax)))
+    # the norms of the vectors over their largest modulus, whose sums of
+    # squares cannot overflow where entries near 1e160 would
+    top = max(float(np.max(np.abs(v), initial=0.0)) for v in (ax - b, b, ax))
+    if top == 0.0:
+        return x, int(rank)
+    res = float(np.linalg.norm((ax - b) / top))
+    scale = max(1.0 / top, float(np.linalg.norm(b / top)), float(np.linalg.norm(ax / top)))
     if res > CONSISTENCY_TOL * scale:
         return None, int(rank)
     return x, int(rank)

@@ -43,7 +43,7 @@ Systems, sec. 3.4):
     P'(x) = f_n(x) / f_n(P(x)) * exp(integral_0^T(x) div f dt),
 
 with f_n the field component normal to the section and T(x) the return
-time.  The generated field returns div f with f, and the stepping loop
+time.  The generated field forms div f with f, and the stepping loop
 integrates it with the same stages, outside the error norm, so the
 slope costs no further orbit, field evaluation or pass over the steps.
 With it the root solve is a safeguarded Newton iteration, the
@@ -53,18 +53,38 @@ last orbit, once around from the fixed point, is also the measured
 cycle: the loop integrates x1^2 + x2^2 along it for the rms radius in
 the same way, the amplitude is the largest |x1| of its dense output,
 and its period is sampled for export only when the samples are read.
+
+The loop, the dense output and the starting step are one kernel per
+nonzero pattern of the float field, rendered from the source template
+``_KERNEL``: the field's statements, from the generator behind
+:func:`system.compile_field`, are written into each stage, the tableau
+constants are float literals, and the system's coefficients are bound as
+locals of each routine when the kernel is made for it.  A kernel is
+compiled the first time its pattern is measured and kept in a bounded
+cache, so all alpha of a family share one; it calls no field callable.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .averaging import KbmPrediction
-from .system import PlanarPolySystem, compile_field
+# compile_field is not called here; perfbench/tracing.py wraps it under
+# this module's name, so it stays imported.
+from .system import (  # noqa: F401
+    PlanarPolySystem,
+    compile_field,
+    field_coefficients,
+    field_parameters,
+    field_pattern,
+    field_statements,
+)
 
 __all__ = [
     "Trajectory",
@@ -242,7 +262,7 @@ class CycleMeasurement:
         if self.orbit is None:
             return None
         system, records = self.orbit
-        return _sample_orbit(compile_field(system), records, self.period)
+        return _sample_orbit(_kernel(system), records, self.period)
 
 
 class TransversalityError(RuntimeError):
@@ -252,10 +272,249 @@ class TransversalityError(RuntimeError):
 _UNDERFLOW = "step size underflow; the field may be singular here"
 
 
-def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budget, norm, records):
-    """Accepted Dormand-Prince 8(5,3) steps from t0, where f(u0, v0) =
-    (fu0, fv0, fw0) and ``trial`` is the next step to try, up to the
-    first event.
+# The stepping code of the oracle, rendered once per nonzero pattern of
+# the float field by _kernel_factory: each line "<names> = f(<u>, <v>)" is
+# replaced by the generated field's statements at that point
+# (system.field_statements, the same terms in the same order as
+# system.compile_field; with two names du and dv alone, with three div f
+# too), each tableau constant and ATOL and RTOL by its float literal, and
+# COEFFICIENTS by the coefficient names c0, c1, ...: make() takes one
+# system's coefficients, and each routine binds them as its locals.
+# Stages 2 to 5 and 14 to 16 form no div f: the loop reads it at stages
+# 1 and 6 to 13 only.
+_KERNEL = """
+def make(coefficients):
+    def field(u, v):
+        COEFFICIENTS = coefficients
+        fu, fv, fw = f(u, v)
+        return fu, fv, fw
+
+    def loop(t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budget, norm, records):
+        COEFFICIENTS = coefficients
+        sqrt = math.sqrt
+        append = records.append
+        t_tol = 1e-14 * max(1.0, abs(t_limit))
+        steps = rejects = 0
+        while True:
+            if steps >= budget:
+                event = "budget"
+                break
+            if t_limit - t0 <= t_tol:
+                event = "limit"
+                break
+            h = t_limit - t0
+            if not h < trial:  # min(trial, t_limit - t0)
+                h = trial
+            k1u, k1v = fu0, fv0
+            while True:
+                y2u = u0 + h * (_A2_1 * k1u)
+                y2v = v0 + h * (_A2_1 * k1v)
+                k2u, k2v = f(y2u, y2v)
+                y3u = u0 + h * (_A3_1 * k1u + _A3_2 * k2u)
+                y3v = v0 + h * (_A3_1 * k1v + _A3_2 * k2v)
+                k3u, k3v = f(y3u, y3v)
+                y4u = u0 + h * (_A4_1 * k1u + _A4_3 * k3u)
+                y4v = v0 + h * (_A4_1 * k1v + _A4_3 * k3v)
+                k4u, k4v = f(y4u, y4v)
+                y5u = u0 + h * (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u)
+                y5v = v0 + h * (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v)
+                k5u, k5v = f(y5u, y5v)
+                y6u = u0 + h * (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u)
+                y6v = v0 + h * (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v)
+                k6u, k6v, k6w = f(y6u, y6v)
+                y7u = u0 + h * (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u)
+                y7v = v0 + h * (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v)
+                k7u, k7v, k7w = f(y7u, y7v)
+                y8u = u0 + h * (_A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u)
+                y8v = v0 + h * (_A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v)
+                k8u, k8v, k8w = f(y8u, y8v)
+                y9u = u0 + h * (_A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
+                                + _A9_8 * k8u)
+                y9v = v0 + h * (_A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
+                                + _A9_8 * k8v)
+                k9u, k9v, k9w = f(y9u, y9v)
+                y10u = u0 + h * (_A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u + _A10_7 * k7u
+                                 + _A10_8 * k8u + _A10_9 * k9u)
+                y10v = v0 + h * (_A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v + _A10_7 * k7v
+                                 + _A10_8 * k8v + _A10_9 * k9v)
+                k10u, k10v, k10w = f(y10u, y10v)
+                y11u = u0 + h * (_A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u + _A11_7 * k7u
+                                 + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u)
+                y11v = v0 + h * (_A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v + _A11_7 * k7v
+                                 + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v)
+                k11u, k11v, k11w = f(y11u, y11v)
+                y12u = u0 + h * (_A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u + _A12_7 * k7u
+                                 + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u + _A12_11 * k11u)
+                y12v = v0 + h * (_A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v + _A12_7 * k7v
+                                 + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v + _A12_11 * k11v)
+                k12u, k12v, k12w = f(y12u, y12v)
+                su = (_B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u + _B10 * k10u
+                      + _B11 * k11u + _B12 * k12u)
+                sv = (_B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v + _B10 * k10v
+                      + _B11 * k11v + _B12 * k12v)
+                u1 = u0 + h * su
+                v1 = v0 + h * sv
+                # max(a, b) as a comparison: a unless b is greater
+                a, b = abs(u0), abs(u1)
+                scale = ATOL + RTOL * (b if b > a else a)
+                e3 = (su - (_BHH1 * k1u + _BHH9 * k9u + _BHH12 * k12u)) / scale
+                e5 = (_ER1 * k1u + _ER6 * k6u + _ER7 * k7u + _ER8 * k8u + _ER9 * k9u + _ER10 * k10u
+                      + _ER11 * k11u + _ER12 * k12u) / scale
+                a, b = abs(v0), abs(v1)
+                scale = ATOL + RTOL * (b if b > a else a)
+                f3 = (sv - (_BHH1 * k1v + _BHH9 * k9v + _BHH12 * k12v)) / scale
+                f5 = (_ER1 * k1v + _ER6 * k6v + _ER7 * k7v + _ER8 * k8v + _ER9 * k9v + _ER10 * k10v
+                      + _ER11 * k11v + _ER12 * k12v) / scale
+                err5 = e5 * e5 + f5 * f5
+                deno = err5 + 0.01 * (e3 * e3 + f3 * f3)
+                err = 0.0 if deno == 0.0 else h * err5 / sqrt(2.0 * deno)
+                if err <= 1.0:
+                    break
+                rejects += 1
+                q = 0.9 * err ** -0.125
+                h *= q if q > 0.2 else 0.2  # max(0.2, q)
+                if h < 1e-14:
+                    return "underflow", t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, steps, rejects
+            if err == 0.0:
+                trial = h * 5.0
+            else:
+                q = 0.9 * err ** -0.125
+                q = q if q > 0.2 else 0.2
+                trial = h * (q if q < 5.0 else 5.0)  # min(5.0, max(0.2, q))
+            fu1, fv1, fw1 = f(u1, v1)
+            w1 = w0 + h * (_B1 * fw0 + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w + _B10 * k10w
+                           + _B11 * k11w + _B12 * k12w)
+            q1 = q0 + h * (_B1 * (u0 * u0 + v0 * v0) + _B6 * (y6u * y6u + y6v * y6v)
+                           + _B7 * (y7u * y7u + y7v * y7v) + _B8 * (y8u * y8u + y8v * y8v)
+                           + _B9 * (y9u * y9u + y9v * y9v) + _B10 * (y10u * y10u + y10v * y10v)
+                           + _B11 * (y11u * y11u + y11v * y11v) + _B12 * (y12u * y12u + y12v * y12v))
+            t1 = t0 + h
+            append((t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0,
+                    k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v, q0))
+            crossed = section and v0 != 0.0 and (v0 > 0.0) != (v1 > 0.0)
+            t0, u0, v0, fu0, fv0, w0, fw0, q0 = t1, u1, v1, fu1, fv1, w1, fw1, q1
+            steps += 1
+            if abs(u1) + abs(v1) > norm:
+                event = "blowup"
+                break
+            if crossed:
+                event = "cross"
+                break
+        return event, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, steps, rejects
+
+    def dense(rec):
+        COEFFICIENTS = coefficients
+        (t0, u0, v0, k1u, k1v, t1, u1, v1, k13u, k13v, _, _,
+         k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v, _) = rec
+        h = t1 - t0
+        y14u = u0 + h * (_A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
+                         + _A14_11 * k11u + _A14_12 * k12u + _A14_13 * k13u)
+        y14v = v0 + h * (_A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
+                         + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v)
+        k14u, k14v = f(y14u, y14v)
+        y15u = u0 + h * (_A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
+                         + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u)
+        y15v = v0 + h * (_A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
+                         + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v)
+        k15u, k15v = f(y15u, y15v)
+        y16u = u0 + h * (_A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
+                         + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u)
+        y16v = v0 + h * (_A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
+                         + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v)
+        k16u, k16v = f(y16u, y16v)
+        out = []
+        for y0, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16 in (
+            (u0, u1, k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u),
+            (v0, v1, k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v),
+        ):
+            dy = y1 - y0
+            out += (
+                y0,
+                dy,
+                h * k1 - dy,
+                2.0 * dy - h * (k13 + k1),
+                h * (_D4_1 * k1 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8 + _D4_9 * k9 + _D4_10 * k10
+                     + _D4_11 * k11 + _D4_12 * k12 + _D4_13 * k13 + _D4_14 * k14 + _D4_15 * k15
+                     + _D4_16 * k16),
+                h * (_D5_1 * k1 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8 + _D5_9 * k9 + _D5_10 * k10
+                     + _D5_11 * k11 + _D5_12 * k12 + _D5_13 * k13 + _D5_14 * k14 + _D5_15 * k15
+                     + _D5_16 * k16),
+                h * (_D6_1 * k1 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8 + _D6_9 * k9 + _D6_10 * k10
+                     + _D6_11 * k11 + _D6_12 * k12 + _D6_13 * k13 + _D6_14 * k14 + _D6_15 * k15
+                     + _D6_16 * k16),
+                h * (_D7_1 * k1 + _D7_6 * k6 + _D7_7 * k7 + _D7_8 * k8 + _D7_9 * k9 + _D7_10 * k10
+                     + _D7_11 * k11 + _D7_12 * k12 + _D7_13 * k13 + _D7_14 * k14 + _D7_15 * k15
+                     + _D7_16 * k16),
+            )
+        return tuple(out)
+
+    def first_step(u0, v0, fu0, fv0):
+        COEFFICIENTS = coefficients
+        sqrt = math.sqrt
+        su = ATOL + RTOL * abs(u0)
+        sv = ATOL + RTOL * abs(v0)
+        # products, not ** 2: float ** raises OverflowError where * gives inf
+        a, b = u0 / su, v0 / sv
+        d0 = sqrt(0.5 * (a * a + b * b))
+        a, b = fu0 / su, fv0 / sv
+        d1 = sqrt(0.5 * (a * a + b * b))
+        h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
+        if not 0.0 < h0 < math.inf:
+            return 1e-6  # an infinite state or speed
+        y1u = u0 + h0 * fu0
+        y1v = v0 + h0 * fv0
+        fu1, fv1 = f(y1u, y1v)
+        a, b = (fu1 - fu0) / su, (fv1 - fv0) / sv
+        d = max(d1, sqrt(0.5 * (a * a + b * b)) / h0)
+        h = min(100.0 * h0, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
+        return h if h > 0.0 else 1e-6
+
+    return field, loop, dense, first_step
+"""
+_CONSTANT = re.compile(r"\b(?:_(?:A|B|BHH|ER|D)\d+(?:_\d+)?|ATOL|RTOL)\b")
+_FIELD_CALL = re.compile(r"^( +)(\w+(?:, \w+)+) = f\((\w+), (\w+)\)$", re.MULTILINE)
+
+
+class _Kernel(NamedTuple):
+    """The stepping code of one float system: ``field(u, v) -> (du, dv,
+    div)`` and the routines behind :func:`_dop853`, :func:`_dense` and
+    :func:`_first_step`, with the field written into each stage."""
+
+    field: Callable
+    loop: Callable
+    dense: Callable
+    first_step: Callable
+
+
+@lru_cache(maxsize=1)
+def _kernel_template() -> str:
+    """``_KERNEL`` with each tableau constant, ATOL and RTOL as its float literal."""
+    return _CONSTANT.sub(lambda m: repr(globals()[m[0]]), _KERNEL)
+
+
+@lru_cache(maxsize=128)
+def _kernel_factory(pattern: tuple):
+    """make(coefficients) -> the routines of a :class:`_Kernel`, from
+    ``_KERNEL`` rendered and compiled for one nonzero pattern."""
+    source = _FIELD_CALL.sub(
+        lambda m: "\n".join(m[1] + line for line in field_statements(pattern, m[3], m[4], m[2].split(", "))),
+        _kernel_template(),
+    )
+    source = source.replace("COEFFICIENTS", field_parameters(pattern))
+    namespace = {"math": math}
+    exec(compile(source, "<oracle kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _kernel(system: PlanarPolySystem) -> _Kernel:
+    """The kernel of a system: its pattern's code, with its coefficients bound."""
+    return _Kernel(*_kernel_factory(field_pattern(system))(field_coefficients(system)))
+
+
+def _dop853(kernel, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budget, norm, records):
+    """Accepted Dormand-Prince 8(5,3) steps of the kernel's field from t0,
+    where field(u0, v0) = (fu0, fv0, fw0) and ``trial`` is the next step
+    to try, up to the first event.
 
     The error of a step is the pair's 5th-order estimate damped by its
     3rd-order one, |h| err5^2 / sqrt(2 (err5^2 + err3^2 / 100)) with
@@ -278,123 +537,14 @@ def _dop853(f, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budge
     Returns (event, t, u, v, fu, fv, w, fw, q, trial, accepted steps,
     rejected steps), from which a later call resumes the same stepping.
     """
-    sqrt = math.sqrt
-    append = records.append
-    t_tol = 1e-14 * max(1.0, abs(t_limit))
-    steps = rejects = 0
-    while True:
-        if steps >= budget:
-            event = "budget"
-            break
-        if t_limit - t0 <= t_tol:
-            event = "limit"
-            break
-        h = t_limit - t0
-        if not h < trial:  # min(trial, t_limit - t0)
-            h = trial
-        k1u, k1v = fu0, fv0
-        while True:
-            k2u, k2v, _ = f(u0 + h * (_A2_1 * k1u), v0 + h * (_A2_1 * k1v))
-            k3u, k3v, _ = f(
-                u0 + h * (_A3_1 * k1u + _A3_2 * k2u),
-                v0 + h * (_A3_1 * k1v + _A3_2 * k2v),
-            )
-            k4u, k4v, _ = f(
-                u0 + h * (_A4_1 * k1u + _A4_3 * k3u),
-                v0 + h * (_A4_1 * k1v + _A4_3 * k3v),
-            )
-            k5u, k5v, _ = f(
-                u0 + h * (_A5_1 * k1u + _A5_3 * k3u + _A5_4 * k4u),
-                v0 + h * (_A5_1 * k1v + _A5_3 * k3v + _A5_4 * k4v),
-            )
-            y6u = u0 + h * (_A6_1 * k1u + _A6_4 * k4u + _A6_5 * k5u)
-            y6v = v0 + h * (_A6_1 * k1v + _A6_4 * k4v + _A6_5 * k5v)
-            k6u, k6v, k6w = f(y6u, y6v)
-            y7u = u0 + h * (_A7_1 * k1u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u)
-            y7v = v0 + h * (_A7_1 * k1v + _A7_4 * k4v + _A7_5 * k5v + _A7_6 * k6v)
-            k7u, k7v, k7w = f(y7u, y7v)
-            y8u = u0 + h * (_A8_1 * k1u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u)
-            y8v = v0 + h * (_A8_1 * k1v + _A8_4 * k4v + _A8_5 * k5v + _A8_6 * k6v + _A8_7 * k7v)
-            k8u, k8v, k8w = f(y8u, y8v)
-            y9u = u0 + h * (_A9_1 * k1u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
-                            + _A9_8 * k8u)
-            y9v = v0 + h * (_A9_1 * k1v + _A9_4 * k4v + _A9_5 * k5v + _A9_6 * k6v + _A9_7 * k7v
-                            + _A9_8 * k8v)
-            k9u, k9v, k9w = f(y9u, y9v)
-            y10u = u0 + h * (_A10_1 * k1u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u + _A10_7 * k7u
-                             + _A10_8 * k8u + _A10_9 * k9u)
-            y10v = v0 + h * (_A10_1 * k1v + _A10_4 * k4v + _A10_5 * k5v + _A10_6 * k6v + _A10_7 * k7v
-                             + _A10_8 * k8v + _A10_9 * k9v)
-            k10u, k10v, k10w = f(y10u, y10v)
-            y11u = u0 + h * (_A11_1 * k1u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u + _A11_7 * k7u
-                             + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u)
-            y11v = v0 + h * (_A11_1 * k1v + _A11_4 * k4v + _A11_5 * k5v + _A11_6 * k6v + _A11_7 * k7v
-                             + _A11_8 * k8v + _A11_9 * k9v + _A11_10 * k10v)
-            k11u, k11v, k11w = f(y11u, y11v)
-            y12u = u0 + h * (_A12_1 * k1u + _A12_4 * k4u + _A12_5 * k5u + _A12_6 * k6u + _A12_7 * k7u
-                             + _A12_8 * k8u + _A12_9 * k9u + _A12_10 * k10u + _A12_11 * k11u)
-            y12v = v0 + h * (_A12_1 * k1v + _A12_4 * k4v + _A12_5 * k5v + _A12_6 * k6v + _A12_7 * k7v
-                             + _A12_8 * k8v + _A12_9 * k9v + _A12_10 * k10v + _A12_11 * k11v)
-            k12u, k12v, k12w = f(y12u, y12v)
-            su = (_B1 * k1u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u + _B10 * k10u
-                  + _B11 * k11u + _B12 * k12u)
-            sv = (_B1 * k1v + _B6 * k6v + _B7 * k7v + _B8 * k8v + _B9 * k9v + _B10 * k10v
-                  + _B11 * k11v + _B12 * k12v)
-            u1 = u0 + h * su
-            v1 = v0 + h * sv
-            # max(a, b) as a comparison: a unless b is greater
-            a, b = abs(u0), abs(u1)
-            scale = ATOL + RTOL * (b if b > a else a)
-            e3 = (su - (_BHH1 * k1u + _BHH9 * k9u + _BHH12 * k12u)) / scale
-            e5 = (_ER1 * k1u + _ER6 * k6u + _ER7 * k7u + _ER8 * k8u + _ER9 * k9u + _ER10 * k10u
-                  + _ER11 * k11u + _ER12 * k12u) / scale
-            a, b = abs(v0), abs(v1)
-            scale = ATOL + RTOL * (b if b > a else a)
-            f3 = (sv - (_BHH1 * k1v + _BHH9 * k9v + _BHH12 * k12v)) / scale
-            f5 = (_ER1 * k1v + _ER6 * k6v + _ER7 * k7v + _ER8 * k8v + _ER9 * k9v + _ER10 * k10v
-                  + _ER11 * k11v + _ER12 * k12v) / scale
-            err5 = e5 * e5 + f5 * f5
-            deno = err5 + 0.01 * (e3 * e3 + f3 * f3)
-            err = 0.0 if deno == 0.0 else h * err5 / sqrt(2.0 * deno)
-            if err <= 1.0:
-                break
-            rejects += 1
-            q = 0.9 * err ** -0.125
-            h *= q if q > 0.2 else 0.2  # max(0.2, q)
-            if h < 1e-14:
-                return "underflow", t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, steps, rejects
-        if err == 0.0:
-            trial = h * 5.0
-        else:
-            q = 0.9 * err ** -0.125
-            q = q if q > 0.2 else 0.2
-            trial = h * (q if q < 5.0 else 5.0)  # min(5.0, max(0.2, q))
-        fu1, fv1, fw1 = f(u1, v1)
-        w1 = w0 + h * (_B1 * fw0 + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w + _B10 * k10w
-                       + _B11 * k11w + _B12 * k12w)
-        q1 = q0 + h * (_B1 * (u0 * u0 + v0 * v0) + _B6 * (y6u * y6u + y6v * y6v)
-                       + _B7 * (y7u * y7u + y7v * y7v) + _B8 * (y8u * y8u + y8v * y8v)
-                       + _B9 * (y9u * y9u + y9v * y9v) + _B10 * (y10u * y10u + y10v * y10v)
-                       + _B11 * (y11u * y11u + y11v * y11v) + _B12 * (y12u * y12u + y12v * y12v))
-        t1 = t0 + h
-        append((t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0,
-                k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v, q0))
-        crossed = section and v0 != 0.0 and (v0 > 0.0) != (v1 > 0.0)
-        t0, u0, v0, fu0, fv0, w0, fw0, q0 = t1, u1, v1, fu1, fv1, w1, fw1, q1
-        steps += 1
-        if abs(u1) + abs(v1) > norm:
-            event = "blowup"
-            break
-        if crossed:
-            event = "cross"
-            break
-    return event, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, steps, rejects
+    return kernel.loop(t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budget, norm, records)
 
 
-def _first_step(f, u0, v0, fu0, fv0) -> float:
-    """The first trial step from (u0, v0), where f(u0, v0) = (fu0, fv0,
-    ...), by the starting-step rule of Hairer, Norsett and Wanner (sec.
-    II.4) for an 8th-order pair, in the norm of the error test.
+def _first_step(kernel, u0, v0, fu0, fv0) -> float:
+    """The first trial step from (u0, v0), where the kernel's field(u0,
+    v0) = (fu0, fv0, ...), by the starting-step rule of Hairer, Norsett
+    and Wanner (sec. II.4) for an 8th-order pair, in the norm of the
+    error test.
 
     An Euler step of 1/100 of |y| / |f| gives a difference quotient for
     the second derivative, at one more field evaluation, and the trial
@@ -402,77 +552,17 @@ def _first_step(f, u0, v0, fu0, fv0) -> float:
     Euler step.  With the step grown by at most 5 per step, an orbit so
     reaches the step size it keeps within about two steps.
     """
-    sqrt = math.sqrt
-    su = ATOL + RTOL * abs(u0)
-    sv = ATOL + RTOL * abs(v0)
-    # products, not ** 2: float ** raises OverflowError where * gives inf
-    a, b = u0 / su, v0 / sv
-    d0 = sqrt(0.5 * (a * a + b * b))
-    a, b = fu0 / su, fv0 / sv
-    d1 = sqrt(0.5 * (a * a + b * b))
-    h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
-    if not 0.0 < h0 < math.inf:
-        return 1e-6  # an infinite state or speed
-    fu1, fv1, _ = f(u0 + h0 * fu0, v0 + h0 * fv0)
-    a, b = (fu1 - fu0) / su, (fv1 - fv0) / sv
-    d = max(d1, sqrt(0.5 * (a * a + b * b)) / h0)
-    h = min(100.0 * h0, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
-    return h if h > 0.0 else 1e-6
+    return kernel.first_step(u0, v0, fu0, fv0)
 
 
-def _dense(f, rec):
+def _dense(kernel, rec):
     """The 7th-order dense output of one step record (sec. II.6).
 
     Three more stages, from the record's stages 1 and 6 to 13, give
     (u0, c0, ..., c6, v0, c0, ..., c6): each coordinate's value at the
     step's start and the coefficients :func:`_interpolate` takes.
     """
-    (t0, u0, v0, k1u, k1v, t1, u1, v1, k13u, k13v, _, _,
-     k6u, k6v, k7u, k7v, k8u, k8v, k9u, k9v, k10u, k10v, k11u, k11v, k12u, k12v, _) = rec
-    h = t1 - t0
-    k14u, k14v, _ = f(
-        u0 + h * (_A14_1 * k1u + _A14_7 * k7u + _A14_8 * k8u + _A14_9 * k9u + _A14_10 * k10u
-                  + _A14_11 * k11u + _A14_12 * k12u + _A14_13 * k13u),
-        v0 + h * (_A14_1 * k1v + _A14_7 * k7v + _A14_8 * k8v + _A14_9 * k9v + _A14_10 * k10v
-                  + _A14_11 * k11v + _A14_12 * k12v + _A14_13 * k13v),
-    )
-    k15u, k15v, _ = f(
-        u0 + h * (_A15_1 * k1u + _A15_6 * k6u + _A15_7 * k7u + _A15_8 * k8u + _A15_11 * k11u
-                  + _A15_12 * k12u + _A15_13 * k13u + _A15_14 * k14u),
-        v0 + h * (_A15_1 * k1v + _A15_6 * k6v + _A15_7 * k7v + _A15_8 * k8v + _A15_11 * k11v
-                  + _A15_12 * k12v + _A15_13 * k13v + _A15_14 * k14v),
-    )
-    k16u, k16v, _ = f(
-        u0 + h * (_A16_1 * k1u + _A16_6 * k6u + _A16_7 * k7u + _A16_8 * k8u + _A16_9 * k9u
-                  + _A16_13 * k13u + _A16_14 * k14u + _A16_15 * k15u),
-        v0 + h * (_A16_1 * k1v + _A16_6 * k6v + _A16_7 * k7v + _A16_8 * k8v + _A16_9 * k9v
-                  + _A16_13 * k13v + _A16_14 * k14v + _A16_15 * k15v),
-    )
-    out = []
-    for y0, y1, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16 in (
-        (u0, u1, k1u, k6u, k7u, k8u, k9u, k10u, k11u, k12u, k13u, k14u, k15u, k16u),
-        (v0, v1, k1v, k6v, k7v, k8v, k9v, k10v, k11v, k12v, k13v, k14v, k15v, k16v),
-    ):
-        dy = y1 - y0
-        out += (
-            y0,
-            dy,
-            h * k1 - dy,
-            2.0 * dy - h * (k13 + k1),
-            h * (_D4_1 * k1 + _D4_6 * k6 + _D4_7 * k7 + _D4_8 * k8 + _D4_9 * k9 + _D4_10 * k10
-                 + _D4_11 * k11 + _D4_12 * k12 + _D4_13 * k13 + _D4_14 * k14 + _D4_15 * k15
-                 + _D4_16 * k16),
-            h * (_D5_1 * k1 + _D5_6 * k6 + _D5_7 * k7 + _D5_8 * k8 + _D5_9 * k9 + _D5_10 * k10
-                 + _D5_11 * k11 + _D5_12 * k12 + _D5_13 * k13 + _D5_14 * k14 + _D5_15 * k15
-                 + _D5_16 * k16),
-            h * (_D6_1 * k1 + _D6_6 * k6 + _D6_7 * k7 + _D6_8 * k8 + _D6_9 * k9 + _D6_10 * k10
-                 + _D6_11 * k11 + _D6_12 * k12 + _D6_13 * k13 + _D6_14 * k14 + _D6_15 * k15
-                 + _D6_16 * k16),
-            h * (_D7_1 * k1 + _D7_6 * k6 + _D7_7 * k7 + _D7_8 * k8 + _D7_9 * k9 + _D7_10 * k10
-                 + _D7_11 * k11 + _D7_12 * k12 + _D7_13 * k13 + _D7_14 * k14 + _D7_15 * k15
-                 + _D7_16 * k16),
-        )
-    return tuple(out)
+    return kernel.dense(rec)
 
 
 def _interpolate(y0, c0, c1, c2, c3, c4, c5, c6, s):
@@ -558,13 +648,13 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    f = compile_field(system)
+    kernel = _kernel(system)
     u, v = float(x0[0]), float(x0[1])
-    fu, fv, fw = f(u, v)
-    trial = _first_step(f, u, v, fu, fv)
+    fu, fv, fw = kernel.field(u, v)
+    trial = _first_step(kernel, u, v, fu, fv)
     records = []
     event, *_, steps, _ = _dop853(
-        f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, trial, t_end, False, MAX_STEPS, BLOWUP_NORM, records
+        kernel, 0.0, u, v, fu, fv, 0.0, fw, 0.0, trial, t_end, False, MAX_STEPS, BLOWUP_NORM, records
     )
     if event == "underflow":
         raise ArithmeticError(_UNDERFLOW)
@@ -579,7 +669,7 @@ class _NoReturn(Exception):
     times the longest return measured (4.83 linear periods)."""
 
 
-def _return_map(f, work, x: float, t_limit: float):
+def _return_map(kernel, work, x: float, t_limit: float):
     """Follow the orbit from the section point (x, 0) once around, for at
     most the time ``t_limit``.
 
@@ -605,16 +695,16 @@ def _return_map(f, work, x: float, t_limit: float):
     is tangent to the section raises TransversalityError.
     """
     u, v = x, 0.0
-    fu, fv, fw = f(u, v)
+    fu, fv, fw = kernel.field(u, v)
     normal_start = fv
-    t, w, q, trial = 0.0, 0.0, 0.0, _first_step(f, u, v, fu, fv)
+    t, w, q, trial = 0.0, 0.0, 0.0, _first_step(kernel, u, v, fu, fv)
     work[0] += 1
     records = []
     while True:
         # the time budget, 50 linear periods against at most 4.83 measured
         # for a return, only stops an orbit that never comes back
         event, t, u, v, fu, fv, w, fw, q, trial, steps, rejects = _dop853(
-            f, t, u, v, fu, fv, w, fw, q, trial, t_limit, True, MAX_STEPS - len(records),
+            kernel, t, u, v, fu, fv, w, fw, q, trial, t_limit, True, MAX_STEPS - len(records),
             BLOWUP_NORM, records,
         )
         work[1] += steps
@@ -628,7 +718,7 @@ def _return_map(f, work, x: float, t_limit: float):
             continue
         t0, t1 = rec[0], rec[5]
         h = t1 - t0
-        coeffs = _dense(f, rec)
+        coeffs = _dense(kernel, rec)
         work[3] += 1
         # x2 changes sign in the step: from rec[2] at s = 0 to rec[7] at 1
         s = _root(_interpolate, coeffs[8:], 0.0, 1.0, rec[2], rec[7], 1e-12 * max(1.0, abs(t1)) / h)
@@ -642,7 +732,7 @@ def _return_map(f, work, x: float, t_limit: float):
         # step again from the start of this step, to tc, stopping for
         # nothing else, as the step it repeats passed every check
         event, _, u, v, fu, fv, w, _, q, _, steps, rejects = _dop853(
-            f, *rec[:5], *rec[10:12], rec[26], tc - t0, tc, False, math.inf, math.inf, []
+            kernel, *rec[:5], *rec[10:12], rec[26], tc - t0, tc, False, math.inf, math.inf, []
         )
         work[1] += steps
         work[2] += rejects
@@ -655,7 +745,7 @@ def _return_map(f, work, x: float, t_limit: float):
         return u, tc, normal_start / fv * math.exp(w), q, coeffs, records
 
 
-def _fixed_point(f, work, seed: float, tau: float, t_limit: float):
+def _fixed_point(kernel, work, seed: float, tau: float, t_limit: float):
     """Solve g(x) = P(x) - x by safeguarded Newton steps on g' = P' - 1.
 
     Returns (return time, P', q, crossing dense output, step records) of
@@ -665,7 +755,7 @@ def _fixed_point(f, work, seed: float, tau: float, t_limit: float):
     orbit runs for at most ``t_limit`` and is added to the tally ``work``.
     """
     def g(x):
-        p, t, slope, *orbit = _return_map(f, work, x, t_limit)
+        p, t, slope, *orbit = _return_map(kernel, work, x, t_limit)
         return p - x, (t, slope, *orbit)
 
     x = seed
@@ -769,21 +859,21 @@ def measure_cycle(system: PlanarPolySystem, seed_radius: float) -> CycleMeasurem
     seed_radius = float(seed_radius)
     flt = system.to_float()
     t_limit = _return_budget(flt)
-    f = compile_field(flt)
+    kernel = _kernel(flt)
     tau = float(flt.jac[0, 0] + flt.jac[1, 1])
 
     work = [0, 0, 0, 0]  # orbits, accepted steps, rejected steps, dense outputs
     try:
-        found = _fixed_point(f, work, seed_radius, tau, t_limit)
+        found = _fixed_point(kernel, work, seed_radius, tau, t_limit)
     except _NoReturn:
         return None  # no rotation around the origin: nothing to measure
     if found is None or abs(found[1]) > MAX_MULTIPLIER:
         return None
-    return _finish_measurement(f, flt, work, *found)
+    return _finish_measurement(kernel, flt, work, *found)
 
 
-def _finish_measurement(f, system, work, period, slope, q, crossing, records):
-    amplitude = _amplitude(f, work, records, period, crossing)
+def _finish_measurement(kernel, system, work, period, slope, q, crossing, records):
+    amplitude = _amplitude(kernel, work, records, period, crossing)
     orbits, steps, rejects, dense = work
     return CycleMeasurement(
         amplitude=amplitude,
@@ -803,7 +893,7 @@ def _finish_measurement(f, system, work, period, slope, q, crossing, records):
     )
 
 
-def _amplitude(f, work, records, period, crossing) -> float:
+def _amplitude(kernel, work, records, period, crossing) -> float:
     """max |x1| over [0, period] of the dense output of an orbit's steps.
 
     ``records`` are the orbit's steps, the last of which holds the
@@ -829,7 +919,7 @@ def _amplitude(f, work, records, period, crossing) -> float:
         if rec is last:
             coeffs, s1 = crossing[:8], s_end
         else:
-            coeffs, s1 = _dense(f, rec)[:8], 1.0
+            coeffs, s1 = _dense(kernel, rec)[:8], 1.0
             work[3] += 1
         for s in _slope_zeros(coeffs, s1):
             x1 = abs(_interpolate(*coeffs, s))
@@ -838,13 +928,13 @@ def _amplitude(f, work, records, period, crossing) -> float:
     return top
 
 
-def _sample_orbit(f, records, period) -> np.ndarray:
+def _sample_orbit(kernel, records, period) -> np.ndarray:
     """One period of (t, x1, x2) rows at CYCLE_SAMPLES + 1 equally spaced
     times, from the dense output of an orbit's steps: each time in the
     first step ending at or after it, or in the last step."""
     t0 = np.array([rec[0] for rec in records])
     t1 = np.array([rec[5] for rec in records])
-    coeffs = np.array([_dense(f, rec) for rec in records]).T
+    coeffs = np.array([_dense(kernel, rec) for rec in records]).T
     t = period * np.arange(CYCLE_SAMPLES + 1) / CYCLE_SAMPLES
     ri = np.minimum(np.searchsorted(t1, t), len(records) - 1)
     t0, t1 = t0[ri], t1[ri]

@@ -282,7 +282,8 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
             # the predicted amplitude: its error shrinks as alpha -> 0
             seed = float(np.max(np.abs(curve[:, 1:]))) if pred.exists else 0.25
             measured = measure_cycle(system, seed)
-            comparison = dataclasses.asdict(compare(pred, curve, measured))
+            comp = compare(pred, curve, measured)
+            comparison = {f.name: getattr(comp, f.name) for f in dataclasses.fields(comp)}
 
     return AnalysisReport(
         system_name="<system>" if defn is None else defn.name,

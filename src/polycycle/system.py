@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -28,6 +29,10 @@ __all__ = [
     "hopf_indicator",
     "field_polynomials",
     "compile_field",
+    "field_pattern",
+    "field_coefficients",
+    "field_statements",
+    "field_parameters",
     "lie_derivative",
 ]
 
@@ -184,82 +189,131 @@ def lie_derivative(p: Poly, system: PlanarPolySystem) -> Poly:
     return poly_add(poly_mul(poly_diff(p, 0), f1), poly_mul(poly_diff(p, 1), f2))
 
 
+def field_pattern(system: PlanarPolySystem) -> tuple:
+    """The nonzero pattern the generated field is written for: for each
+    phi block, for each row, the columns of its nonzero coefficients."""
+    return tuple(
+        tuple(tuple(i for i, c in enumerate(row) if c != 0) for row in block)
+        for block in (b.tolist() for b in system.to_float().phi)
+    )
+
+
+def field_coefficients(system: PlanarPolySystem) -> list[float]:
+    """The float coefficients c0, c1, ... that the statements of
+    :func:`field_statements` name, in that order: each row's j_r1, j_r2
+    and nonzero phi coefficients, then the trace of J and the
+    coefficients of div f."""
+    flt = system.to_float()
+    jac = flt.jac.tolist()
+    blocks = [block.tolist() for block in flt.phi]
+    out = []
+    for row in (0, 1):
+        out += jac[row]
+        for block in blocks:
+            out += [c for c in block[row] if c != 0]
+    out.append(jac[0][0] + jac[1][1])
+    for k, (row0, row1) in enumerate(blocks, start=2):
+        out += [(k - i) * row0[i] + (i + 1) * row1[i + 1] for i in range(k) if row0[i] != 0 or row1[i + 1] != 0]
+    return out
+
+
 def _monomial(a: int, b: int) -> str:
     """Name of u^a v^b in the generated field."""
-    return {(1, 0): "u", (0, 1): "v"}.get((a, b), f"m{a}_{b}")
+    return {(1, 0): "{u}", (0, 1): "{v}"}.get((a, b), f"m{a}_{b}")
 
 
 @lru_cache(maxsize=128)
-def _field_code(source: str):
-    """The compiled code of a generated field source."""
-    return compile(source, "<string>", "exec")
+def _field_exprs(pattern: tuple):
+    """du, dv and div f of a nonzero pattern as expressions in the
+    coefficient names, the monomial names and ``{u}``, ``{v}``; the
+    (a, b) of each u^a v^b that du and dv read, and that all three read;
+    and the number of coefficients."""
+    index = count()  # of the next coefficient name
+
+    def term(a, b):
+        return f"c{next(index)} * {_monomial(a, b)}"
+
+    exprs = []
+    used = set()
+    for row in (0, 1):
+        parts = [f"{term(1, 0)} + {term(0, 1)}"]
+        for k, block in enumerate(pattern, start=2):
+            used.update((k - i, i) for i in block[row])
+            if block[row]:
+                parts.append(f"(0.0 + {' + '.join(term(k - i, i) for i in block[row])})")
+        if pattern and len(parts) == 1:
+            parts.append("0.0")  # the loop's zero block sums turn -0.0 into 0.0
+        exprs.append(" + ".join(parts))
+    used_all = set(used)
+    parts = [f"c{next(index)}"]
+    for k, (row0, row1) in enumerate(pattern, start=2):
+        # d/du of row 0 plus d/dv of row 1, over the monomials of degree k - 1
+        cols = [i for i in range(k) if i in row0 or i + 1 in row1]
+        used_all.update((k - 1 - i, i) for i in cols)
+        if cols:
+            parts.append(f"(0.0 + {' + '.join(term(k - 1 - i, i) for i in cols)})")
+    exprs.append(" + ".join(parts))
+    return exprs, frozenset(used), frozenset(used_all), next(index)
+
+
+def field_statements(pattern: tuple, u: str, v: str, outs) -> list[str]:
+    """Straight-line float statements that set the names ``outs`` to du,
+    dv and, given a third name, div f of the field at the point held by
+    the names ``u`` and ``v``, for a system of nonzero pattern
+    ``pattern`` whose coefficients are bound to c0, c1, ... in the order
+    of :func:`field_coefficients`.  Temporaries are named m<a>_<b>.
+
+    They compute ``du = j11*u + j12*v``, the powers u^2, u^3, ... and
+    v^2, v^3, ... by repeated multiplication, as far as a nonzero term
+    needs them, and then, for each block k, the products u^(k-i) v^i of
+    the block's nonzero coefficients, summed in column order from 0.0
+    into one block sum that is added to du (likewise dv).  That is the
+    order of the generic loop over every coefficient, kept in the tests
+    as the reference, and the order is fixed because float addition is
+    not associative: the two agree bit for bit wherever the powers stay
+    finite.  A skipped term 0*m is a signed zero, which leaves a sum
+    started from 0.0 as it was.  div f = d(du)/du + d(dv)/dv is the
+    trace of J plus a block sum per block k of the terms c_i u^(k-1-i)
+    v^i, c_i = (k-i) phi_k[0, i] + (i+1) phi_k[1, i+1], wherever either
+    coefficient is nonzero.  No coefficient is written into the text,
+    so systems with the same nonzero pattern (all alpha of a family)
+    share it.
+    """
+    exprs, used_field, used_all, _ = _field_exprs(pattern)
+    used = used_all if len(outs) == 3 else used_field
+    top_u = max((a for a, _ in used), default=1)
+    top_v = max((b for _, b in used), default=1)
+    lines = [f"{_monomial(e, 0)} = {_monomial(e - 1, 0)} * {{u}}" for e in range(2, top_u + 1)]
+    lines += [f"{_monomial(0, e)} = {_monomial(0, e - 1)} * {{v}}" for e in range(2, top_v + 1)]
+    lines += [f"{_monomial(a, b)} = {_monomial(a, 0)} * {_monomial(0, b)}" for a, b in sorted(used) if a and b]
+    lines += [f"{name} = {expr}" for name, expr in zip(outs, exprs)]
+    return [line.format(u=u, v=v) for line in lines]
+
+
+def field_parameters(pattern: tuple) -> str:
+    """The coefficient names of a pattern's statements, c0, c1, ..., as a
+    parameter list."""
+    return ", ".join(f"c{i}" for i in range(_field_exprs(pattern)[3]))
+
+
+@lru_cache(maxsize=128)
+def _field_factory(pattern: tuple):
+    """make(c0, c1, ...) -> field, compiled once per nonzero pattern."""
+    lines = [f"def make({field_parameters(pattern)}):", "    def field(u, v):"]
+    lines += [f"        {line}" for line in field_statements(pattern, "u", "v", ("du", "dv", "div"))]
+    lines += ["        return du, dv, div", "    return field"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<field>", "exec"), namespace)
+    return namespace["make"]
 
 
 def compile_field(system: PlanarPolySystem):
     """Straight-line float code for the field, generated for each system.
 
-    The returned callable ``f(u, v) -> (du, dv, div)`` is the hot path
-    of the numerical oracle, so its source is written for this system's
-    nonzero pattern.  It computes ``du = j11*u + j12*v``, the powers
-    u^2, u^3, ... and v^2, v^3, ... by repeated multiplication, as far
-    as a nonzero term needs them, and then, for each block k, the
-    products u^(k-i) v^i of the block's nonzero coefficients, summed in
-    column order from 0.0 into one block sum that is added to du
-    (likewise dv).  That is the order of the
-    generic loop over every coefficient, kept in the tests as the
-    reference, and the order is fixed because float addition is not
-    associative: the two agree bit for bit wherever the powers stay
-    finite.  A skipped term 0*m is a signed zero, which leaves a sum
-    started from 0.0 as it was.  ``div`` = d(du)/du + d(dv)/dv is the
-    trace of J plus a block sum per block k of the terms c_i u^(k-1-i)
-    v^i, c_i = (k-i) phi_k[0, i] + (i+1) phi_k[1, i+1], wherever either
-    coefficient is nonzero.  The coefficients are bound per call as
-    names in a fresh namespace of the function; none of them is written
-    into the source, so systems with the same nonzero pattern (all
-    alpha of a family) share one source, which is compiled once per
-    process and kept in a bounded cache of code objects.
+    The returned callable ``f(u, v) -> (du, dv, div)`` runs the
+    statements of :func:`field_statements` for this system's nonzero
+    pattern, with its coefficients bound as names of the closure.  The
+    code is compiled once per pattern and process and kept in a bounded
+    cache, so all alpha of a family share it.
     """
-    flt = system.to_float()
-    namespace: dict[str, float] = {}
-
-    def bind(value) -> str:
-        name = f"c{len(namespace)}"
-        namespace[name] = float(value)
-        return name
-
-    exprs = []
-    used = set()  # (a, b) of each u^a v^b that a term multiplies
-    for row in (0, 1):
-        parts = [f"{bind(flt.jac[row, 0])} * u + {bind(flt.jac[row, 1])} * v"]
-        for k, block in enumerate(flt.phi, start=2):
-            terms = []
-            for i, c in enumerate(block[row]):
-                if c != 0:
-                    used.add((k - i, i))
-                    terms.append(f"{bind(c)} * {_monomial(k - i, i)}")
-            if terms:
-                parts.append(f"(0.0 + {' + '.join(terms)})")
-        if flt.phi and len(parts) == 1:
-            parts.append("0.0")  # the loop's zero block sums turn -0.0 into 0.0
-        exprs.append(" + ".join(parts))
-    parts = [bind(flt.jac[0, 0] + flt.jac[1, 1])]
-    for k, (row0, row1) in enumerate(flt.phi, start=2):
-        # d/du of row 0 plus d/dv of row 1, over the monomials of degree k - 1
-        terms = []
-        for i in range(k):
-            if row0[i] != 0 or row1[i + 1] != 0:
-                used.add((k - 1 - i, i))
-                terms.append(f"{bind((k - i) * row0[i] + (i + 1) * row1[i + 1])} * {_monomial(k - 1 - i, i)}")
-        if terms:
-            parts.append(f"(0.0 + {' + '.join(terms)})")
-    exprs.append(" + ".join(parts))
-
-    lines = ["def field(u, v):"]
-    top_u = max((a for a, _ in used), default=1)
-    top_v = max((b for _, b in used), default=1)
-    lines += [f"    {_monomial(e, 0)} = {_monomial(e - 1, 0)} * u" for e in range(2, top_u + 1)]
-    lines += [f"    {_monomial(0, e)} = {_monomial(0, e - 1)} * v" for e in range(2, top_v + 1)]
-    lines += [f"    {_monomial(a, b)} = {_monomial(a, 0)} * {_monomial(0, b)}" for a, b in sorted(used) if a and b]
-    lines.append(f"    return {', '.join(exprs)}")
-    exec(_field_code("\n".join(lines)), namespace)
-    return namespace.pop("field")
+    return _field_factory(field_pattern(system))(*field_coefficients(system))

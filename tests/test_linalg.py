@@ -16,7 +16,8 @@ from polycycle.change_of_variables import (
     solve_theta,
 )
 from polycycle.linalg import rref, solve_min_norm_exact, solve_min_norm_float
-from polycycle.pipeline import AnalysisOptions, run_sweep
+from polycycle.definition import load_definition
+from polycycle.pipeline import AnalysisOptions, run_analyze, run_sweep
 from polycycle.system import build_system
 
 
@@ -762,7 +763,9 @@ def test_split_float_solve_falls_back_to_lstsq(monkeypatch, normal_form_system):
     # coupled rows that hold b (Theta degree m = 2 below the cubic's n = 3)
     # are not proved, and defining rows with entries of 1e160, whose Gram
     # product would overflow, are left to lstsq: each split is solved as
-    # today's dense system
+    # today's dense system.  lstsq cannot resolve the huge system, whose
+    # rows mix 1e160 with -1, and its residual is of the order of b: it
+    # is refused as inconsistent (an exact solve finds a solution)
     built = []
     augmented = linalg.FloatSplit.augmented
 
@@ -774,21 +777,45 @@ def test_split_float_solve_falls_back_to_lstsq(monkeypatch, normal_form_system):
     rotation = _rotation_cubic().to_float()
     normal_form = normal_form_system.to_float()
     huge = build_system([[0.05, -1.0], [1.0, 0.05]], [np.zeros((2, 3)), [[1e160, 0, 1e160, 0], [0, 1e160, 0, -1]]])
-    for system, m in ((rotation, 4), (normal_form, 2), (huge, 4)):
+    for system, m, consistent in ((rotation, 4, True), (normal_form, 2, False), (huge, 4, False)):
         cs = assemble_constraints(system, m)
         built.clear()
-        # the dense route's residual norm overflows on the huge system
-        with np.errstate(over="ignore"):
-            solution, rank = solve_min_norm_float(cs.split)
-            assert len(built) == 1
-            reference, expected = solve_min_norm_float(cs.matrix, cs.rhs)
+        solution, rank = solve_min_norm_float(cs.split)
+        assert len(built) == 1
+        reference, expected = solve_min_norm_float(cs.matrix, cs.rhs)
         assert rank == expected
-        assert (solution is None) == (reference is None) == (m == 2)
+        assert (solution is None) == (reference is None) == (not consistent)
         if solution is not None:
             assert np.isfinite(solution).all() and np.array_equal(solution, reference)
     assert solve_theta(rotation).rank == solve_theta(_rotation_cubic()).rank == 20
     with pytest.raises(NoSolutionError):
         solve_theta(normal_form, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dense_consistency_test_does_not_overflow():
+    # the residual test's norms are taken over the vectors' largest
+    # modulus: a sum of squares of entries near 1e160 would overflow to
+    # inf (a RuntimeWarning, an error here), and an infinite scale would
+    # pass every residual
+    big = 1e160
+    x, rank = solve_min_norm_float(np.array([[big], [big]]), np.array([big, -big]))
+    assert (x, rank) == (None, 1)
+    x, rank = solve_min_norm_float(np.array([[big, 0.0], [0.0, big]]), np.array([big, 2.0 * big]))
+    assert rank == 2 and np.allclose(x, [1.0, 2.0], rtol=1e-15, atol=0.0)
+    x, rank = solve_min_norm_float(np.zeros((2, 2)), np.zeros(2))
+    assert rank == 0 and np.array_equal(x, [0.0, 0.0])
+    # the dense route of the float analysis (the Gram product of the split
+    # would overflow), which reported a change of variables with condition
+    # residual 1e160 while numpy warned of the overflow
+    defn = load_definition({
+        "name": "big",
+        "jac": [["alpha", -1], [1, "alpha"]],
+        "phi": [[[0, 0, 0], [0, 0, 0]], [["1e160", 0, "1e160", 0], [0, "1e160", 0, -1]]],
+    })
+    report = run_analyze(defn, AnalysisOptions(alpha=Fraction(1, 20), exact=False, measure=False))
+    assert report.status == "no_change_of_variables"
+    assert any("inconsistent" in w for w in report.warnings)
 
 
 def test_a_float_sweep_proves_its_coupled_rows_once(monkeypatch, definitions):

@@ -1,5 +1,6 @@
 """Numerical integrator, return map, cycle measurement, comparison."""
 
+import builtins
 import json
 import math
 from fractions import Fraction
@@ -18,7 +19,7 @@ from polycycle.oracle import (
     measure_cycle,
     samples_to_csv,
 )
-from polycycle.system import build_system
+from polycycle.system import build_system, field_pattern
 
 from conftest import CORPUS
 
@@ -97,29 +98,18 @@ def test_measured_cycle_of_the_rescaled_family():
 
 
 def test_work_counters_match_the_field_calls(monkeypatch):
-    calls = 0
-    compile_field = oracle.compile_field
-
-    def counting_compile(system):
-        field = compile_field(system)
-
-        def counted(u, v):
-            nonlocal calls
-            calls += 1
-            return field(u, v)
-
-        return counted
-
-    monkeypatch.setattr(oracle, "compile_field", counting_compile)
+    # the kernel calls no field callable, so the evaluations are counted
+    # on the reference: each stepping-loop run, orbit start and dense
+    # output of the measurement is replayed on the reference stepper,
+    # starting rule and dense output with a counting field
     system = _normal_form(Fraction(1, 100))
-    first = measure_cycle(system, 0.05)
-    assert first is not None
-    assert calls == first.field_evals
+    first, evals, _ = _measure_and_replay(monkeypatch, system, 0.05)
+    assert evals == (first.field_evals, first.steps, first.rejected_steps)
     assert first.steps > 0 and first.rejected_steps >= 0
-    again = measure_cycle(system, 0.05)
+    again, evals_again, _ = _measure_and_replay(monkeypatch, system, 0.05)
     counts = (again.steps, again.rejected_steps, again.field_evals)
     assert counts == (first.steps, first.rejected_steps, first.field_evals)
-    assert calls == first.field_evals + again.field_evals
+    assert evals_again == evals
 
 
 def test_measurement_follows_each_orbit_once(monkeypatch):
@@ -180,17 +170,22 @@ class _Stepper:
     """Reference for the stepping loop: adaptive DOP853 steps over the
     tableau held as data, one accepted step per call, the state in
     attributes.  ``f`` returns (du, dv, div f); w integrates div f and q
-    integrates u^2 + v^2 over the stage states."""
+    integrates u^2 + v^2 over the stage states.  It starts from the
+    loop's state (t, u, v, fu, fv, w, fw, q, trial step)."""
 
     __slots__ = ("f", "t", "u", "v", "fu", "fv", "w", "fw", "q", "h", "steps", "rejects")
 
-    def __init__(self, f, u, v):
+    def __init__(self, f, t, u, v, fu, fv, w, fw, q, h):
         self.f = f
-        self.t = self.w = self.q = 0.0
-        self.u, self.v = u, v
-        self.fu, self.fv, self.fw = f(u, v)
-        self.h = oracle._first_step(f, u, v, self.fu, self.fv)
+        self.t, self.u, self.v, self.fu, self.fv, self.w, self.fw, self.q, self.h = t, u, v, fu, fv, w, fw, q, h
         self.steps = self.rejects = 0
+
+    @classmethod
+    def start(cls, f, u, v):
+        """An orbit from (u, v) at t = 0: f there and the reference
+        starting step, two field evaluations."""
+        fu, fv, fw = f(u, v)
+        return cls(f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, _ref_first_step(f, u, v, fu, fv))
 
     def advance(self, t_limit: float):
         """One accepted step, not overshooting t_limit.
@@ -236,7 +231,7 @@ class _Stepper:
         return rec
 
 
-def _reference_run(stepper, t_limit, budget):
+def _reference_run(stepper, t_limit, budget, section=True, norm=oracle.BLOWUP_NORM):
     """The loop's events, read off the reference stepper: (event, records)
     up to the first event, with the stepper left where the loop stops."""
     records = []
@@ -248,32 +243,42 @@ def _reference_run(stepper, t_limit, budget):
         if rec is None:
             return "limit", records
         records.append(rec)
-        if abs(rec[6]) + abs(rec[7]) > oracle.BLOWUP_NORM:
+        if abs(rec[6]) + abs(rec[7]) > norm:
             return "blowup", records
         g0, g1 = rec[2], rec[7]
-        if g0 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
+        if section and g0 != 0.0 and (g0 > 0.0) != (g1 > 0.0):
             return "cross", records
     return "budget", records
 
 
-def _reference_dense(f, rec, t):
-    """Reference for the dense output: the state in the step ``rec`` at
-    time t, from the three extra stages and the rows _D4 to _D7 as data,
-    summed in the form of scipy's Dop853DenseOutput."""
+def _reference_coefficients(f, rec):
+    """Reference for the numbers of the dense output, (u0, c0, ..., c6,
+    v0, c0, ..., c6), from the three extra stages and the rows _D4 to _D7
+    as data."""
     t0, u0, v0, fu0, fv0, t1, u1, v1, fu1, fv1 = rec[:10]
     h = t1 - t0
     k = {1: (fu0, fv0), 13: (fu1, fv1)}
     k.update({i: rec[12 + 2 * (i - 6) : 14 + 2 * (i - 6)] for i in range(6, 13)})
     for i in (14, 15, 16):
         k[i] = f(u0 + h * _dot(_STAGES[i], k, 0), v0 + h * _dot(_STAGES[i], k, 1))
-    x = (t - t0) / h
-    state = []
+    out = []
     for c, y0, y1 in ((0, u0, u1), (1, v0, v1)):
         dy = y1 - y0
-        coeffs = [dy, h * k[1][c] - dy, 2.0 * dy - h * (k[13][c] + k[1][c])]
-        coeffs += [h * _dot(row, k, c) for row in _DENSE]
+        out += [y0, dy, h * k[1][c] - dy, 2.0 * dy - h * (k[13][c] + k[1][c])]
+        out += [h * _dot(row, k, c) for row in _DENSE]
+    return tuple(out)
+
+
+def _reference_dense(f, rec, t):
+    """Reference for the dense output: the state in the step ``rec`` at
+    time t, from :func:`_reference_coefficients`, summed in the form of
+    scipy's Dop853DenseOutput."""
+    coeffs = _reference_coefficients(f, rec)
+    x = (t - rec[0]) / (rec[5] - rec[0])
+    state = []
+    for y0, *cs in (coeffs[:8], coeffs[8:]):
         y = 0.0
-        for i, coeff in enumerate(reversed(coeffs)):
+        for i, coeff in enumerate(reversed(cs)):
             y = (y + coeff) * (x if i % 2 == 0 else 1 - x)
         state.append(y0 + y)
     return tuple(state)
@@ -302,21 +307,26 @@ def _reference_crossing(f, rec, t_tol):
 
 def _assert_loop_is_the_stepper(system, x, t_limit, budget=oracle.MAX_STEPS, events=100):
     """Step from the point (x, 0) of the section through up to ``events``
-    events with the loop, resuming after each crossing of x2 = 0, and
-    with the reference stepper; every record, every event and count must
-    be equal, and each crossing time within the time tolerance of the
-    reference bisection's.  Returns the events."""
-    f = oracle.compile_field(system)
+    events with the system's kernel, resuming after each crossing of x2 =
+    0, and with the reference stepper on the generated field; the field
+    and the first step at the start, every record, every event and count
+    and each crossing step's dense output must be equal, and each
+    crossing time within the time tolerance of the reference bisection's.
+    Returns the events."""
+    kernel, f = oracle._kernel(system), oracle.compile_field(system)
     u, v = x, 0.0
-    stepper = _Stepper(f, u, v)
-    state = (0.0, u, v, stepper.fu, stepper.fv, 0.0, stepper.fw, 0.0, stepper.h)
+    stepper = _Stepper.start(f, u, v)
+    fu, fv, fw = kernel.field(u, v)
+    assert (fu, fv, fw) == (stepper.fu, stepper.fv, stepper.fw)
+    assert oracle._first_step(kernel, u, v, fu, fv) == stepper.h
+    state = (0.0, u, v, fu, fv, 0.0, fw, 0.0, stepper.h)
     seen = []
     for _ in range(events):
         steps_before, rejects_before = stepper.steps, stepper.rejects
         event, ref_records = _reference_run(stepper, t_limit, budget)
         records = []
         got, *state, steps, rejects = oracle._dop853(
-            f, *state, t_limit, True, budget - steps_before, oracle.BLOWUP_NORM, records
+            kernel, *state, t_limit, True, budget - steps_before, oracle.BLOWUP_NORM, records
         )
         assert (got, records) == (event, ref_records)
         assert (steps, rejects) == (stepper.steps - steps_before, stepper.rejects - rejects_before)
@@ -325,13 +335,15 @@ def _assert_loop_is_the_stepper(system, x, t_limit, budget=oracle.MAX_STEPS, eve
             stepper.h,
         )
         seen.append(event)
+        if records:
+            coeffs = oracle._dense(kernel, records[-1])
+            assert coeffs == _reference_coefficients(f, records[-1])
         if event != "cross":
             break
         rec = records[-1]
         t0, t1 = rec[0], rec[5]
         h, t_tol = t1 - t0, 1e-12 * max(1.0, abs(t1))
-        coeffs = oracle._dense(f, rec)[8:]
-        s = oracle._root(oracle._interpolate, coeffs, 0.0, 1.0, rec[2], rec[7], t_tol / h)
+        s = oracle._root(oracle._interpolate, coeffs[8:], 0.0, 1.0, rec[2], rec[7], t_tol / h)
         assert abs(t0 + s * h - _reference_crossing(f, rec, t_tol)) <= t_tol
     return seen
 
@@ -351,7 +363,7 @@ def _random_system(rng, degree):
     return build_system([[alpha, -1.0], [1.0, alpha]], blocks)
 
 
-@pytest.mark.parametrize("degree, seed", [(3, 1), (3, 2), (3, 3), (4, 4), (5, 5)])
+@pytest.mark.parametrize("degree, seed", [(2, 6), (3, 1), (3, 2), (3, 3), (4, 4), (5, 5), (6, 7), (7, 8)])
 def test_loop_steps_as_the_reference_stepper_on_random_systems(degree, seed):
     rng = np.random.default_rng(1900 + seed)
     events = set()
@@ -360,6 +372,66 @@ def test_loop_steps_as_the_reference_stepper_on_random_systems(degree, seed):
         for x in (0.05, 0.2, 0.6):
             events.update(_assert_loop_is_the_stepper(system, x, 40.0, budget=3000))
     assert "cross" in events
+
+
+# one system of each pattern class the kernel's rendering treats apart
+_PATTERN_CLASSES = {
+    # no phi: no block sum and no 0.0
+    "linear": build_system([[0.02, -2.0], [0.5, -0.01]]),
+    # phi_3 all zero between two nonzero blocks
+    "zero_middle_block": build_system(
+        [[0.01, -1.0], [1.0, 0.01]],
+        [[[0.5, -0.25, 0.0], [0.0, 0.75, 0.5]], [[0.0] * 4, [0.0] * 4], [[-1.0, 0.0, -2.0, 0.0, -1.0], [0.0] * 5]],
+    ),
+    # dv has no nonlinear term: its zero block sums are the literal 0.0
+    "linear_dv": build_system([[0.02, -1.0], [1.0, 0.0]], [[[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]),
+    # -0.0 coefficients, in J and in phi, skipped in phi as zeros
+    "negative_zeros": build_system(
+        [[-0.0, -1.0], [1.0, 0.02]],
+        [[[-0.0, 0.5, -0.0], [0.25, -0.0, 0.0]], [[-1.0, -0.0, -1.0, 0.0], [0.0, -1.0, -0.0, -1.0]]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _PATTERN_CLASSES)
+def test_loop_steps_as_the_reference_stepper_on_each_pattern_class(name):
+    system = _PATTERN_CLASSES[name]
+    events = []
+    for x in (0.05, 0.3, 0.8):
+        events += _assert_loop_is_the_stepper(system, x, 40.0, budget=3000)
+    assert "cross" in events
+
+
+def test_one_kernel_is_compiled_per_pattern(monkeypatch, systems_dir):
+    # the kernel's source depends only on the nonzero pattern: every alpha
+    # of a family, and the three normal-form families, which differ only
+    # in J and in the signs of their cubic terms, share one compiled
+    # kernel; another pattern compiles one more, and once every pattern
+    # of an analysis is compiled, analysing it again compiles nothing.
+    # Loading a definition parses its entries, which compiles them
+    quadratic, normal_form = (load_definition(systems_dir / f"{name}.json") for name in ("quadratic", "normal_form"))
+    compiled = []
+    compile_ = builtins.compile
+
+    def counting(*args, **kwargs):
+        compiled.append(args[0])
+        return compile_(*args, **kwargs)
+
+    oracle._kernel_factory.cache_clear()
+    monkeypatch.setattr(builtins, "compile", counting)
+    systems = [_normal_form(Fraction(1, k)) for k in (10, 40, 160, 640)]
+    systems += [_hardening(Fraction(-1, 20)), _rescaled(Fraction(1, 20))]
+    for system in systems:
+        assert measure_cycle(system, 0.5) is not None
+    assert len({field_pattern(system) for system in systems}) == len(compiled) == 1
+    assert field_pattern(instantiate(quadratic, quadratic.alpha_default)) != field_pattern(systems[0])
+    run_analyze(quadratic)
+    assert len(compiled) == 2
+    for defn in (quadratic, normal_form):
+        run_analyze(defn, AnalysisOptions(alpha=Fraction(1, 30)))
+    assert len(compiled) == 2
+    # a bounded cache, like the field's
+    assert oracle._kernel_factory.cache_info().maxsize == 128
 
 
 def _underflow_system(alpha):
@@ -426,21 +498,22 @@ def test_tableau_is_the_dop853_pair():
 
 
 def test_first_step_follows_the_starting_rule():
-    f = oracle.compile_field(_normal_form(Fraction(1, 100)))
+    system = _normal_form(Fraction(1, 100))
+    kernel, f = oracle._kernel(system), oracle.compile_field(system)
     for u, v in ((0.1, 0.0), (0.0, 0.02), (0.7, -0.3), (3.0, 1e-12)):
         fu, fv, _ = f(u, v)
-        assert oracle._first_step(f, u, v, fu, fv) == pytest.approx(_ref_first_step(f, u, v, fu, fv), rel=1e-12)
+        assert oracle._first_step(kernel, u, v, fu, fv) == _ref_first_step(f, u, v, fu, fv)
     # at the origin the field vanishes and the rule falls back to 1e-6
-    assert oracle._first_step(f, 0.0, 0.0, 0.0, 0.0) == 1e-6
+    assert oracle._first_step(kernel, 0.0, 0.0, 0.0, 0.0) == 1e-6
     # an infinite or undefined state still gets a finite positive step,
     # which the loop then rejects down to an underflow
     for u in (math.inf, math.nan, 1e200):
-        assert 0.0 < oracle._first_step(f, u, 0.0, *f(u, 0.0)[:2]) < math.inf
+        assert 0.0 < oracle._first_step(kernel, u, 0.0, *kernel.field(u, 0.0)[:2]) < math.inf
 
 
 def _reference_integrate(system, x0, t_end):
     """Reference for integrate: its loop over the reference stepper."""
-    stepper = _Stepper(oracle.compile_field(system), float(x0[0]), float(x0[1]))
+    stepper = _Stepper.start(oracle.compile_field(system), float(x0[0]), float(x0[1]))
     ts, states = [0.0], [(stepper.u, stepper.v)]
     truncated = False
     while True:
@@ -508,7 +581,7 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     monkeypatch.setattr(oracle, "_finish_measurement", keep_args)
     meas = measure_cycle(system, 0.05)
     assert meas is not None and meas.section == "x2=0, x1>0"
-    ((f, _system, _orbits, period, *_, records),) = seen
+    ((_, flt, _orbits, period, *_, records),) = seen
     # the root solve's last orbit as its list of step records: 12 fields,
     # the (u, v) of stages 6 to 12 and q0
     assert {len(rec) for rec in records} == {27}
@@ -522,6 +595,7 @@ def test_samples_interpolate_the_root_solve_orbit(monkeypatch, system):
     ]
     # the array pass is the scalar reference, bit for bit
     got = [[float(v).hex() for v in row] for row in meas.samples]
+    f = oracle.compile_field(flt)
     assert got == [[v.hex() for v in row] for row in _loop_samples(f, records, period)]
 
 
@@ -574,42 +648,89 @@ def test_amplitude_stops_at_the_return():
     # over [0, T] is x1 at T, and the rest of the return step reaches
     # 0.26 % further
     system = _normal_form(Fraction(1, 10)).to_float()
-    f = oracle.compile_field(system)
+    kernel, f = oracle._kernel(system), oracle.compile_field(system)
     p, period, _, _, crossing, records = oracle._return_map(
-        f, [0, 0, 0, 0], 0.1, oracle._return_budget(system)
+        kernel, [0, 0, 0, 0], 0.1, oracle._return_budget(system)
     )
-    amplitude = oracle._amplitude(f, [0, 0, 0, 0], records, period, crossing)
+    amplitude = oracle._amplitude(kernel, [0, 0, 0, 0], records, period, crossing)
     assert amplitude == pytest.approx(p, rel=1e-9)
     assert amplitude == pytest.approx(_dense_max_abs_x1(f, records, period), rel=1e-10)
     assert amplitude < 0.999 * _dense_max_abs_x1(f, records, records[-1][5])
 
 
+def _counted(f):
+    """f with a count of its calls, kept in the returned list."""
+    calls = [0]
+
+    def counted(u, v):
+        calls[0] += 1
+        return f(u, v)
+
+    return counted, calls
+
+
+def _measure_and_replay(monkeypatch, system, seed):
+    """measure_cycle with its stepping-loop runs, orbit starts and dense
+    outputs replayed on the reference stepper, starting rule and dense
+    output, over a field that counts its calls.
+
+    Returns the measurement, (field evaluations, accepted steps,
+    rejected steps) of the replay, and the step records whose dense
+    output was formed, in order.  Each orbit starts with f at its start
+    and the starting rule's one evaluation; each loop run resumes from
+    the state it was given."""
+    runs, starts, formed = [], [], []
+    loop, first_step, dense = oracle._dop853, oracle._first_step, oracle._dense
+
+    def keep_run(kernel, *args):
+        runs.append(args[:-1])
+        return loop(kernel, *args)
+
+    def keep_start(kernel, *args):
+        starts.append(args)
+        return first_step(kernel, *args)
+
+    def keep_dense(kernel, rec):
+        formed.append(rec)
+        return dense(kernel, rec)
+
+    monkeypatch.setattr(oracle, "_dop853", keep_run)
+    monkeypatch.setattr(oracle, "_first_step", keep_start)
+    monkeypatch.setattr(oracle, "_dense", keep_dense)
+    meas = measure_cycle(system, seed)
+    assert meas is not None
+    f, calls = _counted(oracle.compile_field(system))
+    for u, v, fu, fv in starts:
+        assert f(u, v)[:2] == (fu, fv)
+        _ref_first_step(f, u, v, fu, fv)
+    steps = rejects = 0
+    for *state, t_limit, section, budget, norm in runs:
+        stepper = _Stepper(f, *state)
+        _reference_run(stepper, t_limit, budget, section, norm)
+        steps, rejects = steps + stepper.steps, rejects + stepper.rejects
+    for rec in formed:
+        _reference_coefficients(f, rec)
+    return meas, (calls[0], steps, rejects), formed
+
+
 def test_samples_are_formed_on_read(monkeypatch):
-    calls = 0
-    compile_field = oracle.compile_field
-
-    def counting_compile(system):
-        field = compile_field(system)
-
-        def counted(u, v):
-            nonlocal calls
-            calls += 1
-            return field(u, v)
-
-        return counted
-
-    monkeypatch.setattr(oracle, "compile_field", counting_compile)
-    meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
-    assert calls == meas.field_evals
+    system = _normal_form(Fraction(1, 100))
+    meas, (evals, *_), formed = _measure_and_replay(monkeypatch, system, 0.05)
+    assert evals == meas.field_evals
+    measured = len(formed)
     _, records = meas.orbit
     samples = meas.samples
     assert samples.shape == (oracle.CYCLE_SAMPLES + 1, 3)
     # the dense output of each step of the last orbit, three field
     # evaluations apiece, outside the measurement's work; formed once
+    assert formed[measured:] == records
+    f, calls = _counted(oracle.compile_field(system))
+    for rec in records:
+        _reference_coefficients(f, rec)
+    assert calls[0] == 3 * len(records)
     field_evals = meas.field_evals
-    assert calls == field_evals + 3 * len(records)
     assert meas.samples is samples
-    assert (calls, meas.field_evals) == (field_evals + 3 * len(records), field_evals)
+    assert (len(formed), meas.field_evals) == (measured + len(records), field_evals)
     assert _fake_measurement(0.1, 1.0, True).samples is None
 
 
@@ -698,22 +819,23 @@ def test_dense_output_meets_the_step():
     # the dense output starts and ends at the step's end points, and in
     # between agrees with the loop stepped there to the integrator's
     # order; endpoints alone would not see the rows _D4 to _D7
-    f = oracle.compile_field(_normal_form(Fraction(1, 100)))
+    system = _normal_form(Fraction(1, 100))
+    kernel, f = oracle._kernel(system), oracle.compile_field(system)
     u, v = 0.1, 0.0
-    fu, fv, fw = f(u, v)
+    fu, fv, fw = kernel.field(u, v)
     records = []
-    oracle._dop853(f, 0.0, u, v, fu, fv, 0.0, fw, 0.0, 0.4, 1.2, False, 3, math.inf, records)
+    oracle._dop853(kernel, 0.0, u, v, fu, fv, 0.0, fw, 0.0, 0.4, 1.2, False, 3, math.inf, records)
     assert len(records) == 3
     for rec in records:
         t0, u0, v0, _, _, t1, u1, v1 = rec[:8]
-        coeffs = oracle._dense(f, rec)
+        coeffs = oracle._dense(kernel, rec)
         assert oracle._interpolate(*coeffs[:8], 0.0) == u0 and oracle._interpolate(*coeffs[8:], 0.0) == v0
         end = oracle._interpolate(*coeffs[:8], 1.0), oracle._interpolate(*coeffs[8:], 1.0)
         assert end == pytest.approx((u1, v1), rel=1e-15, abs=1e-17)
         for s in (0.25, 0.5, 0.8):
             tm = t0 + s * (t1 - t0)
             _, _, um, vm, *_ = oracle._dop853(
-                f, *rec[:5], *rec[10:12], rec[26], tm - t0, tm, False, 10, math.inf, []
+                kernel, *rec[:5], *rec[10:12], rec[26], tm - t0, tm, False, 10, math.inf, []
             )
             dense = oracle._interpolate(*coeffs[:8], s), oracle._interpolate(*coeffs[8:], s)
             # 7th order: within 1e-8 of the radius 0.1 at steps of 0.4 and
@@ -792,14 +914,14 @@ def test_slope_identity_off_the_cycle(systems_dir, name, alpha, x):
     # normal speeds at x and at P(x) is far from 1
     defn = load_definition(systems_dir / f"{name}.json")
     system = instantiate(defn, defn.alpha_default if alpha is None else alpha).to_float()
-    f = oracle.compile_field(system)
+    kernel = oracle._kernel(system)
 
     def ret(y):
-        return oracle._return_map(f, [0, 0, 0, 0], y, oracle._return_budget(system))
+        return oracle._return_map(kernel, [0, 0, 0, 0], y, oracle._return_budget(system))
 
     p, _, slope, *_ = ret(x)
     assert abs(p - x) > 0.1 * x
-    assert abs(f(x, 0.0)[1] / f(p, 0.0)[1] - 1.0) > 0.2
+    assert abs(kernel.field(x, 0.0)[1] / kernel.field(p, 0.0)[1] - 1.0) > 0.2
     h = 1e-4 * x
     difference = (ret(x + h)[0] - ret(x - h)[0]) / (2.0 * h)
     assert slope == pytest.approx(difference, rel=1e-5)
