@@ -115,22 +115,28 @@ def _fold(node, src: str):
 def _parse_entry(entry) -> tuple:
     """(parsed entry, source text) of one matrix entry.
 
-    Raises ValueError on anything outside the whitelist, and on an
-    error that no value of alpha can mend.
+    Raises ValueError on anything outside the whitelist, on an error
+    that no value of alpha can mend, and on an entry nested deeper than
+    the interpreter's recursion limit lets it be parsed or folded.
     """
     if isinstance(entry, bool):
         raise ValueError(f"boolean is not a valid entry: {entry!r}")
-    if isinstance(entry, str):
-        try:
-            node = ast.parse(entry, mode="eval").body
-        except SyntaxError as err:
-            raise ValueError(f"cannot parse entry {entry!r}: {err.msg}") from None
-    elif isinstance(entry, (int, float)):
-        node = ast.Constant(entry)
-    else:
+    if not isinstance(entry, (str, int, float)):
         raise ValueError(f"entry must be a number or string, got {type(entry).__name__}")
     src = str(entry)
-    return _fold(node, src), src
+    try:
+        node = ast.parse(entry, mode="eval").body if isinstance(entry, str) else ast.Constant(entry)
+        return _fold(node, src), src
+    except SyntaxError as err:
+        raise ValueError(f"cannot parse entry {src!r}: {err.msg}") from None
+    except (RecursionError, MemoryError):
+        # CPython's parser reports nesting past its own stack as a MemoryError
+        raise ValueError(_too_deep(src)) from None
+
+
+def _too_deep(src: str) -> str:
+    # an entry this deep runs to thousands of characters
+    return f"entry {src[:40]!r}... is nested too deeply"
 
 
 def _evaluate(tree, alpha: Fraction, src: str) -> Fraction:
@@ -272,5 +278,8 @@ def instantiate(defn: SystemDefinition, alpha=None) -> PlanarPolySystem:
     blocks, entries = defn.template
     blocks = [block.copy() for block in blocks]
     for b, i, tree, src in entries:
-        blocks[b].flat[i] = _evaluate(tree, value, src)
+        try:
+            blocks[b].flat[i] = _evaluate(tree, value, src)
+        except RecursionError:
+            raise ValueError(_too_deep(src)) from None
     return PlanarPolySystem(blocks[0], tuple(_trim(blocks[1:])))

@@ -56,12 +56,13 @@ and its period is sampled for export only when the samples are read.
 
 The loop, the dense output and the starting step are one kernel per
 nonzero pattern of the float field, rendered from the source template
-``_KERNEL``: the field's statements, from the generator behind
-:func:`system.compile_field`, are written into each stage, the tableau
-constants are float literals, and the system's coefficients are bound as
-locals of each routine when the kernel is made for it.  A kernel is
-compiled the first time its pattern is measured and kept in a bounded
-cache, so all alpha of a family share one; it calls no field callable.
+``_KERNEL``: the field's statements, from :func:`system.field_statements`,
+are written into each stage, the tableau constants are float literals,
+and the system's coefficients are bound as locals of each routine when
+the kernel is made for it.  A kernel is compiled the first time its
+pattern is measured and kept in a bounded cache, so all alpha of a
+family share one; it calls no field callable.  :func:`compile_field`
+hands out the kernel's own field routine.
 """
 
 from __future__ import annotations
@@ -75,11 +76,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .averaging import KbmPrediction
-# compile_field is not called here; perfbench/tracing.py wraps it under
-# this module's name, so it stays imported.
-from .system import (  # noqa: F401
+from .system import (
     PlanarPolySystem,
-    compile_field,
     field_coefficients,
     field_parameters,
     field_pattern,
@@ -91,6 +89,7 @@ __all__ = [
     "CycleMeasurement",
     "ComparisonReport",
     "TransversalityError",
+    "compile_field",
     "integrate",
     "measure_cycle",
     "compare",
@@ -250,7 +249,6 @@ class CycleMeasurement:
     period: float
     stable: bool | None
     convergence_rate: float
-    section: str
     crossings: int
     steps: int
     rejected_steps: int
@@ -275,11 +273,11 @@ _UNDERFLOW = "step size underflow; the field may be singular here"
 # The stepping code of the oracle, rendered once per nonzero pattern of
 # the float field by _kernel_factory: each line "<names> = f(<u>, <v>)" is
 # replaced by the generated field's statements at that point
-# (system.field_statements, the same terms in the same order as
-# system.compile_field; with two names du and dv alone, with three div f
-# too), each tableau constant and ATOL and RTOL by its float literal, and
-# COEFFICIENTS by the coefficient names c0, c1, ...: make() takes one
-# system's coefficients, and each routine binds them as its locals.
+# (system.field_statements; with two names du and dv alone, with three
+# div f too), each tableau constant and ATOL and RTOL by its float
+# literal, and COEFFICIENTS by the coefficient names c0, c1, ...: make()
+# takes one system's coefficients, and each routine binds them as its
+# locals.
 # Stages 2 to 5 and 14 to 16 form no div f: the loop reads it at stages
 # 1 and 6 to 13 only.
 _KERNEL = """
@@ -509,6 +507,17 @@ def _kernel_factory(pattern: tuple):
 def _kernel(system: PlanarPolySystem) -> _Kernel:
     """The kernel of a system: its pattern's code, with its coefficients bound."""
     return _Kernel(*_kernel_factory(field_pattern(system))(field_coefficients(system)))
+
+
+def compile_field(system: PlanarPolySystem):
+    """Straight-line float code for the field of a system, ``f(u, v) ->
+    (du, dv, div)``: the kernel's own field routine, the statements of
+    :func:`system.field_statements` for the system's nonzero pattern with
+    its coefficients bound.  It is compiled with its pattern's kernel, once
+    per pattern and process, so all alpha of a family share it.  The
+    stepping code inlines the same statements and calls no field.
+    """
+    return _kernel(system).field
 
 
 def _dop853(kernel, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budget, norm, records):
@@ -881,7 +890,6 @@ def _finish_measurement(kernel, system, work, period, slope, q, crossing, record
         period=period,
         stable=None if abs(abs(slope) - 1.0) <= NEUTRAL_SLOPE else abs(slope) < 1.0,
         convergence_rate=abs(slope),
-        section="x2=0, x1>0",
         crossings=orbits,
         steps=steps,
         rejected_steps=rejects,
@@ -948,15 +956,10 @@ class ComparisonReport:
     """Prediction vs oracle, reduced to numbers and a verdict."""
 
     predicted_amplitude: float | None
-    predicted_period: float | None
-    measured_amplitude: float | None
-    measured_period: float | None
     amplitude_rel_err: float | None
     period_rel_err: float | None
     stability_match: bool | None
     verdict: str
-    amp_tol: float
-    period_tol: float
 
 
 def compare(
@@ -976,22 +979,18 @@ def compare(
     report carries both relative errors, to be judged by any other line.
     """
     pred_amp = None
-    pred_period = prediction.period
     if prediction.exists and curve is not None:
         pred_amp = float(np.max(np.abs(curve[:, 1])))
-    meas_amp = measurement.amplitude if measurement is not None else None
-    meas_period = measurement.period if measurement is not None else None
 
-    amp_err = None
-    period_err = None
-    stability_match = None
+    amp_err = period_err = stability_match = None
     if prediction.degenerate:
         verdict = "degenerate"
     elif prediction.exists and measurement is not None:
+        meas_amp, meas_period = measurement.amplitude, measurement.period
         if pred_amp is not None and meas_amp:
             amp_err = abs(pred_amp - meas_amp) / abs(meas_amp)
         if meas_period:
-            period_err = abs(pred_period - meas_period) / abs(meas_period)
+            period_err = abs(prediction.period - meas_period) / abs(meas_period)
         if measurement.stable is not None:
             stability_match = (prediction.stability == "stable_supercritical") == measurement.stable
         ok = (
@@ -1008,15 +1007,10 @@ def compare(
         verdict = "disagreement"
     return ComparisonReport(
         predicted_amplitude=pred_amp,
-        predicted_period=pred_period,
-        measured_amplitude=meas_amp,
-        measured_period=meas_period,
         amplitude_rel_err=amp_err,
         period_rel_err=period_err,
         stability_match=stability_match,
         verdict=verdict,
-        amp_tol=AGREE_TOL,
-        period_tol=AGREE_TOL,
     )
 
 

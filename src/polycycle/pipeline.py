@@ -78,11 +78,8 @@ class AnalysisReport:
     status: str
     tau: float
     delta: float
-    complex_pair: bool
-    near_critical: bool
     degree: int
     m: int | None = None
-    gamma_params: tuple | None = None
     unknown_count: int | None = None
     equation_count: int | None = None
     nullspace_dim: int | None = None
@@ -110,24 +107,22 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         del out["predicted_curve"], out["measured_cycle"]
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
         alpha_part = "" if self.alpha is None else f", alpha={self.alpha!r}"
-        pair = "yes" if self.complex_pair else "no"
         lines = [
             f"system: {self.system_name}{alpha_part} ({self.arithmetic} arithmetic)",
-            f"origin: tau={self.tau!r}, delta={self.delta!r}, complex pair: {pair}",
+            f"origin: tau={self.tau!r}, delta={self.delta!r}",
         ]
         if self.status == "no_change_of_variables":
             lines.append("change of variables: none found")
-        elif self.m is not None:
+        else:
             lines.append(
-                f"change of variables: m={self.m}, gamma=({self.gamma_params[0]},"
-                f"{self.gamma_params[1]}), unknowns={self.unknown_count},"
+                f"change of variables: m={self.m}, unknowns={self.unknown_count},"
                 f" equations={self.equation_count}, nullspace dim={self.nullspace_dim}"
             )
             zero = " (exact zero)" if self.residual_is_exact_zero else ""
@@ -157,8 +152,7 @@ class AnalysisReport:
                 f"oracle: cycle found, amplitude={meas['amplitude']!r},"
                 f" period={meas['period']!r}, "
                 + {True: "stable", False: "unstable", None: "neutral"}[meas["stable"]]
-                + f" (return-map slope magnitude {meas['convergence_rate']!r},"
-                + f" section {meas['section']})"
+                + f" (return-map slope magnitude {meas['convergence_rate']!r})"
             )
         elif self.comparison is not None:
             lines.append("oracle: no cycle found")
@@ -171,8 +165,6 @@ class AnalysisReport:
                     f" period err {comp['period_rel_err']:.3%})"
                 )
             lines.append(f"verdict: {comp['verdict']}{detail}")
-        elif self.verdict is not None:
-            lines.append(f"verdict: {self.verdict}")
         lines += [f"warning: {warning}" for warning in self.warnings]
         return "\n".join(lines) + "\n"
 
@@ -242,8 +234,6 @@ def _reduced_fields(red: Reduction, pred: KbmPrediction, exact: bool) -> dict:
     cov = red.cov
     return dict(
         m=cov.m,
-        # solve_theta always solves at Gamma_1
-        gamma_params=(1, 0),
         unknown_count=cov.unknown_count,
         equation_count=cov.equation_count,
         nullspace_dim=cov.unknown_count - cov.rank,
@@ -292,8 +282,6 @@ def _analyze(source, options: AnalysisOptions) -> AnalysisReport:
         status="no_change_of_variables" if red is None else "ok",
         tau=tau,
         delta=delta,
-        complex_pair=hopf.complex_pair,
-        near_critical=hopf.near_critical,
         degree=system.degree,
         **({} if red is None else _reduced_fields(red, pred, system.exact)),
         # every field in declaration order, less the orbit behind the samples

@@ -28,17 +28,12 @@ __all__ = [
     "evaluate_field",
     "hopf_indicator",
     "field_polynomials",
-    "compile_field",
     "field_pattern",
     "field_coefficients",
     "field_statements",
     "field_parameters",
     "lie_derivative",
 ]
-
-# |tau| at or below this counts as a critical (Hopf) linearization.
-TAU_THRESHOLD = 1e-9
-
 
 def _coerce_matrix(entries, shape: tuple[int, int], what: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=object)
@@ -139,27 +134,19 @@ class HopfIndicator:
     """Trace/determinant snapshot of the linearization.
 
     ``complex_pair`` is true when the eigenvalues form a complex
-    conjugate pair (tau^2 < 4 delta); ``near_critical`` when |tau| is
-    within ``TAU_THRESHOLD`` of zero.
+    conjugate pair (tau^2 < 4 delta).
     """
 
     tau: object
     delta: object
     complex_pair: bool
-    near_critical: bool
 
 
 def hopf_indicator(system: PlanarPolySystem) -> HopfIndicator:
     j = system.jac
     tau = j[0, 0] + j[1, 1]
     delta = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    disc = tau * tau - 4 * delta
-    return HopfIndicator(
-        tau=tau,
-        delta=delta,
-        complex_pair=bool(disc < 0),
-        near_critical=bool(abs(tau) <= TAU_THRESHOLD),
-    )
+    return HopfIndicator(tau=tau, delta=delta, complex_pair=bool(tau * tau - 4 * delta < 0))
 
 
 def field_polynomials(system: PlanarPolySystem) -> tuple[Poly, Poly]:
@@ -294,26 +281,3 @@ def field_parameters(pattern: tuple) -> str:
     """The coefficient names of a pattern's statements, c0, c1, ..., as a
     parameter list."""
     return ", ".join(f"c{i}" for i in range(_field_exprs(pattern)[3]))
-
-
-@lru_cache(maxsize=128)
-def _field_factory(pattern: tuple):
-    """make(c0, c1, ...) -> field, compiled once per nonzero pattern."""
-    lines = [f"def make({field_parameters(pattern)}):", "    def field(u, v):"]
-    lines += [f"        {line}" for line in field_statements(pattern, "u", "v", ("du", "dv", "div"))]
-    lines += ["        return du, dv, div", "    return field"]
-    namespace = {}
-    exec(compile("\n".join(lines), "<field>", "exec"), namespace)
-    return namespace["make"]
-
-
-def compile_field(system: PlanarPolySystem):
-    """Straight-line float code for the field, generated for each system.
-
-    The returned callable ``f(u, v) -> (du, dv, div)`` runs the
-    statements of :func:`field_statements` for this system's nonzero
-    pattern, with its coefficients bound as names of the closure.  The
-    code is compiled once per pattern and process and kept in a bounded
-    cache, so all alpha of a family share it.
-    """
-    return _field_factory(field_pattern(system))(*field_coefficients(system))

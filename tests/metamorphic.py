@@ -11,8 +11,10 @@ forms the image exactly, by composing the field's polynomials through
 coordinates, not on the system.
 
 Run as a script, it prints on a seeded batch of 40 random systems how
-many existence predictions change under the 3-4-5 rotation and under
-[[2, 1], [0, 1]] with c = 1/3, as counts with no bound:
+many existence predictions, predicted stabilities and verdicts change
+under the 3-4-5 rotation, under [[2, 1], [0, 1]] with c = 1/3 and under
+the changes of units M = 2^k I, k = +-10 and +-20, as counts with no
+bound:
 
     PYTHONPATH=src python tests/metamorphic.py
 """
@@ -33,6 +35,8 @@ TRANSFORMS = (
     ("rotation-3-4-5", ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5))), 1),
     ("shear-2-1-c-1/3", ((2, 1), (0, 1)), Fraction(1, 3)),
 )
+# y = 2^k x, a change of units
+UNITS = tuple((f"units-2^{k}", ((Fraction(2) ** k, 0), (0, Fraction(2) ** k)), 1) for k in (10, -10, 20, -20))
 
 
 def _linear(row) -> dict:
@@ -80,26 +84,30 @@ def batch(alpha, count: int = 40, seed: int = 11) -> list[PlanarPolySystem]:
     return [build_system([[alpha, -1], [1, alpha]], [block(2), block(3)]) for _ in range(count)]
 
 
-def existence(system: PlanarPolySystem):
-    """The float, prediction-only existence verdict: True or False, None
-    without a change of variables, "error" when the input is refused."""
+def answers(system: PlanarPolySystem):
+    """The float analysis's predicted existence and stability and its
+    verdict, each None without a change of variables; "error" for all
+    three when the input is refused."""
     try:
-        report = run_analyze(system, AnalysisOptions(exact=False, measure=False))
+        report = run_analyze(system, AnalysisOptions(exact=False))
     except ValueError:
-        return "error"
-    return None if report.prediction is None else report.prediction["exists"]
+        return ("error",) * 3
+    pred = report.prediction or {"exists": None, "stability": None}
+    return pred["exists"], pred["stability"], report.verdict
 
 
 def main() -> None:
     for alpha in (Fraction(1, 50), Fraction(1, 200)):
         systems = batch(alpha)
-        before = [existence(s) for s in systems]
-        # the rotation and the scaled shear
-        for label, m, c in TRANSFORMS[2:]:
-            after = [existence(transform(s, m, c)) for s in systems]
-            changed = sum(x != y for x, y in zip(before, after))
-            print(f"alpha={alpha} {label}: existence changes on {changed} of {len(systems)}"
-                  f" (refused after the transform: {after.count('error')})")
+        before = [answers(s) for s in systems]
+        # the rotation, the scaled shear and the units
+        for label, m, c in TRANSFORMS[2:] + UNITS:
+            after = [answers(transform(s, m, c)) for s in systems]
+            changed = [sum(x[i] != y[i] for x, y in zip(before, after)) for i in range(3)]
+            refused = sum(y[0] == "error" for y in after)
+            print(f"alpha={alpha} {label}: of {len(systems)}, existence changes on {changed[0]},"
+                  f" stability on {changed[1]}, verdict on {changed[2]}"
+                  f" (refused after the transform: {refused})")
 
 
 if __name__ == "__main__":

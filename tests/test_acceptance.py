@@ -54,7 +54,7 @@ def test_criterion_1_golden_family_amplitudes(systems_dir):
         )
         assert report.verdict == "agreement"
         pred = report.comparison["predicted_amplitude"]
-        meas = report.comparison["measured_amplitude"]
+        meas = report.measurement["amplitude"]
         worst_pred = max(worst_pred, abs(pred - exact) / exact)
         worst_meas = max(worst_meas, abs(meas - exact) / exact)
     elapsed = time.monotonic() - started

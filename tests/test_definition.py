@@ -3,7 +3,9 @@
 import ast
 import json
 import random
+import sys
 import time
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -305,6 +307,22 @@ def test_an_entry_invalid_at_one_alpha_is_refused_there_only():
     with pytest.raises(ValueError, match=r"division by zero in '1/\(alpha-1\)'"):
         instantiate(defn, 1)
     assert instantiate(defn, "1/20").phi[1][0, 0] == Fraction(-20, 19)
+
+
+def test_an_entry_too_deep_to_evaluate_is_refused():
+    # an entry that loads can still meet the recursion limit when it is
+    # evaluated deeper in the stack; that is the same input error
+    entry = "alpha" + "+1" * 300
+    defn = load_definition(_minimal(jac=[[entry, -1], [1, "alpha"]]))
+    assert instantiate(defn, 0).jac[0, 0] == 300
+    limit = sys.getrecursionlimit()
+    depth = len(traceback.extract_stack())
+    try:
+        sys.setrecursionlimit(depth + 100)
+        with pytest.raises(ValueError, match=r"^entry 'alpha\+1\+1.*\.\.\. is nested too deeply$"):
+            instantiate(defn, 0)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_a_block_zero_at_one_alpha_is_trimmed_there():

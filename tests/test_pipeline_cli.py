@@ -31,7 +31,6 @@ def test_analyze_normal_form_agrees(systems_dir):
     assert report.arithmetic == "exact"
     assert report.residual_is_exact_zero
     assert report.m == 4
-    assert report.gamma_params == (1, 0)
     assert report.verdict == "agreement"
     pred = report.prediction
     assert pred["exists"] and pred["stability"] == "stable_supercritical"
@@ -239,7 +238,6 @@ def test_report_counts_match_a_fresh_assembly(definitions, exact):
         report = run_analyze(defn, AnalysisOptions(exact=exact, measure=False))
         system = instantiate(defn, defn.alpha_default)
         cs = assemble_constraints(system if exact else system.to_float(), report.m)
-        assert report.gamma_params == (1, 0), name
         assert report.unknown_count == cs.unknown_count, name
         assert report.equation_count == cs.equation_count, name
         assert report.nullspace_dim == cs.nullspace_dimension(), name
@@ -305,8 +303,7 @@ def test_measurement_reports_the_oracle_work(systems_dir, monkeypatch):
     options = AnalysisOptions(alpha="1/1000", exact=False)
     report = run_analyze(systems_dir / "normal_form.json", options)
     assert set(report.measurement) == {
-        "amplitude", "radius_rms", "period", "stable", "convergence_rate", "section",
-        "crossings", "steps", "rejected_steps", "field_evals",
+        "amplitude", "radius_rms", "period", "stable", "convergence_rate", "crossings", "steps", "rejected_steps", "field_evals",
     }
     (meas,) = seen
     work = (meas.steps, meas.rejected_steps, meas.field_evals)
@@ -325,6 +322,21 @@ def test_measurement_keys_are_the_measurement_fields(systems_dir):
     report = run_analyze(systems_dir / "normal_form.json", AnalysisOptions(alpha="1/1000"))
     fields = [f.name for f in dataclasses.fields(CycleMeasurement) if f.name != "orbit"]
     assert list(report.measurement) == fields
+    # the schema, pinned so that it changes only on purpose: no key holds
+    # one value whatever the input, or repeats another key of the report
+    assert list(report.to_dict()) == [
+        "system_name", "alpha", "arithmetic", "status", "tau", "delta", "degree", "m",
+        "unknown_count", "equation_count", "nullspace_dim", "condition_residual",
+        "residual_is_exact_zero", "trust_radius", "g2", "g3", "p3", "q3", "prediction",
+        "measurement", "comparison", "verdict", "warnings",
+    ]
+    assert list(report.comparison) == [
+        "predicted_amplitude", "amplitude_rel_err", "period_rel_err", "stability_match", "verdict",
+    ]
+    assert fields == [
+        "amplitude", "radius_rms", "period", "stable", "convergence_rate", "crossings", "steps",
+        "rejected_steps", "field_evals",
+    ]
     meas = report.measurement
     dense = meas["field_evals"] - 2 * meas["crossings"] - 12 * meas["steps"] - 11 * meas["rejected_steps"]
     assert dense % 3 == 0 and dense >= 3 * meas["crossings"]
@@ -517,6 +529,23 @@ def test_cli_grid_endpoint_dividing_by_zero_is_an_input_error(systems_dir, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: grid endpoint divides by zero in {spec!r}"]
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [("+".join(["1"] * 1200), []), ("alpha+" + "+".join(["1"] * 989), ["--alpha", "1/20"]), ("-" * 10_000 + "1", [])],
+    ids=["sum", "alpha_sum", "minus_signs"],
+)
+def test_cli_deeply_nested_entry_is_an_input_error(capsys, entry, args):
+    # nesting past the interpreter's recursion limit (or the parser's own
+    # stack) used to escape as a RecursionError or MemoryError traceback
+    # with exit status 2
+    source = json.dumps({"name": "deep", "jac": [[entry, -1], [1, "alpha"]]})
+    assert main(["analyze", source, "--no-measure", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: entry ") and line.endswith("... is nested too deeply")
 
 
 def test_cli_accepts_negative_parameters(systems_dir, capsys):
