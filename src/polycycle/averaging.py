@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
 from .inversion import InverseSeries
-from .monomials import as_array, as_float, as_scaled, lie_row
+from .monomials import as_array, as_float, as_scaled, lie_row, straight_line
 from .system import PlanarPolySystem
 
 __all__ = [
@@ -64,30 +65,11 @@ class GCoefficients:
     g3: np.ndarray
 
 
-def g_coefficients(
-    system: PlanarPolySystem, cov: ChangeOfVariables, inv: InverseSeries
-) -> GCoefficients:
-    """Quadratic and cubic blocks G2, G3 of the reduced equation.
-
-    Assembled from the solved change of variables, its truncated
-    inverse and the original field.  Exact inputs give exact rows: the
-    change of variables and the inverse hold their blocks as integer
-    numerators over one denominator each
-    (:class:`~polycycle.monomials.Scaled`), the field's blocks are split
-    the same way, the rows are formed in integer arithmetic, and only G2
-    and G3 become Fractions.  Float
-    inputs run the same expressions on float64 arrays.  The independent
-    check is dynamic: along any trajectory X(t) with z = (H(X))_1, the
-    residual z'' - tau z' + delta z - G2.lambda_2 - G3.lambda_3 must
-    shrink like the fourth power of the amplitude.
-    """
-    if not (system.exact and cov.exact and inv.exact):
-        system, cov, inv = system.to_float(), cov.to_float(), inv.to_float()
-    jac, phi2, phi3 = (as_scaled(b) for b in (system.jac, system.phi_matrix(2), system.phi_matrix(3)))
-    gamma, theta2, theta3 = cov.block(1), cov.block(2), cov.block(3)
-    xi2, xi3 = inv.blocks[2], inv.blocks[3]
-    p2, p3, r2 = inv.p2_op, inv.p3_op, inv.r2_op
-
+def _g_rows(jac, phi2, phi3, gamma, theta2, theta3, xi2, xi3, p2, p3, r2) -> tuple:
+    """G2 and G3 from the field's blocks through degree 3, those of the
+    change of variables and those of its inverse with its operators: run
+    on Scaled blocks for exact rows, and rendered into the float routine
+    (:func:`_float_g_rows`)."""
     # the chain rule on row 2 of Theta_k: d/dt along the linear field,
     # and along the quadratic one for the cubic terms of Theta_2
     drift2 = lie_row(theta2[1], jac)
@@ -100,6 +82,45 @@ def g_coefficients(
         + r2.T @ drift2
         + p3.T @ (drift3 + vel_quad)
     )
+    return g2, g3
+
+
+# The shapes of _g_rows' arguments, every one of degree at most 3.
+_G_SHAPES = ((2, 2), (2, 3), (2, 4), (2, 2), (2, 3), (2, 4), (2, 3), (2, 4), (3, 3), (4, 4), (3, 4))
+
+
+@lru_cache(maxsize=1)
+def _float_g_rows():
+    """The float routine of :func:`_g_rows`, rendered on first use."""
+    return straight_line(_g_rows, _G_SHAPES, "g rows")
+
+
+def g_coefficients(
+    system: PlanarPolySystem, cov: ChangeOfVariables, inv: InverseSeries
+) -> GCoefficients:
+    """Quadratic and cubic blocks G2, G3 of the reduced equation.
+
+    Assembled from the solved change of variables, its truncated
+    inverse and the original field, by :func:`_g_rows`.  Exact inputs
+    give exact rows: the change of variables and the inverse hold their
+    blocks as integer numerators over one denominator each
+    (:class:`~polycycle.monomials.Scaled`), the field's blocks are split
+    the same way, the rows are formed in integer arithmetic, and only G2
+    and G3 become Fractions.  Float inputs run the straight-line routine
+    rendered from the same expressions, once per process.  The
+    independent check is dynamic: along any trajectory X(t) with z =
+    (H(X))_1, the residual z'' - tau z' + delta z - G2.lambda_2 -
+    G3.lambda_3 must shrink like the fourth power of the amplitude.
+    """
+    if not (system.exact and cov.exact and inv.exact):
+        system, cov, inv = system.to_float(), cov.to_float(), inv.to_float()
+    blocks = (
+        system.jac, system.phi_matrix(2), system.phi_matrix(3), cov.block(1), cov.block(2), cov.block(3),
+        inv.blocks[2], inv.blocks[3], inv.p2_op, inv.p3_op, inv.r2_op,
+    )
+    if not system.exact:
+        return GCoefficients(*_float_g_rows()(*blocks))
+    g2, g3 = _g_rows(*(as_scaled(b) for b in blocks[:3]), *blocks[3:])
     return GCoefficients(g2=as_array(g2), g3=as_array(g3))
 
 

@@ -67,11 +67,22 @@ _OPERATORS = {
 _ALPHA = "alpha"
 
 
+# A refusal quotes at most this many characters of an entry: an entry
+# can run to thousands of them, and the error is one line.
+QUOTE_CHARS = 40
+
+
+def _quoted(text: str) -> str:
+    """repr of an entry (or a name in one) for an error message, cut to
+    its first QUOTE_CHARS characters and '...' when it is longer."""
+    return repr(text) if len(text) <= QUOTE_CHARS else f"{text[:QUOTE_CHARS]!r}..."
+
+
 def _check_right(op, right: Fraction, src: str) -> None:
     if op is operator.truediv and right == 0:
-        raise ValueError(f"division by zero in {src!r}")
+        raise ValueError(f"division by zero in {_quoted(src)}")
     if op is operator.pow and (right.denominator != 1 or right < 0):
-        raise ValueError(f"exponent must be a non-negative integer in {src!r}")
+        raise ValueError(f"exponent must be a non-negative integer in {_quoted(src)}")
 
 
 def _apply(op, left: Fraction, right: Fraction, src: str) -> Fraction:
@@ -79,7 +90,7 @@ def _apply(op, left: Fraction, right: Fraction, src: str) -> Fraction:
     if op is operator.pow:
         bits = max(left.numerator.bit_length(), left.denominator.bit_length())
         if bits * right > MAX_POWER_BITS:
-            raise ValueError(f"power in {src!r} would exceed {MAX_POWER_BITS} bits")
+            raise ValueError(f"power in {_quoted(src)} would exceed {MAX_POWER_BITS} bits")
         return left ** int(right)
     return op(left, right)
 
@@ -95,11 +106,11 @@ def _combine(op, left, right, src: str):
 def _fold(node, src: str):
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            raise ValueError(f"unsupported constant in {src!r}: {node.value!r}")
+            raise ValueError(f"unsupported constant in {_quoted(src)}: a {type(node.value).__name__}")
         return Fraction(node.value if isinstance(node.value, int) else str(node.value))
     if isinstance(node, ast.Name):
         if node.id != "alpha":
-            raise ValueError(f"unknown name {node.id!r} in {src!r}; only 'alpha' is allowed")
+            raise ValueError(f"unknown name {_quoted(node.id)} in {_quoted(src)}; only 'alpha' is allowed")
         return _ALPHA
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         value = _fold(node.operand, src)
@@ -107,9 +118,9 @@ def _fold(node, src: str):
     if isinstance(node, ast.BinOp):
         left, right = _fold(node.left, src), _fold(node.right, src)
         if type(node.op) not in _OPERATORS:
-            raise ValueError(f"unsupported operator in {src!r}")
+            raise ValueError(f"unsupported operator in {_quoted(src)}")
         return _combine(_OPERATORS[type(node.op)], left, right, src)
-    raise ValueError(f"unsupported syntax in {src!r}")
+    raise ValueError(f"unsupported syntax in {_quoted(src)}")
 
 
 def _parse_entry(entry) -> tuple:
@@ -128,15 +139,14 @@ def _parse_entry(entry) -> tuple:
         node = ast.parse(entry, mode="eval").body if isinstance(entry, str) else ast.Constant(entry)
         return _fold(node, src), src
     except SyntaxError as err:
-        raise ValueError(f"cannot parse entry {src!r}: {err.msg}") from None
+        raise ValueError(f"cannot parse entry {_quoted(src)}: {err.msg}") from None
     except (RecursionError, MemoryError):
         # CPython's parser reports nesting past its own stack as a MemoryError
         raise ValueError(_too_deep(src)) from None
 
 
 def _too_deep(src: str) -> str:
-    # an entry this deep runs to thousands of characters
-    return f"entry {src[:40]!r}... is nested too deeply"
+    return f"entry {_quoted(src)} is nested too deeply"
 
 
 def _evaluate(tree, alpha: Fraction, src: str) -> Fraction:

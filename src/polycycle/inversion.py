@@ -24,7 +24,12 @@ over det(G); P_k(Gamma^{-1}) is P_k of those numerators over det(G)^k,
 a product multiplies denominators and a sum brings its terms to their
 lcm.  The series holds its blocks in that form, and only
 :meth:`InverseSeries.evaluate` turns them into Fractions.  A float
-series runs the same expressions on float64 arrays.
+series is one straight-line routine over Python floats, rendered from
+the same block expressions (:func:`_series`) at the first float series
+of the process (:func:`~polycycle.monomials.straight_line`): every
+entry of Gamma^{-1}, P_2, P_3, Xi_2, R2 and Xi_3 is the expressions'
+result on object arrays of floats, bit for bit.  Only Gamma, Theta_2
+and Theta_3 enter, so the routine has one shape whatever the degrees.
 
 Composing H with the truncation leaves a quartic-order defect; the
 empirical trust radius estimates where that defect stays small.  The
@@ -41,11 +46,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .change_of_variables import ChangeOfVariables
-from .monomials import Scaled, as_array, as_float, eval_poly_map, monomial_table, row_product
+from .monomials import Scaled, as_array, as_float, eval_poly_map, monomial_table, row_product, straight_line
 
 __all__ = [
     "InverseSeries",
@@ -151,29 +157,53 @@ class InverseSeries:
 def _adjugate(m: np.ndarray) -> tuple[np.ndarray, object]:
     """adj(M) and det(M) of a 2 x 2 matrix, so that M^{-1} = adj(M) / det(M)."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det == 0:
-        raise ZeroDivisionError("Gamma is singular; the change of variables cannot be inverted")
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype), det
 
 
-def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
-    """Series inverse of a solved change of variables through cubic order."""
-    gamma = cov.block(1)
-    if cov.exact:
-        # (G / d)^{-1} = d adj(G) / det(G), over a positive denominator
-        adj, det = _adjugate(gamma.num)
-        sign = 1 if det > 0 else -1
-        ginv = Scaled(adj * (sign * gamma.den), sign * det)
-    else:
-        adj, det = _adjugate(gamma)
-        ginv = adj / det
-    theta2 = cov.block(2)
-    theta3 = cov.block(3)
+def _series(ginv, theta2, theta3) -> tuple:
+    """P_2, P_3, Xi_2, R2 and Xi_3 of the inverse from Gamma^{-1}, Theta_2
+    and Theta_3: run on Scaled blocks for an exact series, and rendered
+    into the float routine (:func:`_float_series`)."""
     p2 = p_operator(2, ginv)
     p3 = p_operator(3, ginv)
     xi2 = -(ginv @ theta2 @ p2)
     r2 = r2_operator(ginv, xi2)
     xi3 = -(ginv @ (theta2 @ r2 + theta3 @ p3))
+    return p2, p3, xi2, r2, xi3
+
+
+def _float_inverse(gamma, theta2, theta3) -> tuple:
+    """Gamma^{-1} = adj(Gamma) / det(Gamma), then :func:`_series`."""
+    adj, det = _adjugate(gamma)
+    ginv = adj / det
+    return (ginv, *_series(ginv, theta2, theta3))
+
+
+@lru_cache(maxsize=1)
+def _float_series():
+    """The float routine of :func:`_float_inverse`, rendered on first use."""
+    return straight_line(_float_inverse, ((2, 2), (2, 3), (2, 4)), "inverse series")
+
+
+_SINGULAR = "Gamma is singular; the change of variables cannot be inverted"
+
+
+def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
+    """Series inverse of a solved change of variables through cubic order."""
+    gamma, theta2, theta3 = cov.block(1), cov.block(2), cov.block(3)
+    if cov.exact:
+        # (G / d)^{-1} = d adj(G) / det(G), over a positive denominator
+        adj, det = _adjugate(gamma.num)
+        if det == 0:
+            raise ZeroDivisionError(_SINGULAR)
+        sign = 1 if det > 0 else -1
+        ginv = Scaled(adj * (sign * gamma.den), sign * det)
+        p2, p3, xi2, r2, xi3 = _series(ginv, theta2, theta3)
+    else:
+        try:
+            ginv, p2, p3, xi2, r2, xi3 = _float_series()(gamma, theta2, theta3)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(_SINGULAR) from None
     return InverseSeries(blocks={1: ginv, 2: xi2, 3: xi3}, p2_op=p2, p3_op=p3, r2_op=r2)
 
 

@@ -22,16 +22,23 @@ the same, and one code serves both arithmetics.
 The rows may also be integer numerators over a shared denominator.  A
 :class:`Scaled` block holds an exact array as Python ints in an object
 array over one int denominator; matrix products and sums of blocks
-carry the denominators along, so the same expression that runs on
-float64 arrays runs on blocks in integer arithmetic, and a Fraction is
-made only when a block is read back (:func:`as_array`).  The object
-arrays matter: an array of Python ints built without ``dtype=object``
-becomes int64 and wraps silently.
+carry the denominators along, so an expression of blocks runs in
+integer arithmetic, and a Fraction is made only when a block is read
+back (:func:`as_array`).  The object arrays matter: an array of Python
+ints built without ``dtype=object`` becomes int64 and wraps silently.
+
+The same block expressions give the float arithmetic its code.
+:func:`straight_line` runs an expression once on object arrays of
+symbolic entries, each of which writes the operation it takes part in
+as one statement, and compiles the statements into a function of
+Python floats: the operations of the expression on object arrays of
+floats, in their order, with no numpy call between them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +56,7 @@ __all__ = [
     "as_scaled",
     "as_array",
     "as_float",
+    "straight_line",
 ]
 
 
@@ -255,3 +263,133 @@ def as_float(block) -> np.ndarray:
     """A :class:`Scaled` block rounded to float64 (:meth:`Scaled.to_float`);
     a float array is returned as it is."""
     return block.to_float() if isinstance(block, Scaled) else block
+
+
+class _Entry:
+    """A symbolic scalar: the name of a value in straight-line code.  Each
+    arithmetic operation on it appends one statement to its :class:`_Tape`
+    and gives the entry of the result."""
+
+    __slots__ = ("name", "tape")
+
+    def __init__(self, name: str, tape: "_Tape"):
+        self.name = name
+        self.tape = tape
+
+    def __add__(self, other):
+        return self.tape.emit(self, "+", other)
+
+    def __radd__(self, other):
+        return self.tape.emit(other, "+", self)
+
+    def __sub__(self, other):
+        return self.tape.emit(self, "-", other)
+
+    def __rsub__(self, other):
+        return self.tape.emit(other, "-", self)
+
+    def __mul__(self, other):
+        return self.tape.emit(self, "*", other)
+
+    def __rmul__(self, other):
+        return self.tape.emit(other, "*", self)
+
+    def __truediv__(self, other):
+        return self.tape.emit(self, "/", other)
+
+    def __neg__(self):
+        return self.tape.emit(None, "-", self)
+
+
+def _operand(x) -> str:
+    """An entry's name, or a number as its float literal: every value of
+    the code is a Python float, and an int meeting a float is converted
+    to one before the operation, so the literal rounds the same."""
+    if isinstance(x, _Entry):
+        return x.name
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
+        return repr(float(x))
+    raise TypeError(f"straight-line code takes entries and finite numbers, got {x!r}")
+
+
+class _Tape:
+    """The operations recorded by :class:`_Entry` arithmetic, each as
+    (target, op, left, right), the operands as names or literals and
+    left None for a negation.  An operation already recorded on the same
+    operands gives the entry it gave then, and a product with 1 gives the
+    other factor: the same float operation on the same values rounds the
+    same, and x * 1.0 is x."""
+
+    def __init__(self):
+        self.statements: list[tuple[str, str, str | None, str]] = []
+        self.known: dict[tuple, _Entry] = {}
+
+    def emit(self, left, op: str, right) -> _Entry:
+        if op == "*" and 1 in (left, right):
+            return right if left == 1 else left
+        key = (op, None if left is None else _operand(left), _operand(right))
+        entry = self.known.get(key)
+        if entry is None:
+            entry = self.known[key] = _Entry(f"t{len(self.statements)}", self)
+            self.statements.append((entry.name, *key))
+        return entry
+
+
+def _is_name(operand: str | None) -> bool:
+    return operand is not None and operand[0] in "tx"
+
+
+def straight_line(build, shapes, name: str):
+    """Compile ``build`` over floats into straight-line code.
+
+    ``build`` takes arrays of the given ``shapes`` and returns a tuple of
+    arrays.  It runs once, on object arrays of :class:`_Entry` symbols,
+    and the operations its arithmetic records, less those no result
+    reads, become one function compiled under the file name ``<name>``;
+    a value read once is written into the expression that reads it.  The
+    returned routine takes float64 arrays of those shapes and gives
+    float64 arrays of the results' shapes, each entry computed by the
+    operations ``build`` runs on object arrays of Python floats: bit for
+    bit those results.  A division by zero raises ZeroDivisionError, as
+    it does there.
+    """
+    tape = _Tape()
+    args, count = [], 0
+    for shape in shapes:
+        block = np.empty(shape, dtype=object)
+        block.flat[:] = [_Entry(f"x{count + i}", tape) for i in range(block.size)]
+        args.append(block)
+        count += block.size
+    results = [np.asarray(r) for r in build(*args)]
+    outputs = [_operand(x) for r in results for x in r.flat]
+    reads = Counter(outputs)
+    live = []
+    for statement in reversed(tape.statements):
+        if statement[0] in reads:
+            live.append(statement)
+            reads.update(x for x in statement[2:] if _is_name(x))
+    inline: dict[str, str] = {}
+    body = []
+
+    def term(x: str) -> str:
+        return f"({inline.pop(x)})" if x in inline else x
+
+    for target, op, left, right in reversed(live):
+        expr = op + term(right) if left is None else f"{term(left)} {op} {term(right)}"
+        if reads[target] == 1 and target not in outputs:
+            inline[target] = expr
+        else:
+            body.append(f"    {target} = {expr}")
+    params = ", ".join(f"x{i}" for i in range(count))
+    source = f"def routine({params}):\n" + "\n".join(body) + f"\n    return ({', '.join(outputs)},)\n"
+    namespace: dict = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    routine = namespace["routine"]
+    ends = np.cumsum([r.size for r in results]).tolist()
+    pieces = [(end - r.size, end, r.shape) for r, end in zip(results, ends)]
+
+    def run(*arrays):
+        flat = np.array(routine(*np.concatenate([a.ravel() for a in arrays]).astype(float, copy=False).tolist()))
+        return [flat[start:end].reshape(shape) for start, end, shape in pieces]
+
+    return run

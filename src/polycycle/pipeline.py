@@ -32,7 +32,7 @@ from .change_of_variables import (  # noqa: F401
     solve_theta,
 )
 from .definition import SystemDefinition, instantiate, load_definition, resolve_alpha
-from .inversion import TRUST_GRID, InverseSeries, composition_residual, invert_to_cubic, trust_radius
+from .inversion import REL_DEFECT, TRUST_GRID, InverseSeries, composition_residual, invert_to_cubic, trust_radius
 from .oracle import CycleMeasurement, compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
 
@@ -217,9 +217,20 @@ def reduce(system: PlanarPolySystem) -> Reduction:
     g = g_coefficients(system, cov, inv)
     residual = residual_condition33(cov, system)
     trust = trust_radius(cov, inv)
-    overflow = trust == 0.0 and not math.isfinite(composition_residual(cov, inv, TRUST_GRID[:1])[0][1])
-    warning = f"trust radius 0.0: the scan overflows float64 at its smallest radius, {TRUST_GRID[0]:g}"
-    return Reduction(cov, inv, g, residual, trust, (warning,) if overflow else ())
+    return Reduction(cov, inv, g, residual, trust, () if trust else (_untrusted(cov, inv),))
+
+
+def _untrusted(cov: ChangeOfVariables, inv: InverseSeries) -> str:
+    """Why the trust radius is 0.0: the defect at the smallest scanned
+    radius is above the bound there, or it overflows float64."""
+    radius = TRUST_GRID[0]
+    defect = composition_residual(cov, inv, TRUST_GRID[:1])[0][1]
+    if not math.isfinite(defect):
+        return f"trust radius 0.0: the scan overflows float64 at its smallest radius, {radius:g}"
+    return (
+        f"trust radius 0.0: the composition defect {defect:.3g} at the smallest scanned radius, {radius:g},"
+        f" is above {REL_DEFECT:g} times that radius"
+    )
 
 
 def predict(reduction: Reduction, tau: float, delta: float) -> tuple[KbmPrediction, np.ndarray | None]:

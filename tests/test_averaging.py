@@ -1,13 +1,19 @@
 """Reduced-equation coefficients, averaged moments, cycle prediction."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import as_fraction_matrix
+import polycycle
 from polycycle.averaging import (
     cycle_curve,
     g_coefficients,
@@ -216,19 +222,24 @@ def test_exact_reduction_stays_in_fractions(corpus_systems, corpus_covs):
             assert all(type(x) is Fraction for x in block.reshape(-1)), name
 
 
-def _reference_rows(system, cov):
+def _python_floats(block):
+    """A float64 block as an object array of Python floats."""
+    return np.array(block.tolist(), dtype=object)
+
+
+def _reference_rows(system, cov, entries=as_array):
     """Gamma^{-1}, Xi_2, Xi_3, P_2, P_3, R2, G2 and G3 by the formulas on
-    plain arrays, Fractions or float64: the reference for the library's
-    integer numerators over common denominators."""
-    gamma = as_array(cov.block(1))
+    object arrays, of Fractions or (``entries=_python_floats``) of Python
+    floats: the reference for the library's integer numerators over
+    common denominators, and for its float routines."""
+    gamma, theta2, theta3 = (entries(cov.block(k)) for k in (1, 2, 3))
     det = gamma[0, 0] * gamma[1, 1] - gamma[0, 1] * gamma[1, 0]
     ginv = np.array([[gamma[1, 1], -gamma[0, 1]], [-gamma[1, 0], gamma[0, 0]]], dtype=gamma.dtype) / det
-    theta2, theta3 = as_array(cov.block(2)), as_array(cov.block(3))
     p2, p3 = p_operator(2, ginv), p_operator(3, ginv)
     xi2 = -(ginv @ theta2 @ p2)
     r2 = r2_operator(ginv, xi2)
     xi3 = -(ginv @ (theta2 @ r2 + theta3 @ p3))
-    jac, phi2, phi3 = system.jac, system.phi_matrix(2), system.phi_matrix(3)
+    jac, phi2, phi3 = (entries(b) for b in (system.jac, system.phi_matrix(2), system.phi_matrix(3)))
     drift2, drift3 = lie_row(theta2[1], jac), lie_row(theta3[1], jac)
     vel_quad = lie_row(theta2[1], phi2)
     g2 = (gamma @ jac @ xi2 + gamma @ phi2 @ p2)[1, :] + p2.T @ drift2
@@ -268,7 +279,8 @@ def _random_exact_system(rng, n, big=False):
 
 def test_exact_rows_match_the_fraction_reference(corpus_systems, corpus_covs):
     # the integer stage equals the Fraction formulas entry for entry, and
-    # the same formulas on float64 give the float stage bit for bit
+    # the same formulas on object arrays of Python floats give the float
+    # stage's straight-line routines bit for bit, signed zeros included
     rng = random.Random(2024)
     cases = [(system, corpus_covs[name]) for name, system in corpus_systems.items()]
     for i in range(32):
@@ -282,9 +294,10 @@ def test_exact_rows_match_the_fraction_reference(corpus_systems, corpus_covs):
         for got, want in zip(lib, ref):
             assert got.dtype == object and got.tolist() == want.tolist(), case
         system_f, cov_f = system.to_float(), cov.to_float()
-        lib, ref = _library_rows(system_f, cov_f), _reference_rows(system_f, cov_f)
+        lib, ref = _library_rows(system_f, cov_f), _reference_rows(system_f, cov_f, _python_floats)
         for got, want in zip(lib, ref):
-            assert got.dtype == np.float64 and np.array_equal(got, want), case
+            assert want.dtype == object and all(type(x) is float for x in want.flat), case
+            assert got.dtype == np.float64 and got.tobytes() == np.array(want.tolist()).tobytes(), case
 
 
 def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
@@ -324,3 +337,47 @@ def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
     blocks = [*map(as_array, inv.blocks.values()), g.g2, g.g3]
     assert all(type(x) is Fraction for block in blocks for x in block.reshape(-1))
     assert set(calls) == {"__new__"}
+
+
+_RENDER_SCRIPT = textwrap.dedent(
+    """
+    import builtins, random
+    from fractions import Fraction
+
+    ROUTINES = ("<inverse series>", "<g rows>")
+    rendered = []
+    compile_ = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if filename in ROUTINES:
+            rendered.append(filename)
+        return compile_(source, filename, *args, **kwargs)
+
+    builtins.compile = counting
+    import polycycle
+    from polycycle.pipeline import AnalysisOptions, run_analyze
+
+    assert rendered == [], rendered
+    rng = random.Random(3)
+    for degree in range(1, 8):
+        phi = [[[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(k + 1)] for _ in range(2)]
+               for k in range(2, degree + 1)]
+        system = polycycle.build_system([[Fraction(1, 50), -1], [1, Fraction(1, 50)]], phi)
+        assert system.degree == degree
+        report = run_analyze(system, AnalysisOptions(exact=False, measure=False))
+        assert report.status == "ok" and report.prediction is not None, degree
+        assert sorted(rendered) == sorted(ROUTINES), (degree, rendered)
+    print("rendered", *rendered, sep="\\n")
+    """
+)
+
+
+def test_float_routines_render_once_per_process_and_never_at_import():
+    # in a fresh process, importing the package renders neither routine,
+    # and float analyses of degree 1 to 7 compile each exactly once, at
+    # the first float analysis
+    src = str(Path(polycycle.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", _RENDER_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["rendered", "<inverse series>", "<g rows>"]

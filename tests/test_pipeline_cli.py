@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from polycycle.averaging import CURVE_SAMPLES
 from polycycle.change_of_variables import NoSolutionError, assemble_constraints
 from polycycle.cli import _parse_alphas, main
 from polycycle.definition import instantiate, load_definition
+from polycycle.inversion import REL_DEFECT, TRUST_GRID
 from polycycle.oracle import CYCLE_SAMPLES, CycleMeasurement
 from polycycle.pipeline import (
     AnalysisOptions,
@@ -402,8 +404,9 @@ def test_an_overflowing_trust_scan_is_named():
     # defect at the smallest radius is finite and far above the bound,
     # and the scan's later radii overflow float64; times 30-digit integers
     # the smallest radius's defect is NaN.  Both report a trust radius of
-    # 0.0 in strict JSON without a numpy warning; only the second says
-    # that the scan overflowed
+    # 0.0 in strict JSON without a numpy warning, and each says why in one
+    # warning: the first names the defect above the bound at the smallest
+    # radius, the second that the scan overflowed
     def refuse(constant):
         raise ValueError(f"{constant} is not strict JSON")
 
@@ -413,8 +416,18 @@ def test_an_overflowing_trust_scan_is_named():
             warnings.simplefilter("error")
             report = run_analyze(system, AnalysisOptions(measure=False))
         assert report.status == "ok" and report.trust_radius == 0.0, digits
-        named = [w for w in report.warnings if "overflows float64" in w]
-        assert len(named) == overflows, report.warnings
+        named = [w for w in report.warnings if w.startswith("trust radius 0.0")]
+        assert len(named) == 1, report.warnings
+        assert ("overflows float64" in named[0]) == overflows, named
+        if not overflows:
+            match = re.fullmatch(
+                r"trust radius 0\.0: the composition defect (\S+) at the smallest scanned radius, 0\.0001,"
+                r" is above 0\.1 times that radius",
+                named[0],
+            )
+            assert match, named
+            defect = float(match[1])
+            assert math.isfinite(defect) and defect > REL_DEFECT * TRUST_GRID[0], named
         assert json.loads(report.to_json(), parse_constant=refuse)["warnings"] == report.warnings
 
 
@@ -546,6 +559,23 @@ def test_cli_deeply_nested_entry_is_an_input_error(capsys, entry, args):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: entry ") and line.endswith("... is nested too deeply")
+
+
+def test_cli_long_entry_is_quoted_cut(capsys):
+    # the parser refuses 5000 nested parentheses; the error line quotes
+    # the entry's first 40 characters, not its 10 001
+    entry = "(" * 5000 + "1" + ")" * 5000
+    assert main(["analyze", json.dumps({"name": "long", "jac": [[entry, -1], [1, 0]]}), "--no-measure"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and len(line) < 200, line
+    assert repr("(" * 40) + "..." in line
+
+
+def test_cli_short_entry_is_quoted_in_full(capsys):
+    assert main(["analyze", json.dumps({"name": "pole", "jac": [["1/0", -1], [1, 0]]}), "--no-measure"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: division by zero in '1/0'"]
 
 
 def test_cli_accepts_negative_parameters(systems_dir, capsys):
