@@ -67,9 +67,9 @@ class GCoefficients:
 
 def _g_rows(jac, phi2, phi3, gamma, theta2, theta3, xi2, xi3, p2, p3, r2) -> tuple:
     """G2 and G3 from the field's blocks through degree 3, those of the
-    change of variables and those of its inverse with its operators: run
-    on Scaled blocks for exact rows, and rendered into the float routine
-    (:func:`_float_g_rows`)."""
+    change of variables and those of its inverse with its operators,
+    rendered into the integer routine (:func:`_exact_g_rows`) and the
+    float one (:func:`_float_g_rows`)."""
     # the chain rule on row 2 of Theta_k: d/dt along the linear field,
     # and along the quadratic one for the cubic terms of Theta_2
     drift2 = lie_row(theta2[1], jac)
@@ -90,6 +90,13 @@ _G_SHAPES = ((2, 2), (2, 3), (2, 4), (2, 2), (2, 3), (2, 4), (2, 3), (2, 4), (3,
 
 
 @lru_cache(maxsize=1)
+def _exact_g_rows():
+    """The integer routine of :func:`_g_rows` on Scaled blocks, rendered
+    on first use."""
+    return straight_line(_g_rows, _G_SHAPES, "exact g rows", scaled=True)
+
+
+@lru_cache(maxsize=1)
 def _float_g_rows():
     """The float routine of :func:`_g_rows`, rendered on first use."""
     return straight_line(_g_rows, _G_SHAPES, "g rows")
@@ -101,16 +108,17 @@ def g_coefficients(
     """Quadratic and cubic blocks G2, G3 of the reduced equation.
 
     Assembled from the solved change of variables, its truncated
-    inverse and the original field, by :func:`_g_rows`.  Exact inputs
-    give exact rows: the change of variables and the inverse hold their
-    blocks as integer numerators over one denominator each
-    (:class:`~polycycle.monomials.Scaled`), the field's blocks are split
-    the same way, the rows are formed in integer arithmetic, and only G2
-    and G3 become Fractions.  Float inputs run the straight-line routine
-    rendered from the same expressions, once per process.  The
-    independent check is dynamic: along any trajectory X(t) with z =
-    (H(X))_1, the residual z'' - tau z' + delta z - G2.lambda_2 -
-    G3.lambda_3 must shrink like the fourth power of the amplitude.
+    inverse and the original field, by the straight-line routine
+    rendered from :func:`_g_rows` once per process in each arithmetic.
+    Exact inputs give exact rows: the change of variables and the
+    inverse hold their blocks as integer numerators over one denominator
+    each (:class:`~polycycle.monomials.Scaled`), the field's blocks are
+    split the same way, the rows are formed in integer arithmetic, and
+    only G2 and G3 become Fractions.  Float inputs run the float
+    routine.  The independent check is dynamic: along any trajectory
+    X(t) with z = (H(X))_1, the residual z'' - tau z' + delta z -
+    G2.lambda_2 - G3.lambda_3 must shrink like the fourth power of the
+    amplitude.
     """
     if not (system.exact and cov.exact and inv.exact):
         system, cov, inv = system.to_float(), cov.to_float(), inv.to_float()
@@ -120,7 +128,7 @@ def g_coefficients(
     )
     if not system.exact:
         return GCoefficients(*_float_g_rows()(*blocks))
-    g2, g3 = _g_rows(*(as_scaled(b) for b in blocks[:3]), *blocks[3:])
+    g2, g3 = _exact_g_rows()(*(as_scaled(b) for b in blocks[:3]), *blocks[3:])
     return GCoefficients(g2=as_array(g2), g3=as_array(g3))
 
 

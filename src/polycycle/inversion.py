@@ -23,13 +23,16 @@ With Gamma = G / d_Gamma and G integral, Gamma^{-1} is d_Gamma adj(G)
 over det(G); P_k(Gamma^{-1}) is P_k of those numerators over det(G)^k,
 a product multiplies denominators and a sum brings its terms to their
 lcm.  The series holds its blocks in that form, and only
-:meth:`InverseSeries.evaluate` turns them into Fractions.  A float
-series is one straight-line routine over Python floats, rendered from
-the same block expressions (:func:`_series`) at the first float series
-of the process (:func:`~polycycle.monomials.straight_line`): every
-entry of Gamma^{-1}, P_2, P_3, Xi_2, R2 and Xi_3 is the expressions'
-result on object arrays of floats, bit for bit.  Only Gamma, Theta_2
-and Theta_3 enter, so the routine has one shape whatever the degrees.
+:meth:`InverseSeries.evaluate` turns them into Fractions.  The block
+expressions are written once (:func:`_series`) and rendered into two
+straight-line routines (:func:`~polycycle.monomials.straight_line`),
+each at the first series of its arithmetic in the process: over
+Python ints, where every numerator and denominator of P_2, P_3, Xi_2,
+R2 and Xi_3 is the integer the expressions give on Scaled blocks, and
+over Python floats, where every entry of Gamma^{-1} and of those blocks
+is the expressions' result on object arrays of floats, bit for bit.
+Only Gamma^{-1} (or Gamma), Theta_2 and Theta_3 enter, so each routine
+has one shape whatever the degrees.
 
 Composing H with the truncation leaves a quartic-order defect; the
 empirical trust radius estimates where that defect stays small.  The
@@ -162,8 +165,8 @@ def _adjugate(m: np.ndarray) -> tuple[np.ndarray, object]:
 
 def _series(ginv, theta2, theta3) -> tuple:
     """P_2, P_3, Xi_2, R2 and Xi_3 of the inverse from Gamma^{-1}, Theta_2
-    and Theta_3: run on Scaled blocks for an exact series, and rendered
-    into the float routine (:func:`_float_series`)."""
+    and Theta_3, rendered into the integer routine (:func:`_exact_series`)
+    and the float one (:func:`_float_series`)."""
     p2 = p_operator(2, ginv)
     p3 = p_operator(3, ginv)
     xi2 = -(ginv @ theta2 @ p2)
@@ -179,10 +182,20 @@ def _float_inverse(gamma, theta2, theta3) -> tuple:
     return (ginv, *_series(ginv, theta2, theta3))
 
 
+_SHAPES = ((2, 2), (2, 3), (2, 4))
+
+
+@lru_cache(maxsize=1)
+def _exact_series():
+    """The integer routine of :func:`_series` on Scaled blocks, rendered
+    on first use."""
+    return straight_line(_series, _SHAPES, "exact inverse series", scaled=True)
+
+
 @lru_cache(maxsize=1)
 def _float_series():
     """The float routine of :func:`_float_inverse`, rendered on first use."""
-    return straight_line(_float_inverse, ((2, 2), (2, 3), (2, 4)), "inverse series")
+    return straight_line(_float_inverse, _SHAPES, "inverse series")
 
 
 _SINGULAR = "Gamma is singular; the change of variables cannot be inverted"
@@ -198,7 +211,7 @@ def invert_to_cubic(cov: ChangeOfVariables) -> InverseSeries:
             raise ZeroDivisionError(_SINGULAR)
         sign = 1 if det > 0 else -1
         ginv = Scaled(adj * (sign * gamma.den), sign * det)
-        p2, p3, xi2, r2, xi3 = _series(ginv, theta2, theta3)
+        p2, p3, xi2, r2, xi3 = _exact_series()(ginv, theta2, theta3)
     else:
         try:
             ginv, p2, p3, xi2, r2, xi3 = _float_series()(gamma, theta2, theta3)

@@ -27,12 +27,15 @@ integer arithmetic, and a Fraction is made only when a block is read
 back (:func:`as_array`).  The object arrays matter: an array of Python
 ints built without ``dtype=object`` becomes int64 and wraps silently.
 
-The same block expressions give the float arithmetic its code.
+The same block expressions give both arithmetics their code.
 :func:`straight_line` runs an expression once on object arrays of
 symbolic entries, each of which writes the operation it takes part in
-as one statement, and compiles the statements into a function of
-Python floats: the operations of the expression on object arrays of
-floats, in their order, with no numpy call between them.
+as one statement, and compiles the statements into one function, with
+no numpy call between the operations: over Python floats, the
+operations of the expression on object arrays of floats, in their
+order; over Python ints, on blocks whose numerators and denominators
+are all symbols, the integer operations of the expression on
+:class:`Scaled` blocks, the lcm of two denominators included.
 """
 
 from __future__ import annotations
@@ -199,6 +202,12 @@ def _times(num: np.ndarray, factor: int) -> np.ndarray:
     return num if factor == 1 else num * factor
 
 
+def _lcm(a, b):
+    """math.lcm of two denominators, or the statement that takes it at
+    run time when they are symbols (:func:`straight_line`)."""
+    return a.tape.emit(a, "lcm", b) if isinstance(a, _Entry) else math.lcm(a, b)
+
+
 class Scaled:
     """An exact array held as integer numerators over one denominator.
 
@@ -231,7 +240,7 @@ class Scaled:
     def __add__(self, other: "Scaled") -> "Scaled":
         if self.den == other.den:
             return Scaled(self.num + other.num, self.den)
-        den = math.lcm(self.den, other.den)
+        den = _lcm(self.den, other.den)
         return Scaled(_times(self.num, den // self.den) + _times(other.num, den // other.den), den)
 
     def to_float(self) -> np.ndarray:
@@ -297,19 +306,14 @@ class _Entry:
     def __truediv__(self, other):
         return self.tape.emit(self, "/", other)
 
+    def __floordiv__(self, other):
+        return self.tape.emit(self, "//", other)
+
+    def __pow__(self, other):
+        return self.tape.emit(self, "**", other)
+
     def __neg__(self):
         return self.tape.emit(None, "-", self)
-
-
-def _operand(x) -> str:
-    """An entry's name, or a number as its float literal: every value of
-    the code is a Python float, and an int meeting a float is converted
-    to one before the operation, so the literal rounds the same."""
-    if isinstance(x, _Entry):
-        return x.name
-    if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
-        return repr(float(x))
-    raise TypeError(f"straight-line code takes entries and finite numbers, got {x!r}")
 
 
 class _Tape:
@@ -317,17 +321,35 @@ class _Tape:
     (target, op, left, right), the operands as names or literals and
     left None for a negation.  An operation already recorded on the same
     operands gives the entry it gave then, and a product with 1 gives the
-    other factor: the same float operation on the same values rounds the
-    same, and x * 1.0 is x."""
+    other factor: the same operation on the same values gives the same
+    value, and x * 1.0 is x.  Over ints (``integer``) 0 + x gives x too;
+    over floats it does not, since 0 + -0.0 is 0.0."""
 
-    def __init__(self):
+    def __init__(self, integer: bool):
+        self.integer = integer
         self.statements: list[tuple[str, str, str | None, str]] = []
         self.known: dict[tuple, _Entry] = {}
+
+    def operand(self, x) -> str:
+        """An entry's name, or a number as its literal: over floats every
+        value of the code is a Python float, and an int meeting a float is
+        converted to one before the operation, so the float literal rounds
+        the same; over ints every value is a Python int."""
+        if isinstance(x, _Entry):
+            return x.name
+        if self.integer:
+            if type(x) is int:
+                return repr(x)
+        elif isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
+            return repr(float(x))
+        raise TypeError(f"straight-line code takes entries and finite numbers, got {x!r}")
 
     def emit(self, left, op: str, right) -> _Entry:
         if op == "*" and 1 in (left, right):
             return right if left == 1 else left
-        key = (op, None if left is None else _operand(left), _operand(right))
+        if self.integer and op == "+" and type(left) is int and left == 0:
+            return right
+        key = (op, None if left is None else self.operand(left), self.operand(right))
         entry = self.known.get(key)
         if entry is None:
             entry = self.known[key] = _Entry(f"t{len(self.statements)}", self)
@@ -339,8 +361,14 @@ def _is_name(operand: str | None) -> bool:
     return operand is not None and operand[0] in "tx"
 
 
-def straight_line(build, shapes, name: str):
-    """Compile ``build`` over floats into straight-line code.
+def _expression(op: str, left: str | None, right: str) -> str:
+    if left is None:
+        return op + right
+    return f"lcm({left}, {right})" if op == "lcm" else f"{left} {op} {right}"
+
+
+def straight_line(build, shapes, name: str, scaled: bool = False):
+    """Compile ``build`` into straight-line code over floats, or over ints.
 
     ``build`` takes arrays of the given ``shapes`` and returns a tuple of
     arrays.  It runs once, on object arrays of :class:`_Entry` symbols,
@@ -352,16 +380,28 @@ def straight_line(build, shapes, name: str):
     operations ``build`` runs on object arrays of Python floats: bit for
     bit those results.  A division by zero raises ZeroDivisionError, as
     it does there.
+
+    With ``scaled``, ``build`` takes and returns :class:`Scaled` blocks,
+    ``shapes`` giving their numerators' shapes, and runs once on blocks
+    whose numerators and denominator are all symbols; the lcm of two
+    different denominators is taken at run time.  The routine then takes
+    Scaled blocks of Python ints and gives Scaled blocks whose numerators
+    and denominators are the very integers ``build`` gives on those
+    blocks, not merely the same rationals.
     """
-    tape = _Tape()
+    tape = _Tape(integer=scaled)
     args, count = [], 0
     for shape in shapes:
         block = np.empty(shape, dtype=object)
-        block.flat[:] = [_Entry(f"x{count + i}", tape) for i in range(block.size)]
-        args.append(block)
-        count += block.size
-    results = [np.asarray(r) for r in build(*args)]
-    outputs = [_operand(x) for r in results for x in r.flat]
+        names = [_Entry(f"x{count + i}", tape) for i in range(block.size + scaled)]
+        block.flat[:] = names[: block.size]
+        args.append(Scaled(block, names[-1]) if scaled else block)
+        count += len(names)
+    if scaled:
+        results = [(r.num, [*r.num.flat, r.den]) for r in build(*args)]
+    else:
+        results = [(r, list(r.flat)) for r in map(np.asarray, build(*args))]
+    outputs = [tape.operand(x) for _, flat in results for x in flat]
     reads = Counter(outputs)
     live = []
     for statement in reversed(tape.statements):
@@ -371,22 +411,34 @@ def straight_line(build, shapes, name: str):
     inline: dict[str, str] = {}
     body = []
 
-    def term(x: str) -> str:
+    def term(x: str | None) -> str | None:
         return f"({inline.pop(x)})" if x in inline else x
 
     for target, op, left, right in reversed(live):
-        expr = op + term(right) if left is None else f"{term(left)} {op} {term(right)}"
+        expr = _expression(op, term(left), term(right))
         if reads[target] == 1 and target not in outputs:
             inline[target] = expr
         else:
             body.append(f"    {target} = {expr}")
     params = ", ".join(f"x{i}" for i in range(count))
     source = f"def routine({params}):\n" + "\n".join(body) + f"\n    return ({', '.join(outputs)},)\n"
-    namespace: dict = {}
+    namespace: dict = {"lcm": math.lcm}
     exec(compile(source, f"<{name}>", "exec"), namespace)
     routine = namespace["routine"]
-    ends = np.cumsum([r.size for r in results]).tolist()
-    pieces = [(end - r.size, end, r.shape) for r, end in zip(results, ends)]
+    ends = np.cumsum([len(flat) for _, flat in results]).tolist()
+    pieces = [(end - len(flat), end, r.shape) for (r, flat), end in zip(results, ends)]
+
+    if scaled:
+
+        def run(*blocks):
+            entries = []
+            for b in blocks:
+                entries += b.num.ravel().tolist()
+                entries.append(b.den)
+            flat = np.array(routine(*entries), dtype=object)
+            return [Scaled(flat[start : end - 1].reshape(shape), flat[end - 1]) for start, end, shape in pieces]
+
+        return run
 
     def run(*arrays):
         flat = np.array(routine(*np.concatenate([a.ravel() for a in arrays]).astype(float, copy=False).tolist()))

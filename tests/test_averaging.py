@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_fraction_matrix
+from conftest import as_fraction_matrix, assert_same_entries
 import polycycle
+import polycycle.averaging as averaging
+import polycycle.inversion as inversion
 from polycycle.averaging import (
     cycle_curve,
     g_coefficients,
@@ -277,11 +279,9 @@ def _random_exact_system(rng, n, big=False):
     return build_system(jac, phi)
 
 
-def test_exact_rows_match_the_fraction_reference(corpus_systems, corpus_covs):
-    # the integer stage equals the Fraction formulas entry for entry, and
-    # the same formulas on object arrays of Python floats give the float
-    # stage's straight-line routines bit for bit, signed zeros included
-    rng = random.Random(2024)
+def _exact_cases(corpus_systems, corpus_covs, rng):
+    """(system, solved change of variables) for the corpus, 32 random
+    systems of degree 2 to 5 and one of degree 3 with 30-digit numerators."""
     cases = [(system, corpus_covs[name]) for name, system in corpus_systems.items()]
     for i in range(32):
         system = _random_exact_system(rng, 2 + i % 4)
@@ -289,6 +289,14 @@ def test_exact_rows_match_the_fraction_reference(corpus_systems, corpus_covs):
     big = _random_exact_system(rng, 3, big=True)
     assert max(abs(x.numerator) for x in big.phi[1].flat) >= 10**29
     cases.append((big, solve_theta(big)))
+    return cases
+
+
+def test_exact_rows_match_the_fraction_reference(corpus_systems, corpus_covs):
+    # the integer stage equals the Fraction formulas entry for entry, and
+    # the same formulas on object arrays of Python floats give the float
+    # stage's straight-line routines bit for bit, signed zeros included
+    cases = _exact_cases(corpus_systems, corpus_covs, random.Random(2024))
     for case, (system, cov) in enumerate(cases):
         lib, ref = _library_rows(system, cov), _reference_rows(system, cov)
         for got, want in zip(lib, ref):
@@ -298,6 +306,40 @@ def test_exact_rows_match_the_fraction_reference(corpus_systems, corpus_covs):
         for got, want in zip(lib, ref):
             assert want.dtype == object and all(type(x) is float for x in want.flat), case
             assert got.dtype == np.float64 and got.tobytes() == np.array(want.tolist()).tobytes(), case
+
+
+def test_exact_routines_equal_the_block_expressions(corpus_systems, corpus_covs):
+    # the integer routines give every block of the inverse series and the
+    # G rows with the very numerators and denominator that _series and
+    # _g_rows give run directly on the Scaled blocks, the path they replace:
+    # the same integers, not merely the same rationals.  Degrees 1 and 7
+    # enter with zero-filled and with cut-off blocks
+    rng = random.Random(2024)
+    cases = _exact_cases(corpus_systems, corpus_covs, rng)
+    for degree in (1, 7):
+        system = _random_exact_system(rng, degree)
+        assert system.degree == degree
+        cases.append((system, solve_theta(system)))
+    for case, (system, cov) in enumerate(cases):
+        inv = invert_to_cubic(cov)
+        series = (inv.p2_op, inv.p3_op, inv.blocks[2], inv.r2_op, inv.blocks[3])
+        field = (system.jac, system.phi_matrix(2), system.phi_matrix(3))
+        blocks = (
+            *map(as_scaled, field), *(cov.block(k) for k in (1, 2, 3)),
+            inv.blocks[2], inv.blocks[3], inv.p2_op, inv.p3_op, inv.r2_op,
+        )
+        pairs = [
+            (series, inversion._series(inv.blocks[1], cov.block(2), cov.block(3))),
+            (averaging._exact_g_rows()(*blocks), averaging._g_rows(*blocks)),
+        ]
+        for got, want in pairs:
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_entries(g, w)
+                assert type(g.den) is int and all(type(x) is int for x in g.num.flat), case
+        g = g_coefficients(system, cov, inv)
+        assert g.g2.tolist() == as_array(pairs[1][1][0]).tolist(), case
+        assert g.g3.tolist() == as_array(pairs[1][1][1]).tolist(), case
 
 
 def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
@@ -344,12 +386,13 @@ _RENDER_SCRIPT = textwrap.dedent(
     import builtins, random
     from fractions import Fraction
 
-    ROUTINES = ("<inverse series>", "<g rows>")
+    EXACT = ("<exact inverse series>", "<exact g rows>")
+    FLOAT = ("<inverse series>", "<g rows>")
     rendered = []
     compile_ = builtins.compile
 
     def counting(source, filename, *args, **kwargs):
-        if filename in ROUTINES:
+        if filename in EXACT + FLOAT:
             rendered.append(filename)
         return compile_(source, filename, *args, **kwargs)
 
@@ -359,25 +402,31 @@ _RENDER_SCRIPT = textwrap.dedent(
 
     assert rendered == [], rendered
     rng = random.Random(3)
+    systems = []
     for degree in range(1, 8):
         phi = [[[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(k + 1)] for _ in range(2)]
                for k in range(2, degree + 1)]
-        system = polycycle.build_system([[Fraction(1, 50), -1], [1, Fraction(1, 50)]], phi)
-        assert system.degree == degree
-        report = run_analyze(system, AnalysisOptions(exact=False, measure=False))
-        assert report.status == "ok" and report.prediction is not None, degree
-        assert sorted(rendered) == sorted(ROUTINES), (degree, rendered)
+        systems.append(polycycle.build_system([[Fraction(1, 50), -1], [1, Fraction(1, 50)]], phi))
+        assert systems[-1].degree == degree
+    for routines, exact in ((EXACT, True), (EXACT + FLOAT, False)):
+        for system in systems:
+            report = run_analyze(system, AnalysisOptions(exact=exact, measure=False))
+            assert report.status == "ok" and report.prediction is not None, (system.degree, exact)
+            assert sorted(rendered) == sorted(routines), (system.degree, exact, rendered)
     print("rendered", *rendered, sep="\\n")
     """
 )
 
 
 def test_float_routines_render_once_per_process_and_never_at_import():
-    # in a fresh process, importing the package renders neither routine,
-    # and float analyses of degree 1 to 7 compile each exactly once, at
-    # the first float analysis
+    # in a fresh process, importing the package renders none of the four
+    # routines; exact analyses of degree 1 to 7 compile each exact routine
+    # exactly once, at the first exact analysis, and no float one; float
+    # analyses then compile each float routine exactly once
     src = str(Path(polycycle.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", _RENDER_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["rendered", "<inverse series>", "<g rows>"]
+    assert out.stdout.splitlines() == [
+        "rendered", "<exact inverse series>", "<exact g rows>", "<inverse series>", "<g rows>"
+    ]

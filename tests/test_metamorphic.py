@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conjugate import exact_amplitude
 from metamorphic import TRANSFORMS, UNITS, transform, triangular, triangular_amplitude
 from polycycle.definition import instantiate
 from polycycle.pipeline import AnalysisOptions, run_analyze
@@ -115,3 +116,13 @@ def test_triangular_images_of_the_normal_form(definitions, q, alpha, exact):
     assert meas["convergence_rate"] == pytest.approx(math.exp(-4.0 * math.pi * alpha), rel=1e-7)
     assert meas["stable"] is True
     assert report.prediction["exists"] and report.prediction["stability"] == "stable_supercritical"
+
+
+@pytest.mark.parametrize("q", ["1/2", "-3", "2", "10"])
+@pytest.mark.parametrize("alpha", ["1/100", "-1/20"])
+def test_sampled_amplitude_is_the_closed_form_for_t_q_alone(q, alpha):
+    # with L1 = L2 = I the dense theta grid of the conjugate counts gives
+    # the closed-form amplitude of the T_q image to 1e-9
+    eye = ((1, 0), (0, 1))
+    want = triangular_amplitude(abs(Fraction(alpha)), q)
+    assert exact_amplitude(Fraction(alpha), eye, Fraction(q), eye) == pytest.approx(want, rel=1e-9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import as_fraction_matrix, assert_same_entries
-from polycycle.monomials import Scaled, as_scaled, eval_lambda, lie_row, monomial_table
+from polycycle.monomials import Scaled, as_scaled, eval_lambda, lie_row, monomial_table, straight_line
 from polycycle.polyops import poly_from_lambda_row
 from polycycle.system import build_system, lie_derivative
 
@@ -157,3 +157,24 @@ def test_as_fraction_matrix_coerces_entries():
         [Fraction(1), Fraction(1, 2)],
         [Fraction(3, 4), Fraction(0)],
     ]
+
+
+def _sum_and_product(a, b):
+    return a + b, a @ b.T, -(a.T @ a)
+
+
+@pytest.mark.parametrize("dens", [(3, 3), (4, 6), (1, 35)])
+def test_integer_straight_line_gives_the_scaled_integers(dens):
+    # over ints the routine gives the very numerators and denominators of
+    # the Scaled arithmetic: a sum over different denominators is taken at
+    # their lcm, and one over equal denominators, which the Scaled sum adds
+    # directly, comes out the same through lcm(d, d) = d
+    routine = straight_line(_sum_and_product, ((2, 3), (2, 3)), "test scaled", scaled=True)
+    a = Scaled(np.array([[1, -2, 3], [0, 5, -7]], dtype=object), dens[0])
+    b = Scaled(np.array([[4, 0, -1], [10**30, 2, 6]], dtype=object), dens[1])
+    got = routine(a, b)
+    want = _sum_and_product(a, b)
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert_same_entries(g, w)
+        assert type(g.den) is int and all(type(x) is int for x in g.num.flat)
