@@ -37,7 +37,7 @@ import numpy as np
 
 from .change_of_variables import ChangeOfVariables
 from .inversion import InverseSeries
-from .monomials import as_array, as_float, as_scaled, lie_row, straight_line
+from .monomials import Scaled, as_float, as_scaled, lie_row, straight_line
 from .system import PlanarPolySystem
 
 __all__ = [
@@ -49,8 +49,8 @@ __all__ = [
     "cycle_curve",
 ]
 
-# Points cycle_curve samples by default, as every report does: the oracle's
-# seed and the amplitude that compare() judges are read off them.
+# Points cycle_curve samples, in every report: the oracle's seed and the
+# amplitude that compare() judges are read off them.
 CURVE_SAMPLES = 512
 # |p3| at or below this is degenerate: first-order averaging cannot
 # decide existence, reported distinctly from a clean "no cycle" verdict.
@@ -59,10 +59,11 @@ P3_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GCoefficients:
-    """Quadratic and cubic coefficient rows of the reduced equation."""
+    """Quadratic and cubic coefficient rows of the reduced equation:
+    :class:`~polycycle.monomials.Scaled` rows when exact, float64 otherwise."""
 
-    g2: np.ndarray
-    g3: np.ndarray
+    g2: Scaled | np.ndarray
+    g3: Scaled | np.ndarray
 
 
 def _g_rows(jac, phi2, phi3, gamma, theta2, theta3, xi2, xi3, p2, p3, r2) -> tuple:
@@ -113,9 +114,9 @@ def g_coefficients(
     Exact inputs give exact rows: the change of variables and the
     inverse hold their blocks as integer numerators over one denominator
     each (:class:`~polycycle.monomials.Scaled`), the field's blocks are
-    split the same way, the rows are formed in integer arithmetic, and
-    only G2 and G3 become Fractions.  Float inputs run the float
-    routine.  The independent check is dynamic: along any trajectory
+    split the same way, and the rows are formed in integer arithmetic
+    and held in that form too.  Float inputs run the float routine.
+    The independent check is dynamic: along any trajectory
     X(t) with z = (H(X))_1, the residual z'' - tau z' + delta z -
     G2.lambda_2 - G3.lambda_3 must shrink like the fourth power of the
     amplitude.
@@ -128,8 +129,7 @@ def g_coefficients(
     )
     if not system.exact:
         return GCoefficients(*_float_g_rows()(*blocks))
-    g2, g3 = _exact_g_rows()(*(as_scaled(b) for b in blocks[:3]), *blocks[3:])
-    return GCoefficients(g2=as_array(g2), g3=as_array(g3))
+    return GCoefficients(*_exact_g_rows()(*(as_scaled(b) for b in blocks[:3]), *blocks[3:]))
 
 
 def p3_q3(g3, delta) -> tuple[float, float]:
@@ -137,12 +137,13 @@ def p3_q3(g3, delta) -> tuple[float, float]:
 
     Closed form of the two first-order averaging integrals; the
     quadrature oracle in the tests integrates the defining expressions
-    numerically and must agree to 1e-10.
+    numerically and must agree to 1e-10.  ``g3`` may be a
+    :class:`~polycycle.monomials.Scaled` row, rounded entry by entry.
     """
     d = float(delta)
     if d <= 0.0:
         raise ValueError(f"averaging requires delta > 0, got {delta!r}")
-    g = [float(x) for x in np.asarray(g3).reshape(-1)]
+    g = [float(x) for x in np.asarray(as_float(g3)).reshape(-1)]
     if len(g) != 4:
         raise ValueError(f"G3 must have 4 entries, got {len(g)}")
     sd = math.sqrt(d)
@@ -214,24 +215,22 @@ def predict_cycle(tau, delta, p3, q3) -> KbmPrediction:
     )
 
 
-def cycle_curve(cov: ChangeOfVariables, prediction: KbmPrediction, sample_count: int = CURVE_SAMPLES) -> np.ndarray:
+def cycle_curve(inv: InverseSeries, prediction: KbmPrediction) -> np.ndarray:
     """Sample the predicted cycle back in the original coordinates.
 
     The averaged solution is z = sqrt(|tau|) r0 sin(sqrt(delta) w0 t)
     with its derivative as the second scalar coordinate; mapping the
-    pair through Gamma^{-1} gives the orbit to leading order.  Returns
-    an array of rows (t, x1, x2) covering one period.
+    pair through the series' Gamma^{-1} gives the orbit to leading
+    order.  Returns ``CURVE_SAMPLES`` rows (t, x1, x2) covering one period.
     """
     if not prediction.exists:
         raise ValueError("cycle_curve needs a prediction with exists=True")
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     if prediction.omega0 is None or prediction.omega0 <= 0.0:
         raise ValueError(f"predicted frequency is not positive: {prediction.omega0!r}")
-    ginv = np.linalg.inv(as_float(cov.block(1)))
+    ginv = as_float(inv.blocks[1])
     amp = prediction.z_amplitude
     rate = math.sqrt(prediction.delta) * prediction.omega0
-    t = prediction.period * np.arange(sample_count) / sample_count
+    t = prediction.period * np.arange(CURVE_SAMPLES) / CURVE_SAMPLES
     z = amp * np.sin(rate * t)
     zdot = amp * rate * np.cos(rate * t)
     x1 = ginv[0, 0] * z + ginv[0, 1] * zdot

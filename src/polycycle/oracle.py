@@ -6,7 +6,7 @@ original planar field are integrated with the embedded Dormand-Prince
 the return map P of the Poincare section x2 = 0, x1 > 0, and
 :func:`compare` reduces a prediction/measurement pair to a verdict.
 
-All stepping runs in one loop, :func:`_dop853`: the pair with its
+All stepping runs in one loop, ``_Kernel.loop``: the pair with its
 combined 5th- and 3rd-order error estimate and first-same-as-last reuse
 (Hairer, Norsett and Wanner, Solving Ordinary Differential Equations I,
 sec. II.10), its state in local variables, appending one record per
@@ -24,7 +24,7 @@ An orbit past that has settled on or circles another equilibrium, and
 there is no cycle around the origin through its start.
 
 Between its end points a step is interpolated by the pair's own 7th-order
-dense output (sec. II.6, :func:`_dense`), which costs three more field
+dense output (sec. II.6, ``_Kernel.dense``), which costs three more field
 evaluations and is formed only for the steps that need it: the step that
 holds a return to the section, and the steps of a measured orbit in
 which x1 turns, where the amplitude is found.  A crossing of the section
@@ -474,9 +474,43 @@ _FIELD_CALL = re.compile(r"^( +)(\w+(?:, \w+)+) = f\((\w+), (\w+)\)$", re.MULTIL
 
 
 class _Kernel(NamedTuple):
-    """The stepping code of one float system: ``field(u, v) -> (du, dv,
-    div)`` and the routines behind :func:`_dop853`, :func:`_dense` and
-    :func:`_first_step`, with the field written into each stage."""
+    """The stepping code of one float system, with the field written into
+    each stage: ``field(u, v) -> (du, dv, div)`` and
+
+    ``loop(t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section,
+    budget, norm, records)``: accepted DOP853 steps from t0, where
+    field(u0, v0) = (fu0, fv0, fw0) and ``trial`` is the next step to
+    try, up to the first event.  A step's error is the 5th-order estimate
+    damped by the 3rd-order one, |h| err5^2 / sqrt(2 (err5^2 + err3^2 /
+    100)), in the norm of the scales ATOL + RTOL max(|y0|, |y1|); the next
+    step is h times 0.9 err^(-1/8) within [0.2, 5].  The last stage, f at
+    the step's end, is evaluated once the step is accepted and is the
+    next step's first.  w, the integral of div f, and q, that of u^2 +
+    v^2 (from the stage states), are stepped with the same weights but
+    kept out of the error norm.  Each accepted step appends (t0, u0, v0,
+    fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0), the (u, v) of stages 6 to
+    12 and q0 to ``records``.  Events: "budget" after ``budget`` accepted
+    steps and "limit" within 1e-14 relative of ``t_limit``, both checked
+    before a step; "underflow" when rejections cut the step below 1e-14,
+    the state left at the step's start; after a step, "blowup" when |u| +
+    |v| passes ``norm``, then, with ``section``, "cross" when v changed
+    sign from a nonzero start.  Returns (event, t, u, v, fu, fv, w, fw, q,
+    trial, accepted steps, rejected steps), from which a later call
+    resumes the same stepping.
+
+    ``first_step(u0, v0, fu0, fv0)``: the starting-step rule of Hairer,
+    Norsett and Wanner (sec. II.4) for an 8th-order pair, in the norm of
+    the error test: an Euler step of 1/100 of |y| / |f| gives a
+    difference quotient for f', at one more field evaluation, and the
+    trial step is the h with h^8 max(|f|, |f'|) = 1/100, at most 100
+    times that Euler step.  With steps growing by at most 5, an orbit so
+    reaches the step size it keeps within about two steps.
+
+    ``dense(rec)``: the 7th-order dense output of one record (sec. II.6).
+    Three more stages, from the record's stages 1 and 6 to 13, give (u0,
+    c0, ..., c6, v0, c0, ..., c6), each coordinate's value at the step's
+    start and the coefficients :func:`_interpolate` takes.
+    """
 
     field: Callable
     loop: Callable
@@ -520,60 +554,6 @@ def compile_field(system: PlanarPolySystem):
     return _kernel(system).field
 
 
-def _dop853(kernel, t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budget, norm, records):
-    """Accepted Dormand-Prince 8(5,3) steps of the kernel's field from t0,
-    where field(u0, v0) = (fu0, fv0, fw0) and ``trial`` is the next step
-    to try, up to the first event.
-
-    The error of a step is the pair's 5th-order estimate damped by its
-    3rd-order one, |h| err5^2 / sqrt(2 (err5^2 + err3^2 / 100)) with
-    both in the norm of the scales ATOL + RTOL max(|y0|, |y1|), and sets
-    the next step by the factor 0.9 err^(-1/8) within [0.2, 5].  The
-    last stage, f at the step's end, is evaluated once the step is
-    accepted, and is the next step's first.  w0, the integral of div f
-    so far, and q0, the integral of u^2 + v^2, are stepped with the same
-    weights (q from the stage states) but left out of the error norm, so
-    they move no step size or event.  Each accepted step appends (t0, u0,
-    v0, fu0, fv0, t1, u1, v1, fu1, fv1, w0, fw0), the (u, v) of stages 6
-    to 12, which is all that :func:`_dense` reads, and q0 to ``records``.
-    The events: "budget" once ``budget`` steps were accepted and "limit"
-    once t is within 1e-14 relative of ``t_limit``, both checked before
-    a step; "underflow" when rejections cut the step below 1e-14,
-    leaving the state at the step's start; after a step, "blowup" when
-    |u| + |v| passes ``norm``, then, if ``section`` is true, "cross" when
-    v changed sign from a nonzero start.
-
-    Returns (event, t, u, v, fu, fv, w, fw, q, trial, accepted steps,
-    rejected steps), from which a later call resumes the same stepping.
-    """
-    return kernel.loop(t0, u0, v0, fu0, fv0, w0, fw0, q0, trial, t_limit, section, budget, norm, records)
-
-
-def _first_step(kernel, u0, v0, fu0, fv0) -> float:
-    """The first trial step from (u0, v0), where the kernel's field(u0,
-    v0) = (fu0, fv0, ...), by the starting-step rule of Hairer, Norsett
-    and Wanner (sec. II.4) for an 8th-order pair, in the norm of the
-    error test.
-
-    An Euler step of 1/100 of |y| / |f| gives a difference quotient for
-    the second derivative, at one more field evaluation, and the trial
-    step is the h with h^8 max(|f|, |f'|) = 1/100, at most 100 times that
-    Euler step.  With the step grown by at most 5 per step, an orbit so
-    reaches the step size it keeps within about two steps.
-    """
-    return kernel.first_step(u0, v0, fu0, fv0)
-
-
-def _dense(kernel, rec):
-    """The 7th-order dense output of one step record (sec. II.6).
-
-    Three more stages, from the record's stages 1 and 6 to 13, give
-    (u0, c0, ..., c6, v0, c0, ..., c6): each coordinate's value at the
-    step's start and the coefficients :func:`_interpolate` takes.
-    """
-    return kernel.dense(rec)
-
-
 def _interpolate(y0, c0, c1, c2, c3, c4, c5, c6, s):
     """One coordinate of a dense output at s = (t - t0) / h, for a scalar
     s or, with arrays of coefficients, an array: y0 + s (c0 + (1 - s) (c1
@@ -597,7 +577,7 @@ def _interpolate_slope(y0, c0, c1, c2, c3, c4, c5, c6, s):
 
 def _slope_zeros(coeffs, s_end: float) -> list[float]:
     """The zeros in (0, s_end] of the derivative of one coordinate's dense
-    output, whose eight numbers from :func:`_dense` are ``coeffs``.
+    output, whose eight numbers from ``_Kernel.dense`` are ``coeffs``.
 
     The derivative is bracketed by its signs at 0 and s_end or, where
     they agree, at eight equal intervals between, so a pair of zeros
@@ -660,10 +640,10 @@ def integrate(system: PlanarPolySystem, x0, t_end: float) -> Trajectory:
     kernel = _kernel(system)
     u, v = float(x0[0]), float(x0[1])
     fu, fv, fw = kernel.field(u, v)
-    trial = _first_step(kernel, u, v, fu, fv)
+    trial = kernel.first_step(u, v, fu, fv)
     records = []
-    event, *_, steps, _ = _dop853(
-        kernel, 0.0, u, v, fu, fv, 0.0, fw, 0.0, trial, t_end, False, MAX_STEPS, BLOWUP_NORM, records
+    event, *_, steps, _ = kernel.loop(
+        0.0, u, v, fu, fv, 0.0, fw, 0.0, trial, t_end, False, MAX_STEPS, BLOWUP_NORM, records
     )
     if event == "underflow":
         raise ArithmeticError(_UNDERFLOW)
@@ -706,14 +686,14 @@ def _return_map(kernel, work, x: float, t_limit: float):
     u, v = x, 0.0
     fu, fv, fw = kernel.field(u, v)
     normal_start = fv
-    t, w, q, trial = 0.0, 0.0, 0.0, _first_step(kernel, u, v, fu, fv)
+    t, w, q, trial = 0.0, 0.0, 0.0, kernel.first_step(u, v, fu, fv)
     work[0] += 1
     records = []
     while True:
         # the time budget, 50 linear periods against at most 4.83 measured
         # for a return, only stops an orbit that never comes back
-        event, t, u, v, fu, fv, w, fw, q, trial, steps, rejects = _dop853(
-            kernel, t, u, v, fu, fv, w, fw, q, trial, t_limit, True, MAX_STEPS - len(records),
+        event, t, u, v, fu, fv, w, fw, q, trial, steps, rejects = kernel.loop(
+            t, u, v, fu, fv, w, fw, q, trial, t_limit, True, MAX_STEPS - len(records),
             BLOWUP_NORM, records,
         )
         work[1] += steps
@@ -727,7 +707,7 @@ def _return_map(kernel, work, x: float, t_limit: float):
             continue
         t0, t1 = rec[0], rec[5]
         h = t1 - t0
-        coeffs = _dense(kernel, rec)
+        coeffs = kernel.dense(rec)
         work[3] += 1
         # x2 changes sign in the step: from rec[2] at s = 0 to rec[7] at 1
         s = _root(_interpolate, coeffs[8:], 0.0, 1.0, rec[2], rec[7], 1e-12 * max(1.0, abs(t1)) / h)
@@ -740,8 +720,8 @@ def _return_map(kernel, work, x: float, t_limit: float):
         # the state at tc to the integrator's order, not the interpolant's:
         # step again from the start of this step, to tc, stopping for
         # nothing else, as the step it repeats passed every check
-        event, _, u, v, fu, fv, w, _, q, _, steps, rejects = _dop853(
-            kernel, *rec[:5], *rec[10:12], rec[26], tc - t0, tc, False, math.inf, math.inf, []
+        event, _, u, v, fu, fv, w, _, q, _, steps, rejects = kernel.loop(
+            *rec[:5], *rec[10:12], rec[26], tc - t0, tc, False, math.inf, math.inf, []
         )
         work[1] += steps
         work[2] += rejects
@@ -927,7 +907,7 @@ def _amplitude(kernel, work, records, period, crossing) -> float:
         if rec is last:
             coeffs, s1 = crossing[:8], s_end
         else:
-            coeffs, s1 = _dense(kernel, rec)[:8], 1.0
+            coeffs, s1 = kernel.dense(rec)[:8], 1.0
             work[3] += 1
         for s in _slope_zeros(coeffs, s1):
             x1 = abs(_interpolate(*coeffs, s))
@@ -942,7 +922,7 @@ def _sample_orbit(kernel, records, period) -> np.ndarray:
     first step ending at or after it, or in the last step."""
     t0 = np.array([rec[0] for rec in records])
     t1 = np.array([rec[5] for rec in records])
-    coeffs = np.array([_dense(kernel, rec) for rec in records]).T
+    coeffs = np.array([kernel.dense(rec) for rec in records]).T
     t = period * np.arange(CYCLE_SAMPLES + 1) / CYCLE_SAMPLES
     ri = np.minimum(np.searchsorted(t1, t), len(records) - 1)
     t0, t1 = t0[ri], t1[ri]

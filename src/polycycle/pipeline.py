@@ -33,6 +33,7 @@ from .change_of_variables import (  # noqa: F401
 )
 from .definition import SystemDefinition, instantiate, load_definition, resolve_alpha
 from .inversion import REL_DEFECT, TRUST_GRID, InverseSeries, composition_residual, invert_to_cubic, trust_radius
+from .monomials import as_float
 from .oracle import CycleMeasurement, compare, measure_cycle
 from .system import PlanarPolySystem, hopf_indicator
 
@@ -235,9 +236,10 @@ def _untrusted(cov: ChangeOfVariables, inv: InverseSeries) -> str:
 
 def predict(reduction: Reduction, tau: float, delta: float) -> tuple[KbmPrediction, np.ndarray | None]:
     """The prediction stage: first-order averaging at (tau, delta), and the
-    predicted cycle in the original coordinates (None without one)."""
+    predicted cycle in the original coordinates (None without one).  It
+    reads G3 and the inverse series of the reduction, nothing else."""
     pred = predict_cycle(tau, delta, *p3_q3(reduction.g.g3, delta))
-    return pred, cycle_curve(reduction.cov, pred) if pred.exists else None
+    return pred, cycle_curve(reduction.inv, pred) if pred.exists else None
 
 
 def _reduced_fields(red: Reduction, pred: KbmPrediction, exact: bool) -> dict:
@@ -251,8 +253,8 @@ def _reduced_fields(red: Reduction, pred: KbmPrediction, exact: bool) -> dict:
         condition_residual=float(red.residual),
         residual_is_exact_zero=bool(exact and red.residual == 0),
         trust_radius=float(red.trust_radius),
-        g2=[float(v) for v in red.g.g2],
-        g3=[float(v) for v in red.g.g3],
+        g2=as_float(red.g.g2).tolist(),
+        g3=as_float(red.g.g3).tolist(),
         p3=pred.p3,
         q3=pred.q3,
         prediction={k: getattr(pred, k) for k in ("exists", "r0", "omega0", "z_amplitude", "period", "stability")},

@@ -12,13 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycycle import (
-    build_system,
-    instantiate,
-    invert_to_cubic,
-    load_definition,
-    solve_theta,
-)
+from polycycle import build_system, instantiate, load_definition
+from polycycle.change_of_variables import solve_theta
+from polycycle.inversion import invert_to_cubic
 from polycycle.linalg import _primitive
 from polycycle.monomials import Scaled
 

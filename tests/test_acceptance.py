@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polycycle.averaging import CURVE_SAMPLES, cycle_curve, g_coefficients, p3_q3, predict_cycle
+from polycycle.averaging import cycle_curve, g_coefficients, p3_q3, predict_cycle
 from polycycle.change_of_variables import (
     assemble_constraints,
     component_polynomial,
@@ -28,10 +28,10 @@ from polycycle.inversion import (
     p_operator,
     residual_slope,
 )
-from polycycle.monomials import eval_lambda
+from polycycle.monomials import as_array, eval_lambda
 from polycycle.oracle import integrate
 from polycycle.definition import instantiate, load_definition
-from polycycle.pipeline import AnalysisOptions, run_analyze
+from polycycle.pipeline import AnalysisOptions, reduce, run_analyze
 from polycycle.polyops import poly_add, poly_eval, poly_mul, poly_scale
 from polycycle.system import build_system, hopf_indicator, lie_derivative
 
@@ -78,11 +78,10 @@ def test_criterion_2_variant_discrimination(systems_dir):
 
     defn = load_definition(path)
     system = instantiate(defn, defn.alpha_default)
-    cov = solve_theta(system)
-    g = g_coefficients(system, cov, invert_to_cubic(cov))
+    red = reduce(system)
     hopf = hopf_indicator(system)
     tau, delta = float(hopf.tau), float(hopf.delta)
-    p3, q3 = p3_q3(g.g3, delta)
+    p3, q3 = p3_q3(red.g.g3, delta)
     scaled = predict_cycle(tau, delta, p3, q3)
     r0 = math.sqrt(delta / (2.0 * abs(p3)))
     unscaled = dataclasses.replace(
@@ -91,7 +90,7 @@ def test_criterion_2_variant_discrimination(systems_dir):
         omega0=1.0 - (tau / 2.0) * (q3 / p3),
         z_amplitude=math.sqrt(abs(tau)) * r0,
     )
-    unscaled_amp = float(np.max(np.abs(cycle_curve(cov, unscaled, CURVE_SAMPLES)[:, 1])))
+    unscaled_amp = float(np.max(np.abs(cycle_curve(red.inv, unscaled)[:, 1])))
     errs = {
         "scaled": report.comparison["amplitude_rel_err"],
         "unscaled": abs(unscaled_amp - measured) / measured,
@@ -280,9 +279,9 @@ def _reduced_equation_remainder(system, cov):
     remainder = poly_add(remainder, poly_scale(h1, ind.delta))
     lam2 = [poly_mul(h1, h1), poly_mul(h1, h2), poly_mul(h2, h2)]
     lam3 = [poly_mul(lam2[0], h1), poly_mul(lam2[0], h2), poly_mul(lam2[1], h2), poly_mul(lam2[2], h2)]
-    for coeff, mono in zip(g.g2, lam2):
+    for coeff, mono in zip(as_array(g.g2), lam2):
         remainder = poly_add(remainder, poly_scale(mono, -coeff))
-    for coeff, mono in zip(g.g3, lam3):
+    for coeff, mono in zip(as_array(g.g3), lam3):
         remainder = poly_add(remainder, poly_scale(mono, -coeff))
     return remainder
 

@@ -17,15 +17,16 @@ import polycycle
 import polycycle.averaging as averaging
 import polycycle.inversion as inversion
 from polycycle.averaging import (
+    CURVE_SAMPLES,
     cycle_curve,
     g_coefficients,
     p3_q3,
     predict_cycle,
 )
-from polycycle.change_of_variables import ChangeOfVariables, residual_condition33, solve_theta
-from polycycle.inversion import invert_to_cubic, p_operator, r2_operator, trust_radius
+from polycycle.change_of_variables import ChangeOfVariables, solve_theta
+from polycycle.inversion import invert_to_cubic, p_operator, r2_operator
 from polycycle.monomials import as_array, as_scaled, lie_row
-from polycycle.pipeline import AnalysisOptions, run_analyze
+from polycycle.pipeline import AnalysisOptions, reduce, run_analyze
 from polycycle.system import build_system, hopf_indicator
 
 
@@ -123,8 +124,8 @@ def test_g_rows_vanish_for_linear_triangular_change(normal_form_system):
     eye = as_fraction_matrix([[1, 0], [0, 1]])
     cov = ChangeOfVariables(blocks={1: as_scaled(eye)})
     g = g_coefficients(system, cov, invert_to_cubic(cov))
-    assert all(x == 0 for x in g.g2)
-    assert all(x == 0 for x in g.g3)
+    assert all(x == 0 for x in as_array(g.g2))
+    assert all(x == 0 for x in as_array(g.g3))
 
 
 def test_g2_reduces_to_field_row_for_identity_gamma():
@@ -135,16 +136,16 @@ def test_g2_reduces_to_field_row_for_identity_gamma():
     eye = as_fraction_matrix([[1, 0], [0, 1]])
     cov = ChangeOfVariables(blocks={1: as_scaled(eye)})
     g = g_coefficients(system, cov, invert_to_cubic(cov))
-    assert list(g.g2) == [Fraction(4), Fraction(5), Fraction(6)]
-    assert all(x == 0 for x in g.g3)
+    assert list(as_array(g.g2)) == [Fraction(4), Fraction(5), Fraction(6)]
+    assert all(x == 0 for x in as_array(g.g3))
 
 
 def test_g_rows_for_the_cubic_normal_form(normal_form_system, normal_form_cov, normal_form_inverse):
     g = g_coefficients(normal_form_system, normal_form_cov, normal_form_inverse)
     delta = hopf_indicator(normal_form_system).delta
     alpha = Fraction(1, 20)
-    assert list(g.g2) == [0, 0, 0]
-    assert list(g.g3) == [0, -2 * delta, 4 * alpha, -2]
+    assert list(as_array(g.g2)) == [0, 0, 0]
+    assert list(as_array(g.g3)) == [0, -2 * delta, 4 * alpha, -2]
 
 
 def test_prediction_for_the_cubic_normal_form(normal_form_system, normal_form_cov, normal_form_inverse):
@@ -161,35 +162,24 @@ def test_prediction_for_the_cubic_normal_form(normal_form_system, normal_form_co
     assert pred.z_amplitude == pytest.approx(math.sqrt(0.05 / delta), rel=1e-12)
 
 
-def test_cycle_curve_single_sample(normal_form_cov, normal_form_system, normal_form_inverse):
-    ind = hopf_indicator(normal_form_system)
-    g = g_coefficients(normal_form_system, normal_form_cov, normal_form_inverse)
-    p3, q3 = p3_q3(g.g3, float(ind.delta))
-    pred = predict_cycle(float(ind.tau), float(ind.delta), p3, q3)
-    point = cycle_curve(normal_form_cov, pred, sample_count=1)
-    assert point.shape == (1, 3)
-    assert point[0, 0] == 0.0
-    gamma_inv = np.linalg.inv(np.asarray(as_array(normal_form_cov.block(1)).tolist(), dtype=float))
-    rate = math.sqrt(float(ind.delta)) * pred.omega0
-    expected = gamma_inv @ np.array([0.0, pred.z_amplitude * rate])
-    np.testing.assert_allclose(point[0, 1:], expected, rtol=1e-12)
-
-
 def test_cycle_curve_spacing_and_validation(normal_form_cov, normal_form_system, normal_form_inverse):
     ind = hopf_indicator(normal_form_system)
     g = g_coefficients(normal_form_system, normal_form_cov, normal_form_inverse)
     p3, q3 = p3_q3(g.g3, float(ind.delta))
     pred = predict_cycle(float(ind.tau), float(ind.delta), p3, q3)
-    curve = cycle_curve(normal_form_cov, pred, sample_count=64)
-    assert curve.shape == (64, 3)
+    curve = cycle_curve(normal_form_inverse, pred)
+    assert curve.shape == (CURVE_SAMPLES, 3)
     period = 2.0 * math.pi / (math.sqrt(pred.delta) * pred.omega0)
     steps = np.diff(curve[:, 0])
-    np.testing.assert_allclose(steps, period / 64, rtol=1e-12)
-    # reference: the curve sample by sample
-    gamma_inv = np.linalg.inv(normal_form_cov.to_float().block(1))
+    np.testing.assert_allclose(steps, period / CURVE_SAMPLES, rtol=1e-12)
+    # reference: the curve sample by sample, through Gamma inverted here
+    # and not read off the series; the first row is Gamma^{-1} (0, z'(0))
+    gamma_inv = np.linalg.inv(np.asarray(as_array(normal_form_cov.block(1)).tolist(), dtype=float))
     rate = math.sqrt(pred.delta) * pred.omega0
+    assert curve[0, 0] == 0.0
+    np.testing.assert_allclose(curve[0, 1:], gamma_inv @ [0.0, pred.z_amplitude * rate], rtol=1e-12)
     for i, row in enumerate(curve):
-        t = period * i / 64
+        t = period * i / CURVE_SAMPLES
         z = pred.z_amplitude * math.sin(rate * t)
         zdot = pred.z_amplitude * rate * math.cos(rate * t)
         assert row[0] == t
@@ -197,9 +187,7 @@ def test_cycle_curve_spacing_and_validation(normal_form_cov, normal_form_system,
 
     none = predict_cycle(0.1, 1.0, -0.5, 0.0)
     with pytest.raises(ValueError):
-        cycle_curve(normal_form_cov, none)
-    with pytest.raises(ValueError):
-        cycle_curve(normal_form_cov, pred, sample_count=0)
+        cycle_curve(normal_form_inverse, none)
 
 
 def test_cycle_curve_defaults_to_the_report_curve(normal_form_cov, normal_form_system, normal_form_inverse):
@@ -209,7 +197,7 @@ def test_cycle_curve_defaults_to_the_report_curve(normal_form_cov, normal_form_s
     p3, q3 = p3_q3(g.g3, float(ind.delta))
     pred = predict_cycle(float(ind.tau), float(ind.delta), p3, q3)
     report = run_analyze(normal_form_system, AnalysisOptions(measure=False))
-    np.testing.assert_array_equal(cycle_curve(normal_form_cov, pred), report.predicted_curve)
+    np.testing.assert_array_equal(cycle_curve(normal_form_inverse, pred), report.predicted_curve)
 
 
 def test_exact_reduction_stays_in_fractions(corpus_systems, corpus_covs):
@@ -219,7 +207,7 @@ def test_exact_reduction_stays_in_fractions(corpus_systems, corpus_covs):
         cov = corpus_covs[name]
         inv = invert_to_cubic(cov)
         g = g_coefficients(system, cov, inv)
-        blocks = [*map(as_array, [*cov.blocks.values(), *inv.blocks.values()]), g.g2, g.g3]
+        blocks = map(as_array, [*cov.blocks.values(), *inv.blocks.values(), g.g2, g.g3])
         for block in blocks:
             assert all(type(x) is Fraction for x in block.reshape(-1)), name
 
@@ -257,7 +245,7 @@ def _library_rows(system, cov):
     inv = invert_to_cubic(cov)
     g = g_coefficients(system, cov, inv)
     blocks = [inv.blocks[k] for k in (1, 2, 3)] + [inv.p2_op, inv.p3_op, inv.r2_op]
-    return *map(as_array, blocks), g.g2, g.g3
+    return tuple(map(as_array, [*blocks, g.g2, g.g3]))
 
 
 def _random_exact_system(rng, n, big=False):
@@ -338,17 +326,16 @@ def test_exact_routines_equal_the_block_expressions(corpus_systems, corpus_covs)
                 assert_same_entries(g, w)
                 assert type(g.den) is int and all(type(x) is int for x in g.num.flat), case
         g = g_coefficients(system, cov, inv)
-        assert g.g2.tolist() == as_array(pairs[1][1][0]).tolist(), case
-        assert g.g3.tolist() == as_array(pairs[1][1][1]).tolist(), case
+        assert_same_entries(g.g2, pairs[1][1][0])
+        assert_same_entries(g.g3, pairs[1][1][1])
 
 
 def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
     # from the solve to G2 and G3, the certificate and the trust scan the
-    # exact stage runs on integer numerators: it does no Fraction
-    # arithmetic and constructs only the Fractions of G2 and G3 (7 here).
-    # While the solver returned Fractions the same chain constructed 82,
-    # 75 of them in solve_theta.  Reading a block as a Fraction array
-    # (as_array below) is what builds the others
+    # exact reduction runs on integer numerators: it does no Fraction
+    # arithmetic and constructs no Fraction.  While the solver returned
+    # Fractions the same chain constructed 82, 75 of them in solve_theta.
+    # Reading a block as a Fraction array (as_array below) builds them
     system = _random_exact_system(random.Random(4), 4)
     calls = []
     for name in ("add", "sub", "mul", "truediv"):
@@ -370,13 +357,10 @@ def test_exact_stage_does_no_fraction_arithmetic(monkeypatch):
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert "__add__" in calls and "__new__" in calls
     calls.clear()
-    cov = solve_theta(system)
-    inv = invert_to_cubic(cov)
-    g = g_coefficients(system, cov, inv)
-    assert residual_condition33(cov, system) == 0
-    assert trust_radius(cov, inv) > 0
-    assert calls == ["__new__"] * (len(g.g2) + len(g.g3)) == ["__new__"] * 7
-    blocks = [*map(as_array, inv.blocks.values()), g.g2, g.g3]
+    red = reduce(system)
+    assert red.residual == 0 and red.trust_radius > 0 and not red.warnings
+    assert calls == []
+    blocks = map(as_array, [*red.inv.blocks.values(), red.g.g2, red.g.g3])
     assert all(type(x) is Fraction for block in blocks for x in block.reshape(-1))
     assert set(calls) == {"__new__"}
 

@@ -1,6 +1,7 @@
 """Numerical integrator, return map, cycle measurement, comparison."""
 
 import builtins
+import functools
 import json
 import math
 from fractions import Fraction
@@ -111,6 +112,18 @@ def test_work_counters_match_the_field_calls(monkeypatch):
     assert evals_again == evals
 
 
+def _wrap_kernel(monkeypatch, **wrappers):
+    """Have oracle._kernel give kernels whose routines, each named in
+    ``wrappers`` (of :class:`oracle._Kernel`), run as wrapper(routine, *args)."""
+    kernel = oracle._kernel
+
+    def wrapped(system):
+        made = kernel(system)
+        return made._replace(**{name: functools.partial(w, getattr(made, name)) for name, w in wrappers.items()})
+
+    monkeypatch.setattr(oracle, "_kernel", wrapped)
+
+
 def test_measurement_follows_each_orbit_once(monkeypatch):
     # one orbit per root-solve evaluation: the slope comes from the
     # divergence integral along each orbit, and the sampled period from
@@ -118,14 +131,13 @@ def test_measurement_follows_each_orbit_once(monkeypatch):
     # starts where the stepping loop starts at t = 0, while resuming it
     # past a crossing and the re-step to the crossing time start later
     started = 0
-    loop = oracle._dop853
 
-    def counting(f, t0, *args):
+    def counting(loop, t0, *args):
         nonlocal started
         started += t0 == 0.0
-        return loop(f, t0, *args)
+        return loop(t0, *args)
 
-    monkeypatch.setattr(oracle, "_dop853", counting)
+    _wrap_kernel(monkeypatch, loop=counting)
     meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
     assert meas is not None
     assert started == meas.crossings
@@ -317,15 +329,15 @@ def _assert_loop_is_the_stepper(system, x, t_limit, budget=oracle.MAX_STEPS, eve
     stepper = _Stepper.start(f, u, v)
     fu, fv, fw = kernel.field(u, v)
     assert (fu, fv, fw) == (stepper.fu, stepper.fv, stepper.fw)
-    assert oracle._first_step(kernel, u, v, fu, fv) == stepper.h
+    assert kernel.first_step(u, v, fu, fv) == stepper.h
     state = (0.0, u, v, fu, fv, 0.0, fw, 0.0, stepper.h)
     seen = []
     for _ in range(events):
         steps_before, rejects_before = stepper.steps, stepper.rejects
         event, ref_records = _reference_run(stepper, t_limit, budget)
         records = []
-        got, *state, steps, rejects = oracle._dop853(
-            kernel, *state, t_limit, True, budget - steps_before, oracle.BLOWUP_NORM, records
+        got, *state, steps, rejects = kernel.loop(
+            *state, t_limit, True, budget - steps_before, oracle.BLOWUP_NORM, records
         )
         assert (got, records) == (event, ref_records)
         assert (steps, rejects) == (stepper.steps - steps_before, stepper.rejects - rejects_before)
@@ -335,7 +347,7 @@ def _assert_loop_is_the_stepper(system, x, t_limit, budget=oracle.MAX_STEPS, eve
         )
         seen.append(event)
         if records:
-            coeffs = oracle._dense(kernel, records[-1])
+            coeffs = kernel.dense(records[-1])
             assert coeffs == _reference_coefficients(f, records[-1])
         if event != "cross":
             break
@@ -407,8 +419,10 @@ def test_one_kernel_is_compiled_per_pattern(monkeypatch, systems_dir):
     # in J and in the signs of their cubic terms, share one compiled
     # kernel; another pattern compiles one more, and once every pattern
     # of an analysis is compiled, analysing it again compiles nothing.
-    # Loading a definition parses its entries, which compiles them
+    # Loading a definition parses its entries, which compiles them, and the
+    # first exact reduction of a process renders its routines
     quadratic, normal_form = (load_definition(systems_dir / f"{name}.json") for name in ("quadratic", "normal_form"))
+    run_analyze(quadratic, AnalysisOptions(measure=False))
     compiled = []
     compile_ = builtins.compile
 
@@ -501,13 +515,13 @@ def test_first_step_follows_the_starting_rule():
     kernel, f = oracle._kernel(system), oracle.compile_field(system)
     for u, v in ((0.1, 0.0), (0.0, 0.02), (0.7, -0.3), (3.0, 1e-12)):
         fu, fv, _ = f(u, v)
-        assert oracle._first_step(kernel, u, v, fu, fv) == _ref_first_step(f, u, v, fu, fv)
+        assert kernel.first_step(u, v, fu, fv) == _ref_first_step(f, u, v, fu, fv)
     # at the origin the field vanishes and the rule falls back to 1e-6
-    assert oracle._first_step(kernel, 0.0, 0.0, 0.0, 0.0) == 1e-6
+    assert kernel.first_step(0.0, 0.0, 0.0, 0.0) == 1e-6
     # an infinite or undefined state still gets a finite positive step,
     # which the loop then rejects down to an underflow
     for u in (math.inf, math.nan, 1e200):
-        assert 0.0 < oracle._first_step(kernel, u, 0.0, *kernel.field(u, 0.0)[:2]) < math.inf
+        assert 0.0 < kernel.first_step(u, 0.0, *kernel.field(u, 0.0)[:2]) < math.inf
 
 
 def _reference_integrate(system, x0, t_end):
@@ -679,23 +693,20 @@ def _measure_and_replay(monkeypatch, system, seed):
     and the starting rule's one evaluation; each loop run resumes from
     the state it was given."""
     runs, starts, formed = [], [], []
-    loop, first_step, dense = oracle._dop853, oracle._first_step, oracle._dense
 
-    def keep_run(kernel, *args):
+    def keep_run(loop, *args):
         runs.append(args[:-1])
-        return loop(kernel, *args)
+        return loop(*args)
 
-    def keep_start(kernel, *args):
+    def keep_start(first_step, *args):
         starts.append(args)
-        return first_step(kernel, *args)
+        return first_step(*args)
 
-    def keep_dense(kernel, rec):
+    def keep_dense(dense, rec):
         formed.append(rec)
-        return dense(kernel, rec)
+        return dense(rec)
 
-    monkeypatch.setattr(oracle, "_dop853", keep_run)
-    monkeypatch.setattr(oracle, "_first_step", keep_start)
-    monkeypatch.setattr(oracle, "_dense", keep_dense)
+    _wrap_kernel(monkeypatch, loop=keep_run, first_step=keep_start, dense=keep_dense)
     meas = measure_cycle(system, seed)
     assert meas is not None
     f, calls = _counted(oracle.compile_field(system))
@@ -741,13 +752,12 @@ def test_dense_outputs_are_formed_for_the_returns_and_the_extrema(monkeypatch):
     # downward crossing among them, where x1 is least), reusing the
     # return step's
     formed = []
-    dense = oracle._dense
 
-    def counting(f, rec):
+    def counting(dense, rec):
         formed.append(rec)
-        return dense(f, rec)
+        return dense(rec)
 
-    monkeypatch.setattr(oracle, "_dense", counting)
+    _wrap_kernel(monkeypatch, dense=counting)
     meas = measure_cycle(_normal_form(Fraction(1, 100)), 0.05)
     assert meas is not None
     _, records = meas.orbit
@@ -823,18 +833,18 @@ def test_dense_output_meets_the_step():
     u, v = 0.1, 0.0
     fu, fv, fw = kernel.field(u, v)
     records = []
-    oracle._dop853(kernel, 0.0, u, v, fu, fv, 0.0, fw, 0.0, 0.4, 1.2, False, 3, math.inf, records)
+    kernel.loop(0.0, u, v, fu, fv, 0.0, fw, 0.0, 0.4, 1.2, False, 3, math.inf, records)
     assert len(records) == 3
     for rec in records:
         t0, u0, v0, _, _, t1, u1, v1 = rec[:8]
-        coeffs = oracle._dense(kernel, rec)
+        coeffs = kernel.dense(rec)
         assert oracle._interpolate(*coeffs[:8], 0.0) == u0 and oracle._interpolate(*coeffs[8:], 0.0) == v0
         end = oracle._interpolate(*coeffs[:8], 1.0), oracle._interpolate(*coeffs[8:], 1.0)
         assert end == pytest.approx((u1, v1), rel=1e-15, abs=1e-17)
         for s in (0.25, 0.5, 0.8):
             tm = t0 + s * (t1 - t0)
-            _, _, um, vm, *_ = oracle._dop853(
-                kernel, *rec[:5], *rec[10:12], rec[26], tm - t0, tm, False, 10, math.inf, []
+            _, _, um, vm, *_ = kernel.loop(
+                *rec[:5], *rec[10:12], rec[26], tm - t0, tm, False, 10, math.inf, []
             )
             dense = oracle._interpolate(*coeffs[:8], s), oracle._interpolate(*coeffs[8:], s)
             # 7th order: within 1e-8 of the radius 0.1 at steps of 0.4 and
@@ -992,15 +1002,14 @@ def test_an_orbit_that_does_not_return_stops_within_its_budget(monkeypatch):
     # 1 871 accepted steps in all, where a budget of t = 1e5 took 574 959
     # to report the same "no cycle"
     steps = 0
-    loop = oracle._dop853
 
-    def counting(*args):
+    def counting(loop, *args):
         nonlocal steps
         out = loop(*args)
         steps += out[-2]
         return out
 
-    monkeypatch.setattr(oracle, "_dop853", counting)
+    _wrap_kernel(monkeypatch, loop=counting)
     defn = load_definition({
         "name": "r6",
         "jac": [["alpha", -1], [1, "alpha"]],
